@@ -2,7 +2,7 @@
 
 use hls_celllib::{ClockPeriod, Delay, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
-use hls_schedule::{CStep, FuIndex, Grid, Schedule, TimeFrames};
+use hls_schedule::{CStep, FreeStarts, FuIndex, Grid, Schedule, TimeFrames};
 
 /// One candidate cell of a placement grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -392,42 +392,45 @@ pub(crate) fn feasible_step_range(ctx: &FrameCtx<'_>, node: NodeId) -> (CStep, C
 }
 
 /// Computes the move frame of `node` on `grid` with `current_fu` visible
-/// columns.
+/// columns, as per-column masks of its free start steps.
+///
+/// The snapshot's `movable` list is filled only when `list_cells` is
+/// set (trace events, frame recording, probes); the move loop itself
+/// reads the size and the argmin straight off the masks.
 pub(crate) fn compute_move_frame(
     ctx: &FrameCtx<'_>,
     node: NodeId,
     grid: &Grid,
     current_fu: u32,
-) -> FrameSnapshot {
+    list_cells: bool,
+) -> (FrameSnapshot, FreeStarts) {
     let class = ctx.dfg.node(node).kind().fu_class();
     let cycles = ctx.effective_cycles(node);
     let asap = ctx.frames.asap(node);
     let alap = ctx.frames.alap(node);
     let (earliest, latest) = feasible_step_range(ctx, node);
+    // `feasible_step_range` admits the boundary step only when chaining
+    // allows it, so every step of the range is dependency-feasible.
+    debug_assert!(earliest > latest || ctx.dep_feasible(node, earliest));
 
-    let mut movable = Vec::new();
-    let mut af_steps = Vec::new();
-    let is_mem = matches!(class, FuClass::Mem(_));
-    let mut step = earliest;
-    while step <= latest {
-        if ctx.dep_feasible(node, step) {
-            let before = movable.len();
-            for fu in 1..=current_fu {
-                let fu = FuIndex::new(fu);
-                if grid.is_free_for(ctx.dfg, node, step, fu, cycles) {
-                    movable.push(Position { step, fu });
-                }
-            }
-            if is_mem && movable.len() == before {
-                // Every visible port of the bank is taken this step: the
-                // step belongs to the access-conflict frame.
-                af_steps.push(step);
-            }
-        }
-        step = step.offset(1);
-    }
+    let starts = grid.free_starts(ctx.dfg, node, earliest, latest, cycles, current_fu);
+    // Steps where every visible port of the bank is taken belong to the
+    // access-conflict frame.
+    let af_steps = if matches!(class, FuClass::Mem(_)) {
+        starts.full_steps(latest)
+    } else {
+        Vec::new()
+    };
+    let movable = if list_cells {
+        starts
+            .positions()
+            .map(|(step, fu)| Position { step, fu })
+            .collect()
+    } else {
+        Vec::new()
+    };
 
-    FrameSnapshot {
+    let snap = FrameSnapshot {
         node,
         class,
         primary: (asap, alap),
@@ -437,7 +440,8 @@ pub(crate) fn compute_move_frame(
         latest_feasible: latest,
         af_steps,
         movable,
-    }
+    };
+    (snap, starts)
 }
 
 /// Computes the move frame of `node` from caller-owned state — the
@@ -468,7 +472,7 @@ pub fn probe_move_frame(
         offsets,
         bounds,
     };
-    compute_move_frame(&ctx, node, grid, current_fu)
+    compute_move_frame(&ctx, node, grid, current_fu, true).0
 }
 
 #[cfg(test)]
@@ -518,7 +522,7 @@ mod tests {
             bounds: &bounds,
         };
         let grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
-        let snap = compute_move_frame(&ctx, q, &grid, 2);
+        let snap = compute_move_frame(&ctx, q, &grid, 2, true).0;
         assert_eq!(snap.earliest_feasible, CStep::new(3));
         assert!(snap.movable.iter().all(|pos| pos.step >= CStep::new(3)));
         assert!(!snap.is_empty());
@@ -554,7 +558,7 @@ mod tests {
             bounds: &bounds,
         };
         let grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
-        let snap = compute_move_frame(&ctx, p, &grid, 2);
+        let snap = compute_move_frame(&ctx, p, &grid, 2, true).0;
         assert_eq!(snap.latest_feasible, CStep::new(2));
         assert!(snap.movable.iter().all(|pos| pos.step <= CStep::new(2)));
     }
@@ -580,13 +584,13 @@ mod tests {
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 2, 1);
         grid.occupy(p, CStep::new(1), FuIndex::new(1), 1);
         // q (ASAP 2, ALAP 2) still fits at step 2.
-        let snap = compute_move_frame(&ctx, q, &grid, 1);
+        let snap = compute_move_frame(&ctx, q, &grid, 1, true).0;
         assert_eq!(snap.movable.len(), 1);
         assert_eq!(snap.movable[0].step, CStep::new(2));
         // Another op occupying step 2 empties the frame.
         grid.vacate(p);
         grid.occupy(p, CStep::new(2), FuIndex::new(1), 1);
-        let snap = compute_move_frame(&ctx, q, &grid, 1);
+        let snap = compute_move_frame(&ctx, q, &grid, 1, true).0;
         assert!(snap.is_empty());
     }
 
@@ -625,7 +629,7 @@ mod tests {
             bounds: &bounds,
         };
         let grid = Grid::new(FuClass::Op(OpKind::Add), 2, 2);
-        let snap = compute_move_frame(&ctx, q, &grid, 2);
+        let snap = compute_move_frame(&ctx, q, &grid, 2, true).0;
         // q may share step 1 (48 + 48 ≤ 100).
         assert_eq!(snap.earliest_feasible, CStep::new(1));
         assert_eq!(ctx.offset_after(q, CStep::new(1)), Delay::new(96));

@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+use hls_schedule::{CStep, FreeStarts, FuIndex};
+
+use crate::frame::Position;
+
 /// Which constraint drives the schedule, selecting the Liapunov function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MfsObjective {
@@ -86,6 +90,24 @@ impl StaticLiapunov {
     /// The objective this function encodes.
     pub fn objective(&self) -> MfsObjective {
         self.objective
+    }
+
+    /// The minimum-energy free cell of a move frame, ties broken by
+    /// `(step, fu)` — the same cell as `min_by_key((V, step, fu))` over
+    /// every free cell, found without listing them.
+    ///
+    /// Both forms grow strictly with the step for a fixed unit, so each
+    /// column's best cell is its first free step; the answer is the best
+    /// of those per-column minima.
+    pub fn min_position(&self, starts: &FreeStarts) -> Option<Position> {
+        let mut best: Option<(u64, CStep, FuIndex)> = None;
+        for (step, fu) in starts.firsts() {
+            let key = (self.value(fu.get(), step.get()), step, fu);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        best.map(|(_, step, fu)| Position { step, fu })
     }
 }
 

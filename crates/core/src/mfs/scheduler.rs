@@ -288,7 +288,7 @@ pub fn schedule_traced_with_frames(
                 config.cancel().checkpoint()?;
                 let class = dfg.node(node).kind().fu_class();
                 let cycles = bounds.cycles(node);
-                let snap = {
+                let (snap, starts) = {
                     let ctx = FrameCtx {
                         dfg,
                         spec,
@@ -298,7 +298,13 @@ pub fn schedule_traced_with_frames(
                         offsets: &offsets,
                         bounds: &bounds,
                     };
-                    compute_move_frame(&ctx, node, &pass_grids[&class], current[&class])
+                    compute_move_frame(
+                        &ctx,
+                        node,
+                        &pass_grids[&class],
+                        current[&class],
+                        instr.enabled() || config.records_frames(),
+                    )
                 };
                 instr.inc("mfs.frames_computed", 1);
                 {
@@ -313,8 +319,9 @@ pub fn schedule_traced_with_frames(
                         instr.inc("mfs.bounds.fast_path", 1);
                     }
                 }
-                instr.inc("mfs.energy_evaluations", snap.movable.len() as u64);
-                instr.observe("mfs.mf_size", snap.movable.len() as u64);
+                let mf_size = starts.count();
+                instr.inc("mfs.energy_evaluations", mf_size as u64);
+                instr.observe("mfs.mf_size", mf_size as u64);
                 if !snap.af_steps.is_empty() {
                     // Bank-port saturation carved steps out of this frame.
                     instr.inc("mem.port_conflicts", 1);
@@ -330,7 +337,7 @@ pub fn schedule_traced_with_frames(
                         pf: alap.get() - asap.get() + 1,
                         rf: snap.max_fu - snap.current_fu,
                         ff,
-                        mf_size: snap.movable.len() as u32,
+                        mf_size: mf_size as u32,
                     });
                     for p in &snap.movable {
                         instr.emit(TraceEvent::EnergyEvaluated {
@@ -340,12 +347,7 @@ pub fn schedule_traced_with_frames(
                         });
                     }
                 }
-                let best = snap
-                    .movable
-                    .iter()
-                    .min_by_key(|p| (liapunov.value(p.fu.get(), p.step.get()), p.step, p.fu))
-                    .copied();
-                match best {
+                match liapunov.min_position(&starts) {
                     Some(pos) => {
                         let offset = {
                             let ctx = FrameCtx {

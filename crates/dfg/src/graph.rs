@@ -56,6 +56,11 @@ pub struct Dfg {
     preds: Vec<Vec<NodeId>>,
     succs: Vec<Vec<NodeId>>,
     topo: Vec<NodeId>,
+    /// Signal → consumer index in CSR form: the consumers of signal `s`
+    /// are `consumer_ids[consumer_start[s]..consumer_start[s + 1]]`, in
+    /// node order, each listed once however often it reads `s`.
+    consumer_start: Vec<u32>,
+    consumer_ids: Vec<NodeId>,
     /// Per-node compact index into `mutex_bits`, or `u32::MAX` for
     /// unconditional nodes (which exclude nothing). Only nodes inside a
     /// branch arm get a row, so branch-free graphs pay nothing.
@@ -171,6 +176,31 @@ impl Dfg {
                 }
             }
         }
+        // Consumer index: count the distinct readers of each signal,
+        // prefix-sum the counts into row starts, then fill in node order.
+        fn reads(node: &Node) -> impl Iterator<Item = usize> + '_ {
+            let inputs = &node.inputs;
+            (0..inputs.len())
+                .filter(move |&j| !inputs[..j].contains(&inputs[j]))
+                .map(move |j| inputs[j].index())
+        }
+        let mut consumer_start = vec![0u32; signals.len() + 1];
+        for node in &nodes {
+            for sig in reads(node) {
+                consumer_start[sig + 1] += 1;
+            }
+        }
+        for i in 1..consumer_start.len() {
+            consumer_start[i] += consumer_start[i - 1];
+        }
+        let mut fill = consumer_start.clone();
+        let mut consumer_ids = vec![NodeId(0); consumer_start[signals.len()] as usize];
+        for (i, node) in nodes.iter().enumerate() {
+            for sig in reads(node) {
+                consumer_ids[fill[sig] as usize] = NodeId(i as u32);
+                fill[sig] += 1;
+            }
+        }
         // Kahn topological sort; detects cycles.
         let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
         let mut queue: Vec<NodeId> = indeg
@@ -236,6 +266,8 @@ impl Dfg {
             preds,
             succs,
             topo,
+            consumer_start,
+            consumer_ids,
             mutex_index,
             mutex_bits,
             mutex_words,
@@ -307,12 +339,11 @@ impl Dfg {
         &self.succs[id.index()]
     }
 
-    /// Nodes consuming the given signal.
-    pub fn consumers(&self, sig: SignalId) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|(_, n)| n.inputs.contains(&sig))
-            .map(|(id, _)| id)
-            .collect()
+    /// Nodes consuming the given signal, in id order — an O(1) lookup
+    /// into an index built with the graph.
+    pub fn consumers(&self, sig: SignalId) -> &[NodeId] {
+        let i = sig.index();
+        &self.consumer_ids[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
     }
 
     /// A precomputed topological order of the nodes.

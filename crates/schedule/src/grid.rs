@@ -226,6 +226,110 @@ impl Grid {
         true
     }
 
+    /// The start steps in `[earliest, latest]` at which `node`
+    /// (occupying `cycles` steps) is free on each of the first
+    /// `columns` columns — [`Grid::is_free_for`] for the whole window at
+    /// once, a word of 64 steps at a time.
+    ///
+    /// Columns past `max_fu` are left out, columns never touched are
+    /// entirely free, and starts whose span would overrun the time
+    /// constraint are outside the window. An occupied cell blocks the
+    /// spans over it unless `node` is mutually exclusive with every
+    /// occupant.
+    pub fn free_starts(
+        &self,
+        dfg: &Dfg,
+        node: NodeId,
+        earliest: CStep,
+        latest: CStep,
+        cycles: u8,
+        columns: u32,
+    ) -> FreeStarts {
+        let columns = columns.min(self.max_fu);
+        let lo = earliest.get();
+        let last = latest
+            .get()
+            .min((self.cs + 1).saturating_sub(cycles as u32));
+        let len = if last >= lo { last - lo + 1 } else { 0 };
+        let words = (len as usize).div_ceil(64);
+        let mut bits = vec![!0u64; columns as usize * words];
+        let tail = match len % 64 {
+            0 => !0u64,
+            r => (1u64 << r) - 1,
+        };
+        // Mask word `w` covers the starts `lo + 64·w ..`; the `c`-th
+        // cells of those spans are the 64 occupancy bits from step-space
+        // row `r`. Which two words and what shift that takes is the same
+        // in every column, so it is worked out once.
+        let mut reads = Vec::with_capacity(words * cycles as usize);
+        for w in 0..words {
+            let valid = if w + 1 == words { tail } else { !0 };
+            for c in 0..cycles as usize {
+                let r = (lo - 1) as usize + 64 * w + c;
+                reads.push((w, c as u32, r / 64, r % 64, valid));
+            }
+        }
+        // A node that excludes nothing can never share a cell, so only
+        // branched nodes look at who occupies the blocking cells.
+        let shares = dfg.has_exclusions(node);
+        let mut unrolled = Vec::new();
+        for (col, masks) in (0..columns.min(self.cols)).zip(bits.chunks_mut(words.max(1))) {
+            let fu = FuIndex::new(col + 1);
+            let base = col as usize * self.wpc;
+            let mut column = &self.occ[base..base + self.wpc];
+            if self.latency.is_some() {
+                // Unroll the wrapped rows into step space first.
+                unrolled.clear();
+                unrolled.resize((self.cs as usize).div_ceil(64), 0u64);
+                for step in lo..=self.cs.min((last + cycles as u32).saturating_sub(1)) {
+                    let r = self.row(step) as usize;
+                    let s = (step - 1) as usize;
+                    unrolled[s / 64] |= (column[r / 64] >> (r % 64) & 1) << (s % 64);
+                }
+                column = &unrolled;
+            }
+            let word = |i: usize| column.get(i).copied().unwrap_or(0);
+            for &(w, c, i, shift, valid) in &reads {
+                let high = if shift == 0 {
+                    0
+                } else {
+                    word(i + 1) << (64 - shift)
+                };
+                // Bit `k`: the `c`-th cell of the span starting at step
+                // `lo + 64·w + k`.
+                let mut occupied = (word(i) >> shift | high) & valid;
+                if shares {
+                    let mut cells = occupied;
+                    while cells != 0 {
+                        let k = cells.trailing_zeros();
+                        cells &= cells - 1;
+                        let step = CStep::new(lo + 64 * w as u32 + k + c);
+                        if self
+                            .occupants(step, fu)
+                            .iter()
+                            .all(|&o| dfg.mutually_exclusive(node, o))
+                        {
+                            occupied &= !(1 << k);
+                        }
+                    }
+                }
+                masks[w] &= !occupied;
+            }
+        }
+        if words > 0 {
+            for masks in bits.chunks_mut(words) {
+                masks[words - 1] &= tail;
+            }
+        }
+        FreeStarts {
+            lo,
+            len,
+            words,
+            columns,
+            bits,
+        }
+    }
+
     /// Places `node` at `(step, fu)` for `cycles` steps.
     ///
     /// # Panics
@@ -344,6 +448,91 @@ impl Grid {
             .iter()
             .enumerate()
             .filter_map(|(i, p)| p.map(|(s, f, _)| (NodeId::from_index(i), s, f)))
+    }
+}
+
+/// Where one node fits on a [`Grid`]: for each visible column, a bitmask
+/// over the start-step window `[lo, lo + len)` whose bit `i` is set iff
+/// the node fits at step `lo + i` on that column. Built by
+/// [`Grid::free_starts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FreeStarts {
+    lo: u32,
+    /// Start steps in the window (0 when it is empty).
+    len: u32,
+    /// Mask words per column.
+    words: usize,
+    columns: u32,
+    /// `columns × words` masks, column-major.
+    bits: Vec<u64>,
+}
+
+impl FreeStarts {
+    fn column(&self, fu: FuIndex) -> &[u64] {
+        let col = (fu.get() - 1) as usize;
+        if col >= self.columns as usize {
+            return &[];
+        }
+        &self.bits[col * self.words..(col + 1) * self.words]
+    }
+
+    /// Number of free `(step, column)` cells.
+    pub fn count(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the node fits at `(step, fu)`.
+    pub fn contains(&self, step: CStep, fu: FuIndex) -> bool {
+        let Some(i) = step.get().checked_sub(self.lo).filter(|&i| i < self.len) else {
+            return false;
+        };
+        let i = i as usize;
+        self.column(fu)
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The earliest step at which the node fits on each column, as
+    /// `(step, fu)` in column order; columns with no free cell are
+    /// skipped.
+    pub fn firsts(&self) -> impl Iterator<Item = (CStep, FuIndex)> + '_ {
+        self.bits
+            .chunks_exact(self.words.max(1))
+            .zip(1..)
+            .filter_map(|(masks, fu)| {
+                let i = masks.iter().position(|&w| w != 0)?;
+                let step = self.lo + 64 * i as u32 + masks[i].trailing_zeros();
+                Some((CStep::new(step), FuIndex::new(fu)))
+            })
+    }
+
+    /// Every free cell as `(step, fu)`, in step order and, within a step,
+    /// column order.
+    pub fn positions(&self) -> impl Iterator<Item = (CStep, FuIndex)> + '_ {
+        (0..self.len).flat_map(move |i| {
+            (1..=self.columns).filter_map(move |fu| {
+                let (step, fu) = (CStep::new(self.lo + i), FuIndex::new(fu));
+                self.contains(step, fu).then_some((step, fu))
+            })
+        })
+    }
+
+    /// The steps of `[lo, through]` at which no column is free — steps
+    /// past the window included.
+    pub fn full_steps(&self, through: CStep) -> Vec<CStep> {
+        let mut open = vec![0u64; self.words];
+        for masks in self.bits.chunks(self.words.max(1)) {
+            for (o, &m) in open.iter_mut().zip(masks) {
+                *o |= m;
+            }
+        }
+        (self.lo..=through.get())
+            .filter(|&step| {
+                let i = (step - self.lo) as usize;
+                i >= self.len as usize || open[i / 64] >> (i % 64) & 1 == 0
+            })
+            .map(CStep::new)
+            .collect()
     }
 }
 

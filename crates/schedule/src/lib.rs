@@ -53,7 +53,7 @@ mod verify;
 
 pub use asap_alap::{alap, asap, TimeFrames};
 pub use error::ScheduleError;
-pub use grid::Grid;
+pub use grid::{FreeStarts, Grid};
 pub use lifetime::{peak_live, signal_lifetimes, Lifetime};
 pub use priority::{priority_order, priority_order_with, PriorityRule};
 pub use render::{render_grid, render_schedule};

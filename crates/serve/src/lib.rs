@@ -55,4 +55,4 @@ pub use http::{
 };
 pub use json::{escape_into, parse_flat_array, parse_flat_object, JsonValue};
 pub use queue::Bounded;
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, WorkerHold};

@@ -70,6 +70,11 @@ impl<T> Bounded<T> {
         self.ready.notify_all();
     }
 
+    /// Whether [`Bounded::close`] has been called.
+    pub fn is_closed(&self) -> bool {
+        self.state.lock().expect("queue lock").closed
+    }
+
     /// Items currently waiting.
     pub fn len(&self) -> usize {
         self.state.lock().expect("queue lock").items.len()

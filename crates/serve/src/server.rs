@@ -25,7 +25,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -137,6 +137,76 @@ struct Shared {
     completions: Mutex<Vec<Done>>,
     waker: Waker,
     shutdown: AtomicBool,
+    gate: Gate,
+}
+
+/// Where workers park between popping a request and computing it while
+/// a [`WorkerHold`] is alive: `(held, parked)` under one lock.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (bool, usize)> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn wait<'a>(
+        &self,
+        guard: std::sync::MutexGuard<'a, (bool, usize)>,
+    ) -> std::sync::MutexGuard<'a, (bool, usize)> {
+        self.changed
+            .wait(guard)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Returns at once unless held; otherwise parks until released.
+    fn pass(&self) {
+        let mut state = self.lock();
+        if !state.0 {
+            return;
+        }
+        state.1 += 1;
+        self.changed.notify_all();
+        while state.0 {
+            state = self.wait(state);
+        }
+        state.1 -= 1;
+    }
+
+    fn set(&self, held: bool) {
+        self.lock().0 = held;
+        self.changed.notify_all();
+    }
+}
+
+/// A test seam that keeps the worker pool busy: while it is alive,
+/// every worker that pops a request parks before computing it, so a
+/// test can make "the pool is occupied" a fact instead of a race
+/// against compute time. Dropping it releases the workers.
+#[doc(hidden)]
+pub struct WorkerHold<'a> {
+    gate: &'a Gate,
+}
+
+impl WorkerHold<'_> {
+    /// Blocks until `n` workers are parked at the hold.
+    pub fn wait_parked(&self, n: usize) {
+        let mut state = self.gate.lock();
+        while state.1 < n {
+            state = self.gate.wait(state);
+        }
+    }
+}
+
+impl Drop for WorkerHold<'_> {
+    fn drop(&mut self) {
+        self.gate.set(false);
+    }
 }
 
 /// A running daemon. Dropping it without [`Server::join`] detaches the
@@ -172,6 +242,7 @@ impl Server {
             completions: Mutex::new(Vec::new()),
             waker,
             shutdown: AtomicBool::new(false),
+            gate: Gate::default(),
         });
 
         let reactor = {
@@ -205,6 +276,29 @@ impl Server {
         &self.shared.app
     }
 
+    /// Holds every worker before its next computation until the
+    /// returned guard is dropped (a test seam, see [`WorkerHold`]).
+    #[doc(hidden)]
+    pub fn hold_workers(&self) -> WorkerHold<'_> {
+        self.shared.gate.set(true);
+        WorkerHold {
+            gate: &self.shared.gate,
+        }
+    }
+
+    /// Requests admitted and waiting for a worker (a test seam).
+    #[doc(hidden)]
+    pub fn queued(&self) -> usize {
+        self.shared.queue.len()
+    }
+
+    /// Whether the drain has begun: the admission queue is closed (a
+    /// test seam).
+    #[doc(hidden)]
+    pub fn draining(&self) -> bool {
+        self.shared.queue.is_closed()
+    }
+
     /// Requests a graceful shutdown: stop accepting, answer everything
     /// admitted, then drain.
     pub fn shutdown(&self) {
@@ -226,6 +320,7 @@ impl Server {
 
 fn worker_loop(shared: &Shared) {
     while let Some(work) = shared.queue.pop() {
+        shared.gate.pass();
         let started = Instant::now();
         let queue_ns = started.saturating_duration_since(work.enqueued).as_nanos() as u64;
         // A panic in parsing/scheduling answers 500 instead of

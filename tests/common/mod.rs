@@ -55,24 +55,22 @@ pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> (u16, String) {
     request(addr, "POST", path, body)
 }
 
-/// A single `/schedule` job heavy enough to pin one worker for most of
-/// a second in debug builds: the canonical `gen:` scaling workload,
-/// inlined as DFG text. Under the reactor only *compute* occupies a
-/// worker — a mute connection pins nothing — so tests that need a busy
-/// pool send this.
-pub fn pin_job(ops: usize) -> Vec<u8> {
-    use moveframe_hls::benchmarks::generate::{generate, scaling_workload};
-    let dfg = generate(&scaling_workload(ops));
-    let text = dfg.to_text().expect("generated DFG renders to text");
-    let mut body = String::from("{\"dfg\":\"");
-    for c in text.chars() {
-        match c {
-            '"' => body.push_str("\\\""),
-            '\\' => body.push_str("\\\\"),
-            '\n' => body.push_str("\\n"),
-            c => body.push(c),
-        }
+/// A cold `/schedule` job for a worker to hold while a test fills the
+/// queue behind it (see [`Server::hold_workers`]); distinct from the
+/// tests' ordinary diffeq job so neither answers from the other's
+/// cache entry.
+pub const HELD_JOB: &[u8] = br#"{"benchmark":"diffeq","cs":5}"#;
+
+/// Polls `ready` until it holds, failing the test after 30 s. Waits on
+/// a fact about the daemon (a parked worker, a queued request), never
+/// on how long a computation takes.
+pub fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !ready() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    body.push_str("\",\"alg\":\"mfsa\",\"cs\":40}");
-    body.into_bytes()
 }

@@ -4,14 +4,18 @@
 //! touches the redundant columns, the dependency-forbidden steps, or
 //! the access-conflict steps of a fully-occupied memory bank — and the
 //! move loop's local rescheduling terminates within its column budget.
+//! The word-level frame queries (`Grid::free_starts`,
+//! `StaticLiapunov::min_position`) agree with the cell-by-cell
+//! enumeration they replace.
 
 use proptest::prelude::*;
 
 use moveframe_hls::benchmarks::generate::{generate, GeneratorConfig};
 use moveframe_hls::benchmarks::memory;
 use moveframe_hls::mem::{check_port_safety, port_pressure};
-use moveframe_hls::moveframe::FrameSnapshot;
+use moveframe_hls::moveframe::{FrameSnapshot, Position, StaticLiapunov};
 use moveframe_hls::prelude::*;
+use moveframe_hls::schedule::{FuIndex, Grid};
 
 /// The same layered-DAG strategy as `property_tests.rs`.
 fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
@@ -266,5 +270,238 @@ proptest! {
                 bank.name(), pressure.peak(bank.id()), bank.ports()
             );
         }
+    }
+}
+
+/// The cells of `[lo, hi] × [1, columns]` where `node` fits, probed one
+/// by one with `Grid::is_free_for` in `(step, fu)` order — the oracle
+/// for the word-level `Grid::free_starts`.
+fn enumerate_free(
+    grid: &Grid,
+    dfg: &Dfg,
+    node: NodeId,
+    (lo, hi): (u32, u32),
+    cycles: u8,
+    columns: u32,
+) -> Vec<(CStep, FuIndex)> {
+    let mut cells = Vec::new();
+    for step in lo..=hi {
+        for fu in 1..=columns {
+            let (step, fu) = (CStep::new(step), FuIndex::new(fu));
+            if grid.is_free_for(dfg, node, step, fu, cycles) {
+                cells.push((step, fu));
+            }
+        }
+    }
+    cells
+}
+
+/// The steps of `window` with no free cell in `cells` — the AF scan.
+fn full_steps((lo, hi): (u32, u32), cells: &[(CStep, FuIndex)]) -> Vec<CStep> {
+    (lo..=hi)
+        .map(CStep::new)
+        .filter(|s| cells.iter().all(|(step, _)| step != s))
+        .collect()
+}
+
+/// Checks every word-level answer for one query against the
+/// enumeration: the cells, |MF|, the argmin under both static Liapunov
+/// functions, and the steps no column leaves free (the AF scan).
+fn check_free_starts(
+    grid: &Grid,
+    dfg: &Dfg,
+    node: NodeId,
+    window: (u32, u32),
+    cycles: u8,
+    columns: u32,
+) -> Result<(), TestCaseError> {
+    let cells = enumerate_free(grid, dfg, node, window, cycles, columns);
+    let (lo, hi) = (CStep::new(window.0), CStep::new(window.1));
+    let starts = grid.free_starts(dfg, node, lo, hi, cycles, columns);
+    prop_assert_eq!(&starts.positions().collect::<Vec<_>>(), &cells);
+    prop_assert_eq!(starts.count(), cells.len());
+    for objective in [
+        MfsObjective::TimeConstrained,
+        MfsObjective::ResourceConstrained,
+    ] {
+        let v = StaticLiapunov::new(objective, dfg.node_count() as u32, grid.control_steps());
+        let expected = cells
+            .iter()
+            .min_by_key(|(s, f)| (v.value(f.get(), s.get()), *s, *f))
+            .map(|&(step, fu)| Position { step, fu });
+        prop_assert_eq!(v.min_position(&starts), expected, "{}", objective);
+    }
+    prop_assert_eq!(starts.full_steps(hi), full_steps(window, &cells));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random occupy/vacate scripts on a branchy graph (shared cells)
+    /// over grids one word high, several words high (cs ≥ 130) and
+    /// latency-wrapped, probed with multi-cycle spans and with more
+    /// visible columns than are materialised or budgeted.
+    #[test]
+    fn word_level_frame_queries_match_the_cell_enumeration(
+        seed in 1u64..500,
+        shape in 0usize..6,
+        script in proptest::collection::vec(
+            (0usize..64, 0u32..10_000, 1u32..8, 1u8..4, 0u8..4),
+            1..48,
+        ),
+    ) {
+        let dfg = generate(&GeneratorConfig {
+            seed,
+            layers: 4,
+            width: 4,
+            branch_pct: 60,
+            ..GeneratorConfig::default()
+        });
+        let (cs, latency) = [(8, None), (40, Some(3)), (130, None), (200, None), (150, Some(70)), (12, Some(2))][shape];
+        let max_fu = 5;
+        let grid = Grid::new(FuClass::Op(OpKind::Add), cs, max_fu);
+        let mut grid = match latency {
+            Some(l) => grid.with_latency(l),
+            None => grid,
+        };
+        for &(ni, r, f, cycles, action) in &script {
+            let node = NodeId::from_index(ni % dfg.node_count());
+            let step = 1 + r % cs;
+            match action {
+                0 => {
+                    let (s, fu) = (CStep::new(step), FuIndex::new(f.min(max_fu)));
+                    if grid.placement(node).is_none() && grid.is_free_for(&dfg, node, s, fu, cycles) {
+                        grid.occupy(node, s, fu, cycles);
+                    }
+                }
+                1 => {
+                    grid.vacate(node);
+                }
+                _ => {
+                    // A window from `step`, possibly empty (from step
+                    // 2 on), possibly running past the last start a
+                    // span fits.
+                    let hi = (step - 1 + (r / 7) % (cs - step + 2)).max(1);
+                    check_free_starts(&grid, &dfg, node, (step, hi), cycles, f)?;
+                }
+            }
+        }
+        // Every column, including the untouched ones, once more.
+        for (node, _) in dfg.nodes() {
+            check_free_starts(&grid, &dfg, node, (1, cs), 1, max_fu + 2)?;
+        }
+    }
+}
+
+/// Replays the final pass of a recorded MFS run on fresh grids and
+/// checks each snapshot against the cell enumeration at its moment:
+/// the move frame, the AF steps and the committed cell, which must be
+/// the enumeration's minimum in the objective's lexicographic order —
+/// `(step, fu)` for time-constrained, `(fu, step)` for
+/// resource-constrained.
+fn replay_matches_enumeration(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    config: &MfsConfig,
+) -> Result<(), TestCaseError> {
+    let outcome = mfs::schedule(dfg, spec, config).expect("feasible configuration");
+    prop_assert_eq!(outcome.snapshots.len(), dfg.node_count());
+    let cs = config.control_steps();
+    let mut grids: std::collections::BTreeMap<FuClass, Grid> = Default::default();
+    for snap in &outcome.snapshots {
+        let grid = grids.entry(snap.class).or_insert_with(|| {
+            let grid = Grid::new(snap.class, cs, snap.max_fu);
+            match config.latency() {
+                Some(l) => grid.with_latency(l),
+                None => grid,
+            }
+        });
+        let cycles = dfg.node(snap.node).kind().cycles(spec);
+        let window = (snap.earliest_feasible.get(), snap.latest_feasible.get());
+        let cells = enumerate_free(grid, dfg, snap.node, window, cycles, snap.current_fu);
+        let movable: Vec<(CStep, FuIndex)> = snap.movable.iter().map(|p| (p.step, p.fu)).collect();
+        prop_assert_eq!(&movable, &cells, "node {:?}", snap.node);
+        if matches!(snap.class, FuClass::Mem(_)) {
+            prop_assert_eq!(
+                &snap.af_steps,
+                &full_steps(window, &cells),
+                "node {:?}",
+                snap.node
+            );
+        }
+        let best = match config.objective() {
+            MfsObjective::TimeConstrained => cells.iter().min().copied(),
+            MfsObjective::ResourceConstrained => {
+                cells.iter().min_by_key(|(s, f)| (*f, *s)).copied()
+            }
+        };
+        let slot = outcome.schedule.slot(snap.node).expect("complete schedule");
+        let fu = match slot.unit {
+            moveframe_hls::schedule::UnitId::Fu { index, .. } => index,
+            other => panic!("MFS binds FUs, got {other:?}"),
+        };
+        prop_assert_eq!(best, Some((slot.step, fu)), "node {:?}", snap.node);
+        grid.occupy(snap.node, slot.step, fu, cycles);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Branchy graphs with shared cells, two-cycle multiplies, wide
+    /// (multi-word) and latency-wrapped grids, under both objectives.
+    #[test]
+    fn mfs_moves_are_the_enumerated_argmin(
+        config in config_strategy(),
+        slack in 0u32..3,
+        wide in 0u8..2,
+        latency in 0u32..3,
+        resource in 0u8..2,
+    ) {
+        let dfg = generate(&GeneratorConfig { branch_pct: 50, ..config.clone() });
+        let spec = TimingSpec::two_cycle_multiply();
+        let cp = CriticalPath::compute(&dfg, &spec).steps() as u32;
+        // Wide frames put every column on two or three mask words.
+        let cs = cp + slack + if wide == 1 { 130 } else { 0 };
+        let mut mfs_config = if resource == 1 {
+            let mut c = MfsConfig::resource_constrained(cs);
+            for class in dfg.class_counts().keys() {
+                c = c.with_fu_limit(*class, dfg.node_count() as u32);
+            }
+            c
+        } else {
+            MfsConfig::time_constrained(cs)
+        };
+        if latency > 0 {
+            mfs_config = mfs_config.with_latency(latency + 1);
+        }
+        replay_matches_enumeration(&dfg, &spec, &mfs_config.with_frame_recording())?;
+    }
+
+    /// Memory banks: port columns, AF steps and both objectives.
+    #[test]
+    fn mfs_memory_moves_are_the_enumerated_argmin(
+        taps in 2usize..6,
+        ports in 1u32..4,
+        slack in 0u32..3,
+        resource in 0u8..2,
+    ) {
+        let dfg = memory::array_fir(taps, ports);
+        let spec = TimingSpec::uniform_single_cycle();
+        let cp = CriticalPath::compute(&dfg, &spec).steps() as u32;
+        let config = (cp + slack..cp + slack + 64)
+            .map(|cs| {
+                if resource == 1 {
+                    MfsConfig::resource_constrained(cs)
+                } else {
+                    MfsConfig::time_constrained(cs)
+                }
+                .with_frame_recording()
+            })
+            .find(|config| mfs::schedule(&dfg, &spec, config).is_ok())
+            .expect("a feasible time constraint within cp + 64");
+        replay_matches_enumeration(&dfg, &spec, &config)?;
     }
 }

@@ -323,3 +323,87 @@ fn proptest_regression_seed_461_narrow_dag() {
         peak_live(&lifetimes)
     );
 }
+
+/// Random `.dfg` text over a growing signal pool. Operations may read
+/// one signal twice (`add(s, s)`), and access indices are a literal
+/// (parsed into an inline index constant that `to_text` folds back), a
+/// named constant shared by several accesses, or a data signal.
+fn random_dfg_text(script: &[(u8, usize, usize, u8)]) -> String {
+    let mut text = String::from(
+        "dfg csr\ninput x0, x1, x2\nconst k = 1\nbank ram(ports=2)\narray a[4] @ ram\n",
+    );
+    let mut pool: Vec<String> = ["x0", "x1", "x2", "k"].map(String::from).to_vec();
+    for (i, &(kind, p, q, lit)) in script.iter().enumerate() {
+        let a = pool[p % pool.len()].clone();
+        let b = pool[q % pool.len()].clone();
+        let index = match lit % 3 {
+            0 => (lit % 4).to_string(),
+            1 => "k".to_string(),
+            _ => a.clone(),
+        };
+        let name = format!("n{i}");
+        let line = match kind % 4 {
+            0 => format!("op {name} = add({a}, {a})"),
+            1 => format!("op {name} = sub({a}, {b})"),
+            2 => format!("load {name} = a[{index}]"),
+            _ => format!("store {name} = a[{index}], {b}"),
+        };
+        text.push_str(&line);
+        text.push('\n');
+        pool.push(name);
+    }
+    text
+}
+
+/// `Dfg::consumers` against a scan of every node's inputs.
+fn consumers_match_the_scan(dfg: &Dfg) -> Result<(), TestCaseError> {
+    for (sid, _) in dfg.signals() {
+        let scan: Vec<NodeId> = dfg
+            .nodes()
+            .filter(|(_, n)| n.inputs().contains(&sid))
+            .map(|(id, _)| id)
+            .collect();
+        prop_assert_eq!(dfg.consumers(sid), scan.as_slice(), "signal {:?}", sid);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn consumer_index_matches_the_scan_and_text_is_stable(
+        script in proptest::collection::vec((0u8..4, 0usize..64, 0usize..64, 0u8..9), 1..24),
+    ) {
+        let dfg = parse_dfg(&random_dfg_text(&script)).unwrap();
+        consumers_match_the_scan(&dfg)?;
+        let text = dfg.to_text().expect("top-level graphs are expressible");
+        let reparsed = parse_dfg(&text).unwrap();
+        consumers_match_the_scan(&reparsed)?;
+        prop_assert_eq!(reparsed.to_text().unwrap(), text);
+    }
+
+    #[test]
+    fn consumer_index_matches_the_scan_on_generated_graphs(
+        config in config_strategy(),
+        branch_pct in 0u32..80,
+    ) {
+        consumers_match_the_scan(&generate(&GeneratorConfig { branch_pct, ..config.clone() }))?;
+    }
+}
+
+#[test]
+fn consumer_index_lists_a_double_reader_once_and_folds_index_literals() {
+    let dfg = parse_dfg(
+        "input x\nbank ram(ports=1)\narray a[4] @ ram\nop d = add(x, x)\nload r = a[3]\nload s = a[3]\n",
+    )
+    .unwrap();
+    let x = dfg.signal_by_name("x").unwrap();
+    let d = dfg.node_by_name("d").unwrap();
+    assert_eq!(dfg.consumers(x), &[d]);
+    // Each literal index became a constant read only by its access, so
+    // the writer folds both back into literals.
+    let text = dfg.to_text().unwrap();
+    assert_eq!(text.matches("a[3]").count(), 2, "{text}");
+    assert_eq!(parse_dfg(&text).unwrap().to_text().unwrap(), text);
+}

@@ -6,7 +6,6 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use moveframe_hls::prelude::*;
 
@@ -142,6 +141,7 @@ fn healthz_stays_responsive_while_jobs_compute() {
         ..common::ephemeral_config()
     });
     let addr = server.local_addr();
+    let hold = server.hold_workers();
     let worker = std::thread::spawn(move || {
         common::post(
             addr,
@@ -149,10 +149,13 @@ fn healthz_stays_responsive_while_jobs_compute() {
             br#"{"benchmark":"dct8","alg":"mfsa","cs":12}"#,
         )
     });
-    // Probe while the job runs; with a second worker this never queues
-    // behind the compute.
-    std::thread::sleep(Duration::from_millis(20));
-    let (status, _) = common::get(addr, "/healthz");
+    // With the job held on one worker, the probe must reach the other
+    // one instead of queueing behind the compute: two workers park.
+    hold.wait_parked(1);
+    let probe = std::thread::spawn(move || common::get(addr, "/healthz"));
+    hold.wait_parked(2);
+    drop(hold);
+    let (status, _) = probe.join().expect("probe thread");
     assert_eq!(status, 200);
     let (status, body) = worker.join().expect("job thread");
     assert!(status == 200 || status == 422, "dct8 job: {status} {body}");

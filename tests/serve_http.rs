@@ -5,7 +5,6 @@ mod common;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
 
 use moveframe_hls::prelude::*;
 
@@ -64,15 +63,15 @@ fn overload_answers_429_and_the_pool_recovers() {
     });
     let addr = server.local_addr();
 
-    // Pin the single worker on a long cold job, then fill the one
-    // queue slot with an ordinary job behind it. (Mute connections no
-    // longer pin anything: the reactor admits *requests*, not
-    // connections, so only compute occupies a worker.)
-    let pin_body = common::pin_job(1500);
-    let pin = std::thread::spawn(move || common::post(addr, "/schedule", &pin_body));
-    std::thread::sleep(Duration::from_millis(150));
+    // Hold the single worker on a cold job, then fill the one queue
+    // slot with an ordinary job behind it. (Mute connections pin
+    // nothing: the reactor admits *requests*, not connections, so only
+    // compute occupies a worker.)
+    let hold = server.hold_workers();
+    let pin = std::thread::spawn(move || common::post(addr, "/schedule", common::HELD_JOB));
+    hold.wait_parked(1);
     let queued = std::thread::spawn(move || common::post(addr, "/schedule", DIFFEQ_JOB));
-    std::thread::sleep(Duration::from_millis(150));
+    common::wait_until("the queued job", || server.queued() == 1);
 
     // The queue is full: the reactor must answer 429 inline, without
     // involving (or waiting for) a worker.
@@ -80,8 +79,9 @@ fn overload_answers_429_and_the_pool_recovers() {
     assert_eq!(status, 429, "{body}");
     assert!(body.contains("queue"), "{body}");
 
-    // Backpressure sheds nothing that was admitted: the pinned batch
-    // and the queued job both complete, and the pool keeps serving.
+    // Backpressure sheds nothing that was admitted: the held job and
+    // the queued job both complete, and the pool keeps serving.
+    drop(hold);
     let (status, body) = pin.join().expect("pin client");
     assert_eq!(status, 200, "{body}");
     let (status, _) = queued.join().expect("queued client");
@@ -182,27 +182,29 @@ fn shutdown_drains_admitted_requests() {
     });
     let addr = server.local_addr();
 
-    // Pin the worker on a long cold job, then get a complete request
+    // Hold the worker on a cold job, then get a complete request
     // admitted into the queue behind it.
-    let pin_body = common::pin_job(1500);
-    let pin = std::thread::spawn(move || common::post(addr, "/schedule", &pin_body));
-    std::thread::sleep(Duration::from_millis(150));
+    let hold = server.hold_workers();
+    let pin = std::thread::spawn(move || common::post(addr, "/schedule", common::HELD_JOB));
+    hold.wait_parked(1);
     let mut queued = TcpStream::connect(addr).expect("connect");
     queued
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
         .expect("write");
-    std::thread::sleep(Duration::from_millis(150));
+    common::wait_until("the queued probe", || server.queued() == 1);
 
     // Shutdown stops admission but must answer what was admitted —
-    // the in-flight batch and the queued probe both.
+    // the in-flight job and the queued probe both.
     server.shutdown();
+    common::wait_until("the drain", || server.draining());
+    drop(hold);
     let mut raw = Vec::new();
     std::io::Read::read_to_end(&mut queued, &mut raw).expect("read");
     let text = String::from_utf8_lossy(&raw);
     assert!(text.starts_with("HTTP/1.1 200"), "{text}");
     assert!(text.ends_with("ok\n"), "{text}");
     let (status, body) = pin.join().expect("pin client");
-    assert_eq!(status, 200, "in-flight batch dropped by drain: {body}");
+    assert_eq!(status, 200, "in-flight job dropped by drain: {body}");
 
     server.join();
 

@@ -179,12 +179,13 @@ fn connection_survives_a_429() {
     });
     let addr = server.local_addr();
 
-    // Saturate: one job computing, one in the single queue slot.
-    let pin_body = common::pin_job(1500);
-    let pin = std::thread::spawn(move || common::post(addr, "/schedule", &pin_body));
-    std::thread::sleep(Duration::from_millis(150));
+    // Saturate: one job held on the worker, one in the single queue
+    // slot.
+    let hold = server.hold_workers();
+    let pin = std::thread::spawn(move || common::post(addr, "/schedule", common::HELD_JOB));
+    hold.wait_parked(1);
     let queued = std::thread::spawn(move || common::post(addr, "/schedule", DIFFEQ_JOB));
-    std::thread::sleep(Duration::from_millis(150));
+    common::wait_until("the queued job", || server.queued() == 1);
 
     let mut stream = connect(addr);
     send(&mut stream, "GET", "/healthz", b"");
@@ -193,6 +194,7 @@ fn connection_survives_a_429() {
 
     // 429 is the *request* shed, not the connection: once the pool
     // drains, the very same socket serves again.
+    drop(hold);
     assert_eq!(pin.join().expect("pin client").0, 200);
     assert_eq!(queued.join().expect("queued client").0, 200);
     send(&mut stream, "GET", "/healthz", b"");
@@ -346,9 +348,10 @@ fn shutdown_answers_pipelined_requests_in_flight() {
     });
     let mut stream = connect(server.local_addr());
 
-    // A slow compute with a cheap probe pipelined behind it, then
+    // A held compute with a cheap probe pipelined behind it, then
     // shutdown while both are in flight.
-    let pin_body = common::pin_job(1500);
+    let hold = server.hold_workers();
+    let pin_body = common::HELD_JOB;
     let mut burst = Vec::new();
     burst.extend_from_slice(
         format!(
@@ -357,12 +360,15 @@ fn shutdown_answers_pipelined_requests_in_flight() {
         )
         .as_bytes(),
     );
-    burst.extend_from_slice(&pin_body);
+    burst.extend_from_slice(pin_body);
     burst.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
     stream.write_all(&burst).expect("write burst");
-    std::thread::sleep(Duration::from_millis(150));
+    hold.wait_parked(1);
+    common::wait_until("the pipelined probe", || server.queued() == 1);
 
     server.shutdown();
+    common::wait_until("the drain", || server.draining());
+    drop(hold);
 
     // Drain answers both admitted requests, in order.
     let (status, body) = read_response(&mut stream);
