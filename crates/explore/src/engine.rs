@@ -7,12 +7,12 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use hls_celllib::{ClockPeriod, Library, TimingSpec};
+use hls_celllib::{Library, TimingSpec};
 use hls_dfg::{Dfg, FuClass};
 use hls_schedule::{CStep, Schedule, ScheduleStats, TimeFrames};
-use hls_telemetry::{Instrument, Metrics, NullSink};
-use moveframe::mfs::{self, MfsConfig};
-use moveframe::mfsa::{self, DesignStyle, MfsaConfig, Weights};
+use hls_telemetry::{escape_json, Instrument, Metrics, NullSink};
+use moveframe::mfs::{self, MfsOutcome};
+use moveframe::mfsa::{self, MfsaOutcome};
 use moveframe::pipeline::{pipelined_fu_counts, schedule_structural};
 use moveframe::CancelToken;
 
@@ -123,22 +123,6 @@ pub struct ExploreReport {
     pub wall_ns: u64,
 }
 
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl ExploreReport {
     /// The Pareto front as JSON — a **pure function of the grid and the
     /// DFG**: identical bytes for any thread count and any cache state.
@@ -157,7 +141,7 @@ impl ExploreReport {
                 s.push(',');
             }
             s.push_str("{\"label\":\"");
-            escape_json_into(&mut s, &e.label);
+            escape_json(&mut s, &e.label);
             let _ = write!(
                 s,
                 "\",\"algorithm\":\"{}\",\"csteps\":{},\"fu_cost\":{},\"registers\":{}}}",
@@ -284,7 +268,7 @@ impl Engine {
         cancel: &CancelToken,
         instr: &mut Instrument<'_>,
     ) -> (Result<PointMetrics, String>, bool) {
-        self.lookup_point(dfg_fp, dfg, spec, point, shared_library(), cancel, instr)
+        self.lookup_point(dfg_fp, dfg, spec, point, cancel, instr)
     }
 
     /// A non-computing probe of the memory result tier for
@@ -302,22 +286,21 @@ impl Engine {
 
     /// The shared cache-lookup path behind [`Engine::schedule_point`]
     /// and each [`Engine::explore`] grid point.
-    #[allow(clippy::too_many_arguments)]
     fn lookup_point(
         &self,
         dfg_fp: u64,
         dfg: &Dfg,
         spec: &TimingSpec,
         point: &DesignPoint,
-        library: &Library,
         cancel: &CancelToken,
         instr: &mut Instrument<'_>,
     ) -> (Result<PointMetrics, String>, bool) {
         // Shared ASAP/ALAP frames (not applicable to structural
         // pipelining, which stage-expands the graph first).
         let frames = if point.pipeline_ops.is_empty() {
-            let clock = point.clock.map(ClockPeriod::new);
-            let (frames, computed) = self.cache.frames(dfg_fp, dfg, spec, point.cs, clock);
+            let (frames, computed) =
+                self.cache
+                    .frames(dfg_fp, dfg, spec, point.cs, point.clock_period());
             if computed {
                 instr.inc("explore.frames.computed", 1);
             } else {
@@ -330,7 +313,7 @@ impl Engine {
 
         let point_fp = point.fingerprint();
         let (mut outcome, mut tier) = self.cache.result(dfg_fp, point_fp, || {
-            run_point(dfg, spec, point, library, frames.clone(), cancel, instr)
+            run_point(dfg, spec, point, frames.clone(), cancel, instr)
         });
         // Cancelled results never reach the disk tier, so the hygiene
         // below only ever concerns freshly computed or memory-cached
@@ -345,7 +328,7 @@ impl Engine {
                 // arrived; this request is live, so recompute.
                 self.cache.forget(dfg_fp, point_fp);
                 (outcome, tier) = self.cache.result(dfg_fp, point_fp, || {
-                    run_point(dfg, spec, point, library, frames, cancel, instr)
+                    run_point(dfg, spec, point, frames, cancel, instr)
                 });
                 if tier == Tier::Cold && is_cancelled(&outcome) {
                     self.cache.forget(dfg_fp, point_fp);
@@ -385,7 +368,6 @@ impl Engine {
             opts.threads
         };
         let dfg_fp = dfg_fingerprint(dfg, spec);
-        let library = shared_library();
         let evictions_before =
             self.cache.frames_stats().evictions + self.cache.results_stats().evictions;
 
@@ -397,15 +379,8 @@ impl Engine {
             let mut instr = Instrument::new(&mut sink, &mut metrics);
             instr.inc("explore.points", 1);
 
-            let (outcome, _warm) = self.lookup_point(
-                dfg_fp,
-                dfg,
-                spec,
-                point,
-                library,
-                &CancelToken::never(),
-                &mut instr,
-            );
+            let (outcome, _warm) =
+                self.lookup_point(dfg_fp, dfg, spec, point, &CancelToken::never(), &mut instr);
             if outcome.is_err() {
                 instr.inc("explore.errors", 1);
             }
@@ -501,9 +476,6 @@ fn fu_point_metrics(
     }
 }
 
-/// Whether an outcome is a cooperative-cancellation abort (matched by
-/// the stable `"cancelled"` prefix of
-/// [`moveframe::MoveFrameError::Cancelled`]'s display form).
 /// The NCR-like library, constructed once per process: every engine
 /// query prices against the same table, and the serving hot path
 /// must not rebuild it per request.
@@ -512,6 +484,9 @@ fn shared_library() -> &'static Library {
     LIBRARY.get_or_init(Library::ncr_like)
 }
 
+/// Whether an outcome is a cooperative-cancellation abort (matched by
+/// the stable `"cancelled"` prefix of
+/// [`moveframe::MoveFrameError::Cancelled`]'s display form).
 fn is_cancelled(outcome: &Result<PointMetrics, String>) -> bool {
     outcome
         .as_ref()
@@ -519,11 +494,102 @@ fn is_cancelled(outcome: &Result<PointMetrics, String>) -> bool {
         .is_some_and(|e| e.starts_with("cancelled"))
 }
 
-/// The refinement config of a point with `iterate > 0`.
-fn iterate_config(point: &DesignPoint) -> hls_iterate::IterateConfig {
-    let mut config = hls_iterate::IterateConfig::new(point.iterate);
-    config.clock = point.clock.map(ClockPeriod::new);
-    config
+/// An MFS or MFSA run of one design point, before the engine distils
+/// it to [`PointMetrics`] or a front end renders it.
+#[derive(Debug)]
+pub enum MoveFrameRun {
+    /// MFS. `outcome.schedule` is the refined schedule when the point
+    /// iterates. `expanded` is the stage-expanded graph that was
+    /// scheduled when operators are structurally pipelined.
+    Mfs {
+        /// The stage-expanded graph, for structurally pipelined points.
+        expanded: Option<Dfg>,
+        /// The scheduler's outcome.
+        outcome: MfsOutcome,
+    },
+    /// MFSA, refined when the point iterates.
+    Mfsa(MfsaOutcome),
+}
+
+/// Runs an MFS or MFSA design point: the knob checks, the lowered
+/// config, the structural-pipelining branch and the refinement rounds.
+/// `frames` are precomputed ASAP/ALAP frames for `(dfg, spec, cs,
+/// clock)`, if the caller has them. The engine and served `emit=text`
+/// both schedule through here, so they agree on every knob.
+///
+/// # Errors
+///
+/// The knob-combination or scheduling error as a string; a baseline
+/// algorithm is an error too.
+pub fn run_move_frame(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    point: &DesignPoint,
+    frames: Option<TimeFrames>,
+    cancel: &CancelToken,
+    instr: &mut Instrument<'_>,
+) -> Result<MoveFrameRun, String> {
+    point.check().map_err(|e| e.to_string())?;
+    match point.algorithm {
+        Algorithm::Mfs if point.pipeline_ops.is_empty() => {
+            let mut outcome = mfs::schedule_traced_with_frames(
+                dfg,
+                spec,
+                &point.mfs_config(cancel),
+                frames,
+                instr,
+            )
+            .map_err(|e| e.to_string())?;
+            if point.iterate > 0 {
+                outcome.schedule = hls_iterate::refine(
+                    dfg,
+                    spec,
+                    &outcome.schedule,
+                    &point.iterate_config(),
+                    instr,
+                )
+                .map_err(|e| e.to_string())?
+                .schedule;
+            }
+            Ok(MoveFrameRun::Mfs {
+                expanded: None,
+                outcome,
+            })
+        }
+        Algorithm::Mfs => {
+            let (expanded, _, outcome) =
+                schedule_structural(dfg, spec, &point.mfs_config(cancel), &point.pipeline_ops)
+                    .map_err(|e| e.to_string())?;
+            Ok(MoveFrameRun::Mfs {
+                expanded: Some(expanded),
+                outcome,
+            })
+        }
+        Algorithm::Mfsa => {
+            let library = shared_library();
+            let mut out = mfsa::schedule_traced_with_frames(
+                dfg,
+                spec,
+                &point.mfsa_config(library.clone(), cancel),
+                frames,
+                instr,
+            )
+            .map_err(|e| e.to_string())?;
+            if point.iterate > 0 {
+                hls_iterate::refine_mfsa(
+                    dfg,
+                    spec,
+                    library,
+                    &mut out,
+                    &point.iterate_config(),
+                    instr,
+                )
+                .map_err(|e| e.to_string())?;
+            }
+            Ok(MoveFrameRun::Mfsa(out))
+        }
+        other => Err(format!("{other} is not a move-frame algorithm")),
+    }
 }
 
 /// Runs one design point. Pure with respect to the cache: the caller
@@ -532,55 +598,36 @@ fn run_point(
     dfg: &Dfg,
     spec: &TimingSpec,
     point: &DesignPoint,
-    library: &Library,
     frames: Option<TimeFrames>,
     cancel: &CancelToken,
     instr: &mut Instrument<'_>,
 ) -> Result<PointMetrics, String> {
-    if point.iterate > 0 {
-        if point.latency.is_some() {
-            return Err("iterate does not support functional pipelining (latency)".into());
-        }
-        if !point.pipeline_ops.is_empty() {
-            return Err("iterate does not support structurally pipelined operators".into());
-        }
+    if !matches!(point.algorithm, Algorithm::Mfs | Algorithm::Mfsa) {
+        return run_baseline(dfg, spec, point, cancel, instr);
     }
-    match point.algorithm {
-        Algorithm::Mfs => {
-            let mut config = MfsConfig::time_constrained(point.cs).with_cancel(cancel.clone());
-            for (&class, &limit) in &point.fu_limits {
-                config = config.with_fu_limit(class, limit);
-            }
-            if let Some(clock) = point.clock {
-                config = config.with_chaining(ClockPeriod::new(clock));
-            }
-            if let Some(l) = point.latency {
-                config = config.with_latency(l);
-            }
-            if point.pipeline_ops.is_empty() {
-                let outcome = mfs::schedule_traced_with_frames(dfg, spec, &config, frames, instr)
-                    .map_err(|e| e.to_string())?;
-                let mut schedule = outcome.schedule;
-                if point.iterate > 0 {
-                    let refined =
-                        hls_iterate::refine(dfg, spec, &schedule, &iterate_config(point), instr)
-                            .map_err(|e| e.to_string())?;
-                    schedule = refined.schedule;
-                }
-                Ok(PointMetrics {
-                    reschedules: outcome.reschedule_count,
-                    ..fu_point_metrics(dfg, spec, &schedule, library, 0)
-                })
-            } else {
-                // Structural pipelining stage-expands the graph; report
-                // whole pipelined units (the paper's Table-1 numbers).
-                let (expanded, _, outcome) =
-                    schedule_structural(dfg, spec, &config, &point.pipeline_ops)
-                        .map_err(|e| e.to_string())?;
+    let library = shared_library();
+    Ok(
+        match run_move_frame(dfg, spec, point, frames, cancel, instr)? {
+            MoveFrameRun::Mfs {
+                expanded: None,
+                outcome,
+            } => fu_point_metrics(
+                dfg,
+                spec,
+                &outcome.schedule,
+                library,
+                outcome.reschedule_count,
+            ),
+            // Structural pipelining stage-expands the graph; report whole
+            // pipelined units (the paper's Table-1 numbers).
+            MoveFrameRun::Mfs {
+                expanded: Some(expanded),
+                outcome,
+            } => {
                 let stats = ScheduleStats::compute(&expanded, &outcome.schedule, spec);
                 let folded = pipelined_fu_counts(&outcome);
                 let mix: hls_dfg::OpMix = folded.iter().map(|(&c, &n)| (c, n as usize)).collect();
-                Ok(PointMetrics {
+                PointMetrics {
                     csteps: steps_used(&expanded, &outcome.schedule, spec),
                     mix: mix.to_string(),
                     fu_cost: mix_area(&folded, library),
@@ -588,45 +635,9 @@ fn run_point(
                     reschedules: outcome.reschedule_count,
                     mem: mem_pressure(&expanded, &outcome.schedule),
                     mfsa: None,
-                })
+                }
             }
-        }
-        Algorithm::Mfsa => {
-            let mut config = MfsaConfig::new(point.cs, library.clone())
-                .with_cancel(cancel.clone())
-                .with_style(if point.style == 2 {
-                    DesignStyle::NoSelfLoop
-                } else {
-                    DesignStyle::Unrestricted
-                });
-            if let Some((time, alu, mux, reg)) = point.weights {
-                config = config.with_weights(Weights {
-                    time,
-                    alu,
-                    mux,
-                    reg,
-                });
-            }
-            if let Some(clock) = point.clock {
-                config = config.with_chaining(ClockPeriod::new(clock));
-            }
-            if let Some(l) = point.latency {
-                config = config.with_latency(l);
-            }
-            let mut out = mfsa::schedule_traced_with_frames(dfg, spec, &config, frames, instr)
-                .map_err(|e| e.to_string())?;
-            if point.iterate > 0 {
-                hls_iterate::refine_mfsa(
-                    dfg,
-                    spec,
-                    library,
-                    &mut out,
-                    &iterate_config(point),
-                    instr,
-                )
-                .map_err(|e| e.to_string())?;
-            }
-            Ok(PointMetrics {
+            MoveFrameRun::Mfsa(out) => PointMetrics {
                 csteps: steps_used(dfg, &out.schedule, spec),
                 mix: out.datapath.alu_signature(),
                 fu_cost: out.cost.alu_area.as_u64(),
@@ -639,56 +650,45 @@ fn run_point(
                     mux: out.cost.mux_count,
                     muxin: out.cost.mux_inputs,
                 }),
-            })
-        }
-        Algorithm::List => {
-            cancel.checkpoint().map_err(|e| e.to_string())?;
-            let schedule = hls_baselines::list_schedule(dfg, spec, &point.fu_limits, point.cs)
-                .map_err(|e| e.to_string())?;
-            let schedule = refine_baseline(dfg, spec, schedule, point, instr)?;
-            Ok(fu_point_metrics(dfg, spec, &schedule, library, 0))
-        }
-        Algorithm::Fds => {
-            cancel.checkpoint().map_err(|e| e.to_string())?;
-            let schedule = hls_baselines::force_directed_schedule(dfg, spec, point.cs)
-                .map_err(|e| e.to_string())?;
-            let schedule = refine_baseline(dfg, spec, schedule, point, instr)?;
-            Ok(fu_point_metrics(dfg, spec, &schedule, library, 0))
-        }
-        Algorithm::Anneal => {
-            cancel.checkpoint().map_err(|e| e.to_string())?;
-            let (schedule, _) = hls_baselines::anneal_schedule(
-                dfg,
-                spec,
-                point.cs,
-                library,
-                &hls_baselines::AnnealParams::default(),
-            )
-            .map_err(|e| e.to_string())?;
-            let schedule = refine_baseline(dfg, spec, schedule, point, instr)?;
-            Ok(fu_point_metrics(dfg, spec, &schedule, library, 0))
-        }
-    }
+            },
+        },
+    )
 }
 
-/// Applies feedback-guided refinement to a baseline-scheduler result.
-/// The baselines schedule without chaining awareness, so the refiner
-/// runs with the unchained timing model regardless of `point.clock`.
-fn refine_baseline(
+/// Runs a baseline-scheduler point, then its refinement rounds. The
+/// baselines schedule without chaining awareness, so the refiner runs
+/// with the unchained timing model regardless of `point.clock`.
+fn run_baseline(
     dfg: &Dfg,
     spec: &TimingSpec,
-    schedule: Schedule,
     point: &DesignPoint,
+    cancel: &CancelToken,
     instr: &mut Instrument<'_>,
-) -> Result<Schedule, String> {
-    if point.iterate == 0 {
-        return Ok(schedule);
+) -> Result<PointMetrics, String> {
+    point.check().map_err(|e| e.to_string())?;
+    cancel.checkpoint().map_err(|e| e.to_string())?;
+    let library = shared_library();
+    let mut schedule = match point.algorithm {
+        Algorithm::List => hls_baselines::list_schedule(dfg, spec, &point.fu_limits, point.cs),
+        Algorithm::Fds => hls_baselines::force_directed_schedule(dfg, spec, point.cs),
+        _ => hls_baselines::anneal_schedule(
+            dfg,
+            spec,
+            point.cs,
+            library,
+            &hls_baselines::AnnealParams::default(),
+        )
+        .map(|(schedule, _)| schedule),
     }
-    let mut config = iterate_config(point);
-    config.clock = None;
-    Ok(hls_iterate::refine(dfg, spec, &schedule, &config, instr)
-        .map_err(|e| e.to_string())?
-        .schedule)
+    .map_err(|e| e.to_string())?;
+    if point.iterate > 0 {
+        let mut config = point.iterate_config();
+        config.clock = None;
+        schedule = hls_iterate::refine(dfg, spec, &schedule, &config, instr)
+            .map_err(|e| e.to_string())?
+            .schedule;
+    }
+    Ok(fu_point_metrics(dfg, spec, &schedule, library, 0))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! cs = [4, 5, 6]                # array -> cross product
 //! clock = 100                   # chaining clock in ns
 //! latency = 2                   # functional-pipelining latency
-//! limits = ["*=2", "+=1"]       # per-op FU bounds (op symbol = count)
+//! limits = ["*=2", "+=1"]       # per-op FU bounds (op = count)
 //! pipeline = ["*"]              # structurally pipelined ops (MFS)
 //! style = 2                     # MFSA design style (1 or 2)
 //! weights = [1, 1, 1, 1]        # MFSA Liapunov weights (t, a, m, r)
@@ -24,15 +24,15 @@
 //! `algorithm` and `cs` may be arrays; a `[[point]]` (or the defaults
 //! section when no `[[point]]` exists) expands to the cross product in
 //! file order — algorithms outer, time constraints inner. Every other
-//! key is scalar. Unknown keys and malformed values are hard errors:
-//! a silently ignored constraint would corrupt a sweep.
+//! key is scalar, except the list knobs (`limits`, `pipeline`,
+//! `weights`). Values are parsed and validated by the design-point knob
+//! table ([`crate::KNOBS`]), the same one `mfhls` and `mfhls serve`
+//! use; unknown keys and malformed values are hard errors: a silently
+//! ignored constraint would corrupt a sweep.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use hls_celllib::OpKind;
-use hls_dfg::FuClass;
-
-use crate::point::{Algorithm, DesignPoint};
+use crate::point::{Algorithm, DesignPoint, Knob, KnobKind};
 
 /// A grid-file parse error with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,20 +85,6 @@ impl Scalar {
             )
         })
     }
-
-    fn as_int(&self, key: &str, line: usize) -> Result<u32, GridError> {
-        match self {
-            Scalar::Int(v) => Ok(*v),
-            Scalar::Str(s) => Err(err(line, format!("{key} wants an integer, got \"{s}\""))),
-        }
-    }
-
-    fn as_str(&self, key: &str, line: usize) -> Result<&str, GridError> {
-        match self {
-            Scalar::Str(s) => Ok(s),
-            Scalar::Int(v) => Err(err(line, format!("{key} wants a string, got {v}"))),
-        }
-    }
 }
 
 /// A parsed `key = value` with the value as scalar or array.
@@ -127,167 +113,119 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, GridError> {
     Ok(Value::One(Scalar::parse(raw, line)?))
 }
 
-fn op_by_symbol(symbol: &str) -> Option<OpKind> {
-    OpKind::ALL.into_iter().find(|k| k.symbol() == symbol)
-}
+/// The design-point knobs a grid file may set, by their grid names.
+const GRID_KEYS: [&str; 10] = [
+    "label",
+    "algorithm",
+    "cs",
+    "clock",
+    "latency",
+    "limits",
+    "pipeline",
+    "style",
+    "weights",
+    "iterate",
+];
 
 /// The accumulated settings of one section (defaults or a point).
 #[derive(Debug, Clone, Default)]
 struct Section {
-    label: Option<String>,
+    /// The `algorithm` cross-product axis.
     algorithms: Option<Vec<Algorithm>>,
+    /// The `cs` cross-product axis.
     cs: Option<Vec<u32>>,
-    clock: Option<u32>,
-    latency: Option<u32>,
-    limits: Option<BTreeMap<FuClass, u32>>,
-    pipeline: Option<BTreeSet<OpKind>>,
-    style: Option<u8>,
-    weights: Option<(u32, u32, u32, u32)>,
-    iterate: Option<u32>,
+    /// Every other knob by canonical name: its value as
+    /// [`DesignPoint::set`] text, and its line.
+    knobs: BTreeMap<&'static str, (String, usize)>,
 }
 
 impl Section {
     fn apply(&mut self, key: &str, value: Value, line: usize) -> Result<(), GridError> {
-        let scalars = |v: &Value| -> Vec<Scalar> {
-            match v {
-                Value::One(s) => vec![s.clone()],
-                Value::Many(list) => list.clone(),
+        let knob = Knob::lookup(key)
+            .filter(|_| GRID_KEYS.contains(&key))
+            .ok_or_else(|| err(line, format!("unknown key {key}")))?;
+        let axis = matches!(key, "algorithm" | "cs");
+        let items = match value {
+            Value::One(s) => vec![s],
+            Value::Many(list)
+                if axis || matches!(knob.kind, KnobKind::IntList | KnobKind::TextList) =>
+            {
+                list
             }
+            Value::Many(_) => return Err(err(line, format!("{key} must be a single value"))),
         };
-        let one = |v: &Value| -> Result<Scalar, GridError> {
-            match v {
-                Value::One(s) => Ok(s.clone()),
-                Value::Many(_) => Err(err(line, format!("{key} must be a single value"))),
-            }
-        };
-        match key {
-            "label" => self.label = Some(one(&value)?.as_str(key, line)?.to_string()),
-            "algorithm" => {
-                let algs = scalars(&value)
-                    .iter()
-                    .map(|s| {
-                        let name = s.as_str(key, line)?;
-                        Algorithm::parse(name)
-                            .ok_or_else(|| err(line, format!("unknown algorithm {name}")))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if algs.is_empty() {
-                    return Err(err(line, "algorithm array is empty"));
-                }
-                self.algorithms = Some(algs);
-            }
-            "cs" => {
-                let cs = scalars(&value)
-                    .iter()
-                    .map(|s| s.as_int(key, line))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if cs.is_empty() {
-                    return Err(err(line, "cs array is empty"));
-                }
-                self.cs = Some(cs);
-            }
-            "clock" => self.clock = Some(one(&value)?.as_int(key, line)?),
-            "latency" => self.latency = Some(one(&value)?.as_int(key, line)?),
-            "limits" => {
-                let mut limits = BTreeMap::new();
-                for s in scalars(&value) {
-                    let spec = s.as_str(key, line)?;
-                    let Some((sym, count)) = spec.split_once('=') else {
-                        return Err(err(line, format!("limit {spec} is not op=count")));
-                    };
-                    let op = op_by_symbol(sym.trim())
-                        .ok_or_else(|| err(line, format!("unknown op symbol {sym}")))?;
-                    let count: u32 = count
-                        .trim()
-                        .parse()
-                        .map_err(|_| err(line, format!("bad limit count in {spec}")))?;
-                    limits.insert(FuClass::Op(op), count);
-                }
-                self.limits = Some(limits);
-            }
-            "pipeline" => {
-                let mut ops = BTreeSet::new();
-                for s in scalars(&value) {
-                    let sym = s.as_str(key, line)?;
-                    let op = op_by_symbol(sym)
-                        .ok_or_else(|| err(line, format!("unknown op symbol {sym}")))?;
-                    ops.insert(op);
-                }
-                self.pipeline = Some(ops);
-            }
-            "style" => {
-                let style = one(&value)?.as_int(key, line)?;
-                if !(1..=2).contains(&style) {
-                    return Err(err(line, format!("style must be 1 or 2, got {style}")));
-                }
-                self.style = Some(style as u8);
-            }
-            "weights" => {
-                let w = scalars(&value)
-                    .iter()
-                    .map(|s| s.as_int(key, line))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let [t, a, m, r] = w[..] else {
-                    return Err(err(line, "weights wants exactly 4 integers"));
-                };
-                self.weights = Some((t, a, m, r));
-            }
-            "iterate" => self.iterate = Some(one(&value)?.as_int(key, line)?),
-            other => return Err(err(line, format!("unknown key {other}"))),
+        let wants_int = matches!(knob.kind, KnobKind::Int | KnobKind::IntList);
+        let texts = items
+            .into_iter()
+            .map(|item| match item {
+                Scalar::Int(v) if wants_int => Ok(v.to_string()),
+                Scalar::Str(s) if !wants_int => Ok(s),
+                Scalar::Str(s) => Err(err(line, format!("{key} wants an integer, got \"{s}\""))),
+                Scalar::Int(v) => Err(err(line, format!("{key} wants a string, got {v}"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // Each value is checked against the knob table here, so a bad
+        // one is reported at its own line even if no point inherits it.
+        let mut probe = DesignPoint::new(Algorithm::Mfs, 1);
+        if !axis {
+            let text = texts.join(",");
+            probe
+                .set(key, &text)
+                .map_err(|e| err(line, e.to_string()))?;
+            self.knobs.insert(knob.name(), (text, line));
+            return Ok(());
+        }
+        if texts.is_empty() {
+            return Err(err(line, format!("{key} array is empty")));
+        }
+        let mut axis_points = Vec::with_capacity(texts.len());
+        for text in &texts {
+            probe.set(key, text).map_err(|e| err(line, e.to_string()))?;
+            axis_points.push((probe.algorithm, probe.cs));
+        }
+        if key == "cs" {
+            self.cs = Some(axis_points.iter().map(|p| p.1).collect());
+        } else {
+            self.algorithms = Some(axis_points.iter().map(|p| p.0).collect());
         }
         Ok(())
     }
 
     fn inherit(&self, defaults: &Section) -> Section {
+        // A label names one section's points; it is never inherited.
+        let mut knobs = defaults.knobs.clone();
+        knobs.remove("label");
+        knobs.extend(self.knobs.clone());
         Section {
-            label: self.label.clone(),
             algorithms: self
                 .algorithms
                 .clone()
                 .or_else(|| defaults.algorithms.clone()),
             cs: self.cs.clone().or_else(|| defaults.cs.clone()),
-            clock: self.clock.or(defaults.clock),
-            latency: self.latency.or(defaults.latency),
-            limits: self.limits.clone().or_else(|| defaults.limits.clone()),
-            pipeline: self.pipeline.clone().or_else(|| defaults.pipeline.clone()),
-            style: self.style.or(defaults.style),
-            weights: self.weights.or(defaults.weights),
-            iterate: self.iterate.or(defaults.iterate),
+            knobs,
         }
     }
 
     fn expand(&self, out: &mut Vec<DesignPoint>, line: usize) -> Result<(), GridError> {
         let algorithms = self
             .algorithms
-            .clone()
+            .as_ref()
             .ok_or_else(|| err(line, "no algorithm given (here or in [defaults])"))?;
         let cs_list = self
             .cs
-            .clone()
+            .as_ref()
             .ok_or_else(|| err(line, "no cs given (here or in [defaults])"))?;
         let multi = algorithms.len() * cs_list.len() > 1;
-        for &alg in &algorithms {
-            for &cs in &cs_list {
+        for &alg in algorithms {
+            for &cs in cs_list {
                 let mut p = DesignPoint::new(alg, cs);
-                if let Some(label) = &self.label {
+                for (key, (text, at)) in &self.knobs {
+                    p.set(key, text).map_err(|e| err(*at, e.to_string()))?;
+                }
+                if multi && self.knobs.contains_key("label") {
                     // Cross-product points get a disambiguating suffix.
-                    p.label = if multi {
-                        format!("{label} {alg}@T{cs}")
-                    } else {
-                        label.clone()
-                    };
+                    p.label = format!("{} {alg}@T{cs}", p.label);
                 }
-                if let Some(limits) = &self.limits {
-                    p.fu_limits = limits.clone();
-                }
-                p.clock = self.clock;
-                p.latency = self.latency;
-                if let Some(pipeline) = &self.pipeline {
-                    p.pipeline_ops = pipeline.clone();
-                }
-                p.style = self.style.unwrap_or(1);
-                p.weights = self.weights;
-                p.iterate = self.iterate.unwrap_or(0);
                 out.push(p);
             }
         }
@@ -302,82 +240,41 @@ impl Section {
 /// [`GridError`] (with a line number) on any unknown key, malformed
 /// value, unknown algorithm/op name, or a file that yields no points.
 pub fn parse_grid(text: &str) -> Result<Vec<DesignPoint>, GridError> {
-    #[derive(PartialEq)]
-    enum Where {
-        Preamble,
-        Defaults,
-        Point,
-    }
     let mut defaults = Section::default();
     let mut current = Section::default();
-    let mut current_line = 0usize;
-    let mut state = Where::Preamble;
+    // The open section: `(is a [[point]], header line)`; `None` before
+    // the first header.
+    let mut open: Option<(bool, usize)> = None;
     let mut points = Vec::new();
-
-    let close = |state: &Where,
-                 current: &mut Section,
-                 defaults: &mut Section,
-                 points: &mut Vec<DesignPoint>,
-                 line: usize|
-     -> Result<(), GridError> {
-        match state {
-            Where::Preamble => Ok(()),
-            Where::Defaults => {
-                *defaults = current.clone();
-                Ok(())
-            }
-            Where::Point => current.inherit(defaults).expand(points, line),
-        }
-    };
-
-    for (i, raw) in text.lines().enumerate() {
+    // A trailing `None` marks the end of the file, which closes the
+    // last section like a header would.
+    for (i, raw) in text.lines().map(Some).chain([None]).enumerate() {
         let line_no = i + 1;
-        let line = match raw.split_once('#') {
-            Some((before, _)) => before.trim(),
-            None => raw.trim(),
+        let line = raw.map_or("", |r| r.split('#').next().unwrap_or_default().trim());
+        let next = match line {
+            _ if raw.is_none() => None,
+            "" => continue,
+            "[defaults]" => Some((false, line_no)),
+            "[[point]]" => Some((true, line_no)),
+            _ if line.starts_with('[') => {
+                return Err(err(line_no, format!("unknown section {line}")));
+            }
+            _ => {
+                let Some((key, value)) = line.split_once('=') else {
+                    return Err(err(line_no, format!("expected key = value, got {line}")));
+                };
+                current.apply(key.trim(), parse_value(value, line_no)?, line_no)?;
+                continue;
+            }
         };
-        if line.is_empty() {
-            continue;
+        let closed = std::mem::take(&mut current);
+        match open {
+            Some((true, at)) => closed.inherit(&defaults).expand(&mut points, at)?,
+            Some((false, _)) => defaults = closed,
+            None => {}
         }
-        if line == "[defaults]" {
-            close(
-                &state,
-                &mut current,
-                &mut defaults,
-                &mut points,
-                current_line,
-            )?;
-            current = Section::default();
-            current_line = line_no;
-            state = Where::Defaults;
-        } else if line == "[[point]]" {
-            close(
-                &state,
-                &mut current,
-                &mut defaults,
-                &mut points,
-                current_line,
-            )?;
-            current = Section::default();
-            current_line = line_no;
-            state = Where::Point;
-        } else if line.starts_with('[') {
-            return Err(err(line_no, format!("unknown section {line}")));
-        } else {
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(line_no, format!("expected key = value, got {line}")));
-            };
-            let value = parse_value(value, line_no)?;
-            current.apply(key.trim(), value, line_no)?;
-        }
+        open = next;
     }
-    close(
-        &state,
-        &mut current,
-        &mut defaults,
-        &mut points,
-        current_line,
-    )?;
 
     // A file with only [defaults] is itself a grid: expand the defaults.
     if points.is_empty() && (defaults.algorithms.is_some() || defaults.cs.is_some()) {
@@ -392,6 +289,8 @@ pub fn parse_grid(text: &str) -> Result<Vec<DesignPoint>, GridError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hls_celllib::OpKind;
+    use hls_dfg::FuClass;
 
     #[test]
     fn defaults_cross_product() {

@@ -17,8 +17,10 @@
 //! * per-worker [`hls_telemetry`] metrics are merged, in index order,
 //!   into one report.
 //!
-//! Grids can be written as a small TOML-subset file ([`parse_grid`])
-//! or built programmatically. The `mfhls explore` subcommand and the
+//! Every front end parses design-point knobs through one table
+//! ([`KNOBS`], [`DesignPoint::set`]) and lowers a point to scheduler
+//! configs through [`DesignPoint`]'s methods. Grids can be written as
+//! a small TOML-subset file ([`parse_grid`]) or built programmatically. The `mfhls explore` subcommand and the
 //! paper-table runner in `hls-bench` both drive this engine.
 
 #![forbid(unsafe_code)]
@@ -36,11 +38,11 @@ mod pool;
 pub use cache::{CacheStats, ExploreCache, Tier, DEFAULT_FRAMES_CAP, DEFAULT_RESULTS_CAP};
 pub use diskcache::{DiskCache, DiskStats, DISK_FORMAT_VERSION};
 pub use engine::{
-    explore, BankPressure, Engine, ExploreOptions, ExploreReport, MfsaDetail, PointMetrics,
-    PointResult,
+    explore, run_move_frame, BankPressure, Engine, ExploreOptions, ExploreReport, MfsaDetail,
+    MoveFrameRun, PointMetrics, PointResult,
 };
 pub use fingerprint::{dfg_fingerprint, Fnv1a};
 pub use gridfile::{parse_grid, GridError};
 pub use pareto::{pareto_front, FrontEntry, Objectives};
-pub use point::{Algorithm, DesignPoint};
+pub use point::{timing_spec, Algorithm, DesignPoint, Knob, KnobError, KnobKind, KNOBS};
 pub use pool::{default_threads, run_indexed};

@@ -1,9 +1,15 @@
-//! Design points: one fully specified scheduling query on a DFG.
+//! Design points: one fully specified scheduling query on a DFG, the
+//! knob table every front end parses them with, and their lowering to
+//! scheduler configs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hls_celllib::OpKind;
+use hls_celllib::{ClockPeriod, Library, OpKind, TimingSpec};
 use hls_dfg::FuClass;
+use hls_iterate::IterateConfig;
+use moveframe::mfs::MfsConfig;
+use moveframe::mfsa::{DesignStyle, MfsaConfig, Weights};
+use moveframe::CancelToken;
 
 use crate::fingerprint::Fnv1a;
 
@@ -34,16 +40,9 @@ impl Algorithm {
         }
     }
 
-    /// Parses a grid-file algorithm name.
+    /// Parses a canonical algorithm name.
     pub fn parse(s: &str) -> Option<Algorithm> {
-        match s {
-            "mfs" => Some(Algorithm::Mfs),
-            "mfsa" => Some(Algorithm::Mfsa),
-            "list" => Some(Algorithm::List),
-            "fds" => Some(Algorithm::Fds),
-            "anneal" => Some(Algorithm::Anneal),
-            _ => None,
-        }
+        Algorithm::ALL.into_iter().find(|a| a.name() == s)
     }
 
     /// All algorithms, in canonical order.
@@ -173,6 +172,362 @@ impl DesignPoint {
     }
 }
 
+/// A knob value [`DesignPoint::set`] rejects, or a knob combination
+/// [`DesignPoint::check`] rejects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KnobError {
+    /// No knob has this name.
+    Unknown(String),
+    /// The value is malformed or outside the range the schedulers take.
+    Invalid {
+        /// The knob, by the name it was set with.
+        knob: &'static str,
+        /// The rejected value.
+        value: String,
+        /// Why it is rejected.
+        reason: &'static str,
+    },
+    /// A combination of valid knobs the schedulers do not support.
+    Unsupported(&'static str),
+}
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KnobError::Unknown(key) => write!(f, "unknown knob `{key}`"),
+            KnobError::Invalid {
+                knob,
+                value,
+                reason,
+            } => {
+                write!(f, "invalid `{knob}` value `{value}`: {reason}")
+            }
+            KnobError::Unsupported(what) => f.write_str(what),
+        }
+    }
+}
+
+impl std::error::Error for KnobError {}
+
+/// How a knob's value is typed where values carry types (grid-file
+/// TOML, JSON jobs). [`DesignPoint::set`] itself always takes text; a
+/// list is comma-separated text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnobKind {
+    /// One non-negative integer.
+    Int,
+    /// One string.
+    Text,
+    /// A list of integers.
+    IntList,
+    /// A list of strings.
+    TextList,
+}
+
+/// One row of the knob table [`KNOBS`].
+#[derive(Debug)]
+pub struct Knob {
+    /// The canonical name first, then the aliases front ends use.
+    pub names: &'static [&'static str],
+    /// How typed front ends spell the value.
+    pub kind: KnobKind,
+    /// The value syntax, for help text.
+    pub syntax: &'static str,
+    /// One help line.
+    pub help: &'static str,
+    /// Parses and range-checks a value into the point; `Err` says why
+    /// the value is rejected.
+    parse: fn(&mut DesignPoint, &str) -> Result<(), &'static str>,
+}
+
+impl Knob {
+    /// The canonical name.
+    pub fn name(&self) -> &'static str {
+        self.names[0]
+    }
+
+    /// The row a canonical name or alias names.
+    pub fn lookup(key: &str) -> Option<&'static Knob> {
+        KNOBS.iter().find(|k| k.names.contains(&key))
+    }
+}
+
+const POSITIVE: &str = "must be a positive integer";
+const OP_COUNT: &str = "must be OP=N or OP:N entries (op symbol or name, N >= 1)";
+
+fn positive(value: &str) -> Result<u32, &'static str> {
+    value.parse().ok().filter(|&n| n >= 1).ok_or(POSITIVE)
+}
+
+/// The non-empty entries of a comma-separated list.
+fn entries(value: &str) -> impl Iterator<Item = &str> {
+    value.split(',').map(str::trim).filter(|e| !e.is_empty())
+}
+
+/// Every design-point knob: the one place a knob value is parsed and
+/// validated. `mfhls` flags, grid-file keys and served job keys each
+/// accept a subset of these names; all of them go through
+/// [`DesignPoint::set`].
+pub static KNOBS: [Knob; 10] = [
+    Knob {
+        names: &["alg", "algorithm"],
+        kind: KnobKind::Text,
+        syntax: "A",
+        help: "algorithm: mfs|mfsa|list|fds|anneal",
+        parse: |p, v| {
+            p.algorithm =
+                Algorithm::parse(v).ok_or("unknown algorithm (mfs|mfsa|list|fds|anneal)")?;
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["cs"],
+        kind: KnobKind::Int,
+        syntax: "N",
+        help: "time constraint in control steps",
+        parse: |p, v| {
+            p.cs = positive(v)?;
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["limit", "limits"],
+        kind: KnobKind::TextList,
+        syntax: "OP=N",
+        help: "cap the unit count of one operator class",
+        parse: |p, v| {
+            for entry in entries(v) {
+                let (op, n) = entry
+                    .rsplit_once(':')
+                    .or_else(|| entry.rsplit_once('='))
+                    .ok_or(OP_COUNT)?;
+                let op: OpKind = op.trim().parse().map_err(|_| OP_COUNT)?;
+                let n = positive(n.trim()).map_err(|_| OP_COUNT)?;
+                p.fu_limits.insert(FuClass::Op(op), n);
+            }
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["chain", "clock"],
+        kind: KnobKind::Int,
+        syntax: "CLOCK",
+        help: "enable operator chaining under this clock period (ns)",
+        parse: |p, v| {
+            p.clock = Some(positive(v)?);
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["latency"],
+        kind: KnobKind::Int,
+        syntax: "L",
+        help: "loop pipelining initiation interval",
+        parse: |p, v| {
+            p.latency = Some(positive(v)?);
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["pipeline"],
+        kind: KnobKind::TextList,
+        syntax: "OP[,OP...]",
+        help: "structurally pipelined operators (MFS)",
+        parse: |p, v| {
+            for entry in entries(v) {
+                p.pipeline_ops
+                    .insert(entry.parse().map_err(|_| "must be op symbols or names")?);
+            }
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["style"],
+        kind: KnobKind::Int,
+        syntax: "1|2",
+        help: "MFSA design style (2 = no ALU self-loop)",
+        parse: |p, v| {
+            p.style = v
+                .parse()
+                .ok()
+                .filter(|s| (1..=2).contains(s))
+                .ok_or("must be 1 or 2")?;
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["weights"],
+        kind: KnobKind::IntList,
+        syntax: "T,A,M,R",
+        help: "Liapunov weight vector",
+        parse: |p, v| {
+            const FOUR: &str = "must be four values T,A,M,R (non-negative integers)";
+            let w: Vec<u32> = v
+                .split(',')
+                .map(|x| x.trim().parse().map_err(|_| FOUR))
+                .collect::<Result<_, _>>()?;
+            let [t, a, m, r] = w[..] else {
+                return Err(FOUR);
+            };
+            p.weights = Some((t, a, m, r));
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["iterate"],
+        kind: KnobKind::Int,
+        syntax: "N",
+        help: "feedback-guided refinement rounds (0 = one-shot)",
+        parse: |p, v| {
+            p.iterate = v.parse().map_err(|_| "must be a non-negative integer")?;
+            Ok(())
+        },
+    },
+    Knob {
+        names: &["label"],
+        kind: KnobKind::Text,
+        syntax: "TEXT",
+        help: "display label (never affects results)",
+        parse: |p, v| {
+            v.clone_into(&mut p.label);
+            Ok(())
+        },
+    },
+];
+
+/// The timing model of a run: operator delays when chaining, else the
+/// 2-cycle-multiply or the single-cycle profile.
+pub fn timing_spec(chained: bool, two_cycle_mul: bool) -> TimingSpec {
+    if chained {
+        TimingSpec::with_delays()
+    } else if two_cycle_mul {
+        TimingSpec::two_cycle_multiply()
+    } else {
+        TimingSpec::uniform_single_cycle()
+    }
+}
+
+impl DesignPoint {
+    /// Sets the knob `key` (a canonical name or alias from [`KNOBS`])
+    /// from its text form. List knobs (`limit`, `pipeline`) add to what
+    /// is already set; the others replace it.
+    ///
+    /// # Errors
+    ///
+    /// [`KnobError::Unknown`] for a name outside the table,
+    /// [`KnobError::Invalid`] for a value the schedulers would reject or
+    /// panic on: a zero `cs`/`chain`/`latency`/limit count, a `style`
+    /// other than 1 or 2, weights that are not four integers, an unknown
+    /// algorithm or operator.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), KnobError> {
+        let knob = Knob::lookup(key).ok_or_else(|| KnobError::Unknown(key.to_string()))?;
+        (knob.parse)(self, value).map_err(|reason| KnobError::Invalid {
+            knob: knob
+                .names
+                .iter()
+                .find(|&&n| n == key)
+                .unwrap_or(&knob.names[0]),
+            value: value.to_string(),
+            reason,
+        })
+    }
+
+    /// Rejects the knob combinations the schedulers do not support:
+    /// refinement (`iterate > 0`) with functional or structural
+    /// pipelining.
+    ///
+    /// # Errors
+    ///
+    /// [`KnobError::Unsupported`] naming the combination.
+    pub fn check(&self) -> Result<(), KnobError> {
+        if self.iterate > 0 {
+            if self.latency.is_some() {
+                return Err(KnobError::Unsupported(
+                    "iterate does not support functional pipelining (latency)",
+                ));
+            }
+            if !self.pipeline_ops.is_empty() {
+                return Err(KnobError::Unsupported(
+                    "iterate does not support structurally pipelined operators",
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The chaining clock period, when chaining is on.
+    pub fn clock_period(&self) -> Option<ClockPeriod> {
+        self.clock.map(ClockPeriod::new)
+    }
+
+    /// The timing model this point runs under (see [`timing_spec`]).
+    pub fn timing_spec(&self, two_cycle_mul: bool) -> TimingSpec {
+        timing_spec(self.clock.is_some(), two_cycle_mul)
+    }
+
+    /// The time-constrained MFS config: `cs`, the FU bounds, the
+    /// chaining clock and the pipelining latency.
+    pub fn mfs_config(&self, cancel: &CancelToken) -> MfsConfig {
+        self.with_mfs_knobs(MfsConfig::time_constrained(self.cs).with_cancel(cancel.clone()))
+    }
+
+    /// [`DesignPoint::mfs_config`] in resource-constrained mode: `cs`
+    /// bounds the schedule length instead of fixing it.
+    pub fn mfs_resource_config(&self) -> MfsConfig {
+        self.with_mfs_knobs(MfsConfig::resource_constrained(self.cs))
+    }
+
+    fn with_mfs_knobs(&self, mut config: MfsConfig) -> MfsConfig {
+        for (&class, &limit) in &self.fu_limits {
+            config = config.with_fu_limit(class, limit);
+        }
+        if let Some(clock) = self.clock_period() {
+            config = config.with_chaining(clock);
+        }
+        if let Some(l) = self.latency {
+            config = config.with_latency(l);
+        }
+        config
+    }
+
+    /// The MFSA config: `cs` against `library`, the design style, the
+    /// Liapunov weights, the chaining clock and the pipelining latency.
+    pub fn mfsa_config(&self, library: Library, cancel: &CancelToken) -> MfsaConfig {
+        let mut config = MfsaConfig::new(self.cs, library)
+            .with_cancel(cancel.clone())
+            .with_style(if self.style == 2 {
+                DesignStyle::NoSelfLoop
+            } else {
+                DesignStyle::Unrestricted
+            });
+        if let Some((time, alu, mux, reg)) = self.weights {
+            config = config.with_weights(Weights {
+                time,
+                alu,
+                mux,
+                reg,
+            });
+        }
+        if let Some(clock) = self.clock_period() {
+            config = config.with_chaining(clock);
+        }
+        if let Some(l) = self.latency {
+            config = config.with_latency(l);
+        }
+        config
+    }
+
+    /// The refinement config: `iterate` rounds under the point's
+    /// chaining clock and latency (the refiner rejects a latency, which
+    /// [`DesignPoint::check`] reports first).
+    pub fn iterate_config(&self) -> IterateConfig {
+        let mut config = IterateConfig::new(self.iterate);
+        config.clock = self.clock_period();
+        config.latency = self.latency;
+        config
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +571,87 @@ mod tests {
         for other in [&cs, &alg, &lim, &clk, &lat, &pipe, &style, &w, &it] {
             assert_ne!(fp, other.fingerprint(), "{other:?}");
         }
+    }
+
+    #[test]
+    fn knobs_parse_through_the_table() {
+        let mut p = DesignPoint::new(Algorithm::Mfs, 1);
+        for (key, value) in [
+            ("algorithm", "mfsa"),
+            ("cs", "7"),
+            ("limit", "mul:2,+=1"),
+            ("limits", "==3"),
+            ("clock", "100"),
+            ("latency", "2"),
+            ("pipeline", "*,add"),
+            ("style", "2"),
+            ("weights", "1, 2,3,4"),
+            ("iterate", "0"),
+            ("label", "x"),
+        ] {
+            p.set(key, value)
+                .unwrap_or_else(|e| panic!("{key}={value}: {e}"));
+        }
+        assert_eq!(
+            (p.algorithm, p.cs, p.clock, p.latency),
+            (Algorithm::Mfsa, 7, Some(100), Some(2))
+        );
+        assert_eq!(p.fu_limits.len(), 3, "limit entries accumulate");
+        assert_eq!(p.fu_limits[&FuClass::Op(OpKind::Eq)], 3);
+        assert_eq!(p.pipeline_ops.len(), 2);
+        assert_eq!(
+            (p.style, p.weights, p.label.as_str()),
+            (2, Some((1, 2, 3, 4)), "x")
+        );
+        for knob in &KNOBS {
+            for name in knob.names {
+                assert!(std::ptr::eq(Knob::lookup(name).unwrap(), knob));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_and_out_of_range_values_are_typed_errors() {
+        let mut p = DesignPoint::new(Algorithm::Mfs, 4);
+        for (key, value) in [
+            ("cs", "0"),
+            ("chain", "0"),
+            ("latency", "0"),
+            ("limit", "*=0"),
+            ("limit", "mul"),
+            ("limit", "bogus=2"),
+            ("pipeline", "bogus"),
+            ("style", "3"),
+            ("weights", "1,2"),
+            ("weights", "1,2,3,4,5"),
+            ("iterate", "-1"),
+            ("alg", "nope"),
+        ] {
+            let e = p.set(key, value).unwrap_err();
+            assert!(
+                matches!(e, KnobError::Invalid { .. }),
+                "{key}={value}: {e:?}"
+            );
+            assert!(e.to_string().contains(value), "{e}");
+        }
+        assert_eq!(
+            p,
+            DesignPoint::new(Algorithm::Mfs, 4),
+            "rejected values leave no trace"
+        );
+        assert_eq!(p.set("wat", "1"), Err(KnobError::Unknown("wat".into())));
+    }
+
+    #[test]
+    fn check_rejects_refinement_with_pipelining() {
+        let mut p = DesignPoint::new(Algorithm::Mfs, 4);
+        p.iterate = 1;
+        assert!(p.check().is_ok());
+        p.latency = Some(2);
+        assert!(matches!(p.check(), Err(KnobError::Unsupported(m)) if m.contains("latency")));
+        p.latency = None;
+        p.pipeline_ops.insert(OpKind::Mul);
+        assert!(matches!(p.check(), Err(KnobError::Unsupported(m)) if m.contains("pipelined")));
     }
 
     #[test]

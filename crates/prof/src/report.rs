@@ -3,26 +3,9 @@
 
 use std::fmt::Write as _;
 
-use hls_telemetry::Metrics;
+use hls_telemetry::{escape_json, Metrics};
 
 use crate::profiler::{Hotspot, PhaseLedger, Profiler, StepLedger};
-
-/// Escapes `s` as JSON string contents (without quotes).
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// A cost-attribution report for one profiled run.
 ///

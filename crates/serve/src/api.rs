@@ -20,14 +20,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use hls_benchmarks::classic;
-use hls_celllib::{ClockPeriod, Library, OpKind, TimingSpec};
-use hls_dfg::{parse_dfg, Dfg, FuClass};
-use hls_explore::{default_threads, run_indexed, Algorithm, DesignPoint, Engine, PointMetrics};
+use hls_celllib::TimingSpec;
+use hls_dfg::{parse_dfg, Dfg};
+use hls_explore::{
+    default_threads, run_indexed, Algorithm, DesignPoint, Engine, Knob, KnobKind, MoveFrameRun,
+    PointMetrics,
+};
 use hls_schedule::render_schedule;
 use hls_telemetry::{Instrument, Metrics, NullSink};
-use moveframe::mfs::MfsConfig;
-use moveframe::mfsa::{DesignStyle, MfsaConfig, Weights};
-use moveframe::{mfs, mfsa, CancelToken};
+use moveframe::CancelToken;
 
 use crate::http::{Request, Response};
 use crate::json::{self, JsonValue};
@@ -259,16 +260,20 @@ fn dfg_from_knobs(knobs: &BTreeMap<String, JsonValue>) -> Result<Arc<Dfg>, Strin
     }
 }
 
+/// The query string as a knob set of string values.
+fn query_knobs(req: &Request) -> BTreeMap<String, JsonValue> {
+    req.query
+        .iter()
+        .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
+        .collect()
+}
+
 /// Parses the request's query string and body into a [`Job`]; the
 /// error string becomes the 400 body.
 pub fn parse_job(req: &Request) -> Result<Job, String> {
     let body = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
     // Knobs: query pairs first, JSON keys override.
-    let mut knobs: BTreeMap<String, JsonValue> = req
-        .query
-        .iter()
-        .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-        .collect();
+    let mut knobs = query_knobs(req);
     let dfg = if body.trim_start().starts_with('{') {
         let job = json::parse_flat_object(body).map_err(|e| format!("invalid JSON job: {e}"))?;
         knobs.extend(job);
@@ -284,106 +289,67 @@ pub fn parse_job(req: &Request) -> Result<Job, String> {
     job_from_knobs(dfg, &knobs)
 }
 
+/// The design-point knobs a job may set, by the names serve accepts;
+/// [`DesignPoint::set`] parses and validates each one.
+const POINT_KNOBS: [&str; 10] = [
+    "alg", "cs", "limit", "pipeline", "chain", "latency", "iterate", "style", "weights", "label",
+];
+
+/// Hands one job value to the knob table. Numbers and strings are both
+/// text to the table; `null`, and a non-string value for a text knob,
+/// leave the knob unset.
+fn set_knob(point: &mut DesignPoint, name: &str, value: &JsonValue) -> Result<(), String> {
+    let mut digits = [0u8; 20];
+    let text: Cow<'_, str> = match value {
+        JsonValue::Str(s) => Cow::Borrowed(s),
+        JsonValue::Null => return Ok(()),
+        _ if !matches!(Knob::lookup(name), Some(k) if k.kind == KnobKind::Int) => return Ok(()),
+        JsonValue::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) => match value.as_u64() {
+            // Integral numbers are spelled on the stack: the warm path
+            // parses every request, so knobs must not allocate.
+            Some(k) => {
+                let unused = {
+                    let mut w = &mut digits[..];
+                    let _ = std::io::Write::write_fmt(&mut w, format_args!("{k}"));
+                    w.len()
+                };
+                Cow::Borrowed(std::str::from_utf8(&digits[..20 - unused]).unwrap_or_default())
+            }
+            None => Cow::Owned(n.to_string()),
+        },
+    };
+    point.set(name, &text).map_err(|e| e.to_string())
+}
+
 /// Builds a [`Job`] from a resolved graph plus its knob set — the
 /// shared back half of [`parse_job`] and the `/batch` item parser.
 fn job_from_knobs(dfg: Arc<Dfg>, knobs: &BTreeMap<String, JsonValue>) -> Result<Job, String> {
-    let get_str = |k: &str| knobs.get(k).and_then(|v| v.as_str().map(str::to_string));
-    let get_u32 = |k: &str| -> Result<Option<u32>, String> {
-        match knobs.get(k) {
-            None => Ok(None),
-            Some(JsonValue::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .map(Some)
-                .ok_or_else(|| format!("`{k}` must be a non-negative integer")),
-        }
-    };
-    let get_bool = |k: &str| -> Result<bool, String> {
-        match knobs.get(k) {
-            None | Some(JsonValue::Null) => Ok(false),
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| format!("`{k}` must be a boolean")),
-        }
-    };
-
-    let emit = match get_str("emit").as_deref() {
+    let emit = match knobs.get("emit").and_then(JsonValue::as_str) {
         None | Some("json") => Emit::Json,
         Some("text") => Emit::Text,
         Some("dot") => Emit::Dot,
         Some(other) => return Err(format!("unknown emit form `{other}` (json|text|dot)")),
     };
-
-    let algorithm = match get_str("alg").as_deref() {
-        None => Algorithm::Mfs,
-        Some(name) => {
-            Algorithm::parse(name).ok_or_else(|| format!("unknown algorithm `{name}`"))?
+    // `cs` 0 marks "not given": the table rejects an explicit 0.
+    let mut point = DesignPoint::new(Algorithm::Mfs, 0);
+    for name in POINT_KNOBS {
+        if let Some(value) = knobs.get(name) {
+            set_knob(&mut point, name, value)?;
         }
-    };
-    let cs = match get_u32("cs")? {
-        Some(cs) if cs >= 1 => cs,
-        Some(_) => return Err("`cs` must be at least 1".into()),
+    }
+    if point.cs == 0 {
+        if emit != Emit::Dot {
+            return Err("missing `cs` (the control-step constraint)".into());
+        }
         // DOT rendering never schedules, so a placeholder is fine.
-        None if emit == Emit::Dot => 1,
-        None => return Err("missing `cs` (the control-step constraint)".into()),
+        point.cs = 1;
+    }
+    let two_cycle_mul = match knobs.get("two_cycle_mul") {
+        None | Some(JsonValue::Null) => false,
+        Some(v) => v.as_bool().ok_or("`two_cycle_mul` must be a boolean")?,
     };
-
-    let mut point = DesignPoint::new(algorithm, cs);
-    if let Some(spec) = get_str("limit") {
-        for part in spec.split(',').filter(|p| !p.is_empty()) {
-            let (op, n) = part
-                .split_once(':')
-                .or_else(|| part.split_once('='))
-                .ok_or_else(|| format!("`limit` entry `{part}` is not OP:N"))?;
-            let op: OpKind = op.parse().map_err(|e| format!("{e}"))?;
-            let n: u32 =
-                n.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!("`limit` count in `{part}` must be a positive integer")
-                })?;
-            point.fu_limits.insert(FuClass::Op(op), n);
-        }
-    }
-    if let Some(spec) = get_str("pipeline") {
-        for name in spec.split(',').filter(|p| !p.is_empty()) {
-            let op: OpKind = name.parse().map_err(|e| format!("{e}"))?;
-            point.pipeline_ops.insert(op);
-        }
-    }
-    point.clock = match get_u32("chain")? {
-        // ClockPeriod::new panics on zero; reject it here as a 400.
-        Some(0) => return Err("`chain` (clock period in ns) must be at least 1".into()),
-        other => other,
-    };
-    point.latency = get_u32("latency")?;
-    point.iterate = get_u32("iterate")?.unwrap_or(0);
-    match get_u32("style")? {
-        None | Some(1) => {}
-        Some(2) => point.style = 2,
-        Some(other) => return Err(format!("unknown design style `{other}` (1|2)")),
-    }
-    if let Some(w) = get_str("weights") {
-        let parts: Vec<u32> = w
-            .split(',')
-            .map(|p| p.trim().parse::<u32>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| "`weights` must be four integers T,A,M,R".to_string())?;
-        if parts.len() != 4 {
-            return Err("`weights` must be four integers T,A,M,R".into());
-        }
-        point.weights = Some((parts[0], parts[1], parts[2], parts[3]));
-    }
-    if let Some(label) = get_str("label") {
-        point.label = label;
-    }
-    let two_cycle_mul = get_bool("two_cycle_mul")?;
-    let spec = if point.clock.is_some() {
-        TimingSpec::with_delays()
-    } else if two_cycle_mul {
-        TimingSpec::two_cycle_multiply()
-    } else {
-        TimingSpec::uniform_single_cycle()
-    };
+    let spec = point.timing_spec(two_cycle_mul);
     let deadline_ms = match knobs.get("deadline_ms") {
         None | Some(JsonValue::Null) => None,
         Some(v) => Some(
@@ -445,16 +411,6 @@ pub fn point_json(point: &DesignPoint, m: &PointMetrics) -> String {
     s
 }
 
-/// The refinement config a point implies: iteration count, chaining
-/// clock, and latency (the refiner itself rejects latency as
-/// unsupported, which keeps text and JSON answers consistent).
-fn iterate_config(point: &DesignPoint) -> hls_iterate::IterateConfig {
-    let mut config = hls_iterate::IterateConfig::new(point.iterate);
-    config.clock = point.clock.map(ClockPeriod::new);
-    config.latency = point.latency;
-    config
-}
-
 /// The job's effective deadline instant, if it has one: the window
 /// opens at `enqueued`, so it covers queue wait + compute, and an
 /// overloaded server times requests out instead of silently serving
@@ -514,92 +470,25 @@ pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
         }
         Emit::Text => {
             // The text form needs the full schedule, which the metrics
-            // cache does not keep — run the scheduler directly.
-            let mut sink = NullSink;
-            let mut metrics = Metrics::new();
-            let point = &job.point;
-            let rendered = {
-                let mut instr = Instrument::new(&mut sink, &mut metrics);
-                match point.algorithm {
-                    Algorithm::Mfs => {
-                        let mut config =
-                            MfsConfig::time_constrained(point.cs).with_cancel(cancel.clone());
-                        for (&class, &limit) in &point.fu_limits {
-                            config = config.with_fu_limit(class, limit);
-                        }
-                        if let Some(clock) = point.clock {
-                            config = config.with_chaining(ClockPeriod::new(clock));
-                        }
-                        if let Some(l) = point.latency {
-                            config = config.with_latency(l);
-                        }
-                        mfs::schedule_traced(&job.dfg, &job.spec, &config, &mut instr)
-                            .map_err(|e| e.to_string())
-                            .and_then(|out| {
-                                let mut schedule = out.schedule;
-                                if point.iterate > 0 {
-                                    schedule = hls_iterate::refine(
-                                        &job.dfg,
-                                        &job.spec,
-                                        &schedule,
-                                        &iterate_config(point),
-                                        &mut instr,
-                                    )
-                                    .map_err(|e| e.to_string())?
-                                    .schedule;
-                                }
-                                Ok(render_schedule(&job.dfg, &schedule, &job.spec))
-                            })
-                    }
-                    Algorithm::Mfsa => {
-                        let library = Library::ncr_like();
-                        let mut config = MfsaConfig::new(point.cs, library.clone())
-                            .with_cancel(cancel.clone())
-                            .with_style(if point.style == 2 {
-                                DesignStyle::NoSelfLoop
-                            } else {
-                                DesignStyle::Unrestricted
-                            });
-                        if let Some((time, alu, mux, reg)) = point.weights {
-                            config = config.with_weights(Weights {
-                                time,
-                                alu,
-                                mux,
-                                reg,
-                            });
-                        }
-                        if let Some(clock) = point.clock {
-                            config = config.with_chaining(ClockPeriod::new(clock));
-                        }
-                        if let Some(l) = point.latency {
-                            config = config.with_latency(l);
-                        }
-                        mfsa::schedule_traced(&job.dfg, &job.spec, &config, &mut instr)
-                            .map_err(|e| e.to_string())
-                            .and_then(|mut out| {
-                                if point.iterate > 0 {
-                                    hls_iterate::refine_mfsa(
-                                        &job.dfg,
-                                        &job.spec,
-                                        &library,
-                                        &mut out,
-                                        &iterate_config(point),
-                                        &mut instr,
-                                    )
-                                    .map_err(|e| e.to_string())?;
-                                }
-                                Ok(format!(
-                                    "{}{}{}\n",
-                                    render_schedule(&job.dfg, &out.schedule, &job.spec),
-                                    out.datapath,
-                                    out.cost
-                                ))
-                            })
-                    }
-                    other => Err(format!("emit=text supports alg=mfs|mfsa, not {other}")),
+            // cache does not keep — run the scheduler directly, through
+            // the engine's own checks and structural-pipelining branch.
+            let rendered = match job.point.algorithm {
+                Algorithm::Mfs | Algorithm::Mfsa => {
+                    let mut sink = NullSink;
+                    let mut metrics = Metrics::new();
+                    let run = hls_explore::run_move_frame(
+                        &job.dfg,
+                        &job.spec,
+                        &job.point,
+                        None,
+                        &cancel,
+                        &mut Instrument::new(&mut sink, &mut metrics),
+                    );
+                    state.locked_metrics().merge(&metrics);
+                    run.map(|run| render_run(&job.dfg, &job.spec, &run))
                 }
+                other => Err(format!("emit=text supports alg=mfs|mfsa, not {other}")),
             };
-            state.locked_metrics().merge(&metrics);
             match rendered {
                 Ok(text) => Response::text(200, text),
                 Err(e) if e.starts_with("emit=text") => Response::error(400, &e),
@@ -608,6 +497,23 @@ pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
         }
     };
     response.with_deadline(deadline)
+}
+
+/// The `emit=text` body: the schedule table (of the stage-expanded
+/// graph for structurally pipelined MFS), plus the data path and cost
+/// report for MFSA.
+fn render_run(dfg: &Dfg, spec: &TimingSpec, run: &MoveFrameRun) -> String {
+    match run {
+        MoveFrameRun::Mfs { expanded, outcome } => {
+            render_schedule(expanded.as_ref().unwrap_or(dfg), &outcome.schedule, spec)
+        }
+        MoveFrameRun::Mfsa(out) => format!(
+            "{}{}{}\n",
+            render_schedule(dfg, &out.schedule, spec),
+            out.datapath,
+            out.cost
+        ),
+    }
 }
 
 /// The reactor's inline warm path: answers a `POST /schedule`
@@ -671,11 +577,7 @@ pub fn run_batch(state: &AppState, req: &Request, enqueued: Instant) -> Response
     state.inc("serve.batch.requests".into(), 1);
     state.inc("serve.batch.jobs".into(), items.len() as u64);
     // Query-string knobs are batch-wide defaults; job keys override.
-    let defaults: BTreeMap<String, JsonValue> = req
-        .query
-        .iter()
-        .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-        .collect();
+    let defaults = query_knobs(req);
     let jobs: Vec<Result<Job, String>> = items
         .into_iter()
         .map(|item| {
@@ -797,17 +699,22 @@ mod tests {
             ("/schedule?cs=2", "{\"benchmark\":\"nope\",\"cs\":2}"),
             ("/schedule?cs=2", "{\"cs\":2}"),
             ("/schedule?cs=2", "{broken json"),
-            ("/schedule", TOY),                        // missing cs
-            ("/schedule?cs=0", TOY),                   // zero cs
-            ("/schedule?cs=2&alg=bogus", TOY),         // unknown algorithm
-            ("/schedule?cs=2&limit=mul", TOY),         // malformed limit
-            ("/schedule?cs=2&emit=yaml", TOY),         // unknown emit
-            ("/schedule?cs=2&weights=1,2", TOY),       // short weights
-            ("/schedule?cs=2&chain=0", TOY),           // zero clock period
-            ("/schedule?cs=2&chain=0&emit=text", TOY), // ... on the uncached path too
-            ("/schedule?cs=2&style=7", TOY),           // unknown style
-            ("/schedule?cs=2&iterate=soon", TOY),      // bad iterate count
-            ("/schedule?cs=2&deadline_ms=soon", TOY),  // bad deadline
+            ("/schedule", TOY),                          // missing cs
+            ("/schedule?cs=0", TOY),                     // zero cs
+            ("/schedule?cs=2&alg=bogus", TOY),           // unknown algorithm
+            ("/schedule?cs=2&limit=mul", TOY),           // malformed limit
+            ("/schedule?cs=2&emit=yaml", TOY),           // unknown emit
+            ("/schedule?cs=2&weights=1,2", TOY),         // short weights
+            ("/schedule?cs=2&chain=0", TOY),             // zero clock period
+            ("/schedule?cs=2&chain=0&emit=text", TOY),   // ... on the uncached path too
+            ("/schedule?cs=2&latency=0", TOY),           // zero latency
+            ("/schedule?cs=2&latency=0&alg=list", TOY),  // ... for every algorithm
+            ("/schedule?cs=2&latency=0&emit=text", TOY), // ... and on the uncached path
+            ("/schedule?cs=2&limit=mul:0", TOY),         // zero unit budget
+            ("/schedule?cs=2&pipeline=bogus", TOY),      // unknown pipelined op
+            ("/schedule?cs=2&style=7", TOY),             // unknown style
+            ("/schedule?cs=2&iterate=soon", TOY),        // bad iterate count
+            ("/schedule?cs=2&deadline_ms=soon", TOY),    // bad deadline
         ] {
             let r = handle(&s, &request("POST", target, body), now);
             assert_eq!(r.status, 400, "{target} {body:?}");
@@ -855,6 +762,26 @@ mod tests {
             now,
         );
         assert_eq!(synth.status, 200);
+        // Structural pipelining schedules the stage-expanded graph, on
+        // the text path as on the JSON path.
+        let pipelined = handle(
+            &s,
+            &request(
+                "POST",
+                "/schedule?cs=4&two_cycle_mul=1&pipeline=mul&emit=text",
+                TOY,
+            ),
+            now,
+        );
+        assert_eq!(pipelined.status, 200);
+        let pipelined = String::from_utf8(pipelined.body).unwrap();
+        assert!(pipelined.contains("p.s2"), "{pipelined}");
+        let json = handle(
+            &s,
+            &request("POST", "/schedule?cs=4&two_cycle_mul=1&pipeline=mul", TOY),
+            now,
+        );
+        assert_eq!(json.status, 200);
         let dot = handle(&s, &request("POST", "/schedule?emit=dot", TOY), now);
         assert_eq!(dot.status, 200);
         assert!(String::from_utf8(dot.body).unwrap().starts_with("digraph"));
@@ -1023,13 +950,21 @@ mod tests {
         );
         assert_eq!(lifted.status, 200);
         // Knob combinations the refiner rejects are 422, on both the
-        // engine path and the uncached text path.
-        for target in [
-            "/schedule?cs=8&iterate=2&latency=2",
-            "/schedule?cs=8&iterate=2&latency=2&emit=text",
+        // engine path and the uncached text path, with the same body.
+        for (json, text) in [
+            (
+                "/schedule?cs=8&iterate=2&latency=2",
+                "/schedule?cs=8&iterate=2&latency=2&emit=text",
+            ),
+            (
+                "/schedule?cs=8&iterate=2&pipeline=mul",
+                "/schedule?cs=8&iterate=2&pipeline=mul&emit=text",
+            ),
         ] {
-            let r = handle(&s, &request("POST", target, TOY), now);
-            assert_eq!(r.status, 422, "{target}");
+            let json_r = handle(&s, &request("POST", json, TOY), now);
+            let text_r = handle(&s, &request("POST", text, TOY), now);
+            assert_eq!((json_r.status, text_r.status), (422, 422), "{json}");
+            assert_eq!(json_r.body, text_r.body, "{text}");
         }
     }
 

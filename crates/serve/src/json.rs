@@ -8,6 +8,9 @@
 
 use std::collections::BTreeMap;
 
+/// Escapes a string into JSON string contents (without the quotes).
+pub use hls_telemetry::escape_json as escape_into;
+
 /// A scalar JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -248,24 +251,6 @@ impl Parser<'_> {
             true
         } else {
             false
-        }
-    }
-}
-
-/// Escapes `s` into `out` as JSON string contents (without the quotes).
-pub fn escape_into(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }

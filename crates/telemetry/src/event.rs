@@ -98,7 +98,7 @@ pub enum TraceEvent {
 }
 
 /// Escapes `s` into `out` as JSON string contents (without quotes).
-pub(crate) fn escape_json(out: &mut String, s: &str) {
+pub fn escape_json(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -51,7 +51,7 @@ mod metrics;
 mod sink;
 
 pub use chrome::chrome_trace;
-pub use event::TraceEvent;
+pub use event::{escape_json, TraceEvent};
 pub use metrics::{Histogram, Metrics};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 

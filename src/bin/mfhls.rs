@@ -1,36 +1,11 @@
 //! `mfhls` — the moveframe-hls command-line front end.
 //!
-//! `mfhls help` lists the subcommands; `mfhls help <subcommand>` prints
-//! that subcommand's flags. The summary:
-//!
-//! ```text
-//! mfhls info <file.dfg> [--dot]
-//! mfhls schedule <file.dfg> --cs N [--resource] [--limit OP=N]...
-//!                [--chain CLOCK] [--latency L] [--two-cycle-mul]
-//!                [--svg FILE] [telemetry flags]
-//! mfhls synth (<file.dfg> | gen:OPS) --cs N [--style2] [--weights T,A,M,R]
-//!             [--lib FILE.lib] [--two-cycle-mul] [--iterate N] [--microcode]
-//!             [--verilog] [--testbench] [--check] [--svg FILE] [--vcd FILE]
-//!             [--shard N|auto [--shard-alg mfs|mfsa] [--threads N]]
-//!             [telemetry flags]
-//! mfhls explore <file.dfg> (--grid FILE.grid | --cs N[,M...] [--alg A[,B...]])
-//!               [--limit OP=N]... [--chain CLOCK] [--latency L] [--style2]
-//!               [--weights T,A,M,R] [--two-cycle-mul] [--threads N]
-//!               [--emit front.json] [--metrics] [-q]
-//! mfhls profile (<file.dfg> | gen:OPS) [--cs N] [--alg mfs|mfsa]
-//!               [--top K] [--json] [--two-cycle-mul] [-q]
-//! mfhls serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!             [--cache-cap N] [--cache-dir DIR] [--deadline-ms N]
-//!             [--keep-alive on|off] [--idle-timeout-ms N]
-//!             [--read-timeout-ms N] [--pipeline-depth N] [--force-poll]
-//!             [--access-log FILE] [-q]
-//! ```
-//!
-//! Telemetry flags (schedule & synth): `--trace FILE.jsonl` streams the
-//! scheduler's trace events as JSON Lines, `--chrome-trace FILE.json`
-//! writes the phase spans as a Chrome/Perfetto flame chart,
-//! `--metrics` prints the counter/histogram report, `-v` adds a phase
-//! timing summary on stderr, `-q` silences routine output.
+//! Subcommands: `info`, `schedule` (MFS), `synth` (MFSA down to RTL),
+//! `explore`, `profile` and `serve`. `mfhls help` lists them and
+//! `mfhls help <subcommand>` prints that subcommand's flags; the flag
+//! table lives in `mfhls/args.rs`, and the design-point flags
+//! (`--cs`, `--limit`, `--chain`, …) take their syntax and help from
+//! the knob table of `hls-explore`.
 //!
 //! Reads the textual DFG format (see `hls-dfg`), schedules with MFS or
 //! synthesises with MFSA against the built-in NCR-like library, and
@@ -39,119 +14,13 @@
 use std::process::ExitCode;
 
 use moveframe_hls::control::{emit_testbench, emit_verilog};
+use moveframe_hls::explore::timing_spec;
 use moveframe_hls::prelude::*;
 
-/// Observability options shared by `schedule` and `synth`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Telemetry {
-    /// Write trace events as JSON Lines to this file.
-    trace: Option<String>,
-    /// Print the metrics report after the run.
-    metrics: bool,
-    /// Write phase spans as a Chrome/Perfetto trace to this file.
-    chrome: Option<String>,
-    /// Extra diagnostics on stderr.
-    verbose: bool,
-    /// Silence routine stdout output.
-    quiet: bool,
-}
+#[path = "mfhls/args.rs"]
+mod args;
 
-impl Telemetry {
-    /// Whether any option needs the scheduler's event stream.
-    fn wants_events(&self) -> bool {
-        self.trace.is_some() || self.chrome.is_some()
-    }
-}
-
-/// Parsed command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Command {
-    Help {
-        topic: Option<String>,
-    },
-    Info {
-        file: String,
-        dot: bool,
-    },
-    Schedule {
-        file: String,
-        cs: u32,
-        resource: bool,
-        limits: Vec<(OpKind, u32)>,
-        chain: Option<u32>,
-        latency: Option<u32>,
-        two_cycle_mul: bool,
-        json: bool,
-        svg: Option<String>,
-        tel: Telemetry,
-    },
-    Synth {
-        file: String,
-        /// Monolithic mode: the MFSA time constraint (required).
-        /// Sharded mode: an optional global control-step ceiling.
-        cs: Option<u32>,
-        style2: bool,
-        weights: Option<[u32; 4]>,
-        lib: Option<String>,
-        two_cycle_mul: bool,
-        json: bool,
-        microcode: bool,
-        verilog: bool,
-        testbench: bool,
-        check: bool,
-        svg: Option<String>,
-        vcd: Option<String>,
-        /// `Some(n)` switches to sharded synthesis (`0` = auto shard
-        /// count from the node count).
-        shard: Option<usize>,
-        /// Per-shard scheduler in sharded mode.
-        shard_alg: Algorithm,
-        /// Shard-pool worker threads (0 = all cores); output is
-        /// identical for every value.
-        threads: usize,
-        /// Feedback-guided refinement iterations after the one-shot
-        /// schedule (0 = plain one-shot).
-        iterate: u32,
-        /// Tap the one-shot pass with the attribution profiler and
-        /// seed the refinement's extraction hints from its top node
-        /// hotspots.
-        iterate_profile: bool,
-        tel: Telemetry,
-    },
-    Explore {
-        file: String,
-        grid: Option<String>,
-        algs: Vec<Algorithm>,
-        cs_list: Vec<u32>,
-        limits: Vec<(OpKind, u32)>,
-        chain: Option<u32>,
-        latency: Option<u32>,
-        style2: bool,
-        weights: Option<[u32; 4]>,
-        two_cycle_mul: bool,
-        threads: usize,
-        emit: Option<String>,
-        iterate: u32,
-        tel: Telemetry,
-    },
-    Profile {
-        file: String,
-        cs: Option<u32>,
-        alg: Algorithm,
-        top: usize,
-        json: bool,
-        two_cycle_mul: bool,
-        quiet: bool,
-    },
-    Serve {
-        config: ServeConfig,
-        access_log: Option<String>,
-        quiet: bool,
-    },
-}
-
-/// The subcommands, in help order.
-const SUBCOMMANDS: &[&str] = &["info", "schedule", "synth", "explore", "profile", "serve"];
+use args::{parse_args, usage, usage_for, Command, Telemetry, SUBCOMMANDS};
 
 /// Control-step slack `mfhls profile` adds above the critical path when
 /// `--cs` is omitted — the same margin the `core_scaling` benchmark
@@ -189,684 +58,6 @@ fn hotspot_hints(profiler: &Profiler, top: usize) -> Vec<NodeId> {
         .collect()
 }
 
-fn usage() -> String {
-    "usage: mfhls <subcommand> [args]\n\
-     \n\
-     subcommands:\n\
-     \x20 info      inspect a .dfg file (operator mix, critical path, memory decls)\n\
-     \x20 schedule  MFS move-frame scheduling (time- or resource-constrained)\n\
-     \x20 synth     MFSA mixed scheduling-allocation down to RTL\n\
-     \x20 explore   parallel design-space exploration over algorithms and budgets\n\
-     \x20 profile   deterministic cost attribution and hotspot report\n\
-     \x20 serve     synthesis-as-a-service HTTP daemon\n\
-     \n\
-     run `mfhls help <subcommand>` for that subcommand's flags.\n\
-     `mfhls --version` prints the version."
-        .to_string()
-}
-
-/// Detailed usage for one subcommand (`mfhls help <sub>`).
-fn usage_for(sub: &str) -> Option<String> {
-    let text = match sub {
-        "info" => {
-            "usage: mfhls info <file.dfg> [--dot]\n\
-             \n\
-             Prints the graph's operator mix, node/signal counts, critical path\n\
-             (single-cycle and 2-cycle-multiply timing) and, for memory-aware\n\
-             designs, the declared banks and arrays.\n\
-             \n\
-             flags:\n\
-             \x20 --dot    also print the graph in Graphviz DOT format"
-        }
-        "schedule" => {
-            "usage: mfhls schedule <file.dfg> --cs N [flags]\n\
-             \n\
-             Move-frame scheduling (MFS). Accepts memory-aware .dfg files:\n\
-             loads/stores are scheduled against their bank's port count.\n\
-             \n\
-             flags:\n\
-             \x20 --cs N            time constraint in control steps (required)\n\
-             \x20 --resource        resource-constrained mode (--cs is the budget)\n\
-             \x20 --limit OP=N      cap the unit count of one operator class\n\
-             \x20 --chain CLOCK     enable operator chaining under this clock period\n\
-             \x20 --latency L       loop pipelining initiation interval\n\
-             \x20 --two-cycle-mul   use the 2-cycle-multiply timing profile\n\
-             \x20 --json            print the canonical stats JSON line instead of text\n\
-             \x20 --svg FILE        render the schedule as an SVG\n\
-             \n\
-             telemetry:\n\
-             \x20 --trace FILE.jsonl scheduler trace events as JSON Lines\n\
-             \x20 --chrome-trace F   phase spans for chrome://tracing / Perfetto\n\
-             \x20 --metrics          print the counter/histogram report\n\
-             \x20 -v|--verbose       phase timing summary on stderr\n\
-             \x20 -q|--quiet         silence routine output"
-        }
-        "synth" => {
-            "usage: mfhls synth (<file.dfg> | gen:OPS) --cs N [flags]\n\
-             \n\
-             Mixed scheduling-allocation (MFSA): schedule, bind ALUs/registers/\n\
-             muxes and report costs. Memory-aware designs get per-bank port\n\
-             binding, address/data muxing and Verilog memory instantiation.\n\
-             `gen:OPS` synthesises the canonical scaling workload of roughly\n\
-             OPS operations.\n\
-             \n\
-             With --iterate N the one-shot result is refined by up to N\n\
-             extract/re-schedule rounds (bottleneck subgraph extraction +\n\
-             constrained re-scheduling splices); every accepted splice is\n\
-             re-verified and the (csteps, registers) objective only ever\n\
-             improves. N = 0 is byte-identical to the one-shot schedule.\n\
-             \n\
-             With --shard the design is cut into weakly-coupled shards,\n\
-             scheduled in parallel and stitched back into one verified\n\
-             schedule — the path for 100k–1M-node graphs a monolithic run\n\
-             cannot finish. Output is bit-identical for any --threads value;\n\
-             --cs becomes an optional global control-step ceiling and the\n\
-             data-path flags (--microcode/--verilog/...) do not apply.\n\
-             \n\
-             flags:\n\
-             \x20 --cs N            time constraint in control steps (required;\n\
-             \x20                   with --shard: optional global ceiling)\n\
-             \x20 --shard N|auto    sharded synthesis with N shards (auto = from\n\
-             \x20                   the node count, ~16k nodes per shard)\n\
-             \x20 --shard-alg A     per-shard scheduler: mfs|mfsa (default mfsa)\n\
-             \x20 --threads N       shard-pool worker threads (0 = all cores)\n\
-             \x20 --style2          no-self-loop design style (paper style 2)\n\
-             \x20 --weights T,A,M,R Liapunov weight vector\n\
-             \x20 --lib FILE.lib    use a custom cell library\n\
-             \x20 --two-cycle-mul   use the 2-cycle-multiply timing profile\n\
-             \x20 --iterate N       feedback-guided refinement rounds (0 = one-shot)\n\
-             \x20 --iterate-profile seed the refinement's extraction hints from the\n\
-             \x20                   one-shot pass's profiler hotspots (needs --iterate)\n\
-             \x20 --json            print the canonical stats JSON line instead of text\n\
-             \x20 --microcode       print the control-word listing\n\
-             \x20 --verilog         emit synthesisable Verilog\n\
-             \x20 --testbench       emit a self-checking Verilog testbench\n\
-             \x20 --check           run the interpreter-vs-RTL equivalence check\n\
-             \x20 --svg FILE        render the schedule as an SVG\n\
-             \x20 --vcd FILE        simulate seed 0 and write a VCD waveform\n\
-             \n\
-             telemetry:\n\
-             \x20 --trace FILE.jsonl scheduler trace events as JSON Lines\n\
-             \x20 --chrome-trace F   phase spans for chrome://tracing / Perfetto\n\
-             \x20 --metrics          print the counter/histogram report\n\
-             \x20 -v|--verbose       phase timing summary on stderr\n\
-             \x20 -q|--quiet         silence routine output"
-        }
-        "explore" => {
-            "usage: mfhls explore <file.dfg> (--grid FILE | --cs N[,M...]) [flags]\n\
-             \n\
-             Schedules many design points in parallel and reports the Pareto\n\
-             front. Memory-aware designs work with mfs, mfsa and list; the\n\
-             port-unaware baselines (asap, fds, anneal) report a typed error\n\
-             per point.\n\
-             \n\
-             flags:\n\
-             \x20 --grid FILE       read the point grid from a file\n\
-             \x20 --cs N[,M...]     time constraints to sweep\n\
-             \x20 --alg A[,B...]    algorithms: mfs,mfsa,list,fds,anneal (default mfs)\n\
-             \x20 --limit OP=N      cap the unit count of one operator class\n\
-             \x20 --chain CLOCK     enable operator chaining under this clock period\n\
-             \x20 --latency L       loop pipelining initiation interval\n\
-             \x20 --style2          no-self-loop design style for mfsa points\n\
-             \x20 --weights T,A,M,R Liapunov weight vector for mfsa points\n\
-             \x20 --two-cycle-mul   use the 2-cycle-multiply timing profile\n\
-             \x20 --iterate N       refinement rounds for the --alg/--cs points\n\
-             \x20 --threads N       worker threads (0 = all cores)\n\
-             \x20 --emit FILE       write the Pareto front as JSON\n\
-             \x20 --metrics         print the engine's metrics report\n\
-             \x20 -q|--quiet        silence routine output"
-        }
-        "profile" => {
-            "usage: mfhls profile (<file.dfg> | gen:OPS) [flags]\n\
-             \n\
-             Runs one scheduling pass with the attribution profiler attached\n\
-             and prints where the scheduler's work went: per-node and per-step\n\
-             energy-evaluation hotspots, per-phase wall time, bounds fast-path\n\
-             vs boundary-walk counts and reuse-memo hit rates. The report is\n\
-             deterministic for a given design, and profiling never changes the\n\
-             schedule (the profiler is a write-only trace sink).\n\
-             \n\
-             `gen:OPS` profiles the canonical scaling workload of roughly OPS\n\
-             operations — the same graphs BENCH_core.json measures.\n\
-             `gen:clustered:OPS` profiles the canonical clustered workload —\n\
-             the same graphs BENCH_partition.json measures.\n\
-             \n\
-             flags:\n\
-             \x20 --cs N            time constraint (default: critical path + 8)\n\
-             \x20 --alg mfs|mfsa    which kernel to profile (default mfs)\n\
-             \x20 --top K           hotspot rows to keep (default 20)\n\
-             \x20 --json            print the machine-readable report\n\
-             \x20 --two-cycle-mul   use the 2-cycle-multiply timing profile\n\
-             \x20 -q|--quiet        suppress the stderr progress line"
-        }
-        "serve" => {
-            "usage: mfhls serve [flags]\n\
-             \n\
-             Synthesis-as-a-service HTTP daemon. POST jobs name a built-in\n\
-             benchmark (including the memory kernels array_fir/matvec) or\n\
-             carry an inline .dfg; answers are the same JSON the --json CLI\n\
-             modes print. `POST /batch` takes a JSON array of jobs and\n\
-             answers one ordered array. Connections are keep-alive with\n\
-             bounded pipelining; `--cache-dir` adds an on-disk result tier\n\
-             that survives restarts.\n\
-             \n\
-             flags:\n\
-             \x20 --addr HOST:PORT      listen address\n\
-             \x20 --workers N           scheduler worker threads\n\
-             \x20 --queue-cap N         bounded job-queue length\n\
-             \x20 --cache-cap N         warm schedule-cache capacity\n\
-             \x20 --cache-dir DIR       on-disk result cache (restart-warm)\n\
-             \x20 --deadline-ms N       default per-job deadline\n\
-             \x20 --keep-alive on|off   HTTP keep-alive (default on)\n\
-             \x20 --idle-timeout-ms N   evict idle keep-alive conns (5000)\n\
-             \x20 --read-timeout-ms N   slow-loris partial-request bound (5000)\n\
-             \x20 --pipeline-depth N    max in-flight requests per conn (8)\n\
-             \x20 --force-poll          use poll(2) even where epoll exists\n\
-             \x20 --access-log FILE     append JSONL access records to FILE\n\
-             \x20 -q|--quiet            silence startup/shutdown chatter"
-        }
-        _ => return None,
-    };
-    Some(text.to_string())
-}
-
-/// The flags each subcommand accepts (drives scoped unknown-flag
-/// errors: a flag that exists elsewhere names its proper subcommand).
-fn allowed_flags(sub: &str) -> &'static [&'static str] {
-    match sub {
-        "info" => &["--dot"],
-        "schedule" => &[
-            "--cs",
-            "--resource",
-            "--limit",
-            "--chain",
-            "--latency",
-            "--two-cycle-mul",
-            "--json",
-            "--svg",
-            "--trace",
-            "--chrome-trace",
-            "--metrics",
-            "-v",
-            "--verbose",
-            "-q",
-            "--quiet",
-        ],
-        "synth" => &[
-            "--cs",
-            "--style2",
-            "--weights",
-            "--lib",
-            "--two-cycle-mul",
-            "--iterate",
-            "--iterate-profile",
-            "--json",
-            "--microcode",
-            "--verilog",
-            "--testbench",
-            "--check",
-            "--svg",
-            "--vcd",
-            "--shard",
-            "--shard-alg",
-            "--threads",
-            "--trace",
-            "--chrome-trace",
-            "--metrics",
-            "-v",
-            "--verbose",
-            "-q",
-            "--quiet",
-        ],
-        "explore" => &[
-            "--grid",
-            "--cs",
-            "--alg",
-            "--limit",
-            "--chain",
-            "--latency",
-            "--style2",
-            "--weights",
-            "--two-cycle-mul",
-            "--iterate",
-            "--threads",
-            "--emit",
-            "--metrics",
-            "-q",
-            "--quiet",
-        ],
-        "profile" => &[
-            "--cs",
-            "--alg",
-            "--top",
-            "--json",
-            "--two-cycle-mul",
-            "-q",
-            "--quiet",
-        ],
-        "serve" => &[
-            "--addr",
-            "--workers",
-            "--queue-cap",
-            "--cache-cap",
-            "--cache-dir",
-            "--deadline-ms",
-            "--keep-alive",
-            "--idle-timeout-ms",
-            "--read-timeout-ms",
-            "--pipeline-depth",
-            "--force-poll",
-            "--access-log",
-            "-q",
-            "--quiet",
-        ],
-        _ => &[],
-    }
-}
-
-/// A scoped unknown-flag error: names the subcommand, and if the flag
-/// belongs to other subcommands, points there.
-fn unknown_flag(sub: &str, flag: &str) -> String {
-    let owners: Vec<&str> = SUBCOMMANDS
-        .iter()
-        .filter(|s| allowed_flags(s).contains(&flag))
-        .copied()
-        .collect();
-    let hint = if owners.is_empty() {
-        String::new()
-    } else {
-        format!(" (a `{}` flag)", owners.join("`/`"))
-    };
-    format!("unknown {sub} flag `{flag}`{hint}; see `mfhls help {sub}`")
-}
-
-/// Parses the `serve` subcommand's flags (no input file: the daemon
-/// receives designs over HTTP).
-fn parse_serve<'a, I: Iterator<Item = &'a String>>(mut it: I) -> Result<Command, String> {
-    let mut config = ServeConfig::default();
-    let mut access_log = None;
-    let mut quiet = false;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => config.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                config.workers = v.parse().map_err(|_| "invalid --workers value")?;
-            }
-            "--queue-cap" => {
-                let v = it.next().ok_or("--queue-cap needs a value")?;
-                config.queue_cap = v.parse().map_err(|_| "invalid --queue-cap value")?;
-            }
-            "--cache-cap" => {
-                let v = it.next().ok_or("--cache-cap needs a value")?;
-                config.cache_cap = v.parse().map_err(|_| "invalid --cache-cap value")?;
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a directory path")?;
-                config.cache_dir = Some(v.into());
-            }
-            "--deadline-ms" => {
-                let v = it.next().ok_or("--deadline-ms needs a value")?;
-                config.default_deadline_ms =
-                    Some(v.parse().map_err(|_| "invalid --deadline-ms value")?);
-            }
-            "--keep-alive" => {
-                config.keep_alive = match it.next().ok_or("--keep-alive needs on|off")?.as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => return Err("invalid --keep-alive value (want on|off)".into()),
-                };
-            }
-            "--idle-timeout-ms" => {
-                let v = it.next().ok_or("--idle-timeout-ms needs a value")?;
-                config.idle_timeout_ms =
-                    v.parse().map_err(|_| "invalid --idle-timeout-ms value")?;
-            }
-            "--read-timeout-ms" => {
-                let v = it.next().ok_or("--read-timeout-ms needs a value")?;
-                config.read_timeout_ms =
-                    v.parse().map_err(|_| "invalid --read-timeout-ms value")?;
-            }
-            "--pipeline-depth" => {
-                let v = it.next().ok_or("--pipeline-depth needs a value")?;
-                let depth: usize = v.parse().map_err(|_| "invalid --pipeline-depth value")?;
-                if depth == 0 {
-                    return Err("--pipeline-depth must be at least 1".into());
-                }
-                config.pipeline_depth = depth;
-            }
-            "--force-poll" => config.force_poll = true,
-            "--access-log" => {
-                let v = it.next().ok_or("--access-log needs a file path")?;
-                access_log = Some(v.clone());
-            }
-            "-q" | "--quiet" => quiet = true,
-            other => return Err(unknown_flag("serve", other)),
-        }
-    }
-    Ok(Command::Serve {
-        config,
-        access_log,
-        quiet,
-    })
-}
-
-fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
-    let sub = it.next().ok_or_else(usage)?;
-    if sub == "help" {
-        return Ok(Command::Help {
-            topic: it.next().cloned(),
-        });
-    }
-    if !SUBCOMMANDS.contains(&sub.as_str()) {
-        return Err(format!("unknown subcommand `{sub}`\n{}", usage()));
-    }
-    if sub == "serve" {
-        return parse_serve(it);
-    }
-    let file = it.next().ok_or("missing input file")?.clone();
-    let mut cs_list: Vec<u32> = Vec::new();
-    let mut resource = false;
-    let mut limits = Vec::new();
-    let mut chain = None;
-    let mut latency = None;
-    let mut two_cycle_mul = false;
-    let mut json = false;
-    let mut style2 = false;
-    let mut weights = None;
-    let mut lib = None;
-    let mut microcode = false;
-    let mut verilog = false;
-    let mut testbench = false;
-    let mut check = false;
-    let mut dot = false;
-    let mut svg = None;
-    let mut vcd = None;
-    let mut grid = None;
-    let mut algs: Vec<Algorithm> = Vec::new();
-    let mut threads = 0usize;
-    let mut threads_set = false;
-    let mut shard: Option<usize> = None;
-    let mut shard_alg: Option<Algorithm> = None;
-    let mut emit = None;
-    let mut top = 20usize;
-    let mut iterate = 0u32;
-    let mut iterate_profile = false;
-    let mut tel = Telemetry::default();
-    while let Some(flag) = it.next() {
-        if !allowed_flags(sub).contains(&flag.as_str()) {
-            return Err(unknown_flag(sub, flag));
-        }
-        match flag.as_str() {
-            "--cs" => {
-                let v = it.next().ok_or("--cs needs a value")?;
-                cs_list = v
-                    .split(',')
-                    .map(|p| p.parse::<u32>().map_err(|_| "invalid --cs value"))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--resource" => resource = true,
-            "--limit" => {
-                let v = it.next().ok_or("--limit needs OP=N")?;
-                let (op, n) = v.split_once('=').ok_or("--limit needs OP=N")?;
-                let op: OpKind = op.parse().map_err(|e| format!("{e}"))?;
-                let n: u32 = n.parse().map_err(|_| "invalid --limit count")?;
-                limits.push((op, n));
-            }
-            "--chain" => {
-                let v = it.next().ok_or("--chain needs a clock period")?;
-                chain = Some(v.parse::<u32>().map_err(|_| "invalid clock period")?);
-            }
-            "--latency" => {
-                let v = it.next().ok_or("--latency needs a value")?;
-                latency = Some(v.parse::<u32>().map_err(|_| "invalid latency")?);
-            }
-            "--two-cycle-mul" => two_cycle_mul = true,
-            "--json" => json = true,
-            "--style2" => style2 = true,
-            "--weights" => {
-                let v = it.next().ok_or("--weights needs T,A,M,R")?;
-                let parts: Vec<u32> = v
-                    .split(',')
-                    .map(|p| p.parse::<u32>().map_err(|_| "invalid weight"))
-                    .collect::<Result<_, _>>()?;
-                if parts.len() != 4 {
-                    return Err("--weights needs exactly four values".into());
-                }
-                weights = Some([parts[0], parts[1], parts[2], parts[3]]);
-            }
-            "--lib" => {
-                let v = it.next().ok_or("--lib needs a file path")?;
-                lib = Some(v.clone());
-            }
-            "--microcode" => microcode = true,
-            "--verilog" => verilog = true,
-            "--testbench" => testbench = true,
-            "--check" => check = true,
-            "--dot" => dot = true,
-            "--svg" => {
-                let v = it.next().ok_or("--svg needs a file path")?;
-                svg = Some(v.clone());
-            }
-            "--vcd" => {
-                let v = it.next().ok_or("--vcd needs a file path")?;
-                vcd = Some(v.clone());
-            }
-            "--grid" => {
-                let v = it.next().ok_or("--grid needs a file path")?;
-                grid = Some(v.clone());
-            }
-            "--alg" => {
-                let v = it.next().ok_or("--alg needs a list of algorithms")?;
-                algs = v
-                    .split(',')
-                    .map(|name| {
-                        Algorithm::parse(name).ok_or_else(|| format!("unknown algorithm `{name}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                threads = v.parse::<usize>().map_err(|_| "invalid --threads value")?;
-                threads_set = true;
-            }
-            "--shard" => {
-                let v = it.next().ok_or("--shard needs a count or `auto`")?;
-                shard = Some(if v == "auto" {
-                    0
-                } else {
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or("--shard needs a positive count or `auto`")?
-                });
-            }
-            "--shard-alg" => {
-                let v = it.next().ok_or("--shard-alg needs mfs or mfsa")?;
-                shard_alg = Some(match v.as_str() {
-                    "mfs" => Algorithm::Mfs,
-                    "mfsa" => Algorithm::Mfsa,
-                    other => return Err(format!("--shard-alg supports mfs|mfsa, not `{other}`")),
-                });
-            }
-            "--emit" => {
-                let v = it.next().ok_or("--emit needs a file path")?;
-                emit = Some(v.clone());
-            }
-            "--top" => {
-                let v = it.next().ok_or("--top needs a value")?;
-                top = v.parse::<usize>().map_err(|_| "invalid --top value")?;
-            }
-            "--iterate" => {
-                let v = it.next().ok_or("--iterate needs an iteration count")?;
-                iterate = v.parse::<u32>().map_err(|_| "invalid --iterate value")?;
-            }
-            "--iterate-profile" => iterate_profile = true,
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a file path")?;
-                tel.trace = Some(v.clone());
-            }
-            "--chrome-trace" => {
-                let v = it.next().ok_or("--chrome-trace needs a file path")?;
-                tel.chrome = Some(v.clone());
-            }
-            "--metrics" => tel.metrics = true,
-            "-v" | "--verbose" => tel.verbose = true,
-            "-q" | "--quiet" => tel.quiet = true,
-            other => return Err(unknown_flag(sub, other)),
-        }
-    }
-    let single_cs = |name: &str| -> Result<u32, String> {
-        match cs_list[..] {
-            [one] => Ok(one),
-            [] => Err(format!("{name} requires --cs")),
-            _ => Err(format!("{name} takes a single --cs value")),
-        }
-    };
-    match sub.as_str() {
-        "info" => Ok(Command::Info { file, dot }),
-        "schedule" => Ok(Command::Schedule {
-            file,
-            cs: single_cs("schedule")?,
-            resource,
-            limits,
-            chain,
-            latency,
-            two_cycle_mul,
-            json,
-            svg,
-            tel,
-        }),
-        "synth" => {
-            let cs = if shard.is_some() {
-                // --cs becomes an optional global ceiling.
-                match cs_list[..] {
-                    [] => None,
-                    [one] => Some(one),
-                    _ => return Err("synth takes a single --cs value".into()),
-                }
-            } else {
-                if shard_alg.is_some() {
-                    return Err("--shard-alg requires --shard".into());
-                }
-                if threads_set {
-                    return Err("synth --threads requires --shard".into());
-                }
-                Some(single_cs("synth")?)
-            };
-            if shard.is_some() {
-                if json
-                    || microcode
-                    || verilog
-                    || testbench
-                    || check
-                    || svg.is_some()
-                    || vcd.is_some()
-                {
-                    return Err(
-                        "--shard produces a verified schedule, not a data path; drop --json/--microcode/--verilog/--testbench/--check/--svg/--vcd"
-                            .into(),
-                    );
-                }
-                if style2 || weights.is_some() {
-                    return Err("--shard does not support --style2/--weights".into());
-                }
-            }
-            if iterate_profile {
-                if iterate == 0 {
-                    return Err("--iterate-profile requires --iterate N (with N ≥ 1)".into());
-                }
-                if shard.is_some() {
-                    return Err("--iterate-profile is not supported with --shard".into());
-                }
-                if json {
-                    return Err("--iterate-profile is not supported with --json".into());
-                }
-            }
-            Ok(Command::Synth {
-                file,
-                cs,
-                style2,
-                weights,
-                lib,
-                two_cycle_mul,
-                json,
-                microcode,
-                verilog,
-                testbench,
-                check,
-                svg,
-                vcd,
-                shard,
-                shard_alg: shard_alg.unwrap_or(Algorithm::Mfsa),
-                threads,
-                iterate,
-                iterate_profile,
-                tel,
-            })
-        }
-        "explore" => {
-            if grid.is_some() && (!algs.is_empty() || !cs_list.is_empty()) {
-                return Err("use either --grid or --alg/--cs, not both".into());
-            }
-            if grid.is_none() && cs_list.is_empty() {
-                return Err("explore requires --grid or --cs".into());
-            }
-            if tel.wants_events() {
-                return Err("explore does not support --trace/--chrome-trace".into());
-            }
-            if grid.is_some() && iterate > 0 {
-                return Err("set iterate per point in the grid file, not via --iterate".into());
-            }
-            Ok(Command::Explore {
-                file,
-                grid,
-                algs,
-                cs_list,
-                limits,
-                chain,
-                latency,
-                style2,
-                weights,
-                two_cycle_mul,
-                threads,
-                emit,
-                iterate,
-                tel,
-            })
-        }
-        "profile" => {
-            let alg = match algs[..] {
-                [] => Algorithm::Mfs,
-                [one @ (Algorithm::Mfs | Algorithm::Mfsa)] => one,
-                [one] => {
-                    return Err(format!(
-                        "profile supports --alg mfs|mfsa, not `{}`",
-                        one.name()
-                    ))
-                }
-                _ => return Err("profile takes a single --alg value".into()),
-            };
-            let cs = match cs_list[..] {
-                [] => None,
-                [one] => Some(one),
-                _ => return Err("profile takes a single --cs value".into()),
-            };
-            Ok(Command::Profile {
-                file,
-                cs,
-                alg,
-                top,
-                json,
-                two_cycle_mul,
-                quiet: tel.quiet,
-            })
-        }
-        other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
-    }
-}
-
 fn load(file: &str) -> Result<Dfg, String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     parse_dfg(&text).map_err(|e| format!("{file}: {e}"))
@@ -895,16 +86,6 @@ fn load_design(file: &str) -> Result<Dfg, String> {
             )),
         },
         None => load(file),
-    }
-}
-
-fn spec_for(two_cycle_mul: bool, chained: bool) -> TimingSpec {
-    if chained {
-        TimingSpec::with_delays()
-    } else if two_cycle_mul {
-        TimingSpec::two_cycle_multiply()
-    } else {
-        TimingSpec::uniform_single_cycle()
     }
 }
 
@@ -966,18 +147,15 @@ fn run(command: Command) -> Result<(), String> {
         }
         Command::Schedule {
             file,
-            cs,
+            point,
             resource,
-            limits,
-            chain,
-            latency,
             two_cycle_mul,
             json,
             svg,
             tel,
         } => {
             let dfg = load(&file)?;
-            let spec = spec_for(two_cycle_mul, chain.is_some());
+            let spec = point.timing_spec(two_cycle_mul);
             if json {
                 if resource {
                     return Err(
@@ -987,41 +165,22 @@ fn run(command: Command) -> Result<(), String> {
                 if svg.is_some() {
                     return Err("--json and --svg are mutually exclusive".into());
                 }
-                let mut point = DesignPoint::new(Algorithm::Mfs, cs);
-                for &(op, n) in &limits {
-                    point.fu_limits.insert(FuClass::Op(op), n);
-                }
-                point.clock = chain;
-                point.latency = latency;
                 return run_point_json(&dfg, &spec, &point, &tel);
             }
-            let mut config = if resource {
-                MfsConfig::resource_constrained(cs)
+            let config = if resource {
+                point.mfs_resource_config()
             } else {
-                MfsConfig::time_constrained(cs)
+                point.mfs_config(&CancelToken::never())
             };
-            for &(op, n) in &limits {
-                config = config.with_fu_limit(FuClass::Op(op), n);
-            }
-            if let Some(clock) = chain {
-                config = config.with_chaining(ClockPeriod::new(clock));
-            }
-            if let Some(l) = latency {
-                config = config.with_latency(l);
-            }
             let opts = VerifyOptions {
-                clock: chain.map(ClockPeriod::new),
-                latency,
+                clock: point.clock_period(),
+                latency: point.latency,
             };
             let mut mem = MemorySink::new();
             let mut null = NullSink;
             let mut metrics = Metrics::new();
             let (outcome, violations) = {
-                let sink: &mut dyn TraceSink = if tel.wants_events() {
-                    &mut mem
-                } else {
-                    &mut null
-                };
+                let sink = tel.sink(&mut mem, &mut null);
                 let mut instr = Instrument::new(sink, &mut metrics);
                 let outcome = mfs::schedule_traced(&dfg, &spec, &config, &mut instr)
                     .map_err(|e| e.to_string())?;
@@ -1064,9 +223,7 @@ fn run(command: Command) -> Result<(), String> {
         }
         Command::Synth {
             file,
-            cs,
-            style2,
-            weights,
+            point,
             lib,
             two_cycle_mul,
             json,
@@ -1076,21 +233,11 @@ fn run(command: Command) -> Result<(), String> {
             check,
             svg,
             vcd,
-            shard,
-            shard_alg,
-            threads,
-            iterate,
             iterate_profile,
             tel,
         } => {
             let dfg = load_design(&file)?;
-            let spec = spec_for(two_cycle_mul, false);
-            if let Some(shards) = shard {
-                return run_synth_sharded(
-                    &dfg, &spec, shards, shard_alg, threads, cs, lib, iterate, &tel,
-                );
-            }
-            let cs = cs.ok_or("synth requires --cs")?;
+            let spec = point.timing_spec(two_cycle_mul);
             if json {
                 if lib.is_some()
                     || microcode
@@ -1105,33 +252,10 @@ fn run(command: Command) -> Result<(), String> {
                             .into(),
                     );
                 }
-                let mut point = DesignPoint::new(Algorithm::Mfsa, cs);
-                point.style = if style2 { 2 } else { 1 };
-                point.weights = weights.map(|[t, a, m, r]| (t, a, m, r));
-                point.iterate = iterate;
                 return run_point_json(&dfg, &spec, &point, &tel);
             }
-            let library = match lib {
-                None => Library::ncr_like(),
-                Some(path) => {
-                    let text = std::fs::read_to_string(&path)
-                        .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    moveframe_hls::celllib::parse_library(&text)
-                        .map_err(|e| format!("{path}: {e}"))?
-                }
-            };
-            let mut config = MfsaConfig::new(cs, library.clone());
-            if style2 {
-                config = config.with_style(DesignStyle::NoSelfLoop);
-            }
-            if let Some([t, a, m, r]) = weights {
-                config = config.with_weights(Weights {
-                    time: t,
-                    alu: a,
-                    mux: m,
-                    reg: r,
-                });
-            }
+            let library = load_library(lib)?;
+            let config = point.mfsa_config(library.clone(), &CancelToken::never());
             let mut mem = MemorySink::new();
             let mut null = NullSink;
             let mut metrics = Metrics::new();
@@ -1141,11 +265,7 @@ fn run(command: Command) -> Result<(), String> {
                 // attribution profiler taps the event stream alongside
                 // whatever sink the telemetry flags chose.
                 let mut out = {
-                    let sink: &mut dyn TraceSink = if tel.wants_events() {
-                        &mut mem
-                    } else {
-                        &mut null
-                    };
+                    let sink = tel.sink(&mut mem, &mut null);
                     if iterate_profile {
                         let mut tee = TeeSink {
                             main: sink,
@@ -1160,14 +280,10 @@ fn run(command: Command) -> Result<(), String> {
                             .map_err(|e| e.to_string())?
                     }
                 };
-                let sink: &mut dyn TraceSink = if tel.wants_events() {
-                    &mut mem
-                } else {
-                    &mut null
-                };
+                let sink = tel.sink(&mut mem, &mut null);
                 let mut instr = Instrument::new(sink, &mut metrics);
-                if iterate > 0 {
-                    let mut iterate_config = IterateConfig::new(iterate);
+                if point.iterate > 0 {
+                    let mut iterate_config = point.iterate_config();
                     if iterate_profile {
                         let hints = hotspot_hints(&profiler, ITERATE_PROFILE_TOP);
                         if !tel.quiet {
@@ -1277,20 +393,30 @@ fn run(command: Command) -> Result<(), String> {
             finish_telemetry(&tel, mem.events(), &metrics)?;
             Ok(())
         }
+        Command::SynthSharded {
+            file,
+            ceiling,
+            shards,
+            alg,
+            threads,
+            lib,
+            two_cycle_mul,
+            iterate,
+            tel,
+        } => {
+            let dfg = load_design(&file)?;
+            let spec = timing_spec(false, two_cycle_mul);
+            run_synth_sharded(
+                &dfg, &spec, shards, alg, threads, ceiling, lib, iterate, &tel,
+            )
+        }
         Command::Explore {
             file,
             grid,
-            algs,
-            cs_list,
-            limits,
-            chain,
-            latency,
-            style2,
-            weights,
+            points,
             two_cycle_mul,
             threads,
             emit,
-            iterate,
             tel,
         } => {
             let dfg = load(&file)?;
@@ -1300,32 +426,10 @@ fn run(command: Command) -> Result<(), String> {
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
                     parse_grid(&text).map_err(|e| format!("{path}: {e}"))?
                 }
-                None => {
-                    let algs = if algs.is_empty() {
-                        vec![Algorithm::Mfs]
-                    } else {
-                        algs
-                    };
-                    let mut points = Vec::new();
-                    for &alg in &algs {
-                        for &cs in &cs_list {
-                            let mut p = DesignPoint::new(alg, cs);
-                            for &(op, n) in &limits {
-                                p.fu_limits.insert(FuClass::Op(op), n);
-                            }
-                            p.clock = chain;
-                            p.latency = latency;
-                            p.style = if style2 { 2 } else { 1 };
-                            p.weights = weights.map(|[t, a, m, r]| (t, a, m, r));
-                            p.iterate = iterate;
-                            points.push(p);
-                        }
-                    }
-                    points
-                }
+                None => points,
             };
             let chained = points.iter().any(|p| p.clock.is_some());
-            let spec = spec_for(two_cycle_mul, chained);
+            let spec = timing_spec(chained, two_cycle_mul);
             let report = Engine::new().explore(&dfg, &spec, &points, ExploreOptions { threads });
             if !tel.quiet {
                 print!("{}", report.render_text());
@@ -1357,7 +461,7 @@ fn run(command: Command) -> Result<(), String> {
             quiet,
         } => {
             let dfg = load_design(&file)?;
-            let spec = spec_for(two_cycle_mul, false);
+            let spec = timing_spec(false, two_cycle_mul);
             let cs = match cs {
                 Some(cs) => cs,
                 None => CriticalPath::compute(&dfg, &spec).steps() as u32 + PROFILE_SLACK,
@@ -1374,24 +478,17 @@ fn run(command: Command) -> Result<(), String> {
             let mut metrics = Metrics::new();
             {
                 let mut instr = Instrument::new(&mut profiler, &mut metrics);
+                let point = DesignPoint::new(alg, cs);
+                let never = CancelToken::never();
                 match alg {
                     Algorithm::Mfs => {
-                        mfs::schedule_traced(
-                            &dfg,
-                            &spec,
-                            &MfsConfig::time_constrained(cs),
-                            &mut instr,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        mfs::schedule_traced(&dfg, &spec, &point.mfs_config(&never), &mut instr)
+                            .map_err(|e| e.to_string())?;
                     }
                     Algorithm::Mfsa => {
-                        mfsa::schedule_traced(
-                            &dfg,
-                            &spec,
-                            &MfsaConfig::new(cs, Library::ncr_like()),
-                            &mut instr,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        let config = point.mfsa_config(Library::ncr_like(), &never);
+                        mfsa::schedule_traced(&dfg, &spec, &config, &mut instr)
+                            .map_err(|e| e.to_string())?;
                     }
                     other => {
                         return Err(format!("profile does not support --alg {}", other.name()))
@@ -1440,6 +537,18 @@ fn run(command: Command) -> Result<(), String> {
     }
 }
 
+/// The built-in NCR-like library, or the `--lib` file.
+fn load_library(lib: Option<String>) -> Result<Library, String> {
+    match lib {
+        None => Ok(Library::ncr_like()),
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            moveframe_hls::celllib::parse_library(&text).map_err(|e| format!("{path}: {e}"))
+        }
+    }
+}
+
 /// Runs sharded synthesis (`synth --shard`): partition → parallel
 /// per-shard scheduling → merge & stitch → verify. `ceiling` is the
 /// optional `--cs` value, enforced against the achieved horizon —
@@ -1458,18 +567,7 @@ fn run_synth_sharded(
 ) -> Result<(), String> {
     let shard_alg = match alg {
         Algorithm::Mfs => ShardAlg::Mfs,
-        Algorithm::Mfsa => {
-            let library = match lib {
-                None => Library::ncr_like(),
-                Some(path) => {
-                    let text = std::fs::read_to_string(&path)
-                        .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    moveframe_hls::celllib::parse_library(&text)
-                        .map_err(|e| format!("{path}: {e}"))?
-                }
-            };
-            ShardAlg::Mfsa(library)
-        }
+        Algorithm::Mfsa => ShardAlg::Mfsa(load_library(lib)?),
         other => {
             return Err(format!(
                 "--shard-alg supports mfs|mfsa, not `{}`",
@@ -1482,11 +580,7 @@ fn run_synth_sharded(
     let mut null = NullSink;
     let mut metrics = Metrics::new();
     let (out, refined) = {
-        let sink: &mut dyn TraceSink = if tel.wants_events() {
-            &mut mem
-        } else {
-            &mut null
-        };
+        let sink = tel.sink(&mut mem, &mut null);
         let mut instr = Instrument::new(sink, &mut metrics);
         let mut out = synth_sharded(dfg, spec, &config, &mut instr).map_err(|e| e.to_string())?;
         let refined = if iterate > 0 {
@@ -1646,6 +740,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use super::args::allowed_flags;
     use super::*;
 
     fn parse(tokens: &[&str]) -> Result<Command, String> {
@@ -1685,19 +780,19 @@ mod tests {
         .unwrap();
         match c {
             Command::Schedule {
-                cs,
+                point,
                 resource,
-                limits,
-                chain,
-                latency,
                 two_cycle_mul,
                 ..
             } => {
-                assert_eq!(cs, 5);
+                assert_eq!((point.algorithm, point.cs), (Algorithm::Mfs, 5));
                 assert!(resource);
-                assert_eq!(limits, vec![(OpKind::Mul, 2), (OpKind::Add, 1)]);
-                assert_eq!(chain, Some(100));
-                assert_eq!(latency, Some(2));
+                assert_eq!(
+                    point.fu_limits.into_iter().collect::<Vec<_>>(),
+                    vec![(FuClass::Op(OpKind::Add), 1), (FuClass::Op(OpKind::Mul), 2)]
+                );
+                assert_eq!(point.clock, Some(100));
+                assert_eq!(point.latency, Some(2));
                 assert!(two_cycle_mul);
             }
             other => panic!("wrong parse: {other:?}"),
@@ -1717,8 +812,8 @@ mod tests {
         ])
         .unwrap();
         match c {
-            Command::Synth { weights, check, .. } => {
-                assert_eq!(weights, Some([0, 1, 2, 3]));
+            Command::Synth { point, check, .. } => {
+                assert_eq!(point.weights, Some((0, 1, 2, 3)));
                 assert!(check);
             }
             other => panic!("wrong parse: {other:?}"),
@@ -1747,16 +842,16 @@ mod tests {
         ])
         .unwrap();
         match c {
-            Command::Synth {
-                cs,
-                shard,
-                shard_alg,
+            Command::SynthSharded {
+                ceiling,
+                shards,
+                alg,
                 threads,
                 ..
             } => {
-                assert_eq!(cs, None);
-                assert_eq!(shard, Some(4));
-                assert_eq!(shard_alg, Algorithm::Mfs);
+                assert_eq!(ceiling, None);
+                assert_eq!(shards, 4);
+                assert_eq!(alg, Algorithm::Mfs);
                 assert_eq!(threads, 8);
             }
             other => panic!("wrong parse: {other:?}"),
@@ -1764,15 +859,15 @@ mod tests {
         // `auto` parses to 0; --cs is kept as the global ceiling.
         let c = parse(&["synth", "x.dfg", "--shard", "auto", "--cs", "40"]).unwrap();
         match c {
-            Command::Synth {
-                cs,
-                shard,
-                shard_alg,
+            Command::SynthSharded {
+                ceiling,
+                shards,
+                alg,
                 ..
             } => {
-                assert_eq!(cs, Some(40));
-                assert_eq!(shard, Some(0));
-                assert_eq!(shard_alg, Algorithm::Mfsa);
+                assert_eq!(ceiling, Some(40));
+                assert_eq!(shards, 0);
+                assert_eq!(alg, Algorithm::Mfsa);
             }
             other => panic!("wrong parse: {other:?}"),
         }
@@ -1805,18 +900,20 @@ mod tests {
     fn parses_synth_iterate() {
         let c = parse(&["synth", "x.dfg", "--cs", "12", "--iterate", "3"]).unwrap();
         match c {
-            Command::Synth { cs, iterate, .. } => {
-                assert_eq!(cs, Some(12));
-                assert_eq!(iterate, 3);
+            Command::Synth { point, .. } => {
+                assert_eq!(point.cs, 12);
+                assert_eq!(point.iterate, 3);
             }
             other => panic!("wrong parse: {other:?}"),
         }
         // Composes with --shard; bad counts are pointed errors.
         let c = parse(&["synth", "gen:5000", "--shard", "2", "--iterate", "1"]).unwrap();
         match c {
-            Command::Synth { iterate, shard, .. } => {
+            Command::SynthSharded {
+                iterate, shards, ..
+            } => {
                 assert_eq!(iterate, 1);
-                assert_eq!(shard, Some(2));
+                assert_eq!(shards, 2);
             }
             other => panic!("wrong parse: {other:?}"),
         }
@@ -1850,11 +947,11 @@ mod tests {
         .unwrap();
         match c {
             Command::Synth {
-                iterate,
+                point,
                 iterate_profile,
                 ..
             } => {
-                assert_eq!(iterate, 2);
+                assert_eq!(point.iterate, 2);
                 assert!(iterate_profile);
             }
             other => panic!("wrong parse: {other:?}"),
@@ -1910,11 +1007,11 @@ mod tests {
         )
         .unwrap();
         // Monolithic MFSA with refinement at a padded budget.
+        let mut point = DesignPoint::new(Algorithm::Mfsa, 6);
+        point.iterate = 3;
         run(Command::Synth {
             file: path.to_string_lossy().to_string(),
-            cs: Some(6),
-            style2: false,
-            weights: None,
+            point,
             lib: None,
             two_cycle_mul: false,
             json: false,
@@ -1924,10 +1021,6 @@ mod tests {
             check: true,
             svg: None,
             vcd: None,
-            shard: None,
-            shard_alg: Algorithm::Mfsa,
-            threads: 0,
-            iterate: 3,
             iterate_profile: true,
             tel: Telemetry {
                 quiet: true,
@@ -1936,25 +1029,15 @@ mod tests {
         })
         .unwrap();
         // Sharded synthesis with post-stitch refinement.
-        run(Command::Synth {
+        run(Command::SynthSharded {
             file: "gen:800".to_string(),
-            cs: None,
-            style2: false,
-            weights: None,
+            ceiling: None,
+            shards: 3,
+            alg: Algorithm::Mfs,
+            threads: 2,
             lib: None,
             two_cycle_mul: false,
-            json: false,
-            microcode: false,
-            verilog: false,
-            testbench: false,
-            check: false,
-            svg: None,
-            vcd: None,
-            shard: Some(3),
-            shard_alg: Algorithm::Mfs,
-            threads: 2,
             iterate: 2,
-            iterate_profile: false,
             tel: Telemetry {
                 quiet: true,
                 ..Telemetry::default()
@@ -1965,64 +1048,23 @@ mod tests {
 
     #[test]
     fn synth_shard_end_to_end() {
-        let base = Command::Synth {
+        let sharded = |ceiling| Command::SynthSharded {
             file: "gen:800".to_string(),
-            cs: None,
-            style2: false,
-            weights: None,
+            ceiling,
+            shards: 3,
+            alg: Algorithm::Mfs,
+            threads: 2,
             lib: None,
             two_cycle_mul: false,
-            json: false,
-            microcode: false,
-            verilog: false,
-            testbench: false,
-            check: false,
-            svg: None,
-            vcd: None,
-            shard: Some(3),
-            shard_alg: Algorithm::Mfs,
-            threads: 2,
             iterate: 0,
-            iterate_profile: false,
             tel: Telemetry {
                 quiet: true,
                 ..Telemetry::default()
             },
         };
-        run(base.clone()).unwrap();
+        run(sharded(None)).unwrap();
         // An impossible ceiling is a pointed error, not a panic.
-        let err = match base {
-            Command::Synth {
-                file,
-                shard,
-                shard_alg,
-                threads,
-                tel,
-                ..
-            } => run(Command::Synth {
-                file,
-                cs: Some(1),
-                style2: false,
-                weights: None,
-                lib: None,
-                two_cycle_mul: false,
-                json: false,
-                microcode: false,
-                verilog: false,
-                testbench: false,
-                check: false,
-                svg: None,
-                vcd: None,
-                shard,
-                shard_alg,
-                threads,
-                iterate: 0,
-                iterate_profile: false,
-                tel,
-            })
-            .unwrap_err(),
-            _ => unreachable!(),
-        };
+        let err = run(sharded(Some(1))).unwrap_err();
         assert!(err.contains("ceiling"), "{err}");
     }
 
@@ -2112,11 +1154,8 @@ mod tests {
         .unwrap();
         run(Command::Schedule {
             file: path.clone(),
-            cs: 2,
+            point: DesignPoint::new(Algorithm::Mfs, 2),
             resource: false,
-            limits: vec![],
-            chain: None,
-            latency: None,
             two_cycle_mul: false,
             json: false,
             svg: Some(dir.join("toy.svg").to_string_lossy().to_string()),
@@ -2124,11 +1163,11 @@ mod tests {
         })
         .unwrap();
         assert!(dir.join("toy.svg").exists());
+        let mut style2 = DesignPoint::new(Algorithm::Mfsa, 3);
+        style2.style = 2;
         run(Command::Synth {
             file: path.clone(),
-            cs: Some(3),
-            style2: true,
-            weights: None,
+            point: style2,
             lib: None,
             two_cycle_mul: false,
             json: false,
@@ -2138,10 +1177,6 @@ mod tests {
             check: true,
             svg: None,
             vcd: Some(dir.join("toy.vcd").to_string_lossy().to_string()),
-            shard: None,
-            shard_alg: Algorithm::Mfsa,
-            threads: 0,
-            iterate: 0,
             iterate_profile: false,
             tel: Telemetry::default(),
         })
@@ -2152,9 +1187,7 @@ mod tests {
         std::fs::write(&lib_file, Library::ncr_like().to_text()).unwrap();
         run(Command::Synth {
             file: path,
-            cs: Some(3),
-            style2: false,
-            weights: None,
+            point: DesignPoint::new(Algorithm::Mfsa, 3),
             lib: Some(lib_file.to_string_lossy().to_string()),
             two_cycle_mul: false,
             json: false,
@@ -2164,10 +1197,6 @@ mod tests {
             check: true,
             svg: None,
             vcd: None,
-            shard: None,
-            shard_alg: Algorithm::Mfsa,
-            threads: 0,
-            iterate: 0,
             iterate_profile: false,
             tel: Telemetry::default(),
         })
@@ -2191,15 +1220,21 @@ mod tests {
         .unwrap();
         match c {
             Command::Explore {
-                algs,
-                cs_list,
+                points,
                 threads,
                 emit,
                 grid,
                 ..
             } => {
-                assert_eq!(algs, vec![Algorithm::Mfs, Algorithm::List]);
-                assert_eq!(cs_list, vec![4, 5, 6]);
+                // The --alg × --cs cross product, algorithms outer.
+                let axes: Vec<_> = points.iter().map(|p| (p.algorithm, p.cs)).collect();
+                let mut want = Vec::new();
+                for alg in [Algorithm::Mfs, Algorithm::List] {
+                    for cs in [4, 5, 6] {
+                        want.push((alg, cs));
+                    }
+                }
+                assert_eq!(axes, want);
                 assert_eq!(threads, 8);
                 assert_eq!(emit.as_deref(), Some("front.json"));
                 assert!(grid.is_none());
@@ -2239,17 +1274,10 @@ mod tests {
         run(Command::Explore {
             file: file.to_string_lossy().to_string(),
             grid: Some(grid.to_string_lossy().to_string()),
-            algs: vec![],
-            cs_list: vec![],
-            limits: vec![],
-            chain: None,
-            latency: None,
-            style2: false,
-            weights: None,
+            points: vec![],
             two_cycle_mul: false,
             threads: 2,
             emit: Some(front.to_string_lossy().to_string()),
-            iterate: 0,
             tel: Telemetry {
                 quiet: true,
                 ..Telemetry::default()
@@ -2441,11 +1469,8 @@ mod tests {
         let path = file.to_string_lossy().to_string();
         let err = run(Command::Schedule {
             file: path.clone(),
-            cs: 2,
+            point: DesignPoint::new(Algorithm::Mfs, 2),
             resource: true,
-            limits: vec![],
-            chain: None,
-            latency: None,
             two_cycle_mul: false,
             json: true,
             svg: None,
@@ -2455,9 +1480,7 @@ mod tests {
         assert!(err.contains("--resource"), "{err}");
         let err = run(Command::Synth {
             file: path.clone(),
-            cs: Some(3),
-            style2: false,
-            weights: None,
+            point: DesignPoint::new(Algorithm::Mfsa, 3),
             lib: None,
             two_cycle_mul: false,
             json: true,
@@ -2467,10 +1490,6 @@ mod tests {
             check: false,
             svg: None,
             vcd: None,
-            shard: None,
-            shard_alg: Algorithm::Mfsa,
-            threads: 0,
-            iterate: 0,
             iterate_profile: false,
             tel: Telemetry::default(),
         })
@@ -2479,11 +1498,8 @@ mod tests {
         // The happy path prints the stats JSON and succeeds.
         run(Command::Schedule {
             file: path.clone(),
-            cs: 2,
+            point: DesignPoint::new(Algorithm::Mfs, 2),
             resource: false,
-            limits: vec![],
-            chain: None,
-            latency: None,
             two_cycle_mul: false,
             json: true,
             svg: None,
@@ -2492,9 +1508,7 @@ mod tests {
         .unwrap();
         run(Command::Synth {
             file: path,
-            cs: Some(3),
-            style2: false,
-            weights: None,
+            point: DesignPoint::new(Algorithm::Mfsa, 3),
             lib: None,
             two_cycle_mul: false,
             json: true,
@@ -2504,10 +1518,6 @@ mod tests {
             check: false,
             svg: None,
             vcd: None,
-            shard: None,
-            shard_alg: Algorithm::Mfsa,
-            threads: 0,
-            iterate: 0,
             iterate_profile: false,
             tel: Telemetry::default(),
         })
@@ -2552,11 +1562,8 @@ mod tests {
         let chrome = dir.join("toy.trace.json");
         run(Command::Schedule {
             file: file.to_string_lossy().to_string(),
-            cs: 3,
+            point: DesignPoint::new(Algorithm::Mfs, 3),
             resource: false,
-            limits: vec![],
-            chain: None,
-            latency: None,
             two_cycle_mul: false,
             json: false,
             svg: None,
