@@ -60,32 +60,20 @@ impl CostModel {
     }
 
     /// `w_MUX · (Cost(MUX¹_after) + Cost(MUX²_after) − before)` under the
-    /// best-case packing of the instance's operand sources.
+    /// best-case packing of the instance's operand sources. This is the
+    /// generic route the exhaustive oracle prices through; the pruned
+    /// loop packs dense line ids and calls [`Self::f_mux_delta`].
     pub(crate) fn f_mux(&self, before: &[MuxOp<EstSource>], candidate: MuxOp<EstSource>) -> u64 {
-        self.f_mux_from(self.mux_pair_cost(before), before, candidate)
-    }
-
-    /// [`Self::f_mux`] with the before-cost supplied by the caller. The
-    /// before term depends only on the instance's committed operations —
-    /// frozen between moves — so the scheduler caches it per instance
-    /// and pays one packing per candidate instead of two.
-    pub(crate) fn f_mux_from(
-        &self,
-        before_cost: u64,
-        before: &[MuxOp<EstSource>],
-        candidate: MuxOp<EstSource>,
-    ) -> u64 {
-        let mut after = Vec::with_capacity(before.len() + 1);
-        after.extend_from_slice(before);
+        let mut after = before.to_vec();
         after.push(candidate);
-        let after_cost = self.mux_pair_cost(&after);
-        self.weights.mux as u64 * after_cost.saturating_sub(before_cost)
+        self.f_mux_delta(pack_cost(before), pack_cost(&after))
     }
 
-    /// Total cost of the two input multiplexers after optimal packing.
-    pub(crate) fn mux_pair_cost(&self, ops: &[MuxOp<EstSource>]) -> u64 {
-        let (l1, l2) = pack_cost(ops);
-        self.mux_cost(l1) + self.mux_cost(l2)
+    /// The f_MUX delta between two packings given as `(|L1|, |L2|)`:
+    /// `w_MUX · (pair cost after − pair cost before)`, floored at 0.
+    pub(crate) fn f_mux_delta(&self, before: (usize, usize), after: (usize, usize)) -> u64 {
+        let pair = |(l1, l2): (usize, usize)| self.mux_cost(l1) + self.mux_cost(l2);
+        self.weights.mux as u64 * pair(after).saturating_sub(pair(before))
     }
 
     fn mux_cost(&self, inputs: usize) -> u64 {

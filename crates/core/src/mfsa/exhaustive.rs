@@ -113,7 +113,7 @@ impl ExhaustiveMfsa {
         let mut sched = Schedule::new(dfg, cs);
         let mut offsets: Vec<Delay> = vec![Delay::ZERO; dfg.node_count()];
         let mut bounds = BoundsCache::new(dfg, spec, config.clock());
-        let mut instances: Vec<Instance> = Vec::new();
+        let mut instances: Vec<Instance<EstSource>> = Vec::new();
         let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
         let mut reg_est = RegEstimate::new();
         let mut trace = Vec::new();
@@ -147,8 +147,7 @@ impl ExhaustiveMfsa {
                             if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
                                 feasible_steps += 1;
                                 let f_time = model.f_time(step.get());
-                                let extensions =
-                                    reg_extensions(dfg, &sched, spec, node, step, config);
+                                let extensions = reg_extensions(dfg, &sched, spec, node, step);
                                 let f_reg = model.f_reg(
                                     reg_est
                                         .count_with(&extensions)
@@ -223,7 +222,7 @@ impl ExhaustiveMfsa {
                     );
                     offsets[node.index()] = offset;
                     bounds.on_assign(dfg, node, step);
-                    let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                    let extensions = reg_extensions(dfg, &sched, spec, node, step);
                     reg_est.commit(&extensions);
                     instr.inc("mfsa.moves_committed", 1);
                     instr.inc("mfsa.mem_moves", 1);
@@ -351,7 +350,7 @@ impl ExhaustiveMfsa {
                         if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
                             feasible_steps += 1;
                             let f_time = model.f_time(step.get());
-                            let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                            let extensions = reg_extensions(dfg, &sched, spec, node, step);
                             let f_reg = model.f_reg(
                                 reg_est
                                     .count_with(&extensions)
@@ -491,7 +490,7 @@ impl ExhaustiveMfsa {
                 );
                 offsets[node.index()] = offset;
                 bounds.on_assign(dfg, node, chosen.step);
-                let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step, config);
+                let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step);
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc(

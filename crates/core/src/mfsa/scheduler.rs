@@ -16,9 +16,9 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use hls_celllib::{Delay, TimingSpec};
+use hls_celllib::{Delay, Library, OpKind, TimingSpec};
 use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
-use hls_rtl::muxopt::{pack_seed, MuxOp, PackSeed};
+use hls_rtl::muxopt::{pack_cost_ids, pack_seed_ids, MuxOp, PackScratch, PackSeed};
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{
     chained_frames, priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId,
@@ -27,7 +27,7 @@ use hls_schedule::{
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
 use crate::frame::{feasible_step_range, BoundsCache, FrameCtx};
-use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
+use crate::mfsa::cost::{CostModel, RegEstimate};
 use crate::mfsa::{DesignStyle, MfsaConfig};
 use crate::MoveFrameError;
 
@@ -78,11 +78,13 @@ pub struct MfsaOutcome {
     pub trace: Vec<IterationTrace>,
 }
 
-/// Internal state of one allocated ALU instance.
-pub(crate) struct Instance {
+/// Internal state of one allocated ALU instance, with its committed
+/// operand lines as `M` (dense line ids in the pruned loop,
+/// [`EstSource`](crate::mfsa::cost::EstSource)s in the oracle).
+pub(crate) struct Instance<M> {
     pub(crate) kind_index: usize,
     pub(crate) ops: Vec<NodeId>,
-    pub(crate) mux_ops: Vec<MuxOp<EstSource>>,
+    pub(crate) mux_ops: Vec<MuxOp<M>>,
     /// Wrapped step → occupants.
     pub(crate) busy: BTreeMap<u32, Vec<NodeId>>,
     /// One bit per wrapped step with any occupant — the fast reject for
@@ -154,6 +156,63 @@ fn consider(best: &mut Option<Candidate>, c: Candidate) {
 /// mux-repacking delta is memoized separately and computed only for
 /// candidates whose ALU-level bound survives the incumbent cut.
 type AluCost = Option<(usize, u64, u8)>;
+
+/// The ALU-level candidate terms of one op kind, which depend only on
+/// the library, the weights and (for reuse/upgrade) the instance's
+/// current kind — so each is computed once per run instead of once per
+/// (node, instance).
+struct OpKindTerms {
+    op: OpKind,
+    /// Reuse/upgrade terms indexed by the instance's current kind,
+    /// filled on first use (`None` = not yet computed).
+    upgrade: Vec<Option<AluCost>>,
+    /// `(kind, f_ALU)` of every kind a new instance could take.
+    fresh: Vec<(usize, u64)>,
+}
+
+impl OpKindTerms {
+    fn new(library: &Library, model: &CostModel, op: OpKind) -> OpKindTerms {
+        let fresh = library
+            .alus()
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| k.supports(op))
+            .map(|(kind_index, k)| (kind_index, model.f_alu(k.area())))
+            .collect();
+        OpKindTerms {
+            op,
+            upgrade: vec![None; library.alus().len()],
+            fresh,
+        }
+    }
+
+    /// Reuse/upgrade terms for an instance of kind `cur_index`: the kind
+    /// itself at `f_ALU = 0` when it supports the op, else the cheapest
+    /// superset kind (ties towards the lower index) at the area
+    /// difference, else `None`.
+    fn upgrade(&mut self, library: &Library, model: &CostModel, cur_index: usize) -> AluCost {
+        let op = self.op;
+        *self.upgrade[cur_index].get_or_insert_with(|| {
+            let cur = &library.alus()[cur_index];
+            if cur.supports(op) {
+                return Some((cur_index, 0, 0));
+            }
+            library
+                .alus()
+                .iter()
+                .enumerate()
+                .filter(|(_, k)| k.supports(op) && cur.ops().all(|o| k.supports(o)))
+                .min_by_key(|(idx, k)| (k.area(), *idx))
+                .map(|(kind_index, kind)| {
+                    (
+                        kind_index,
+                        model.f_alu(kind.area().saturating_sub(cur.area())),
+                        1,
+                    )
+                })
+        })
+    }
+}
 
 /// Counters of one node's branch-and-bound search, flushed into the
 /// instrument after the frame scan.
@@ -332,19 +391,25 @@ pub fn schedule_traced_with_frames(
     let mut sched = Schedule::new(dfg, cs);
     let mut offsets: Vec<Delay> = vec![Delay::ZERO; dfg.node_count()];
     let mut bounds = BoundsCache::new(dfg, spec, config.clock());
-    let mut instances: Vec<Instance> = Vec::new();
-    // Cached unweighted mux-pair cost of each instance's *committed*
-    // packing — the `before` term of every f_MUX delta. Only a commit
-    // changes an instance's operation set, so the entry survives whole
-    // node scans and each candidate evaluation packs once, not twice.
-    // `None` = stale (instance just grew).
-    let mut mux_before: Vec<Option<u64>> = Vec::new();
-    // The committed packing's refcount seed per instance, for the safe
-    // one-op insertion rule: a candidate whose operand lines are
+    let mut instances: Vec<Instance<u32>> = Vec::new();
+    let mut kind_terms: Vec<Option<OpKindTerms>> = OpKind::ALL.iter().map(|_| None).collect();
+    // Mux lines are dense ids: a stored or external signal is its
+    // signal index, and the shared result path of ALU instance `n` is
+    // `signals + n`. This is the `EstSource` line identity (External
+    // and Signal never name the same signal), so packing ids takes the
+    // decisions packing `EstSource`s takes — the exhaustive oracle
+    // still prices the latter.
+    let signals = dfg.signal_count();
+    let line_ids = signals + dfg.node_count();
+    assert!(u32::try_from(line_ids).is_ok(), "mux line ids fit in u32");
+    let mut mux_scratch = PackScratch::new(line_ids);
+    // The committed packing's refcount seed per instance: its cost is
+    // the `before` term of every f_MUX delta, and it backs the safe
+    // one-op insertion rule — a candidate whose operand lines are
     // already carried by the instance is priced f_MUX = 0 without any
     // repack, and a committed move covered by the rule extends the
-    // seed in place instead of invalidating it.
-    let mut mux_seed: Vec<Option<PackSeed<EstSource>>> = Vec::new();
+    // seed in place instead of invalidating it. `None` = stale.
+    let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
     // Bank-port occupancy: (bank, 1-based port, wrapped step) → nodes.
     let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
     let mut reg_est = RegEstimate::new();
@@ -407,7 +472,7 @@ pub fn schedule_traced_with_frames(
                             }
                         }
                         queue.pop();
-                        let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                        let extensions = reg_extensions(dfg, &sched, spec, node, step);
                         let f_reg = model.f_reg(
                             reg_est
                                 .count_with(&extensions)
@@ -488,7 +553,7 @@ pub fn schedule_traced_with_frames(
                 );
                 offsets[node.index()] = offset;
                 bounds.on_assign(dfg, node, step);
-                let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                let extensions = reg_extensions(dfg, &sched, spec, node, step);
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc("mfsa.mem_moves", 1);
@@ -544,34 +609,31 @@ pub fn schedule_traced_with_frames(
                 };
                 let (earliest, latest) = feasible_step_range(&ctx, node);
                 let cycles = ctx.effective_cycles(node);
-                // Operand sources for the f_MUX estimate (independent of the
+                // Operand lines for the f_MUX estimate (independent of the
                 // candidate position in this model).
-                let est = |sig: SignalId| -> EstSource {
-                    match dfg.signal(sig).source() {
-                        SignalSource::PrimaryInput | SignalSource::Constant(_) => {
-                            EstSource::External(sig)
-                        }
-                        SignalSource::Node(p) => {
-                            if config.shares_interconnect() {
-                                match sched.slot(p).map(|s| s.unit) {
-                                    Some(UnitId::Alu { instance }) => EstSource::FromAlu(instance),
-                                    _ => EstSource::Signal(sig),
-                                }
-                            } else {
-                                EstSource::Signal(sig)
+                let line = |sig: SignalId| -> u32 {
+                    let id = match dfg.signal(sig).source() {
+                        SignalSource::Node(p) if config.shares_interconnect() => {
+                            match sched.slot(p).map(|s| s.unit) {
+                                Some(UnitId::Alu { instance }) => signals + instance as usize,
+                                _ => sig.index(),
                             }
                         }
-                    }
+                        _ => sig.index(),
+                    };
+                    id as u32
                 };
                 let inputs = dfg.node(node).inputs();
                 let mux_op = MuxOp {
-                    left: est(inputs[0]),
-                    right: inputs.get(1).map(|&s| est(s)),
+                    left: line(inputs[0]),
+                    right: inputs.get(1).map(|&s| line(s)),
                     commutative,
                 };
+                let terms = kind_terms[op as usize]
+                    .get_or_insert_with(|| OpKindTerms::new(library, &model, op));
 
-                // ALU-level candidate terms (style check + kind
-                // search), memoized per instance: they depend only on
+                // ALU-level candidate terms (style check + the kind
+                // table), memoized per instance: they depend only on
                 // the instance state, which is frozen while this node
                 // scans its frame. Filled lazily on the first step
                 // where the instance is actually free. `Some(None)` =
@@ -582,14 +644,8 @@ pub fn schedule_traced_with_frames(
                 // only for candidates whose ALU-level bound survives
                 // the incumbent cut.
                 let mut mux_costs: Vec<Option<u64>> = vec![None; instances.len()];
-                let fresh_mux = model.f_mux(&[], mux_op);
-                let new_kinds: Vec<(usize, u64)> = library
-                    .alus()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, k)| k.supports(op))
-                    .map(|(kind_index, k)| (kind_index, model.f_alu(k.area())))
-                    .collect();
+                let fresh_mux =
+                    model.f_mux_delta((0, 0), pack_cost_ids(&[], mux_op, &mut mux_scratch));
 
                 // Feasible steps, ordered by their f_TIME lower bound
                 // (ties towards earlier steps). f_TIME is
@@ -617,7 +673,7 @@ pub fn schedule_traced_with_frames(
                         break;
                     }
                     queue.pop();
-                    let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                    let extensions = reg_extensions(dfg, &sched, spec, node, step);
                     let f_reg = model.f_reg(
                         reg_est
                             .count_with(&extensions)
@@ -645,29 +701,7 @@ pub fn schedule_traced_with_frames(
                                     return None;
                                 }
                             }
-                            let cur_kind = &library.alus()[inst.kind_index];
-                            if cur_kind.supports(op) {
-                                Some((inst.kind_index, 0, 0))
-                            } else {
-                                // Cheapest superset kind covering old
-                                // ops + op.
-                                library
-                                    .alus()
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, k)| {
-                                        k.supports(op) && cur_kind.ops().all(|o| k.supports(o))
-                                    })
-                                    .min_by_key(|(idx, k)| (k.area(), *idx))
-                                    .map(|(kind_index, kind)| {
-                                        (
-                                            kind_index,
-                                            model
-                                                .f_alu(kind.area().saturating_sub(cur_kind.area())),
-                                            1,
-                                        )
-                                    })
-                            }
+                            terms.upgrade(library, &model, inst.kind_index)
                         });
                         let Some((kind_index, f_alu, flavour)) = *alu else {
                             continue;
@@ -693,15 +727,16 @@ pub fn schedule_traced_with_frames(
                             // operand lines the committed packing
                             // already carries is provably cost-neutral
                             // — priced zero with no repack.
-                            let seed = mux_seed[i].get_or_insert_with(|| pack_seed(&inst.mux_ops));
+                            let seed = mux_seed[i].get_or_insert_with(|| {
+                                pack_seed_ids(&inst.mux_ops, &mut mux_scratch)
+                            });
                             if seed.neutral_insertion(&mux_op).is_some() {
                                 memo_insert_hits += 1;
                                 return 0;
                             }
                             memo_insert_fallbacks += 1;
-                            let before = *mux_before[i]
-                                .get_or_insert_with(|| model.mux_pair_cost(&inst.mux_ops));
-                            model.f_mux_from(before, &inst.mux_ops, mux_op)
+                            let after = pack_cost_ids(&inst.mux_ops, mux_op, &mut mux_scratch);
+                            model.f_mux_delta(seed.cost(), after)
                         });
                         let c = Candidate {
                             step,
@@ -727,7 +762,7 @@ pub fn schedule_traced_with_frames(
                     // New instances of every capable kind. The fresh
                     // mux cost is precomputed, so the bound is the
                     // exact key — the cut skips only sure losers.
-                    for &(kind_index, f_alu) in &new_kinds {
+                    for &(kind_index, f_alu) in &terms.fresh {
                         prune.bound_evals += 1;
                         let total = f_time + f_reg + f_alu + fresh_mux;
                         if cut(&best, (total, step, 2, usize::MAX, kind_index)) {
@@ -782,14 +817,12 @@ pub fn schedule_traced_with_frames(
                 Some(i) => {
                     instances[i].kind_index = chosen.kind_index;
                     // A committed move covered by the insertion rule
-                    // extends the seed in place — its pair cost is
-                    // unchanged, so `mux_before` stays valid too.
+                    // extends the seed in place (its cost is unchanged).
                     let absorbed = mux_seed[i]
                         .as_mut()
                         .is_some_and(|seed| seed.try_insert(&mux_op));
                     if !absorbed {
                         mux_seed[i] = None;
-                        mux_before[i] = None;
                     }
                     i
                 }
@@ -801,7 +834,6 @@ pub fn schedule_traced_with_frames(
                         busy: BTreeMap::new(),
                         busy_bits: Vec::new(),
                     });
-                    mux_before.push(None);
                     mux_seed.push(None);
                     instances.len() - 1
                 }
@@ -829,7 +861,7 @@ pub fn schedule_traced_with_frames(
             );
             offsets[node.index()] = offset;
             bounds.on_assign(dfg, node, chosen.step);
-            let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step, config);
+            let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step);
             reg_est.commit(&extensions);
             instr.inc("mfsa.moves_committed", 1);
             instr.inc(
@@ -898,8 +930,8 @@ pub(crate) fn base_op(dfg: &Dfg, node: NodeId) -> hls_celllib::OpKind {
 }
 
 /// Whether `inst` can host `node` starting at `step` for `cycles` steps.
-pub(crate) fn instance_free(
-    inst: &Instance,
+pub(crate) fn instance_free<M>(
+    inst: &Instance<M>,
     dfg: &Dfg,
     node: NodeId,
     step: CStep,
@@ -937,9 +969,7 @@ pub(crate) fn reg_extensions(
     spec: &TimingSpec,
     node: NodeId,
     step: CStep,
-    config: &MfsaConfig,
 ) -> Vec<(SignalId, u32, u32)> {
-    let _ = config;
     let mut out = Vec::new();
     for &sig in dfg.node(node).inputs() {
         match dfg.signal(sig).source() {

@@ -8,7 +8,7 @@
 //! possibilities for arranging input signals for each commutative
 //! operation in L1 and L2."
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
 /// One operation's operand sources as seen by the ALU's two input ports.
@@ -21,6 +21,21 @@ pub struct MuxOp<S> {
     pub right: Option<S>,
     /// Whether the operand order may be swapped.
     pub commutative: bool,
+}
+
+impl<S> MuxOp<S> {
+    /// Whether the op's orientation is fixed (non-commutative or
+    /// unary): such ops bind their operands verbatim in pass 1.
+    fn is_fixed(&self) -> bool {
+        !self.commutative || self.right.is_none()
+    }
+}
+
+impl MuxOp<u32> {
+    /// The op's source ids, left first.
+    fn sources(self) -> impl Iterator<Item = u32> {
+        [Some(self.left), self.right].into_iter().flatten()
+    }
 }
 
 /// The packing produced by [`pack`].
@@ -61,35 +76,47 @@ impl<S: Ord> MuxPacking<S> {
 /// assert!(packing.swapped[1]);
 /// ```
 pub fn pack<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> MuxPacking<S> {
-    let p = pack_counts(ops);
-    MuxPacking {
-        l1: p.cnt1.into_keys().collect(),
-        l2: p.cnt2.into_keys().collect(),
-        swapped: p.swapped,
-    }
+    let interned = Interned::new(ops);
+    let mut scratch = PackScratch::new(interned.keys.len());
+    construct(&interned.ops, None, &mut scratch);
+    interned.packing(scratch)
 }
 
 /// The committed refcount state of a packed instance: per-port
 /// contribution counts plus the chosen orientations. This is the state
-/// the MFSA inner loop keeps alive between candidate evaluations —
+/// the MFSA inner loop keeps alive between candidate evaluations — its
+/// [`cost`](Self::cost) is the before-term of every `f_MUX` delta,
 /// [`pack_with_seed`] restarts from it instead of replaying the three
 /// cold passes, and [`PackSeed::try_insert`] extends it by one op when
 /// that is provably cost-neutral.
 #[derive(Debug, Clone)]
 pub struct PackSeed<S> {
-    cnt1: HashMap<S, usize>,
-    cnt2: HashMap<S, usize>,
+    /// Every source the packing carries on either port, sorted by
+    /// source, so membership queries are binary searches.
+    lines: Vec<SeedLine<S>>,
+    /// `(|L1|, |L2|)`.
+    cost: (usize, usize),
     swapped: Vec<bool>,
-    /// Port keys claimed by the fixed (pass-1) operations alone — the
-    /// coverage a fixed insertion must have to leave passes 1–2
-    /// undisturbed.
-    fixed1: HashSet<S>,
-    fixed2: HashSet<S>,
     /// Whether the refinement pass was a no-op, i.e. the greedy pass-2
     /// state *is* the committed fixpoint. Only then is an insertion's
     /// replay of the cold construction predictable, so only then does
     /// [`PackSeed::try_insert`] accept.
     stable: bool,
+}
+
+/// One source of a [`PackSeed`].
+#[derive(Debug, Clone)]
+struct SeedLine<S> {
+    source: S,
+    /// Contributions on port 1 and port 2 (a line exists on a port
+    /// while its count is non-zero).
+    cnt1: u32,
+    cnt2: u32,
+    /// Whether the fixed (pass-1) operations alone claim the source on
+    /// port 1 / port 2 — the coverage a fixed insertion must have to
+    /// leave passes 1–2 undisturbed.
+    fixed1: bool,
+    fixed2: bool,
 }
 
 impl<S> PackSeed<S> {
@@ -105,11 +132,34 @@ impl<S> PackSeed<S> {
 
     /// `(|L1|, |L2|)` of the committed packing.
     pub fn cost(&self) -> (usize, usize) {
-        (self.cnt1.len(), self.cnt2.len())
+        self.cost
     }
 }
 
-impl<S: Ord + Hash + Clone> PackSeed<S> {
+impl<S: Ord> PackSeed<S> {
+    fn line(&self, source: &S) -> Option<&SeedLine<S>> {
+        self.lines
+            .binary_search_by(|l| l.source.cmp(source))
+            .ok()
+            .map(|i| &self.lines[i])
+    }
+
+    fn line_mut(&mut self, source: &S) -> &mut SeedLine<S> {
+        let i = self
+            .lines
+            .binary_search_by(|l| l.source.cmp(source))
+            .expect("the seed carries the source");
+        &mut self.lines[i]
+    }
+
+    fn on1(&self, source: &S) -> bool {
+        self.line(source).is_some_and(|l| l.cnt1 > 0)
+    }
+
+    fn on2(&self, source: &S) -> bool {
+        self.line(source).is_some_and(|l| l.cnt2 > 0)
+    }
+
     /// The safe one-op insertion rule: decides whether appending `op`
     /// to the packed instance is **provably cost-neutral** — the cold
     /// three-pass pack of `ops ∪ {op}` commits the exact same source
@@ -132,7 +182,7 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
     ///   0-vs-0 tie, mirrored here);
     /// * a **fixed** (non-commutative or unary) candidate joins pass 1,
     ///   so its keys must already be claimed by the *fixed* ops —
-    ///   then every `contains_key` query pass 2 makes is unchanged and
+    ///   then every membership query pass 2 makes is unchanged and
     ///   the earlier greedy decisions replay verbatim;
     /// * refinement stays a no-op afterwards: a covered insertion only
     ///   increments refcounts on existing lines, which can only turn
@@ -143,17 +193,18 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
         if !self.stable {
             return None;
         }
-        if !op.commutative || op.right.is_none() {
-            let right_ok = match &op.right {
-                Some(r) => self.fixed2.contains(r),
-                None => true,
-            };
-            return (self.fixed1.contains(&op.left) && right_ok).then_some(false);
+        if op.is_fixed() {
+            let left_ok = self.line(&op.left).is_some_and(|l| l.fixed1);
+            let right_ok = op
+                .right
+                .as_ref()
+                .is_none_or(|r| self.line(r).is_some_and(|l| l.fixed2));
+            return (left_ok && right_ok).then_some(false);
         }
         let r = op.right.as_ref().expect("unary handled above");
-        if self.cnt1.contains_key(&op.left) && self.cnt2.contains_key(r) {
+        if self.on1(&op.left) && self.on2(r) {
             Some(false)
-        } else if self.cnt1.contains_key(r) && self.cnt2.contains_key(&op.left) {
+        } else if self.on1(r) && self.on2(&op.left) {
             Some(true)
         } else {
             None
@@ -175,9 +226,10 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
         } else {
             (&op.left, op.right.as_ref().unwrap_or(&op.left))
         };
-        add(&mut self.cnt1, a);
+        // Neutrality means both lines already exist: only counts move.
+        self.line_mut(a).cnt1 += 1;
         if op.right.is_some() {
-            add(&mut self.cnt2, b);
+            self.line_mut(b).cnt2 += 1;
         }
         self.swapped.push(swap);
         true
@@ -188,7 +240,71 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
 /// sorted source lists — the handle an instance keeps for later
 /// [`pack_with_seed`] restarts and [`PackSeed::try_insert`] extensions.
 pub fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
-    pack_counts(ops)
+    let interned = Interned::new(ops);
+    let mut scratch = PackScratch::new(interned.keys.len());
+    let seed = pack_seed_ids(&interned.ops, &mut scratch);
+    let mut lines: Vec<SeedLine<S>> = seed
+        .lines
+        .into_iter()
+        .map(|l| SeedLine {
+            source: interned.keys[l.source as usize].clone(),
+            cnt1: l.cnt1,
+            cnt2: l.cnt2,
+            fixed1: l.fixed1,
+            fixed2: l.fixed2,
+        })
+        .collect();
+    lines.sort_unstable_by(|a, b| a.source.cmp(&b.source));
+    PackSeed {
+        lines,
+        cost: seed.cost,
+        swapped: seed.swapped,
+        stable: seed.stable,
+    }
+}
+
+/// [`pack_seed`] over dense source ids, packing in the caller's
+/// scratch: the form the MFSA loop rebuilds an instance's seed in
+/// after a commit the insertion rule could not absorb.
+///
+/// # Panics
+///
+/// Panics when an id is outside the scratch's id space.
+pub fn pack_seed_ids(ops: &[MuxOp<u32>], scratch: &mut PackScratch) -> PackSeed<u32> {
+    let stable = construct(ops, None, scratch);
+    let cost = (scratch.l1, scratch.l2);
+    // One line per distinct source: taking a source's counts where it
+    // first occurs zeroes them, so repeats are skipped and the scratch
+    // is left clean.
+    let mut lines = Vec::new();
+    for id in ops.iter().flat_map(|op| op.sources()) {
+        let cnt1 = std::mem::take(&mut scratch.cnt1[id as usize]);
+        let cnt2 = std::mem::take(&mut scratch.cnt2[id as usize]);
+        if cnt1 + cnt2 > 0 {
+            lines.push(SeedLine {
+                source: id,
+                cnt1,
+                cnt2,
+                fixed1: false,
+                fixed2: false,
+            });
+        }
+    }
+    (scratch.l1, scratch.l2) = (0, 0);
+    lines.sort_unstable_by_key(|l| l.source);
+    let mut seed = PackSeed {
+        lines,
+        cost,
+        swapped: scratch.swapped.clone(),
+        stable,
+    };
+    for op in ops.iter().filter(|op| op.is_fixed()) {
+        seed.line_mut(&op.left).fixed1 = true;
+        if let Some(r) = &op.right {
+            seed.line_mut(r).fixed2 = true;
+        }
+    }
+    seed
 }
 
 /// Re-packs an instance starting from its committed refcount multiset:
@@ -213,102 +329,166 @@ pub fn pack_with_seed<S: Ord + Hash + Clone>(
         seed.len(),
         ops.len()
     );
-    let mut cnt1 = seed.cnt1.clone();
-    let mut cnt2 = seed.cnt2.clone();
-    let mut swapped = seed.swapped.clone();
-    refine_orientations(ops, &mut cnt1, &mut cnt2, &mut swapped);
-    MuxPacking {
-        l1: cnt1.into_keys().collect(),
-        l2: cnt2.into_keys().collect(),
-        swapped,
+    let interned = Interned::new(ops);
+    let mut scratch = PackScratch::new(interned.keys.len());
+    for line in &seed.lines {
+        let id = interned.index[&line.source] as usize;
+        scratch.cnt1[id] = line.cnt1;
+        scratch.cnt2[id] = line.cnt2;
     }
+    (scratch.l1, scratch.l2) = seed.cost;
+    scratch.swapped.clone_from(&seed.swapped);
+    refine(&interned.ops, None, &mut scratch);
+    interned.packing(scratch)
 }
 
 /// `(|L1|, |L2|)` of the packing [`pack`] would produce, without
-/// materialising the sorted source lists. This is the candidate-pricing
-/// entry point: the MFSA inner loop only needs the two line counts for
-/// its `f_MUX` delta, and skipping the list construction keeps the hot
-/// path allocation-free beyond the count maps themselves.
+/// materialising the sorted source lists.
 pub fn pack_cost<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> (usize, usize) {
-    pack_counts(ops).cost()
+    let interned = Interned::new(ops);
+    let mut scratch = PackScratch::new(interned.keys.len());
+    construct(&interned.ops, None, &mut scratch);
+    (scratch.l1, scratch.l2)
 }
 
-/// The shared constructive core: contribution counts per port plus the
-/// chosen orientations. The maps are hashed, not ordered — the algorithm
-/// only ever point-queries them (`contains_key`, sole-contributor
-/// checks), never iterates, so hashing cannot change any decision;
-/// [`pack`] sorts the surviving keys at the end, which is where the
-/// deterministic `l1`/`l2` order comes from.
-fn pack_counts<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
-    // Multiset view of the ports: every op contributes exactly one
-    // source line to port 1 and (when binary) one to port 2 under its
-    // current orientation; |L1| and |L2| are the distinct-key counts.
-    // Keeping contribution *counts* instead of plain sets is what lets
-    // the refinement pass price a flip in O(1) instead of re-packing
-    // all k operations from scratch.
-    let mut cnt1: HashMap<S, usize> = HashMap::with_capacity(ops.len());
-    let mut cnt2: HashMap<S, usize> = HashMap::with_capacity(ops.len());
-    let mut swapped = vec![false; ops.len()];
+/// `(|L1|, |L2|)` of packing `ops ++ [candidate]` over dense source
+/// ids — the MFSA candidate-pricing entry point. Equal to
+/// [`pack_cost`] of the extended list, but `ops` is never copied,
+/// nothing is hashed, and nothing is allocated once the scratch's
+/// orientation buffer has grown to the longest list seen. The scratch
+/// is all-zero again on return.
+///
+/// # Panics
+///
+/// Panics when an id is outside the scratch's id space.
+pub fn pack_cost_ids(
+    ops: &[MuxOp<u32>],
+    candidate: MuxOp<u32>,
+    scratch: &mut PackScratch,
+) -> (usize, usize) {
+    construct(ops, Some(candidate), scratch);
+    let cost = (scratch.l1, scratch.l2);
+    scratch.clear(ops, Some(candidate));
+    cost
+}
 
-    // Pass 1: fixed (non-commutative and unary) operations.
-    for op in ops {
-        if !op.commutative || op.right.is_none() {
-            add(&mut cnt1, &op.left);
-            if let Some(r) = &op.right {
-                add(&mut cnt2, r);
-            }
+/// Caller-owned working memory of the packing core: one contribution
+/// count per source id on each port, the `|L1|`/`|L2|` line counters
+/// those counts imply, and the orientation buffer. Counts and counters
+/// are all zero between calls; the core only touches the ids of the op
+/// list it packs and zeroes exactly those again.
+#[derive(Debug, Clone, Default)]
+pub struct PackScratch {
+    cnt1: Vec<u32>,
+    cnt2: Vec<u32>,
+    l1: usize,
+    l2: usize,
+    swapped: Vec<bool>,
+}
+
+impl PackScratch {
+    /// Scratch for source ids `0..ids`.
+    pub fn new(ids: usize) -> PackScratch {
+        PackScratch {
+            cnt1: vec![0; ids],
+            cnt2: vec![0; ids],
+            ..PackScratch::default()
         }
     }
-    let fixed1: HashSet<S> = cnt1.keys().cloned().collect();
-    let fixed2: HashSet<S> = cnt2.keys().cloned().collect();
+
+    fn on1(&self, id: u32) -> bool {
+        self.cnt1[id as usize] > 0
+    }
+
+    fn on2(&self, id: u32) -> bool {
+        self.cnt2[id as usize] > 0
+    }
+
+    fn add1(&mut self, id: u32) {
+        let c = &mut self.cnt1[id as usize];
+        self.l1 += usize::from(*c == 0);
+        *c += 1;
+    }
+
+    fn add2(&mut self, id: u32) {
+        let c = &mut self.cnt2[id as usize];
+        self.l2 += usize::from(*c == 0);
+        *c += 1;
+    }
+
+    fn remove1(&mut self, id: u32) {
+        let c = &mut self.cnt1[id as usize];
+        *c -= 1;
+        self.l1 -= usize::from(*c == 0);
+    }
+
+    fn remove2(&mut self, id: u32) {
+        let c = &mut self.cnt2[id as usize];
+        *c -= 1;
+        self.l2 -= usize::from(*c == 0);
+    }
+
+    /// Zeroes every count `ops ++ extra` can have touched (an op's
+    /// sources may sit on either port after a swap).
+    fn clear(&mut self, ops: &[MuxOp<u32>], extra: Option<MuxOp<u32>>) {
+        for op in ops.iter().copied().chain(extra) {
+            for id in op.sources() {
+                self.cnt1[id as usize] = 0;
+                self.cnt2[id as usize] = 0;
+            }
+        }
+        self.l1 = 0;
+        self.l2 = 0;
+    }
+}
+
+/// The constructive core, over dense ids: packs `ops ++ extra` into the
+/// scratch (counts, line counters, orientations) with the three passes
+/// of [`pack`], and returns whether the refinement pass was a no-op —
+/// the stability [`PackSeed::try_insert`] requires.
+///
+/// Every port is a multiset: each op contributes exactly one source
+/// line to port 1 and (when binary) one to port 2 under its current
+/// orientation, and `|L1|`/`|L2|` are the numbers of non-zero counts.
+/// Keeping contribution *counts* instead of plain sets is what lets the
+/// refinement pass price a flip in O(1) instead of re-packing all k
+/// operations from scratch.
+fn construct(ops: &[MuxOp<u32>], extra: Option<MuxOp<u32>>, s: &mut PackScratch) -> bool {
+    let all = || ops.iter().copied().chain(extra);
+    s.swapped.clear();
+    s.swapped
+        .resize(ops.len() + usize::from(extra.is_some()), false);
+
+    // Pass 1: fixed (non-commutative and unary) operations.
+    for op in all().filter(MuxOp::is_fixed) {
+        s.add1(op.left);
+        if let Some(r) = op.right {
+            s.add2(r);
+        }
+    }
 
     // Pass 2: commutative operations, greedy orientation. Like the
     // original set-based construction, each op only sees the lines the
     // fixed ops and *earlier* commutative ops have claimed.
-    for (i, op) in ops.iter().enumerate() {
-        if !op.commutative || op.right.is_none() {
+    for (i, op) in all().enumerate() {
+        if op.is_fixed() {
             continue;
         }
-        let r = op.right.as_ref().expect("checked above");
-        let cost_plain =
-            usize::from(!cnt1.contains_key(&op.left)) + usize::from(!cnt2.contains_key(r));
-        let cost_swap =
-            usize::from(!cnt1.contains_key(r)) + usize::from(!cnt2.contains_key(&op.left));
+        let r = op.right.expect("unary ops are fixed");
+        let cost_plain = usize::from(!s.on1(op.left)) + usize::from(!s.on2(r));
+        let cost_swap = usize::from(!s.on1(r)) + usize::from(!s.on2(op.left));
         if cost_swap < cost_plain {
-            swapped[i] = true;
-            add(&mut cnt1, r);
-            add(&mut cnt2, &op.left);
+            s.swapped[i] = true;
+            s.add1(r);
+            s.add2(op.left);
         } else {
-            add(&mut cnt1, &op.left);
-            add(&mut cnt2, r);
+            s.add1(op.left);
+            s.add2(r);
         }
     }
 
     // Pass 3: re-examine orientations now that all sources are known.
-    let stable = !refine_orientations(ops, &mut cnt1, &mut cnt2, &mut swapped);
-
-    PackSeed {
-        cnt1,
-        cnt2,
-        swapped,
-        fixed1,
-        fixed2,
-        stable,
-    }
-}
-
-fn add<S: Ord + Hash + Clone>(cnt: &mut HashMap<S, usize>, s: &S) {
-    *cnt.entry(s.clone()).or_insert(0) += 1;
-}
-
-fn remove<S: Ord + Hash + Clone>(cnt: &mut HashMap<S, usize>, s: &S) {
-    match cnt.get_mut(s) {
-        Some(1) => {
-            cnt.remove(s);
-        }
-        Some(n) => *n -= 1,
-        None => unreachable!("removed a source that was never added"),
-    }
+    !refine(ops, extra, s)
 }
 
 /// The refinement pass shared by the cold pack (pass 3) and
@@ -319,49 +499,36 @@ fn remove<S: Ord + Hash + Clone>(cnt: &mut HashMap<S, usize>, s: &S) {
 /// flipped total is computed from the contribution counts: dropping
 /// this op's current sources frees a line only when it was the sole
 /// contributor, and its swapped sources cost a line only when nobody
-/// else supplies them. Returns whether any flip was taken — `false`
-/// means the input state already was the committed fixpoint, the
-/// stability [`PackSeed::try_insert`] requires.
-fn refine_orientations<S: Ord + Hash + Clone>(
-    ops: &[MuxOp<S>],
-    cnt1: &mut HashMap<S, usize>,
-    cnt2: &mut HashMap<S, usize>,
-    swapped: &mut [bool],
-) -> bool {
+/// else supplies them. Returns whether any flip was taken.
+fn refine(ops: &[MuxOp<u32>], extra: Option<MuxOp<u32>>, s: &mut PackScratch) -> bool {
     let mut any = false;
     let mut changed = true;
     while changed {
         changed = false;
-        for (i, op) in ops.iter().enumerate() {
-            if !op.commutative || op.right.is_none() {
+        for (i, op) in ops.iter().copied().chain(extra).enumerate() {
+            if op.is_fixed() {
                 continue;
             }
-            let r = op.right.as_ref().expect("checked above");
-            let (cur_a, cur_b) = if swapped[i] {
-                (r, &op.left)
+            let r = op.right.expect("unary ops are fixed");
+            let (cur_a, cur_b) = if s.swapped[i] {
+                (r, op.left)
             } else {
-                (&op.left, r)
+                (op.left, r)
             };
             // Port 1 currently carries cur_a from this op; flipping
             // replaces that contribution with cur_b (and symmetrically
-            // on port 2). Self-pairs (cur_a == cur_b) change nothing and
-            // fall out as delta 0.
-            let delta1 = if cur_a == cur_b {
-                0
-            } else {
-                i64::from(!cnt1.contains_key(cur_b)) - i64::from(cnt1[cur_a] == 1)
-            };
-            let delta2 = if cur_a == cur_b {
-                0
-            } else {
-                i64::from(!cnt2.contains_key(cur_a)) - i64::from(cnt2[cur_b] == 1)
-            };
+            // on port 2). Self-pairs change nothing.
+            if cur_a == cur_b {
+                continue;
+            }
+            let delta1 = i64::from(!s.on1(cur_b)) - i64::from(s.cnt1[cur_a as usize] == 1);
+            let delta2 = i64::from(!s.on2(cur_a)) - i64::from(s.cnt2[cur_b as usize] == 1);
             if delta1 + delta2 < 0 {
-                swapped[i] = !swapped[i];
-                remove(cnt1, cur_a);
-                add(cnt1, cur_b);
-                remove(cnt2, cur_b);
-                add(cnt2, cur_a);
+                s.swapped[i] = !s.swapped[i];
+                s.remove1(cur_a);
+                s.add1(cur_b);
+                s.remove2(cur_b);
+                s.add2(cur_a);
                 changed = true;
                 any = true;
             }
@@ -370,10 +537,60 @@ fn refine_orientations<S: Ord + Hash + Clone>(
     any
 }
 
+/// A generic op list relabelled onto dense ids `0..keys.len()` (in
+/// order of first appearance), the form the core packs. Relabelling
+/// cannot change a decision: the core only ever compares sources for
+/// equality.
+struct Interned<S> {
+    keys: Vec<S>,
+    index: HashMap<S, u32>,
+    ops: Vec<MuxOp<u32>>,
+}
+
+impl<S: Ord + Hash + Clone> Interned<S> {
+    fn new(ops: &[MuxOp<S>]) -> Interned<S> {
+        let mut keys = Vec::new();
+        let mut index = HashMap::with_capacity(ops.len());
+        let mut id = |s: &S| -> u32 {
+            *index.entry(s.clone()).or_insert_with(|| {
+                keys.push(s.clone());
+                u32::try_from(keys.len() - 1).expect("fewer than 2^32 sources")
+            })
+        };
+        let ops = ops
+            .iter()
+            .map(|op| MuxOp {
+                left: id(&op.left),
+                right: op.right.as_ref().map(&mut id),
+                commutative: op.commutative,
+            })
+            .collect();
+        Interned { keys, index, ops }
+    }
+
+    /// The sorted source lists of the packing left in `scratch`.
+    fn packing(&self, scratch: PackScratch) -> MuxPacking<S> {
+        let lines = |cnt: &[u32]| {
+            self.keys
+                .iter()
+                .zip(cnt)
+                .filter(|&(_, &c)| c > 0)
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        MuxPacking {
+            l1: lines(&scratch.cnt1),
+            l2: lines(&scratch.cnt2),
+            swapped: scratch.swapped,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn op(l: &str, r: &str, c: bool) -> MuxOp<String> {
         MuxOp {
@@ -574,7 +791,7 @@ mod tests {
                 })
                 .unzip();
             let seed = seed_from_orientations(&ops, flips);
-            let start = seed.cnt1.len() + seed.cnt2.len();
+            let start = seed.cost().0 + seed.cost().1;
             let p = pack_with_seed(&ops, &seed);
             prop_assert!(p.total_inputs() <= start);
             for (i, o) in ops.iter().enumerate() {
@@ -589,33 +806,77 @@ mod tests {
                 }
             }
         }
+
+        /// The MFSA pricing path: the dense core's `(|L1|, |L2|)` for
+        /// `ops ++ [c]`, packed in a reused scratch without copying
+        /// `ops`, must equal the set-based oracle's and the generic
+        /// `pack_cost` of the extended list, and the dense seed's cost
+        /// (the f_MUX before-term) must equal the cold pack of `ops`.
+        /// Instance-sized lists (up to 40 ops, as on the 5k-op graphs)
+        /// over a small alphabet of sparse, non-contiguous ids force
+        /// shared lines, self-pairs, unary and duplicate ops; several
+        /// candidates per list check that the scratch is left clean.
+        #[test]
+        fn dense_pricing_matches_the_set_based_oracle(
+            alphabet in proptest::collection::vec(0u32..4096, 10..11),
+            ops in proptest::collection::vec((0usize..10, 0usize..10, 0u8..8), 0..40),
+            candidates in proptest::collection::vec((0usize..10, 0usize..10, 0u8..8), 1..4),
+        ) {
+            let shape = |&(l, r, bits): &(usize, usize, u8)| MuxOp {
+                left: alphabet[l],
+                right: (bits != 0).then_some(alphabet[r]),
+                commutative: bits & 2 != 0,
+            };
+            let ops: Vec<MuxOp<u32>> = ops.iter().map(shape).collect();
+            let mut scratch = PackScratch::new(4096);
+            for c in candidates.iter().map(shape) {
+                let mut extended = ops.clone();
+                extended.push(c);
+                let oracle = pack_reference(&extended);
+                let dense = pack_cost_ids(&ops, c, &mut scratch);
+                prop_assert_eq!(dense, (oracle.l1.len(), oracle.l2.len()));
+                prop_assert_eq!(dense, pack_cost(&extended));
+            }
+            let before = pack_reference(&ops);
+            let seed = pack_seed_ids(&ops, &mut scratch);
+            prop_assert_eq!(seed.cost(), (before.l1.len(), before.l2.len()));
+            prop_assert_eq!(pack_with_seed(&ops, &seed), before);
+        }
     }
 
     /// Builds the refcount state a given orientation vector induces —
     /// the test-side stand-in for a seed produced by incremental edits
     /// rather than a cold pack.
     fn seed_from_orientations(ops: &[MuxOp<u8>], swapped: Vec<bool>) -> PackSeed<u8> {
-        let mut cnt1: HashMap<u8, usize> = HashMap::new();
-        let mut cnt2: HashMap<u8, usize> = HashMap::new();
+        let mut counts: BTreeMap<u8, (u32, u32)> = BTreeMap::new();
         for (i, op) in ops.iter().enumerate() {
             let (a, b) = if swapped[i] {
                 (op.right.expect("only binary ops flip"), Some(op.left))
             } else {
                 (op.left, op.right)
             };
-            *cnt1.entry(a).or_insert(0) += 1;
+            counts.entry(a).or_default().0 += 1;
             if let Some(b) = b {
-                *cnt2.entry(b).or_insert(0) += 1;
+                counts.entry(b).or_default().1 += 1;
             }
         }
-        let fixed1 = cnt1.keys().copied().collect();
-        let fixed2 = cnt2.keys().copied().collect();
+        let cost = (
+            counts.values().filter(|c| c.0 > 0).count(),
+            counts.values().filter(|c| c.1 > 0).count(),
+        );
         PackSeed {
-            cnt1,
-            cnt2,
+            lines: counts
+                .into_iter()
+                .map(|(source, (cnt1, cnt2))| SeedLine {
+                    source,
+                    cnt1,
+                    cnt2,
+                    fixed1: cnt1 > 0,
+                    fixed2: cnt2 > 0,
+                })
+                .collect(),
+            cost,
             swapped,
-            fixed1,
-            fixed2,
             // An arbitrary orientation vector is not a known fixpoint.
             stable: false,
         }

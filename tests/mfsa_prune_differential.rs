@@ -175,6 +175,7 @@ proptest! {
         slack in 0u32..6,
         style_bit in 0u32..2,
         weight_idx in 0usize..3,
+        sharing_bit in 0u32..2,
     ) {
         let dfg = generate(&GeneratorConfig {
             seed,
@@ -193,6 +194,12 @@ proptest! {
         let config = MfsaConfig::new(cp.steps() as u32 + slack, Library::ncr_like())
             .with_style(style)
             .with_weights(weight_presets()[weight_idx]);
+        // Sharing off prices every stored signal as its own mux line.
+        let config = if sharing_bit == 0 {
+            config
+        } else {
+            config.without_interconnect_sharing()
+        };
         assert_equivalent(&dfg, &spec, &config);
     }
 }
@@ -200,10 +207,20 @@ proptest! {
 #[test]
 fn every_table2_config_matches_exhaustive() {
     // The curated examples cover chaining (clocked specs), functional
-    // pipelining (latency) and multicycle operators.
+    // pipelining (latency) and multicycle operators; the §5.7 ablation
+    // (interconnect sharing off) prices per-signal mux lines.
     for e in examples::all() {
-        for style in [DesignStyle::Unrestricted, DesignStyle::NoSelfLoop] {
+        for (style, sharing) in [
+            (DesignStyle::Unrestricted, true),
+            (DesignStyle::NoSelfLoop, true),
+            (DesignStyle::Unrestricted, false),
+        ] {
             let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like()).with_style(style);
+            let config = if sharing {
+                config
+            } else {
+                config.without_interconnect_sharing()
+            };
             let config = match e.clock() {
                 Some(clock) => config.with_chaining(clock),
                 None => config,
