@@ -1,6 +1,6 @@
 //! Microbenchmarks for the dense scheduler core's two hottest
-//! primitives: `compute_move_frame` (via the public probing entry
-//! `probe_move_frame`) and `Grid::is_free_for` on its three hot shapes —
+//! primitives: the move-frame computation (`Placement::frame`) and
+//! `Grid::is_free_for` on its three hot shapes —
 //! an empty cell (one mask test), a single-occupant cell (fast reject
 //! without touching the mutex side list), a mutex-shared cell (the side
 //! list walk) — plus the memory-bank access-conflict scan that builds
@@ -8,10 +8,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use hls_celllib::{Delay, OpKind, TimingSpec};
+use hls_celllib::{OpKind, TimingSpec};
 use hls_dfg::{Dfg, DfgBuilder, FuClass, NodeId, SignalId, SignalSource};
-use hls_schedule::{CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use hls_schedule::{CStep, FuIndex, Grid, Slot, TimeFrames, UnitId};
+use moveframe::Placement;
 
 /// `layers × width` single-cycle adds, each consuming two outputs of the
 /// previous layer — the fixed-depth, growing-width shape of the
@@ -51,26 +51,23 @@ fn bench_compute_move_frame(c: &mut Criterion) {
     // Schedule the first half at ASAP, leaving the second half for the
     // probes: their frames see real predecessor bounds and a half-full
     // grid.
-    let mut sched = Schedule::new(&dfg, cs);
-    let mut bounds = BoundsCache::new(&dfg, &spec, None);
+    let mut placement = Placement::new(&dfg, &spec, None, frames);
     let mut grid = Grid::new(class, cs, WIDTH as u32);
     for l in 0..LAYERS / 2 {
         for w in 0..WIDTH {
             let n = node(&dfg, l, w);
             let step = CStep::new(l as u32 + 1);
             let fu = FuIndex::new(w as u32 + 1);
-            sched.assign(
+            placement.assign(
                 n,
                 Slot {
                     step,
                     unit: UnitId::Fu { class, index: fu },
                 },
             );
-            bounds.on_assign(&dfg, n, step);
             grid.occupy(n, step, fu, 1);
         }
     }
-    let offsets = vec![Delay::ZERO; dfg.node_count()];
 
     let mut group = c.benchmark_group("compute-move-frame");
     group.bench_function("half-scheduled-256", |b| {
@@ -78,18 +75,7 @@ fn bench_compute_move_frame(c: &mut Criterion) {
             let mut positions = 0usize;
             for l in LAYERS / 2..LAYERS {
                 for w in 0..WIDTH {
-                    let snap = probe_move_frame(
-                        &dfg,
-                        &spec,
-                        &frames,
-                        &sched,
-                        None,
-                        &offsets,
-                        &bounds,
-                        node(&dfg, l, w),
-                        &grid,
-                        WIDTH as u32,
-                    );
+                    let (snap, _) = placement.frame(node(&dfg, l, w), &grid, WIDTH as u32, true);
                     positions += snap.movable.len();
                 }
             }
@@ -181,15 +167,14 @@ fn bench_mem_af_scan(c: &mut Criterion) {
     let spec = TimingSpec::uniform_single_cycle();
     let cs = 8;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
-    let mut sched = Schedule::new(&dfg, cs);
-    let mut bounds = BoundsCache::new(&dfg, &spec, None);
+    let mut placement = Placement::new(&dfg, &spec, None, frames);
     let class = dfg.node(loads[0]).kind().fu_class();
     let mut grid = Grid::new(class, cs, 1);
     // Saturate the single port for steps 1–4; the probe's frame must
     // carve those steps into `af_steps`.
     for (k, &ld) in loads.iter().take(4).enumerate() {
         let step = CStep::new(k as u32 + 1);
-        sched.assign(
+        placement.assign(
             ld,
             Slot {
                 step,
@@ -199,26 +184,13 @@ fn bench_mem_af_scan(c: &mut Criterion) {
                 },
             },
         );
-        bounds.on_assign(&dfg, ld, step);
         grid.occupy(ld, step, FuIndex::new(1), 1);
     }
-    let offsets = vec![Delay::ZERO; dfg.node_count()];
 
     let mut group = c.benchmark_group("mem-af-scan");
     group.bench_function("saturated-port", |b| {
         b.iter(|| {
-            let snap = probe_move_frame(
-                &dfg,
-                &spec,
-                &frames,
-                &sched,
-                None,
-                &offsets,
-                &bounds,
-                black_box(loads[4]),
-                &grid,
-                1,
-            );
+            let (snap, _) = placement.frame(black_box(loads[4]), &grid, 1, true);
             black_box((snap.af_steps.len(), snap.movable.len()))
         })
     });

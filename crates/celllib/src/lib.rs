@@ -45,4 +45,4 @@ pub use library::{Library, LibraryBuilder};
 pub use mux::MuxCost;
 pub use op::{OpKind, ParseOpKindError};
 pub use text::parse_library;
-pub use timing::{ClockPeriod, Delay, OpTiming, TimingSpec};
+pub use timing::{effective_cycles, ClockPeriod, Delay, OpTiming, TimingSpec};

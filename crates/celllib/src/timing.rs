@@ -76,6 +76,28 @@ impl ClockPeriod {
     }
 }
 
+/// The control steps an operation really occupies: its `declared`
+/// cycles, or — under a chaining `clock` — `max(declared, ⌈delay/T⌉)`,
+/// since an operation slower than the period is multicycled by the
+/// clock (paper §5.4). Every scheduler, the frame analysis and the
+/// verifier count spans with this one rule.
+///
+/// ```
+/// use hls_celllib::{effective_cycles, ClockPeriod, Delay};
+///
+/// let clock = Some(ClockPeriod::new(100));
+/// assert_eq!(effective_cycles(1, Delay::new(163), clock), 2);
+/// assert_eq!(effective_cycles(1, Delay::new(48), clock), 1);
+/// assert_eq!(effective_cycles(2, Delay::ZERO, clock), 2);
+/// assert_eq!(effective_cycles(1, Delay::new(163), None), 1);
+/// ```
+pub fn effective_cycles(declared: u8, delay: Delay, clock: Option<ClockPeriod>) -> u8 {
+    match clock {
+        None => declared,
+        Some(t) => declared.max(delay.as_u32().div_ceil(t.as_u32()).max(1) as u8),
+    }
+}
+
 impl fmt::Display for ClockPeriod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ns", self.0)

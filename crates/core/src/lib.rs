@@ -59,5 +59,5 @@ pub mod pipeline;
 
 pub use cancel::CancelToken;
 pub use error::MoveFrameError;
-pub use frame::{probe_move_frame, BoundsCache, FrameSnapshot, Position};
+pub use frame::{BoundsCache, Direction, FrameSnapshot, Placement, Position};
 pub use liapunov::{MfsObjective, StaticLiapunov};

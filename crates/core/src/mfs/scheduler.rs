@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use hls_celllib::{Delay, TimingSpec};
+use hls_celllib::TimingSpec;
 use hls_dfg::{Dfg, FuClass, NodeId};
-use hls_schedule::{
-    chained_frames, priority_order_with, CStep, Grid, Schedule, Slot, TimeFrames, UnitId,
-};
+use hls_schedule::{priority_order_with, CStep, Grid, Schedule, Slot, TimeFrames, UnitId};
 
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
-use crate::frame::{compute_move_frame, BoundsCache, FrameCtx, FrameSnapshot};
+use crate::frame::{FrameSnapshot, Placement};
 use crate::mfs::MfsConfig;
 use crate::{MoveFrameError, StaticLiapunov};
 
@@ -166,17 +164,14 @@ pub fn schedule_traced_with_frames(
                 instr.inc("mfs.frames.reused", 1);
                 Ok(frames)
             }
-            None => match config.clock() {
-                Some(clock) => Ok(chained_frames(dfg, spec, clock, cs)?.into_frames()),
-                None => TimeFrames::compute(dfg, spec, cs),
-            },
+            None => TimeFrames::for_clock(dfg, spec, config.clock(), cs),
         }
     })?;
 
-    // Effective cycles (chaining can stretch slow ops over steps) live in
-    // the dependency-bounds cache; a pristine copy doubles as the
-    // template each pass clones (passes start from an empty schedule).
-    let bounds_template = BoundsCache::new(dfg, spec, config.clock());
+    // The dense placement state; effective cycles (chaining can stretch
+    // slow ops over steps) live in its bounds cache. Every pass clears it
+    // and starts from an empty schedule.
+    let mut placement = Placement::new(dfg, spec, config.clock(), frames);
 
     // Step 2: max_j per class (user constraint, else ASAP/ALAP peak).
     // A memory bank's declared port count is a *hard* column budget, just
@@ -194,8 +189,9 @@ pub fn schedule_traced_with_frames(
         }
     };
     let class_counts = dfg.class_counts();
-    let asap_peak = peak_concurrency(dfg, |n| frames.asap(n), |n| bounds_template.cycles(n), cs);
-    let alap_peak = peak_concurrency(dfg, |n| frames.alap(n), |n| bounds_template.cycles(n), cs);
+    let frames = placement.frames();
+    let asap_peak = peak_concurrency(dfg, |n| frames.asap(n), |n| placement.cycles(n), cs);
+    let alap_peak = peak_concurrency(dfg, |n| frames.alap(n), |n| placement.cycles(n), cs);
     let mut max_fu: BTreeMap<FuClass, u32> = BTreeMap::new();
     for &class in class_counts.keys() {
         let derived = asap_peak
@@ -248,7 +244,7 @@ pub fn schedule_traced_with_frames(
 
     // Step 2 (cont.): priority order.
     let order = instr.span("mfs.priority", |_| {
-        priority_order_with(dfg, spec, &frames, config.priority_rule())
+        priority_order_with(dfg, spec, placement.frames(), config.priority_rule())
     });
 
     // Step 4: the move loop. When an operation's move frame is empty,
@@ -263,9 +259,7 @@ pub fn schedule_traced_with_frames(
     instr.span("mfs.move_loop", |instr| {
         'restart: loop {
             config.cancel().checkpoint()?;
-            let mut sched = Schedule::new(dfg, cs);
-            let mut offsets: Vec<Delay> = vec![Delay::ZERO; dfg.node_count()];
-            let mut bounds = bounds_template.clone();
+            placement.clear();
             let mut snapshots = Vec::new();
             let mut pass_grids = grids.clone();
 
@@ -287,31 +281,19 @@ pub fn schedule_traced_with_frames(
             for &node in &order {
                 config.cancel().checkpoint()?;
                 let class = dfg.node(node).kind().fu_class();
-                let cycles = bounds.cycles(node);
-                let (snap, starts) = {
-                    let ctx = FrameCtx {
-                        dfg,
-                        spec,
-                        frames: &frames,
-                        schedule: &sched,
-                        clock: config.clock(),
-                        offsets: &offsets,
-                        bounds: &bounds,
-                    };
-                    compute_move_frame(
-                        &ctx,
-                        node,
-                        &pass_grids[&class],
-                        current[&class],
-                        instr.enabled() || config.records_frames(),
-                    )
-                };
+                let cycles = placement.cycles(node);
+                let (snap, starts) = placement.frame(
+                    node,
+                    &pass_grids[&class],
+                    current[&class],
+                    instr.enabled() || config.records_frames(),
+                );
                 instr.inc("mfs.frames_computed", 1);
                 {
                     // Which bound derivation ran: the O(1) cached formula,
                     // or the chaining boundary walk (a scheduled
                     // predecessor finishes inside the primary frame)?
-                    let m = bounds.pred_finish(node);
+                    let m = placement.bounds().pred_finish(node);
                     let (asap_b, alap_b) = snap.primary;
                     if m != 0 && m >= asap_b.get() && m <= alap_b.get() {
                         instr.inc("mfs.bounds.boundary_walks", 1);
@@ -349,23 +331,11 @@ pub fn schedule_traced_with_frames(
                 }
                 match liapunov.min_position(&starts) {
                     Some(pos) => {
-                        let offset = {
-                            let ctx = FrameCtx {
-                                dfg,
-                                spec,
-                                frames: &frames,
-                                schedule: &sched,
-                                clock: config.clock(),
-                                offsets: &offsets,
-                                bounds: &bounds,
-                            };
-                            ctx.offset_after(node, pos.step)
-                        };
                         pass_grids
                             .get_mut(&class)
                             .expect("grid exists for every class")
                             .occupy(node, pos.step, pos.fu, cycles);
-                        sched.assign(
+                        placement.assign(
                             node,
                             Slot {
                                 step: pos.step,
@@ -375,8 +345,6 @@ pub fn schedule_traced_with_frames(
                                 },
                             },
                         );
-                        offsets[node.index()] = offset;
-                        bounds.on_assign(dfg, node, pos.step);
                         instr.inc("mfs.moves_committed", 1);
                         if instr.enabled() {
                             let v = liapunov.value(pos.fu.get(), pos.step.get());
@@ -432,8 +400,9 @@ pub fn schedule_traced_with_frames(
                 }
             }
 
+            let (schedule, frames) = placement.into_parts();
             return Ok(MfsOutcome {
-                schedule: sched,
+                schedule,
                 grids: pass_grids,
                 frames,
                 reschedule_count,

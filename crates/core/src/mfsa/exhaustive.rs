@@ -13,17 +13,14 @@
 
 use std::collections::BTreeMap;
 
-use hls_celllib::Delay;
 use hls_celllib::TimingSpec;
 use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
 use hls_rtl::muxopt::MuxOp;
 use hls_rtl::{AluAllocation, CostReport, Datapath};
-use hls_schedule::{
-    chained_frames, priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId,
-};
+use hls_schedule::{priority_order, CStep, FuIndex, Slot, TimeFrames, UnitId};
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
-use crate::frame::{feasible_step_range, BoundsCache, FrameCtx};
+use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
 use crate::mfsa::scheduler::{
     base_op, instance_free, reg_extensions, Candidate, Instance, IterationTrace, MfsaOutcome,
@@ -98,9 +95,8 @@ impl ExhaustiveMfsa {
             }
         }
 
-        let frames = instr.span("mfsa.frames", |_| match config.clock() {
-            Some(clock) => Ok(chained_frames(dfg, spec, clock, cs)?.into_frames()),
-            None => TimeFrames::compute(dfg, spec, cs),
+        let frames = instr.span("mfsa.frames", |_| {
+            TimeFrames::for_clock(dfg, spec, config.clock(), cs)
         })?;
         let order = instr.span("mfsa.priority", |_| priority_order(dfg, spec, &frames));
         let model = CostModel::new(library, config.weights());
@@ -110,9 +106,7 @@ impl ExhaustiveMfsa {
             None => step,
         };
 
-        let mut sched = Schedule::new(dfg, cs);
-        let mut offsets: Vec<Delay> = vec![Delay::ZERO; dfg.node_count()];
-        let mut bounds = BoundsCache::new(dfg, spec, config.clock());
+        let mut placement = Placement::new(dfg, spec, config.clock(), frames);
         let mut instances: Vec<Instance<EstSource>> = Vec::new();
         let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
         let mut reg_est = RegEstimate::new();
@@ -130,68 +124,46 @@ impl ExhaustiveMfsa {
                     let mut best: Option<(u64, CStep, u32, u64, u64)> = None;
                     let mut n_candidates = 0u64;
                     let mut feasible_steps = 0u64;
-                    let (cycles, offset) = {
-                        let ctx = FrameCtx {
-                            dfg,
-                            spec,
-                            frames: &frames,
-                            schedule: &sched,
-                            clock: config.clock(),
-                            offsets: &offsets,
-                            bounds: &bounds,
-                        };
-                        let (earliest, latest) = feasible_step_range(&ctx, node);
-                        let cycles = ctx.effective_cycles(node);
-                        let mut step = earliest;
-                        while step <= latest {
-                            if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
-                                feasible_steps += 1;
-                                let f_time = model.f_time(step.get());
-                                let extensions = reg_extensions(dfg, &sched, spec, node, step);
-                                let f_reg = model.f_reg(
-                                    reg_est
-                                        .count_with(&extensions)
-                                        .saturating_sub(reg_est.count()),
-                                );
-                                for port in 1..=ports {
-                                    let free = (0..cycles as u32).all(|k| {
-                                        mem_busy
-                                            .get(&(bank, port, wrap(step.get() + k)))
-                                            .is_none_or(|occ| {
-                                                occ.iter().all(|&o| dfg.mutually_exclusive(node, o))
-                                            })
-                                    });
-                                    if !free {
-                                        continue;
-                                    }
-                                    n_candidates += 1;
-                                    let total = f_time + f_reg;
-                                    if instr.enabled() {
-                                        instr.emit(TraceEvent::EnergyEvaluated {
-                                            op: node.index() as u32,
-                                            pos: (port, step.get()),
-                                            v: total,
-                                        });
-                                    }
-                                    let better = match best {
-                                        None => true,
-                                        Some((bt, bs, bp, ..)) => {
-                                            (total, step, port) < (bt, bs, bp)
-                                        }
-                                    };
-                                    if better {
-                                        best = Some((total, step, port, f_time, f_reg));
-                                    }
-                                }
+                    let cycles = placement.cycles(node);
+                    for step in placement.feasible_steps(node) {
+                        feasible_steps += 1;
+                        let f_time = model.f_time(step.get());
+                        let extensions =
+                            reg_extensions(dfg, placement.schedule(), spec, node, step);
+                        let f_reg = model.f_reg(
+                            reg_est
+                                .count_with(&extensions)
+                                .saturating_sub(reg_est.count()),
+                        );
+                        for port in 1..=ports {
+                            let free = (0..cycles as u32).all(|k| {
+                                mem_busy
+                                    .get(&(bank, port, wrap(step.get() + k)))
+                                    .is_none_or(|occ| {
+                                        occ.iter().all(|&o| dfg.mutually_exclusive(node, o))
+                                    })
+                            });
+                            if !free {
+                                continue;
                             }
-                            step = step.offset(1);
+                            n_candidates += 1;
+                            let total = f_time + f_reg;
+                            if instr.enabled() {
+                                instr.emit(TraceEvent::EnergyEvaluated {
+                                    op: node.index() as u32,
+                                    pos: (port, step.get()),
+                                    v: total,
+                                });
+                            }
+                            let better = match best {
+                                None => true,
+                                Some((bt, bs, bp, ..)) => (total, step, port) < (bt, bs, bp),
+                            };
+                            if better {
+                                best = Some((total, step, port, f_time, f_reg));
+                            }
                         }
-                        let offset = match best {
-                            Some((_, step, ..)) => ctx.offset_after(node, step),
-                            None => Delay::ZERO,
-                        };
-                        (cycles, offset)
-                    };
+                    }
                     instr.inc("mfsa.steps.feasible", feasible_steps);
                     instr.inc("mfsa.steps.expanded", feasible_steps);
                     instr.inc("mfsa.energy_evaluations", n_candidates);
@@ -210,7 +182,7 @@ impl ExhaustiveMfsa {
                             .or_default()
                             .push(node);
                     }
-                    sched.assign(
+                    placement.assign(
                         node,
                         Slot {
                             step,
@@ -220,9 +192,7 @@ impl ExhaustiveMfsa {
                             },
                         },
                     );
-                    offsets[node.index()] = offset;
-                    bounds.on_assign(dfg, node, step);
-                    let extensions = reg_extensions(dfg, &sched, spec, node, step);
+                    let extensions = reg_extensions(dfg, placement.schedule(), spec, node, step);
                     reg_est.commit(&extensions);
                     instr.inc("mfsa.moves_committed", 1);
                     instr.inc("mfsa.mem_moves", 1);
@@ -262,18 +232,9 @@ impl ExhaustiveMfsa {
                 let mut feasible_steps = 0u64;
                 let next_instance = instances.len() as u32 + 1;
 
-                let (cycles, mux_op, offset) = {
-                    let ctx = FrameCtx {
-                        dfg,
-                        spec,
-                        frames: &frames,
-                        schedule: &sched,
-                        clock: config.clock(),
-                        offsets: &offsets,
-                        bounds: &bounds,
-                    };
-                    let (earliest, latest) = feasible_step_range(&ctx, node);
-                    let cycles = ctx.effective_cycles(node);
+                let cycles = placement.cycles(node);
+                let mux_op = {
+                    let sched = placement.schedule();
                     let est = |sig: SignalId| -> EstSource {
                         match dfg.signal(sig).source() {
                             SignalSource::PrimaryInput | SignalSource::Constant(_) => {
@@ -345,97 +306,87 @@ impl ExhaustiveMfsa {
                         }
                     };
 
-                    let mut step = earliest;
-                    while step <= latest {
-                        if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
-                            feasible_steps += 1;
-                            let f_time = model.f_time(step.get());
-                            let extensions = reg_extensions(dfg, &sched, spec, node, step);
-                            let f_reg = model.f_reg(
-                                reg_est
-                                    .count_with(&extensions)
-                                    .saturating_sub(reg_est.count()),
-                            );
+                    for step in placement.feasible_steps(node) {
+                        feasible_steps += 1;
+                        let f_time = model.f_time(step.get());
+                        let extensions = reg_extensions(dfg, sched, spec, node, step);
+                        let f_reg = model.f_reg(
+                            reg_est
+                                .count_with(&extensions)
+                                .saturating_sub(reg_est.count()),
+                        );
 
-                            for (i, inst) in instances.iter().enumerate() {
-                                if !instance_free(inst, dfg, node, step, cycles, &wrap) {
-                                    continue;
+                        for (i, inst) in instances.iter().enumerate() {
+                            if !instance_free(inst, dfg, node, step, cycles, &wrap) {
+                                continue;
+                            }
+                            let cost = inst_costs[i].get_or_insert_with(|| {
+                                if config.style() == DesignStyle::NoSelfLoop {
+                                    let related = inst.ops.iter().any(|&o| {
+                                        dfg.preds(node).contains(&o) || dfg.succs(node).contains(&o)
+                                    });
+                                    if related {
+                                        return None;
+                                    }
                                 }
-                                let cost = inst_costs[i].get_or_insert_with(|| {
-                                    if config.style() == DesignStyle::NoSelfLoop {
-                                        let related = inst.ops.iter().any(|&o| {
-                                            dfg.preds(node).contains(&o)
-                                                || dfg.succs(node).contains(&o)
-                                        });
-                                        if related {
-                                            return None;
-                                        }
-                                    }
-                                    let cur_kind = &library.alus()[inst.kind_index];
-                                    if cur_kind.supports(op) {
-                                        Some((
-                                            inst.kind_index,
-                                            0,
-                                            model.f_mux(&inst.mux_ops, mux_op),
-                                            0,
-                                        ))
-                                    } else {
-                                        library
-                                            .alus()
-                                            .iter()
-                                            .enumerate()
-                                            .filter(|(_, k)| {
-                                                k.supports(op)
-                                                    && cur_kind.ops().all(|o| k.supports(o))
-                                            })
-                                            .min_by_key(|(idx, k)| (k.area(), *idx))
-                                            .map(|(kind_index, kind)| {
-                                                (
-                                                    kind_index,
-                                                    model.f_alu(
-                                                        kind.area().saturating_sub(cur_kind.area()),
-                                                    ),
-                                                    model.f_mux(&inst.mux_ops, mux_op),
-                                                    1,
-                                                )
-                                            })
-                                    }
-                                });
-                                let Some((kind_index, f_alu, f_mux, flavour)) = *cost else {
-                                    continue;
-                                };
-                                consider(Candidate {
-                                    step,
-                                    instance: Some(i),
-                                    kind_index,
-                                    f_time,
-                                    f_alu,
-                                    f_mux,
-                                    f_reg,
-                                    flavour,
-                                });
-                            }
-
-                            for &(kind_index, f_alu) in &new_kinds {
-                                consider(Candidate {
-                                    step,
-                                    instance: None,
-                                    kind_index,
-                                    f_time,
-                                    f_alu,
-                                    f_mux: fresh_mux,
-                                    f_reg,
-                                    flavour: 2,
-                                });
-                            }
+                                let cur_kind = &library.alus()[inst.kind_index];
+                                if cur_kind.supports(op) {
+                                    Some((
+                                        inst.kind_index,
+                                        0,
+                                        model.f_mux(&inst.mux_ops, mux_op),
+                                        0,
+                                    ))
+                                } else {
+                                    library
+                                        .alus()
+                                        .iter()
+                                        .enumerate()
+                                        .filter(|(_, k)| {
+                                            k.supports(op) && cur_kind.ops().all(|o| k.supports(o))
+                                        })
+                                        .min_by_key(|(idx, k)| (k.area(), *idx))
+                                        .map(|(kind_index, kind)| {
+                                            (
+                                                kind_index,
+                                                model.f_alu(
+                                                    kind.area().saturating_sub(cur_kind.area()),
+                                                ),
+                                                model.f_mux(&inst.mux_ops, mux_op),
+                                                1,
+                                            )
+                                        })
+                                }
+                            });
+                            let Some((kind_index, f_alu, f_mux, flavour)) = *cost else {
+                                continue;
+                            };
+                            consider(Candidate {
+                                step,
+                                instance: Some(i),
+                                kind_index,
+                                f_time,
+                                f_alu,
+                                f_mux,
+                                f_reg,
+                                flavour,
+                            });
                         }
-                        step = step.offset(1);
+
+                        for &(kind_index, f_alu) in &new_kinds {
+                            consider(Candidate {
+                                step,
+                                instance: None,
+                                kind_index,
+                                f_time,
+                                f_alu,
+                                f_mux: fresh_mux,
+                                f_reg,
+                                flavour: 2,
+                            });
+                        }
                     }
-                    let offset = match &best {
-                        Some(c) => ctx.offset_after(node, c.step),
-                        None => Delay::ZERO,
-                    };
-                    (cycles, mux_op, offset)
+                    mux_op
                 };
 
                 instr.inc("mfsa.steps.feasible", feasible_steps);
@@ -479,7 +430,7 @@ impl ExhaustiveMfsa {
                     }
                     inst.busy_bits[word] |= 1 << (s % 64);
                 }
-                sched.assign(
+                placement.assign(
                     node,
                     Slot {
                         step: chosen.step,
@@ -488,9 +439,7 @@ impl ExhaustiveMfsa {
                         },
                     },
                 );
-                offsets[node.index()] = offset;
-                bounds.on_assign(dfg, node, chosen.step);
-                let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step);
+                let extensions = reg_extensions(dfg, placement.schedule(), spec, node, chosen.step);
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc(
@@ -527,6 +476,7 @@ impl ExhaustiveMfsa {
         })?;
 
         config.cancel().checkpoint()?;
+        let (sched, frames) = placement.into_parts();
         let mut allocation = AluAllocation::new();
         for inst in &instances {
             allocation.push(library.alus()[inst.kind_index].clone());

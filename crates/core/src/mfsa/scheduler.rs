@@ -16,17 +16,15 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use hls_celllib::{Delay, Library, OpKind, TimingSpec};
+use hls_celllib::{Library, OpKind, TimingSpec};
 use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
 use hls_rtl::muxopt::{pack_cost_ids, pack_seed_ids, MuxOp, PackScratch, PackSeed};
 use hls_rtl::{AluAllocation, CostReport, Datapath};
-use hls_schedule::{
-    chained_frames, priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId,
-};
+use hls_schedule::{priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId};
 
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
-use crate::frame::{feasible_step_range, BoundsCache, FrameCtx};
+use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, RegEstimate};
 use crate::mfsa::{DesignStyle, MfsaConfig};
 use crate::MoveFrameError;
@@ -374,10 +372,7 @@ pub fn schedule_traced_with_frames(
                 instr.inc("mfsa.frames.reused", 1);
                 Ok(frames)
             }
-            None => match config.clock() {
-                Some(clock) => Ok(chained_frames(dfg, spec, clock, cs)?.into_frames()),
-                None => TimeFrames::compute(dfg, spec, cs),
-            },
+            None => TimeFrames::for_clock(dfg, spec, config.clock(), cs),
         }
     })?;
     let order = instr.span("mfsa.priority", |_| priority_order(dfg, spec, &frames));
@@ -388,9 +383,7 @@ pub fn schedule_traced_with_frames(
         None => step,
     };
 
-    let mut sched = Schedule::new(dfg, cs);
-    let mut offsets: Vec<Delay> = vec![Delay::ZERO; dfg.node_count()];
-    let mut bounds = BoundsCache::new(dfg, spec, config.clock());
+    let mut placement = Placement::new(dfg, spec, config.clock(), frames);
     let mut instances: Vec<Instance<u32>> = Vec::new();
     let mut kind_terms: Vec<Option<OpKindTerms>> = OpKind::ALL.iter().map(|_| None).collect();
     // Mux lines are dense ids: a stored or external signal is its
@@ -435,96 +428,76 @@ pub fn schedule_traced_with_frames(
                 let mut best: Option<(u64, CStep, u32, u64, u64)> = None;
                 let mut n_candidates = 0u64;
                 let mut prune = PruneStats::default();
-                let (cycles, offset) = {
-                    let ctx = FrameCtx {
-                        dfg,
-                        spec,
-                        frames: &frames,
-                        schedule: &sched,
-                        clock: config.clock(),
-                        offsets: &offsets,
-                        bounds: &bounds,
-                    };
-                    let (earliest, latest) = feasible_step_range(&ctx, node);
-                    let cycles = ctx.effective_cycles(node);
-                    // Feasible steps, ordered by their f_TIME lower
-                    // bound (ties towards earlier steps). f_TIME is
-                    // non-decreasing in the step, so the queue pops
-                    // steps in ascending order — the same order the
-                    // exhaustive scan visits them.
-                    let mut queue: BinaryHeap<Reverse<(u64, CStep)>> = BinaryHeap::new();
-                    let mut step = earliest;
-                    while step <= latest {
-                        if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
-                            queue.push(Reverse((model.lower_bound(step.get(), 0), step)));
+                let cycles = placement.cycles(node);
+                let sched = placement.schedule();
+                // Feasible steps, ordered by their f_TIME lower
+                // bound (ties towards earlier steps). f_TIME is
+                // non-decreasing in the step, so the queue pops
+                // steps in ascending order — the same order the
+                // exhaustive scan visits them.
+                let mut queue: BinaryHeap<Reverse<(u64, CStep)>> = placement
+                    .feasible_steps(node)
+                    .map(|step| Reverse((model.lower_bound(step.get(), 0), step)))
+                    .collect();
+                prune.feasible_steps = queue.len() as u64;
+                while let Some(&Reverse((f_time, step))) = queue.peek() {
+                    // Wholesale cut: every remaining step's best
+                    // case — port 0 is below any real port — is no
+                    // better than this one's.
+                    if let Some((bt, bs, bp, ..)) = best {
+                        if (f_time, step, 0u32) >= (bt, bs, bp) {
+                            prune.cut_steps += queue.len() as u64;
+                            break;
                         }
-                        step = step.offset(1);
                     }
-                    prune.feasible_steps = queue.len() as u64;
-                    while let Some(&Reverse((f_time, step))) = queue.peek() {
-                        // Wholesale cut: every remaining step's best
-                        // case — port 0 is below any real port — is no
-                        // better than this one's.
-                        if let Some((bt, bs, bp, ..)) = best {
-                            if (f_time, step, 0u32) >= (bt, bs, bp) {
-                                prune.cut_steps += queue.len() as u64;
-                                break;
-                            }
+                    queue.pop();
+                    let extensions = reg_extensions(dfg, sched, spec, node, step);
+                    let f_reg = model.f_reg(
+                        reg_est
+                            .count_with(&extensions)
+                            .saturating_sub(reg_est.count()),
+                    );
+                    // Step-level cut with the exact register term:
+                    // a port candidate's energy is exactly
+                    // f_TIME + f_REG, so this cut only skips
+                    // candidates that would lose the tie-break.
+                    if let Some((bt, bs, bp, ..)) = best {
+                        if (f_time + f_reg, step, 0u32) >= (bt, bs, bp) {
+                            prune.cut_steps += 1;
+                            continue;
                         }
-                        queue.pop();
-                        let extensions = reg_extensions(dfg, &sched, spec, node, step);
-                        let f_reg = model.f_reg(
-                            reg_est
-                                .count_with(&extensions)
-                                .saturating_sub(reg_est.count()),
-                        );
-                        // Step-level cut with the exact register term:
-                        // a port candidate's energy is exactly
-                        // f_TIME + f_REG, so this cut only skips
-                        // candidates that would lose the tie-break.
-                        if let Some((bt, bs, bp, ..)) = best {
-                            if (f_time + f_reg, step, 0u32) >= (bt, bs, bp) {
-                                prune.cut_steps += 1;
-                                continue;
-                            }
+                    }
+                    prune.expanded_steps += 1;
+                    for port in 1..=ports {
+                        let free = (0..cycles as u32).all(|k| {
+                            mem_busy
+                                .get(&(bank, port, wrap(step.get() + k)))
+                                .is_none_or(|occ| {
+                                    occ.iter().all(|&o| dfg.mutually_exclusive(node, o))
+                                })
+                        });
+                        if !free {
+                            continue;
                         }
-                        prune.expanded_steps += 1;
-                        for port in 1..=ports {
-                            let free = (0..cycles as u32).all(|k| {
-                                mem_busy
-                                    .get(&(bank, port, wrap(step.get() + k)))
-                                    .is_none_or(|occ| {
-                                        occ.iter().all(|&o| dfg.mutually_exclusive(node, o))
-                                    })
+                        n_candidates += 1;
+                        prune.bound_evals += 1;
+                        let total = f_time + f_reg;
+                        if instr.enabled() {
+                            instr.emit(TraceEvent::EnergyEvaluated {
+                                op: node.index() as u32,
+                                pos: (port, step.get()),
+                                v: total,
                             });
-                            if !free {
-                                continue;
-                            }
-                            n_candidates += 1;
-                            prune.bound_evals += 1;
-                            let total = f_time + f_reg;
-                            if instr.enabled() {
-                                instr.emit(TraceEvent::EnergyEvaluated {
-                                    op: node.index() as u32,
-                                    pos: (port, step.get()),
-                                    v: total,
-                                });
-                            }
-                            let better = match best {
-                                None => true,
-                                Some((bt, bs, bp, ..)) => (total, step, port) < (bt, bs, bp),
-                            };
-                            if better {
-                                best = Some((total, step, port, f_time, f_reg));
-                            }
+                        }
+                        let better = match best {
+                            None => true,
+                            Some((bt, bs, bp, ..)) => (total, step, port) < (bt, bs, bp),
+                        };
+                        if better {
+                            best = Some((total, step, port, f_time, f_reg));
                         }
                     }
-                    let offset = match best {
-                        Some((_, step, ..)) => ctx.offset_after(node, step),
-                        None => Delay::ZERO,
-                    };
-                    (cycles, offset)
-                };
+                }
                 prune.flush(instr);
                 instr.inc("mfsa.energy_evaluations", n_candidates);
                 instr.observe("mfsa.candidates", n_candidates);
@@ -541,7 +514,7 @@ pub fn schedule_traced_with_frames(
                         .or_default()
                         .push(node);
                 }
-                sched.assign(
+                placement.assign(
                     node,
                     Slot {
                         step,
@@ -551,9 +524,7 @@ pub fn schedule_traced_with_frames(
                         },
                     },
                 );
-                offsets[node.index()] = offset;
-                bounds.on_assign(dfg, node, step);
-                let extensions = reg_extensions(dfg, &sched, spec, node, step);
+                let extensions = reg_extensions(dfg, placement.schedule(), spec, node, step);
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc("mfsa.mem_moves", 1);
@@ -597,18 +568,9 @@ pub fn schedule_traced_with_frames(
             let mut prune = PruneStats::default();
             let next_instance = instances.len() as u32 + 1;
 
-            let (cycles, mux_op, offset) = {
-                let ctx = FrameCtx {
-                    dfg,
-                    spec,
-                    frames: &frames,
-                    schedule: &sched,
-                    clock: config.clock(),
-                    offsets: &offsets,
-                    bounds: &bounds,
-                };
-                let (earliest, latest) = feasible_step_range(&ctx, node);
-                let cycles = ctx.effective_cycles(node);
+            let cycles = placement.cycles(node);
+            let mux_op = {
+                let sched = placement.schedule();
                 // Operand lines for the f_MUX estimate (independent of the
                 // candidate position in this model).
                 let line = |sig: SignalId| -> u32 {
@@ -653,14 +615,10 @@ pub fn schedule_traced_with_frames(
                 // in ascending order and candidates are examined in
                 // exactly the exhaustive loop's order — equal-key ties
                 // resolve identically under the strict-`<` tie-break.
-                let mut queue: BinaryHeap<Reverse<(u64, CStep)>> = BinaryHeap::new();
-                let mut step = earliest;
-                while step <= latest {
-                    if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
-                        queue.push(Reverse((model.lower_bound(step.get(), 0), step)));
-                    }
-                    step = step.offset(1);
-                }
+                let mut queue: BinaryHeap<Reverse<(u64, CStep)>> = placement
+                    .feasible_steps(node)
+                    .map(|step| Reverse((model.lower_bound(step.get(), 0), step)))
+                    .collect();
                 prune.feasible_steps = queue.len() as u64;
 
                 while let Some(&Reverse((f_time, step))) = queue.peek() {
@@ -673,7 +631,7 @@ pub fn schedule_traced_with_frames(
                         break;
                     }
                     queue.pop();
-                    let extensions = reg_extensions(dfg, &sched, spec, node, step);
+                    let extensions = reg_extensions(dfg, sched, spec, node, step);
                     let f_reg = model.f_reg(
                         reg_est
                             .count_with(&extensions)
@@ -790,11 +748,7 @@ pub fn schedule_traced_with_frames(
                         consider(&mut best, c);
                     }
                 }
-                let offset = match &best {
-                    Some(c) => ctx.offset_after(node, c.step),
-                    None => Delay::ZERO,
-                };
-                (cycles, mux_op, offset)
+                mux_op
             };
 
             prune.flush(instr);
@@ -850,7 +804,7 @@ pub fn schedule_traced_with_frames(
                 }
                 inst.busy_bits[word] |= 1 << (s % 64);
             }
-            sched.assign(
+            placement.assign(
                 node,
                 Slot {
                     step: chosen.step,
@@ -859,9 +813,7 @@ pub fn schedule_traced_with_frames(
                     },
                 },
             );
-            offsets[node.index()] = offset;
-            bounds.on_assign(dfg, node, chosen.step);
-            let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step);
+            let extensions = reg_extensions(dfg, placement.schedule(), spec, node, chosen.step);
             reg_est.commit(&extensions);
             instr.inc("mfsa.moves_committed", 1);
             instr.inc(
@@ -899,6 +851,7 @@ pub fn schedule_traced_with_frames(
 
     // Assemble the data path.
     config.cancel().checkpoint()?;
+    let (sched, frames) = placement.into_parts();
     let mut allocation = AluAllocation::new();
     for inst in &instances {
         allocation.push(library.alus()[inst.kind_index].clone());

@@ -1,12 +1,12 @@
-//! Randomized stress: the incrementally-maintained `BoundsCache` (and
-//! the chaining offset table it repairs on vacate) must agree with a
-//! cold rebuild after any interleaving of probe-driven placements and
+//! Randomized stress: a [`Placement`]'s incrementally-maintained
+//! `BoundsCache` and chaining offset table must agree with a cold
+//! rebuild after any interleaving of frame-driven placements and
 //! vacates, for every node, under plain, multicycle and chained specs.
 
 use hls_celllib::{ClockPeriod, Delay, OpKind, TimingSpec};
 use hls_dfg::{Dfg, DfgBuilder, NodeId, SignalId, SignalSource};
-use hls_schedule::{chained_frames, CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use hls_schedule::{CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
+use moveframe::{BoundsCache, Placement};
 use proptest::prelude::*;
 
 /// A cold cache for the current schedule: replay every live assignment
@@ -61,12 +61,12 @@ fn cold_offsets(
 
 fn assert_state_matches(
     dfg: &Dfg,
-    warm: &BoundsCache,
-    warm_offsets: &[Delay],
+    placement: &Placement<'_>,
     cold: &BoundsCache,
     cold_offsets: &[Delay],
     trail: &str,
 ) {
+    let warm = placement.bounds();
     for id in dfg.node_ids() {
         assert_eq!(
             warm.pred_finish(id),
@@ -81,7 +81,7 @@ fn assert_state_matches(
             dfg.node(id).name()
         );
         assert_eq!(
-            warm_offsets[id.index()],
+            placement.offset(id),
             cold_offsets[id.index()],
             "stale chaining offset for {} after {trail}",
             dfg.node(id).name()
@@ -156,13 +156,8 @@ fn node_of(dfg: &Dfg, sig: SignalId) -> NodeId {
 }
 
 fn stress(dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>, seed: u64, cs: u32) {
-    let frames = match clock {
-        Some(t) => chained_frames(dfg, spec, t, cs).unwrap().into_frames(),
-        None => TimeFrames::compute(dfg, spec, cs).unwrap(),
-    };
-    let mut warm = BoundsCache::new(dfg, spec, clock);
-    let mut sched = Schedule::new(dfg, cs);
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
+    let frames = TimeFrames::for_clock(dfg, spec, clock, cs).unwrap();
+    let mut placement = Placement::new(dfg, spec, clock, frames);
     let ids: Vec<NodeId> = dfg.node_ids().collect();
     let mut state = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
     let mut next = move |m: u64| -> u64 {
@@ -174,73 +169,33 @@ fn stress(dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>, seed: u64, c
     let mut trail = String::new();
     for _ in 0..64 {
         let id = ids[next(ids.len() as u64) as usize];
-        if sched.start(id).is_some() {
-            sched.unassign(id);
-            warm.on_unassign(dfg, &sched, &mut offsets, id);
+        if placement.unassign(id).is_some() {
             trail.push_str(&format!("vacate({}) ", dfg.node(id).name()));
         } else {
-            // Probe the dependency-feasible range and pick a random step
+            // Frame the dependency-feasible range and pick a random step
             // inside it — the placements a real scheduler would make.
             let class = dfg.node(id).kind().fu_class();
             let probe_grid = Grid::new(class, cs, 1);
-            let snap = probe_move_frame(
-                dfg,
-                spec,
-                &frames,
-                &sched,
-                clock,
-                &offsets,
-                &warm,
-                id,
-                &probe_grid,
-                1,
-            );
+            let snap = placement.frame(id, &probe_grid, 1, true).0;
             if snap.earliest_feasible > snap.latest_feasible {
                 continue;
             }
             let span = u64::from(snap.latest_feasible.get() - snap.earliest_feasible.get()) + 1;
             let step = CStep::new(snap.earliest_feasible.get() + next(span) as u32);
-            if step.finish(warm.cycles(id)).get() > cs {
+            if step.finish(placement.cycles(id)).get() > cs {
                 continue;
             }
-            // The accumulated chain offset this placement would carry.
-            let chain_base = dfg
-                .preds(id)
-                .iter()
-                .filter_map(|&p| {
-                    let ps = sched.start(p)?;
-                    let chains = clock.is_some()
-                        && warm.cycles(p) == 1
-                        && dfg.node(p).kind().delay(spec).as_u32() > 0
-                        && ps.finish(warm.cycles(p)) == step;
-                    chains.then_some(offsets[p.index()])
-                })
-                .max()
-                .unwrap_or(Delay::ZERO);
-            let chainable = clock.is_some()
-                && warm.cycles(id) == 1
-                && dfg.node(id).kind().delay(spec).as_u32() > 0;
-            sched.assign(
-                id,
-                Slot {
-                    step,
-                    unit: UnitId::Fu {
-                        class,
-                        index: FuIndex::new(1),
-                    },
-                },
-            );
-            warm.on_assign(dfg, id, step);
-            offsets[id.index()] = if chainable {
-                chain_base + dfg.node(id).kind().delay(spec)
-            } else {
-                Delay::ZERO
+            let unit = UnitId::Fu {
+                class,
+                index: FuIndex::new(1),
             };
+            placement.assign(id, Slot { step, unit });
             trail.push_str(&format!("place({}@{}) ", dfg.node(id).name(), step.get()));
         }
-        let reference = cold(dfg, spec, clock, &sched);
-        let reference_offsets = cold_offsets(dfg, spec, clock, &reference, &sched);
-        assert_state_matches(dfg, &warm, &offsets, &reference, &reference_offsets, &trail);
+        let sched = placement.schedule();
+        let reference = cold(dfg, spec, clock, sched);
+        let reference_offsets = cold_offsets(dfg, spec, clock, &reference, sched);
+        assert_state_matches(dfg, &placement, &reference, &reference_offsets, &trail);
     }
 }
 
@@ -290,23 +245,20 @@ fn vacating_the_only_predecessor_resets_the_bound() {
     let dfg = b.finish().unwrap();
     let (p, q) = (node_of(&dfg, p), node_of(&dfg, q));
     let spec = TimingSpec::uniform_single_cycle();
-    let mut sched = Schedule::new(&dfg, 8);
-    let mut bounds = BoundsCache::new(&dfg, &spec, None);
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    sched.assign(
-        p,
-        Slot {
-            step: CStep::new(3),
-            unit: UnitId::Fu {
-                class: dfg.node(p).kind().fu_class(),
-                index: FuIndex::new(1),
-            },
-        },
+    let frames = TimeFrames::compute(&dfg, &spec, 8).unwrap();
+    let mut placement = Placement::new(&dfg, &spec, None, frames);
+    let unit = UnitId::Fu {
+        class: dfg.node(p).kind().fu_class(),
+        index: FuIndex::new(1),
+    };
+    let step = CStep::new(3);
+    placement.assign(p, Slot { step, unit });
+    assert_eq!(placement.bounds().pred_finish(q), 3);
+    placement.unassign(p);
+    assert_eq!(
+        placement.bounds().pred_finish(q),
+        0,
+        "stale bound after vacate"
     );
-    bounds.on_assign(&dfg, p, CStep::new(3));
-    assert_eq!(bounds.pred_finish(q), 3);
-    sched.unassign(p);
-    bounds.on_unassign(&dfg, &sched, &mut offsets, p);
-    assert_eq!(bounds.pred_finish(q), 0, "stale bound after vacate");
-    assert_eq!(bounds.succ_start(p), u32::MAX);
+    assert_eq!(placement.bounds().succ_start(p), u32::MAX);
 }

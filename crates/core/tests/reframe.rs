@@ -1,52 +1,52 @@
-//! Vacate/re-frame determinism: removing an operation from the dense
-//! scheduler state (schedule slot, bounds cache, occupancy grid, offset
-//! table) and re-placing it identically must reproduce the *exact*
-//! `FrameSnapshot` a cold rebuild computes — including the chaining
-//! boundary step and the memory `af_steps`. This is the contract that
-//! lets local rescheduling mutate state in place instead of rebuilding.
+//! Vacate/re-frame determinism: removing an operation from a
+//! [`Placement`] (schedule slot, bounds cache, offset table) and its
+//! occupancy grid and re-placing it identically must reproduce the
+//! *exact* `FrameSnapshot` a cold rebuild computes — including the
+//! chaining boundary step and the memory `af_steps`. This is the
+//! contract that lets local rescheduling mutate state in place instead
+//! of rebuilding.
 
 use hls_celllib::{ClockPeriod, Delay, OpKind, TimingSpec};
 use hls_dfg::{Dfg, DfgBuilder, FuClass, NodeId, SignalSource};
-use hls_schedule::{chained_frames, CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use hls_schedule::{CStep, FuIndex, Grid, Slot, TimeFrames, UnitId};
+use moveframe::{FrameSnapshot, Placement};
 
-/// Dense scheduler state for one grid class, mutated in lock-step.
-struct State {
-    sched: Schedule,
-    bounds: BoundsCache,
+/// A placement plus the occupancy grid of the one class under test.
+struct Fixture<'a> {
+    placement: Placement<'a>,
     grid: Grid,
-    offsets: Vec<Delay>,
 }
 
-impl State {
-    fn new(dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>, grid: Grid, cs: u32) -> State {
-        State {
-            sched: Schedule::new(dfg, cs),
-            bounds: BoundsCache::new(dfg, spec, clock),
+impl<'a> Fixture<'a> {
+    fn new(
+        dfg: &'a Dfg,
+        spec: &'a TimingSpec,
+        clock: Option<ClockPeriod>,
+        frames: &TimeFrames,
+        grid: Grid,
+    ) -> Self {
+        Fixture {
+            placement: Placement::new(dfg, spec, clock, frames.clone()),
             grid,
-            offsets: vec![Delay::ZERO; dfg.node_count()],
         }
     }
 
-    fn place(&mut self, dfg: &Dfg, node: NodeId, step: CStep, fu: FuIndex, offset: Delay) {
-        let class = dfg.node(node).kind().fu_class();
-        self.sched.assign(
-            node,
-            Slot {
-                step,
-                unit: UnitId::Fu { class, index: fu },
-            },
-        );
-        self.bounds.on_assign(dfg, node, step);
-        self.grid.occupy(node, step, fu, self.bounds.cycles(node));
-        self.offsets[node.index()] = offset;
+    fn place(&mut self, node: NodeId, step: u32, fu: u32) {
+        let (step, fu) = (CStep::new(step), FuIndex::new(fu));
+        let class = self.grid.class();
+        let unit = UnitId::Fu { class, index: fu };
+        self.placement.assign(node, Slot { step, unit });
+        self.grid
+            .occupy(node, step, fu, self.placement.cycles(node));
     }
 
-    fn vacate(&mut self, dfg: &Dfg, node: NodeId) {
-        self.sched.unassign(node);
-        self.bounds
-            .on_unassign(dfg, &self.sched, &mut self.offsets, node);
+    fn vacate(&mut self, node: NodeId) {
+        self.placement.unassign(node);
         self.grid.vacate(node);
+    }
+
+    fn probe(&self, node: NodeId, columns: u32) -> FrameSnapshot {
+        self.placement.frame(node, &self.grid, columns, true).0
     }
 }
 
@@ -72,59 +72,40 @@ fn reframe_after_vacate_matches_cold_recompute_with_chaining() {
     let dfg = b.finish().unwrap();
     let (a, c, d) = (node_of(&dfg, a), node_of(&dfg, c), node_of(&dfg, d));
     let spec = TimingSpec::with_delays();
-    let clock = ClockPeriod::new(100);
+    let clock = Some(ClockPeriod::new(100));
     let cs = 3;
-    let frames = chained_frames(&dfg, &spec, clock, cs)
-        .unwrap()
-        .into_frames();
+    let frames = TimeFrames::for_clock(&dfg, &spec, clock, cs).unwrap();
     let class = FuClass::Op(OpKind::Add);
-
-    let probe = |st: &State| {
-        probe_move_frame(
-            &dfg,
-            &spec,
-            &frames,
-            &st.sched,
-            Some(clock),
-            &st.offsets,
-            &st.bounds,
-            d,
-            &st.grid,
-            2,
-        )
-    };
-    let place_a =
-        |st: &mut State| st.place(&dfg, a, CStep::new(1), FuIndex::new(1), Delay::new(48));
-    let place_c =
-        |st: &mut State| st.place(&dfg, c, CStep::new(1), FuIndex::new(2), Delay::new(96));
+    let fresh = || Fixture::new(&dfg, &spec, clock, &frames, Grid::new(class, cs, 2));
 
     // Warm state: place a and c, snapshot d's frame.
-    let mut warm = State::new(&dfg, &spec, Some(clock), Grid::new(class, cs, 2), cs);
-    place_a(&mut warm);
-    place_c(&mut warm);
-    let before = probe(&warm);
+    let mut warm = fresh();
+    warm.place(a, 1, 1);
+    warm.place(c, 1, 2);
+    assert_eq!(warm.placement.offset(c), Delay::new(96), "c chains after a");
+    let before = warm.probe(d, 2);
     // The chained boundary must actually be in play for this test to
     // mean anything: step 1 is excluded only by the clock budget.
     assert_eq!(before.earliest_feasible, CStep::new(2));
 
     // Vacate c, then re-place it identically: the incremental state must
     // round-trip.
-    warm.vacate(&dfg, c);
-    let widened = probe(&warm);
+    warm.vacate(c);
+    let widened = warm.probe(d, 2);
     assert_eq!(
         widened.earliest_feasible,
         CStep::new(2),
         "with only a placed, d still sits above a's successor chain"
     );
-    place_c(&mut warm);
-    let after = probe(&warm);
+    warm.place(c, 1, 2);
+    let after = warm.probe(d, 2);
     assert_eq!(before, after, "vacate + identical re-place must round-trip");
 
     // Cold rebuild from scratch must agree bit-for-bit.
-    let mut cold = State::new(&dfg, &spec, Some(clock), Grid::new(class, cs, 2), cs);
-    place_a(&mut cold);
-    place_c(&mut cold);
-    assert_eq!(before, probe(&cold), "cold recompute must match");
+    let mut cold = fresh();
+    cold.place(a, 1, 1);
+    cold.place(c, 1, 2);
+    assert_eq!(before, cold.probe(d, 2), "cold recompute must match");
 }
 
 #[test]
@@ -134,7 +115,7 @@ fn vacated_chain_source_does_not_leave_a_stale_feasible_range() {
     // their ASAP, so the static frame cannot mask the boundary check).
     // c's finish offset is 96 and d's frame opens at step 3
     // (96 + 48 > 100). After vacating a, c's true chain offset drops to
-    // 48, so d fits into step 2 (48 + 48 ≤ 100). `on_unassign` used to
+    // 48, so d fits into step 2 (48 + 48 ≤ 100). The vacate used to
     // repair only the pred/succ step bounds and leave c's accumulated
     // offset at 96, making a probe of d report `earliest_feasible = 3`
     // — one step stale — until c itself was touched.
@@ -147,49 +128,37 @@ fn vacated_chain_source_does_not_leave_a_stale_feasible_range() {
     let dfg = b.finish().unwrap();
     let (a, c, d) = (node_of(&dfg, a), node_of(&dfg, c), node_of(&dfg, d));
     let spec = TimingSpec::with_delays();
-    let clock = ClockPeriod::new(100);
+    let clock = Some(ClockPeriod::new(100));
     let cs = 3;
-    let frames = chained_frames(&dfg, &spec, clock, cs)
-        .unwrap()
-        .into_frames();
+    let frames = TimeFrames::for_clock(&dfg, &spec, clock, cs).unwrap();
     let class = FuClass::Op(OpKind::Add);
+    let fresh = || Fixture::new(&dfg, &spec, clock, &frames, Grid::new(class, cs, 2));
 
-    let probe = |st: &State| {
-        probe_move_frame(
-            &dfg,
-            &spec,
-            &frames,
-            &st.sched,
-            Some(clock),
-            &st.offsets,
-            &st.bounds,
-            d,
-            &st.grid,
-            2,
-        )
-    };
+    let mut st = fresh();
+    st.place(a, 2, 1);
+    st.place(c, 2, 2);
+    assert_eq!(st.probe(d, 2).earliest_feasible, CStep::new(3));
 
-    let mut st = State::new(&dfg, &spec, Some(clock), Grid::new(class, cs, 2), cs);
-    st.place(&dfg, a, CStep::new(2), FuIndex::new(1), Delay::new(48));
-    st.place(&dfg, c, CStep::new(2), FuIndex::new(2), Delay::new(96));
-    assert_eq!(probe(&st).earliest_feasible, CStep::new(3));
-
-    st.vacate(&dfg, a);
+    st.vacate(a);
     assert_eq!(
-        st.offsets[c.index()],
+        st.placement.offset(c),
         Delay::new(48),
         "vacating a must rebase c's chained offset"
     );
     assert_eq!(
-        probe(&st).earliest_feasible,
+        st.probe(d, 2).earliest_feasible,
         CStep::new(2),
         "with a gone, d chains after c inside step 2"
     );
 
     // A cold rebuild of the post-vacate state agrees bit-for-bit.
-    let mut cold = State::new(&dfg, &spec, Some(clock), Grid::new(class, cs, 2), cs);
-    cold.place(&dfg, c, CStep::new(2), FuIndex::new(2), Delay::new(48));
-    assert_eq!(probe(&st), probe(&cold), "cold recompute must match");
+    let mut cold = fresh();
+    cold.place(c, 2, 2);
+    assert_eq!(
+        st.probe(d, 2),
+        cold.probe(d, 2),
+        "cold recompute must match"
+    );
 }
 
 #[test]
@@ -209,47 +178,33 @@ fn reframe_after_vacate_matches_cold_recompute_with_af_steps() {
     let cs = 4;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
     let class = dfg.node(l0).kind().fu_class();
+    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(class, cs, 1));
 
-    let probe = |st: &State| {
-        probe_move_frame(
-            &dfg,
-            &spec,
-            &frames,
-            &st.sched,
-            None,
-            &st.offsets,
-            &st.bounds,
-            l2,
-            &st.grid,
-            1,
-        )
-    };
-
-    let mut warm = State::new(&dfg, &spec, None, Grid::new(class, cs, 1), cs);
-    warm.place(&dfg, l0, CStep::new(1), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, l1, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    let before = probe(&warm);
+    let mut warm = fresh();
+    warm.place(l0, 1, 1);
+    warm.place(l1, 2, 1);
+    let before = warm.probe(l2, 1);
     assert_eq!(
         before.af_steps,
         vec![CStep::new(1), CStep::new(2)],
         "saturated port steps belong to the access-conflict frame"
     );
 
-    warm.vacate(&dfg, l1);
-    let widened = probe(&warm);
+    warm.vacate(l1);
+    let widened = warm.probe(l2, 1);
     assert_eq!(
         widened.af_steps,
         vec![CStep::new(1)],
         "vacating frees step 2 for the probe"
     );
-    warm.place(&dfg, l1, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    let after = probe(&warm);
+    warm.place(l1, 2, 1);
+    let after = warm.probe(l2, 1);
     assert_eq!(before, after, "vacate + identical re-place must round-trip");
 
-    let mut cold = State::new(&dfg, &spec, None, Grid::new(class, cs, 1), cs);
-    cold.place(&dfg, l0, CStep::new(1), FuIndex::new(1), Delay::ZERO);
-    cold.place(&dfg, l1, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    assert_eq!(before, probe(&cold), "cold recompute must match");
+    let mut cold = fresh();
+    cold.place(l0, 1, 1);
+    cold.place(l1, 2, 1);
+    assert_eq!(before, cold.probe(l2, 1), "cold recompute must match");
 }
 
 #[test]
@@ -278,46 +233,32 @@ fn region_vacate_and_replace_matches_cold_recompute_under_banks() {
     let cs = 5;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
     let class = dfg.node(l0).kind().fu_class();
+    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(class, cs, 1));
 
     // l3 stays unscheduled and is the probe target throughout.
-    let probe = |st: &State| {
-        probe_move_frame(
-            &dfg,
-            &spec,
-            &frames,
-            &st.sched,
-            None,
-            &st.offsets,
-            &st.bounds,
-            l3,
-            &st.grid,
-            1,
-        )
-    };
-
-    let mut warm = State::new(&dfg, &spec, None, Grid::new(class, cs, 1), cs);
-    warm.place(&dfg, l0, CStep::new(1), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, l1, CStep::new(3), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, l2, CStep::new(4), FuIndex::new(1), Delay::ZERO);
+    let mut warm = fresh();
+    warm.place(l0, 1, 1);
+    warm.place(l1, 3, 1);
+    warm.place(l2, 4, 1);
     assert_eq!(
-        probe(&warm).af_steps,
+        warm.probe(l3, 1).af_steps,
         vec![CStep::new(1), CStep::new(3), CStep::new(4)],
         "every occupied port step is access-conflict for l3"
     );
 
     // Whole-region vacate: both nodes leave before anything returns.
-    warm.vacate(&dfg, l2);
-    warm.vacate(&dfg, l1);
+    warm.vacate(l2);
+    warm.vacate(l1);
     assert_eq!(
-        probe(&warm).af_steps,
+        warm.probe(l3, 1).af_steps,
         vec![CStep::new(1)],
         "a vacated region frees all its port slots at once"
     );
 
     // Re-place compressed (the Earlier sweep): l1 and l2 move up a step.
-    warm.place(&dfg, l1, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, l2, CStep::new(3), FuIndex::new(1), Delay::ZERO);
-    let after = probe(&warm);
+    warm.place(l1, 2, 1);
+    warm.place(l2, 3, 1);
+    let after = warm.probe(l3, 1);
     assert_eq!(
         after.af_steps,
         vec![CStep::new(1), CStep::new(2), CStep::new(3)],
@@ -325,11 +266,11 @@ fn region_vacate_and_replace_matches_cold_recompute_under_banks() {
     );
 
     // Cold rebuild of the compressed placement agrees bit-for-bit.
-    let mut cold = State::new(&dfg, &spec, None, Grid::new(class, cs, 1), cs);
-    cold.place(&dfg, l0, CStep::new(1), FuIndex::new(1), Delay::ZERO);
-    cold.place(&dfg, l1, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    cold.place(&dfg, l2, CStep::new(3), FuIndex::new(1), Delay::ZERO);
-    assert_eq!(after, probe(&cold), "cold recompute must match");
+    let mut cold = fresh();
+    cold.place(l0, 1, 1);
+    cold.place(l1, 2, 1);
+    cold.place(l2, 3, 1);
+    assert_eq!(after, cold.probe(l3, 1), "cold recompute must match");
 }
 
 #[test]
@@ -357,27 +298,13 @@ fn store_hazard_tokens_survive_region_reframe() {
     let cs = 5;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
     let class = dfg.node(l0).kind().fu_class();
+    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(class, cs, 1));
 
-    let probe = |st: &State| {
-        probe_move_frame(
-            &dfg,
-            &spec,
-            &frames,
-            &st.sched,
-            None,
-            &st.offsets,
-            &st.bounds,
-            l2,
-            &st.grid,
-            1,
-        )
-    };
-
-    let mut warm = State::new(&dfg, &spec, None, Grid::new(class, cs, 1), cs);
-    warm.place(&dfg, l0, CStep::new(1), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, s0, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, l1, CStep::new(3), FuIndex::new(1), Delay::ZERO);
-    let before = probe(&warm);
+    let mut warm = fresh();
+    warm.place(l0, 1, 1);
+    warm.place(s0, 2, 1);
+    warm.place(l1, 3, 1);
+    let before = warm.probe(l2, 1);
     assert_eq!(
         before.earliest_feasible,
         CStep::new(3),
@@ -389,9 +316,9 @@ fn store_hazard_tokens_survive_region_reframe() {
         "only the dependency-feasible saturated step is access-conflict"
     );
 
-    warm.vacate(&dfg, l1);
-    warm.vacate(&dfg, s0);
-    let widened = probe(&warm);
+    warm.vacate(l1);
+    warm.vacate(s0);
+    let widened = warm.probe(l2, 1);
     assert_eq!(
         widened.earliest_feasible,
         CStep::new(3),
@@ -402,14 +329,14 @@ fn store_hazard_tokens_survive_region_reframe() {
         "the vacated region frees every in-range port slot"
     );
 
-    warm.place(&dfg, s0, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    warm.place(&dfg, l1, CStep::new(3), FuIndex::new(1), Delay::ZERO);
-    let after = probe(&warm);
+    warm.place(s0, 2, 1);
+    warm.place(l1, 3, 1);
+    let after = warm.probe(l2, 1);
     assert_eq!(before, after, "vacate + identical re-place must round-trip");
 
-    let mut cold = State::new(&dfg, &spec, None, Grid::new(class, cs, 1), cs);
-    cold.place(&dfg, l0, CStep::new(1), FuIndex::new(1), Delay::ZERO);
-    cold.place(&dfg, s0, CStep::new(2), FuIndex::new(1), Delay::ZERO);
-    cold.place(&dfg, l1, CStep::new(3), FuIndex::new(1), Delay::ZERO);
-    assert_eq!(before, probe(&cold), "cold recompute must match");
+    let mut cold = fresh();
+    cold.place(l0, 1, 1);
+    cold.place(s0, 2, 1);
+    cold.place(l1, 3, 1);
+    assert_eq!(before, cold.probe(l2, 1), "cold recompute must match");
 }

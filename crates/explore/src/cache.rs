@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use hls_celllib::{ClockPeriod, TimingSpec};
 use hls_dfg::Dfg;
-use hls_schedule::{chained_frames, TimeFrames};
+use hls_schedule::TimeFrames;
 
 use crate::diskcache::{DiskCache, DiskStats};
 use crate::engine::PointMetrics;
@@ -195,12 +195,7 @@ impl ExploreCache {
         let mut computed = false;
         let value = slot.get_or_init(|| {
             computed = true;
-            match clock {
-                Some(clock) => chained_frames(dfg, spec, clock, cs)
-                    .map(|c| c.into_frames())
-                    .map_err(|e| e.to_string()),
-                None => TimeFrames::compute(dfg, spec, cs).map_err(|e| e.to_string()),
-            }
+            TimeFrames::for_clock(dfg, spec, clock, cs).map_err(|e| e.to_string())
         });
         let mut stats = self.stats.lock().expect("stats lock");
         stats.0.evictions += evicted;

@@ -24,11 +24,9 @@
 
 use std::collections::VecDeque;
 
-use hls_celllib::{ClockPeriod, TimingSpec};
+use hls_celllib::{effective_cycles, ClockPeriod, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
 use hls_schedule::Schedule;
-
-use crate::splice::effective_cycles;
 
 /// The extracted bottleneck region.
 #[derive(Debug, Clone)]
@@ -57,12 +55,32 @@ pub(crate) fn spans(
     let mut finish = vec![0u32; n];
     let mut horizon = 0u32;
     for (node, slot) in schedule.iter() {
-        let cycles = effective_cycles(dfg, spec, clock, node);
+        let kind = dfg.node(node).kind();
+        let cycles = effective_cycles(kind.cycles(spec), kind.delay(spec), clock);
         start[node.index()] = slot.step.get();
         finish[node.index()] = slot.step.finish(cycles).get();
         horizon = horizon.max(finish[node.index()]);
     }
     (start, finish, horizon)
+}
+
+/// Achieved horizon: the last occupied (finish) control step, counting
+/// clock-multicycled operations at their effective length.
+pub(crate) fn achieved_horizon(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    clock: Option<ClockPeriod>,
+    schedule: &Schedule,
+) -> u32 {
+    schedule
+        .iter()
+        .map(|(node, slot)| {
+            let kind = dfg.node(node).kind();
+            let cycles = effective_cycles(kind.cycles(spec), kind.delay(spec), clock);
+            slot.step.finish(cycles).get()
+        })
+        .max()
+        .unwrap_or(1)
 }
 
 /// Carves the bottleneck region of `schedule`. See the module docs.

@@ -10,10 +10,10 @@
 //!    horizon finishers), accesses on port-saturated memory banks, and
 //!    any caller-supplied hotspot hints. Everything outside the region
 //!    is frozen.
-//! 2. **Re-schedule** (`splice`) — vacate the region from the dense
-//!    scheduler state and re-place it under the *achieved* horizon
-//!    using the [`moveframe::BoundsCache`] vacate→probe machinery (the
-//!    same path hls-partition's stitcher uses). A compression splice
+//! 2. **Re-schedule** (`splice`) — vacate the region from a
+//!    [`moveframe::Placement`] of the schedule and re-place it under the
+//!    *achieved* horizon (the same state hls-partition's stitcher
+//!    works on). A compression splice
 //!    takes the earliest improving positions; a register re-timing
 //!    splice drifts producers toward their consumers.
 //! 3. **Accept or roll back** — a splice is committed only if the full
@@ -54,12 +54,12 @@ mod splice;
 use hls_celllib::{ClockPeriod, Library, TimingSpec};
 use hls_dfg::{Dfg, NodeId};
 use hls_rtl::{CostReport, Datapath};
-use hls_schedule::{verify_traced, Schedule, ScheduleStats, UnitId, VerifyOptions};
+use hls_schedule::{verify, verify_traced, Schedule, ScheduleStats, VerifyOptions, Violation};
 use hls_telemetry::Instrument;
 use moveframe::mfsa::MfsaOutcome;
+use moveframe::Direction;
 
 pub use extract::{extract_region, Region};
-use splice::Direction;
 
 /// Errors of the refine loop.
 #[derive(Debug)]
@@ -67,6 +67,9 @@ pub enum IterateError {
     /// The baseline uses a feature the splice kernels cannot preserve
     /// (functional pipelining, incomplete schedules).
     Unsupported(String),
+    /// The baseline does not verify under the configured clock; the
+    /// violations the schedule verifier reports.
+    InvalidBaseline(Vec<Violation>),
     /// An internal invariant violation; always a bug.
     Internal(String),
 }
@@ -75,6 +78,14 @@ impl std::fmt::Display for IterateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IterateError::Unsupported(why) => write!(f, "iterate unsupported: {why}"),
+            IterateError::InvalidBaseline(violations) => match violations.first() {
+                Some(first) => write!(
+                    f,
+                    "invalid iterate baseline: {} schedule violation(s), first {first:?}",
+                    violations.len()
+                ),
+                None => write!(f, "invalid iterate baseline"),
+            },
             IterateError::Internal(why) => write!(f, "internal iterate error: {why}"),
         }
     }
@@ -166,9 +177,17 @@ fn objective(
     clock: Option<ClockPeriod>,
     schedule: &Schedule,
 ) -> (u32, usize) {
-    let csteps = splice::achieved_horizon(dfg, spec, clock, schedule);
+    let csteps = extract::achieved_horizon(dfg, spec, clock, schedule);
     let registers = ScheduleStats::compute(dfg, schedule, spec).registers;
     (csteps, registers)
+}
+
+/// The verifier options every baseline and candidate is checked under.
+fn verify_options(clock: Option<ClockPeriod>) -> VerifyOptions {
+    VerifyOptions {
+        latency: None,
+        clock,
+    }
 }
 
 /// Whether a candidate splice passes the full verifier and the memory
@@ -180,11 +199,7 @@ fn splice_is_sound(
     candidate: &Schedule,
     instr: &mut Instrument<'_>,
 ) -> bool {
-    let options = VerifyOptions {
-        latency: None,
-        clock,
-    };
-    let violations = verify_traced(dfg, candidate, spec, options, instr);
+    let violations = verify_traced(dfg, candidate, spec, verify_options(clock), instr);
     if !violations.is_empty() {
         return false;
     }
@@ -193,10 +208,16 @@ fn splice_is_sound(
 
 /// Runs the extract → re-schedule → accept loop on `baseline`.
 ///
-/// The baseline must be complete; FU-bound schedules (MFS, the
-/// baselines) get the move-frame splice, ALU-bound schedules (MFSA) the
-/// allocation-preserving slide splice. Deterministic: the result is a
-/// pure function of `(dfg, spec, baseline, config)`.
+/// The baseline must be complete and verify under `config.clock`;
+/// FU-bound schedules (MFS, the baselines) get the move-frame splice,
+/// ALU-bound schedules (MFSA) the allocation-preserving slide splice.
+/// Deterministic: the result is a pure function of
+/// `(dfg, spec, baseline, config)`.
+///
+/// # Errors
+///
+/// [`IterateError::Unsupported`] for pipelined or incomplete baselines,
+/// [`IterateError::InvalidBaseline`] for one that does not verify.
 pub fn refine(
     dfg: &Dfg,
     spec: &TimingSpec,
@@ -216,9 +237,11 @@ pub fn refine(
             "incomplete baseline schedule".into(),
         ));
     }
-    let alu_bound = baseline
-        .iter()
-        .any(|(_, s)| matches!(s.unit, UnitId::Alu { .. }));
+    // Checked with the plain verifier, so no telemetry counter moves.
+    let violations = verify(dfg, baseline, spec, verify_options(config.clock));
+    if !violations.is_empty() {
+        return Err(IterateError::InvalidBaseline(violations));
+    }
 
     let mut current = baseline.clone();
     let (csteps_before, registers_before) = objective(dfg, spec, config.clock, &current);
@@ -252,29 +275,16 @@ pub fn refine(
             (Direction::Earlier, "iterate.splice.compress"),
             (Direction::Later, "iterate.splice.retime"),
         ] {
-            let mut candidate = current.clone();
-            let splice_moves = instr.span(span_name, |_| {
-                if alu_bound {
-                    Ok(splice::sweep_alu(
-                        dfg,
-                        spec,
-                        config.clock,
-                        &mut candidate,
-                        &region.nodes,
-                        direction,
-                        config.max_sweeps,
-                    ))
-                } else {
-                    splice::sweep_fu(
-                        dfg,
-                        spec,
-                        config.clock,
-                        &mut candidate,
-                        &region.nodes,
-                        direction,
-                        config.max_sweeps,
-                    )
-                }
+            let (candidate, splice_moves) = instr.span(span_name, |_| {
+                splice::splice(
+                    dfg,
+                    spec,
+                    config.clock,
+                    &current,
+                    &region.nodes,
+                    direction,
+                    config.max_sweeps,
+                )
             })?;
             if splice_moves == 0 {
                 continue;

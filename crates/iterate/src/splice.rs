@@ -1,21 +1,19 @@
-//! Constrained re-scheduling splices: vacate the region nodes from the
-//! dense scheduler state and re-place them under the **achieved**
-//! horizon — one control step tighter every time an iteration lands.
+//! Constrained re-scheduling splices: vacate the region nodes from a
+//! dense [`Placement`] of the schedule and re-place them under the
+//! **achieved** horizon — one control step tighter every time an
+//! iteration lands.
 //!
-//! Two kernels mirror the two binding worlds, exactly as
-//! hls-partition's stitcher does:
+//! The binding world picks the kernel:
 //!
 //! * [`sweep_fu`] (class-grid schedules, MFS and the baselines):
-//!   vacate from the schedule, [`BoundsCache`] and occupancy grid, then
-//!   re-frame with [`probe_move_frame`] — the vacate→re-frame contract
-//!   `crates/core/tests/reframe.rs` pins, including chained offsets and
-//!   the memory access-conflict frames.
-//! * [`sweep_alu`] (ALU-bound schedules, MFSA): slide each region node
-//!   along its *own* unit, preserving both the allocation and (for
-//!   memory accesses) the port binding, using the same [`BoundsCache`]
-//!   feasibility bounds. Sliding never lands a node on a scheduled
-//!   neighbour's boundary step, so no new chaining is created and the
-//!   clock budget cannot overflow.
+//!   vacate the whole region from the placement and its occupancy
+//!   grids, then re-frame each node with [`Placement::frame`] — the
+//!   vacate→re-frame contract `crates/core/tests/reframe.rs` pins,
+//!   including chained offsets and the memory access-conflict frames.
+//! * ALU-bound schedules (MFSA) run [`Placement::slide`]: each region
+//!   node slides along its *own* unit, preserving both the allocation
+//!   and (for memory accesses) the port binding — the same kernel the
+//!   hls-partition stitcher runs on MFSA-merged schedules.
 //!
 //! Both kernels sweep the region in topological order and repeat until
 //! a fixpoint or the sweep cap; every data structure is ordered
@@ -24,11 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use hls_celllib::{ClockPeriod, Delay, TimingSpec};
+use hls_celllib::{ClockPeriod, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
-use hls_schedule::{chained_frames, CStep, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use hls_schedule::{Grid, Schedule, Slot, UnitId};
+use moveframe::{Direction, Placement};
 
+use crate::extract::achieved_horizon;
 use crate::IterateError;
 
 /// Columns the re-frame probe exposes per class — compression needs *a*
@@ -36,141 +35,38 @@ use crate::IterateError;
 /// the partition stitcher).
 const COLUMN_CAP: u32 = 64;
 
-/// Which way a splice moves region nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
-    /// Compression: earliest improving `(step, column)` — shortens the
-    /// critical cone and frees access-conflict steps.
-    Earlier,
-    /// Register re-timing: latest feasible step at or below the
-    /// horizon — producers drift toward their consumers, shrinking
-    /// value lifetimes without touching the schedule length.
-    Later,
-}
-
-/// True chain finish offsets of `schedule`, recomputed from scratch in
-/// dependency (index) order — the recipe `bounds_stress.rs` pins
-/// against [`BoundsCache::on_unassign`]'s incremental repair.
-fn rebuild_offsets(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    clock: Option<ClockPeriod>,
-    bounds: &BoundsCache,
-    schedule: &Schedule,
-    offsets: &mut [Delay],
-) {
-    let chainable = |n: NodeId| {
-        clock.is_some() && bounds.cycles(n) == 1 && dfg.node(n).kind().delay(spec).as_u32() > 0
-    };
-    for o in offsets.iter_mut() {
-        *o = Delay::ZERO;
-    }
-    for q in dfg.node_ids() {
-        let Some(start) = schedule.start(q) else {
-            continue;
-        };
-        if !chainable(q) {
-            continue;
-        }
-        let mut base = Delay::ZERO;
-        for &p in dfg.preds(q) {
-            if !chainable(p) {
-                continue;
-            }
-            if let Some(ps) = schedule.start(p) {
-                if ps.finish(bounds.cycles(p)) == start {
-                    base = base.max(offsets[p.index()]);
-                }
-            }
-        }
-        offsets[q.index()] = base + dfg.node(q).kind().delay(spec);
-    }
-}
-
-/// Effective cycle count of `node` under the (optional) clock: the
-/// declared cycles, or `⌈delay/T⌉` for operations slower than the
-/// clock — the same rule [`BoundsCache`] applies.
-pub(crate) fn effective_cycles(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    clock: Option<ClockPeriod>,
-    node: NodeId,
-) -> u8 {
-    let kind = dfg.node(node).kind();
-    let declared = kind.cycles(spec);
-    match clock {
-        None => declared,
-        Some(t) => {
-            let d = kind.delay(spec).as_u32();
-            let derived = if d == 0 {
-                1
-            } else {
-                d.div_ceil(t.as_u32()) as u8
-            };
-            declared.max(derived)
-        }
-    }
-}
-
-/// Achieved horizon: the last occupied (finish) control step, counting
-/// clock-multicycled operations at their effective length.
-pub(crate) fn achieved_horizon(
+/// Runs one splice on a copy of `schedule` under its achieved horizon:
+/// the move-frame sweep for class-grid schedules, the same-unit slide
+/// for ALU-bound ones. Returns the candidate and its committed moves.
+pub(crate) fn splice(
     dfg: &Dfg,
     spec: &TimingSpec,
     clock: Option<ClockPeriod>,
     schedule: &Schedule,
-) -> u32 {
-    schedule
-        .iter()
-        .map(|(n, s)| s.step.finish(effective_cycles(dfg, spec, clock, n)).get())
-        .max()
-        .unwrap_or(1)
-}
-
-/// Move-frame splice for class-grid schedules. Mutates `schedule` in
-/// place and returns the number of committed moves.
-pub(crate) fn sweep_fu(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    clock: Option<ClockPeriod>,
-    schedule: &mut Schedule,
     region: &[NodeId],
     direction: Direction,
     max_sweeps: usize,
-) -> Result<u64, IterateError> {
+) -> Result<(Schedule, u64), IterateError> {
     let horizon = achieved_horizon(dfg, spec, clock, schedule);
-    let frames = match clock {
-        Some(t) => chained_frames(dfg, spec, t, horizon)
-            .map_err(|e| IterateError::Internal(format!("chained frames: {e}")))?
-            .into_frames(),
-        None => TimeFrames::compute(dfg, spec, horizon)
-            .map_err(|e| IterateError::Internal(format!("frames: {e}")))?,
+    let mut placement = Placement::from_schedule(dfg, spec, clock, schedule.clone(), horizon)
+        .map_err(|e| IterateError::Internal(format!("splice frames: {e}")))?;
+    let moves = match placement.class_grids() {
+        Some(mut grids) => sweep_fu(&mut placement, &mut grids, region, direction, max_sweeps),
+        None => placement.slide(region, direction, max_sweeps).0,
     };
-    let mut bounds = BoundsCache::new(dfg, spec, clock);
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    let mut grids: BTreeMap<FuClass, Grid> = schedule
-        .fu_counts()
-        .into_iter()
-        .map(|(class, max_fu)| (class, Grid::new(class, horizon, max_fu.max(1))))
-        .collect();
-    for (node, slot) in schedule.iter() {
-        let UnitId::Fu { class, index } = slot.unit else {
-            return Err(IterateError::Internal(
-                "fu splice on a non-Fu-bound schedule".into(),
-            ));
-        };
-        grids
-            .get_mut(&class)
-            .expect("fu_counts covers every bound class")
-            .occupy(node, slot.step, index, bounds.cycles(node));
-    }
-    for (node, slot) in schedule.iter().collect::<Vec<_>>() {
-        bounds.on_assign(dfg, node, slot.step);
-    }
-    if clock.is_some() {
-        rebuild_offsets(dfg, spec, clock, &bounds, schedule, &mut offsets);
-    }
+    Ok((placement.into_parts().0, moves))
+}
 
+/// Move-frame splice for class-grid schedules; returns the number of
+/// committed moves (zero when some region node finds no cell).
+fn sweep_fu(
+    placement: &mut Placement<'_>,
+    grids: &mut BTreeMap<FuClass, Grid>,
+    region: &[NodeId],
+    direction: Direction,
+    max_sweeps: usize,
+) -> u64 {
+    let horizon = placement.frames().control_steps();
     // Re-place the *whole* region per sweep, not one node at a time: a
     // critical cone is tight by construction, so no single node can
     // move while its neighbours hold their slots — the region must be
@@ -185,166 +81,44 @@ pub(crate) fn sweep_fu(
     let mut moves = 0u64;
     for _ in 0..max_sweeps {
         let mut moved = false;
-        let mut old: BTreeMap<NodeId, Slot> = BTreeMap::new();
+        let mut old: BTreeMap<NodeId, (FuClass, Slot)> = BTreeMap::new();
         for &node in region {
-            let slot = schedule.slot(node).expect("baseline schedule is complete");
+            let slot = placement
+                .unassign(node)
+                .expect("baseline schedule is complete");
             let UnitId::Fu { class, .. } = slot.unit else {
-                unreachable!("checked above");
+                unreachable!("class grids bind every node to a column");
             };
-            old.insert(node, slot);
-            schedule.unassign(node);
-            bounds.on_unassign(dfg, schedule, &mut offsets, node);
             grids
                 .get_mut(&class)
                 .expect("class grid exists")
                 .vacate(node);
-        }
-        if clock.is_some() {
-            rebuild_offsets(dfg, spec, clock, &bounds, schedule, &mut offsets);
+            old.insert(node, (class, slot));
         }
         for &node in &order {
-            let prev = old[&node];
-            let UnitId::Fu { class, index } = prev.unit else {
-                unreachable!("checked above");
-            };
-            let cycles = bounds.cycles(node);
+            let (class, prev) = old[&node];
             let grid = grids.get_mut(&class).expect("class grid exists");
-            let snapshot = probe_move_frame(
-                dfg,
-                spec,
-                &frames,
-                schedule,
-                clock,
-                &offsets,
-                &bounds,
-                node,
-                grid,
-                grid.max_fu().min(COLUMN_CAP),
-            );
+            let cycles = placement.cycles(node);
+            let snapshot = placement
+                .frame(node, grid, grid.max_fu().min(COLUMN_CAP), true)
+                .0;
+            let cells = snapshot.movable.iter().map(|p| (p.step, p.fu));
             let best = match direction {
-                Direction::Earlier => snapshot.movable.iter().map(|p| (p.step, p.fu)).min(),
-                Direction::Later => snapshot
-                    .movable
-                    .iter()
-                    .map(|p| (p.step, p.fu))
+                Direction::Earlier => cells.min(),
+                Direction::Later => cells
                     .filter(|&(s, _)| s.finish(cycles).get() <= horizon)
                     .max_by_key(|&(s, f)| (s, std::cmp::Reverse(f))),
             };
             // A region node with no feasible cell means this direction
             // cannot re-place the subgraph — abandon the splice; the
             // caller discards the half-built candidate.
-            let Some(best) = best else {
-                return Ok(0);
+            let Some((step, fu)) = best else {
+                return 0;
             };
-            schedule.assign(
-                node,
-                Slot {
-                    step: best.0,
-                    unit: UnitId::Fu {
-                        class,
-                        index: best.1,
-                    },
-                },
-            );
-            bounds.on_assign(dfg, node, best.0);
-            grid.occupy(node, best.0, best.1, cycles);
-            if clock.is_some() {
-                rebuild_offsets(dfg, spec, clock, &bounds, schedule, &mut offsets);
-            }
-            if best != (prev.step, index) {
-                moves += 1;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    Ok(moves)
-}
-
-/// Same-unit slide splice for ALU-bound schedules. Mutates `schedule`
-/// in place and returns the number of committed moves.
-pub(crate) fn sweep_alu(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    clock: Option<ClockPeriod>,
-    schedule: &mut Schedule,
-    region: &[NodeId],
-    direction: Direction,
-    max_sweeps: usize,
-) -> u64 {
-    let horizon = achieved_horizon(dfg, spec, clock, schedule);
-    let mut bounds = BoundsCache::new(dfg, spec, clock);
-    for (node, slot) in schedule.iter().collect::<Vec<_>>() {
-        bounds.on_assign(dfg, node, slot.step);
-    }
-    // Per-unit per-step occupant counts (counts, not flags: mutually
-    // exclusive operations legitimately share a cell).
-    let mut busy: BTreeMap<UnitId, Vec<u16>> = BTreeMap::new();
-    for (node, slot) in schedule.iter() {
-        let cells = busy.entry(slot.unit).or_default();
-        for k in 0..bounds.cycles(node) as u32 {
-            let s = (slot.step.get() + k) as usize;
-            if cells.len() <= s {
-                cells.resize(s + 1, 0);
-            }
-            cells[s] += 1;
-        }
-    }
-
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    let mut moves = 0u64;
-    for _ in 0..max_sweeps {
-        let mut moved = false;
-        for &node in region {
-            let cur = schedule.slot(node).expect("baseline schedule is complete");
-            let cycles = bounds.cycles(node) as u32;
-            let cells = busy.get_mut(&cur.unit).expect("unit has occupants");
-            for k in 0..cycles {
-                cells[(cur.step.get() + k) as usize] -= 1;
-            }
-            schedule.unassign(node);
-            bounds.on_unassign(dfg, schedule, &mut offsets, node);
-            // Strict step separation from every scheduled neighbour:
-            // start above the predecessors' finishes and finish below
-            // the successors' starts, so the move can neither reorder
-            // dependencies nor create a new combinational chain.
-            let lower = bounds.pred_finish(node) + 1;
-            let upper_start = bounds
-                .succ_start(node)
-                .saturating_sub(cycles)
-                .min(horizon.saturating_sub(cycles.saturating_sub(1)));
-            let free = |s: u32| {
-                (0..cycles).all(|k| cells.get((s + k) as usize).copied().unwrap_or(0) == 0)
-            };
-            let target = match direction {
-                Direction::Earlier => (lower..cur.step.get())
-                    .find(|&s| free(s))
-                    .map(CStep::new)
-                    .unwrap_or(cur.step),
-                Direction::Later => (cur.step.get() + 1..=upper_start.max(cur.step.get()))
-                    .rev()
-                    .find(|&s| free(s))
-                    .map(CStep::new)
-                    .unwrap_or(cur.step),
-            };
-            for k in 0..cycles {
-                let s = (target.get() + k) as usize;
-                if cells.len() <= s {
-                    cells.resize(s + 1, 0);
-                }
-                cells[s] += 1;
-            }
-            schedule.assign(
-                node,
-                Slot {
-                    step: target,
-                    unit: cur.unit,
-                },
-            );
-            bounds.on_assign(dfg, node, target);
-            if target != cur.step {
+            let unit = UnitId::Fu { class, index: fu };
+            placement.assign(node, Slot { step, unit });
+            grid.occupy(node, step, fu, cycles);
+            if (step, unit) != (prev.step, prev.unit) {
                 moves += 1;
                 moved = true;
             }

@@ -7,10 +7,11 @@
 //! * MFSA refinement must preserve the allocation while rebuilding the
 //!   data path and cost report consistently.
 
+use hls_baselines::force_directed_schedule;
 use hls_benchmarks::classic::{diffeq, ewf, fir};
-use hls_celllib::{Library, OpKind, TimingSpec};
+use hls_celllib::{ClockPeriod, Library, OpKind, TimingSpec};
 use hls_dfg::{CriticalPath, Dfg, DfgBuilder, NodeId, SignalSource};
-use hls_iterate::{refine, refine_mfsa, IterateConfig};
+use hls_iterate::{refine, refine_mfsa, IterateConfig, IterateError};
 use hls_schedule::{verify, CStep, FuIndex, Schedule, Slot, UnitId, VerifyOptions};
 use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsConfig};
@@ -160,4 +161,38 @@ fn functional_pipelining_is_rejected_as_unsupported() {
     config.latency = Some(2);
     let err = with_instr(|i| refine(&dfg, &spec, &base.schedule, &config, i)).unwrap_err();
     assert!(err.to_string().contains("unsupported"), "{err}");
+}
+
+#[test]
+fn a_baseline_invalid_under_the_clock_is_an_input_error() {
+    // FDS ignores the clock, so its diffeq schedule chains 163 ns
+    // multiplies into their consumers as if they were single-cycle —
+    // invalid under a 100 ns clock, where they span two steps.
+    let dfg = diffeq();
+    let spec = TimingSpec::with_delays();
+    let config = IterateConfig::new(3).with_clock(ClockPeriod::new(100));
+    for cs in [4, 6] {
+        let base = force_directed_schedule(&dfg, &spec, cs).unwrap();
+        let mut sink = NullSink;
+        let mut metrics = Metrics::new();
+        let mut instr = Instrument::new(&mut sink, &mut metrics);
+        let err = refine(&dfg, &spec, &base, &config, &mut instr).unwrap_err();
+        let IterateError::InvalidBaseline(violations) = &err else {
+            panic!("cs {cs}: expected an invalid-baseline error, got {err}");
+        };
+        assert!(!violations.is_empty());
+        assert!(
+            err.to_string().contains("invalid iterate baseline"),
+            "{err}"
+        );
+        assert!(
+            metrics.is_empty(),
+            "cs {cs}: the entry check moves no counter"
+        );
+    }
+    // The variant is public, so an empty list must still format.
+    assert_eq!(
+        IterateError::InvalidBaseline(Vec::new()).to_string(),
+        "invalid iterate baseline"
+    );
 }

@@ -17,8 +17,8 @@
 //! 4. **Merge & stitch** ([`merge_and_stitch`]): shard schedules
 //!    telescope onto one global time axis (minimal offsets under cut
 //!    precedence and bank-port capacity) and boundary nodes are
-//!    re-framed across the seams with the vacate→re-frame machinery
-//!    and [`moveframe::BoundsCache`].
+//!    re-framed across the seams through one
+//!    [`moveframe::Placement`] of the merged schedule.
 //!
 //! [`synth_sharded`] threads the four phases together, emits
 //! `partition.*` counters and phase spans, and verifies the final

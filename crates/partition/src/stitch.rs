@@ -17,22 +17,22 @@
 //! **Stitch.** The merged schedule is exact but conservative around the
 //! seams: a boundary node was scheduled knowing only its own shard.
 //! The stitcher sweeps the boundary nodes in topological order and, for
-//! each, vacates it from the dense state (schedule, [`BoundsCache`],
-//! occupancy grids) and re-frames it with [`probe_move_frame`] — the
-//! same vacate→re-frame machinery `crates/core/tests/reframe.rs` pins —
-//! taking the earliest feasible position if that improves on its
-//! current slot. For MFSA-merged schedules (ALU-bound units, outside
-//! the class-grid world of the move frame) the stitcher instead slides
-//! boundary nodes to the earliest free step on their own unit, using
-//! the same [`BoundsCache`] feasibility bounds. Sweeps repeat until a
-//! fixpoint or the sweep cap.
+//! each, vacates it from the dense [`Placement`] and its occupancy grids
+//! and re-frames it with [`Placement::frame`] — the same vacate→re-frame
+//! machinery `crates/core/tests/reframe.rs` pins — taking the earliest
+//! feasible position if that improves on its current slot. For
+//! MFSA-merged schedules (ALU-bound units, outside the class-grid world
+//! of the move frame) the stitcher instead runs [`Placement::slide`],
+//! which moves boundary nodes to the earliest free step on their own
+//! unit — the kernel hls-iterate's MFSA splice shares. Sweeps repeat
+//! until a fixpoint or the sweep cap.
 
 use std::collections::BTreeMap;
 
-use hls_celllib::{Delay, TimingSpec};
+use hls_celllib::TimingSpec;
 use hls_dfg::{Dfg, FuClass, NodeId};
-use hls_schedule::{CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use hls_schedule::{CStep, FuIndex, Grid, Schedule, Slot, UnitId};
+use moveframe::{Direction, Placement};
 
 use crate::cut::Partition;
 use crate::extract::ShardGraph;
@@ -223,21 +223,14 @@ pub fn merge_and_stitch(
         schedule.assign(NodeId::from_index(i), slot);
     }
 
-    let uses_alu = schedule
-        .iter()
-        .any(|(_, s)| matches!(s.unit, UnitId::Alu { .. }));
-    let (stitch_moves, stitch_sweeps) = if uses_alu {
-        stitch_alu(dfg, spec, partition, &mut schedule, max_stitch_sweeps)
-    } else {
-        stitch_reframe(
-            dfg,
-            spec,
-            partition,
-            &mut schedule,
-            horizon,
-            max_stitch_sweeps,
-        )?
+    let mut placement = Placement::from_schedule(dfg, spec, None, schedule, horizon)
+        .map_err(|e| PartitionError::Internal(format!("stitch frames: {e}")))?;
+    let order = boundary_in_topo_order(dfg, partition);
+    let (stitch_moves, stitch_sweeps) = match placement.class_grids() {
+        Some(mut grids) => stitch_reframe(&mut placement, &mut grids, &order, max_stitch_sweeps),
+        None => placement.slide(&order, Direction::Earlier, max_stitch_sweeps),
     };
+    let schedule = placement.into_parts().0;
 
     // The horizon can only shrink under stitching; re-derive it.
     let csteps = schedule
@@ -272,172 +265,46 @@ fn boundary_in_topo_order(dfg: &Dfg, partition: &Partition) -> Vec<NodeId> {
 
 /// Move-frame stitching for class-grid (MFS-merged) schedules: vacate
 /// each boundary node and re-place it at the earliest position of its
-/// re-computed move frame.
+/// re-computed move frame. Returns `(moves, sweeps)`.
 fn stitch_reframe(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    partition: &Partition,
-    schedule: &mut Schedule,
-    horizon: u32,
+    placement: &mut Placement<'_>,
+    grids: &mut BTreeMap<FuClass, Grid>,
+    order: &[NodeId],
     max_sweeps: usize,
-) -> Result<(u64, u64), PartitionError> {
-    let frames = TimeFrames::compute(dfg, spec, horizon)
-        .map_err(|e| PartitionError::Internal(format!("stitch frames: {e}")))?;
-    let mut bounds = BoundsCache::new(dfg, spec, None);
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    // One occupancy grid per class, wide enough for the merged columns.
-    let mut grids: BTreeMap<FuClass, Grid> = schedule
-        .fu_counts()
-        .into_iter()
-        .map(|(class, max_fu)| (class, Grid::new(class, horizon, max_fu.max(1))))
-        .collect();
-    for (node, slot) in schedule.iter() {
-        let UnitId::Fu { class, index } = slot.unit else {
-            unreachable!("reframe stitching runs on Fu-bound schedules only");
-        };
-        grids
-            .get_mut(&class)
-            .expect("fu_counts covers every bound class")
-            .occupy(node, slot.step, index, bounds.cycles(node));
-    }
-    for (node, slot) in schedule.iter().collect::<Vec<_>>() {
-        bounds.on_assign(dfg, node, slot.step);
-    }
-
-    let order = boundary_in_topo_order(dfg, partition);
+) -> (u64, u64) {
     let mut moves = 0u64;
     let mut sweeps = 0u64;
     for _ in 0..max_sweeps {
         sweeps += 1;
         let mut moved = false;
-        for &node in &order {
-            let cur = schedule.slot(node).expect("merged schedule is complete");
+        for &node in order {
+            // Vacate from the placement and the grid…
+            let cur = placement
+                .unassign(node)
+                .expect("merged schedule is complete");
             let UnitId::Fu { class, index } = cur.unit else {
-                unreachable!("checked above");
+                unreachable!("class grids bind every node to a column");
             };
             let grid = grids.get_mut(&class).expect("class grid exists");
-            // Vacate from every piece of the dense state…
-            schedule.unassign(node);
-            bounds.on_unassign(dfg, schedule, &mut offsets, node);
             grid.vacate(node);
             // …re-frame…
-            let snapshot = probe_move_frame(
-                dfg,
-                spec,
-                &frames,
-                schedule,
-                None,
-                &offsets,
-                &bounds,
-                node,
-                grid,
-                grid.max_fu().min(STITCH_COLUMN_CAP),
-            );
+            let snapshot = placement
+                .frame(node, grid, grid.max_fu().min(STITCH_COLUMN_CAP), true)
+                .0;
             // …and take the earliest (step, column), keeping the old
             // slot when nothing better is visible.
             let old = (cur.step, index);
-            let best = snapshot
+            let (step, fu) = snapshot
                 .movable
                 .iter()
                 .map(|p| (p.step, p.fu))
                 .min()
                 .filter(|&p| p < old)
                 .unwrap_or(old);
-            schedule.assign(
-                node,
-                Slot {
-                    step: best.0,
-                    unit: UnitId::Fu {
-                        class,
-                        index: best.1,
-                    },
-                },
-            );
-            bounds.on_assign(dfg, node, best.0);
-            grid.occupy(node, best.0, best.1, bounds.cycles(node));
-            if best != old {
-                moves += 1;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    Ok((moves, sweeps))
-}
-
-/// Stitching for ALU-bound (MFSA-merged) schedules: slide each boundary
-/// node to the earliest dependency-feasible free step on its own unit.
-/// Same-unit moves preserve both the allocation and (for memory
-/// accesses) the port binding.
-fn stitch_alu(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    partition: &Partition,
-    schedule: &mut Schedule,
-    max_sweeps: usize,
-) -> (u64, u64) {
-    let mut bounds = BoundsCache::new(dfg, spec, None);
-    for (node, slot) in schedule.iter().collect::<Vec<_>>() {
-        bounds.on_assign(dfg, node, slot.step);
-    }
-    // Per-unit per-step occupant counts (counts, not flags: mutually
-    // exclusive operations legitimately share a cell).
-    let mut busy: BTreeMap<UnitId, Vec<u16>> = BTreeMap::new();
-    for (node, slot) in schedule.iter() {
-        let cells = busy.entry(slot.unit).or_default();
-        for k in 0..bounds.cycles(node) as u32 {
-            let s = (slot.step.get() + k) as usize;
-            if cells.len() <= s {
-                cells.resize(s + 1, 0);
-            }
-            cells[s] += 1;
-        }
-    }
-
-    let order = boundary_in_topo_order(dfg, partition);
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    let mut moves = 0u64;
-    let mut sweeps = 0u64;
-    for _ in 0..max_sweeps {
-        sweeps += 1;
-        let mut moved = false;
-        for &node in &order {
-            let cur = schedule.slot(node).expect("merged schedule is complete");
-            let cycles = bounds.cycles(node) as u32;
-            let cells = busy.get_mut(&cur.unit).expect("unit has occupants");
-            for k in 0..cycles {
-                cells[(cur.step.get() + k) as usize] -= 1;
-            }
-            schedule.unassign(node);
-            bounds.on_unassign(dfg, schedule, &mut offsets, node);
-            // Earliest step after every scheduled predecessor's finish
-            // whose unit cells are free across the span. Moving only
-            // earlier keeps scheduled successors feasible.
-            let lower = bounds.pred_finish(node) + 1;
-            let target = (lower..cur.step.get())
-                .find(|&s| {
-                    (0..cycles).all(|k| cells.get((s + k) as usize).copied().unwrap_or(0) == 0)
-                })
-                .map(CStep::new)
-                .unwrap_or(cur.step);
-            for k in 0..cycles {
-                let s = (target.get() + k) as usize;
-                if cells.len() <= s {
-                    cells.resize(s + 1, 0);
-                }
-                cells[s] += 1;
-            }
-            schedule.assign(
-                node,
-                Slot {
-                    step: target,
-                    unit: cur.unit,
-                },
-            );
-            bounds.on_assign(dfg, node, target);
-            if target != cur.step {
+            let unit = UnitId::Fu { class, index: fu };
+            placement.assign(node, Slot { step, unit });
+            grid.occupy(node, step, fu, placement.cycles(node));
+            if (step, fu) != old {
                 moves += 1;
                 moved = true;
             }

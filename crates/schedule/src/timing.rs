@@ -9,7 +9,7 @@
 //! fit, it waits for the next step. Operations slower than the clock
 //! period occupy `⌈delay / T⌉` full steps, starting at a boundary.
 
-use hls_celllib::{ClockPeriod, TimingSpec};
+use hls_celllib::{effective_cycles, ClockPeriod, TimingSpec};
 use hls_dfg::{Dfg, NodeId};
 
 use crate::asap_alap::TimeFrames;
@@ -77,14 +77,13 @@ pub fn chained_frames(
 ) -> Result<ChainedFrames, ScheduleError> {
     let t = clock.as_u32() as u64;
     let n = dfg.node_count();
-    let mut eff_cycles = vec![1u8; n];
-    for (id, node) in dfg.nodes() {
-        let d = node.kind().delay(spec).as_u32() as u64;
-        // Multi-cycle by declaration wins; otherwise derive from delay.
-        let declared = node.kind().cycles(spec);
-        let derived = if d == 0 { 1 } else { d.div_ceil(t) as u8 };
-        eff_cycles[id.index()] = declared.max(derived);
-    }
+    let eff_cycles: Vec<u8> = dfg
+        .nodes()
+        .map(|(_, node)| {
+            let kind = node.kind();
+            effective_cycles(kind.cycles(spec), kind.delay(spec), Some(clock))
+        })
+        .collect();
 
     // Forward pass: earliest finish *time* of each node.
     let mut finish = vec![0u64; n];
@@ -170,6 +169,28 @@ pub fn chained_frames(
         frames: TimeFrames::from_parts(cs, asap, alap),
         eff_cycles,
     })
+}
+
+impl TimeFrames {
+    /// The frames of a run over `cs` steps under an optional chaining
+    /// clock: [`chained_frames`] when a clock is given, plain
+    /// [`TimeFrames::compute`] otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::InfeasibleTime`] when the (chained) critical
+    /// path does not fit in `cs` steps.
+    pub fn for_clock(
+        dfg: &Dfg,
+        spec: &TimingSpec,
+        clock: Option<ClockPeriod>,
+        cs: u32,
+    ) -> Result<TimeFrames, ScheduleError> {
+        match clock {
+            Some(clock) => Ok(chained_frames(dfg, spec, clock, cs)?.into_frames()),
+            None => TimeFrames::compute(dfg, spec, cs),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use hls_celllib::{ClockPeriod, TimingSpec};
+use hls_celllib::{effective_cycles, ClockPeriod, TimingSpec};
 use hls_dfg::{Dfg, NodeId, NodeKind};
 
 use crate::{CStep, Schedule, UnitId};
@@ -20,7 +20,10 @@ pub struct VerifyOptions {
     pub latency: Option<u32>,
     /// Chaining clock period: dependent single-cycle operations may share
     /// a step when their accumulated delay fits within one period.
-    /// Without it, dependencies must be strictly ordered by step.
+    /// Without it, dependencies must be strictly ordered by step. Under
+    /// a clock every span — precedence, the horizon and unit occupancy —
+    /// is counted in effective cycles, `max(declared, ⌈delay/T⌉)`, the
+    /// rule every scheduler places by.
     pub clock: Option<ClockPeriod>,
 }
 
@@ -112,13 +115,25 @@ pub fn verify(
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     let cs = schedule.control_steps();
+    let cycles: Vec<u8> = dfg
+        .nodes()
+        .map(|(_, node)| {
+            let kind = node.kind();
+            effective_cycles(kind.cycles(spec), kind.delay(spec), options.clock)
+        })
+        .collect();
+    let chainable = |id: NodeId| {
+        options.clock.is_some()
+            && cycles[id.index()] == 1
+            && dfg.node(id).kind().delay(spec).as_u32() > 0
+    };
 
     // Completeness & horizon.
     for id in dfg.node_ids() {
         match schedule.slot(id) {
             None => violations.push(Violation::Unscheduled(id)),
             Some(slot) => {
-                let finish = slot.step.finish(dfg.node(id).kind().cycles(spec));
+                let finish = slot.step.finish(cycles[id.index()]);
                 if finish.get() > cs {
                     violations.push(Violation::TimeExceeded { node: id, finish });
                 }
@@ -137,19 +152,13 @@ pub fn verify(
             continue;
         };
         let node = dfg.node(id);
-        let chainable_succ = options.clock.is_some()
-            && node.kind().cycles(spec) == 1
-            && node.kind().delay(spec).as_u32() > 0;
         for &p in dfg.preds(id) {
             let Some(p_slot) = schedule.slot(p) else {
                 continue;
             };
             let p_node = dfg.node(p);
-            let p_finish = p_slot.step.finish(p_node.kind().cycles(spec));
-            let chainable_pred = options.clock.is_some()
-                && p_node.kind().cycles(spec) == 1
-                && p_node.kind().delay(spec).as_u32() > 0;
-            let ok = if chainable_succ && chainable_pred {
+            let p_finish = p_slot.step.finish(cycles[p.index()]);
+            let ok = if chainable(id) && chainable(p) {
                 slot.step >= p_finish
             } else {
                 slot.step > p_finish
@@ -172,28 +181,21 @@ pub fn verify(
     if let Some(clock) = options.clock {
         // Only effectively single-cycle ops participate; edges within
         // the same step. An op whose delay exceeds the period is
-        // multicycled by the clock (effective `⌈delay/T⌉` cycles, the
-        // same rule the schedulers' bounds cache applies) — it executes
-        // sequentially and joins no combinational chain.
+        // multicycled by the clock — it executes sequentially and joins
+        // no combinational chain.
         let mut path = vec![0u32; dfg.node_count()];
         let mut worst: BTreeMap<u32, u32> = BTreeMap::new();
         for &id in dfg.topo_order() {
             let Some(slot) = schedule.slot(id) else {
                 continue;
             };
-            let node = dfg.node(id);
-            if node.kind().cycles(spec) != 1 {
+            if cycles[id.index()] != 1 {
                 continue;
             }
-            let d = node.kind().delay(spec).as_u32();
-            if d > clock.as_u32() {
-                continue;
-            }
+            let d = dfg.node(id).kind().delay(spec).as_u32();
             let mut start = 0u32;
             for &p in dfg.preds(id) {
-                if schedule.slot(p).map(|s| s.step) == Some(slot.step)
-                    && dfg.node(p).kind().cycles(spec) == 1
-                {
+                if schedule.slot(p).map(|s| s.step) == Some(slot.step) && cycles[p.index()] == 1 {
                     start = start.max(path[p.index()]);
                 }
             }
@@ -232,8 +234,8 @@ pub fn verify(
                     schedule.slot(a).expect("in map"),
                     schedule.slot(b).expect("in map"),
                 );
-                let ca = dfg.node(a).kind().cycles(spec) as u32;
-                let cb = dfg.node(b).kind().cycles(spec) as u32;
+                let ca = cycles[a.index()] as u32;
+                let cb = cycles[b.index()] as u32;
                 let steps_a: Vec<u32> = (0..ca).map(|k| wrap(sa.step.get() + k)).collect();
                 let overlap = (0..cb)
                     .map(|k| wrap(sb.step.get() + k))
@@ -400,6 +402,59 @@ mod tests {
             ..Default::default()
         };
         assert!(verify(&g, &s, &spec, opts).is_empty());
+    }
+
+    #[test]
+    fn clock_multicycled_spans_count_in_effective_cycles() {
+        // m (163 ns) occupies steps 1–2 under a 100 ns clock, so an add
+        // consuming it cannot start before step 3 — and m alone, or a
+        // second mul on its unit at step 2, overruns a 1-step horizon
+        // or collides.
+        let mut b = DfgBuilder::new("g");
+        let x = b.input("x");
+        let m = b.op("m", OpKind::Mul, &[x, x]).unwrap();
+        b.op("a", OpKind::Add, &[m, x]).unwrap();
+        b.op("n", OpKind::Mul, &[x, x]).unwrap();
+        let g = b.finish().unwrap();
+        let (m, a, n) = (
+            g.node_by_name("m").unwrap(),
+            g.node_by_name("a").unwrap(),
+            g.node_by_name("n").unwrap(),
+        );
+        let spec = TimingSpec::with_delays();
+        let opts = VerifyOptions {
+            clock: Some(ClockPeriod::new(100)),
+            ..Default::default()
+        };
+        let place = |s: &mut Schedule, node, step, k| {
+            s.assign(
+                node,
+                Slot {
+                    step: CStep::new(step),
+                    unit: unit(k, 1),
+                },
+            )
+        };
+        let mut s = Schedule::new(&g, 3);
+        place(&mut s, m, 1, OpKind::Mul);
+        place(&mut s, a, 2, OpKind::Add);
+        place(&mut s, n, 3, OpKind::Mul);
+        let v = verify(&g, &s, &spec, opts);
+        assert!(v.contains(&Violation::DependencyOrder { pred: m, succ: a }));
+        assert!(v.contains(&Violation::TimeExceeded {
+            node: n,
+            finish: CStep::new(4)
+        }));
+
+        let mut s = Schedule::new(&g, 4);
+        place(&mut s, m, 1, OpKind::Mul);
+        place(&mut s, n, 2, OpKind::Mul);
+        place(&mut s, a, 3, OpKind::Add);
+        let v = verify(&g, &s, &spec, opts);
+        assert_eq!(v, vec![Violation::ResourceConflict { a: m, b: n }]);
+        // Without the clock both muls are single-cycle and the schedule
+        // is sound.
+        assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
     }
 
     #[test]
