@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use hls_schedule::{CStep, FreeStarts, FuIndex};
+use hls_schedule::FreeStarts;
 
 use crate::frame::Position;
 
@@ -92,22 +92,41 @@ impl StaticLiapunov {
         self.objective
     }
 
+    /// Whether this form orders the cells of `starts` strictly
+    /// lexicographically — step first in time mode, unit first in
+    /// resource mode — so [`StaticLiapunov::min_position`] can read the
+    /// argmin straight off the masks.
+    ///
+    /// Time mode needs `n` to cover the visible columns (`x + n·y` then
+    /// never lets a column outweigh a step); resource mode needs the
+    /// window to span at most `cs` steps. Inside MFS both hold: `n`
+    /// exceeds every column budget and no start step exceeds `cs`.
+    pub(crate) fn is_lexicographic(&self, starts: &FreeStarts) -> bool {
+        match self.objective {
+            MfsObjective::TimeConstrained => u64::from(starts.columns()) <= self.n,
+            MfsObjective::ResourceConstrained => u64::from(starts.steps()) <= self.cs,
+        }
+    }
+
     /// The minimum-energy free cell of a move frame, ties broken by
     /// `(step, fu)` — the same cell as `min_by_key((V, step, fu))` over
-    /// every free cell, found without listing them.
+    /// every free cell.
     ///
-    /// Both forms grow strictly with the step for a fixed unit, so each
-    /// column's best cell is its first free step; the answer is the best
-    /// of those per-column minima.
+    /// When the form is lexicographic on `starts` the answer is the
+    /// earliest free cell (time mode) or the leftmost one (resource
+    /// mode), found without listing cells; otherwise every free cell is
+    /// priced.
     pub fn min_position(&self, starts: &FreeStarts) -> Option<Position> {
-        let mut best: Option<(u64, CStep, FuIndex)> = None;
-        for (step, fu) in starts.firsts() {
-            let key = (self.value(fu.get(), step.get()), step, fu);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, step, fu)| Position { step, fu })
+        let best = if !self.is_lexicographic(starts) {
+            starts
+                .positions()
+                .min_by_key(|&(step, fu)| self.value(fu.get(), step.get()))
+        } else if self.objective == MfsObjective::TimeConstrained {
+            starts.earliest()
+        } else {
+            starts.leftmost()
+        };
+        best.map(|(step, fu)| Position { step, fu })
     }
 }
 

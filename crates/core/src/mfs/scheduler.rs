@@ -329,6 +329,10 @@ pub fn schedule_traced_with_frames(
                         });
                     }
                 }
+                debug_assert!(
+                    liapunov.is_lexicographic(&starts),
+                    "n_bound covers every column and the window lies within cs"
+                );
                 match liapunov.min_position(&starts) {
                     Some(pos) => {
                         pass_grids

@@ -86,6 +86,11 @@ impl DfgBuilder {
         Ok(())
     }
 
+    /// Whether `name` is already declared (signal, bank or array).
+    pub fn has_name(&self, name: &str) -> bool {
+        self.names.contains(name)
+    }
+
     fn push_signal(&mut self, name: String, source: SignalSource) -> SignalId {
         let id = SignalId(self.signals.len() as u32);
         self.signals.push(Signal { name, source });

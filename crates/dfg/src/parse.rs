@@ -91,7 +91,8 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
             index: IndexExpr,
         },
         Store {
-            name: String,
+            /// `None` for the auto-named `store a[i] = v` form.
+            name: Option<String>,
             array: String,
             index: IndexExpr,
             value: String,
@@ -161,7 +162,6 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
     // Every declared name, for early duplicate detection across the
     // signal / array / bank namespaces.
     let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    let mut store_counter: BTreeMap<String, u32> = BTreeMap::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -260,20 +260,14 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                     .ok_or_else(|| err(lineno, "expected `store ARRAY[INDEX] = VALUE`"))?;
                 let (lhs, rhs) = (lhs.trim(), rhs.trim());
                 let (store_name, array, index, value) = if lhs.contains('[') {
-                    // `store a[i] = v` — auto-named.
+                    // `store a[i] = v` — auto-named once the graph is
+                    // built up to it.
                     let (array, index) = parse_access(lineno, lhs)?;
                     let value = rhs.to_string();
                     if value.is_empty() || value.contains(',') {
                         return Err(err(lineno, "expected a single value after `=`"));
                     }
-                    let n = store_counter.entry(array.clone()).or_insert(0);
-                    let mut candidate = format!("{array}.store{n}");
-                    while seen.contains(&candidate) {
-                        *n += 1;
-                        candidate = format!("{array}.store{n}");
-                    }
-                    *n += 1;
-                    (candidate, array, index, value)
+                    (None, array, index, value)
                 } else {
                     // `store NAME = a[i], v` — the named (writer) form.
                     let close = rhs
@@ -288,11 +282,11 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                         return Err(err(lineno, "expected a value after `,`"));
                     }
                     let (array, index) = parse_access(lineno, &rhs[..=close])?;
-                    (lhs.to_string(), array, index, value.to_string())
+                    if !seen.insert(lhs.to_string()) {
+                        return Err(DfgError::DuplicateName(lhs.to_string()));
+                    }
+                    (Some(lhs.to_string()), array, index, value.to_string())
                 };
-                if !seen.insert(store_name.clone()) {
-                    return Err(DfgError::DuplicateName(store_name));
-                }
                 stmts.push(Stmt::Store {
                     name: store_name,
                     array,
@@ -423,11 +417,18 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
         let id = b.declare_array(aname, *size, bank);
         array_ids.insert(aname.clone(), (id, *size));
     }
+    // A generated name (`NODE.idxK`, `ARRAY.storeN`): the first candidate
+    // that no declaration in the text and nothing built so far uses.
+    let fresh = |b: &DfgBuilder, candidate: &dyn Fn(u32) -> String, from: u32| -> (String, u32) {
+        (from..)
+            .map(|k| (candidate(k), k))
+            .find(|(name, _)| !seen.contains(name) && !b.has_name(name))
+            .expect("some suffix is free")
+    };
     // An array index: a named signal, or a literal turned into a fresh
     // range-checked constant next to the access.
     let resolve_index = |b: &mut DfgBuilder,
                          signals: &BTreeMap<String, SignalId>,
-                         seen: &mut std::collections::BTreeSet<String>,
                          node: &str,
                          aname: &str,
                          size: u32,
@@ -446,16 +447,16 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                         size,
                     });
                 }
-                let mut cname = format!("{node}.idx");
-                let mut k = 1u32;
-                while !seen.insert(cname.clone()) {
-                    cname = format!("{node}.idx{k}");
-                    k += 1;
-                }
+                let candidate = |k: u32| match k {
+                    0 => format!("{node}.idx"),
+                    k => format!("{node}.idx{k}"),
+                };
+                let (cname, _) = fresh(b, &candidate, 0);
                 Ok(b.constant(&cname, *v))
             }
         }
     };
+    let mut store_counter: BTreeMap<&str, u32> = BTreeMap::new();
     for stmt in &stmts {
         match stmt {
             Stmt::Op(op) => {
@@ -493,7 +494,7 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 let &(aid, size) = array_ids
                     .get(array)
                     .ok_or_else(|| DfgError::UnknownArray(array.clone()))?;
-                let idx = resolve_index(&mut b, &signals, &mut seen, name, array, size, index)?;
+                let idx = resolve_index(&mut b, &signals, name, array, size, index)?;
                 let out = b.load(name, aid, idx)?;
                 signals.insert(name.clone(), out);
             }
@@ -506,7 +507,17 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 let &(aid, size) = array_ids
                     .get(array)
                     .ok_or_else(|| DfgError::UnknownArray(array.clone()))?;
-                let idx = resolve_index(&mut b, &signals, &mut seen, name, array, size, index)?;
+                let name = match name {
+                    Some(name) => name.clone(),
+                    None => {
+                        let next = store_counter.entry(array).or_insert(0);
+                        let (name, n) = fresh(&b, &|n| format!("{array}.store{n}"), *next);
+                        *next = n + 1;
+                        name
+                    }
+                };
+                let name = &name;
+                let idx = resolve_index(&mut b, &signals, name, array, size, index)?;
                 let val = signals
                     .get(value)
                     .copied()
@@ -689,6 +700,21 @@ mod tests {
     fn conflicting_implicit_port_counts_are_reported() {
         let e = parse_dfg("array a[4] @ m(ports=2)\narray b[4] @ m(ports=1)\n").unwrap_err();
         assert!(matches!(e, DfgError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    fn generated_names_skip_op_names() {
+        // A literal index's constant would be `v.idx`, which an op took.
+        let g = parse_dfg("input i\narray a[4] @ m(ports=1)\nop v.idx = inc(i)\nload v = a[3]\n")
+            .unwrap();
+        let idx = g.signal_by_name("v.idx1").unwrap();
+        assert_eq!(g.signal(idx).source(), crate::SignalSource::Constant(3));
+        // An auto-named store would be `a.store0`, which an op took.
+        let g = parse_dfg(
+            "input i, v\narray a[4] @ m(ports=1)\nop a.store0 = inc(i)\nstore a[i] = v\n",
+        )
+        .unwrap();
+        assert!(g.node_by_name("a.store1").is_some());
     }
 
     #[test]

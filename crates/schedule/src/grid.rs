@@ -33,13 +33,15 @@ enum CellOcc {
 ///
 /// # Representation
 ///
-/// Occupancy is a flat, column-major bitset (`wpc` words per column, one
-/// bit per `(step, fu)` cell), so the hot [`Grid::is_free_for`] probe is
-/// a bounds check plus a mask test. Occupant identity lives in a dense
+/// Occupancy is step-major: one row of words per wrapped step, one bit
+/// per materialised column, so [`Grid::free_starts`] answers a whole
+/// step of columns with a few word operations and [`Grid::is_free_for`]
+/// is a mask test per spanned step. Occupant identity lives in a dense
 /// one-word-per-cell side table, with a `BTreeMap` only for the rare
 /// mutually-exclusive shared cells. Columns are materialised on first
 /// touch, so a grid whose `max_fu` budget later grows (local
-/// rescheduling) never reallocates more than it uses.
+/// rescheduling) never stores more than it uses; the rows are re-laid
+/// out whenever the materialised columns cross a 64-column boundary.
 #[derive(Debug, Clone)]
 pub struct Grid {
     class: FuClass,
@@ -48,11 +50,12 @@ pub struct Grid {
     latency: Option<u32>,
     /// Height of the wrap space: `latency.unwrap_or(cs)` rows.
     rows: u32,
-    /// Occupancy words per column.
-    wpc: usize,
     /// Materialised columns (`≤ max_fu`).
     cols: u32,
-    /// `cols × wpc` occupancy words; a set bit means "≥ 1 occupant".
+    /// Occupancy words per row: `⌈cols / 64⌉`.
+    stride: usize,
+    /// `rows × stride` occupancy words; bit `col` of row `r` set means
+    /// "cell `(r, col)` has ≥ 1 occupant".
     occ: Vec<u64>,
     /// `cols × rows` occupant records.
     cell: Vec<CellOcc>,
@@ -83,8 +86,8 @@ impl Grid {
             max_fu,
             latency: None,
             rows: cs,
-            wpc: (cs as usize).div_ceil(64),
             cols: 0,
+            stride: 0,
             occ: Vec::new(),
             cell: Vec::new(),
             shared: BTreeMap::new(),
@@ -105,7 +108,6 @@ impl Grid {
         debug_assert!(self.placed == 0, "latency is fixed before placement");
         self.latency = Some(latency);
         self.rows = latency;
-        self.wpc = (latency as usize).div_ceil(64);
         self
     }
 
@@ -139,16 +141,48 @@ impl Grid {
         }
     }
 
-    /// Materialises storage up to column `col` (0-based).
-    fn ensure_col(&mut self, col: u32) {
-        if col >= self.cols {
-            let cols = col + 1;
-            self.occ.resize(cols as usize * self.wpc, 0);
-            self.cell
-                .resize(cols as usize * self.rows as usize, CellOcc::Empty);
-            self.col_counts.resize(cols as usize, 0);
-            self.cols = cols;
+    /// The occupancy words of the wrapped row holding `step`.
+    fn occ_row(&self, step: u32) -> &[u64] {
+        let base = self.row(step) as usize * self.stride;
+        &self.occ[base..base + self.stride]
+    }
+
+    /// Sets or clears the occupancy bit of `(row, col)`.
+    fn mark(&mut self, row: u32, col: u32, occupied: bool) {
+        let word = &mut self.occ[row as usize * self.stride + col as usize / 64];
+        let bit = 1u64 << (col % 64);
+        if occupied {
+            *word |= bit;
+        } else {
+            *word &= !bit;
         }
+    }
+
+    /// Materialises storage up to column `col` (0-based), re-laying the
+    /// occupancy rows out when they need another word.
+    fn ensure_col(&mut self, col: u32) {
+        if col < self.cols {
+            return;
+        }
+        let cols = col + 1;
+        let stride = (cols as usize).div_ceil(64);
+        if stride != self.stride {
+            let mut occ = vec![0u64; self.rows as usize * stride];
+            if self.stride > 0 {
+                for (new, old) in occ
+                    .chunks_exact_mut(stride)
+                    .zip(self.occ.chunks_exact(self.stride))
+                {
+                    new[..old.len()].copy_from_slice(old);
+                }
+            }
+            self.occ = occ;
+            self.stride = stride;
+        }
+        self.cell
+            .resize(cols as usize * self.rows as usize, CellOcc::Empty);
+        self.col_counts.resize(cols as usize, 0);
+        self.cols = cols;
     }
 
     /// Occupants of the cell `(step, fu)` (after wrap-around).
@@ -165,29 +199,12 @@ impl Grid {
         }
     }
 
-    /// Whether any cell in the `cycles`-step span starting at `step` on
-    /// column `col` (0-based, materialised) is occupied.
-    fn span_occupied(&self, col: u32, step: CStep, cycles: u8) -> bool {
-        let base = col as usize * self.wpc;
-        if self.latency.is_none() {
-            // Contiguous rows: test whole words of the column bitset.
-            let mut r = (step.get() - 1) as usize;
-            let end = r + cycles as usize;
-            while r < end {
-                let span = (64 - r % 64).min(end - r);
-                let mask = (!0u64 >> (64 - span)) << (r % 64);
-                if self.occ[base + r / 64] & mask != 0 {
-                    return true;
-                }
-                r += span;
-            }
-            false
-        } else {
-            (0..cycles as u32).any(|c| {
-                let r = self.row(step.get() + c) as usize;
-                self.occ[base + r / 64] >> (r % 64) & 1 == 1
-            })
-        }
+    /// Whether `node` may share every occupied cell of step `step` on
+    /// column `fu` — true only when it excludes each occupant.
+    fn shares_with_all(&self, dfg: &Dfg, node: NodeId, step: CStep, fu: FuIndex) -> bool {
+        self.occupants(step, fu)
+            .iter()
+            .all(|&o| dfg.mutually_exclusive(node, o))
     }
 
     /// Whether `node` (occupying `cycles` steps from `step` on column
@@ -208,34 +225,34 @@ impl Grid {
             return false;
         }
         let col = fu.get() - 1;
-        if col >= self.cols || !self.span_occupied(col, step, cycles) {
+        if col >= self.cols {
+            return true;
+        }
+        let (word, bit) = (col as usize / 64, col % 64);
+        let occupied = |c: u32| self.occ_row(step.get() + c)[word] >> bit & 1 == 1;
+        if !(0..cycles as u32).any(occupied) {
             return true;
         }
         // Something is there. A node that excludes nothing can never
         // share a cell, so only branched nodes walk the occupant lists.
-        if !dfg.has_exclusions(node) {
-            return false;
-        }
-        for c in 0..cycles as u32 {
-            for &occ in self.occupants(step.offset(c), fu) {
-                if !dfg.mutually_exclusive(node, occ) {
-                    return false;
-                }
-            }
-        }
-        true
+        dfg.has_exclusions(node)
+            && (0..cycles as u32).all(|c| self.shares_with_all(dfg, node, step.offset(c), fu))
     }
 
     /// The start steps in `[earliest, latest]` at which `node`
     /// (occupying `cycles` steps) is free on each of the first
     /// `columns` columns — [`Grid::is_free_for`] for the whole window at
-    /// once, a word of 64 steps at a time.
+    /// once, a row of 64 columns at a time.
     ///
     /// Columns past `max_fu` are left out, columns never touched are
     /// entirely free, and starts whose span would overrun the time
     /// constraint are outside the window. An occupied cell blocks the
     /// spans over it unless `node` is mutually exclusive with every
     /// occupant.
+    ///
+    /// Each start's row is the visible columns minus the OR of the
+    /// `cycles` occupancy rows its span covers: `O(range × cycles ×
+    /// columns / 64)` word operations.
     pub fn free_starts(
         &self,
         dfg: &Dfg,
@@ -251,74 +268,46 @@ impl Grid {
             .get()
             .min((self.cs + 1).saturating_sub(cycles as u32));
         let len = if last >= lo { last - lo + 1 } else { 0 };
-        let words = (len as usize).div_ceil(64);
-        let mut bits = vec![!0u64; columns as usize * words];
-        let tail = match len % 64 {
+        let words = (columns as usize).div_ceil(64);
+        // Occupancy words that can hold a visible column.
+        let live = self.stride.min(words);
+        // A node that excludes nothing can never share a cell, so only
+        // branched nodes get their own copy of the blocking rows, with
+        // the cells they may share cleared.
+        let shares = len > 0 && dfg.has_exclusions(node);
+        let mut shared_rows = Vec::new();
+        if shares {
+            for step in lo..last + cycles as u32 {
+                for (w, &word) in self.occ_row(step)[..live].iter().enumerate() {
+                    let shareable = ones(word)
+                        .filter(|&bit| {
+                            let fu = FuIndex::new(64 * w as u32 + bit + 1);
+                            self.shares_with_all(dfg, node, CStep::new(step), fu)
+                        })
+                        .fold(0u64, |m, bit| m | 1 << bit);
+                    shared_rows.push(word & !shareable);
+                }
+            }
+        }
+        let blocking = |step: u32| -> &[u64] {
+            if shares {
+                let at = (step - lo) as usize * live;
+                &shared_rows[at..at + live]
+            } else {
+                &self.occ_row(step)[..live]
+            }
+        };
+        let tail = match columns % 64 {
             0 => !0u64,
             r => (1u64 << r) - 1,
         };
-        // Mask word `w` covers the starts `lo + 64·w ..`; the `c`-th
-        // cells of those spans are the 64 occupancy bits from step-space
-        // row `r`. Which two words and what shift that takes is the same
-        // in every column, so it is worked out once.
-        let mut reads = Vec::with_capacity(words * cycles as usize);
-        for w in 0..words {
-            let valid = if w + 1 == words { tail } else { !0 };
-            for c in 0..cycles as usize {
-                let r = (lo - 1) as usize + 64 * w + c;
-                reads.push((w, c as u32, r / 64, r % 64, valid));
-            }
-        }
-        // A node that excludes nothing can never share a cell, so only
-        // branched nodes look at who occupies the blocking cells.
-        let shares = dfg.has_exclusions(node);
-        let mut unrolled = Vec::new();
-        for (col, masks) in (0..columns.min(self.cols)).zip(bits.chunks_mut(words.max(1))) {
-            let fu = FuIndex::new(col + 1);
-            let base = col as usize * self.wpc;
-            let mut column = &self.occ[base..base + self.wpc];
-            if self.latency.is_some() {
-                // Unroll the wrapped rows into step space first.
-                unrolled.clear();
-                unrolled.resize((self.cs as usize).div_ceil(64), 0u64);
-                for step in lo..=self.cs.min((last + cycles as u32).saturating_sub(1)) {
-                    let r = self.row(step) as usize;
-                    let s = (step - 1) as usize;
-                    unrolled[s / 64] |= (column[r / 64] >> (r % 64) & 1) << (s % 64);
+        let mut bits = vec![!0u64; len as usize * words];
+        for (start, row) in (lo..).zip(bits.chunks_exact_mut(words.max(1))) {
+            row[words - 1] = tail;
+            for c in 0..cycles as u32 {
+                for (free, &taken) in row.iter_mut().zip(blocking(start + c)) {
+                    *free &= !taken;
                 }
-                column = &unrolled;
-            }
-            let word = |i: usize| column.get(i).copied().unwrap_or(0);
-            for &(w, c, i, shift, valid) in &reads {
-                let high = if shift == 0 {
-                    0
-                } else {
-                    word(i + 1) << (64 - shift)
-                };
-                // Bit `k`: the `c`-th cell of the span starting at step
-                // `lo + 64·w + k`.
-                let mut occupied = (word(i) >> shift | high) & valid;
-                if shares {
-                    let mut cells = occupied;
-                    while cells != 0 {
-                        let k = cells.trailing_zeros();
-                        cells &= cells - 1;
-                        let step = CStep::new(lo + 64 * w as u32 + k + c);
-                        if self
-                            .occupants(step, fu)
-                            .iter()
-                            .all(|&o| dfg.mutually_exclusive(node, o))
-                        {
-                            occupied &= !(1 << k);
-                        }
-                    }
-                }
-                masks[w] &= !occupied;
-            }
-        }
-        if words > 0 {
-            for masks in bits.chunks_mut(words) {
-                masks[words - 1] &= tail;
             }
         }
         FreeStarts {
@@ -354,7 +343,7 @@ impl Grid {
         self.ensure_col(col);
         for c in 0..cycles as u32 {
             let row = self.row(step.get() + c);
-            self.occ[col as usize * self.wpc + row as usize / 64] |= 1 << (row % 64);
+            self.mark(row, col, true);
             let cell = &mut self.cell[(col * self.rows + row) as usize];
             match *cell {
                 CellOcc::Empty => *cell = CellOcc::One(node),
@@ -388,14 +377,14 @@ impl Grid {
             let row = self.row(step.get() + c);
             let cell = &mut self.cell[(col * self.rows + row) as usize];
             match *cell {
-                // Already cleared: a multi-cycle op whose span wraps
-                // around a short latency touches the same row twice.
-                CellOcc::Empty => {}
-                CellOcc::One(n) => {
-                    debug_assert_eq!(n, node, "cell occupant matches placement");
+                CellOcc::One(n) if n == node => {
                     *cell = CellOcc::Empty;
-                    self.occ[col as usize * self.wpc + row as usize / 64] &= !(1 << (row % 64));
+                    self.mark(row, col, false);
                 }
+                // Already cleared: a multi-cycle op whose span wraps
+                // around a short latency touches the same row twice, and
+                // the first visit removed it (leaving any co-occupant).
+                CellOcc::Empty | CellOcc::One(_) => {}
                 CellOcc::Shared => {
                     let key = (row + 1, fu.get());
                     let list = self.shared.get_mut(&key).expect("shared cell has a list");
@@ -404,8 +393,7 @@ impl Grid {
                         0 => {
                             self.shared.remove(&key);
                             *cell = CellOcc::Empty;
-                            self.occ[col as usize * self.wpc + row as usize / 64] &=
-                                !(1 << (row % 64));
+                            self.mark(row, col, false);
                         }
                         1 => {
                             *cell = CellOcc::One(list[0]);
@@ -451,29 +439,36 @@ impl Grid {
     }
 }
 
-/// Where one node fits on a [`Grid`]: for each visible column, a bitmask
-/// over the start-step window `[lo, lo + len)` whose bit `i` is set iff
-/// the node fits at step `lo + i` on that column. Built by
+/// Where one node fits on a [`Grid`]: for each start step of the window
+/// `[lo, lo + len)`, a bitmask over the visible columns whose bit `c` is
+/// set iff the node fits at that step on column `c + 1`. Built by
 /// [`Grid::free_starts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeStarts {
     lo: u32,
     /// Start steps in the window (0 when it is empty).
     len: u32,
-    /// Mask words per column.
+    /// Mask words per step.
     words: usize,
     columns: u32,
-    /// `columns × words` masks, column-major.
+    /// `len × words` masks, step-major.
     bits: Vec<u64>,
 }
 
 impl FreeStarts {
-    fn column(&self, fu: FuIndex) -> &[u64] {
-        let col = (fu.get() - 1) as usize;
-        if col >= self.columns as usize {
-            return &[];
-        }
-        &self.bits[col * self.words..(col + 1) * self.words]
+    /// The column masks of each start step, in step order.
+    fn rows(&self) -> impl Iterator<Item = (u32, &[u64])> + '_ {
+        (self.lo..).zip(self.bits.chunks_exact(self.words.max(1)))
+    }
+
+    /// Number of visible columns.
+    pub fn columns(&self) -> u32 {
+        self.columns
+    }
+
+    /// Number of start steps in the window.
+    pub fn steps(&self) -> u32 {
+        self.len
     }
 
     /// Number of free `(step, column)` cells.
@@ -486,33 +481,42 @@ impl FreeStarts {
         let Some(i) = step.get().checked_sub(self.lo).filter(|&i| i < self.len) else {
             return false;
         };
-        let i = i as usize;
-        self.column(fu)
-            .get(i / 64)
-            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+        let col = fu.get() - 1;
+        col < self.columns
+            && self.bits[i as usize * self.words + col as usize / 64] >> (col % 64) & 1 == 1
     }
 
-    /// The earliest step at which the node fits on each column, as
-    /// `(step, fu)` in column order; columns with no free cell are
-    /// skipped.
-    pub fn firsts(&self) -> impl Iterator<Item = (CStep, FuIndex)> + '_ {
-        self.bits
-            .chunks_exact(self.words.max(1))
-            .zip(1..)
-            .filter_map(|(masks, fu)| {
-                let i = masks.iter().position(|&w| w != 0)?;
-                let step = self.lo + 64 * i as u32 + masks[i].trailing_zeros();
-                Some((CStep::new(step), FuIndex::new(fu)))
-            })
+    /// The free cell with the smallest `(step, fu)`: the first step with
+    /// a free column, then its lowest column.
+    pub fn earliest(&self) -> Option<(CStep, FuIndex)> {
+        self.rows().find_map(|(step, masks)| {
+            let w = masks.iter().position(|&m| m != 0)?;
+            let fu = 64 * w as u32 + masks[w].trailing_zeros() + 1;
+            Some((CStep::new(step), FuIndex::new(fu)))
+        })
+    }
+
+    /// The free cell with the smallest `(fu, step)`: the lowest column
+    /// free at any step, then the first step it is free at.
+    pub fn leftmost(&self) -> Option<(CStep, FuIndex)> {
+        let mut open = vec![0u64; self.words];
+        for (_, masks) in self.rows() {
+            for (o, &m) in open.iter_mut().zip(masks) {
+                *o |= m;
+            }
+        }
+        let w = open.iter().position(|&m| m != 0)?;
+        let bit = open[w].trailing_zeros();
+        let (step, _) = self.rows().find(|(_, masks)| masks[w] >> bit & 1 == 1)?;
+        Some((CStep::new(step), FuIndex::new(64 * w as u32 + bit + 1)))
     }
 
     /// Every free cell as `(step, fu)`, in step order and, within a step,
     /// column order.
     pub fn positions(&self) -> impl Iterator<Item = (CStep, FuIndex)> + '_ {
-        (0..self.len).flat_map(move |i| {
-            (1..=self.columns).filter_map(move |fu| {
-                let (step, fu) = (CStep::new(self.lo + i), FuIndex::new(fu));
-                self.contains(step, fu).then_some((step, fu))
+        self.rows().flat_map(|(step, masks)| {
+            masks.iter().enumerate().flat_map(move |(w, &m)| {
+                ones(m).map(move |bit| (CStep::new(step), FuIndex::new(64 * w as u32 + bit + 1)))
             })
         })
     }
@@ -520,20 +524,28 @@ impl FreeStarts {
     /// The steps of `[lo, through]` at which no column is free — steps
     /// past the window included.
     pub fn full_steps(&self, through: CStep) -> Vec<CStep> {
-        let mut open = vec![0u64; self.words];
-        for masks in self.bits.chunks(self.words.max(1)) {
-            for (o, &m) in open.iter_mut().zip(masks) {
-                *o |= m;
-            }
-        }
         (self.lo..=through.get())
             .filter(|&step| {
                 let i = (step - self.lo) as usize;
-                i >= self.len as usize || open[i / 64] >> (i % 64) & 1 == 0
+                i >= self.len as usize
+                    || self.bits[i * self.words..(i + 1) * self.words]
+                        .iter()
+                        .all(|&m| m == 0)
             })
             .map(CStep::new)
             .collect()
     }
+}
+
+/// The set bits of `word`, lowest first.
+fn ones(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 /// Equality compares the logical content (dimensions and placements),
@@ -617,6 +629,10 @@ mod tests {
                 }
             }
             true
+        }
+
+        fn grow_max_fu(&mut self, max_fu: u32) {
+            self.max_fu = self.max_fu.max(max_fu);
         }
 
         fn occupy(&mut self, node: NodeId, step: CStep, fu: FuIndex, cycles: u8) {
@@ -881,6 +897,81 @@ mod tests {
                             "occupants diverge at ({}, {})", s, f
                         );
                     }
+                }
+            }
+        }
+
+        /// The step-major index on grids that grow past 64 and 128
+        /// columns — through `grow_max_fu` and occupancy of the newest,
+        /// highest columns — so the rows are re-laid out mid-script,
+        /// with and without a latency wrap. Probes, occupant lists and
+        /// whole-window `free_starts` masks must match the reference
+        /// and its cell-by-cell enumeration.
+        #[test]
+        fn wide_grid_matches_reference(
+            ops in proptest::collection::vec((0usize..12, 1u32..9, 0u32..1000, 1u8..3, 0u8..5), 1..60),
+            start_fu in 1u32..70,
+            latency in 0u32..4,
+        ) {
+            let (g, nodes) = branchy_graph(12);
+            let cs = 8;
+            let mut max_fu = start_fu;
+            let (mut dense, mut reference) = (
+                Grid::new(FuClass::Op(OpKind::Add), cs, max_fu),
+                ReferenceGrid::new(cs, max_fu),
+            );
+            if latency > 0 {
+                dense = dense.with_latency(latency);
+                reference = reference.with_latency(latency);
+            }
+            for &(ni, step, f, cycles, action) in &ops {
+                let node = nodes[ni];
+                // Mostly the highest columns, where growth happens.
+                let fu = FuIndex::new(max_fu - f % max_fu.min(8));
+                let step = CStep::new(step);
+                match action {
+                    0 => prop_assert_eq!(
+                        dense.is_free_for(&g, node, step, fu, cycles),
+                        reference.is_free_for(&g, node, step, fu, cycles)
+                    ),
+                    1 | 2 => {
+                        if dense.placement(node).is_none()
+                            && reference.is_free_for(&g, node, step, fu, cycles)
+                        {
+                            dense.occupy(node, step, fu, cycles);
+                            reference.occupy(node, step, fu, cycles);
+                        }
+                    }
+                    3 => {
+                        prop_assert_eq!(dense.vacate(node), reference.vacate(node));
+                    }
+                    _ => {
+                        max_fu += 1 + f % 70;
+                        dense.grow_max_fu(max_fu);
+                        reference.grow_max_fu(max_fu);
+                    }
+                }
+                prop_assert_eq!(dense.columns_used(), reference.columns_used());
+                let columns = max_fu + 2;
+                let starts =
+                    dense.free_starts(&g, node, CStep::FIRST, CStep::new(cs), cycles, columns);
+                let cells: Vec<(CStep, FuIndex)> = (1..=cs)
+                    .flat_map(|s| (1..=columns).map(move |f| (CStep::new(s), FuIndex::new(f))))
+                    .filter(|&(s, f)| reference.is_free_for(&g, node, s, f, cycles))
+                    .collect();
+                prop_assert_eq!(starts.positions().collect::<Vec<_>>(), cells.clone());
+                prop_assert_eq!(starts.count(), cells.len());
+                for &(s, f) in &cells {
+                    prop_assert!(dense.is_free_for(&g, node, s, f, cycles));
+                }
+            }
+            for s in 1..=cs {
+                for f in 1..=max_fu {
+                    prop_assert_eq!(
+                        dense.occupants(CStep::new(s), FuIndex::new(f)),
+                        reference.occupants(CStep::new(s), FuIndex::new(f)),
+                        "occupants diverge at ({}, {})", s, f
+                    );
                 }
             }
         }

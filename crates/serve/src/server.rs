@@ -318,6 +318,13 @@ impl Server {
     }
 }
 
+/// The answer to a request whose handling panicked, counted in
+/// `serve.panics`.
+fn panic_response(app: &AppState) -> Response {
+    app.inc("serve.panics".into(), 1);
+    Response::error(500, "internal error")
+}
+
 fn worker_loop(shared: &Shared) {
     while let Some(work) = shared.queue.pop() {
         shared.gate.pass();
@@ -329,10 +336,7 @@ fn worker_loop(shared: &Shared) {
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             api::handle(&shared.app, &work.request, work.enqueued)
         }))
-        .unwrap_or_else(|_| {
-            shared.app.inc("serve.panics".into(), 1);
-            Response::error(500, "internal error")
-        });
+        .unwrap_or_else(|_| panic_response(&shared.app));
         let compute_ns = started.elapsed().as_nanos() as u64;
         record(
             shared,
@@ -633,9 +637,13 @@ impl Reactor {
                         // no worker handoff, no context switch. Cold
                         // requests (and everything that computes, does
                         // I/O or can block) still go to the pool.
-                        if let Some(response) =
+                        // It parses the job, so it gets the workers'
+                        // panic backstop: the reactor must never unwind.
+                        let warm = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             api::try_warm(&shared.app, &work.request, work.enqueued)
-                        {
+                        }))
+                        .unwrap_or_else(|_| Some(panic_response(&shared.app)));
+                        if let Some(response) = warm {
                             record(
                                 &shared,
                                 &work.request.method,

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use hls_control::ControlError;
 use hls_dfg::{NodeId, SignalId};
 
 /// Error produced by the interpreter or the RTL simulator.
@@ -23,6 +24,8 @@ pub enum SimError {
         /// The missing signal.
         signal: SignalId,
     },
+    /// No controller can be generated for the schedule and data path.
+    Controller(ControlError),
 }
 
 impl fmt::Display for SimError {
@@ -37,6 +40,7 @@ impl fmt::Display for SimError {
                     "operation {node} read signal {signal} before it was available"
                 )
             }
+            SimError::Controller(e) => write!(f, "controller generation failed: {e}"),
         }
     }
 }

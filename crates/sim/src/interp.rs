@@ -11,15 +11,6 @@ use crate::{eval_op, SimError};
 /// Final contents of every declared array, keyed by array id.
 pub type MemoryState = BTreeMap<ArrayId, Vec<i64>>;
 
-/// Zero-initialised backing storage for every declared array.
-pub(crate) fn initial_memory(dfg: &Dfg) -> MemoryState {
-    dfg.memory()
-        .arrays()
-        .iter()
-        .map(|a| (a.id(), vec![0i64; a.size() as usize]))
-        .collect()
-}
-
 /// Euclidean index wrap: arrays behave as circular buffers, matching the
 /// emitted Verilog's `((i % n) + n) % n` addressing on negative indices.
 pub(crate) fn wrap_index(index: i64, size: usize) -> usize {
@@ -60,26 +51,63 @@ pub fn interpret_with_memory(
     dfg: &Dfg,
     inputs: &BTreeMap<SignalId, i64>,
 ) -> Result<(BTreeMap<SignalId, i64>, MemoryState), SimError> {
+    let Evaluation { values, memory } = evaluate(dfg, inputs)?;
+    let values = dfg
+        .signals()
+        .filter_map(|(sid, _)| Some((sid, values[sid.index()]?)))
+        .collect();
+    Ok((values, memory_state(dfg, &memory)))
+}
+
+/// Zero-initialised backing storage for every declared array, by array
+/// position.
+pub(crate) fn initial_memory(dfg: &Dfg) -> Vec<Vec<i64>> {
+    dfg.memory()
+        .arrays()
+        .iter()
+        .map(|a| vec![0; a.size() as usize])
+        .collect()
+}
+
+/// Array contents by position, keyed by array id.
+pub(crate) fn memory_state(dfg: &Dfg, memory: &[Vec<i64>]) -> MemoryState {
+    dfg.memory()
+        .arrays()
+        .iter()
+        .zip(memory)
+        .map(|(a, m)| (a.id(), m.clone()))
+        .collect()
+}
+
+/// What the interpreter computes: every signal's value (`None` for
+/// primary inputs missing from the input map), `SignalId`-indexed, and
+/// every array's final contents, by array position.
+pub(crate) struct Evaluation {
+    pub(crate) values: Vec<Option<i64>>,
+    pub(crate) memory: Vec<Vec<i64>>,
+}
+
+/// The interpreter proper. It reads only the graph, never a schedule,
+/// data path or controller, so it stays the oracle the RTL simulation
+/// is checked against.
+pub(crate) fn evaluate(
+    dfg: &Dfg,
+    inputs: &BTreeMap<SignalId, i64>,
+) -> Result<Evaluation, SimError> {
     let mut memory = initial_memory(dfg);
-    let mut values: BTreeMap<SignalId, i64> = BTreeMap::new();
-    for (sid, sig) in dfg.signals() {
-        match sig.source() {
-            SignalSource::Constant(v) => {
-                values.insert(sid, v);
-            }
-            SignalSource::PrimaryInput => {
-                if let Some(&v) = inputs.get(&sid) {
-                    values.insert(sid, v);
-                }
-            }
-            SignalSource::Node(_) => {}
-        }
-    }
+    let mut values: Vec<Option<i64>> = dfg
+        .signals()
+        .map(|(sid, sig)| match sig.source() {
+            SignalSource::Constant(v) => Some(v),
+            SignalSource::PrimaryInput => inputs.get(&sid).copied(),
+            SignalSource::Node(_) => None,
+        })
+        .collect();
     for &id in dfg.topo_order() {
         let node = dfg.node(id);
         let operand = |i: usize| -> Result<i64, SimError> {
             let sig = node.inputs()[i];
-            values.get(&sig).copied().ok_or(SimError::MissingInput(sig))
+            values[sig.index()].ok_or(SimError::MissingInput(sig))
         };
         let value = match node.kind() {
             NodeKind::Op(k) => {
@@ -98,13 +126,15 @@ pub fn interpret_with_memory(
                 }
             }
             NodeKind::Load { array, .. } => {
-                let storage = memory.get(&array).ok_or(SimError::Unsupported(id))?;
+                let storage = memory.get(array.index()).ok_or(SimError::Unsupported(id))?;
                 storage[wrap_index(operand(0)?, storage.len())]
             }
             NodeKind::Store { array, .. } => {
                 let index = operand(0)?;
                 let value = operand(1)?;
-                let storage = memory.get_mut(&array).ok_or(SimError::Unsupported(id))?;
+                let storage = memory
+                    .get_mut(array.index())
+                    .ok_or(SimError::Unsupported(id))?;
                 let at = wrap_index(index, storage.len());
                 storage[at] = value;
                 // The store's output *is* the stored value (the ordering
@@ -113,9 +143,9 @@ pub fn interpret_with_memory(
             }
             NodeKind::LoopBody { .. } => return Err(SimError::Unsupported(id)),
         };
-        values.insert(node.output(), value);
+        values[node.output().index()] = Some(value);
     }
-    Ok((values, memory))
+    Ok(Evaluation { values, memory })
 }
 
 /// Generates a deterministic pseudo-random input vector for `dfg`

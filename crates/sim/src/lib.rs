@@ -50,9 +50,6 @@ mod interp;
 mod rtl_sim;
 mod vcd;
 
-/// Alias used internally for the trace maps (re-exported id type).
-pub(crate) use hls_rtl::AluId as AluIdAlias;
-
 pub use error::SimError;
 pub use eval::eval_op;
 pub use interp::{interpret, interpret_with_memory, random_inputs, MemoryState};

@@ -4,11 +4,11 @@ use std::collections::BTreeMap;
 
 use hls_celllib::TimingSpec;
 use hls_control::Controller;
-use hls_dfg::{ArrayId, Dfg, NodeId, NodeKind, SignalId, SignalSource};
-use hls_rtl::{Datapath, RegId};
-use hls_schedule::Schedule;
+use hls_dfg::{Dfg, NodeId, NodeKind, SignalId, SignalSource};
+use hls_rtl::{AluId, Datapath, RegId};
+use hls_schedule::{CStep, Schedule};
 
-use crate::interp::{initial_memory, interpret_with_memory, wrap_index, MemoryState};
+use crate::interp::{evaluate, initial_memory, memory_state, wrap_index, MemoryState};
 use crate::{eval_op, SimError};
 
 /// The state visible at the end of one control step (for waveform
@@ -19,7 +19,7 @@ pub struct StepTrace {
     pub step: u32,
     /// Combinational ALU outputs driven during the step (by the
     /// operations issued in it).
-    pub alu_values: BTreeMap<crate::AluIdAlias, i64>,
+    pub alu_values: BTreeMap<AluId, i64>,
     /// Register-file contents after the step's writes latched.
     pub registers: BTreeMap<RegId, i64>,
     /// Array contents after the step's stores latched (empty map for
@@ -53,6 +53,259 @@ pub struct Mismatch {
     pub got: i64,
 }
 
+/// The design lowered once per run into dense tables, so the step loop
+/// makes no map lookups: everything it reads is indexed by `SignalId`,
+/// `NodeId`, `RegId` or array position.
+struct Engine<'a> {
+    dfg: &'a Dfg,
+    controller: &'a Controller,
+    cs: u32,
+    /// Port value of every constant and consumed primary input.
+    external: Vec<Option<i64>>,
+    /// Register holding each stored signal.
+    reg_of: Vec<Option<RegId>>,
+    /// Finish step of each scheduled operation.
+    finish: Vec<Option<u32>>,
+    /// Topological rank of each operation, which orders same-step
+    /// (chained) activities.
+    rank: Vec<u32>,
+    /// Registers in the data path.
+    registers: usize,
+}
+
+/// The machine state a run ends in.
+struct State {
+    /// `RegId`-indexed register file (`None` until first written).
+    registers: Vec<Option<i64>>,
+    /// `NodeId`-indexed operation values.
+    values: Vec<Option<i64>>,
+    /// Array contents, by array position.
+    memory: Vec<Vec<i64>>,
+}
+
+impl State {
+    fn latch(&mut self, reg: RegId, value: i64) {
+        let r = reg.0 as usize;
+        if r >= self.registers.len() {
+            self.registers.resize(r + 1, None);
+        }
+        self.registers[r] = Some(value);
+    }
+
+    fn register_map(&self) -> BTreeMap<RegId, i64> {
+        (0u32..)
+            .zip(&self.registers)
+            .filter_map(|(r, v)| v.map(|v| (RegId(r), v)))
+            .collect()
+    }
+}
+
+impl<'a> Engine<'a> {
+    fn new(
+        dfg: &'a Dfg,
+        schedule: &Schedule,
+        datapath: &Datapath,
+        controller: &'a Controller,
+        spec: &TimingSpec,
+        inputs: &BTreeMap<SignalId, i64>,
+    ) -> Result<Self, SimError> {
+        let mut external = vec![None; dfg.signal_count()];
+        for (sid, sig) in dfg.signals() {
+            external[sid.index()] = match sig.source() {
+                SignalSource::Constant(v) => Some(v),
+                SignalSource::PrimaryInput if !dfg.consumers(sid).is_empty() => {
+                    Some(*inputs.get(&sid).ok_or(SimError::MissingInput(sid))?)
+                }
+                _ => None,
+            };
+        }
+        let mut reg_of = vec![None; dfg.signal_count()];
+        for (reg, spans) in datapath.register_allocation().iter() {
+            for span in spans {
+                debug_assert!(
+                    reg_of[span.signal.index()].is_none(),
+                    "one register per signal"
+                );
+                reg_of[span.signal.index()] = Some(reg);
+            }
+        }
+        let finish = dfg
+            .node_ids()
+            .map(|n| schedule.finish(n, dfg, spec).map(|f| f.get()))
+            .collect();
+        let mut rank = vec![0; dfg.node_count()];
+        for (i, &n) in (0u32..).zip(dfg.topo_order()) {
+            rank[n.index()] = i;
+        }
+        Ok(Engine {
+            dfg,
+            controller,
+            cs: schedule.control_steps(),
+            external,
+            reg_of,
+            finish,
+            rank,
+            registers: datapath.register_allocation().register_count(),
+        })
+    }
+
+    /// Structural operand resolution, shared by ALU operations and
+    /// memory accesses: the value `consumer` reads for `sig` in `step`.
+    fn resolve(
+        &self,
+        state: &State,
+        consumer: NodeId,
+        sig: SignalId,
+        step: u32,
+    ) -> Result<i64, SimError> {
+        let unavailable = || SimError::ValueUnavailable {
+            node: consumer,
+            signal: sig,
+        };
+        let reg = self.reg_of[sig.index()];
+        let stored = || {
+            reg.and_then(|r| state.registers.get(r.0 as usize).copied().flatten())
+                .ok_or_else(unavailable)
+        };
+        match self.dfg.signal(sig).source() {
+            // Stored inputs read through their register; constants and
+            // unstored inputs through ports.
+            SignalSource::Constant(_) | SignalSource::PrimaryInput => match reg {
+                Some(_) => stored(),
+                None => self.external[sig.index()].ok_or(SimError::MissingInput(sig)),
+            },
+            SignalSource::Node(producer) => {
+                let p_finish = self.finish[producer.index()].ok_or(SimError::Unbound(producer))?;
+                if p_finish >= step {
+                    // Chained: combinational read of the producing ALU
+                    // within this step.
+                    state.values[producer.index()].ok_or_else(unavailable)
+                } else {
+                    stored()
+                }
+            }
+        }
+    }
+
+    /// Runs every control step; with `trace`, records the state at the
+    /// end of each.
+    fn run(
+        &self,
+        inputs: &BTreeMap<SignalId, i64>,
+        mut trace: Option<&mut Vec<StepTrace>>,
+    ) -> Result<State, SimError> {
+        let dfg = self.dfg;
+        let mut state = State {
+            registers: vec![None; self.registers],
+            values: vec![None; dfg.node_count()],
+            memory: initial_memory(dfg),
+        };
+        // Register file, pre-loaded with inputs.
+        for load in self.controller.input_loads() {
+            let v = *inputs
+                .get(&load.signal)
+                .ok_or(SimError::MissingInput(load.signal))?;
+            state.latch(load.register, v);
+        }
+
+        let mut order: Vec<usize> = Vec::new();
+        let mut pending_stores: Vec<(usize, usize, i64)> = Vec::new();
+        for step in 1..=self.cs {
+            let word = self.controller.word(CStep::new(step));
+            let mut alu_values = BTreeMap::new();
+            order.clear();
+            order.extend(0..word.activities.len());
+            order.sort_by_key(|&i| self.rank[word.activities[i].node.index()]);
+            for &i in &order {
+                let activity = &word.activities[i];
+                let node = dfg.node(activity.node);
+                let mut vals = [0i64; 2];
+                for (v, &sig) in vals.iter_mut().zip(node.inputs()) {
+                    *v = self.resolve(&state, activity.node, sig, step)?;
+                }
+                let value = match node.kind() {
+                    NodeKind::Op(k) => eval_op(k, vals[0], vals[1]),
+                    NodeKind::Stage { base, index, .. } => {
+                        if index == 0 {
+                            eval_op(base, vals[0], vals[1])
+                        } else {
+                            vals[0]
+                        }
+                    }
+                    _ => return Err(SimError::Unsupported(activity.node)),
+                };
+                state.values[activity.node.index()] = Some(value);
+                if trace.is_some() {
+                    alu_values.insert(activity.alu, value);
+                }
+            }
+
+            // Memory accesses: loads read the pre-step array contents;
+            // stores latch at the end of the step (non-blocking
+            // assignment semantics, matching the emitted Verilog).
+            // Ordering tokens in the graph rule out same-step
+            // read-after-write hazards, so the in-step order is
+            // immaterial.
+            order.clear();
+            order.extend(0..word.mem.len());
+            order.sort_by_key(|&i| self.rank[word.mem[i].node.index()]);
+            for &i in &order {
+                let access = &word.mem[i];
+                let node = dfg.node(access.node);
+                let array = node
+                    .kind()
+                    .array()
+                    .ok_or(SimError::Unsupported(access.node))?
+                    .index();
+                let len = state
+                    .memory
+                    .get(array)
+                    .ok_or(SimError::Unsupported(access.node))?
+                    .len();
+                let at = self.resolve(&state, access.node, node.inputs()[0], step)?;
+                let at = wrap_index(at, len);
+                let value = if access.write {
+                    let v = self.resolve(&state, access.node, node.inputs()[1], step)?;
+                    pending_stores.push((array, at, v));
+                    v
+                } else {
+                    state.memory[array][at]
+                };
+                state.values[access.node.index()] = Some(value);
+            }
+            for (array, at, v) in pending_stores.drain(..) {
+                state.memory[array][at] = v;
+            }
+
+            // End of step: latch register writes.
+            for write in &word.writes {
+                let producer =
+                    dfg.signal(write.signal)
+                        .source()
+                        .node()
+                        .ok_or(SimError::ValueUnavailable {
+                            node: dfg.topo_order()[0],
+                            signal: write.signal,
+                        })?;
+                let v = state.values[producer.index()].ok_or(SimError::ValueUnavailable {
+                    node: producer,
+                    signal: write.signal,
+                })?;
+                state.latch(write.register, v);
+            }
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.push(StepTrace {
+                    step,
+                    alu_values,
+                    registers: state.register_map(),
+                    memory: memory_state(dfg, &state.memory),
+                });
+            }
+        }
+        Ok(state)
+    }
+}
+
 /// Simulates the synthesised design step by step.
 ///
 /// The simulation is *structural*: operations read their operands from
@@ -75,208 +328,26 @@ pub fn simulate(
     spec: &TimingSpec,
     inputs: &BTreeMap<SignalId, i64>,
 ) -> Result<SimOutcome, SimError> {
-    let cs = schedule.control_steps();
-    // External values (inputs + constants).
-    let mut external: BTreeMap<SignalId, i64> = BTreeMap::new();
-    for (sid, sig) in dfg.signals() {
-        match sig.source() {
-            SignalSource::Constant(v) => {
-                external.insert(sid, v);
-            }
-            SignalSource::PrimaryInput => {
-                if dfg.consumers(sid).is_empty() {
-                    continue;
-                }
-                let v = *inputs.get(&sid).ok_or(SimError::MissingInput(sid))?;
-                external.insert(sid, v);
-            }
-            SignalSource::Node(_) => {}
-        }
-    }
+    let engine = Engine::new(dfg, schedule, datapath, controller, spec, inputs)?;
+    let mut trace = Vec::with_capacity(engine.cs as usize);
+    let state = engine.run(inputs, Some(&mut trace))?;
 
-    // Register file, pre-loaded with inputs.
-    let mut registers: BTreeMap<RegId, i64> = BTreeMap::new();
-    for load in controller.input_loads() {
-        let v = *inputs
-            .get(&load.signal)
-            .ok_or(SimError::MissingInput(load.signal))?;
-        registers.insert(load.register, v);
-    }
-
-    // Topological rank, to order same-step (chained) activities.
-    let rank: BTreeMap<NodeId, usize> = dfg
-        .topo_order()
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
+    // Design outputs: operation results without consumers.
+    let outputs = dfg
+        .signals()
+        .filter(|&(sid, _)| dfg.consumers(sid).is_empty())
+        .filter_map(|(sid, sig)| {
+            let producer = sig.source().node()?;
+            Some((sid, state.values[producer.index()]?))
+        })
         .collect();
-
-    let mut node_values: BTreeMap<NodeId, i64> = BTreeMap::new();
-    let mut memory = initial_memory(dfg);
-    let mut trace: Vec<StepTrace> = Vec::with_capacity(cs as usize);
-
-    for step in 1..=cs {
-        let mut alu_values: BTreeMap<crate::AluIdAlias, i64> = BTreeMap::new();
-        let word = controller.word(hls_schedule::CStep::new(step));
-        let mut activities = word.activities.clone();
-        activities.sort_by_key(|a| rank[&a.node]);
-
-        // Structural operand resolution, shared by ALU operations and
-        // memory accesses.
-        let resolve = |consumer: NodeId,
-                       sig: SignalId,
-                       registers: &BTreeMap<RegId, i64>,
-                       node_values: &BTreeMap<NodeId, i64>|
-         -> Result<i64, SimError> {
-            match dfg.signal(sig).source() {
-                SignalSource::Constant(_) | SignalSource::PrimaryInput => {
-                    // Stored inputs read through their register;
-                    // constants and unstored inputs through ports.
-                    match datapath.register_allocation().register_of(sig) {
-                        Some(r) => registers
-                            .get(&r)
-                            .copied()
-                            .ok_or(SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            }),
-                        None => external
-                            .get(&sig)
-                            .copied()
-                            .ok_or(SimError::MissingInput(sig)),
-                    }
-                }
-                SignalSource::Node(producer) => {
-                    let p_finish = schedule
-                        .finish(producer, dfg, spec)
-                        .ok_or(SimError::Unbound(producer))?;
-                    if p_finish.get() >= step {
-                        // Chained: combinational read of the producing
-                        // ALU within this step.
-                        node_values
-                            .get(&producer)
-                            .copied()
-                            .ok_or(SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            })
-                    } else {
-                        let r = datapath.register_allocation().register_of(sig).ok_or(
-                            SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            },
-                        )?;
-                        registers
-                            .get(&r)
-                            .copied()
-                            .ok_or(SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            })
-                    }
-                }
-            }
-        };
-
-        for activity in &activities {
-            let node = dfg.node(activity.node);
-            let mut vals = [0i64; 2];
-            for (i, &sig) in node.inputs().iter().enumerate() {
-                vals[i] = resolve(activity.node, sig, &registers, &node_values)?;
-            }
-            let value = match node.kind() {
-                NodeKind::Op(k) => eval_op(k, vals[0], vals[1]),
-                NodeKind::Stage { base, index, .. } => {
-                    if index == 0 {
-                        eval_op(base, vals[0], vals[1])
-                    } else {
-                        vals[0]
-                    }
-                }
-                _ => return Err(SimError::Unsupported(activity.node)),
-            };
-            node_values.insert(activity.node, value);
-            alu_values.insert(activity.alu, value);
-        }
-
-        // Memory accesses: loads read the pre-step array contents;
-        // stores latch at the end of the step (non-blocking assignment
-        // semantics, matching the emitted Verilog). Ordering tokens in
-        // the graph rule out same-step read-after-write hazards, so the
-        // in-step order is immaterial.
-        let mut pending_stores: Vec<(ArrayId, usize, i64)> = Vec::new();
-        let mut accesses = word.mem.clone();
-        accesses.sort_by_key(|m| rank[&m.node]);
-        for access in &accesses {
-            let node = dfg.node(access.node);
-            let array = node
-                .kind()
-                .array()
-                .ok_or(SimError::Unsupported(access.node))?;
-            let len = memory
-                .get(&array)
-                .ok_or(SimError::Unsupported(access.node))?
-                .len();
-            let index = wrap_index(
-                resolve(access.node, node.inputs()[0], &registers, &node_values)?,
-                len,
-            );
-            let value = if access.write {
-                let v = resolve(access.node, node.inputs()[1], &registers, &node_values)?;
-                pending_stores.push((array, index, v));
-                v
-            } else {
-                memory[&array][index]
-            };
-            node_values.insert(access.node, value);
-        }
-        for (array, index, v) in pending_stores {
-            memory.get_mut(&array).expect("validated above")[index] = v;
-        }
-
-        // End of step: latch register writes.
-        for write in &word.writes {
-            let producer =
-                dfg.signal(write.signal)
-                    .source()
-                    .node()
-                    .ok_or(SimError::ValueUnavailable {
-                        node: dfg.topo_order()[0],
-                        signal: write.signal,
-                    })?;
-            let v = *node_values
-                .get(&producer)
-                .ok_or(SimError::ValueUnavailable {
-                    node: producer,
-                    signal: write.signal,
-                })?;
-            registers.insert(write.register, v);
-        }
-        trace.push(StepTrace {
-            step,
-            alu_values,
-            registers: registers.clone(),
-            memory: memory.clone(),
-        });
-    }
-
-    // Collect design outputs.
-    let mut outputs = BTreeMap::new();
-    for (sid, sig) in dfg.signals() {
-        if let SignalSource::Node(p) = sig.source() {
-            if dfg.consumers(sid).is_empty() {
-                if let Some(&v) = node_values.get(&p) {
-                    outputs.insert(sid, v);
-                }
-            }
-        }
-    }
-
     Ok(SimOutcome {
-        node_values,
-        final_registers: registers,
-        final_memory: memory,
+        node_values: dfg
+            .node_ids()
+            .filter_map(|n| Some((n, state.values[n.index()]?)))
+            .collect(),
+        final_registers: state.register_map(),
+        final_memory: memory_state(dfg, &state.memory),
         outputs,
         trace,
     })
@@ -293,8 +364,9 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Propagates interpreter/simulator errors; controller generation
-/// failures surface as [`SimError::Unbound`].
+/// [`SimError::Controller`] when no controller can be generated for the
+/// schedule and data path; otherwise propagates interpreter/simulator
+/// errors.
 pub fn check_equivalence(
     dfg: &Dfg,
     schedule: &Schedule,
@@ -302,30 +374,25 @@ pub fn check_equivalence(
     spec: &TimingSpec,
     inputs: &BTreeMap<SignalId, i64>,
 ) -> Result<Vec<Mismatch>, SimError> {
-    let controller = Controller::generate(dfg, schedule, datapath, spec)
-        .map_err(|_| SimError::Unbound(dfg.topo_order()[0]))?;
-    let (expected, expected_memory) = interpret_with_memory(dfg, inputs)?;
-    let got = simulate(dfg, schedule, datapath, &controller, spec, inputs)?;
+    let controller =
+        Controller::generate(dfg, schedule, datapath, spec).map_err(SimError::Controller)?;
+    let expected = evaluate(dfg, inputs)?;
+    let got = Engine::new(dfg, schedule, datapath, &controller, spec, inputs)?.run(inputs, None)?;
     let mut mismatches = Vec::new();
     for (id, node) in dfg.nodes() {
-        let want = expected[&node.output()];
-        match got.node_values.get(&id) {
-            Some(&have) if have == want => {}
-            Some(&have) => mismatches.push(Mismatch {
+        let want =
+            expected.values[node.output().index()].expect("the interpreter evaluates every node");
+        match got.values[id.index()] {
+            Some(have) if have == want => {}
+            have => mismatches.push(Mismatch {
                 node: id,
                 expected: want,
-                got: have,
-            }),
-            None => mismatches.push(Mismatch {
-                node: id,
-                expected: want,
-                got: i64::MIN,
+                got: have.unwrap_or(i64::MIN),
             }),
         }
     }
-    for (array, want) in &expected_memory {
-        let have = got.final_memory.get(array).cloned().unwrap_or_default();
-        if &have == want {
+    for (array, (want, have)) in expected.memory.iter().zip(&got.memory).enumerate() {
+        if have == want {
             continue;
         }
         let at = (0..want.len())
@@ -335,7 +402,7 @@ pub fn check_equivalence(
             .node_ids()
             .find(|&id| {
                 matches!(dfg.node(id).kind(),
-                    NodeKind::Store { array: a, .. } if a == *array)
+                    NodeKind::Store { array: a, .. } if a.index() == array)
             })
             .unwrap_or(dfg.topo_order()[0]);
         mismatches.push(Mismatch {
@@ -410,6 +477,19 @@ mod tests {
         let controller = Controller::generate(&dfg, &s, &dp, &spec).unwrap();
         let err = simulate(&dfg, &s, &dp, &controller, &spec, &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, SimError::MissingInput(_)));
+    }
+
+    #[test]
+    fn controller_failures_are_reported_as_such() {
+        // The data path was built for a complete schedule; an empty one
+        // leaves every operation unbound, which the controller rejects.
+        let (dfg, _, dp, spec) = manual_design();
+        let empty = Schedule::new(&dfg, 3);
+        let rejected = Controller::generate(&dfg, &empty, &dp, &spec).unwrap_err();
+        assert_eq!(
+            check_equivalence(&dfg, &empty, &dp, &spec, &random_inputs(&dfg, 1)),
+            Err(SimError::Controller(rejected))
+        );
     }
 
     #[test]

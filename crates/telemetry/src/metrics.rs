@@ -198,6 +198,11 @@ impl Metrics {
     /// Adds `by` to the counter `name`, creating it at zero.
     pub fn inc(&mut self, name: impl Into<Cow<'static, str>>, by: u64) {
         let name = name.into();
+        // A known counter is already registered: one lookup, no clone.
+        if let Some(count) = self.counters.get_mut(name.as_ref()) {
+            *count += by;
+            return;
+        }
         self.register(&name);
         *self.counters.entry(name).or_insert(0) += by;
     }
@@ -205,6 +210,10 @@ impl Metrics {
     /// Records `value` into the histogram `name`, creating it empty.
     pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         let name = name.into();
+        if let Some(histogram) = self.histograms.get_mut(name.as_ref()) {
+            histogram.observe(value);
+            return;
+        }
         self.register(&name);
         self.histograms.entry(name).or_default().observe(value);
     }

@@ -306,7 +306,9 @@ fn full_steps((lo, hi): (u32, u32), cells: &[(CStep, FuIndex)]) -> Vec<CStep> {
 
 /// Checks every word-level answer for one query against the
 /// enumeration: the cells, |MF|, the argmin under both static Liapunov
-/// functions, and the steps no column leaves free (the AF scan).
+/// functions (with lexicographic weights and with weights small enough
+/// to force the general minimum), and the steps no column leaves free
+/// (the AF scan).
 fn check_free_starts(
     grid: &Grid,
     dfg: &Dfg,
@@ -320,16 +322,34 @@ fn check_free_starts(
     let starts = grid.free_starts(dfg, node, lo, hi, cycles, columns);
     prop_assert_eq!(&starts.positions().collect::<Vec<_>>(), &cells);
     prop_assert_eq!(starts.count(), cells.len());
-    for objective in [
-        MfsObjective::TimeConstrained,
-        MfsObjective::ResourceConstrained,
+    // The MFS weights, plus weights below the visible columns (time
+    // mode) or the window (resource mode), which make the form
+    // non-lexicographic and force the general minimum.
+    let span = window.1.saturating_sub(window.0) + 1;
+    for (n, cs) in [
+        (dfg.node_count() as u32, grid.control_steps()),
+        (columns.max(1), span),
+        ((columns / 2).max(1), (span / 2).max(1)),
+        (1, 1),
     ] {
-        let v = StaticLiapunov::new(objective, dfg.node_count() as u32, grid.control_steps());
-        let expected = cells
-            .iter()
-            .min_by_key(|(s, f)| (v.value(f.get(), s.get()), *s, *f))
-            .map(|&(step, fu)| Position { step, fu });
-        prop_assert_eq!(v.min_position(&starts), expected, "{}", objective);
+        for objective in [
+            MfsObjective::TimeConstrained,
+            MfsObjective::ResourceConstrained,
+        ] {
+            let v = StaticLiapunov::new(objective, n, cs);
+            let expected = cells
+                .iter()
+                .min_by_key(|(s, f)| (v.value(f.get(), s.get()), *s, *f))
+                .map(|&(step, fu)| Position { step, fu });
+            prop_assert_eq!(
+                v.min_position(&starts),
+                expected,
+                "{} n={} cs={}",
+                objective,
+                n,
+                cs
+            );
+        }
     }
     prop_assert_eq!(starts.full_steps(hi), full_steps(window, &cells));
     Ok(())

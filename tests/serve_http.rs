@@ -129,6 +129,27 @@ fn chain_zero_is_400_and_never_kills_a_worker() {
     server.join();
 }
 
+/// Regression: the literal-index constant of `load v = a[3]` is named
+/// `v.idx`, and an op already held that name. The parser panicked, on the
+/// reactor thread (the warm-cache probe parses the job), so the request
+/// got an empty reply and every later connection was refused.
+#[test]
+fn colliding_generated_name_is_answered_and_the_daemon_lives() {
+    let server = common::start(common::ephemeral_config());
+    let addr = server.local_addr();
+
+    let job =
+        br#"{"dfg":"input i\narray a[4] @ m(ports=1)\nop v.idx = inc(i)\nload v = a[3]\n","cs":4}"#;
+    let (status, body) = common::post(addr, "/schedule", job);
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = common::get(addr, "/healthz");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    assert_eq!(server.app().metrics_snapshot().counter("serve.panics"), 0);
+
+    server.shutdown();
+    server.join();
+}
+
 /// Pulls an integer field out of the one-line JSON stats body.
 fn stat(body: &str, key: &str) -> u32 {
     body.split(&format!("\"{key}\":"))
