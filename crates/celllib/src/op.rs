@@ -187,11 +187,10 @@ impl FromStr for OpKind {
     /// Parses either the canonical symbol (`"*"`) or the short name
     /// (`"mul"`), case-insensitively for names.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
         OpKind::ALL
             .iter()
             .copied()
-            .find(|k| k.symbol() == s || k.name() == lower)
+            .find(|k| k.symbol() == s || k.name().eq_ignore_ascii_case(s))
             .ok_or_else(|| ParseOpKindError {
                 token: s.to_string(),
             })

@@ -1,12 +1,14 @@
 //! Fluent construction of data-flow graphs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use hls_celllib::OpKind;
 
 use crate::graph::LoopRegion;
 use crate::memory::{ArrayDecl, ArrayId, BankDecl, BankId, MemoryDecls};
-use crate::node::{LoopId, Node, NodeId, NodeKind};
+use crate::node::{LoopId, Node, NodeId, NodeKind, Operands};
 use crate::signal::{BranchArm, BranchId, BranchPath, Signal, SignalId, SignalSource};
 use crate::{Dfg, DfgError};
 
@@ -18,6 +20,15 @@ struct MemOrder {
     last_store: Option<SignalId>,
     /// Outputs of loads issued since the latest store (WAR for stores).
     loads_since: Vec<SignalId>,
+}
+
+/// What a declared name refers to: names share one namespace across
+/// signals, banks and arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Declared {
+    Signal(SignalId),
+    Bank(BankId),
+    Array(ArrayId),
 }
 
 /// Incremental builder for [`Dfg`] values.
@@ -56,7 +67,9 @@ pub struct DfgBuilder {
     loops: Vec<LoopRegion>,
     memory: MemoryDecls,
     mem_order: BTreeMap<ArrayId, MemOrder>,
-    names: BTreeSet<String>,
+    /// Every declared name, keyed by the same shared allocation the
+    /// signal, node, bank or array holds — one owned copy per name.
+    names: HashMap<Arc<str>, Declared>,
     next_branch: u32,
     branch_stack: Vec<BranchArm>,
     loop_stack: Vec<LoopId>,
@@ -72,27 +85,58 @@ impl DfgBuilder {
             loops: Vec::new(),
             memory: MemoryDecls::default(),
             mem_order: BTreeMap::new(),
-            names: BTreeSet::new(),
+            names: HashMap::new(),
             next_branch: 0,
             branch_stack: Vec::new(),
             loop_stack: Vec::new(),
         }
     }
 
-    fn intern_name(&mut self, name: &str) -> Result<(), DfgError> {
-        if !self.names.insert(name.to_string()) {
-            return Err(DfgError::DuplicateName(name.to_string()));
+    /// Claims `name` for `what`; returns the shared copy to store.
+    fn intern_name(&mut self, name: &str, what: Declared) -> Result<Arc<str>, DfgError> {
+        let name: Arc<str> = Arc::from(name);
+        match self.names.entry(Arc::clone(&name)) {
+            Entry::Occupied(_) => Err(DfgError::DuplicateName(name.to_string())),
+            Entry::Vacant(slot) => {
+                slot.insert(what);
+                Ok(name)
+            }
         }
-        Ok(())
+    }
+
+    /// Reserves room for `nodes` more nodes and `names` more names.
+    pub(crate) fn reserve(&mut self, nodes: usize, names: usize) {
+        self.nodes.reserve(nodes);
+        self.signals.reserve(names);
+        self.names.reserve(names);
     }
 
     /// Whether `name` is already declared (signal, bank or array).
     pub fn has_name(&self, name: &str) -> bool {
-        self.names.contains(name)
+        self.names.contains_key(name)
     }
 
-    fn push_signal(&mut self, name: String, source: SignalSource) -> SignalId {
-        let id = SignalId(self.signals.len() as u32);
+    /// What `name` is declared as, if anything.
+    pub(crate) fn lookup(&self, name: &str) -> Option<Declared> {
+        self.names.get(name).copied()
+    }
+
+    /// The port count of a declared bank.
+    pub(crate) fn bank_ports(&self, id: BankId) -> u32 {
+        self.memory.banks[id.index()].ports
+    }
+
+    /// The element count of a declared array.
+    pub(crate) fn array_size(&self, id: ArrayId) -> u32 {
+        self.memory.arrays[id.index()].size
+    }
+
+    fn next_signal(&self) -> SignalId {
+        SignalId(self.signals.len() as u32)
+    }
+
+    fn push_signal(&mut self, name: Arc<str>, source: SignalSource) -> SignalId {
+        let id = self.next_signal();
         self.signals.push(Signal { name, source });
         id
     }
@@ -104,9 +148,10 @@ impl DfgBuilder {
     /// Panics if the name is already taken; inputs are declared first and
     /// a clash is a programming error in the caller's benchmark code.
     pub fn input(&mut self, name: &str) -> SignalId {
-        self.intern_name(name)
+        let name = self
+            .intern_name(name, Declared::Signal(self.next_signal()))
             .unwrap_or_else(|e| panic!("input: {e}"));
-        self.push_signal(name.to_string(), SignalSource::PrimaryInput)
+        self.push_signal(name, SignalSource::PrimaryInput)
     }
 
     /// Declares a named constant.
@@ -115,9 +160,10 @@ impl DfgBuilder {
     ///
     /// Panics if the name is already taken (see [`DfgBuilder::input`]).
     pub fn constant(&mut self, name: &str, value: i64) -> SignalId {
-        self.intern_name(name)
+        let name = self
+            .intern_name(name, Declared::Signal(self.next_signal()))
             .unwrap_or_else(|e| panic!("constant: {e}"));
-        self.push_signal(name.to_string(), SignalSource::Constant(value))
+        self.push_signal(name, SignalSource::Constant(value))
     }
 
     /// Adds an operation node named `name` computing `kind` over
@@ -158,18 +204,18 @@ impl DfgBuilder {
         kind: NodeKind,
         inputs: &[SignalId],
     ) -> Result<SignalId, DfgError> {
-        self.intern_name(name)?;
+        let name = self.intern_name(name, Declared::Signal(self.next_signal()))?;
         for &input in inputs {
             if input.index() >= self.signals.len() {
                 return Err(DfgError::ForeignSignal(input));
             }
         }
         let node_id = NodeId(self.nodes.len() as u32);
-        let output = self.push_signal(name.to_string(), SignalSource::Node(node_id));
+        let output = self.push_signal(Arc::clone(&name), SignalSource::Node(node_id));
         self.nodes.push(Node {
-            name: name.to_string(),
+            name,
             kind,
-            inputs: inputs.to_vec(),
+            inputs: Operands::new(inputs),
             output,
             branch: BranchPath::from_arms(self.branch_stack.iter().copied()),
             loop_id: self.loop_stack.last().copied(),
@@ -186,14 +232,11 @@ impl DfgBuilder {
     /// in the caller's benchmark code.
     pub fn declare_bank(&mut self, name: &str, ports: u32) -> BankId {
         assert!(ports >= 1, "bank `{name}` must have at least one port");
-        self.intern_name(name)
-            .unwrap_or_else(|e| panic!("declare_bank: {e}"));
         let id = BankId(self.memory.banks.len() as u32);
-        self.memory.banks.push(BankDecl {
-            id,
-            name: name.to_string(),
-            ports,
-        });
+        let name = self
+            .intern_name(name, Declared::Bank(id))
+            .unwrap_or_else(|e| panic!("declare_bank: {e}"));
+        self.memory.banks.push(BankDecl { id, name, ports });
         id
     }
 
@@ -209,12 +252,13 @@ impl DfgBuilder {
             self.memory.bank(bank).is_some(),
             "array `{name}` references an undeclared bank"
         );
-        self.intern_name(name)
-            .unwrap_or_else(|e| panic!("declare_array: {e}"));
         let id = ArrayId(self.memory.arrays.len() as u32);
+        let name = self
+            .intern_name(name, Declared::Array(id))
+            .unwrap_or_else(|e| panic!("declare_array: {e}"));
         self.memory.arrays.push(ArrayDecl {
             id,
-            name: name.to_string(),
+            name,
             size,
             bank,
         });

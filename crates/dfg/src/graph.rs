@@ -1,10 +1,10 @@
 //! The data-flow graph itself.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::memory::{ArrayDecl, ArrayId, BankDecl, BankId, MemoryDecls};
 use crate::node::{FuClass, LoopId, Node, NodeId, NodeKind};
-use crate::signal::{Signal, SignalId, SignalSource};
+use crate::signal::{BranchPath, Signal, SignalId, SignalSource};
 use crate::DfgError;
 
 /// A loop region of the behaviour (paper §5.2): its nodes are marked with
@@ -53,26 +53,61 @@ pub struct Dfg {
     pub(crate) signals: Vec<Signal>,
     pub(crate) loops: Vec<LoopRegion>,
     pub(crate) memory: MemoryDecls,
-    preds: Vec<Vec<NodeId>>,
-    succs: Vec<Vec<NodeId>>,
+    /// Node → predecessor and node → successor indices in CSR form
+    /// (see [`Csr`]): a node's predecessors in first-operand order, its
+    /// successors in node order, each listed once.
+    preds: Csr,
+    succs: Csr,
     topo: Vec<NodeId>,
-    /// Signal → consumer index in CSR form: the consumers of signal `s`
-    /// are `consumer_ids[consumer_start[s]..consumer_start[s + 1]]`, in
-    /// node order, each listed once however often it reads `s`.
-    consumer_start: Vec<u32>,
-    consumer_ids: Vec<NodeId>,
-    /// Per-node compact index into `mutex_bits`, or `u32::MAX` for
-    /// unconditional nodes (which exclude nothing). Only nodes inside a
-    /// branch arm get a row, so branch-free graphs pay nothing.
-    mutex_index: Vec<u32>,
-    /// Symmetric k×k bitset over the branched nodes: bit `(i, j)` is set
-    /// iff their branch paths are mutually exclusive.
-    mutex_bits: Vec<u64>,
-    /// Words per `mutex_bits` row.
-    mutex_words: usize,
+    /// Signal → consumer index in CSR form: the consumers of a signal
+    /// in node order, each listed once however often it reads it.
+    consumers: Csr,
+    /// Per-node branch-path class (paper §5.1 exclusion depends on the
+    /// path alone), numbered in first-appearance order, or `u32::MAX`
+    /// for unconditional nodes (which exclude nothing). Branch-free
+    /// graphs pay nothing.
+    path_class: Vec<u32>,
+    /// Symmetric p×p bitset over the p distinct branch paths: bit
+    /// `(c, d)` is set iff paths `c` and `d` are mutually exclusive.
+    class_bits: Vec<u64>,
+    /// Words per `class_bits` row.
+    class_words: usize,
     /// One bit per node: whether it excludes at least one other node
     /// (i.e. occupancy sharing is even worth checking for it).
     excluders: Vec<u64>,
+}
+
+/// A compressed sparse-row index: row `r` is
+/// `ids[start[r]..start[r + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Csr {
+    start: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl Csr {
+    /// Groups `edges` — `(row, id)` pairs, with the ids of each row
+    /// arriving in the order the row lists them — into `rows` rows.
+    fn from_edges(rows: usize, edges: impl Iterator<Item = (usize, NodeId)> + Clone) -> Csr {
+        let mut start = vec![0u32; rows + 1];
+        for (row, _) in edges.clone() {
+            start[row + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut ids = vec![NodeId(0); start[rows] as usize];
+        for (row, id) in edges {
+            ids[fill[row] as usize] = id;
+            fill[row] += 1;
+        }
+        Csr { start, ids }
+    }
+
+    fn row(&self, r: usize) -> &[NodeId] {
+        &self.ids[self.start[r] as usize..self.start[r + 1] as usize]
+    }
 }
 
 impl Dfg {
@@ -92,7 +127,7 @@ impl Dfg {
         // can reference them.
         for bank in &memory.banks {
             if bank.ports == 0 {
-                return Err(DfgError::BadPortCount(bank.name.clone()));
+                return Err(DfgError::BadPortCount(bank.name.to_string()));
             }
         }
         for array in &memory.arrays {
@@ -111,7 +146,7 @@ impl Dfg {
                 NodeKind::Op(kind) => {
                     if node.inputs.len() != kind.arity() {
                         return Err(DfgError::ArityMismatch {
-                            node: node.name.clone(),
+                            node: node.name.to_string(),
                             expected: kind.arity(),
                             got: node.inputs.len(),
                         });
@@ -120,7 +155,7 @@ impl Dfg {
                 NodeKind::Stage { .. } => {
                     if node.inputs.is_empty() || node.inputs.len() > 2 {
                         return Err(DfgError::ArityMismatch {
-                            node: node.name.clone(),
+                            node: node.name.to_string(),
                             expected: 2,
                             got: node.inputs.len(),
                         });
@@ -141,7 +176,7 @@ impl Dfg {
                     };
                     if node.inputs.len() < min {
                         return Err(DfgError::ArityMismatch {
-                            node: node.name.clone(),
+                            node: node.name.to_string(),
                             expected: min,
                             got: node.inputs.len(),
                         });
@@ -162,47 +197,49 @@ impl Dfg {
                 return Err(DfgError::ForeignSignal(node.output));
             }
         }
-        // Dependency adjacency.
-        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-        let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-        for (i, node) in nodes.iter().enumerate() {
-            for &input in &node.inputs {
+        // Dependency adjacency: each node's distinct producers in
+        // first-operand order, and the transposed edges grouped per
+        // producer in node order.
+        let mut preds = Csr {
+            start: Vec::with_capacity(nodes.len() + 1),
+            ids: Vec::new(),
+        };
+        preds.start.push(0);
+        for node in &nodes {
+            let row = preds.ids.len();
+            for &input in node.inputs.iter() {
                 if let SignalSource::Node(p) = signals[input.index()].source {
-                    let id = NodeId(i as u32);
-                    if !preds[i].contains(&p) {
-                        preds[i].push(p);
-                        succs[p.index()].push(id);
+                    if !preds.ids[row..].contains(&p) {
+                        preds.ids.push(p);
                     }
                 }
             }
+            preds.start.push(preds.ids.len() as u32);
         }
-        // Consumer index: count the distinct readers of each signal,
-        // prefix-sum the counts into row starts, then fill in node order.
-        fn reads(node: &Node) -> impl Iterator<Item = usize> + '_ {
+        let succs = Csr::from_edges(
+            nodes.len(),
+            (0..nodes.len()).flat_map(|i| {
+                let id = NodeId(i as u32);
+                preds.row(i).iter().map(move |p| (p.index(), id))
+            }),
+        );
+        // Consumer index: every distinct signal a node reads, in node
+        // order.
+        fn reads(node: &Node) -> impl Iterator<Item = usize> + Clone + '_ {
             let inputs = &node.inputs;
             (0..inputs.len())
                 .filter(move |&j| !inputs[..j].contains(&inputs[j]))
                 .map(move |j| inputs[j].index())
         }
-        let mut consumer_start = vec![0u32; signals.len() + 1];
-        for node in &nodes {
-            for sig in reads(node) {
-                consumer_start[sig + 1] += 1;
-            }
-        }
-        for i in 1..consumer_start.len() {
-            consumer_start[i] += consumer_start[i - 1];
-        }
-        let mut fill = consumer_start.clone();
-        let mut consumer_ids = vec![NodeId(0); consumer_start[signals.len()] as usize];
-        for (i, node) in nodes.iter().enumerate() {
-            for sig in reads(node) {
-                consumer_ids[fill[sig] as usize] = NodeId(i as u32);
-                fill[sig] += 1;
-            }
-        }
+        let consumers = Csr::from_edges(
+            signals.len(),
+            nodes
+                .iter()
+                .enumerate()
+                .flat_map(|(i, node)| reads(node).map(move |sig| (sig, NodeId(i as u32)))),
+        );
         // Kahn topological sort; detects cycles.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
+        let mut indeg: Vec<usize> = (0..nodes.len()).map(|i| preds.row(i).len()).collect();
         let mut queue: Vec<NodeId> = indeg
             .iter()
             .enumerate()
@@ -215,7 +252,7 @@ impl Dfg {
             let n = queue[head];
             head += 1;
             topo.push(n);
-            for &s in &succs[n.index()] {
+            for &s in succs.row(n.index()) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     queue.push(s);
@@ -231,30 +268,54 @@ impl Dfg {
                 .collect();
             return Err(DfgError::Cycle(cyclic));
         }
-        // Mutual-exclusion cache (paper §5.1): pairwise `excludes` over
-        // the branched nodes only, folded into bitsets so the schedulers'
-        // hot probes are O(1) bit tests instead of arm-list walks.
-        let branched: Vec<usize> = nodes
+        // Mutual-exclusion cache (paper §5.1). Exclusion depends only on
+        // the two branch paths, so intern each distinct path once and
+        // compare the p distinct paths pairwise instead of the k
+        // branched nodes: the schedulers' hot probes stay O(1) bit
+        // tests, and building the table costs O(n + p²).
+        let mut classes: Vec<&BranchPath> = Vec::new();
+        let mut class_members: Vec<u32> = Vec::new();
+        let mut class_of: HashMap<&BranchPath, u32> = HashMap::new();
+        let path_class: Vec<u32> = nodes
             .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.branch.is_top_level())
-            .map(|(i, _)| i)
-            .collect();
-        let mut mutex_index = vec![u32::MAX; nodes.len()];
-        for (compact, &i) in branched.iter().enumerate() {
-            mutex_index[i] = compact as u32;
-        }
-        let mutex_words = branched.len().div_ceil(64);
-        let mut mutex_bits = vec![0u64; branched.len() * mutex_words];
-        let mut excluders = vec![0u64; nodes.len().div_ceil(64)];
-        for (ia, &a) in branched.iter().enumerate() {
-            for (ib, &b) in branched.iter().enumerate().skip(ia + 1) {
-                if nodes[a].branch.excludes(&nodes[b].branch) {
-                    mutex_bits[ia * mutex_words + ib / 64] |= 1 << (ib % 64);
-                    mutex_bits[ib * mutex_words + ia / 64] |= 1 << (ia % 64);
-                    excluders[a / 64] |= 1 << (a % 64);
-                    excluders[b / 64] |= 1 << (b % 64);
+            .map(|n| {
+                if n.branch.is_top_level() {
+                    return u32::MAX;
                 }
+                let c = *class_of.entry(&n.branch).or_insert_with(|| {
+                    classes.push(&n.branch);
+                    class_members.push(0);
+                    classes.len() as u32 - 1
+                });
+                class_members[c as usize] += 1;
+                c
+            })
+            .collect();
+        let class_words = classes.len().div_ceil(64);
+        let mut class_bits = vec![0u64; classes.len() * class_words];
+        for (c, path) in classes.iter().enumerate() {
+            for (d, other) in classes.iter().enumerate().skip(c) {
+                if path.excludes(other) {
+                    class_bits[c * class_words + d / 64] |= 1 << (d % 64);
+                    class_bits[d * class_words + c / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+        // A node excludes another node iff its class excludes another
+        // class, or excludes itself (a path naming two arms of one
+        // branch) and has a second member.
+        let class_excludes: Vec<bool> = (0..classes.len())
+            .map(|c| {
+                (0..classes.len()).any(|d| {
+                    class_bits[c * class_words + d / 64] >> (d % 64) & 1 == 1
+                        && (d != c || class_members[c] > 1)
+                })
+            })
+            .collect();
+        let mut excluders = vec![0u64; nodes.len().div_ceil(64)];
+        for (i, &c) in path_class.iter().enumerate() {
+            if c != u32::MAX && class_excludes[c as usize] {
+                excluders[i / 64] |= 1 << (i % 64);
             }
         }
         Ok(Dfg {
@@ -266,11 +327,10 @@ impl Dfg {
             preds,
             succs,
             topo,
-            consumer_start,
-            consumer_ids,
-            mutex_index,
-            mutex_bits,
-            mutex_words,
+            consumers,
+            path_class,
+            class_bits,
+            class_words,
             excluders,
         })
     }
@@ -331,19 +391,18 @@ impl Dfg {
 
     /// Data-dependency predecessors of `id` (producers of its inputs).
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
-        &self.preds[id.index()]
+        self.preds.row(id.index())
     }
 
     /// Data-dependency successors of `id` (consumers of its output).
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        &self.succs[id.index()]
+        self.succs.row(id.index())
     }
 
     /// Nodes consuming the given signal, in id order — an O(1) lookup
     /// into an index built with the graph.
     pub fn consumers(&self, sig: SignalId) -> &[NodeId] {
-        let i = sig.index();
-        &self.consumer_ids[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
+        self.consumers.row(sig.index())
     }
 
     /// A precomputed topological order of the nodes.
@@ -353,13 +412,15 @@ impl Dfg {
 
     /// Looks up a node by behavioural name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes().find(|(_, n)| n.name == name).map(|(id, _)| id)
+        self.nodes()
+            .find(|(_, n)| &*n.name == name)
+            .map(|(id, _)| id)
     }
 
     /// Looks up a signal by name.
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
         self.signals()
-            .find(|(_, s)| s.name == name)
+            .find(|(_, s)| &*s.name == name)
             .map(|(id, _)| id)
     }
 
@@ -394,15 +455,16 @@ impl Dfg {
 
     /// Whether two nodes are mutually exclusive (paper §5.1) and may
     /// therefore share an FU in the same control step. A precomputed
-    /// bitset lookup — O(1), no arm-list comparison.
+    /// bitset lookup on the two nodes' path classes — O(1), no arm-list
+    /// comparison. A node never excludes itself.
     pub fn mutually_exclusive(&self, a: NodeId, b: NodeId) -> bool {
-        let ia = self.mutex_index[a.index()];
-        let ib = self.mutex_index[b.index()];
-        if ia == u32::MAX || ib == u32::MAX {
+        let ca = self.path_class[a.index()];
+        let cb = self.path_class[b.index()];
+        if ca == u32::MAX || cb == u32::MAX || a == b {
             return false;
         }
-        let (ia, ib) = (ia as usize, ib as usize);
-        self.mutex_bits[ia * self.mutex_words + ib / 64] >> (ib % 64) & 1 == 1
+        let (ca, cb) = (ca as usize, cb as usize);
+        self.class_bits[ca * self.class_words + cb / 64] >> (cb % 64) & 1 == 1
     }
 
     /// Whether `id` excludes at least one other node. When this is
@@ -562,5 +624,74 @@ mod tests {
         // 2 inputs + 3 op outputs.
         assert_eq!(g.signal_count(), 5);
         assert_eq!(g.node_count(), 3);
+    }
+
+    mod exclusion_table {
+        use super::*;
+        use crate::{BranchId, BranchPath};
+        use proptest::prelude::*;
+
+        #[test]
+        fn a_path_naming_two_arms_of_one_branch_excludes_its_twin() {
+            // Such a path excludes itself: two nodes on it exclude each
+            // other, a lone node on it excludes nothing.
+            let build = |twins: usize| {
+                let mut b = DfgBuilder::new("twins");
+                let x = b.input("x");
+                b.op("top", OpKind::Inc, &[x]).unwrap();
+                for i in 0..twins {
+                    b.enter_arm(BranchId::new(0), 0);
+                    b.enter_arm(BranchId::new(0), 1);
+                    b.op(&format!("t{i}"), OpKind::Inc, &[x]).unwrap();
+                    b.exit_arm();
+                    b.exit_arm();
+                }
+                b.finish().unwrap()
+            };
+            let g = build(2);
+            let (t0, t1) = (g.node_by_name("t0").unwrap(), g.node_by_name("t1").unwrap());
+            assert!(g.mutually_exclusive(t0, t1));
+            assert!(!g.mutually_exclusive(t0, t0));
+            assert!(g.has_exclusions(t0));
+            let g = build(1);
+            assert!(!g.has_exclusions(g.node_by_name("t0").unwrap()));
+        }
+
+        proptest! {
+            #[test]
+            fn path_classes_match_pairwise_excludes(
+                paths in proptest::collection::vec(
+                    (0usize..4, (0u32..4, 0u32..3), (0u32..4, 0u32..3), (0u32..4, 0u32..3)),
+                    1..40,
+                ),
+            ) {
+                // Nested paths of depth ≤ 3 over four branch ids and three
+                // arms: siblings, shared prefixes, unrelated branches, and
+                // paths naming one branch twice.
+                let mut b = DfgBuilder::new("paths");
+                let x = b.input("x");
+                for (i, &(depth, a0, a1, a2)) in paths.iter().enumerate() {
+                    let arms = [a0, a1, a2];
+                    for &(branch, arm) in &arms[..depth.min(3)] {
+                        b.enter_arm(BranchId::new(branch), arm);
+                    }
+                    b.op(&format!("n{i}"), OpKind::Inc, &[x]).unwrap();
+                    for _ in 0..depth.min(3) {
+                        b.exit_arm();
+                    }
+                }
+                let g = b.finish().unwrap();
+                let path = |n: NodeId| -> &BranchPath { g.node(n).branch() };
+                for a in g.node_ids() {
+                    let mut any = false;
+                    for c in g.node_ids() {
+                        let want = a != c && path(a).excludes(path(c));
+                        any |= want;
+                        prop_assert_eq!(g.mutually_exclusive(a, c), want, "({}, {})", a, c);
+                    }
+                    prop_assert_eq!(g.has_exclusions(a), any, "{}", a);
+                }
+            }
+        }
     }
 }

@@ -8,6 +8,7 @@
 //! limit, exactly like a user resource constraint on an operator class.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an array declared in one [`crate::Dfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,7 +60,7 @@ impl fmt::Display for BankId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankDecl {
     pub(crate) id: BankId,
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) ports: u32,
 }
 
@@ -84,7 +85,7 @@ impl BankDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayDecl {
     pub(crate) id: ArrayId,
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) size: u32,
     pub(crate) bank: BankId,
 }
@@ -147,12 +148,12 @@ impl MemoryDecls {
 
     /// Looks up a bank by name.
     pub fn bank_by_name(&self, name: &str) -> Option<&BankDecl> {
-        self.banks.iter().find(|b| b.name == name)
+        self.banks.iter().find(|b| &*b.name == name)
     }
 
     /// Looks up an array by name.
     pub fn array_by_name(&self, name: &str) -> Option<&ArrayDecl> {
-        self.arrays.iter().find(|a| a.name == name)
+        self.arrays.iter().find(|a| &*a.name == name)
     }
 
     /// Arrays bound to `bank`, in id order.

@@ -1,6 +1,7 @@
 //! Operation nodes and functional-unit classes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use hls_celllib::{Delay, OpKind, TimingSpec};
 
@@ -220,12 +221,65 @@ impl fmt::Display for FuClass {
     }
 }
 
+/// A node's operand list: up to two ids inline — every operator — and
+/// longer lists (memory accesses with ordering tokens, folded loops) on
+/// the heap. Reads as a slice; compares and prints like one.
+#[derive(Clone)]
+pub(crate) enum Operands {
+    Inline(u8, [SignalId; 2]),
+    Heap(Vec<SignalId>),
+}
+
+impl Operands {
+    pub(crate) fn new(ids: &[SignalId]) -> Self {
+        match *ids {
+            [] => Operands::Inline(0, [SignalId(0); 2]),
+            [a] => Operands::Inline(1, [a, SignalId(0)]),
+            [a, b] => Operands::Inline(2, [a, b]),
+            _ => Operands::Heap(ids.to_vec()),
+        }
+    }
+}
+
+impl From<Vec<SignalId>> for Operands {
+    fn from(ids: Vec<SignalId>) -> Self {
+        if ids.len() <= 2 {
+            Operands::new(&ids)
+        } else {
+            Operands::Heap(ids)
+        }
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [SignalId];
+
+    fn deref(&self) -> &[SignalId] {
+        match self {
+            Operands::Inline(n, ids) => &ids[..*n as usize],
+            Operands::Heap(ids) => ids,
+        }
+    }
+}
+
+impl PartialEq for Operands {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One operation node of the DFG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) kind: NodeKind,
-    pub(crate) inputs: Vec<SignalId>,
+    pub(crate) inputs: Operands,
     pub(crate) output: SignalId,
     pub(crate) branch: BranchPath,
     pub(crate) loop_id: Option<LoopId>,
@@ -333,5 +387,17 @@ mod tests {
         };
         assert_eq!(l.to_string(), "L3[4]");
         assert_eq!(FuClass::Op(OpKind::Add).to_string(), "+");
+    }
+
+    #[test]
+    fn operands_read_print_and_compare_like_the_slice() {
+        for n in 0..4u32 {
+            let ids: Vec<SignalId> = (0..n).map(SignalId).collect();
+            let ops = Operands::from(ids.clone());
+            assert_eq!(&*ops, ids.as_slice());
+            assert_eq!(format!("{ops:?}"), format!("{ids:?}"));
+            assert_eq!(format!("{ops:#?}"), format!("{ids:#?}"));
+            assert!(ops == Operands::new(&ids));
+        }
     }
 }

@@ -27,18 +27,235 @@
 //! hazards become data dependencies, while independent accesses stay
 //! free to share a multi-port bank's control step.
 
-use std::collections::BTreeMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use hls_celllib::OpKind;
 
-use crate::memory::ArrayId;
-use crate::signal::{BranchArm, BranchId, BranchPath};
+use crate::builder::Declared;
+use crate::signal::{BranchArm, BranchId};
 use crate::{Dfg, DfgBuilder, DfgError, SignalId};
 
 fn err(line: usize, message: impl Into<String>) -> DfgError {
     DfgError::Parse {
         line,
         message: message.into(),
+    }
+}
+
+/// The offset of the first byte `b` in `s`. Every delimiter of the
+/// format is ASCII, which never occurs inside a multi-byte character,
+/// so a plain byte scan finds what `str::find` would, without the
+/// searcher set-up that dominates on the short slices a line splits
+/// into.
+fn find_byte(s: &str, b: u8) -> Option<usize> {
+    s.bytes().position(|c| c == b)
+}
+
+/// The offset of the last byte `b` in `s` (see [`find_byte`]).
+fn rfind_byte(s: &str, b: u8) -> Option<usize> {
+    s.bytes().rposition(|c| c == b)
+}
+
+/// `s` split around its first byte `b`, like `str::split_once`.
+fn split_byte(s: &str, b: u8) -> Option<(&str, &str)> {
+    find_byte(s, b).map(|i| (&s[..i], &s[i + 1..]))
+}
+
+/// An array index: a literal (range-checked against the declaration)
+/// or a signal reference.
+enum Index<'a> {
+    Literal(i64),
+    Signal(&'a str),
+}
+
+/// One executable statement, borrowed from the text and kept in textual
+/// order so memory-access ordering tokens thread correctly.
+enum Stmt<'a> {
+    Op {
+        line: usize,
+        name: &'a str,
+        kind: OpKind,
+        /// Operand names, a range of the shared argument buffer.
+        args: Range<usize>,
+        /// The absolute branch path, a range of the shared arm buffer.
+        arms: Range<usize>,
+    },
+    Load {
+        name: &'a str,
+        array: &'a str,
+        index: Index<'a>,
+    },
+    Store {
+        /// `None` for the auto-named `store a[i] = v` form.
+        name: Option<&'a str>,
+        array: &'a str,
+        index: Index<'a>,
+        value: &'a str,
+    },
+}
+
+/// An `array NAME[SIZE] @ BANK[(ports=N)]` declaration.
+struct ArrayStmt<'a> {
+    line: usize,
+    name: &'a str,
+    size: u32,
+    bank: &'a str,
+    ports: Option<u32>,
+}
+
+/// Parses `ARRAY[IDX]`.
+fn parse_access(lineno: usize, s: &str) -> Result<(&str, Index<'_>), DfgError> {
+    let open = find_byte(s, b'[').ok_or_else(|| err(lineno, "expected `ARRAY[INDEX]`"))?;
+    let close = rfind_byte(s, b']').ok_or_else(|| err(lineno, "missing `]`"))?;
+    if close < open {
+        return Err(err(lineno, "mismatched brackets"));
+    }
+    let array = s[..open].trim();
+    if array.is_empty() {
+        return Err(err(lineno, "expected an array name before `[`"));
+    }
+    let idx = s[open + 1..close].trim();
+    if idx.is_empty() {
+        return Err(err(lineno, "expected an index inside `[]`"));
+    }
+    let index = match idx.parse::<i64>() {
+        Ok(v) => Index::Literal(v),
+        Err(_) => Index::Signal(idx),
+    };
+    Ok((array, index))
+}
+
+/// Parses `BANK` or `BANK(ports=N)`.
+fn parse_bank_ref(lineno: usize, s: &str) -> Result<(&str, Option<u32>), DfgError> {
+    let s = s.trim();
+    let Some(open) = find_byte(s, b'(') else {
+        if s.is_empty() {
+            return Err(err(lineno, "expected a bank name"));
+        }
+        return Ok((s, None));
+    };
+    let close =
+        rfind_byte(s, b')').ok_or_else(|| err(lineno, "missing `)` after the port count"))?;
+    if close < open {
+        return Err(err(lineno, "mismatched parentheses"));
+    }
+    let bank = s[..open].trim();
+    let inner = s[open + 1..close].trim();
+    let ports_str = inner
+        .strip_prefix("ports")
+        .map(str::trim_start)
+        .and_then(|r| r.strip_prefix('='))
+        .ok_or_else(|| err(lineno, "expected `(ports=N)`"))?;
+    let ports: u32 = ports_str
+        .trim()
+        .parse()
+        .map_err(|_| err(lineno, format!("invalid port count `{}`", ports_str.trim())))?;
+    Ok((bank, Some(ports)))
+}
+
+/// Parses `@branch(B.A/…)` into `arms`.
+fn parse_branch(lineno: usize, ann: &str, arms: &mut Vec<BranchArm>) -> Result<(), DfgError> {
+    let inner = ann
+        .trim()
+        .strip_prefix("branch(")
+        .and_then(|s| s.strip_suffix(')'))
+        .ok_or_else(|| err(lineno, "expected `@branch(B.A/…)`"))?;
+    for pair in inner.split('/') {
+        let (b, a) =
+            split_byte(pair, b'.').ok_or_else(|| err(lineno, "branch arm must be `B.A`"))?;
+        let branch: u32 = b
+            .trim()
+            .parse()
+            .map_err(|_| err(lineno, "branch id must be an integer"))?;
+        let arm: u32 = a
+            .trim()
+            .parse()
+            .map_err(|_| err(lineno, "arm id must be an integer"))?;
+        arms.push(BranchArm {
+            branch: BranchId::new(branch),
+            arm,
+        });
+    }
+    Ok(())
+}
+
+/// The text's names as the build pass sees them.
+struct Names<'a> {
+    /// Every name a declaration statement claims (inputs, constants,
+    /// banks, arrays, loads, named stores), checked for duplicates as
+    /// the text is read.
+    declared: HashSet<&'a str>,
+    /// Every op name, collected only when the text generates names:
+    /// ops claim their names only when built, but a generated name must
+    /// not take one that a later op will claim.
+    ops: HashSet<&'a str>,
+    /// The constants generated for literal indices: built, but not
+    /// visible to the text.
+    index_consts: HashSet<SignalId>,
+}
+
+impl<'a> Names<'a> {
+    /// Claims a declared name.
+    fn declare(&mut self, name: &'a str) -> Result<(), DfgError> {
+        if !self.declared.insert(name) {
+            return Err(DfgError::DuplicateName(name.to_string()));
+        }
+        Ok(())
+    }
+
+    /// A generated name (`NODE.idxK`, `ARRAY.storeN`): the first
+    /// candidate from `from` on that no name in the text and nothing
+    /// built so far uses.
+    fn fresh(&self, b: &DfgBuilder, candidate: impl Fn(u32) -> String, from: u32) -> (String, u32) {
+        (from..)
+            .map(|k| (candidate(k), k))
+            .find(|(name, _)| {
+                !self.declared.contains(name.as_str())
+                    && !self.ops.contains(name.as_str())
+                    && !b.has_name(name)
+            })
+            .expect("some suffix is free")
+    }
+
+    /// The signal a text reference names, if it has been built.
+    fn signal(&self, b: &DfgBuilder, name: &str) -> Result<SignalId, DfgError> {
+        match b.lookup(name) {
+            Some(Declared::Signal(id)) if !self.index_consts.contains(&id) => Ok(id),
+            _ => Err(DfgError::UnknownSignal(name.to_string())),
+        }
+    }
+
+    /// An array index: a named signal, or a literal turned into a fresh
+    /// range-checked constant next to the access.
+    fn index(
+        &mut self,
+        b: &mut DfgBuilder,
+        node: &str,
+        array: &str,
+        size: u32,
+        index: &Index<'_>,
+    ) -> Result<SignalId, DfgError> {
+        match *index {
+            Index::Signal(s) => self.signal(b, s),
+            Index::Literal(v) => {
+                if v < 0 || v >= size as i64 {
+                    return Err(DfgError::IndexOutOfRange {
+                        array: array.to_string(),
+                        index: v,
+                        size,
+                    });
+                }
+                let candidate = |k: u32| match k {
+                    0 => format!("{node}.idx"),
+                    k => format!("{node}.idx{k}"),
+                };
+                let (name, _) = self.fresh(b, candidate, 0);
+                let id = b.constant(&name, v);
+                self.index_consts.insert(id);
+                Ok(id)
+            }
+        }
     }
 }
 
@@ -58,114 +275,38 @@ fn err(line: usize, message: impl Into<String>) -> DfgError {
 /// # Ok::<(), hls_dfg::DfgError>(())
 /// ```
 ///
+/// Two passes over borrowed tokens: the first reads every line,
+/// reporting syntax errors and duplicate declarations; the second
+/// builds the graph — inputs, constants, banks and arrays first, then
+/// the statements in textual order — and reports the semantic errors.
+///
 /// # Errors
 ///
 /// Returns [`DfgError::Parse`] with the offending 1-based line for any
 /// syntax problem, and the usual structural errors ([`DfgError::UnknownSignal`],
 /// [`DfgError::DuplicateName`], …) for semantic ones.
 pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
-    let mut name = String::from("dfg");
-    let mut signals: BTreeMap<String, SignalId> = BTreeMap::new();
-    // The builder tracks the branch stack itself, but the text format
-    // gives absolute paths per op; collect ops first, then build.
-    struct PendingOp {
-        line: usize,
-        name: String,
-        kind: OpKind,
-        args: Vec<String>,
-        branch: BranchPath,
-    }
-    /// An array index: a literal (range-checked against the declaration)
-    /// or a signal reference.
-    enum IndexExpr {
-        Literal(i64),
-        Signal(String),
-    }
-    /// One executable statement, kept in textual order so memory-access
-    /// ordering tokens thread correctly.
-    enum Stmt {
-        Op(PendingOp),
-        Load {
-            name: String,
-            array: String,
-            index: IndexExpr,
-        },
-        Store {
-            /// `None` for the auto-named `store a[i] = v` form.
-            name: Option<String>,
-            array: String,
-            index: IndexExpr,
-            value: String,
-        },
-    }
-    /// Parses `ARRAY[IDX]`.
-    fn parse_access(lineno: usize, s: &str) -> Result<(String, IndexExpr), DfgError> {
-        let open = s
-            .find('[')
-            .ok_or_else(|| err(lineno, "expected `ARRAY[INDEX]`"))?;
-        let close = s.rfind(']').ok_or_else(|| err(lineno, "missing `]`"))?;
-        if close < open {
-            return Err(err(lineno, "mismatched brackets"));
-        }
-        let array = s[..open].trim().to_string();
-        if array.is_empty() {
-            return Err(err(lineno, "expected an array name before `[`"));
-        }
-        let idx = s[open + 1..close].trim();
-        if idx.is_empty() {
-            return Err(err(lineno, "expected an index inside `[]`"));
-        }
-        let index = match idx.parse::<i64>() {
-            Ok(v) => IndexExpr::Literal(v),
-            Err(_) => IndexExpr::Signal(idx.to_string()),
-        };
-        Ok((array, index))
-    }
-    /// Parses `BANK` or `BANK(ports=N)`.
-    fn parse_bank_ref(lineno: usize, s: &str) -> Result<(String, Option<u32>), DfgError> {
-        let s = s.trim();
-        match s.find('(') {
-            None => {
-                if s.is_empty() {
-                    return Err(err(lineno, "expected a bank name"));
-                }
-                Ok((s.to_string(), None))
-            }
-            Some(open) => {
-                let close = s
-                    .rfind(')')
-                    .ok_or_else(|| err(lineno, "missing `)` after the port count"))?;
-                if close < open {
-                    return Err(err(lineno, "mismatched parentheses"));
-                }
-                let bank = s[..open].trim().to_string();
-                let inner = s[open + 1..close].trim();
-                let ports_str = inner
-                    .strip_prefix("ports")
-                    .map(str::trim_start)
-                    .and_then(|r| r.strip_prefix('='))
-                    .ok_or_else(|| err(lineno, "expected `(ports=N)`"))?;
-                let ports: u32 = ports_str.trim().parse().map_err(|_| {
-                    err(lineno, format!("invalid port count `{}`", ports_str.trim()))
-                })?;
-                Ok((bank, Some(ports)))
-            }
-        }
-    }
-    let mut inputs: Vec<String> = Vec::new();
-    let mut constants: Vec<(String, i64)> = Vec::new();
-    let mut stmts: Vec<Stmt> = Vec::new();
-    // Bank declarations (name → ports) in first-declaration order, and
-    // array declarations in textual order.
-    let mut banks: Vec<(String, u32)> = Vec::new();
-    let mut arrays: Vec<(usize, String, u32, String, Option<u32>)> = Vec::new();
-    // Every declared name, for early duplicate detection across the
-    // signal / array / bank namespaces.
-    let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    let mut name = "dfg";
+    let mut names = Names {
+        declared: HashSet::new(),
+        ops: HashSet::new(),
+        index_consts: HashSet::new(),
+    };
+    let mut inputs: Vec<&str> = Vec::new();
+    let mut constants: Vec<(&str, i64)> = Vec::new();
+    let mut banks: Vec<(&str, u32)> = Vec::new();
+    let mut arrays: Vec<ArrayStmt<'_>> = Vec::new();
+    let mut stmts: Vec<Stmt<'_>> = Vec::new();
+    let mut args: Vec<&str> = Vec::new();
+    let mut arms: Vec<BranchArm> = Vec::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
+        let line = match find_byte(raw_line, b'#') {
+            Some(hash) => &raw_line[..hash],
+            None => raw_line,
+        }
+        .trim();
         if line.is_empty() {
             continue;
         }
@@ -176,51 +317,43 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 if rest.is_empty() {
                     return Err(err(lineno, "expected a name after `dfg`"));
                 }
-                name = rest.to_string();
+                name = rest;
             }
             "input" => {
                 for n in rest.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    if !seen.insert(n.to_string()) {
-                        return Err(DfgError::DuplicateName(n.to_string()));
-                    }
-                    inputs.push(n.to_string());
+                    names.declare(n)?;
+                    inputs.push(n);
                 }
             }
             "const" => {
-                let (n, v) = rest
-                    .split_once('=')
+                let (n, v) = split_byte(rest, b'=')
                     .ok_or_else(|| err(lineno, "expected `const NAME = VALUE`"))?;
                 let value: i64 = v
                     .trim()
                     .parse()
                     .map_err(|_| err(lineno, format!("invalid constant value `{}`", v.trim())))?;
-                if !seen.insert(n.trim().to_string()) {
-                    return Err(DfgError::DuplicateName(n.trim().to_string()));
-                }
-                constants.push((n.trim().to_string(), value));
+                names.declare(n.trim())?;
+                constants.push((n.trim(), value));
             }
             "bank" => {
                 let (bank, ports) = parse_bank_ref(lineno, rest)?;
                 let ports = ports.unwrap_or(1);
                 if ports == 0 {
-                    return Err(DfgError::BadPortCount(bank));
+                    return Err(DfgError::BadPortCount(bank.to_string()));
                 }
-                if !seen.insert(bank.clone()) {
-                    return Err(DfgError::DuplicateName(bank));
-                }
+                names.declare(bank)?;
                 banks.push((bank, ports));
             }
             "array" => {
-                let (decl, bank_ref) = rest
-                    .split_once('@')
+                let (decl, bank_ref) = split_byte(rest, b'@')
                     .ok_or_else(|| err(lineno, "expected `array NAME[SIZE] @ BANK`"))?;
                 let (array, size) = parse_access(lineno, decl.trim())?;
                 let size = match size {
-                    IndexExpr::Literal(v) if v >= 1 && v <= u32::MAX as i64 => v as u32,
-                    IndexExpr::Literal(v) => {
+                    Index::Literal(v) if v >= 1 && v <= u32::MAX as i64 => v as u32,
+                    Index::Literal(v) => {
                         return Err(err(lineno, format!("invalid array size `{v}`")))
                     }
-                    IndexExpr::Signal(s) => {
+                    Index::Signal(s) => {
                         return Err(err(
                             lineno,
                             format!("array size must be a literal, got `{s}`"),
@@ -229,25 +362,26 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 };
                 let (bank, ports) = parse_bank_ref(lineno, bank_ref)?;
                 if ports == Some(0) {
-                    return Err(DfgError::BadPortCount(bank));
+                    return Err(DfgError::BadPortCount(bank.to_string()));
                 }
-                if !seen.insert(array.clone()) {
-                    return Err(DfgError::DuplicateName(array));
-                }
-                arrays.push((lineno, array, size, bank, ports));
+                names.declare(array)?;
+                arrays.push(ArrayStmt {
+                    line: lineno,
+                    name: array,
+                    size,
+                    bank,
+                    ports,
+                });
             }
             "load" => {
-                let (load_name, access) = rest
-                    .split_once('=')
+                let (load_name, access) = split_byte(rest, b'=')
                     .ok_or_else(|| err(lineno, "expected `load NAME = ARRAY[INDEX]`"))?;
-                let load_name = load_name.trim().to_string();
+                let load_name = load_name.trim();
                 if load_name.is_empty() || load_name.contains('[') {
                     return Err(err(lineno, "expected `load NAME = ARRAY[INDEX]`"));
                 }
                 let (array, index) = parse_access(lineno, access.trim())?;
-                if !seen.insert(load_name.clone()) {
-                    return Err(DfgError::DuplicateName(load_name));
-                }
+                names.declare(load_name)?;
                 stmts.push(Stmt::Load {
                     name: load_name,
                     array,
@@ -255,26 +389,23 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 });
             }
             "store" => {
-                let (lhs, rhs) = rest
-                    .split_once('=')
+                let (lhs, rhs) = split_byte(rest, b'=')
                     .ok_or_else(|| err(lineno, "expected `store ARRAY[INDEX] = VALUE`"))?;
                 let (lhs, rhs) = (lhs.trim(), rhs.trim());
                 let (store_name, array, index, value) = if lhs.contains('[') {
                     // `store a[i] = v` — auto-named once the graph is
                     // built up to it.
                     let (array, index) = parse_access(lineno, lhs)?;
-                    let value = rhs.to_string();
-                    if value.is_empty() || value.contains(',') {
+                    if rhs.is_empty() || rhs.contains(',') {
                         return Err(err(lineno, "expected a single value after `=`"));
                     }
-                    (None, array, index, value)
+                    (None, array, index, rhs)
                 } else {
                     // `store NAME = a[i], v` — the named (writer) form.
-                    let close = rhs
-                        .rfind(']')
+                    let close = rfind_byte(rhs, b']')
                         .ok_or_else(|| err(lineno, "expected `ARRAY[INDEX], VALUE`"))?;
-                    let tail = rhs[close + 1..].trim_start();
-                    let value = tail
+                    let value = rhs[close + 1..]
+                        .trim_start()
                         .strip_prefix(',')
                         .map(str::trim)
                         .ok_or_else(|| err(lineno, "expected `, VALUE` after the index"))?;
@@ -282,10 +413,8 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                         return Err(err(lineno, "expected a value after `,`"));
                     }
                     let (array, index) = parse_access(lineno, &rhs[..=close])?;
-                    if !seen.insert(lhs.to_string()) {
-                        return Err(DfgError::DuplicateName(lhs.to_string()));
-                    }
-                    (Some(lhs.to_string()), array, index, value.to_string())
+                    names.declare(lhs)?;
+                    (Some(lhs), array, index, value)
                 };
                 stmts.push(Stmt::Store {
                     name: store_name,
@@ -295,45 +424,21 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 });
             }
             "op" => {
-                let (op_name, call) = rest
-                    .split_once('=')
+                let (op_name, call) = split_byte(rest, b'=')
                     .ok_or_else(|| err(lineno, "expected `op NAME = KIND(ARGS)`"))?;
                 let call = call.trim();
-                let (call_part, branch) = match call.split_once('@') {
-                    None => (call, BranchPath::top_level()),
+                let arm_start = arms.len();
+                let call_part = match split_byte(call, b'@') {
+                    None => call,
                     Some((c, ann)) => {
-                        let ann = ann.trim();
-                        let inner = ann
-                            .strip_prefix("branch(")
-                            .and_then(|s| s.strip_suffix(')'))
-                            .ok_or_else(|| err(lineno, "expected `@branch(B.A/…)`"))?;
-                        let mut arms = Vec::new();
-                        for pair in inner.split('/') {
-                            let (b, a) = pair
-                                .split_once('.')
-                                .ok_or_else(|| err(lineno, "branch arm must be `B.A`"))?;
-                            let branch: u32 = b
-                                .trim()
-                                .parse()
-                                .map_err(|_| err(lineno, "branch id must be an integer"))?;
-                            let arm: u32 = a
-                                .trim()
-                                .parse()
-                                .map_err(|_| err(lineno, "arm id must be an integer"))?;
-                            arms.push(BranchArm {
-                                branch: BranchId::new(branch),
-                                arm,
-                            });
-                        }
-                        (c.trim(), BranchPath::from_arms(arms))
+                        parse_branch(lineno, ann, &mut arms)?;
+                        c.trim()
                     }
                 };
-                let open = call_part
-                    .find('(')
+                let open = find_byte(call_part, b'(')
                     .ok_or_else(|| err(lineno, "expected `KIND(ARGS)`"))?;
-                let close = call_part
-                    .rfind(')')
-                    .ok_or_else(|| err(lineno, "missing `)`"))?;
+                let close =
+                    rfind_byte(call_part, b')').ok_or_else(|| err(lineno, "missing `)`"))?;
                 if close < open {
                     return Err(err(lineno, "mismatched parentheses"));
                 }
@@ -341,19 +446,20 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                     .trim()
                     .parse()
                     .map_err(|e| err(lineno, format!("{e}")))?;
-                let args: Vec<String> = call_part[open + 1..close]
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                stmts.push(Stmt::Op(PendingOp {
+                let arg_start = args.len();
+                args.extend(
+                    call_part[open + 1..close]
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|s| !s.is_empty()),
+                );
+                stmts.push(Stmt::Op {
                     line: lineno,
-                    name: op_name.trim().to_string(),
+                    name: op_name.trim(),
                     kind,
-                    args,
-                    branch,
-                }));
+                    args: arg_start..args.len(),
+                    arms: arm_start..arms.len(),
+                });
             }
             other => {
                 return Err(err(
@@ -367,163 +473,142 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
         }
     }
 
-    let mut b = DfgBuilder::new(name);
-    for n in &inputs {
-        let id = b.input(n);
-        signals.insert(n.clone(), id);
+    // Literal indices and auto-named stores generate names, which must
+    // skip every op name in the text, built yet or not.
+    let generates_names = stmts.iter().any(|s| {
+        matches!(
+            s,
+            Stmt::Load {
+                index: Index::Literal(_),
+                ..
+            } | Stmt::Store { name: None, .. }
+                | Stmt::Store {
+                    index: Index::Literal(_),
+                    ..
+                }
+        )
+    });
+    if generates_names {
+        names.ops = stmts
+            .iter()
+            .filter_map(|s| match s {
+                Stmt::Op { name, .. } => Some(*name),
+                _ => None,
+            })
+            .collect();
     }
-    for (n, v) in &constants {
-        let id = b.constant(n, *v);
-        signals.insert(n.clone(), id);
+    let mut b = DfgBuilder::new(name);
+    b.reserve(
+        stmts.len(),
+        inputs.len() + constants.len() + banks.len() + 2 * arrays.len() + stmts.len(),
+    );
+    for n in &inputs {
+        b.input(n);
+    }
+    for &(n, v) in &constants {
+        b.constant(n, v);
     }
     // Banks: explicit declarations first, then implicit ones from array
     // statements carrying a port count, in textual order.
-    let mut bank_ids: BTreeMap<String, crate::BankId> = BTreeMap::new();
-    let mut bank_ports: BTreeMap<String, u32> = BTreeMap::new();
-    for (bname, ports) in &banks {
-        let id = b.declare_bank(bname, *ports);
-        bank_ids.insert(bname.clone(), id);
-        bank_ports.insert(bname.clone(), *ports);
+    for &(bank, ports) in &banks {
+        b.declare_bank(bank, ports);
     }
-    for (line, _, _, bname, ports) in &arrays {
-        let Some(&ports) = ports.as_ref() else {
+    for a in &arrays {
+        let Some(ports) = a.ports else {
             continue;
         };
-        match bank_ports.get(bname) {
-            Some(&existing) if existing != ports => {
-                return Err(err(
-                    *line,
-                    format!("bank `{bname}` already declared with ports={existing}"),
-                ));
-            }
-            Some(_) => {}
-            None => {
-                if seen.contains(bname) {
-                    return Err(DfgError::DuplicateName(bname.clone()));
+        match b.lookup(a.bank) {
+            Some(Declared::Bank(id)) => {
+                let existing = b.bank_ports(id);
+                if existing != ports {
+                    return Err(err(
+                        a.line,
+                        format!("bank `{}` already declared with ports={existing}", a.bank),
+                    ));
                 }
-                seen.insert(bname.clone());
-                let id = b.declare_bank(bname, ports);
-                bank_ids.insert(bname.clone(), id);
-                bank_ports.insert(bname.clone(), ports);
+            }
+            _ => {
+                names.declare(a.bank)?;
+                b.declare_bank(a.bank, ports);
             }
         }
     }
     // Arrays, in textual order.
-    let mut array_ids: BTreeMap<String, (ArrayId, u32)> = BTreeMap::new();
-    for (_, aname, size, bname, _) in &arrays {
-        let bank = *bank_ids
-            .get(bname)
-            .ok_or_else(|| DfgError::UnknownBank(bname.clone()))?;
-        let id = b.declare_array(aname, *size, bank);
-        array_ids.insert(aname.clone(), (id, *size));
+    for a in &arrays {
+        let Some(Declared::Bank(bank)) = b.lookup(a.bank) else {
+            return Err(DfgError::UnknownBank(a.bank.to_string()));
+        };
+        b.declare_array(a.name, a.size, bank);
     }
-    // A generated name (`NODE.idxK`, `ARRAY.storeN`): the first candidate
-    // that no declaration in the text and nothing built so far uses.
-    let fresh = |b: &DfgBuilder, candidate: &dyn Fn(u32) -> String, from: u32| -> (String, u32) {
-        (from..)
-            .map(|k| (candidate(k), k))
-            .find(|(name, _)| !seen.contains(name) && !b.has_name(name))
-            .expect("some suffix is free")
+    let array = |b: &DfgBuilder, name: &str| match b.lookup(name) {
+        Some(Declared::Array(id)) => Ok((id, b.array_size(id))),
+        _ => Err(DfgError::UnknownArray(name.to_string())),
     };
-    // An array index: a named signal, or a literal turned into a fresh
-    // range-checked constant next to the access.
-    let resolve_index = |b: &mut DfgBuilder,
-                         signals: &BTreeMap<String, SignalId>,
-                         node: &str,
-                         aname: &str,
-                         size: u32,
-                         index: &IndexExpr|
-     -> Result<SignalId, DfgError> {
-        match index {
-            IndexExpr::Signal(s) => signals
-                .get(s)
-                .copied()
-                .ok_or_else(|| DfgError::UnknownSignal(s.clone())),
-            IndexExpr::Literal(v) => {
-                if *v < 0 || *v >= size as i64 {
-                    return Err(DfgError::IndexOutOfRange {
-                        array: aname.to_string(),
-                        index: *v,
-                        size,
-                    });
-                }
-                let candidate = |k: u32| match k {
-                    0 => format!("{node}.idx"),
-                    k => format!("{node}.idx{k}"),
-                };
-                let (cname, _) = fresh(b, &candidate, 0);
-                Ok(b.constant(&cname, *v))
-            }
-        }
-    };
-    let mut store_counter: BTreeMap<&str, u32> = BTreeMap::new();
+    let mut store_counter: HashMap<&str, u32> = HashMap::new();
+    let mut arg_ids: Vec<SignalId> = Vec::new();
     for stmt in &stmts {
         match stmt {
-            Stmt::Op(op) => {
-                let mut arg_ids = Vec::with_capacity(op.args.len());
-                for a in &op.args {
-                    let id = signals
-                        .get(a)
-                        .copied()
-                        .ok_or_else(|| DfgError::UnknownSignal(a.clone()))?;
-                    arg_ids.push(id);
+            Stmt::Op {
+                line,
+                name,
+                kind,
+                args: op_args,
+                arms: op_arms,
+            } => {
+                arg_ids.clear();
+                for a in &args[op_args.clone()] {
+                    arg_ids.push(names.signal(&b, a)?);
                 }
-                if arg_ids.len() != op.kind.arity() {
+                if arg_ids.len() != kind.arity() {
                     return Err(err(
-                        op.line,
+                        *line,
                         format!(
-                            "`{}` expects {} argument(s), got {}",
-                            op.kind,
-                            op.kind.arity(),
+                            "`{kind}` expects {} argument(s), got {}",
+                            kind.arity(),
                             arg_ids.len()
                         ),
                     ));
                 }
                 // Reproduce the builder's branch bookkeeping with an
                 // absolute path: temporarily push the arms around the op.
-                for arm in op.branch.arms() {
+                for arm in &arms[op_arms.clone()] {
                     b.enter_arm(arm.branch, arm.arm);
                 }
-                let out = b.op(&op.name, op.kind, &arg_ids)?;
-                for _ in op.branch.arms() {
+                b.op(name, *kind, &arg_ids)?;
+                for _ in op_arms.clone() {
                     b.exit_arm();
                 }
-                signals.insert(op.name.clone(), out);
             }
-            Stmt::Load { name, array, index } => {
-                let &(aid, size) = array_ids
-                    .get(array)
-                    .ok_or_else(|| DfgError::UnknownArray(array.clone()))?;
-                let idx = resolve_index(&mut b, &signals, name, array, size, index)?;
-                let out = b.load(name, aid, idx)?;
-                signals.insert(name.clone(), out);
+            Stmt::Load {
+                name,
+                array: aname,
+                index,
+            } => {
+                let (aid, size) = array(&b, aname)?;
+                let idx = names.index(&mut b, name, aname, size, index)?;
+                b.load(name, aid, idx)?;
             }
             Stmt::Store {
                 name,
-                array,
+                array: aname,
                 index,
                 value,
             } => {
-                let &(aid, size) = array_ids
-                    .get(array)
-                    .ok_or_else(|| DfgError::UnknownArray(array.clone()))?;
+                let (aid, size) = array(&b, aname)?;
+                let generated;
                 let name = match name {
-                    Some(name) => name.clone(),
+                    Some(name) => name,
                     None => {
-                        let next = store_counter.entry(array).or_insert(0);
-                        let (name, n) = fresh(&b, &|n| format!("{array}.store{n}"), *next);
+                        let next = store_counter.entry(aname).or_insert(0);
+                        let (name, n) = names.fresh(&b, |n| format!("{aname}.store{n}"), *next);
                         *next = n + 1;
-                        name
+                        generated = name;
+                        generated.as_str()
                     }
                 };
-                let name = &name;
-                let idx = resolve_index(&mut b, &signals, name, array, size, index)?;
-                let val = signals
-                    .get(value)
-                    .copied()
-                    .ok_or_else(|| DfgError::UnknownSignal(value.clone()))?;
-                let out = b.store(name, aid, idx, val)?;
-                signals.insert(name.clone(), out);
+                let idx = names.index(&mut b, name, aname, size, index)?;
+                let val = names.signal(&b, value)?;
+                b.store(name, aid, idx, val)?;
             }
         }
     }
@@ -715,6 +800,29 @@ mod tests {
         )
         .unwrap();
         assert!(g.node_by_name("a.store1").is_some());
+    }
+
+    #[test]
+    fn generated_names_skip_later_op_names() {
+        // The op that takes `v.idx` comes after the load that would
+        // generate it.
+        let g = parse_dfg("input i\narray a[4] @ m(ports=1)\nload v = a[3]\nop v.idx = inc(i)\n")
+            .unwrap();
+        let idx = g.signal_by_name("v.idx1").unwrap();
+        assert_eq!(g.signal(idx).source(), crate::SignalSource::Constant(3));
+        assert!(g.node_by_name("v.idx").is_some());
+        // The op that takes `a.store0` comes after the auto-named store.
+        let g = parse_dfg(
+            "input i, v\narray a[4] @ m(ports=1)\nstore a[i] = v\nop a.store0 = inc(i)\n",
+        )
+        .unwrap();
+        assert!(g.node_by_name("a.store1").is_some());
+        assert!(g.node_by_name("a.store0").is_some());
+        // Generated names stay invisible to the text: an op cannot read
+        // the constant a literal index produced.
+        let e = parse_dfg("input i\narray a[4] @ m(ports=1)\nload v = a[3]\nop t = inc(v.idx)\n")
+            .unwrap_err();
+        assert_eq!(e, DfgError::UnknownSignal("v.idx".into()));
     }
 
     #[test]

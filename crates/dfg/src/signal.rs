@@ -1,6 +1,7 @@
 //! Signals (values) and branch paths.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::NodeId;
 
@@ -50,7 +51,7 @@ impl SignalSource {
 /// therefore first-class here rather than anonymous edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signal {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) source: SignalSource,
 }
 

@@ -148,7 +148,7 @@ pub fn prune_shared_branch_ops(dfg: &Dfg) -> Result<(Dfg, BranchPruneReport), Df
             .cloned()
             .unwrap_or_else(|| node.branch().clone());
         let (_, out) = rb.add_node(
-            node.name().to_string(),
+            std::sync::Arc::clone(&node.name),
             node.kind(),
             inputs,
             branch,

@@ -16,6 +16,7 @@ pub use loops::{fold_all_loops, fold_loop, LoopFoldReport};
 pub use stages::{expand_structural_stages, StageExpansion};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::graph::LoopRegion;
 use crate::memory::MemoryDecls;
@@ -79,7 +80,10 @@ impl Rebuilder {
     pub(crate) fn add_external(&mut self, name: String, source: SignalSource) -> SignalId {
         debug_assert!(!matches!(source, SignalSource::Node(_)));
         let id = SignalId(self.signals.len() as u32);
-        self.signals.push(Signal { name, source });
+        self.signals.push(Signal {
+            name: name.into(),
+            source,
+        });
         id
     }
 
@@ -87,22 +91,23 @@ impl Rebuilder {
     /// the new node id and its output signal.
     pub(crate) fn add_node(
         &mut self,
-        name: String,
+        name: impl Into<Arc<str>>,
         kind: NodeKind,
         inputs: Vec<SignalId>,
         branch: BranchPath,
         loop_id: Option<LoopId>,
     ) -> (NodeId, SignalId) {
+        let name = name.into();
         let node_id = NodeId(self.nodes.len() as u32);
         let output = SignalId(self.signals.len() as u32);
         self.signals.push(Signal {
-            name: name.clone(),
+            name: Arc::clone(&name),
             source: SignalSource::Node(node_id),
         });
         self.nodes.push(Node {
             name,
             kind,
-            inputs,
+            inputs: inputs.into(),
             output,
             branch,
             loop_id,
@@ -116,7 +121,7 @@ impl Rebuilder {
         let node = dfg.node(id);
         let inputs = node.inputs().iter().map(|&s| self.map(s)).collect();
         let (new_id, out) = self.add_node(
-            node.name().to_string(),
+            Arc::clone(&node.name),
             node.kind(),
             inputs,
             node.branch().clone(),

@@ -58,6 +58,48 @@ pub fn priority_order_with(
 /// the smallest maximal predecessor ASAP finish — and finally by node id
 /// (the paper breaks ties "arbitrarily"; ids keep runs deterministic).
 pub fn priority_order(dfg: &Dfg, spec: &TimingSpec, frames: &TimeFrames) -> Vec<NodeId> {
+    // Each key is computed once (the predecessor walk is O(edges)), and
+    // keys end in the node id, so sorting the keys is a total order and
+    // equals sorting the ids by key.
+    let finish: Vec<u32> = dfg
+        .node_ids()
+        .map(|n| frames.asap(n).get() + dfg.node(n).kind().cycles(spec) as u32 - 1)
+        .collect();
+    let mut keys: Vec<(u32, u32, u32, u32, u32)> = dfg
+        .node_ids()
+        .map(|n| {
+            let cycles = dfg.node(n).kind().cycles(spec) as u32;
+            let mob = frames.mobility(n);
+            let (m1, m2) = if cycles > 1 {
+                // Bucketed reversal: same band → more mobility first.
+                (mob / cycles, u32::MAX - mob)
+            } else {
+                (mob, 0)
+            };
+            let pred_key = dfg
+                .preds(n)
+                .iter()
+                .map(|&p| finish[p.index()])
+                .max()
+                .unwrap_or(0);
+            (frames.alap(n).get(), m1, m2, pred_key, n.index() as u32)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|key| NodeId::from_index(key.4 as usize))
+        .collect()
+}
+
+/// The comparator-keyed sort [`priority_order`] replaced, kept as the
+/// differential reference: it re-derives the key, predecessor walk
+/// included, on every comparison.
+#[cfg(test)]
+pub(crate) fn priority_order_reference(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    frames: &TimeFrames,
+) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = dfg.node_ids().collect();
     let key = |n: NodeId| -> (u32, u32, u32, u32, u32) {
         let node = dfg.node(n);
@@ -204,5 +246,48 @@ mod tests {
         order.sort();
         let all: Vec<NodeId> = g.node_ids().collect();
         assert_eq!(order, all);
+    }
+
+    mod differential {
+        use super::*;
+        use hls_benchmarks::generate::{generate, GeneratorConfig};
+        use hls_dfg::CriticalPath;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::default())]
+
+            #[test]
+            fn cached_keys_order_like_the_comparator(
+                shape in (1u64..10_000, 1usize..8, 1usize..12, 0u32..90),
+                spec_kind in 0u8..3,
+                slack in 0u32..6,
+            ) {
+                let (seed, layers, width, branch_pct) = shape;
+                let dfg = generate(&GeneratorConfig {
+                    seed,
+                    layers,
+                    width,
+                    branch_pct,
+                    ..GeneratorConfig::default()
+                });
+                let spec = match spec_kind {
+                    0 => TimingSpec::uniform_single_cycle(),
+                    1 => TimingSpec::two_cycle_multiply(),
+                    _ => {
+                        let mut spec = TimingSpec::uniform_single_cycle();
+                        spec.set(OpKind::Mul, OpTiming::multi_cycle(3, hls_celllib::Delay::ZERO));
+                        spec.set(OpKind::Sub, OpTiming::multi_cycle(2, hls_celllib::Delay::ZERO));
+                        spec
+                    }
+                };
+                let cs = CriticalPath::compute(&dfg, &spec).steps() as u32 + slack;
+                let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
+                prop_assert_eq!(
+                    priority_order(&dfg, &spec, &frames),
+                    priority_order_reference(&dfg, &spec, &frames)
+                );
+            }
+        }
     }
 }

@@ -113,6 +113,20 @@ pub fn verify(
     spec: &TimingSpec,
     options: VerifyOptions,
 ) -> Vec<Violation> {
+    verify_with(dfg, schedule, spec, options, resource_conflicts)
+}
+
+/// A resource-conflict finder: appends the conflicts of `schedule`,
+/// given each node's effective cycles and the latency.
+type ConflictFinder = fn(&Dfg, &Schedule, &[u8], Option<u32>, &mut Vec<Violation>);
+
+fn verify_with(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    spec: &TimingSpec,
+    options: VerifyOptions,
+    conflicts: ConflictFinder,
+) -> Vec<Violation> {
     let mut violations = Vec::new();
     let cs = schedule.control_steps();
     let cycles: Vec<u8> = dfg
@@ -214,17 +228,84 @@ pub fn verify(
         }
     }
 
-    // Resource conflicts: same unit, overlapping (wrapped) spans, not
-    // mutually exclusive.
+    conflicts(dfg, schedule, &cycles, options.latency, &mut violations);
+    violations
+}
+
+/// Wrapped 0-based row of control step `s` under an optional latency.
+fn wrap(latency: Option<u32>, s: u32) -> u32 {
+    match latency {
+        Some(l) => (s - 1) % l,
+        None => s - 1,
+    }
+}
+
+/// The scheduled nodes of each unit, units in order and each unit's
+/// nodes in id order.
+fn nodes_by_unit(schedule: &Schedule) -> BTreeMap<UnitId, Vec<NodeId>> {
     let mut by_unit: BTreeMap<UnitId, Vec<NodeId>> = BTreeMap::new();
     for (n, slot) in schedule.iter() {
         by_unit.entry(slot.unit).or_default().push(n);
     }
-    let wrap = |s: u32| match options.latency {
-        Some(l) => (s - 1) % l,
-        None => s - 1,
-    };
-    for nodes in by_unit.values() {
+    by_unit
+}
+
+/// Resource conflicts: same unit, overlapping (wrapped) spans, not
+/// mutually exclusive. Each unit's occupied cells — `(wrapped step,
+/// position in the unit's node list)` — are sorted, so the nodes
+/// sharing a cell sit side by side and only those pairs are
+/// candidates: O(cells · log cells) instead of every pair on the unit.
+/// Pairs are reported once each, ordered by unit and then by the two
+/// positions — the order of a pairwise scan.
+fn resource_conflicts(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    cycles: &[u8],
+    latency: Option<u32>,
+    violations: &mut Vec<Violation>,
+) {
+    let mut cells: Vec<(u32, u32)> = Vec::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for nodes in nodes_by_unit(schedule).values() {
+        cells.clear();
+        for (i, &n) in nodes.iter().enumerate() {
+            let start = schedule.slot(n).expect("in map").step.get();
+            for k in 0..cycles[n.index()] as u32 {
+                cells.push((wrap(latency, start + k), i as u32));
+            }
+        }
+        // A node longer than the latency revisits its own rows.
+        cells.sort_unstable();
+        cells.dedup();
+        pairs.clear();
+        for cell in cells.chunk_by(|x, y| x.0 == y.0) {
+            for (k, &(_, i)) in cell.iter().enumerate() {
+                pairs.extend(cell[k + 1..].iter().map(|&(_, j)| (i, j)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        for &(i, j) in &pairs {
+            let (a, b) = (nodes[i as usize], nodes[j as usize]);
+            if !dfg.mutually_exclusive(a, b) {
+                violations.push(Violation::ResourceConflict { a, b });
+            }
+        }
+    }
+}
+
+/// The pairwise scan [`resource_conflicts`] replaced, kept as the
+/// differential reference: every pair on a unit, with a step list per
+/// pair.
+#[cfg(test)]
+fn resource_conflicts_pairwise(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    cycles: &[u8],
+    latency: Option<u32>,
+    violations: &mut Vec<Violation>,
+) {
+    for nodes in nodes_by_unit(schedule).values() {
         for (i, &a) in nodes.iter().enumerate() {
             for &b in &nodes[i + 1..] {
                 if dfg.mutually_exclusive(a, b) {
@@ -236,9 +317,9 @@ pub fn verify(
                 );
                 let ca = cycles[a.index()] as u32;
                 let cb = cycles[b.index()] as u32;
-                let steps_a: Vec<u32> = (0..ca).map(|k| wrap(sa.step.get() + k)).collect();
+                let steps_a: Vec<u32> = (0..ca).map(|k| wrap(latency, sa.step.get() + k)).collect();
                 let overlap = (0..cb)
-                    .map(|k| wrap(sb.step.get() + k))
+                    .map(|k| wrap(latency, sb.step.get() + k))
                     .any(|s| steps_a.contains(&s));
                 if overlap {
                     violations.push(Violation::ResourceConflict { a, b });
@@ -246,8 +327,6 @@ pub fn verify(
             }
         }
     }
-
-    violations
 }
 
 /// [`verify`] with instrumentation: the check runs as the
@@ -630,5 +709,147 @@ mod tests {
         let v = verify(&g, &s, &spec, VerifyOptions::default());
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0], Violation::ResourceConflict { .. }));
+    }
+
+    /// Differential: the cell-bucketed conflict finder against the
+    /// pairwise reference, on perturbed schedules.
+    mod differential {
+        use super::*;
+        use hls_benchmarks::generate::{generate, GeneratorConfig};
+        use hls_dfg::CriticalPath;
+        use proptest::prelude::*;
+
+        /// SplitMix64: the perturbation stream.
+        struct Mix(u64);
+
+        impl Mix {
+            fn below(&mut self, n: u32) -> u32 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % u64::from(n.max(1))) as u32
+            }
+        }
+
+        /// An ASAP schedule — each node on the next unit of its class
+        /// not yet used in its start step (`alu`: one shared ALU pool,
+        /// the way MFSA binds) — with `moves` nodes then moved to a
+        /// random step and one of three units, and every 32nd node left
+        /// unscheduled. Small unit pools and a short horizon make cells
+        /// collide, and branchy graphs make some colliding nodes
+        /// mutually exclusive.
+        fn perturbed(dfg: &Dfg, spec: &TimingSpec, alu: bool, moves: u32, seed: u64) -> Schedule {
+            let cp = CriticalPath::compute(dfg, spec).steps() as u32;
+            let mut s = Schedule::new(dfg, cp + 1);
+            let asap = crate::asap(dfg, spec);
+            let mut used: BTreeMap<(u32, Option<FuClass>), u32> = BTreeMap::new();
+            let mut rng = Mix(seed);
+            for (id, node) in dfg.nodes() {
+                if id.index() % 32 == 31 {
+                    continue;
+                }
+                let step = asap[id.index()].get();
+                let class = node.kind().fu_class();
+                let next = used.entry((step, (!alu).then_some(class))).or_insert(0);
+                *next += 1;
+                let unit = if alu {
+                    UnitId::Alu {
+                        instance: *next - 1,
+                    }
+                } else {
+                    UnitId::Fu {
+                        class,
+                        index: FuIndex::new(*next),
+                    }
+                };
+                s.assign(
+                    id,
+                    Slot {
+                        step: CStep::new(step),
+                        unit,
+                    },
+                );
+            }
+            let n = dfg.node_count() as u32;
+            for _ in 0..moves {
+                let id = NodeId::from_index(rng.below(n) as usize);
+                let step = CStep::new(1 + rng.below(cp + 2));
+                let k = rng.below(3);
+                let unit = if alu {
+                    UnitId::Alu { instance: k }
+                } else {
+                    UnitId::Fu {
+                        class: dfg.node(id).kind().fu_class(),
+                        index: FuIndex::new(k + 1),
+                    }
+                };
+                s.assign(id, Slot { step, unit });
+            }
+            s
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::default())]
+
+            #[test]
+            fn bucketed_conflicts_match_the_pairwise_scan(
+                shape in (1u64..10_000, 2usize..7, 2usize..9, 0u32..90),
+                spec_kind in 0u8..3,
+                latency in 0u32..5,
+                alu in 0u8..2,
+                moves in 0u32..40,
+                seed in 0u64..u64::MAX,
+            ) {
+                let (gseed, layers, width, branch_pct) = shape;
+                let dfg = generate(&GeneratorConfig {
+                    seed: gseed,
+                    layers,
+                    width,
+                    branch_pct,
+                    ..GeneratorConfig::default()
+                });
+                let (spec, clock) = match spec_kind {
+                    0 => (TimingSpec::uniform_single_cycle(), None),
+                    1 => (TimingSpec::two_cycle_multiply(), None),
+                    _ => (TimingSpec::with_delays(), Some(ClockPeriod::new(100))),
+                };
+                let s = perturbed(&dfg, &spec, alu == 1, moves, seed);
+                // Latency 1 wraps every multi-cycle span onto itself.
+                let options = VerifyOptions {
+                    latency: (latency > 0).then_some(latency),
+                    clock,
+                };
+                prop_assert_eq!(
+                    verify_with(&dfg, &s, &spec, options, resource_conflicts),
+                    verify_with(&dfg, &s, &spec, options, resource_conflicts_pairwise)
+                );
+            }
+        }
+
+        #[test]
+        fn the_perturbations_exercise_conflicts_and_shared_cells() {
+            // Guard the generator: the differential must see conflicts,
+            // wrapped spans and exclusive nodes sharing a cell.
+            let dfg = generate(&GeneratorConfig {
+                seed: 3,
+                layers: 5,
+                width: 8,
+                branch_pct: 80,
+                ..GeneratorConfig::default()
+            });
+            let spec = TimingSpec::two_cycle_multiply();
+            let s = perturbed(&dfg, &spec, false, 30, 7);
+            let cycles: Vec<u8> = dfg.nodes().map(|(_, n)| n.kind().cycles(&spec)).collect();
+            let mut found = Vec::new();
+            resource_conflicts(&dfg, &s, &cycles, Some(2), &mut found);
+            assert!(found.len() > 3, "{found:?}");
+            let shared = dfg.node_ids().any(|a| {
+                dfg.node_ids().any(|b| {
+                    dfg.mutually_exclusive(a, b) && s.slot(a).is_some_and(|x| s.slot(b) == Some(x))
+                })
+            });
+            assert!(shared, "no exclusive pair shares a cell");
+        }
     }
 }

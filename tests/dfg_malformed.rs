@@ -1,9 +1,21 @@
 //! Malformed-input battery: every broken `.dfg` text must surface as a
 //! typed [`DfgError`] from the parser and as an HTTP 400 from a live
 //! `hls-serve` daemon — never as a panic, a hang, or a 5xx.
+//!
+//! `tests/golden/parse_errors.txt` pins the parser's full `Result` —
+//! variant, line number and message of every error, and a digest of
+//! every accepted graph — on the battery below plus a seeded corpus of
+//! mutated texts (dropped, duplicated and swapped lines, swapped tokens,
+//! truncation, broken branch and bank syntax). Any change to the parser
+//! must reproduce every byte.
 
 mod common;
 
+use moveframe_hls::benchmarks::classic;
+use moveframe_hls::benchmarks::generate::{
+    clustered_workload, generate, generate_clustered, scaling_workload, GeneratorConfig,
+};
+use moveframe_hls::benchmarks::memory;
 use moveframe_hls::dfg::DfgError;
 use moveframe_hls::prelude::*;
 
@@ -182,4 +194,238 @@ fn malformed_json_jobs_are_400_too() {
     }
     server.shutdown();
     server.join();
+}
+
+/// A representation-independent rendering of one parse result: errors
+/// by their `Debug` text, graphs by their size, name and an FNV-1a
+/// digest of every signal, node and memory declaration in id order.
+fn render(result: &Result<Dfg, DfgError>) -> String {
+    match result {
+        Err(e) => format!("Err({e:?})"),
+        Ok(g) => {
+            let signals: Vec<_> = g.signals().map(|(_, s)| s).collect();
+            let nodes: Vec<_> = g.nodes().map(|(_, n)| n).collect();
+            let text = format!("{signals:?}{nodes:?}{:?}", g.memory());
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in text.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+            format!(
+                "Ok({} signals={} nodes={} digest={h:016x})",
+                g.name(),
+                g.signal_count(),
+                g.node_count()
+            )
+        }
+    }
+}
+
+/// Texts the mutation corpus starts from: the paper's diffeq, a branchy
+/// generated graph, a memory kernel and a hand-written text using every
+/// statement form (comments, implicit banks, literal and signal
+/// indices, auto-named and named stores, nested branch paths).
+fn corpus_bases() -> Vec<(&'static str, String)> {
+    let branchy = generate(&GeneratorConfig {
+        seed: 5,
+        layers: 3,
+        width: 4,
+        branch_pct: 70,
+        ..GeneratorConfig::default()
+    });
+    vec![
+        ("diffeq", classic::diffeq().to_text().unwrap()),
+        ("branchy", branchy.to_text().unwrap()),
+        ("array_fir", memory::array_fir(3, 2).to_text().unwrap()),
+        (
+            "handwritten",
+            "dfg hand  # a header\n\
+             input i, j, v\n\
+             const k = 2\n\
+             bank ram(ports=2)\n\
+             array a[8] @ ram\n\
+             array c[4] @ rom(ports=1)\n\
+             load x = a[i]\n\
+             store a[3] = x\n\
+             store s = c[k], v\n\
+             load y = c[1]\n\
+             op t = add(x, y) @branch(0.0)\n\
+             op e = sub(x, j) @branch(0.1/1.0)\n\
+             op f = mul(e, k) @branch(0.1/1.1)\n\
+             op m = or(t, f)\n"
+                .to_string(),
+        ),
+    ]
+}
+
+/// SplitMix64: a self-contained seeded stream, so the corpus never
+/// moves with a dependency's RNG.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// Broken spellings of a branch annotation and of a port count.
+const BAD_BRANCHES: [&str; 8] = [
+    "@branch(0)",
+    "@branch(x.1)",
+    "@branch(0.y)",
+    "@branch(0.0/)",
+    "@branch(.1)",
+    "@branh(0.0)",
+    "@branch(0.0",
+    "@ branch(1.1)/2.0",
+];
+const BAD_PORTS: [&str; 7] = [
+    "(ports=)",
+    "(ports=x)",
+    "(port=2)",
+    "ports=2)",
+    "(ports=2",
+    "(ports=0)",
+    "(ports=-1)",
+];
+
+/// One seeded mutation of `text`, with a short description of it.
+fn mutate(text: &str, rng: &mut Mix) -> (String, String) {
+    let lines: Vec<&str> = text.lines().collect();
+    let n = lines.len();
+    let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+    let desc = match rng.below(8) {
+        0 => {
+            let i = rng.below(n);
+            out.remove(i);
+            format!("drop line {}", i + 1)
+        }
+        1 => {
+            let i = rng.below(n);
+            out.insert(i, lines[i].to_string());
+            format!("duplicate line {}", i + 1)
+        }
+        2 => {
+            let (i, j) = (rng.below(n), rng.below(n));
+            out.swap(i, j);
+            format!("swap lines {} and {}", i + 1, j + 1)
+        }
+        3 => {
+            let i = rng.below(n);
+            let mut tokens: Vec<&str> = lines[i].split_whitespace().collect();
+            let (a, b) = (rng.below(tokens.len()), rng.below(tokens.len()));
+            tokens.swap(a, b);
+            out[i] = tokens.join(" ");
+            format!("swap tokens {a} and {b} of line {}", i + 1)
+        }
+        4 => {
+            let cut = rng.below(text.len());
+            return (text[..cut].to_string(), format!("truncate at byte {cut}"));
+        }
+        5 => {
+            let i = rng.below(n);
+            let bad = BAD_BRANCHES[rng.below(BAD_BRANCHES.len())];
+            out[i] = match lines[i].find('@') {
+                Some(at) if lines[i].starts_with("op") => format!("{}{bad}", &lines[i][..at]),
+                _ => format!("{} {bad}", lines[i]),
+            };
+            format!("branch `{bad}` on line {}", i + 1)
+        }
+        6 => {
+            let decls: Vec<usize> = (0..n)
+                .filter(|&i| lines[i].starts_with("bank") || lines[i].starts_with("array"))
+                .collect();
+            let i = if decls.is_empty() {
+                rng.below(n)
+            } else {
+                decls[rng.below(decls.len())]
+            };
+            let bad = BAD_PORTS[rng.below(BAD_PORTS.len())];
+            out[i] = match lines[i].find('(') {
+                Some(open) => format!("{}{bad}", &lines[i][..open]),
+                None => format!("{}{bad}", lines[i]),
+            };
+            format!("ports `{bad}` on line {}", i + 1)
+        }
+        _ => {
+            let pos = rng.below(text.len());
+            let ch = ['(', ')', ',', '=', '@', '[', ']', '#', '.', '/'][rng.below(10)];
+            let mut t = text.to_string();
+            t.insert(pos, ch);
+            return (t, format!("insert `{ch}` at byte {pos}"));
+        }
+    };
+    (out.join("\n") + "\n", desc)
+}
+
+fn render_corpus() -> String {
+    let mut lines = Vec::new();
+    for (name, text, _) in cases() {
+        lines.push(format!("{name}: {}", render(&parse_dfg(text))));
+    }
+    for (base, text) in corpus_bases() {
+        lines.push(format!("{base}: {}", render(&parse_dfg(&text))));
+        let mut rng = Mix(0x5eed ^ base.len() as u64);
+        for k in 0..40 {
+            let (mutant, desc) = mutate(&text, &mut rng);
+            lines.push(format!(
+                "{base}#{k} {desc}: {}",
+                render(&parse_dfg(&mutant))
+            ));
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn parse_results_match_the_recorded_golden() {
+    let got = render_corpus();
+    let path = format!(
+        "{}/tests/golden/parse_errors.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
+
+#[test]
+fn text_round_trips_to_an_equal_graph() {
+    let branchy = generate(&GeneratorConfig {
+        branch_pct: 60,
+        ..scaling_workload(2_000)
+    });
+    // `true` for graphs built in the text format's declaration order.
+    // The clustered and memory builders declare inputs and constants
+    // between operations; the format hoists every such declaration, so
+    // their first round trip renumbers the signals, and from then on
+    // the text is a fixed point.
+    let graphs = [
+        (generate(&scaling_workload(3_000)), true),
+        (branchy, true),
+        (generate_clustered(&clustered_workload(4_000)), false),
+        (memory::array_fir(8, 2), false),
+        (memory::matvec(4, 2), false),
+    ];
+    for (g, in_text_order) in graphs {
+        let once = parse_dfg(&g.to_text().unwrap()).unwrap();
+        assert!(
+            !in_text_order || once == g,
+            "{} does not round-trip",
+            g.name()
+        );
+        assert_eq!(once.to_text(), g.to_text());
+        let twice = parse_dfg(&once.to_text().unwrap()).unwrap();
+        assert!(twice == once, "{} is no fixed point", g.name());
+    }
 }

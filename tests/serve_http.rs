@@ -150,6 +150,25 @@ fn colliding_generated_name_is_answered_and_the_daemon_lives() {
     server.join();
 }
 
+/// The generated names of a literal index (`v.idx`) and of an
+/// auto-named store (`a.store0`) also skip op names declared *after*
+/// the access; both texts were once refused as duplicates.
+#[test]
+fn generated_names_skip_later_op_names_over_a_socket() {
+    let server = common::start(common::ephemeral_config());
+    let addr = server.local_addr();
+    for job in [
+        &br#"{"dfg":"input i\narray a[4] @ m(ports=1)\nload v = a[3]\nop v.idx = inc(i)\n","cs":4}"#[..],
+        &br#"{"dfg":"input i, v\narray a[4] @ m(ports=1)\nstore a[i] = v\nop a.store0 = inc(i)\n","cs":4}"#[..],
+    ] {
+        let (status, body) = common::post(addr, "/schedule", job);
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(server.app().metrics_snapshot().counter("serve.panics"), 0);
+    server.shutdown();
+    server.join();
+}
+
 /// Pulls an integer field out of the one-line JSON stats body.
 fn stat(body: &str, key: &str) -> u32 {
     body.split(&format!("\"{key}\":"))
