@@ -25,10 +25,8 @@ mod anneal;
 mod asap;
 mod fds;
 mod list;
-mod traced;
 
 pub use anneal::{anneal_schedule, AnnealParams, AnnealStats};
 pub use asap::{alap_schedule, asap_schedule};
 pub use fds::force_directed_schedule;
 pub use list::list_schedule;
-pub use traced::{anneal_schedule_traced, force_directed_schedule_traced, list_schedule_traced};

@@ -163,14 +163,6 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn steps_used(dfg: &Dfg, spec: &TimingSpec, s: &Schedule) -> u32 {
-        dfg.node_ids()
-            .filter_map(|n| s.finish(n, dfg, spec))
-            .map(|c| c.get())
-            .max()
-            .unwrap_or(0)
-    }
-
     #[test]
     fn respects_unit_limits() {
         let g = independent_adds(6);
@@ -179,7 +171,7 @@ mod tests {
         let s = list_schedule(&g, &spec, &limits, 10).unwrap();
         assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
         assert_eq!(s.fu_counts()[&FuClass::Op(OpKind::Add)], 2);
-        assert_eq!(steps_used(&g, &spec, &s), 3);
+        assert_eq!(s.steps_used(&g, &spec), 3);
     }
 
     #[test]
@@ -193,7 +185,7 @@ mod tests {
         let limits = [(FuClass::Op(OpKind::Add), 2)].into_iter().collect();
         let s = list_schedule(&g, &spec, &limits, 4).unwrap();
         assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
-        assert_eq!(steps_used(&g, &spec, &s), 2);
+        assert_eq!(s.steps_used(&g, &spec), 2);
     }
 
     #[test]
@@ -226,7 +218,7 @@ mod tests {
         let limits = [(FuClass::Op(OpKind::Mul), 1)].into_iter().collect();
         let s = list_schedule(&g, &spec, &limits, 4).unwrap();
         assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
-        assert_eq!(steps_used(&g, &spec, &s), 4);
+        assert_eq!(s.steps_used(&g, &spec), 4);
     }
 
     #[test]

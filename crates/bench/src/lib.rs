@@ -49,9 +49,7 @@ pub use explore_grid::{
     explore_paper_grid, mfs_point, mfsa_point, paper_points, table1_engine, table2_engine,
 };
 pub use figures::{figure1, figure2};
-pub use runner::{
-    run_example_mfs, run_example_mfs_traced, run_example_mfsa, run_example_mfsa_traced, MfsRun,
-};
+pub use runner::{run_example_mfs, run_example_mfsa, MfsRun};
 pub use tables::{
     render_table1, render_table2, table1, table2, table2_with, tables_with_weights,
     tables_without_interconnect, Table1Row, Table2Row,

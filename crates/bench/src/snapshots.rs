@@ -9,7 +9,7 @@ use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsConfig};
 use moveframe::mfsa::{self, MfsaConfig};
 
-use crate::{run_example_mfs_traced, run_example_mfsa_traced};
+use crate::{run_example_mfs, run_example_mfsa};
 
 const PORTS: [u32; 3] = [1, 2, 4];
 /// How far past the critical path the search is willing to go before
@@ -102,11 +102,11 @@ pub fn telemetry_snapshot(with_timings: bool) -> String {
 
     for e in hls_benchmarks::examples::all() {
         for &t in &e.time_constraints {
-            run_example_mfs_traced(&e, t, &mut instr)
+            run_example_mfs(&e, t, &mut instr)
                 .unwrap_or_else(|err| panic!("ex{} at T={t}: {err}", e.id));
         }
         let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like());
-        run_example_mfsa_traced(&e, config, &mut instr)
+        run_example_mfsa(&e, config, &mut instr)
             .unwrap_or_else(|err| panic!("ex{} MFSA: {err}", e.id));
     }
 

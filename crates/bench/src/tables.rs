@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use hls_benchmarks::examples::{self, Example, Feature};
 use hls_celllib::Library;
+use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfsa::{DesignStyle, MfsaConfig};
 
 use crate::runner::{run_example_mfs, run_example_mfsa};
@@ -42,9 +43,12 @@ pub(crate) fn feature_flag(e: &Example) -> String {
 /// paper's Table 1.
 pub fn table1() -> Vec<Table1Row> {
     let mut rows = Vec::new();
+    let mut sink = NullSink;
+    let mut metrics = Metrics::new();
+    let mut instr = Instrument::new(&mut sink, &mut metrics);
     for e in examples::all() {
         for &t in &e.time_constraints {
-            match run_example_mfs(&e, t) {
+            match run_example_mfs(&e, t, &mut instr) {
                 Ok(run) => rows.push(Table1Row {
                     example: e.id,
                     name: e.name.to_string(),
@@ -135,13 +139,16 @@ pub fn table2() -> Vec<Table2Row> {
 /// interconnect sharing).
 pub fn table2_with(make: impl Fn(u32) -> MfsaConfig) -> Vec<Table2Row> {
     let mut rows = Vec::new();
+    let mut sink = NullSink;
+    let mut metrics = Metrics::new();
+    let mut instr = Instrument::new(&mut sink, &mut metrics);
     for e in examples::all() {
         for (style_no, style) in [
             (1u8, DesignStyle::Unrestricted),
             (2, DesignStyle::NoSelfLoop),
         ] {
             let config = make(e.mfsa_cs).with_style(style);
-            match run_example_mfsa(&e, config) {
+            match run_example_mfsa(&e, config, &mut instr) {
                 Ok((outcome, wall)) => rows.push(Table2Row {
                     example: e.id,
                     name: e.name.to_string(),

@@ -6,6 +6,4 @@ mod config;
 mod scheduler;
 
 pub use config::MfsConfig;
-pub use scheduler::{
-    minimize_steps, schedule, schedule_traced, schedule_traced_with_frames, MfsOutcome,
-};
+pub use scheduler::{minimize_steps, schedule, schedule_traced, MfsOutcome};

@@ -36,11 +36,7 @@ impl MfsOutcome {
 
     /// The number of control steps actually used (last finish step).
     pub fn steps_used(&self, dfg: &Dfg, spec: &TimingSpec) -> u32 {
-        dfg.node_ids()
-            .filter_map(|n| self.schedule.finish(n, dfg, spec))
-            .map(CStep::get)
-            .max()
-            .unwrap_or(0)
+        self.schedule.steps_used(dfg, spec)
     }
 }
 
@@ -129,43 +125,12 @@ pub fn schedule_traced(
     config: &MfsConfig,
     instr: &mut Instrument<'_>,
 ) -> Result<MfsOutcome, MoveFrameError> {
-    schedule_traced_with_frames(dfg, spec, config, None, instr)
-}
-
-/// [`schedule_traced`] with optionally precomputed time frames.
-///
-/// Batch harnesses (the `hls-explore` engine) compute ASAP/ALAP frames
-/// once per `(dfg, spec, cs, clock)` and share them across every design
-/// point at that time constraint; passing them here skips step 1. The
-/// frames **must** come from the same graph, timing spec, clock setting
-/// and time constraint as this run — as a guard, frames whose
-/// control-step count differs from `config.control_steps()` are
-/// discarded and recomputed. The outcome is bit-identical to
-/// [`schedule_traced`]'s either way.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_traced_with_frames(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    config: &MfsConfig,
-    precomputed: Option<TimeFrames>,
-    instr: &mut Instrument<'_>,
-) -> Result<MfsOutcome, MoveFrameError> {
     let cs = config.control_steps();
     config.cancel().checkpoint()?;
 
-    // Step 1: time frames (chaining-aware when a clock is given),
-    // unless the caller already has them.
-    let frames = instr.span("mfs.frames", |instr| {
-        match precomputed.filter(|f| f.control_steps() == cs) {
-            Some(frames) => {
-                instr.inc("mfs.frames.reused", 1);
-                Ok(frames)
-            }
-            None => TimeFrames::for_clock(dfg, spec, config.clock(), cs),
-        }
+    // Step 1: time frames (chaining-aware when a clock is given).
+    let frames = instr.span("mfs.frames", |_| {
+        TimeFrames::for_clock(dfg, spec, config.clock(), cs)
     })?;
 
     // The dense placement state; effective cycles (chaining can stretch

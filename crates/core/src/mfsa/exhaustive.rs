@@ -18,7 +18,7 @@ use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
 use hls_rtl::muxopt::MuxOp;
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{priority_order, CStep, FuIndex, Slot, TimeFrames, UnitId};
-use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
+use hls_telemetry::{Instrument, TraceEvent};
 
 use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
@@ -38,26 +38,6 @@ type InstCost = Option<(usize, u64, u64, u8)>;
 pub struct ExhaustiveMfsa;
 
 impl ExhaustiveMfsa {
-    /// Exhaustive counterpart of [`crate::mfsa::schedule`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::mfsa::schedule`].
-    pub fn schedule(
-        dfg: &Dfg,
-        spec: &TimingSpec,
-        config: &MfsaConfig,
-    ) -> Result<MfsaOutcome, MoveFrameError> {
-        let mut sink = NullSink;
-        let mut metrics = Metrics::new();
-        Self::schedule_traced(
-            dfg,
-            spec,
-            config,
-            &mut Instrument::new(&mut sink, &mut metrics),
-        )
-    }
-
     /// Exhaustive counterpart of [`crate::mfsa::schedule_traced`]: the
     /// same phases, counters and events, except that *every* candidate
     /// is fully scored (one `EnergyEvaluated` each) and the prune

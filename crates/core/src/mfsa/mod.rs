@@ -12,6 +12,4 @@ mod scheduler;
 pub use config::{DesignStyle, MfsaConfig, Weights};
 #[doc(hidden)]
 pub use exhaustive::ExhaustiveMfsa;
-pub use scheduler::{
-    schedule, schedule_traced, schedule_traced_with_frames, IterationTrace, MfsaOutcome,
-};
+pub use scheduler::{schedule, schedule_traced, IterationTrace, MfsaOutcome};

@@ -318,30 +318,6 @@ pub fn schedule_traced(
     config: &MfsaConfig,
     instr: &mut Instrument<'_>,
 ) -> Result<MfsaOutcome, MoveFrameError> {
-    schedule_traced_with_frames(dfg, spec, config, None, instr)
-}
-
-/// [`schedule_traced`] with optionally precomputed time frames.
-///
-/// Batch harnesses (the `hls-explore` engine) compute ASAP/ALAP frames
-/// once per `(dfg, spec, cs, clock)` and share them across every design
-/// point at that time constraint; passing them here skips the
-/// `mfsa.frames` phase. The frames **must** come from the same graph,
-/// timing spec, clock setting and time constraint as this run — as a
-/// guard, frames whose control-step count differs from
-/// `config.control_steps()` are discarded and recomputed. The outcome is
-/// bit-identical to [`schedule_traced`]'s either way.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_traced_with_frames(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    config: &MfsaConfig,
-    precomputed: Option<TimeFrames>,
-    instr: &mut Instrument<'_>,
-) -> Result<MfsaOutcome, MoveFrameError> {
     let cs = config.control_steps();
     let library = config.library();
     config.cancel().checkpoint()?;
@@ -366,14 +342,8 @@ pub fn schedule_traced_with_frames(
         }
     }
 
-    let frames = instr.span("mfsa.frames", |instr| {
-        match precomputed.filter(|f| f.control_steps() == cs) {
-            Some(frames) => {
-                instr.inc("mfsa.frames.reused", 1);
-                Ok(frames)
-            }
-            None => TimeFrames::for_clock(dfg, spec, config.clock(), cs),
-        }
+    let frames = instr.span("mfsa.frames", |_| {
+        TimeFrames::for_clock(dfg, spec, config.clock(), cs)
     })?;
     let order = instr.span("mfsa.priority", |_| priority_order(dfg, spec, &frames));
     let model = CostModel::new(library, config.weights());

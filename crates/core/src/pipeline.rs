@@ -6,6 +6,7 @@ use hls_celllib::{OpKind, TimingSpec};
 use hls_dfg::transform::{duplicate_instances, expand_structural_stages, StageExpansion};
 use hls_dfg::{Dfg, FuClass, NodeId};
 use hls_schedule::{CStep, Schedule, Slot};
+use hls_telemetry::Instrument;
 
 use crate::mfs::{self, MfsConfig, MfsOutcome};
 use crate::MoveFrameError;
@@ -13,7 +14,9 @@ use crate::MoveFrameError;
 /// Structural pipelining (§5.5.1): expands multi-cycle operations with
 /// pipelined implementations into per-stage single-cycle nodes, then
 /// runs MFS. Returns the expanded graph (ids differ from the input!),
-/// the expansion report and the outcome.
+/// the expansion report and the outcome. The expansion is timed as the
+/// `mfs.stage_expansion` phase span and the inner run is
+/// [`mfs::schedule_traced`] on the same `instr`.
 ///
 /// Once expanded, "different stages of pipelined operations can be
 /// concurrent but must be scheduled in consecutive control steps" — the
@@ -29,25 +32,7 @@ pub fn schedule_structural(
     spec: &TimingSpec,
     config: &MfsConfig,
     pipelined: &BTreeSet<OpKind>,
-) -> Result<(Dfg, StageExpansion, MfsOutcome), MoveFrameError> {
-    let (expanded, report) = expand_structural_stages(dfg, spec, pipelined)?;
-    let outcome = mfs::schedule(&expanded, spec, config)?;
-    Ok((expanded, report, outcome))
-}
-
-/// [`schedule_structural`] with instrumentation: the stage expansion is
-/// timed as the `mfs.stage_expansion` phase span and the inner run uses
-/// [`mfs::schedule_traced`].
-///
-/// # Errors
-///
-/// As for [`schedule_structural`].
-pub fn schedule_structural_traced(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    config: &MfsConfig,
-    pipelined: &BTreeSet<OpKind>,
-    instr: &mut hls_telemetry::Instrument<'_>,
+    instr: &mut Instrument<'_>,
 ) -> Result<(Dfg, StageExpansion, MfsOutcome), MoveFrameError> {
     let (expanded, report) = instr.span("mfs.stage_expansion", |_| {
         expand_structural_stages(dfg, spec, pipelined)
@@ -179,6 +164,7 @@ mod tests {
     use super::*;
     use hls_dfg::DfgBuilder;
     use hls_schedule::{verify, VerifyOptions};
+    use hls_telemetry::{Metrics, NullSink};
 
     fn filter_body() -> Dfg {
         // A small filter-ish body: 2 multiplies into 2 adds.
@@ -255,8 +241,14 @@ mod tests {
         let g = b.finish().unwrap();
         let spec = TimingSpec::two_cycle_multiply();
         let config = MfsConfig::time_constrained(4);
-        let (expanded, report, outcome) =
-            schedule_structural(&g, &spec, &config, &[OpKind::Mul].into_iter().collect()).unwrap();
+        let (expanded, report, outcome) = schedule_structural(
+            &g,
+            &spec,
+            &config,
+            &[OpKind::Mul].into_iter().collect(),
+            &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
+        )
+        .unwrap();
         assert_eq!(report.count(), 2);
         let v = verify(
             &expanded,
@@ -287,6 +279,7 @@ mod tests {
             &spec,
             &MfsConfig::time_constrained(4),
             &[OpKind::Mul].into_iter().collect(),
+            &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
         )
         .unwrap();
         assert_eq!(pipelined_fu_counts(&piped)[&FuClass::Op(OpKind::Mul)], 1);

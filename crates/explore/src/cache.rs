@@ -1,14 +1,11 @@
 //! The content-addressed exploration cache.
 //!
-//! Two layers, both keyed by content rather than identity:
-//!
-//! * **frames** — ASAP/ALAP time frames per `(DFG fingerprint, cs,
-//!   clock)`, shared by every design point at the same time constraint
-//!   (MFS, MFSA and the baselines all start from the same frames);
-//! * **results** — whole [`PointMetrics`] per `(DFG fingerprint, point
-//!   fingerprint)`, so repeated queries (same point twice in a grid,
-//!   across [`crate::Engine::explore`] calls, or repeated requests to a
-//!   long-lived `hls-serve` daemon) are free.
+//! One layer, keyed by content rather than identity: whole
+//! [`PointMetrics`] per `(DFG fingerprint, point fingerprint)`, so
+//! repeated queries (same point twice in a grid, across
+//! [`crate::Engine::explore`] calls, or repeated requests to a
+//! long-lived `hls-serve` daemon) are free. An optional on-disk tier
+//! backs it across restarts.
 //!
 //! Entries are `Arc<OnceLock<_>>`: the map lock is held only to fetch
 //! the slot, and `OnceLock::get_or_init` gives **exactly-once**
@@ -18,19 +15,15 @@
 //! every unique query contributes its scheduler counters exactly once,
 //! whatever the thread count.
 //!
-//! Both layers are **bounded**: each holds at most its configured entry
-//! cap and evicts least-recently-used slots past it, so a long-lived
-//! server cannot grow memory without limit. Eviction only ever forgets
+//! The layer is **bounded**: it holds at most its configured entry cap
+//! and evicts least-recently-used slots past it, so a long-lived server
+//! cannot grow memory without limit. Eviction only ever forgets
 //! memoized *pure* results — a later identical query recomputes the
 //! same bytes — so cache pressure never changes any answer.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
-
-use hls_celllib::{ClockPeriod, TimingSpec};
-use hls_dfg::Dfg;
-use hls_schedule::TimeFrames;
 
 use crate::diskcache::{DiskCache, DiskStats};
 use crate::engine::PointMetrics;
@@ -52,8 +45,6 @@ type Slot<T> = Arc<OnceLock<T>>;
 /// need thousands of *distinct* (graph, knob) queries live at once to
 /// hit it.
 pub const DEFAULT_RESULTS_CAP: usize = 4096;
-/// Default entry cap of the frames layer.
-pub const DEFAULT_FRAMES_CAP: usize = 1024;
 
 /// A small LRU map: a `HashMap` with a logical clock per entry. Reads
 /// and writes bump the clock; inserts past `cap` evict the stalest
@@ -111,7 +102,7 @@ impl<K: std::hash::Hash + Eq + Copy, T> Lru<K, T> {
     }
 }
 
-/// Hit/miss/evict totals per cache layer, for telemetry.
+/// Hit/miss/evict totals of the results layer, for telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from a populated slot.
@@ -122,8 +113,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Frame-layer key: `(dfg_fingerprint, cs, chaining clock)`.
-type FramesKey = (u64, u32, Option<u32>);
 /// Result-layer key: `(dfg_fingerprint, point_fingerprint)`.
 type ResultsKey = (u64, u64);
 
@@ -131,15 +120,14 @@ type ResultsKey = (u64, u64);
 /// synchronised.
 #[derive(Debug)]
 pub struct ExploreCache {
-    frames: Mutex<Lru<FramesKey, Result<TimeFrames, String>>>,
     results: Mutex<Lru<ResultsKey, Result<PointMetrics, String>>>,
-    stats: Mutex<(CacheStats, CacheStats)>, // (frames, results)
+    stats: Mutex<CacheStats>,
     disk: Option<DiskCache>,
 }
 
 impl Default for ExploreCache {
     fn default() -> Self {
-        Self::with_caps(DEFAULT_FRAMES_CAP, DEFAULT_RESULTS_CAP)
+        Self::with_caps(DEFAULT_RESULTS_CAP)
     }
 }
 
@@ -149,13 +137,12 @@ impl ExploreCache {
         Self::default()
     }
 
-    /// An empty cache holding at most `frames_cap` frame entries and
-    /// `results_cap` result entries (each clamped to at least 1).
-    pub fn with_caps(frames_cap: usize, results_cap: usize) -> Self {
+    /// An empty cache holding at most `results_cap` result entries
+    /// (clamped to at least 1).
+    pub fn with_caps(results_cap: usize) -> Self {
         ExploreCache {
-            frames: Mutex::new(Lru::new(frames_cap)),
             results: Mutex::new(Lru::new(results_cap)),
-            stats: Mutex::new((CacheStats::default(), CacheStats::default())),
+            stats: Mutex::new(CacheStats::default()),
             disk: None,
         }
     }
@@ -165,8 +152,8 @@ impl ExploreCache {
     /// computing, and fresh `Ok` computations are persisted, so a
     /// restarted process answers previously-seen keys without
     /// rescheduling. Fails only if the directory cannot be created.
-    pub fn with_disk(frames_cap: usize, results_cap: usize, dir: &Path) -> std::io::Result<Self> {
-        let mut cache = Self::with_caps(frames_cap, results_cap);
+    pub fn with_disk(results_cap: usize, dir: &Path) -> std::io::Result<Self> {
+        let mut cache = Self::with_caps(results_cap);
         cache.disk = Some(DiskCache::open(dir)?);
         Ok(cache)
     }
@@ -174,37 +161,6 @@ impl ExploreCache {
     /// Counters of the disk tier, if one is attached.
     pub fn disk_stats(&self) -> Option<DiskStats> {
         self.disk.as_ref().map(DiskCache::stats)
-    }
-
-    /// The ASAP/ALAP frames for `(dfg_fp, cs, clock)`, computed at most
-    /// once while cached. Returns the frames plus whether this call
-    /// computed them.
-    pub fn frames(
-        &self,
-        dfg_fp: u64,
-        dfg: &Dfg,
-        spec: &TimingSpec,
-        cs: u32,
-        clock: Option<ClockPeriod>,
-    ) -> (Result<TimeFrames, String>, bool) {
-        let (slot, evicted) = self
-            .frames
-            .lock()
-            .expect("cache lock is never poisoned (no panics inside)")
-            .slot((dfg_fp, cs, clock.map(|c| c.as_u32())));
-        let mut computed = false;
-        let value = slot.get_or_init(|| {
-            computed = true;
-            TimeFrames::for_clock(dfg, spec, clock, cs).map_err(|e| e.to_string())
-        });
-        let mut stats = self.stats.lock().expect("stats lock");
-        stats.0.evictions += evicted;
-        if computed {
-            stats.0.misses += 1;
-        } else {
-            stats.0.hits += 1;
-        }
-        (value.clone(), computed)
     }
 
     /// The memoized result for `(dfg_fp, point_fp)`: runs `compute` at
@@ -239,11 +195,11 @@ impl ExploreCache {
             compute()
         });
         let mut stats = self.stats.lock().expect("stats lock");
-        stats.1.evictions += evicted;
+        stats.evictions += evicted;
         if tier == Tier::Hot {
-            stats.1.hits += 1;
+            stats.hits += 1;
         } else {
-            stats.1.misses += 1;
+            stats.misses += 1;
         }
         drop(stats);
         if tier == Tier::Cold {
@@ -274,7 +230,7 @@ impl ExploreCache {
         if matches!(&value, Err(e) if e.starts_with("cancelled")) {
             return None;
         }
-        self.stats.lock().expect("stats lock").1.hits += 1;
+        self.stats.lock().expect("stats lock").hits += 1;
         Some(value)
     }
 
@@ -296,14 +252,9 @@ impl ExploreCache {
         self.results.lock().expect("cache lock").map.len()
     }
 
-    /// Totals for the frames layer.
-    pub fn frames_stats(&self) -> CacheStats {
-        self.stats.lock().expect("stats lock").0
-    }
-
     /// Totals for the results layer.
     pub fn results_stats(&self) -> CacheStats {
-        self.stats.lock().expect("stats lock").1
+        *self.stats.lock().expect("stats lock")
     }
 }
 
@@ -376,7 +327,7 @@ mod tests {
 
     #[test]
     fn peek_bumps_recency() {
-        let cache = ExploreCache::with_caps(4, 2);
+        let cache = ExploreCache::with_caps(2);
         let (_, _) = cache.result(1, 1, || Ok(metrics(1)));
         let (_, _) = cache.result(1, 2, || Ok(metrics(2)));
         // Probe key 1 so key 2 is the LRU victim of the next insert.
@@ -409,7 +360,7 @@ mod tests {
 
     #[test]
     fn cap_bounds_entries_and_evicts_lru() {
-        let cache = ExploreCache::with_caps(4, 2);
+        let cache = ExploreCache::with_caps(2);
         let (_, t) = cache.result(1, 1, || Ok(metrics(1)));
         assert_eq!(t, Tier::Cold);
         let (_, t) = cache.result(1, 2, || Ok(metrics(2)));
@@ -460,7 +411,7 @@ mod tests {
     fn disk_tier_answers_after_a_restart_without_recomputing() {
         let dir = disk_dir("warm");
         {
-            let cache = ExploreCache::with_disk(4, 4, &dir).unwrap();
+            let cache = ExploreCache::with_disk(4, &dir).unwrap();
             let (_, t) = cache.result(8, 8, || Ok(metrics(6)));
             assert_eq!(t, Tier::Cold);
             assert_eq!(cache.disk_stats().unwrap().writes, 1);
@@ -469,7 +420,7 @@ mod tests {
             assert_eq!(t, Tier::Hot);
         }
         // A "restarted daemon": fresh memory, same directory.
-        let cache = ExploreCache::with_disk(4, 4, &dir).unwrap();
+        let cache = ExploreCache::with_disk(4, &dir).unwrap();
         let (r, t) = cache.result(8, 8, || panic!("disk must answer"));
         assert_eq!(t, Tier::Warm);
         assert_eq!(r.unwrap().csteps, 6);
@@ -484,7 +435,7 @@ mod tests {
     #[test]
     fn disk_tier_skips_errors_and_recomputes_truncated_entries_once() {
         let dir = disk_dir("err");
-        let cache = ExploreCache::with_disk(4, 4, &dir).unwrap();
+        let cache = ExploreCache::with_disk(4, &dir).unwrap();
         let (_, t) = cache.result(1, 1, || Err("infeasible".into()));
         assert_eq!(t, Tier::Cold);
         assert_eq!(
@@ -497,7 +448,7 @@ mod tests {
         assert_eq!(t, Tier::Cold);
         // Truncate the entry behind the cache's back, then restart.
         let path = {
-            let reopened = ExploreCache::with_disk(4, 4, &dir).unwrap();
+            let reopened = ExploreCache::with_disk(4, &dir).unwrap();
             let path = reopened.disk.as_ref().unwrap().entry_path(2, 2);
             let bytes = std::fs::read(&path).unwrap();
             std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use hls_celllib::{Library, TimingSpec};
 use hls_dfg::{Dfg, FuClass};
-use hls_schedule::{CStep, Schedule, ScheduleStats, TimeFrames};
+use hls_schedule::{Schedule, ScheduleStats};
 use hls_telemetry::{escape_json, Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsOutcome};
 use moveframe::mfsa::{self, MfsaOutcome};
@@ -207,11 +207,11 @@ impl Engine {
         Engine::default()
     }
 
-    /// An engine whose cache holds at most `frames_cap` frame entries
-    /// and `results_cap` result entries (LRU-evicted past that).
-    pub fn with_caps(frames_cap: usize, results_cap: usize) -> Engine {
+    /// An engine whose cache holds at most `results_cap` result entries
+    /// (LRU-evicted past that).
+    pub fn with_caps(results_cap: usize) -> Engine {
         Engine {
-            cache: ExploreCache::with_caps(frames_cap, results_cap),
+            cache: ExploreCache::with_caps(results_cap),
         }
     }
 
@@ -219,13 +219,9 @@ impl Engine {
     /// content-addressed on-disk tier rooted at `dir` (see
     /// [`ExploreCache::with_disk`]): a fresh engine over a populated
     /// directory serves previously-computed points without scheduling.
-    pub fn with_disk(
-        frames_cap: usize,
-        results_cap: usize,
-        dir: &std::path::Path,
-    ) -> std::io::Result<Engine> {
+    pub fn with_disk(results_cap: usize, dir: &std::path::Path) -> std::io::Result<Engine> {
         Ok(Engine {
-            cache: ExploreCache::with_disk(frames_cap, results_cap, dir)?,
+            cache: ExploreCache::with_disk(results_cap, dir)?,
         })
     }
 
@@ -235,7 +231,9 @@ impl Engine {
     }
 
     /// Schedules a single design point through the cache, cooperatively
-    /// honouring `cancel`.
+    /// honouring `cancel`. `dfg_fp` is [`dfg_fingerprint`]`(dfg, spec)`:
+    /// callers compute it once and reuse it (the serving hot path also
+    /// keys its warm probe with it, a grid shares it across points).
     ///
     /// Returns the metrics (or the scheduling error as a string) plus
     /// whether the answer came **warm** from the cache (true = cache
@@ -247,20 +245,6 @@ impl Engine {
     /// once.
     pub fn schedule_point(
         &self,
-        dfg: &Dfg,
-        spec: &TimingSpec,
-        point: &DesignPoint,
-        cancel: &CancelToken,
-        instr: &mut Instrument<'_>,
-    ) -> (Result<PointMetrics, String>, bool) {
-        self.schedule_point_fp(dfg_fingerprint(dfg, spec), dfg, spec, point, cancel, instr)
-    }
-
-    /// [`Engine::schedule_point`] with the DFG fingerprint supplied by
-    /// the caller — the serving hot path computes it once per request
-    /// and reuses it for both the warm probe and this fallback.
-    pub fn schedule_point_fp(
-        &self,
         dfg_fp: u64,
         dfg: &Dfg,
         spec: &TimingSpec,
@@ -268,52 +252,9 @@ impl Engine {
         cancel: &CancelToken,
         instr: &mut Instrument<'_>,
     ) -> (Result<PointMetrics, String>, bool) {
-        self.lookup_point(dfg_fp, dfg, spec, point, cancel, instr)
-    }
-
-    /// A non-computing probe of the memory result tier for
-    /// `(dfg_fp, point)`: `Some` iff a populated, non-cancelled entry
-    /// is resident. Never blocks on compute or disk, so an event loop
-    /// may call it inline; a `None` must fall back to
-    /// [`Engine::schedule_point_fp`] on a worker.
-    pub fn peek_point(
-        &self,
-        dfg_fp: u64,
-        point: &DesignPoint,
-    ) -> Option<Result<PointMetrics, String>> {
-        self.cache.peek_result(dfg_fp, point.fingerprint())
-    }
-
-    /// The shared cache-lookup path behind [`Engine::schedule_point`]
-    /// and each [`Engine::explore`] grid point.
-    fn lookup_point(
-        &self,
-        dfg_fp: u64,
-        dfg: &Dfg,
-        spec: &TimingSpec,
-        point: &DesignPoint,
-        cancel: &CancelToken,
-        instr: &mut Instrument<'_>,
-    ) -> (Result<PointMetrics, String>, bool) {
-        // Shared ASAP/ALAP frames (not applicable to structural
-        // pipelining, which stage-expands the graph first).
-        let frames = if point.pipeline_ops.is_empty() {
-            let (frames, computed) =
-                self.cache
-                    .frames(dfg_fp, dfg, spec, point.cs, point.clock_period());
-            if computed {
-                instr.inc("explore.frames.computed", 1);
-            } else {
-                instr.inc("explore.frames.reused", 1);
-            }
-            frames.ok()
-        } else {
-            None
-        };
-
         let point_fp = point.fingerprint();
         let (mut outcome, mut tier) = self.cache.result(dfg_fp, point_fp, || {
-            run_point(dfg, spec, point, frames.clone(), cancel, instr)
+            run_point(dfg, spec, point, cancel, instr)
         });
         // Cancelled results never reach the disk tier, so the hygiene
         // below only ever concerns freshly computed or memory-cached
@@ -328,7 +269,7 @@ impl Engine {
                 // arrived; this request is live, so recompute.
                 self.cache.forget(dfg_fp, point_fp);
                 (outcome, tier) = self.cache.result(dfg_fp, point_fp, || {
-                    run_point(dfg, spec, point, frames, cancel, instr)
+                    run_point(dfg, spec, point, cancel, instr)
                 });
                 if tier == Tier::Cold && is_cancelled(&outcome) {
                     self.cache.forget(dfg_fp, point_fp);
@@ -344,6 +285,19 @@ impl Engine {
             1,
         );
         (outcome, tier != Tier::Cold)
+    }
+
+    /// A non-computing probe of the memory result tier for
+    /// `(dfg_fp, point)`: `Some` iff a populated, non-cancelled entry
+    /// is resident. Never blocks on compute or disk, so an event loop
+    /// may call it inline; a `None` must fall back to
+    /// [`Engine::schedule_point`] on a worker.
+    pub fn peek_point(
+        &self,
+        dfg_fp: u64,
+        point: &DesignPoint,
+    ) -> Option<Result<PointMetrics, String>> {
+        self.cache.peek_result(dfg_fp, point.fingerprint())
     }
 
     /// Explores `points` on `dfg` under `spec` and reduces to a Pareto
@@ -368,8 +322,7 @@ impl Engine {
             opts.threads
         };
         let dfg_fp = dfg_fingerprint(dfg, spec);
-        let evictions_before =
-            self.cache.frames_stats().evictions + self.cache.results_stats().evictions;
+        let evictions_before = self.cache.results_stats().evictions;
 
         let per_point = run_indexed(points.len(), threads, |i| {
             let point = &points[i];
@@ -380,7 +333,7 @@ impl Engine {
             instr.inc("explore.points", 1);
 
             let (outcome, _warm) =
-                self.lookup_point(dfg_fp, dfg, spec, point, &CancelToken::never(), &mut instr);
+                self.schedule_point(dfg_fp, dfg, spec, point, &CancelToken::never(), &mut instr);
             if outcome.is_err() {
                 instr.inc("explore.errors", 1);
             }
@@ -404,8 +357,7 @@ impl Engine {
             merged.merge(&metrics);
             results.push(result);
         }
-        let evicted = self.cache.frames_stats().evictions + self.cache.results_stats().evictions
-            - evictions_before;
+        let evicted = self.cache.results_stats().evictions - evictions_before;
         if evicted > 0 {
             merged.inc("explore.cache.evict", evicted);
         }
@@ -428,15 +380,6 @@ pub fn explore(
     opts: ExploreOptions,
 ) -> ExploreReport {
     Engine::new().explore(dfg, spec, points, opts)
-}
-
-/// Last finish step over all scheduled nodes.
-fn steps_used(dfg: &Dfg, schedule: &Schedule, spec: &TimingSpec) -> u32 {
-    dfg.node_ids()
-        .filter_map(|n| schedule.finish(n, dfg, spec))
-        .map(CStep::get)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Single-function-unit area of a mix, from the NCR-like library
@@ -466,7 +409,7 @@ fn fu_point_metrics(
     let stats = ScheduleStats::compute(dfg, schedule, spec);
     let counts: BTreeMap<FuClass, u32> = schedule.fu_counts();
     PointMetrics {
-        csteps: steps_used(dfg, schedule, spec),
+        csteps: schedule.steps_used(dfg, spec),
         mix: stats.mix.to_string(),
         fu_cost: mix_area(&counts, library),
         registers: stats.registers,
@@ -513,9 +456,8 @@ pub enum MoveFrameRun {
 
 /// Runs an MFS or MFSA design point: the knob checks, the lowered
 /// config, the structural-pipelining branch and the refinement rounds.
-/// `frames` are precomputed ASAP/ALAP frames for `(dfg, spec, cs,
-/// clock)`, if the caller has them. The engine and served `emit=text`
-/// both schedule through here, so they agree on every knob.
+/// The engine and served `emit=text` both schedule through here, so they
+/// agree on every knob.
 ///
 /// # Errors
 ///
@@ -525,21 +467,14 @@ pub fn run_move_frame(
     dfg: &Dfg,
     spec: &TimingSpec,
     point: &DesignPoint,
-    frames: Option<TimeFrames>,
     cancel: &CancelToken,
     instr: &mut Instrument<'_>,
 ) -> Result<MoveFrameRun, String> {
     point.check().map_err(|e| e.to_string())?;
     match point.algorithm {
         Algorithm::Mfs if point.pipeline_ops.is_empty() => {
-            let mut outcome = mfs::schedule_traced_with_frames(
-                dfg,
-                spec,
-                &point.mfs_config(cancel),
-                frames,
-                instr,
-            )
-            .map_err(|e| e.to_string())?;
+            let mut outcome = mfs::schedule_traced(dfg, spec, &point.mfs_config(cancel), instr)
+                .map_err(|e| e.to_string())?;
             if point.iterate > 0 {
                 outcome.schedule = hls_iterate::refine(
                     dfg,
@@ -557,9 +492,14 @@ pub fn run_move_frame(
             })
         }
         Algorithm::Mfs => {
-            let (expanded, _, outcome) =
-                schedule_structural(dfg, spec, &point.mfs_config(cancel), &point.pipeline_ops)
-                    .map_err(|e| e.to_string())?;
+            let (expanded, _, outcome) = schedule_structural(
+                dfg,
+                spec,
+                &point.mfs_config(cancel),
+                &point.pipeline_ops,
+                instr,
+            )
+            .map_err(|e| e.to_string())?;
             Ok(MoveFrameRun::Mfs {
                 expanded: Some(expanded),
                 outcome,
@@ -567,11 +507,10 @@ pub fn run_move_frame(
         }
         Algorithm::Mfsa => {
             let library = shared_library();
-            let mut out = mfsa::schedule_traced_with_frames(
+            let mut out = mfsa::schedule_traced(
                 dfg,
                 spec,
                 &point.mfsa_config(library.clone(), cancel),
-                frames,
                 instr,
             )
             .map_err(|e| e.to_string())?;
@@ -598,7 +537,6 @@ fn run_point(
     dfg: &Dfg,
     spec: &TimingSpec,
     point: &DesignPoint,
-    frames: Option<TimeFrames>,
     cancel: &CancelToken,
     instr: &mut Instrument<'_>,
 ) -> Result<PointMetrics, String> {
@@ -606,53 +544,51 @@ fn run_point(
         return run_baseline(dfg, spec, point, cancel, instr);
     }
     let library = shared_library();
-    Ok(
-        match run_move_frame(dfg, spec, point, frames, cancel, instr)? {
-            MoveFrameRun::Mfs {
-                expanded: None,
-                outcome,
-            } => fu_point_metrics(
-                dfg,
-                spec,
-                &outcome.schedule,
-                library,
-                outcome.reschedule_count,
-            ),
-            // Structural pipelining stage-expands the graph; report whole
-            // pipelined units (the paper's Table-1 numbers).
-            MoveFrameRun::Mfs {
-                expanded: Some(expanded),
-                outcome,
-            } => {
-                let stats = ScheduleStats::compute(&expanded, &outcome.schedule, spec);
-                let folded = pipelined_fu_counts(&outcome);
-                let mix: hls_dfg::OpMix = folded.iter().map(|(&c, &n)| (c, n as usize)).collect();
-                PointMetrics {
-                    csteps: steps_used(&expanded, &outcome.schedule, spec),
-                    mix: mix.to_string(),
-                    fu_cost: mix_area(&folded, library),
-                    registers: stats.registers,
-                    reschedules: outcome.reschedule_count,
-                    mem: mem_pressure(&expanded, &outcome.schedule),
-                    mfsa: None,
-                }
+    Ok(match run_move_frame(dfg, spec, point, cancel, instr)? {
+        MoveFrameRun::Mfs {
+            expanded: None,
+            outcome,
+        } => fu_point_metrics(
+            dfg,
+            spec,
+            &outcome.schedule,
+            library,
+            outcome.reschedule_count,
+        ),
+        // Structural pipelining stage-expands the graph; report whole
+        // pipelined units (the paper's Table-1 numbers).
+        MoveFrameRun::Mfs {
+            expanded: Some(expanded),
+            outcome,
+        } => {
+            let stats = ScheduleStats::compute(&expanded, &outcome.schedule, spec);
+            let folded = pipelined_fu_counts(&outcome);
+            let mix: hls_dfg::OpMix = folded.iter().map(|(&c, &n)| (c, n as usize)).collect();
+            PointMetrics {
+                csteps: outcome.schedule.steps_used(&expanded, spec),
+                mix: mix.to_string(),
+                fu_cost: mix_area(&folded, library),
+                registers: stats.registers,
+                reschedules: outcome.reschedule_count,
+                mem: mem_pressure(&expanded, &outcome.schedule),
+                mfsa: None,
             }
-            MoveFrameRun::Mfsa(out) => PointMetrics {
-                csteps: steps_used(dfg, &out.schedule, spec),
-                mix: out.datapath.alu_signature(),
-                fu_cost: out.cost.alu_area.as_u64(),
-                registers: out.cost.reg_count,
-                reschedules: 0,
-                mem: mem_pressure(dfg, &out.schedule),
-                mfsa: Some(MfsaDetail {
-                    alus: out.datapath.alu_signature(),
-                    total_cost: out.cost.total().as_u64(),
-                    mux: out.cost.mux_count,
-                    muxin: out.cost.mux_inputs,
-                }),
-            },
+        }
+        MoveFrameRun::Mfsa(out) => PointMetrics {
+            csteps: out.schedule.steps_used(dfg, spec),
+            mix: out.datapath.alu_signature(),
+            fu_cost: out.cost.alu_area.as_u64(),
+            registers: out.cost.reg_count,
+            reschedules: 0,
+            mem: mem_pressure(dfg, &out.schedule),
+            mfsa: Some(MfsaDetail {
+                alus: out.datapath.alu_signature(),
+                total_cost: out.cost.total().as_u64(),
+                mux: out.cost.mux_count,
+                muxin: out.cost.mux_inputs,
+            }),
         },
-    )
+    })
 }
 
 /// Runs a baseline-scheduler point, then its refinement rounds. The
@@ -762,14 +698,22 @@ mod tests {
     }
 
     #[test]
-    fn frames_are_shared_across_points_at_one_cs() {
+    fn structurally_pipelined_points_keep_their_scheduler_counters() {
         let dfg = diamond();
-        let spec = TimingSpec::uniform_single_cycle();
-        let report = explore(&dfg, &spec, &grid(), ExploreOptions { threads: 1 });
-        // 3 distinct cs values -> 3 frame computations; the other
-        // non-structural points reuse them.
-        assert_eq!(report.metrics.counter("explore.frames.computed"), 3);
-        assert!(report.metrics.counter("explore.frames.reused") > 0);
+        let spec = TimingSpec::two_cycle_multiply();
+        let mut point = DesignPoint::new(Algorithm::Mfs, 5);
+        point.pipeline_ops.insert(OpKind::Mul);
+        let report = explore(&dfg, &spec, &[point], ExploreOptions { threads: 1 });
+        assert!(report.results[0].outcome.is_ok());
+        let (expanded, _) =
+            hls_dfg::transform::expand_structural_stages(&dfg, &spec, &[OpKind::Mul].into())
+                .unwrap();
+        assert_eq!(
+            report.metrics.counter("mfs.moves_committed"),
+            expanded.node_count() as u64
+        );
+        let expansion = report.metrics.histogram("phase.mfs.stage_expansion.ns");
+        assert_eq!(expansion.map(|h| h.count()), Some(1));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   is fanned out over a self-scheduling [`std::thread`] pool
 //!   ([`run_indexed`]), sized from `available_parallelism` and
 //!   overridable per call;
-//! * a content-addressed [`ExploreCache`] memoizes ASAP/ALAP frame
-//!   precomputation per `(DFG fingerprint, cs, clock)` and whole
-//!   point results per `(DFG fingerprint, point fingerprint)`;
+//! * a content-addressed [`ExploreCache`] memoizes whole point results
+//!   per `(DFG fingerprint, point fingerprint)`;
 //! * results stream into a Pareto front over (control steps, FU cost,
 //!   registers) with a stable tie-break, so the rendered front is
 //!   **bit-identical for any thread count**;
@@ -35,7 +34,7 @@ mod pareto;
 mod point;
 mod pool;
 
-pub use cache::{CacheStats, ExploreCache, Tier, DEFAULT_FRAMES_CAP, DEFAULT_RESULTS_CAP};
+pub use cache::{CacheStats, ExploreCache, Tier, DEFAULT_RESULTS_CAP};
 pub use diskcache::{DiskCache, DiskStats, DISK_FORMAT_VERSION};
 pub use engine::{
     explore, run_move_frame, BankPressure, Engine, ExploreOptions, ExploreReport, MfsaDetail,

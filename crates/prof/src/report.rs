@@ -48,9 +48,6 @@ pub struct ProfileReport {
     /// Instance candidates cut before the `f_MUX` recompute
     /// (`mfsa.prune.cut_instances`).
     pub cut_instances: u64,
-    /// Frame recomputations skipped (`mfs.frames.reused` +
-    /// `mfsa.frames.reused`).
-    pub frames_reused: u64,
     /// Phase ledgers, sorted by total wall time descending (ties on
     /// name), so the flame-chart order matches the table order.
     pub phases: Vec<(String, PhaseLedger)>,
@@ -100,8 +97,6 @@ impl ProfileReport {
             bound_evals: metrics.counter("mfsa.bound.evals"),
             cut_steps: metrics.counter("mfsa.prune.cut_steps"),
             cut_instances: metrics.counter("mfsa.prune.cut_instances"),
-            frames_reused: metrics.counter("mfs.frames.reused")
-                + metrics.counter("mfsa.frames.reused"),
             phases,
             hotspots: profiler.hotspots(top),
             step_hotspots: profiler.step_hotspots(top),
@@ -131,8 +126,8 @@ impl ProfileReport {
         );
         let _ = writeln!(
             out,
-            "reuse                {} memo hits, {} memo fills, {} frames reused",
-            self.memo_hits, self.memo_fills, self.frames_reused
+            "reuse                {} memo hits, {} memo fills",
+            self.memo_hits, self.memo_fills
         );
         if self.memo_insert_hits + self.memo_insert_fallbacks > 0 {
             let _ = writeln!(
@@ -225,7 +220,7 @@ impl ProfileReport {
              \"frames_computed\":{},\"moves_committed\":{},\"local_reschedules\":{},\
              \"bounds_fast_path\":{},\"bounds_boundary_walks\":{},\
              \"memo_hits\":{},\"memo_fills\":{},\
-             \"memo_insert_hits\":{},\"memo_insert_fallbacks\":{},\"frames_reused\":{},\
+             \"memo_insert_hits\":{},\"memo_insert_fallbacks\":{},\
              \"bound_evals\":{},\"cut_steps\":{},\"cut_instances\":{}}}",
             self.counted_evals,
             self.attributed_evals,
@@ -239,7 +234,6 @@ impl ProfileReport {
             self.memo_fills,
             self.memo_insert_hits,
             self.memo_insert_fallbacks,
-            self.frames_reused,
             self.bound_evals,
             self.cut_steps,
             self.cut_instances

@@ -214,6 +214,16 @@ impl Schedule {
             .map(|s| s.step.finish(dfg.node(node).kind().cycles(spec)))
     }
 
+    /// The number of control steps actually used: the last finish step
+    /// over every assigned operation (0 for an empty schedule).
+    pub fn steps_used(&self, dfg: &Dfg, spec: &TimingSpec) -> u32 {
+        dfg.node_ids()
+            .filter_map(|n| self.finish(n, dfg, spec))
+            .map(CStep::get)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Whether every operation has a slot.
     pub fn is_complete(&self) -> bool {
         self.assigned == self.node_count

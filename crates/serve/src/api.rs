@@ -91,8 +91,8 @@ impl AppState {
         cache_dir: Option<&std::path::Path>,
     ) -> std::io::Result<AppState> {
         let engine = match cache_dir {
-            Some(dir) => Engine::with_disk(hls_explore::DEFAULT_FRAMES_CAP, cache_cap, dir)?,
-            None => Engine::with_caps(hls_explore::DEFAULT_FRAMES_CAP, cache_cap),
+            Some(dir) => Engine::with_disk(cache_cap, dir)?,
+            None => Engine::with_caps(cache_cap),
         };
         Ok(AppState {
             engine,
@@ -130,13 +130,9 @@ impl AppState {
     pub fn metrics_snapshot(&self) -> Metrics {
         let mut m = self.locked_metrics().clone();
         let r = self.engine.cache().results_stats();
-        let f = self.engine.cache().frames_stats();
         m.inc("serve.cache.results.hits", r.hits);
         m.inc("serve.cache.results.misses", r.misses);
         m.inc("serve.cache.results.evictions", r.evictions);
-        m.inc("serve.cache.frames.hits", f.hits);
-        m.inc("serve.cache.frames.misses", f.misses);
-        m.inc("serve.cache.frames.evictions", f.evictions);
         if let Some(d) = self.engine.cache().disk_stats() {
             m.inc("serve.cache.disk.hits", d.hits);
             m.inc("serve.cache.disk.misses", d.misses);
@@ -450,7 +446,7 @@ pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
             let mut metrics = Metrics::new();
             let (outcome, warm) = {
                 let mut instr = Instrument::new(&mut sink, &mut metrics);
-                state.engine.schedule_point_fp(
+                state.engine.schedule_point(
                     job.dfg_fp, &job.dfg, &job.spec, &job.point, &cancel, &mut instr,
                 )
             };
@@ -480,7 +476,6 @@ pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
                         &job.dfg,
                         &job.spec,
                         &job.point,
-                        None,
                         &cancel,
                         &mut Instrument::new(&mut sink, &mut metrics),
                     );

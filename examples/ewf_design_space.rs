@@ -31,7 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for t in [17u32, 18, 19, 21, 23] {
         // MFS with a structurally pipelined multiplier (the paper's "S").
         let config = MfsConfig::time_constrained(t);
-        let (_, _, mfs_out) = schedule_structural(&dfg, &spec, &config, &pipelined)?;
+        let (_, _, mfs_out) = schedule_structural(
+            &dfg,
+            &spec,
+            &config,
+            &pipelined,
+            &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
+        )?;
         let mfs_mix: OpMix = pipelined_fu_counts(&mfs_out)
             .into_iter()
             .map(|(c, n)| (c, n as usize))

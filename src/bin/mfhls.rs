@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use moveframe_hls::control::{emit_testbench, emit_verilog};
-use moveframe_hls::explore::timing_spec;
+use moveframe_hls::explore::{dfg_fingerprint, timing_spec};
 use moveframe_hls::prelude::*;
 
 #[path = "mfhls/args.rs"]
@@ -665,7 +665,8 @@ fn run_point_json(
     let mut metrics = Metrics::new();
     let (outcome, _warm) = {
         let mut instr = Instrument::new(&mut null, &mut metrics);
-        Engine::new().schedule_point(dfg, spec, point, &CancelToken::never(), &mut instr)
+        let dfg_fp = dfg_fingerprint(dfg, spec);
+        Engine::new().schedule_point(dfg_fp, dfg, spec, point, &CancelToken::never(), &mut instr)
     };
     let m = outcome?;
     print!("{}", moveframe_hls::serve::point_json(point, &m));

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use moveframe::mfs::{self, MfsConfig};
     pub use moveframe::mfsa::{self, DesignStyle, MfsaConfig, Weights};
     pub use moveframe::pipeline::{
-        pipelined_fu_counts, schedule_structural, schedule_structural_traced, schedule_two_instance,
+        pipelined_fu_counts, schedule_structural, schedule_two_instance,
     };
     pub use moveframe::{CancelToken, MfsObjective, MoveFrameError};
 }

@@ -116,12 +116,7 @@ fn resource_constrained_mfs_agrees_with_list_on_length() {
     let spec = TimingSpec::uniform_single_cycle();
     let limits = [(FuClass::Op(OpKind::Add), 1u32)].into_iter().collect();
     let list = list_schedule(&dfg, &spec, &limits, 10).unwrap();
-    let list_len = dfg
-        .node_ids()
-        .filter_map(|n| list.finish(n, &dfg, &spec))
-        .map(|c| c.get())
-        .max()
-        .unwrap();
+    let list_len = list.steps_used(&dfg, &spec);
     let config = MfsConfig::resource_constrained(10).with_fu_limit(FuClass::Op(OpKind::Add), 1);
     let mfs_out = mfs::schedule(&dfg, &spec, &config).unwrap();
     let mfs_len = mfs_out.steps_used(&dfg, &spec);

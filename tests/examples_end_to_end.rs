@@ -21,8 +21,14 @@ fn run_and_verify(e: &examples::Example, t: u32) {
     }
     match &e.feature {
         Feature::StructuralPipelining(ops) => {
-            let (expanded, report, outcome) = schedule_structural(&e.dfg, &e.spec, &config, ops)
-                .unwrap_or_else(|err| panic!("ex{} T={t}: {err}", e.id));
+            let (expanded, report, outcome) = schedule_structural(
+                &e.dfg,
+                &e.spec,
+                &config,
+                ops,
+                &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
+            )
+            .unwrap_or_else(|err| panic!("ex{} T={t}: {err}", e.id));
             assert!(report.count() > 0, "ex{}: nothing was pipelined", e.id);
             let v = verify(&expanded, &outcome.schedule, &e.spec, opts);
             assert!(v.is_empty(), "ex{} T={t}: {v:?}", e.id);
@@ -73,7 +79,14 @@ fn unit_counts_decrease_along_each_sweep() {
             }
             let total: u32 = match &e.feature {
                 Feature::StructuralPipelining(ops) => {
-                    let (_, _, out) = schedule_structural(&e.dfg, &e.spec, &config, ops).unwrap();
+                    let (_, _, out) = schedule_structural(
+                        &e.dfg,
+                        &e.spec,
+                        &config,
+                        ops,
+                        &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
+                    )
+                    .unwrap();
                     pipelined_fu_counts(&out).values().sum()
                 }
                 _ => mfs::schedule(&e.dfg, &e.spec, &config)

@@ -42,8 +42,9 @@ fn assert_thread_invariant(dfg: &Dfg, spec: &TimingSpec, points: &[DesignPoint],
         "explore.points",
         "explore.cache.miss",
         "explore.cache.hit",
-        "explore.frames.computed",
-        "explore.frames.reused",
+        "mfs.frames_computed",
+        "mfs.moves_committed",
+        "mfsa.moves_committed",
         "explore.errors",
     ] {
         assert_eq!(
