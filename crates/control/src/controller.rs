@@ -1,6 +1,5 @@
 //! Controller generation.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use hls_celllib::TimingSpec;
@@ -48,22 +47,40 @@ impl Controller {
         let mut words = vec![ControlWord::default(); cs];
 
         // Mux source orderings: select = position in the ordered set.
-        let mut mux_order: BTreeMap<(AluId, u8), Vec<NetSource>> = BTreeMap::new();
-        for m in datapath.muxes() {
-            mux_order.insert((m.alu, m.port), m.sources.iter().copied().collect());
+        // The sorted sources of every mux sit in one buffer, and a
+        // table indexed densely by `alu * 2 + port - 1` holds each
+        // mux's range of it (`None` = no such mux).
+        let mux_slot = |alu: AluId, port: u8| {
+            (1..=2)
+                .contains(&port)
+                .then(|| alu.0 as usize * 2 + port as usize - 1)
+        };
+        let muxes = datapath
+            .muxes()
+            .iter()
+            .filter_map(|m| Some((mux_slot(m.alu, m.port)?, &m.sources)));
+        let mut mux_sources: Vec<NetSource> =
+            Vec::with_capacity(muxes.clone().map(|(_, s)| s.len()).sum());
+        let mut mux_range: Vec<Option<(usize, usize)>> =
+            vec![None; muxes.clone().map(|(slot, _)| slot + 1).max().unwrap_or(0)];
+        for (slot, sources) in muxes {
+            let start = mux_sources.len();
+            mux_sources.extend(sources);
+            mux_range[slot] = Some((start, mux_sources.len()));
         }
         let select_of = |alu: AluId, port: u8, src: NetSource| -> Option<Option<usize>> {
-            let order = mux_order.get(&(alu, port))?;
+            let (start, end) = (*mux_range.get(mux_slot(alu, port)?)?)?;
+            let order = &mux_sources[start..end];
             if order.len() <= 1 {
                 // Direct wire (or unused port): no select needed, but the
                 // source must still be the wire's driver.
-                return if order.is_empty() || order[0] == src {
+                return if order.first().is_none_or(|&s| s == src) {
                     Some(None)
                 } else {
                     None
                 };
             }
-            order.iter().position(|&s| s == src).map(Some)
+            order.binary_search(&src).ok().map(Some)
         };
 
         // ALU activities and memory accesses.

@@ -1,20 +1,19 @@
 //! The MFSA move loop (paper §4.2), searched as a pruned
 //! branch-and-bound over the Liapunov lower bound.
 //!
-//! Each operation's feasible steps enter a priority queue ordered by
-//! their `f_TIME` lower bound; an incumbent best candidate then cuts
-//! (a) every remaining queued step at once (the bound is monotone in
-//! the step), (b) a popped step after its exact register term is known,
-//! and (c) individual instances after their exact ALU term is known but
-//! *before* the expensive mux repacking. Every cut compares the
+//! Each operation's feasible steps are visited in ascending order,
+//! which is ascending order of their `f_TIME` lower bound; an incumbent
+//! best candidate then cuts (a) every remaining step at once (the bound
+//! is monotone in the step), (b) a step after its exact register term
+//! is known, and (c) individual instances after their exact ALU term is
+//! known but *before* the mux term is priced. Every cut compares the
 //! candidate's best-case tie-break tuple against the incumbent's full
 //! tuple, so only candidates that provably lose are skipped — the
 //! committed schedule is bit-identical to the unpruned search, which
 //! survives as [`super::ExhaustiveMfsa`] and differentials this loop in
 //! `tests/mfsa_prune_differential.rs`.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use hls_celllib::{Library, OpKind, TimingSpec};
 use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
@@ -22,7 +21,7 @@ use hls_rtl::muxopt::{pack_cost_ids, pack_seed_ids, MuxOp, PackScratch, PackSeed
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId};
 
-use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
+use hls_telemetry::{Histogram, Instrument, Metrics, NullSink, TraceEvent};
 
 use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, RegEstimate};
@@ -212,32 +211,224 @@ impl OpKindTerms {
     }
 }
 
-/// Counters of one node's branch-and-bound search, flushed into the
-/// instrument after the frame scan.
+/// The move loop's counters, tallied locally and flushed into the
+/// instrument once per run (on the error paths too), so an op costs no
+/// string-keyed registry lookup. Each flushed counter exists exactly
+/// when the per-op recording of the same values would have created it.
 #[derive(Default)]
-struct PruneStats {
-    /// Dependency-feasible steps inside the frame (queue inserts).
+struct Tally {
+    /// Dependency-feasible steps inside the frames.
     feasible_steps: u64,
     /// Steps whose candidates were actually examined.
     expanded_steps: u64,
-    /// Steps cut by the bound — wholesale queue drains plus per-step
-    /// register-bound cuts. `expanded + cut == feasible`, always.
+    /// Steps cut by the bound — wholesale drains of the remaining steps
+    /// plus per-step register-bound cuts. `expanded + cut == feasible`,
+    /// always.
     cut_steps: u64,
     /// Candidates whose cheap bound was computed at an expanded step.
+    /// `bound_evals == cut_instances + energy_evals`, always.
     bound_evals: u64,
     /// Bound-evaluated candidates cut before full scoring.
-    /// `bound_evals == cut_instances + full evaluations`, always.
     cut_instances: u64,
+    /// Fully scored candidates.
+    energy_evals: u64,
+    /// Fully scored candidates per op.
+    candidates: Histogram,
+    /// Whether an ALU op was searched (the mux memo counters exist).
+    alu_searched: bool,
+    /// Mux-delta memo reads and fills (one fill per (op, instance)).
+    memo_hits: u64,
+    memo_fills: u64,
+    /// Fills priced from the instance's seed without a repack, and
+    /// fills that repacked.
+    insert_hits: u64,
+    insert_fallbacks: u64,
+    /// Committed moves: all, onto bank ports, and by ALU flavour.
+    moves: u64,
+    mem_moves: u64,
+    reuse_moves: u64,
+    upgrade_moves: u64,
+    new_instances: u64,
 }
 
-impl PruneStats {
+impl Tally {
     fn flush(&self, instr: &mut Instrument<'_>) {
-        instr.inc("mfsa.steps.feasible", self.feasible_steps);
-        instr.inc("mfsa.steps.expanded", self.expanded_steps);
-        instr.inc("mfsa.prune.cut_steps", self.cut_steps);
-        instr.inc("mfsa.bound.evals", self.bound_evals);
-        instr.inc("mfsa.prune.cut_instances", self.cut_instances);
+        if self.candidates.count() > 0 {
+            instr.inc("mfsa.steps.feasible", self.feasible_steps);
+            instr.inc("mfsa.steps.expanded", self.expanded_steps);
+            instr.inc("mfsa.prune.cut_steps", self.cut_steps);
+            instr.inc("mfsa.bound.evals", self.bound_evals);
+            instr.inc("mfsa.prune.cut_instances", self.cut_instances);
+            instr.inc("mfsa.energy_evaluations", self.energy_evals);
+            instr.merge_histogram("mfsa.candidates", &self.candidates);
+        }
+        if self.alu_searched {
+            instr.inc("mfsa.reuse_memo.hits", self.memo_hits);
+            instr.inc("mfsa.reuse_memo.fills", self.memo_fills);
+            instr.inc("mfsa.reuse_memo.insert_hits", self.insert_hits);
+            instr.inc("mfsa.reuse_memo.insert_fallbacks", self.insert_fallbacks);
+        }
+        for (name, n) in [
+            ("mfsa.moves_committed", self.moves),
+            ("mfsa.mem_moves", self.mem_moves),
+            ("mfsa.reuse_moves", self.reuse_moves),
+            ("mfsa.upgrade_moves", self.upgrade_moves),
+            ("mfsa.new_instances", self.new_instances),
+        ] {
+            if n > 0 {
+                instr.inc(name, n);
+            }
+        }
     }
+}
+
+/// Sets bit `i` of a word set, growing it as needed.
+fn set_bit(words: &mut Vec<u64>, i: usize) {
+    if words.len() <= i / 64 {
+        words.resize(i / 64 + 1, 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The committed ALU instances with a step-major index over them: per
+/// wrapped step, a word row of the instances busy at that step, and per
+/// ALU kind, a word set of the instances of that kind. The index turns
+/// the walk over every instance at every expanded step into a walk
+/// over the set bits of (usable kinds) ∧ ¬(busy rows).
+#[derive(Default)]
+struct InstancePool {
+    instances: Vec<Instance<u32>>,
+    /// The busy rows, `words` words per wrapped step (row 0 unused):
+    /// bit `i` of row `s` is set while instance `i` has an occupant at
+    /// `s`.
+    busy_rows: Vec<u64>,
+    words: usize,
+    /// Kind index → instances of that kind.
+    kind_sets: Vec<Vec<u64>>,
+}
+
+impl InstancePool {
+    /// Allocates an empty instance of `kind_index`; returns its index.
+    fn push(&mut self, kind_index: usize) -> usize {
+        let i = self.instances.len();
+        self.instances.push(Instance {
+            kind_index,
+            ops: Vec::new(),
+            mux_ops: Vec::new(),
+            busy: BTreeMap::new(),
+            busy_bits: Vec::new(),
+        });
+        if self.kind_sets.len() <= kind_index {
+            self.kind_sets.resize(kind_index + 1, Vec::new());
+        }
+        set_bit(&mut self.kind_sets[kind_index], i);
+        let words = self.instances.len().div_ceil(64);
+        if words > self.words {
+            // Widen every row by one word.
+            let rows = self.busy_rows.len() / self.words.max(1);
+            let mut wide = vec![0; rows * words];
+            for (new, old) in wide
+                .chunks_mut(words)
+                .zip(self.busy_rows.chunks(self.words.max(1)))
+            {
+                new[..old.len()].copy_from_slice(old);
+            }
+            (self.busy_rows, self.words) = (wide, words);
+        }
+        i
+    }
+
+    /// Changes instance `i`'s kind (an upgrade, or a no-op on reuse).
+    fn set_kind(&mut self, i: usize, kind_index: usize) {
+        let old = std::mem::replace(&mut self.instances[i].kind_index, kind_index);
+        self.kind_sets[old][i / 64] &= !(1 << (i % 64));
+        if self.kind_sets.len() <= kind_index {
+            self.kind_sets.resize(kind_index + 1, Vec::new());
+        }
+        set_bit(&mut self.kind_sets[kind_index], i);
+    }
+
+    /// Records `node` on instance `i` at wrapped step `s`.
+    fn occupy(&mut self, i: usize, node: NodeId, s: u32) {
+        let inst = &mut self.instances[i];
+        inst.busy.entry(s).or_default().push(node);
+        set_bit(&mut inst.busy_bits, s as usize);
+        let row = s as usize * self.words;
+        if self.busy_rows.len() <= row {
+            self.busy_rows.resize(row + self.words, 0);
+        }
+        self.busy_rows[row + i / 64] |= 1 << (i % 64);
+    }
+
+    /// Word `w` of the busy row of wrapped step `s` (0 past the last
+    /// row).
+    fn busy(&self, s: u32, w: usize) -> u64 {
+        self.busy_rows
+            .get(s as usize * self.words + w)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The instances whose kind satisfies `usable`, as a word set in
+    /// `mask`. Only kinds some instance has had are asked.
+    fn kind_mask(&self, mut usable: impl FnMut(usize) -> bool, mask: &mut Vec<u64>) {
+        mask.clear();
+        mask.resize(self.instances.len().div_ceil(64), 0);
+        for (k, set) in self.kind_sets.iter().enumerate() {
+            if !set.is_empty() && usable(k) {
+                for (m, w) in mask.iter_mut().zip(set) {
+                    *m |= w;
+                }
+            }
+        }
+    }
+
+    /// Fills `out`, ascending, with the instances in `mask` that can
+    /// host `node` from `step` for `cycles` steps: the mask bits clear
+    /// in every busy row the op would cover. A node with mutual
+    /// exclusions may also share a busy instance with ops it excludes,
+    /// so it walks every mask bit through [`instance_free`]'s occupant
+    /// check instead.
+    #[allow(clippy::too_many_arguments)]
+    fn hosts(
+        &self,
+        dfg: &Dfg,
+        node: NodeId,
+        mask: &[u64],
+        step: CStep,
+        cycles: u8,
+        wrap: &impl Fn(u32) -> u32,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        let exclusions = dfg.has_exclusions(node);
+        for (w, &m) in mask.iter().enumerate() {
+            let mut bits = m;
+            if !exclusions {
+                for k in 0..cycles as u32 {
+                    bits &= !self.busy(wrap(step.get() + k), w);
+                }
+            }
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !exclusions || instance_free(&self.instances[i], dfg, node, step, cycles, wrap) {
+                    out.push(i);
+                }
+            }
+        }
+    }
+}
+
+/// The per-(op, instance) memo of one op's frame scan: the ALU-level
+/// terms and the mux delta are step-invariant while the op scans its
+/// frame. An entry is valid only while its stamp is the scanning op's,
+/// so nothing is cleared between ops.
+#[derive(Clone, Default)]
+struct InstanceMemo {
+    stamp: u32,
+    alu: AluCost,
+    mux: Option<u64>,
 }
 
 /// Runs Move Frame Scheduling-Allocation on `dfg` under `spec` and
@@ -354,31 +545,39 @@ pub fn schedule_traced(
     };
 
     let mut placement = Placement::new(dfg, spec, config.clock(), frames);
-    let mut instances: Vec<Instance<u32>> = Vec::new();
-    let mut kind_terms: Vec<Option<OpKindTerms>> = OpKind::ALL.iter().map(|_| None).collect();
-    // Mux lines are dense ids: a stored or external signal is its
-    // signal index, and the shared result path of ALU instance `n` is
-    // `signals + n`. This is the `EstSource` line identity (External
-    // and Signal never name the same signal), so packing ids takes the
-    // decisions packing `EstSource`s takes — the exhaustive oracle
-    // still prices the latter.
-    let signals = dfg.signal_count();
-    let line_ids = signals + dfg.node_count();
-    assert!(u32::try_from(line_ids).is_ok(), "mux line ids fit in u32");
-    let mut mux_scratch = PackScratch::new(line_ids);
-    // The committed packing's refcount seed per instance: its cost is
-    // the `before` term of every f_MUX delta, and it backs the safe
-    // one-op insertion rule — a candidate whose operand lines are
-    // already carried by the instance is priced f_MUX = 0 without any
-    // repack, and a committed move covered by the rule extends the
-    // seed in place instead of invalidating it. `None` = stale.
-    let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
-    // Bank-port occupancy: (bank, 1-based port, wrapped step) → nodes.
-    let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
-    let mut reg_est = RegEstimate::new();
+    let mut pool = InstancePool::default();
     let mut trace = Vec::new();
+    let mut tally = Tally::default();
 
-    instr.span("mfsa.move_loop", |instr| {
+    // The move loop's working state is declared inside the span, so it
+    // is freed before the data path is built.
+    let placed = instr.span("mfsa.move_loop", |instr| {
+        let mut kind_terms: Vec<Option<OpKindTerms>> = OpKind::ALL.iter().map(|_| None).collect();
+        // Mux lines are dense ids: a stored or external signal is its
+        // signal index, and the shared result path of ALU instance `n`
+        // is `signals + n`. This is the `EstSource` line identity
+        // (External and Signal never name the same signal), so packing
+        // ids takes the decisions packing `EstSource`s takes — the
+        // exhaustive oracle still prices the latter.
+        let signals = dfg.signal_count();
+        let line_ids = signals + dfg.node_count();
+        assert!(u32::try_from(line_ids).is_ok(), "mux line ids fit in u32");
+        let mut mux_scratch = PackScratch::new(line_ids);
+        // The committed packing's refcount seed per instance: its cost
+        // is the `before` term of every f_MUX delta, and
+        // `PackSeed::price` answers most candidates' `after` term from
+        // it without a repack. A commit it prices extends the seed in
+        // place; one it cannot leaves the seed stale (`None`) until the
+        // next pricing rebuilds it from the committed ops.
+        let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
+        let mut memo: Vec<InstanceMemo> = Vec::new();
+        let mut kind_mask: Vec<u64> = Vec::new();
+        let mut hosts: Vec<usize> = Vec::new();
+        // Bank-port occupancy: (bank, 1-based port, wrapped step) →
+        // nodes.
+        let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
+        let mut reg_est = RegEstimate::new();
+
         for node in order {
             config.cancel().checkpoint()?;
 
@@ -397,30 +596,26 @@ pub fn schedule_traced(
                 // step, port).
                 let mut best: Option<(u64, CStep, u32, u64, u64)> = None;
                 let mut n_candidates = 0u64;
-                let mut prune = PruneStats::default();
                 let cycles = placement.cycles(node);
                 let sched = placement.schedule();
-                // Feasible steps, ordered by their f_TIME lower
-                // bound (ties towards earlier steps). f_TIME is
-                // non-decreasing in the step, so the queue pops
-                // steps in ascending order — the same order the
-                // exhaustive scan visits them.
-                let mut queue: BinaryHeap<Reverse<(u64, CStep)>> = placement
-                    .feasible_steps(node)
-                    .map(|step| Reverse((model.lower_bound(step.get(), 0), step)))
-                    .collect();
-                prune.feasible_steps = queue.len() as u64;
-                while let Some(&Reverse((f_time, step))) = queue.peek() {
+                // Feasible steps in ascending order, which is the order
+                // of their f_TIME lower bound (non-decreasing in the
+                // step; ties towards earlier steps).
+                let mut steps = placement.feasible_steps(node);
+                while let Some(step) = steps.next() {
+                    tally.feasible_steps += 1;
+                    let f_time = model.lower_bound(step.get(), 0);
                     // Wholesale cut: every remaining step's best
                     // case — port 0 is below any real port — is no
                     // better than this one's.
                     if let Some((bt, bs, bp, ..)) = best {
                         if (f_time, step, 0u32) >= (bt, bs, bp) {
-                            prune.cut_steps += queue.len() as u64;
+                            let left = steps.count() as u64;
+                            tally.feasible_steps += left;
+                            tally.cut_steps += 1 + left;
                             break;
                         }
                     }
-                    queue.pop();
                     let extensions = reg_extensions(dfg, sched, spec, node, step);
                     let f_reg = model.f_reg(
                         reg_est
@@ -433,11 +628,11 @@ pub fn schedule_traced(
                     // candidates that would lose the tie-break.
                     if let Some((bt, bs, bp, ..)) = best {
                         if (f_time + f_reg, step, 0u32) >= (bt, bs, bp) {
-                            prune.cut_steps += 1;
+                            tally.cut_steps += 1;
                             continue;
                         }
                     }
-                    prune.expanded_steps += 1;
+                    tally.expanded_steps += 1;
                     for port in 1..=ports {
                         let free = (0..cycles as u32).all(|k| {
                             mem_busy
@@ -450,7 +645,6 @@ pub fn schedule_traced(
                             continue;
                         }
                         n_candidates += 1;
-                        prune.bound_evals += 1;
                         let total = f_time + f_reg;
                         if instr.enabled() {
                             instr.emit(TraceEvent::EnergyEvaluated {
@@ -468,9 +662,9 @@ pub fn schedule_traced(
                         }
                     }
                 }
-                prune.flush(instr);
-                instr.inc("mfsa.energy_evaluations", n_candidates);
-                instr.observe("mfsa.candidates", n_candidates);
+                tally.bound_evals += n_candidates;
+                tally.energy_evals += n_candidates;
+                tally.candidates.observe(n_candidates);
                 let Some((total, step, port, f_time, f_reg)) = best else {
                     return Err(MoveFrameError::NoPosition {
                         node,
@@ -496,8 +690,8 @@ pub fn schedule_traced(
                 );
                 let extensions = reg_extensions(dfg, placement.schedule(), spec, node, step);
                 reg_est.commit(&extensions);
-                instr.inc("mfsa.moves_committed", 1);
-                instr.inc("mfsa.mem_moves", 1);
+                tally.moves += 1;
+                tally.mem_moves += 1;
                 if instr.enabled() {
                     instr.emit(TraceEvent::MoveCommitted {
                         op: node.index() as u32,
@@ -531,12 +725,10 @@ pub fn schedule_traced(
 
             let mut best: Option<Candidate> = None;
             let mut n_candidates = 0u64;
-            let mut memo_hits = 0u64;
-            let mut memo_fills = 0u64;
-            let mut memo_insert_hits = 0u64;
-            let mut memo_insert_fallbacks = 0u64;
-            let mut prune = PruneStats::default();
-            let next_instance = instances.len() as u32 + 1;
+            tally.alu_searched = true;
+            let next_instance = pool.instances.len() as u32 + 1;
+            let stamp = node.index() as u32 + 1;
+            memo.resize(pool.instances.len(), InstanceMemo::default());
 
             let cycles = placement.cycles(node);
             let mux_op = {
@@ -563,44 +755,35 @@ pub fn schedule_traced(
                 };
                 let terms = kind_terms[op as usize]
                     .get_or_insert_with(|| OpKindTerms::new(library, &model, op));
-
-                // ALU-level candidate terms (style check + the kind
-                // table), memoized per instance: they depend only on
-                // the instance state, which is frozen while this node
-                // scans its frame. Filled lazily on the first step
-                // where the instance is actually free. `Some(None)` =
-                // the instance can never host this op.
-                let mut alu_costs: Vec<Option<AluCost>> = vec![None; instances.len()];
-                // Mux-repacking deltas, also step-invariant but far
-                // more expensive — memoized separately and computed
-                // only for candidates whose ALU-level bound survives
-                // the incumbent cut.
-                let mut mux_costs: Vec<Option<u64>> = vec![None; instances.len()];
+                // The instances of a kind that can host the op by reuse
+                // or upgrade; the instance state is frozen while this
+                // node scans its frame.
+                pool.kind_mask(
+                    |k| terms.upgrade(library, &model, k).is_some(),
+                    &mut kind_mask,
+                );
                 let fresh_mux =
                     model.f_mux_delta((0, 0), pack_cost_ids(&[], mux_op, &mut mux_scratch));
 
-                // Feasible steps, ordered by their f_TIME lower bound
-                // (ties towards earlier steps). f_TIME is
-                // non-decreasing in the step, so the queue pops steps
-                // in ascending order and candidates are examined in
-                // exactly the exhaustive loop's order — equal-key ties
-                // resolve identically under the strict-`<` tie-break.
-                let mut queue: BinaryHeap<Reverse<(u64, CStep)>> = placement
-                    .feasible_steps(node)
-                    .map(|step| Reverse((model.lower_bound(step.get(), 0), step)))
-                    .collect();
-                prune.feasible_steps = queue.len() as u64;
-
-                while let Some(&Reverse((f_time, step))) = queue.peek() {
-                    // (a) Wholesale cut: every remaining queued step
-                    // bounds ≥ this one's, so once the best case at
-                    // the cheapest remaining step cannot beat the
-                    // incumbent, nothing left in the queue can.
+                // Feasible steps in ascending order, which is the order
+                // of their f_TIME lower bound (non-decreasing in the
+                // step), so candidates are examined in exactly the
+                // exhaustive loop's order — equal-key ties resolve
+                // identically under the strict-`<` tie-break.
+                let mut steps = placement.feasible_steps(node);
+                while let Some(step) = steps.next() {
+                    tally.feasible_steps += 1;
+                    let f_time = model.lower_bound(step.get(), 0);
+                    // (a) Wholesale cut: every remaining step bounds ≥
+                    // this one's, so once the best case at the cheapest
+                    // remaining step cannot beat the incumbent, nothing
+                    // left can.
                     if cut(&best, (f_time, step, 0, 0, 0)) {
-                        prune.cut_steps += queue.len() as u64;
+                        let left = steps.count() as u64;
+                        tally.feasible_steps += left;
+                        tally.cut_steps += 1 + left;
                         break;
                     }
-                    queue.pop();
                     let extensions = reg_extensions(dfg, sched, spec, node, step);
                     let f_reg = model.f_reg(
                         reg_est
@@ -610,31 +793,40 @@ pub fn schedule_traced(
                     // (b) Step-level cut with the exact register term
                     // folded into the bound.
                     if cut(&best, (model.lower_bound(step.get(), f_reg), step, 0, 0, 0)) {
-                        prune.cut_steps += 1;
+                        tally.cut_steps += 1;
                         continue;
                     }
-                    prune.expanded_steps += 1;
+                    tally.expanded_steps += 1;
 
-                    // Existing instances: reuse or upgrade.
-                    for (i, inst) in instances.iter().enumerate() {
-                        if !instance_free(inst, dfg, node, step, cycles, &wrap) {
-                            continue;
-                        }
-                        let alu = alu_costs[i].get_or_insert_with(|| {
-                            if config.style() == DesignStyle::NoSelfLoop {
-                                let related = inst.ops.iter().any(|&o| {
+                    // Existing instances that can host the op here:
+                    // reuse or upgrade, in ascending instance order.
+                    pool.hosts(dfg, node, &kind_mask, step, cycles, &wrap, &mut hosts);
+                    for &i in &hosts {
+                        let inst = &pool.instances[i];
+                        let m = &mut memo[i];
+                        if m.stamp != stamp {
+                            // ALU-level terms (style check + the kind
+                            // table), filled on the first step where the
+                            // instance hosts the op. `None` = it never
+                            // can.
+                            let related = config.style() == DesignStyle::NoSelfLoop
+                                && inst.ops.iter().any(|&o| {
                                     dfg.preds(node).contains(&o) || dfg.succs(node).contains(&o)
                                 });
-                                if related {
-                                    return None;
-                                }
-                            }
-                            terms.upgrade(library, &model, inst.kind_index)
-                        });
-                        let Some((kind_index, f_alu, flavour)) = *alu else {
+                            *m = InstanceMemo {
+                                stamp,
+                                alu: if related {
+                                    None
+                                } else {
+                                    terms.upgrade(library, &model, inst.kind_index)
+                                },
+                                mux: None,
+                            };
+                        }
+                        let Some((kind_index, f_alu, flavour)) = m.alu else {
                             continue;
                         };
-                        prune.bound_evals += 1;
+                        tally.bound_evals += 1;
                         // (c) Instance-level cut: everything but the
                         // mux term is exact here, so the bound is the
                         // candidate's own key minus f_MUX ≥ 0.
@@ -642,28 +834,32 @@ pub fn schedule_traced(
                             &best,
                             (f_time + f_reg + f_alu, step, flavour, i, kind_index),
                         ) {
-                            prune.cut_instances += 1;
+                            tally.cut_instances += 1;
                             continue;
                         }
-                        if mux_costs[i].is_some() {
-                            memo_hits += 1;
+                        if m.mux.is_some() {
+                            tally.memo_hits += 1;
                         } else {
-                            memo_fills += 1;
+                            tally.memo_fills += 1;
                         }
-                        let f_mux = *mux_costs[i].get_or_insert_with(|| {
-                            // Safe one-op insertion: a candidate whose
-                            // operand lines the committed packing
-                            // already carries is provably cost-neutral
-                            // — priced zero with no repack.
+                        // The mux delta, step-invariant but the dearest
+                        // term: computed only for candidates whose
+                        // ALU-level bound survives the cut, priced off
+                        // the committed seed when it can answer.
+                        let f_mux = *m.mux.get_or_insert_with(|| {
                             let seed = mux_seed[i].get_or_insert_with(|| {
                                 pack_seed_ids(&inst.mux_ops, &mut mux_scratch)
                             });
-                            if seed.neutral_insertion(&mux_op).is_some() {
-                                memo_insert_hits += 1;
-                                return 0;
-                            }
-                            memo_insert_fallbacks += 1;
-                            let after = pack_cost_ids(&inst.mux_ops, mux_op, &mut mux_scratch);
+                            let after = match seed.price(&inst.mux_ops, &mux_op) {
+                                Some((after, _)) => {
+                                    tally.insert_hits += 1;
+                                    after
+                                }
+                                None => {
+                                    tally.insert_fallbacks += 1;
+                                    pack_cost_ids(&inst.mux_ops, mux_op, &mut mux_scratch)
+                                }
+                            };
                             model.f_mux_delta(seed.cost(), after)
                         });
                         let c = Candidate {
@@ -691,10 +887,10 @@ pub fn schedule_traced(
                     // mux cost is precomputed, so the bound is the
                     // exact key — the cut skips only sure losers.
                     for &(kind_index, f_alu) in &terms.fresh {
-                        prune.bound_evals += 1;
+                        tally.bound_evals += 1;
                         let total = f_time + f_reg + f_alu + fresh_mux;
                         if cut(&best, (total, step, 2, usize::MAX, kind_index)) {
-                            prune.cut_instances += 1;
+                            tally.cut_instances += 1;
                             continue;
                         }
                         let c = Candidate {
@@ -721,58 +917,39 @@ pub fn schedule_traced(
                 mux_op
             };
 
-            prune.flush(instr);
-            instr.inc("mfsa.energy_evaluations", n_candidates);
-            instr.observe("mfsa.candidates", n_candidates);
-            instr.inc("mfsa.reuse_memo.hits", memo_hits);
-            instr.inc("mfsa.reuse_memo.fills", memo_fills);
-            instr.inc("mfsa.reuse_memo.insert_hits", memo_insert_hits);
-            instr.inc("mfsa.reuse_memo.insert_fallbacks", memo_insert_fallbacks);
+            tally.energy_evals += n_candidates;
+            tally.candidates.observe(n_candidates);
             let Some(chosen) = best else {
                 return Err(MoveFrameError::NoPosition {
                     node,
                     class: dfg.node(node).kind().fu_class(),
-                    max_fu: instances.len() as u32,
+                    max_fu: pool.instances.len() as u32,
                 });
             };
 
             // Commit the move.
             let instance_idx = match chosen.instance {
                 Some(i) => {
-                    instances[i].kind_index = chosen.kind_index;
-                    // A committed move covered by the insertion rule
-                    // extends the seed in place (its cost is unchanged).
-                    let absorbed = mux_seed[i]
-                        .as_mut()
-                        .is_some_and(|seed| seed.try_insert(&mux_op));
-                    if !absorbed {
-                        mux_seed[i] = None;
-                    }
+                    pool.set_kind(i, chosen.kind_index);
                     i
                 }
                 None => {
-                    instances.push(Instance {
-                        kind_index: chosen.kind_index,
-                        ops: Vec::new(),
-                        mux_ops: Vec::new(),
-                        busy: BTreeMap::new(),
-                        busy_bits: Vec::new(),
-                    });
-                    mux_seed.push(None);
-                    instances.len() - 1
+                    mux_seed.push(Some(pack_seed_ids(&[], &mut mux_scratch)));
+                    pool.push(chosen.kind_index)
                 }
             };
-            let inst = &mut instances[instance_idx];
+            // A commit the seed can price extends it in place.
+            let ops = &pool.instances[instance_idx].mux_ops;
+            mux_seed[instance_idx] = mux_seed[instance_idx].take().and_then(|mut seed| {
+                let (cost, swap) = seed.price(ops, &mux_op)?;
+                seed.insert(&mux_op, cost, swap);
+                Some(seed)
+            });
+            let inst = &mut pool.instances[instance_idx];
             inst.ops.push(node);
             inst.mux_ops.push(mux_op);
             for k in 0..cycles as u32 {
-                let s = wrap(chosen.step.get() + k);
-                inst.busy.entry(s).or_default().push(node);
-                let word = s as usize / 64;
-                if inst.busy_bits.len() <= word {
-                    inst.busy_bits.resize(word + 1, 0);
-                }
-                inst.busy_bits[word] |= 1 << (s % 64);
+                pool.occupy(instance_idx, node, wrap(chosen.step.get() + k));
             }
             placement.assign(
                 node,
@@ -785,15 +962,12 @@ pub fn schedule_traced(
             );
             let extensions = reg_extensions(dfg, placement.schedule(), spec, node, chosen.step);
             reg_est.commit(&extensions);
-            instr.inc("mfsa.moves_committed", 1);
-            instr.inc(
-                match chosen.flavour {
-                    0 => "mfsa.reuse_moves",
-                    1 => "mfsa.upgrade_moves",
-                    _ => "mfsa.new_instances",
-                },
-                1,
-            );
+            tally.moves += 1;
+            match chosen.flavour {
+                0 => tally.reuse_moves += 1,
+                1 => tally.upgrade_moves += 1,
+                _ => tally.new_instances += 1,
+            }
             if instr.enabled() {
                 instr.emit(TraceEvent::MoveCommitted {
                     op: node.index() as u32,
@@ -817,13 +991,15 @@ pub fn schedule_traced(
             }
         }
         Ok(())
-    })?;
+    });
+    tally.flush(instr);
+    placed?;
 
     // Assemble the data path.
     config.cancel().checkpoint()?;
     let (sched, frames) = placement.into_parts();
     let mut allocation = AluAllocation::new();
-    for inst in &instances {
+    for inst in pool.instances {
         allocation.push(library.alus()[inst.kind_index].clone());
     }
     let (datapath, cost) = instr.span("mfsa.datapath", |_| {
@@ -1118,6 +1294,96 @@ mod tests {
         let out = schedule(&g, &spec, &MfsaConfig::new(1, Library::ncr_like())).unwrap();
         assert_sound(&g, &spec, &out, VerifyOptions::default());
         assert_eq!(out.allocation.len(), 1);
+    }
+
+    /// The step-major walk must visit exactly the instances the
+    /// per-instance probe accepts (usable kind, then `instance_free`),
+    /// in the same ascending order, so every tie-break and counter of
+    /// the move loop is unchanged. The pool is driven through random
+    /// creations, upgrades and multi-cycle occupations of a branchy
+    /// graph (whose arms exclude each other), with and without a
+    /// latency that wraps steps, across more than 64 instances.
+    #[test]
+    fn bitset_walk_matches_the_instance_probe() {
+        let mut b = DfgBuilder::new("g");
+        let x = b.input("x");
+        b.op("a", OpKind::Add, &[x, x]).unwrap();
+        b.op("m", OpKind::Mul, &[x, x]).unwrap();
+        let branch = b.begin_branch();
+        for arm in 0..2 {
+            b.enter_arm(branch, arm);
+            b.op(&format!("t{arm}"), OpKind::Add, &[x, x]).unwrap();
+            b.op(&format!("u{arm}"), OpKind::Mul, &[x, x]).unwrap();
+            b.exit_arm();
+        }
+        let g = b.finish().unwrap();
+        let nodes: Vec<NodeId> = g.node_ids().collect();
+        assert!(nodes.iter().any(|&n| g.has_exclusions(n)));
+        let lib = Library::ncr_like();
+        let model = CostModel::new(&lib, Weights::default());
+        let kind_sets: Vec<Vec<usize>> = [OpKind::Add, OpKind::Sub, OpKind::Mul]
+            .into_iter()
+            .map(|op| {
+                let mut terms = OpKindTerms::new(&lib, &model, op);
+                (0..lib.alus().len())
+                    .filter(|&k| terms.upgrade(&lib, &model, k).is_some())
+                    .collect()
+            })
+            .chain([(0..lib.alus().len()).collect()])
+            .collect();
+        let cs = 6u32;
+        let mut state = 0x9e37_79b9_u64;
+        let mut rand = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for latency in [None, Some(3u32)] {
+            let wrap = |step: u32| latency.map_or(step, |l| (step - 1) % l + 1);
+            let mut pool = InstancePool::default();
+            let (mut mask, mut walked) = (Vec::new(), Vec::new());
+            for _ in 0..160 {
+                match rand(4) {
+                    0 | 1 => {
+                        pool.push(rand(lib.alus().len()));
+                    }
+                    2 if !pool.instances.is_empty() => {
+                        pool.set_kind(rand(pool.instances.len()), rand(lib.alus().len()));
+                    }
+                    _ if !pool.instances.is_empty() => {
+                        let i = rand(pool.instances.len());
+                        let (node, step) = (nodes[rand(nodes.len())], 1 + rand(cs as usize));
+                        for k in 0..1 + rand(2) as u32 {
+                            pool.occupy(i, node, wrap(step as u32 + k));
+                        }
+                    }
+                    _ => {}
+                }
+                for kinds in &kind_sets {
+                    pool.kind_mask(|k| kinds.contains(&k), &mut mask);
+                    for &node in &nodes {
+                        for step in (1..=cs).map(CStep::new) {
+                            for cycles in 1..=2 {
+                                pool.hosts(&g, node, &mask, step, cycles, &wrap, &mut walked);
+                                let probe: Vec<usize> = pool
+                                    .instances
+                                    .iter()
+                                    .enumerate()
+                                    .filter(|(_, inst)| {
+                                        kinds.contains(&inst.kind_index)
+                                            && instance_free(inst, &g, node, step, cycles, &wrap)
+                                    })
+                                    .map(|(i, _)| i)
+                                    .collect();
+                                assert_eq!(walked, probe, "{node:?} at {step:?} for {cycles}");
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(pool.instances.len() > 64, "the walk spans several words");
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@ pub struct ProfileReport {
     pub memo_hits: u64,
     /// MFSA reuse-cost memo fills (`mfsa.reuse_memo.fills`).
     pub memo_fills: u64,
-    /// Memo fills answered by the safe one-op mux insertion rule
-    /// without a repack (`mfsa.reuse_memo.insert_hits`).
+    /// Memo fills priced exactly from the instance's committed mux
+    /// packing without a repack (`mfsa.reuse_memo.insert_hits`).
     pub memo_insert_hits: u64,
-    /// Memo fills that fell back to a full repack
-    /// (`mfsa.reuse_memo.insert_fallbacks`).
+    /// Memo fills the committed packing could not price, which fell
+    /// back to a full repack (`mfsa.reuse_memo.insert_fallbacks`).
     pub memo_insert_fallbacks: u64,
     /// Liapunov lower bounds computed by the pruned MFSA search
     /// (`mfsa.bound.evals`) — the full candidate universe; the counted
@@ -132,7 +132,7 @@ impl ProfileReport {
         if self.memo_insert_hits + self.memo_insert_fallbacks > 0 {
             let _ = writeln!(
                 out,
-                "mux insertion        {} neutral inserts, {} repack fallbacks",
+                "mux pricing          {} priced from the seed, {} repack fallbacks",
                 self.memo_insert_hits, self.memo_insert_fallbacks
             );
         }

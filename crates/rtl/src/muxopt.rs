@@ -83,13 +83,14 @@ pub fn pack<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> MuxPacking<S> {
 }
 
 /// The committed refcount state of a packed instance: per-port
-/// contribution counts plus the chosen orientations. This is the state
-/// the MFSA inner loop keeps alive between candidate evaluations — its
+/// contribution counts, the chosen orientations, and per line the
+/// commutative ops that carry it. This is the state the MFSA inner
+/// loop keeps alive between candidate evaluations: its
 /// [`cost`](Self::cost) is the before-term of every `f_MUX` delta,
 /// [`pack_with_seed`] restarts from it instead of replaying the three
-/// cold passes, and [`PackSeed::try_insert`] extends it by one op when
-/// that is provably cost-neutral.
-#[derive(Debug, Clone)]
+/// cold passes, [`PackSeed::price`] answers the cold pack of one more
+/// op from it, and [`PackSeed::insert`] extends it by that op.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackSeed<S> {
     /// Every source the packing carries on either port, sorted by
     /// source, so membership queries are binary searches.
@@ -97,26 +98,85 @@ pub struct PackSeed<S> {
     /// `(|L1|, |L2|)`.
     cost: (usize, usize),
     swapped: Vec<bool>,
+    /// Per op, the next commutative op (ascending) that carries the
+    /// same port-1 / port-2 line under the committed orientation, or
+    /// [`NO_OP`]. These are the links of the per-line user lists,
+    /// whose heads sit in [`SeedLine`]; fixed ops are on no list.
+    next1: Vec<u32>,
+    next2: Vec<u32>,
     /// Whether the refinement pass was a no-op, i.e. the greedy pass-2
-    /// state *is* the committed fixpoint. Only then is an insertion's
-    /// replay of the cold construction predictable, so only then does
-    /// [`PackSeed::try_insert`] accept.
+    /// state *is* the committed fixpoint. Only then is the cold
+    /// construction of a longer list predictable from the seed, so
+    /// only then does [`PackSeed::price`] answer.
     stable: bool,
 }
 
+/// The end of a user list.
+const NO_OP: u32 = u32::MAX;
+
 /// One source of a [`PackSeed`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct SeedLine<S> {
     source: S,
     /// Contributions on port 1 and port 2 (a line exists on a port
     /// while its count is non-zero).
     cnt1: u32,
     cnt2: u32,
-    /// Whether the fixed (pass-1) operations alone claim the source on
-    /// port 1 / port 2 — the coverage a fixed insertion must have to
-    /// leave passes 1–2 undisturbed.
+    /// Whether the fixed (pass-1) operations claim the source on
+    /// port 1 / port 2.
     fixed1: bool,
     fixed2: bool,
+    /// First commutative op carrying the source on port 1 / port 2
+    /// ([`NO_OP`] when none). On a stable seed the committed
+    /// orientations are the pass-2 ones, so `head1` is the op that
+    /// first claims the line on port 1 in pass 2 (and `head2` on
+    /// port 2).
+    head1: u32,
+    head2: u32,
+}
+
+impl<S> SeedLine<S> {
+    fn new(source: S) -> SeedLine<S> {
+        SeedLine {
+            source,
+            cnt1: 0,
+            cnt2: 0,
+            fixed1: false,
+            fixed2: false,
+            head1: NO_OP,
+            head2: NO_OP,
+        }
+    }
+}
+
+/// The greedy pass-2 orientation of a commutative op: swapped only
+/// when that adds strictly fewer new lines (ties keep the op as
+/// written), given which sources are already on port 1 and port 2.
+fn prefers_swap<T: Copy>(
+    left: T,
+    right: T,
+    on1: impl Fn(T) -> bool,
+    on2: impl Fn(T) -> bool,
+) -> bool {
+    let cost_plain = usize::from(!on1(left)) + usize::from(!on2(right));
+    let cost_swap = usize::from(!on1(right)) + usize::from(!on2(left));
+    cost_swap < cost_plain
+}
+
+/// Appends op `j` to the user list starting at `head`.
+fn link(head: &mut u32, next: &mut [u32], j: u32) {
+    match users(*head, next).last() {
+        None => *head = j,
+        Some(tail) => next[tail] = j,
+    }
+}
+
+/// The ops of the user list starting at `head`, ascending.
+fn users(head: u32, next: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors((head != NO_OP).then_some(head), move |&j| {
+        Some(next[j as usize]).filter(|&n| n != NO_OP)
+    })
+    .map(|j| j as usize)
 }
 
 impl<S> PackSeed<S> {
@@ -136,7 +196,7 @@ impl<S> PackSeed<S> {
     }
 }
 
-impl<S: Ord> PackSeed<S> {
+impl<S: Ord + Clone> PackSeed<S> {
     fn line(&self, source: &S) -> Option<&SeedLine<S>> {
         self.lines
             .binary_search_by(|l| l.source.cmp(source))
@@ -144,128 +204,255 @@ impl<S: Ord> PackSeed<S> {
             .map(|i| &self.lines[i])
     }
 
-    fn line_mut(&mut self, source: &S) -> &mut SeedLine<S> {
-        let i = self
-            .lines
+    /// The index of `source`'s line, created empty when the seed
+    /// lacks it.
+    fn line_index(&mut self, source: &S) -> usize {
+        self.lines
             .binary_search_by(|l| l.source.cmp(source))
-            .expect("the seed carries the source");
-        &mut self.lines[i]
+            .unwrap_or_else(|i| {
+                self.lines.insert(i, SeedLine::new(source.clone()));
+                i
+            })
     }
 
-    fn on1(&self, source: &S) -> bool {
-        self.line(source).is_some_and(|l| l.cnt1 > 0)
+    /// Contributions on port 1 / port 2.
+    fn cnt1(&self, source: &S) -> u32 {
+        self.line(source).map_or(0, |l| l.cnt1)
     }
 
-    fn on2(&self, source: &S) -> bool {
-        self.line(source).is_some_and(|l| l.cnt2 > 0)
+    fn cnt2(&self, source: &S) -> u32 {
+        self.line(source).map_or(0, |l| l.cnt2)
     }
 
-    /// The safe one-op insertion rule: decides whether appending `op`
-    /// to the packed instance is **provably cost-neutral** — the cold
-    /// three-pass pack of `ops ∪ {op}` commits the exact same source
-    /// lists (and orientations) as the seed, so the mux cost delta is
-    /// zero and no repack is needed. Returns the orientation the cold
-    /// pack would choose (`Some(swapped)`), or `None` when neutrality
-    /// cannot be established and the caller must fall back to a full
-    /// repack.
+    /// Whether refinement would flip commutative op `j` once `add`
+    /// (the extra contribution on port 1 and, when binary, port 2) has
+    /// joined the committed counts: its flip delta, priced as in
+    /// [`refine`], is negative. Self-pairs never flip.
+    fn flips(&self, ops: &[MuxOp<S>], j: usize, add: (&S, Option<&S>)) -> bool {
+        let op = &ops[j];
+        let r = op.right.as_ref().expect("commutative ops are binary");
+        let (a, b) = if self.swapped[j] {
+            (r, &op.left)
+        } else {
+            (&op.left, r)
+        };
+        if a == b {
+            return false;
+        }
+        let c1 = |x: &S| self.cnt1(x) + u32::from(x == add.0);
+        let c2 = |x: &S| self.cnt2(x) + u32::from(add.1 == Some(x));
+        let delta1 = i64::from(c1(b) == 0) - i64::from(c1(a) == 1);
+        let delta2 = i64::from(c2(a) == 0) - i64::from(c2(b) == 1);
+        delta1 + delta2 < 0
+    }
+
+    /// Whether refinement stays a no-op once `add` joins the counts,
+    /// given that it was one before; `lines` are the seed's lines of
+    /// `add`'s sources. Only a line new on a port can lower a flip
+    /// delta: a new port-1 line `a` lowers the delta of every op
+    /// carrying `a` on port 2 (flipping would now find `a` on port 1),
+    /// and a new port-2 line `b` that of every op carrying `b` on
+    /// port 1. Every other count change only raises deltas.
+    fn refinement_holds(
+        &self,
+        ops: &[MuxOp<S>],
+        add: (&S, Option<&S>),
+        lines: (Option<&SeedLine<S>>, Option<&SeedLine<S>>),
+    ) -> bool {
+        let port2_users = match lines.0 {
+            Some(l) if l.cnt1 == 0 => l.head2,
+            _ => NO_OP,
+        };
+        let port1_users = match lines.1 {
+            Some(l) if l.cnt2 == 0 => l.head1,
+            _ => NO_OP,
+        };
+        !users(port2_users, &self.next2)
+            .chain(users(port1_users, &self.next1))
+            .any(|j| self.flips(ops, j, add))
+    }
+
+    /// The greedy pass-2 orientation of commutative op `j` when a
+    /// fixed op claiming `add` joins pass 1. The lines op `j` sees are
+    /// the pass-1 claims plus the claims of earlier commutative ops,
+    /// i.e. the lines whose user list starts before `j`.
+    fn greedy_swap(&self, ops: &[MuxOp<S>], j: usize, add: (&S, Option<&S>)) -> bool {
+        let op = &ops[j];
+        let r = op.right.as_ref().expect("commutative ops are binary");
+        let on1 = |x: &S| {
+            x == add.0
+                || self
+                    .line(x)
+                    .is_some_and(|l| l.fixed1 || (l.head1 as usize) < j)
+        };
+        let on2 = |x: &S| {
+            add.1 == Some(x)
+                || self
+                    .line(x)
+                    .is_some_and(|l| l.fixed2 || (l.head2 as usize) < j)
+        };
+        prefers_swap(&op.left, r, on1, on2)
+    }
+
+    /// The exact incremental pricing rule: `(|L1|, |L2|)` of the cold
+    /// three-pass pack of `ops ++ [op]` and the orientation it gives
+    /// `op`, read off the seed of `ops` in time proportional to the
+    /// lines `op` touches. `None` when the seed cannot decide it; the
+    /// caller then owns the full-repack fallback.
     ///
-    /// The proof obligations behind the `Some` cases:
+    /// The proof obligations (DESIGN §14, "Pricing from the committed
+    /// packing"):
     ///
     /// * the seed must be refinement-**stable** (pass 3 changed
-    ///   nothing), so the greedy pass-2 state equals the committed
-    ///   fixpoint and the cold replay below reasons about the same
-    ///   state the seed stores;
-    /// * a **commutative** candidate is appended last, so cold passes
-    ///   1–2 replay the seed's decisions verbatim; if either
-    ///   orientation finds both sources already on the respective
-    ///   ports, greedy adds no lines (preferring unswapped on the
-    ///   0-vs-0 tie, mirrored here);
-    /// * a **fixed** (non-commutative or unary) candidate joins pass 1,
-    ///   so its keys must already be claimed by the *fixed* ops —
-    ///   then every membership query pass 2 makes is unchanged and
-    ///   the earlier greedy decisions replay verbatim;
-    /// * refinement stays a no-op afterwards: a covered insertion only
-    ///   increments refcounts on existing lines, which can only turn
-    ///   sole-contributor lines into shared ones — every flip delta
-    ///   weakly increases, and the candidate's own flip cannot profit
-    ///   because both its lines are shared (count ≥ 2).
-    pub fn neutral_insertion(&self, op: &MuxOp<S>) -> Option<bool> {
+    ///   nothing), so the committed state is the greedy pass-2 state
+    ///   the cold replay below reasons about;
+    /// * a **commutative** `op` comes last in pass 2, so passes 1–2
+    ///   replay the seed verbatim and its greedy orientation is read
+    ///   off the committed lines;
+    /// * a **fixed** (non-commutative or unary) `op` joins pass 1. Only
+    ///   the commutative ops touching its lines can see a different
+    ///   state, so exactly those are re-decided, each against the
+    ///   pass-1 claims and the lines claimed in pass 2 before it (the
+    ///   head of each user list). If one orientation changes, the
+    ///   replay diverges and the rule declines;
+    /// * refinement must stay a no-op on the extended state: only the
+    ///   ops carrying a new port-1 line on port 2 and the ops carrying
+    ///   a new port-2 line on port 1 can have turned a flip profitable
+    ///   ([`Self::refinement_holds`]), so exactly those are checked and
+    ///   any profitable flip declines. A commutative candidate never
+    ///   flips itself: its flip delta is the cost of the other
+    ///   orientation minus the cost of the chosen one, which greedy
+    ///   made non-negative.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the seed does not cover exactly `ops`.
+    pub fn price(&self, ops: &[MuxOp<S>], op: &MuxOp<S>) -> Option<((usize, usize), bool)> {
+        assert_eq!(self.len(), ops.len(), "price: the seed must cover `ops`");
         if !self.stable {
             return None;
         }
-        if op.is_fixed() {
-            let left_ok = self.line(&op.left).is_some_and(|l| l.fixed1);
-            let right_ok = op
-                .right
-                .as_ref()
-                .is_none_or(|r| self.line(r).is_some_and(|l| l.fixed2));
-            return (left_ok && right_ok).then_some(false);
-        }
-        let r = op.right.as_ref().expect("unary handled above");
-        if self.on1(&op.left) && self.on2(r) {
-            Some(false)
-        } else if self.on1(r) && self.on2(&op.left) {
-            Some(true)
+        // Each source's line, looked up once.
+        let left = (&op.left, self.line(&op.left));
+        let right = op.right.as_ref().map(|r| (r, self.line(r)));
+        let on1 = |(_, l): (&S, Option<&SeedLine<S>>)| l.is_some_and(|l| l.cnt1 > 0);
+        let on2 = |(_, l): (&S, Option<&SeedLine<S>>)| l.is_some_and(|l| l.cnt2 > 0);
+        let swap = match right {
+            Some(right) if !op.is_fixed() => prefers_swap(left, right, on1, on2),
+            _ => false,
+        };
+        let (a, b) = if swap {
+            (right.expect("only binary ops swap"), Some(left))
         } else {
-            None
+            (left, right)
+        };
+        let add = (a.0, b.map(|b| b.0));
+        let lines = (a.1, b.and_then(|b| b.1));
+        if op.is_fixed() {
+            for line in [lines.0, lines.1].into_iter().flatten() {
+                let heads = users(line.head1, &self.next1).chain(users(line.head2, &self.next2));
+                for j in heads {
+                    if self.greedy_swap(ops, j, add) != self.swapped[j] {
+                        return None;
+                    }
+                }
+            }
+        }
+        if !self.refinement_holds(ops, add, lines) {
+            return None;
+        }
+        let new1 = usize::from(!on1(a));
+        let new2 = b.map_or(0, |b| usize::from(!on2(b)));
+        let (l1, l2) = self.cost;
+        Some(((l1 + new1, l2 + new2), swap))
+    }
+
+    /// Extends the seed by `op` at the `(cost, swap)` [`Self::price`]
+    /// answered for it. The seed then covers `ops ++ [op]`, stays
+    /// stable, and equals [`pack_seed`] of the extended list (the
+    /// proptests below pin this).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cost` is not what the extended counts imply, i.e.
+    /// when the answer did not come from `price` on this seed.
+    pub fn insert(&mut self, op: &MuxOp<S>, cost: (usize, usize), swap: bool) {
+        debug_assert!(self.stable, "insert: only stable seeds are priced");
+        self.push(op, swap);
+        assert_eq!(self.cost, cost, "insert: the cost must come from `price`");
+    }
+
+    /// Appends `op` under orientation `swap`: counts, cost, fixed
+    /// flags and user lists, leaving the stability flag alone.
+    fn push(&mut self, op: &MuxOp<S>, swap: bool) {
+        let j = u32::try_from(self.len()).expect("fewer than 2^32 ops");
+        let (a, b) = if swap {
+            (
+                op.right.as_ref().expect("only binary ops swap"),
+                Some(&op.left),
+            )
+        } else {
+            (&op.left, op.right.as_ref())
+        };
+        let fixed = op.is_fixed();
+        self.swapped.push(swap);
+        self.next1.push(NO_OP);
+        self.next2.push(NO_OP);
+
+        let i = self.line_index(a);
+        let line = &mut self.lines[i];
+        self.cost.0 += usize::from(line.cnt1 == 0);
+        line.cnt1 += 1;
+        if fixed {
+            line.fixed1 = true;
+        } else {
+            link(&mut line.head1, &mut self.next1, j);
+        }
+        if let Some(b) = b {
+            let i = self.line_index(b);
+            let line = &mut self.lines[i];
+            self.cost.1 += usize::from(line.cnt2 == 0);
+            line.cnt2 += 1;
+            if fixed {
+                line.fixed2 = true;
+            } else {
+                link(&mut line.head2, &mut self.next2, j);
+            }
         }
     }
 
-    /// Applies [`Self::neutral_insertion`]: extends the seed by `op`
-    /// without a repack when the insertion is provably cost-neutral
-    /// (the seed then covers `ops ∪ {op}` and [`pack_with_seed`] on the
-    /// extended list reproduces the cold pack exactly). Returns whether
-    /// the op was absorbed; on `false` the seed is unchanged and the
-    /// caller owns the full-repack fallback.
-    pub fn try_insert(&mut self, op: &MuxOp<S>) -> bool {
-        let Some(swap) = self.neutral_insertion(op) else {
-            return false;
+    /// The seed of `ops` committed under `swapped`, with the given
+    /// stability.
+    fn from_orientations(ops: &[MuxOp<S>], swapped: &[bool], stable: bool) -> PackSeed<S> {
+        let mut seed = PackSeed {
+            lines: Vec::new(),
+            cost: (0, 0),
+            swapped: Vec::with_capacity(ops.len() + 1),
+            next1: Vec::with_capacity(ops.len() + 1),
+            next2: Vec::with_capacity(ops.len() + 1),
+            stable,
         };
-        let (a, b) = if swap {
-            (op.right.as_ref().expect("only binary ops swap"), &op.left)
-        } else {
-            (&op.left, op.right.as_ref().unwrap_or(&op.left))
-        };
-        // Neutrality means both lines already exist: only counts move.
-        self.line_mut(a).cnt1 += 1;
-        if op.right.is_some() {
-            self.line_mut(b).cnt2 += 1;
+        for (op, &swap) in ops.iter().zip(swapped) {
+            seed.push(op, swap);
         }
-        self.swapped.push(swap);
-        true
+        seed
     }
 }
 
 /// Packs `ops` and returns the committed refcount state instead of the
-/// sorted source lists — the handle an instance keeps for later
-/// [`pack_with_seed`] restarts and [`PackSeed::try_insert`] extensions.
+/// sorted source lists: the handle an instance keeps for later
+/// [`pack_with_seed`] restarts and [`PackSeed::price`] /
+/// [`PackSeed::insert`] extensions.
 pub fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
     let interned = Interned::new(ops);
     let mut scratch = PackScratch::new(interned.keys.len());
-    let seed = pack_seed_ids(&interned.ops, &mut scratch);
-    let mut lines: Vec<SeedLine<S>> = seed
-        .lines
-        .into_iter()
-        .map(|l| SeedLine {
-            source: interned.keys[l.source as usize].clone(),
-            cnt1: l.cnt1,
-            cnt2: l.cnt2,
-            fixed1: l.fixed1,
-            fixed2: l.fixed2,
-        })
-        .collect();
-    lines.sort_unstable_by(|a, b| a.source.cmp(&b.source));
-    PackSeed {
-        lines,
-        cost: seed.cost,
-        swapped: seed.swapped,
-        stable: seed.stable,
-    }
+    let stable = construct(&interned.ops, None, &mut scratch);
+    PackSeed::from_orientations(ops, &scratch.swapped, stable)
 }
 
 /// [`pack_seed`] over dense source ids, packing in the caller's
 /// scratch: the form the MFSA loop rebuilds an instance's seed in
-/// after a commit the insertion rule could not absorb.
+/// after a commit [`PackSeed::price`] could not answer.
 ///
 /// # Panics
 ///
@@ -273,37 +460,9 @@ pub fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
 pub fn pack_seed_ids(ops: &[MuxOp<u32>], scratch: &mut PackScratch) -> PackSeed<u32> {
     let stable = construct(ops, None, scratch);
     let cost = (scratch.l1, scratch.l2);
-    // One line per distinct source: taking a source's counts where it
-    // first occurs zeroes them, so repeats are skipped and the scratch
-    // is left clean.
-    let mut lines = Vec::new();
-    for id in ops.iter().flat_map(|op| op.sources()) {
-        let cnt1 = std::mem::take(&mut scratch.cnt1[id as usize]);
-        let cnt2 = std::mem::take(&mut scratch.cnt2[id as usize]);
-        if cnt1 + cnt2 > 0 {
-            lines.push(SeedLine {
-                source: id,
-                cnt1,
-                cnt2,
-                fixed1: false,
-                fixed2: false,
-            });
-        }
-    }
-    (scratch.l1, scratch.l2) = (0, 0);
-    lines.sort_unstable_by_key(|l| l.source);
-    let mut seed = PackSeed {
-        lines,
-        cost,
-        swapped: scratch.swapped.clone(),
-        stable,
-    };
-    for op in ops.iter().filter(|op| op.is_fixed()) {
-        seed.line_mut(&op.left).fixed1 = true;
-        if let Some(r) = &op.right {
-            seed.line_mut(r).fixed2 = true;
-        }
-    }
+    scratch.clear(ops, None);
+    let seed = PackSeed::from_orientations(ops, &scratch.swapped, stable);
+    debug_assert_eq!(seed.cost, cost);
     seed
 }
 
@@ -313,7 +472,8 @@ pub fn pack_seed_ids(ops: &[MuxOp<u32>], scratch: &mut PackScratch) -> PackSeed<
 /// pass-3 fixpoint [`pack`] commits, so the result is identical to the
 /// cold pack — the proptest below pins this). Restarting is what makes
 /// the state reusable across MFSA candidate evaluations; extending the
-/// op list under a seed is [`PackSeed::try_insert`].
+/// op list under a seed is [`PackSeed::price`] plus
+/// [`PackSeed::insert`].
 ///
 /// # Panics
 ///
@@ -445,7 +605,7 @@ impl PackScratch {
 /// The constructive core, over dense ids: packs `ops ++ extra` into the
 /// scratch (counts, line counters, orientations) with the three passes
 /// of [`pack`], and returns whether the refinement pass was a no-op —
-/// the stability [`PackSeed::try_insert`] requires.
+/// the stability [`PackSeed::price`] requires.
 ///
 /// Every port is a multiset: each op contributes exactly one source
 /// line to port 1 and (when binary) one to port 2 under its current
@@ -475,9 +635,7 @@ fn construct(ops: &[MuxOp<u32>], extra: Option<MuxOp<u32>>, s: &mut PackScratch)
             continue;
         }
         let r = op.right.expect("unary ops are fixed");
-        let cost_plain = usize::from(!s.on1(op.left)) + usize::from(!s.on2(r));
-        let cost_swap = usize::from(!s.on1(r)) + usize::from(!s.on2(op.left));
-        if cost_swap < cost_plain {
+        if prefers_swap(op.left, r, |x| s.on1(x), |x| s.on2(x)) {
             s.swapped[i] = true;
             s.add1(r);
             s.add2(op.left);
@@ -590,7 +748,6 @@ impl<S: Ord + Hash + Clone> Interned<S> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     fn op(l: &str, r: &str, c: bool) -> MuxOp<String> {
         MuxOp {
@@ -726,50 +883,56 @@ mod tests {
             prop_assert_eq!(pack_with_seed(&ops, &seed), pack(&ops));
         }
 
-        /// The one-op insertion rule differential: whenever
-        /// `try_insert` accepts a candidate, the cold three-pass pack
-        /// of the extended op list must commit the **identical**
-        /// packing — same lists, same orientations, and in particular
-        /// the same `(|L1|, |L2|)` as before the insertion (the
-        /// cost-neutrality the MFSA pricing fast path relies on).
-        /// Whenever it declines, the seed must be untouched.
+        /// The exact incremental pricing differential: whenever
+        /// `price` answers, its `(|L1|, |L2|)` must equal the cold pack
+        /// of `ops ++ [op]` (the set-based oracle's and `pack_cost`'s)
+        /// and its orientation the one the cold pack gives `op`; after
+        /// `insert` the seed must equal the cold seed of the extended
+        /// list (cost, orientations, stability, fixed flags, user
+        /// lists). A run of candidates is inserted one after another,
+        /// rebuilding the seed on a decline as the MFSA loop does, so
+        /// inserted seeds are priced again. Lists of up to 40 ops over
+        /// a small alphabet of sparse ids force shared lines,
+        /// self-pairs, unary, fixed and duplicate ops, and unstable
+        /// seeds (which must always decline).
         #[test]
-        fn neutral_insertion_matches_the_cold_pack(
-            ops in proptest::collection::vec(
-                (0u8..6, 0u8..6, 0u8..8),
-                0..12,
-            ),
-            candidate in (0u8..6, 0u8..6, 0u8..8),
+        fn price_and_insert_match_the_cold_pack(
+            alphabet in proptest::collection::vec(0u32..4096, 8..9),
+            ops in proptest::collection::vec((0usize..8, 0usize..8, 0u8..8), 0..40),
+            candidates in proptest::collection::vec((0usize..8, 0usize..8, 0u8..8), 1..12),
         ) {
-            let shape = |&(l, r, bits): &(u8, u8, u8)| MuxOp {
-                left: l,
-                right: (bits != 0).then_some(r),
+            let shape = |&(l, r, bits): &(usize, usize, u8)| MuxOp {
+                left: alphabet[l],
+                right: (bits != 0).then_some(alphabet[r]),
                 commutative: bits & 2 != 0,
             };
-            let ops: Vec<MuxOp<u8>> = ops.iter().map(shape).collect();
-            let c = shape(&candidate);
-            let mut seed = pack_seed(&ops);
-            let cost_before = seed.cost();
-            let mut extended = ops.clone();
-            extended.push(c);
-            if seed.try_insert(&c) {
-                prop_assert_eq!(seed.len(), extended.len());
-                prop_assert_eq!(seed.cost(), cost_before);
-                let cold = pack(&extended);
-                prop_assert_eq!((cold.l1.len(), cold.l2.len()), cost_before);
-                prop_assert_eq!(pack_with_seed(&extended, &seed), cold);
-            } else {
-                prop_assert_eq!(seed.len(), ops.len());
-                prop_assert_eq!(seed.cost(), cost_before);
-                prop_assert_eq!(pack_with_seed(&ops, &seed), pack(&ops));
+            let mut ops: Vec<MuxOp<u32>> = ops.iter().map(shape).collect();
+            let mut scratch = PackScratch::new(4096);
+            let mut seed = pack_seed_ids(&ops, &mut scratch);
+            for c in candidates.iter().map(shape) {
+                let mut extended = ops.clone();
+                extended.push(c);
+                let cold = pack_reference(&extended);
+                match seed.price(&ops, &c) {
+                    Some((cost, swap)) => {
+                        prop_assert!(seed.stable, "an unstable seed answered");
+                        prop_assert_eq!(cost, (cold.l1.len(), cold.l2.len()));
+                        prop_assert_eq!(cost, pack_cost(&extended));
+                        prop_assert_eq!(Some(&swap), cold.swapped.last());
+                        seed.insert(&c, cost, swap);
+                        prop_assert_eq!(&seed, &pack_seed_ids(&extended, &mut scratch));
+                        prop_assert!(seed.stable);
+                    }
+                    None => seed = pack_seed_ids(&extended, &mut scratch),
+                }
+                ops = extended;
             }
         }
 
         /// From an arbitrary (worst-orientation) refcount state the
         /// shared refinement pass must still terminate on a packing
         /// that covers every operation and is no worse than the state
-        /// it started from — the soundness floor a future one-op
-        /// insertion rule builds on.
+        /// it started from.
         #[test]
         fn seeded_repack_from_any_orientation_is_sound(
             ops in proptest::collection::vec(
@@ -844,42 +1007,12 @@ mod tests {
         }
     }
 
-    /// Builds the refcount state a given orientation vector induces —
+    /// Builds the refcount state a given orientation vector induces:
     /// the test-side stand-in for a seed produced by incremental edits
-    /// rather than a cold pack.
+    /// rather than a cold pack. An arbitrary orientation vector is not
+    /// a known refinement fixpoint, so the seed is unstable.
     fn seed_from_orientations(ops: &[MuxOp<u8>], swapped: Vec<bool>) -> PackSeed<u8> {
-        let mut counts: BTreeMap<u8, (u32, u32)> = BTreeMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            let (a, b) = if swapped[i] {
-                (op.right.expect("only binary ops flip"), Some(op.left))
-            } else {
-                (op.left, op.right)
-            };
-            counts.entry(a).or_default().0 += 1;
-            if let Some(b) = b {
-                counts.entry(b).or_default().1 += 1;
-            }
-        }
-        let cost = (
-            counts.values().filter(|c| c.0 > 0).count(),
-            counts.values().filter(|c| c.1 > 0).count(),
-        );
-        PackSeed {
-            lines: counts
-                .into_iter()
-                .map(|(source, (cnt1, cnt2))| SeedLine {
-                    source,
-                    cnt1,
-                    cnt2,
-                    fixed1: cnt1 > 0,
-                    fixed2: cnt2 > 0,
-                })
-                .collect(),
-            cost,
-            swapped,
-            // An arbitrary orientation vector is not a known fixpoint.
-            stable: false,
-        }
+        PackSeed::from_orientations(ops, &swapped, false)
     }
 
     #[test]
@@ -955,17 +1088,19 @@ mod tests {
     #[test]
     fn insertion_accepts_covered_ops_and_declines_new_lines() {
         // sub(a,b) fixes a→L1, b→L2; add(b,a) swaps onto the same lines.
-        let ops = [op("a", "b", false), op("b", "a", true)];
+        let ops = vec![op("a", "b", false), op("b", "a", true)];
         let mut seed = pack_seed(&ops);
         assert_eq!(seed.cost(), (1, 1));
 
         // A commutative candidate whose swap orientation is covered.
         let covered = op("b", "a", true);
-        assert_eq!(seed.neutral_insertion(&covered), Some(true));
+        assert_eq!(seed.price(&ops, &covered), Some(((1, 1), true)));
 
         // A fixed candidate matching the pass-1 claims verbatim.
-        let fixed = op("a", "b", false);
-        assert_eq!(seed.neutral_insertion(&fixed), Some(false));
+        assert_eq!(
+            seed.price(&ops, &op("a", "b", false)),
+            Some(((1, 1), false))
+        );
 
         // A unary candidate is covered by port 1 alone.
         let unary = MuxOp {
@@ -973,18 +1108,34 @@ mod tests {
             right: None,
             commutative: false,
         };
-        assert_eq!(seed.neutral_insertion(&unary), Some(false));
+        assert_eq!(seed.price(&ops, &unary), Some(((1, 1), false)));
 
-        // Any new source line forces the full-repack fallback.
+        // A new source line is priced exactly: c joins L1.
         let fresh = op("c", "b", true);
-        assert_eq!(seed.neutral_insertion(&fresh), None);
-        assert!(!seed.try_insert(&fresh));
-        assert_eq!(seed.len(), 2);
+        assert_eq!(seed.price(&ops, &fresh), Some(((2, 1), false)));
+        let mut extended = ops.clone();
+        extended.push(fresh.clone());
+        assert_eq!(pack_cost(&extended), (2, 1));
 
-        // Absorbing the covered op keeps the cost and grows the seed.
-        assert!(seed.try_insert(&covered));
+        // Inserting keeps the seed equal to the cold seed of the
+        // extended list.
+        seed.insert(&fresh, (2, 1), false);
         assert_eq!(seed.len(), 3);
-        assert_eq!(seed.cost(), (1, 1));
+        assert_eq!(seed, pack_seed(&extended));
+        assert_eq!(seed.price(&extended, &covered), Some(((2, 1), true)));
+
+        // A new port-1 line that makes an earlier op's flip profitable
+        // is declined: add(u,a) is the sole user of u on L1 and of a on
+        // L2, so once add(a,w) puts a on L1, flipping add(u,a) saves a
+        // line and the cold pack ends at (2, 2), not (3, 2).
+        let ops = vec![op("u", "a", true), op("z", "w", false)];
+        let seed = pack_seed(&ops);
+        assert_eq!(seed.cost(), (2, 2));
+        let flipper = op("a", "w", true);
+        assert_eq!(seed.price(&ops, &flipper), None);
+        let mut extended = ops.clone();
+        extended.push(flipper);
+        assert_eq!(pack_cost(&extended), (2, 2));
     }
 
     #[test]
@@ -998,21 +1149,30 @@ mod tests {
             commutative: true,
         }];
         let seed = seed_from_orientations(&ops, vec![false]);
-        assert_eq!(seed.neutral_insertion(&ops[0]), None);
+        assert_eq!(seed.price(&ops, &ops[0]), None);
     }
 
     #[test]
     fn fixed_insertion_requires_fixed_coverage() {
-        // b→L1 and a→L2 are claimed only by the *commutative* op, so a
-        // non-commutative sub(b,a) would join pass 1 and perturb the
-        // greedy replay — the rule must decline even though the ports
-        // cover it.
-        let ops = [op("b", "a", true)];
+        // b→L1 and a→L2 are claimed only by the *commutative* op. A
+        // non-commutative sub(b,a) joins pass 1 on the same lines, so
+        // the greedy replay of add(b,a) keeps its orientation and the
+        // price is exact at no new line.
+        let ops = vec![op("b", "a", true)];
         let seed = pack_seed(&ops);
         assert_eq!(seed.cost(), (1, 1));
-        assert_eq!(seed.neutral_insertion(&op("b", "a", false)), None);
+        assert_eq!(
+            seed.price(&ops, &op("b", "a", false)),
+            Some(((1, 1), false))
+        );
+        // sub(a,b) claims a→L1, b→L2 in pass 1, so the replay swaps
+        // add(b,a): the pass-2 state diverges and the rule declines.
+        assert_eq!(seed.price(&ops, &op("a", "b", false)), None);
+        let mut extended = ops.clone();
+        extended.push(op("a", "b", false));
+        assert!(pack(&extended).swapped[0]);
         // The commutative twin is covered and accepted.
-        assert_eq!(seed.neutral_insertion(&op("b", "a", true)), Some(false));
+        assert_eq!(seed.price(&ops, &op("b", "a", true)), Some(((1, 1), false)));
     }
 
     #[test]

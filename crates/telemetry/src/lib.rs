@@ -106,6 +106,13 @@ impl<'a> Instrument<'a> {
         self.metrics.observe(name, value);
     }
 
+    /// Folds a locally tallied histogram into histogram `name`: the
+    /// same count, sum, min, max and buckets as observing each of its
+    /// samples here.
+    pub fn merge_histogram(&mut self, name: &'static str, histogram: &Histogram) {
+        self.metrics.merge_histogram(name, histogram);
+    }
+
     /// Runs `f` as the timed phase `name`: wall time lands in the
     /// histogram `phase.<name>.ns` and, when the sink is enabled, as a
     /// [`TraceEvent::PhaseSpan`]. Phases nest.

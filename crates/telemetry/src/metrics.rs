@@ -218,6 +218,13 @@ impl Metrics {
         self.histograms.entry(name).or_default().observe(value);
     }
 
+    /// Folds `histogram` into the histogram `name`, creating it empty.
+    pub fn merge_histogram(&mut self, name: impl Into<Cow<'static, str>>, histogram: &Histogram) {
+        let name = name.into();
+        self.register(&name);
+        self.histograms.entry(name).or_default().merge(histogram);
+    }
+
     /// The current value of counter `name` (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -433,6 +440,26 @@ mod tests {
         let h = a.histogram("h").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 12);
+    }
+
+    #[test]
+    fn merging_a_tallied_histogram_equals_observing_each_sample() {
+        // A producer may tally samples locally and fold them in once;
+        // the registry must read as if it had observed each one, on
+        // top of samples it already holds.
+        let samples = [0u64, 7, 1, 300, 7, 64];
+        let mut observed = Metrics::new();
+        let mut merged = Metrics::new();
+        let mut local = Histogram::new();
+        for m in [&mut observed, &mut merged] {
+            m.observe("h", 5);
+        }
+        for &v in &samples {
+            observed.observe("h", v);
+            local.observe(v);
+        }
+        merged.merge_histogram("h", &local);
+        assert_eq!(merged.histogram("h"), observed.histogram("h"));
     }
 
     #[test]
