@@ -171,7 +171,7 @@ mod tests {
         let s = list_schedule(&g, &spec, &limits, 10).unwrap();
         assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
         assert_eq!(s.fu_counts()[&FuClass::Op(OpKind::Add)], 2);
-        assert_eq!(s.steps_used(&g, &spec), 3);
+        assert_eq!(s.steps_used(&g, &spec, None), 3);
     }
 
     #[test]
@@ -185,7 +185,7 @@ mod tests {
         let limits = [(FuClass::Op(OpKind::Add), 2)].into_iter().collect();
         let s = list_schedule(&g, &spec, &limits, 4).unwrap();
         assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
-        assert_eq!(s.steps_used(&g, &spec), 2);
+        assert_eq!(s.steps_used(&g, &spec, None), 2);
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
         let limits = [(FuClass::Op(OpKind::Mul), 1)].into_iter().collect();
         let s = list_schedule(&g, &spec, &limits, 4).unwrap();
         assert!(verify(&g, &s, &spec, VerifyOptions::default()).is_empty());
-        assert_eq!(s.steps_used(&g, &spec), 4);
+        assert_eq!(s.steps_used(&g, &spec, None), 4);
     }
 
     #[test]

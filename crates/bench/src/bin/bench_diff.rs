@@ -1,214 +1,124 @@
-//! `bench_diff` — the bench-regression gate: regenerates the
-//! deterministic snapshot documents and structurally compares them
-//! against the committed `BENCH_*.json` files.
-//!
-//! Five snapshots are covered:
-//!
-//! * `BENCH_core.json` — fresh scaling-sweep entries are paired with
-//!   committed ones by `(nodes, alg, mode)` and every deterministic
-//!   field (cs, work counters, schedule fingerprint) must match
-//!   **exactly**; only the machine-local `wall_ms` is ignored. This is
-//!   stricter than `core_scaling --check`, which tolerates
-//!   improvements — the diff gate pins the numbers the repo claims.
-//! * `BENCH_partition.json` — fresh sharded-synthesis entries are
-//!   paired by `(nodes, alg)` and compared exactly the same way
-//!   (partition counters, horizon, fingerprint; `wall_ms` ignored).
-//! * `BENCH_iterate.json` — iterate-vs-one-shot entries are paired by
-//!   name and compared exactly (`wall_ms` ignored); the full sweep also
-//!   enforces the quality gate (at least three entries must strictly
-//!   improve on one-shot scheduling).
-//! * `BENCH_mem.json` — regenerated and compared as trimmed text (the
-//!   document contains no timing fields).
-//! * `BENCH_telemetry.json` — regenerated without timing histograms and
-//!   compared as trimmed text.
-//! * `BENCH_serve.json` — the serving load-test snapshot is **not**
-//!   regenerated (throughput is machine-local); instead its
-//!   deterministic structure is validated in place: phase request
-//!   arithmetic, exactly-once cache hit/miss counts, disk-restart
-//!   counters, the pinned pre-reactor baseline and the ≥10× keep-alive
-//!   speedup claim (see `hls_bench::serve_check`).
+//! `bench_diff` — the one front end to the committed `BENCH_*.json`
+//! snapshots: regenerates each selected snapshot and checks the
+//! committed file against it under its row's rule in
+//! `hls_bench::snapshots`.
 //!
 //! ```text
-//! bench_diff --quick --check             # CI gate: 1k core size only
-//! bench_diff --check                     # full sweep (slow)
-//! bench_diff --quick                     # report drift, exit 0
-//! bench_diff --quick --check --core F    # compare against F instead
+//! bench_diff [--only NAME,...] [--quick | --sizes LIST] [--file PATH] [--print]
+//!
+//! bench_diff --quick                          # every snapshot, smoke sweeps
+//! bench_diff                                  # full sweeps (slow)
+//! bench_diff --only core --sizes 1000,5000    # core at explicit op counts
+//! bench_diff --only iterate --quick --file F  # check F, not BENCH_iterate.json
+//! bench_diff --only mem --print > BENCH_mem.json   # re-baseline
 //! ```
 //!
-//! Without `--check` drift is reported but the exit status stays 0
-//! (useful while intentionally re-baselining). The `--core`, `--mem`,
-//! `--telemetry`, `--partition`, `--iterate` and `--serve` flags
-//! override the committed file paths — CI uses
-//! `--core`/`--partition`/`--iterate`/`--serve` on perturbed copies to
-//! prove the gate actually fails.
+//! Snapshot names: `core`, `partition`, `iterate` (each regenerated
+//! entry line must match its committed line in every field except
+//! `wall_ms`), `mem`, `telemetry` (byte-exact text) and `serve`
+//! (validated in place, never regenerated). `--sizes` applies to
+//! `core` and `partition`; `--file` and `--print` take exactly one
+//! `--only` name.
+//!
+//! Exit status: 0 when every selected snapshot matches, 1 on any
+//! drift, 2 on a usage error or an unreadable file.
 
-use hls_bench::iterate;
-use hls_bench::scaling::{bench_size, diff_exact, FULL_SIZES, QUICK_SIZES};
-use hls_bench::serve_check;
-use hls_bench::shard_scaling;
-use hls_bench::snapshots::{mem_snapshot, telemetry_snapshot};
+use hls_bench::snapshots::{Snapshot, Sweep, SNAPSHOTS};
+
+const USAGE: &str =
+    "usage: bench_diff [--only NAME,...] [--quick | --sizes LIST] [--file PATH] [--print]
+  names: core, partition, iterate, mem, telemetry, serve
+  --sizes takes comma-separated op counts (core and partition only)
+  --file and --print take exactly one --only name";
 
 struct Options {
-    quick: bool,
-    check: bool,
-    core: String,
-    mem: String,
-    telemetry: String,
-    partition: String,
-    iterate: String,
-    serve: String,
+    only: Vec<&'static Snapshot>,
+    sweep: Sweep,
+    file: Option<String>,
+    print: bool,
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Options {
-        quick: false,
-        check: false,
-        core: "BENCH_core.json".into(),
-        mem: "BENCH_mem.json".into(),
-        telemetry: "BENCH_telemetry.json".into(),
-        partition: "BENCH_partition.json".into(),
-        iterate: "BENCH_iterate.json".into(),
-        serve: "BENCH_serve.json".into(),
-    };
+fn parse(args: &[String]) -> Result<Options, String> {
+    let (mut only, mut sizes, mut file) = (None, None, None);
+    let (mut quick, mut print) = (false, false);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut path = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} needs a file path"))
-                .clone()
-        };
+        let mut value = || it.next().cloned().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--check" => opts.check = true,
-            "--core" => opts.core = path("--core"),
-            "--mem" => opts.mem = path("--mem"),
-            "--telemetry" => opts.telemetry = path("--telemetry"),
-            "--partition" => opts.partition = path("--partition"),
-            "--iterate" => opts.iterate = path("--iterate"),
-            "--serve" => opts.serve = path("--serve"),
-            other => {
-                eprintln!("unknown flag `{other}`; see the bench_diff doc comment");
-                std::process::exit(2);
-            }
+            "--only" => only = Some(value()?),
+            "--quick" => quick = true,
+            "--sizes" => sizes = Some(value()?),
+            "--file" => file = Some(value()?),
+            "--print" => print = true,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    opts
-}
-
-fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_diff: cannot read {path}: {e}");
-        std::process::exit(2);
+    let only: Vec<&'static Snapshot> = match only {
+        None => SNAPSHOTS.iter().collect(),
+        Some(names) => names
+            .split(',')
+            .map(|n| {
+                let row = SNAPSHOTS.iter().find(|s| s.name == n);
+                row.ok_or(format!("unknown snapshot `{n}`"))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    let sweep = match (quick, sizes) {
+        (true, Some(_)) => return Err("--quick and --sizes exclude each other".into()),
+        (true, None) => Sweep::Quick,
+        (false, None) => Sweep::Full,
+        (false, Some(list)) => {
+            if let Some(s) = only.iter().find(|s| !s.sized) {
+                return Err(format!("--sizes does not apply to {}", s.name));
+            }
+            let op_count = |s: &str| s.parse().ok().filter(|&n: &usize| n > 0);
+            Sweep::Sizes(
+                list.split(',')
+                    .map(|s| op_count(s).ok_or(format!("--sizes: `{s}` is not an op count")))
+                    .collect::<Result<_, _>>()?,
+            )
+        }
+    };
+    if (file.is_some() || print) && only.len() != 1 {
+        return Err("--file and --print take exactly one --only name".into());
+    }
+    if print && only[0].regen.is_none() {
+        return Err(format!(
+            "{} is checked in place, not regenerated",
+            only[0].name
+        ));
+    }
+    Ok(Options {
+        only,
+        sweep,
+        file,
+        print,
     })
 }
 
-/// Trimmed-text comparison for the documents with no volatile fields.
-fn diff_text(label: &str, fresh: &str, committed: &str) -> Vec<String> {
-    if fresh.trim() == committed.trim() {
-        return Vec::new();
-    }
-    // Point at the first differing line so the drift is actionable
-    // without a side-by-side diff tool.
-    let mut fresh_lines = fresh.trim().lines();
-    let mut committed_lines = committed.trim().lines();
-    loop {
-        match (fresh_lines.next(), committed_lines.next()) {
-            (Some(f), Some(c)) if f == c => continue,
-            (Some(f), Some(c)) => {
-                return vec![format!(
-                    "{label}: first drift:\n  committed: {c}\n  fresh:     {f}"
-                )]
-            }
-            (Some(f), None) => return vec![format!("{label}: fresh run has extra line: {f}")],
-            (None, Some(c)) => return vec![format!("{label}: fresh run lost line: {c}")],
-            (None, None) => return vec![format!("{label}: whitespace-only drift")],
-        }
-    }
-}
-
 fn main() {
-    let opts = parse_args();
-    let mut drift: Vec<String> = Vec::new();
-
-    eprintln!("# bench_diff: core scaling sweep ({})", opts.core);
-    let sizes: &[usize] = if opts.quick {
-        &QUICK_SIZES
-    } else {
-        &FULL_SIZES
-    };
-    let mut entries = Vec::new();
-    for &ops in sizes {
-        bench_size(ops, &mut entries);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse(&args).unwrap_or_else(|e| {
+        eprintln!("bench_diff: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if opts.print {
+        let regen = opts.only[0]
+            .regen
+            .expect("--print admits regenerated rows only");
+        print!("{}", regen(&opts.sweep).doc);
+        return;
     }
-    let committed_core = read(&opts.core);
-    drift.extend(diff_exact(&entries, &committed_core));
-    eprintln!(
-        "#   {} fresh entr{} compared (wall_ms ignored)",
-        entries.len(),
-        if entries.len() == 1 { "y" } else { "ies" }
-    );
-    if opts.quick {
-        eprintln!("#   --quick: larger committed sizes left unverified");
+    let mut drift = Vec::new();
+    for snap in &opts.only {
+        let path = opts.file.as_deref().unwrap_or(snap.file);
+        eprintln!("# bench_diff: {} ({path})", snap.name);
+        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("bench_diff: cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        drift.extend(snap.check(&opts.sweep, &committed));
     }
-
-    eprintln!("# bench_diff: sharded scaling sweep ({})", opts.partition);
-    let shard_sizes: &[usize] = if opts.quick {
-        &shard_scaling::QUICK_SIZES
-    } else {
-        &shard_scaling::FULL_SIZES
-    };
-    let mut shard_entries = Vec::new();
-    for &ops in shard_sizes {
-        shard_scaling::bench_size(ops, &mut shard_entries);
-    }
-    drift.extend(shard_scaling::diff_exact(
-        &shard_entries,
-        &read(&opts.partition),
-    ));
-    eprintln!(
-        "#   {} fresh sharded entr{} compared (wall_ms ignored)",
-        shard_entries.len(),
-        if shard_entries.len() == 1 { "y" } else { "ies" }
-    );
-
-    eprintln!("# bench_diff: iterate quality sweep ({})", opts.iterate);
-    let iterate_workloads = if opts.quick {
-        iterate::quick_workloads()
-    } else {
-        iterate::full_workloads()
-    };
-    let mut iterate_entries = Vec::new();
-    for w in &iterate_workloads {
-        iterate::bench_one(w, &mut iterate_entries);
-    }
-    drift.extend(iterate::diff_exact(&iterate_entries, &read(&opts.iterate)));
-    if !opts.quick {
-        drift.extend(iterate::require_improvements(&iterate_entries));
-    }
-    eprintln!(
-        "#   {} fresh iterate entr{} compared (wall_ms ignored)",
-        iterate_entries.len(),
-        if iterate_entries.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        }
-    );
-
-    eprintln!("# bench_diff: serve snapshot structure ({})", opts.serve);
-    drift.extend(serve_check::check(&read(&opts.serve)));
-
-    eprintln!("# bench_diff: memory port sweep ({})", opts.mem);
-    drift.extend(diff_text("mem", &mem_snapshot(), &read(&opts.mem)));
-
-    eprintln!("# bench_diff: telemetry snapshot ({})", opts.telemetry);
-    drift.extend(diff_text(
-        "telemetry",
-        &telemetry_snapshot(false),
-        &read(&opts.telemetry),
-    ));
-
     if drift.is_empty() {
         println!("bench_diff: ok — fresh runs match the committed snapshots");
         return;
@@ -220,8 +130,67 @@ fn main() {
     for d in &drift {
         println!("  {d}");
     }
-    if opts.check {
-        std::process::exit(1);
+    std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
     }
-    println!("(informational: run with --check to fail on drift)");
+
+    fn parsed(line: &str) -> (Vec<&'static str>, Sweep, Option<String>, bool) {
+        let o = parse_line(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        (
+            o.only.iter().map(|s| s.name).collect(),
+            o.sweep,
+            o.file,
+            o.print,
+        )
+    }
+
+    #[test]
+    fn flags_select_snapshots_and_a_sweep() {
+        let (all, sweep, _, _) = parsed("--quick");
+        assert_eq!((all.len(), sweep), (SNAPSHOTS.len(), Sweep::Quick));
+        let (two, sweep, _, _) = parsed("--only core,partition --sizes 1000,5000");
+        assert_eq!(two, ["core", "partition"]);
+        assert_eq!(sweep, Sweep::Sizes(vec![1000, 5000]));
+        let one = parsed("--only mem --file m.json --print");
+        assert_eq!(one, (vec!["mem"], Sweep::Full, Some("m.json".into()), true));
+    }
+
+    #[test]
+    fn bad_flags_are_usage_errors() {
+        for (line, message) in [
+            ("--file", "--file needs a value"),
+            ("--only", "--only needs a value"),
+            ("--quick --sizes", "--sizes needs a value"),
+            ("--only core --sizes 1k", "`1k` is not an op count"),
+            ("--only core --sizes 1000,", "`` is not an op count"),
+            ("--only core --sizes 0", "`0` is not an op count"),
+            ("--only core,nope", "unknown snapshot `nope`"),
+            ("--only core,mem --file x", "exactly one --only name"),
+            ("--file x", "exactly one --only name"),
+            ("--print", "exactly one --only name"),
+            ("--only iterate --sizes 1000", "does not apply to iterate"),
+            ("--only mem --sizes 1000", "does not apply to mem"),
+            (
+                "--only telemetry --sizes 1000",
+                "does not apply to telemetry",
+            ),
+            ("--sizes 1000", "does not apply to iterate"),
+            ("--only core --quick --sizes 1000", "exclude each other"),
+            ("--only serve --print", "not regenerated"),
+            ("--check", "unknown flag `--check`"),
+        ] {
+            match parse_line(line) {
+                Ok(_) => panic!("`{line}` parsed"),
+                Err(e) => assert!(e.contains(message), "`{line}`: {e}"),
+            }
+        }
+    }
 }

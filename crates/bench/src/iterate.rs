@@ -1,5 +1,5 @@
-//! The iterate-vs-one-shot sweep behind `BENCH_iterate.json`, shared
-//! by the `iterate_sweep` and `bench_diff` binaries.
+//! The iterate-vs-one-shot sweep behind `BENCH_iterate.json` (the
+//! `iterate` row of [`crate::snapshots`]).
 //!
 //! Each workload is scheduled one-shot at `cs = cp + slack` (the
 //! padded constraint mirrors how time-constrained synthesis is used in
@@ -31,6 +31,7 @@ use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsConfig};
 
 use crate::scaling::fingerprint;
+use crate::snapshots::{Fresh, Sweep};
 
 /// Iteration-ladder length of every sweep entry.
 pub const ITERATIONS: u32 = 4;
@@ -259,6 +260,20 @@ pub fn bench_one(w: &Workload, entries: &mut Vec<Entry>) {
     entries.push(entry);
 }
 
+/// Regenerates `BENCH_iterate.json`: the smoke subset under
+/// [`Sweep::Quick`], every workload otherwise.
+pub fn snapshot(sweep: &Sweep) -> Fresh {
+    let workloads = match sweep {
+        Sweep::Quick => quick_workloads(),
+        _ => full_workloads(),
+    };
+    let mut entries = Vec::new();
+    for w in &workloads {
+        bench_one(w, &mut entries);
+    }
+    Fresh::keyed(&entries, Entry::key, render(&entries))
+}
+
 /// Renders the full `BENCH_iterate.json` document.
 pub fn render(entries: &[Entry]) -> String {
     let rows: Vec<String> = entries.iter().map(Entry::render).collect();
@@ -268,67 +283,18 @@ pub fn render(entries: &[Entry]) -> String {
     )
 }
 
-/// The exact comparison `bench_diff` applies: every deterministic
-/// field must match the committed snapshot bit-for-bit; only `wall_ms`
-/// is ignored. Returns one message per drifted field.
-pub fn diff_exact(entries: &[Entry], snapshot: &str) -> Vec<String> {
-    let mut drift = Vec::new();
-    for e in entries {
-        let line = match snapshot.lines().find(|l| l.contains(&e.key())) {
-            Some(line) => line,
-            None => {
-                drift.push(format!("snapshot has no entry for {}", e.key()));
-                continue;
-            }
-        };
-        let mut field =
-            |name: &str, fresh: u64, hex: bool| match crate::scaling::snapshot_field(line, name) {
-                Ok(base) if base == fresh => {}
-                Ok(base) => drift.push(if hex {
-                    format!("{}: {name} {base:016x} -> {fresh:016x}", e.key())
-                } else {
-                    format!("{}: {name} {base} -> {fresh}", e.key())
-                }),
-                Err(msg) => drift.push(format!("{}: {msg}", e.key())),
-            };
-        field("nodes", e.nodes as u64, false);
-        field("cp", e.cp as u64, false);
-        field("cs", e.cs as u64, false);
-        field("csteps_before", e.csteps_before as u64, false);
-        field("csteps_after", e.csteps_after as u64, false);
-        field("registers_before", e.registers_before as u64, false);
-        field("registers_after", e.registers_after as u64, false);
-        field("iterations_run", e.iterations_run as u64, false);
-        field("splices_accepted", e.splices_accepted as u64, false);
-        field("splices_rejected", e.splices_rejected as u64, false);
-        field("fingerprint", e.fingerprint, true);
-        if !line.contains(&format!("\"baseline\":\"{}\"", e.baseline)) {
-            drift.push(format!("{}: baseline -> {}", e.key(), e.baseline));
-        }
-        let improved = line.contains("\"improved\":true");
-        if improved != e.improved {
-            drift.push(format!(
-                "{}: improved {improved} -> {}",
-                e.key(),
-                e.improved
-            ));
-        }
-    }
-    drift
-}
-
-/// The quality gate: at least [`MIN_IMPROVED`] entries must show a
-/// strict `(csteps, registers)` improvement over one-shot scheduling.
-/// Applied to the full sweep only — the `--quick` CI subset is too
-/// small to carry the claim.
-pub fn require_improvements(entries: &[Entry]) -> Vec<String> {
-    let improved = entries.iter().filter(|e| e.improved).count();
+/// The quality gate on the committed document: at least
+/// [`MIN_IMPROVED`] entries must show a strict `(csteps, registers)`
+/// improvement over one-shot scheduling. The keyed comparison pins
+/// each swept entry to its committed line, so the claim holds for
+/// fresh runs too.
+pub fn require_improvements(committed: &str) -> Vec<String> {
+    let improved = committed.matches("\"improved\":true").count();
     if improved >= MIN_IMPROVED {
         Vec::new()
     } else {
         vec![format!(
-            "only {improved} of {} iterate entries improve on one-shot scheduling (need {MIN_IMPROVED})",
-            entries.len()
+            "only {improved} iterate entries improve on one-shot scheduling (need {MIN_IMPROVED})"
         )]
     }
 }
@@ -357,6 +323,12 @@ mod tests {
         }
     }
 
+    /// `committed` held against the document rendered from `fresh`, as
+    /// the `iterate` snapshot row compares them.
+    fn diff_exact(fresh: &[Entry], committed: &str) -> Vec<String> {
+        Fresh::keyed(fresh, Entry::key, render(fresh)).diff(committed)
+    }
+
     #[test]
     fn exact_diff_ignores_wall_clock_only() {
         let snapshot = render(&[entry()]);
@@ -372,7 +344,7 @@ mod tests {
         assert_eq!(drift.len(), 3, "{drift:?}");
         assert!(drift[0].contains("csteps_after 4 -> 5"), "{drift:?}");
         assert!(drift[1].contains("fingerprint"), "{drift:?}");
-        assert!(drift[2].contains("improved"), "{drift:?}");
+        assert!(drift[2].contains("improved true -> false"), "{drift:?}");
     }
 
     #[test]
@@ -381,20 +353,14 @@ mod tests {
         other.name = "fds:ewf".into();
         let drift = diff_exact(&[other], &render(&[entry()]));
         assert_eq!(drift.len(), 1);
-        assert!(drift[0].contains("no entry"), "{drift:?}");
+        assert!(drift[0].contains("no committed entry"), "{drift:?}");
     }
 
     #[test]
     fn improvement_gate_counts_strict_improvements() {
-        let mut flat = entry();
-        flat.name = "flat".into();
-        flat.csteps_after = flat.csteps_before;
-        flat.registers_after = flat.registers_before;
-        flat.improved = false;
-        let three = [entry(), entry(), entry()];
-        assert!(require_improvements(&three).is_empty());
-        let short = [flat];
-        let gate = require_improvements(&short);
+        let line = "{\"name\":\"x\",\"improved\":true}\n";
+        assert!(require_improvements(&line.repeat(3)).is_empty());
+        let gate = require_improvements(&line.replace("true", "false").repeat(3));
         assert_eq!(gate.len(), 1);
         assert!(gate[0].contains("need 3"), "{gate:?}");
     }

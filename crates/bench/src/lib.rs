@@ -17,17 +17,12 @@
 //!   full paper grid through the `hls-explore` engine at 1/2/4/8
 //!   worker threads plus a warm-cache pass, emitting
 //!   `BENCH_explore.json`;
-//! * `cargo run --release -p hls-bench --bin shard_scaling` — the
-//!   sharded-synthesis sweep on 200k–1M-node clustered workloads,
-//!   emitting `BENCH_partition.json`;
-//! * `cargo run --release -p hls-bench --bin iterate_sweep` — the
-//!   iterate-vs-one-shot quality sweep on the paper benchmarks, memory
-//!   kernels and generated graphs, emitting `BENCH_iterate.json`;
-//! * `cargo run --release -p hls-bench --bin bench_diff` — regenerates
-//!   the deterministic snapshot documents and structurally diffs them
-//!   against the committed `BENCH_core.json` / `BENCH_partition.json` /
-//!   `BENCH_iterate.json` / `BENCH_mem.json` / `BENCH_telemetry.json`
-//!   (`--check` exits nonzero on drift, wall-clock fields are ignored).
+//! * `cargo run --release -p hls-bench --bin bench_diff` — the one
+//!   front end to the committed `BENCH_core.json` /
+//!   `BENCH_partition.json` / `BENCH_iterate.json` / `BENCH_mem.json` /
+//!   `BENCH_telemetry.json` / `BENCH_serve.json` snapshots (the table
+//!   in [`snapshots`]): regenerates each selected one and exits 1 on
+//!   drift; `--print` writes the fresh document for re-baselining.
 //!
 //! Benches: `runtime` (MFS/MFSA vs list/FDS/annealing), `scaling`
 //! (O(l³) growth on generated graphs), `ablation`.

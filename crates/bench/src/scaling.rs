@@ -1,5 +1,5 @@
-//! The dense-scheduler scaling sweep behind `BENCH_core.json`, shared
-//! by the `core_scaling` and `bench_diff` binaries.
+//! The dense-scheduler scaling sweep behind `BENCH_core.json` (the
+//! `core` row of [`crate::snapshots`]).
 //!
 //! Generates seeded layered random DFGs at several sizes and runs the
 //! two paper kernels in both constraint styles. Every entry records the
@@ -16,6 +16,8 @@ use hls_dfg::{CriticalPath, Dfg};
 use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsConfig};
 use moveframe::mfsa::{self, MfsaConfig, Weights};
+
+use crate::snapshots::{Fresh, Sweep};
 
 /// Requested op counts of the full sweep; the generator rounds up to
 /// full layers.
@@ -254,6 +256,15 @@ pub fn bench_size(ops: usize, entries: &mut Vec<Entry>) {
     }
 }
 
+/// Regenerates `BENCH_core.json` at the sweep's op counts.
+pub fn snapshot(sweep: &Sweep) -> Fresh {
+    let mut entries = Vec::new();
+    for &ops in sweep.sizes(&QUICK_SIZES, &FULL_SIZES) {
+        bench_size(ops, &mut entries);
+    }
+    Fresh::keyed(&entries, Entry::key, render(&entries))
+}
+
 /// Renders the full `BENCH_core.json` document.
 pub fn render(entries: &[Entry]) -> String {
     let rows: Vec<String> = entries.iter().map(Entry::render).collect();
@@ -261,113 +272,6 @@ pub fn render(entries: &[Entry]) -> String {
         "{{\n  \"note\": \"dense scheduler core scaling sweep; counters and fingerprints are deterministic, wall_ms is machine-local and ignored by --check\",\n  \"seed\": {SEED},\n  \"slack\": {SLACK},\n  \"entries\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     )
-}
-
-/// Reads one named field out of a committed snapshot line. Decimal
-/// fields are bare; the fingerprint is a quoted 16-digit hex string.
-pub(crate) fn snapshot_field(line: &str, name: &str) -> Result<u64, String> {
-    let tag = format!("\"{name}\":");
-    let rest = line
-        .split(&tag)
-        .nth(1)
-        .ok_or_else(|| format!("snapshot entry lacks {name}"))?;
-    let digits: String = rest
-        .chars()
-        .skip_while(|c| *c == '"')
-        .take_while(|c| c.is_ascii_hexdigit())
-        .collect();
-    let radix = if rest.starts_with('"') { 16 } else { 10 };
-    u64::from_str_radix(&digits, radix).map_err(|err| format!("bad {name}: {err}"))
-}
-
-/// Finds the committed line matching `entry`'s key.
-fn snapshot_line<'a>(snapshot: &'a str, entry: &Entry) -> Result<&'a str, String> {
-    snapshot
-        .lines()
-        .find(|l| l.contains(&entry.key()))
-        .ok_or_else(|| format!("snapshot has no entry for {}", entry.key()))
-}
-
-/// The tolerant comparison `core_scaling --check` applies: counters must
-/// not regress (grow) and fingerprints must match exactly.
-pub fn check_no_regression(entries: &[Entry], snapshot: &str) -> Result<(), String> {
-    for e in entries {
-        let line = snapshot_line(snapshot, e)?;
-        let field =
-            |name: &str| snapshot_field(line, name).map_err(|err| format!("{}: {err}", e.key()));
-        let base_frames = field("frames_computed")?;
-        let base_evals = field("energy_evaluations")?;
-        let base_bounds = field("bound_evals")?;
-        let base_print = field("fingerprint")?;
-        if e.frames_computed > base_frames {
-            return Err(format!(
-                "{}: frames_computed regressed {} -> {}",
-                e.key(),
-                base_frames,
-                e.frames_computed
-            ));
-        }
-        if e.energy_evaluations > base_evals {
-            return Err(format!(
-                "{}: energy_evaluations regressed {} -> {}",
-                e.key(),
-                base_evals,
-                e.energy_evaluations
-            ));
-        }
-        if e.bound_evals > base_bounds {
-            return Err(format!(
-                "{}: bound_evals regressed {} -> {}",
-                e.key(),
-                base_bounds,
-                e.bound_evals
-            ));
-        }
-        if e.fingerprint != base_print {
-            return Err(format!(
-                "{}: schedule fingerprint drifted {:016x} -> {:016x}",
-                e.key(),
-                base_print,
-                e.fingerprint
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The exact comparison `bench_diff` applies: every deterministic field
-/// (cs, counters, fingerprint) must match the committed snapshot
-/// bit-for-bit; only `wall_ms` is ignored. Returns one message per
-/// drifted field, empty when the fresh entries match.
-pub fn diff_exact(entries: &[Entry], snapshot: &str) -> Vec<String> {
-    let mut drift = Vec::new();
-    for e in entries {
-        let line = match snapshot_line(snapshot, e) {
-            Ok(line) => line,
-            Err(msg) => {
-                drift.push(msg);
-                continue;
-            }
-        };
-        let mut field = |name: &str, fresh: u64, hex: bool| match snapshot_field(line, name) {
-            Ok(base) if base == fresh => {}
-            Ok(base) => drift.push(if hex {
-                format!("{}: {name} {base:016x} -> {fresh:016x}", e.key())
-            } else {
-                format!("{}: {name} {base} -> {fresh}", e.key())
-            }),
-            Err(msg) => drift.push(format!("{}: {msg}", e.key())),
-        };
-        field("cs", e.cs as u64, false);
-        field("frames_computed", e.frames_computed, false);
-        field("energy_evaluations", e.energy_evaluations, false);
-        field("reschedules", e.reschedules, false);
-        field("bound_evals", e.bound_evals, false);
-        field("cut_steps", e.cut_steps, false);
-        field("cut_instances", e.cut_instances, false);
-        field("fingerprint", e.fingerprint, true);
-    }
-    drift
 }
 
 #[cfg(test)]
@@ -391,10 +295,15 @@ mod tests {
         }
     }
 
+    /// `committed` held against the document rendered from `fresh`, as
+    /// the `core` snapshot row compares them.
+    fn diff_exact(fresh: &[Entry], committed: &str) -> Vec<String> {
+        Fresh::keyed(fresh, Entry::key, render(fresh)).diff(committed)
+    }
+
     #[test]
     fn exact_diff_ignores_wall_clock_only() {
-        let e = entry();
-        let snapshot = render(&[e]);
+        let snapshot = render(&[entry()]);
         let mut fresh = entry();
         fresh.wall_ms = 9999.0;
         assert!(diff_exact(&[fresh], &snapshot).is_empty());
@@ -409,7 +318,7 @@ mod tests {
             "{drift:?}"
         );
         assert!(
-            drift[1].contains("fingerprint 000000000000abcd"),
+            drift[1].contains("fingerprint \"000000000000abcd\" -> \"000000000000abcc\""),
             "{drift:?}"
         );
     }
@@ -420,7 +329,7 @@ mod tests {
         other.mode = "resource";
         let drift = diff_exact(&[other], &render(&[entry()]));
         assert_eq!(drift.len(), 1);
-        assert!(drift[0].contains("no entry"), "{drift:?}");
+        assert!(drift[0].contains("no committed entry"), "{drift:?}");
     }
 
     #[test]
@@ -441,22 +350,5 @@ mod tests {
             let linear = (0..8).find(|&i| i >= t).unwrap_or(8);
             assert_eq!(first_feasible(8, |i| i >= t), linear, "threshold {t}");
         }
-    }
-
-    #[test]
-    fn regression_check_tolerates_improvement_but_not_growth() {
-        let snapshot = render(&[entry()]);
-        let mut better = entry();
-        better.energy_evaluations -= 50;
-        better.bound_evals -= 50;
-        assert!(check_no_regression(&[better], &snapshot).is_ok());
-        let mut worse = entry();
-        worse.energy_evaluations += 1;
-        let err = check_no_regression(&[worse], &snapshot).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        let mut lazier = entry();
-        lazier.bound_evals += 1;
-        let err = check_no_regression(&[lazier], &snapshot).unwrap_err();
-        assert!(err.contains("bound_evals regressed"), "{err}");
     }
 }

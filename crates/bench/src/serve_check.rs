@@ -11,6 +11,10 @@
 //! any of these fields in the committed file fails the gate, which is
 //! what the CI negative test does.
 
+use std::collections::BTreeMap;
+
+use hls_serve::{parse_flat_object, JsonValue};
+
 /// The cold throughput of the pre-reactor daemon, as committed before
 /// the epoll rewrite. The document must carry exactly this figure so
 /// its speedups stay anchored to a fixed denominator.
@@ -20,38 +24,27 @@ pub const BASELINE_COLD_RPS: &str = "3427.9";
 /// baseline; some keep-alive phase in the document must reach it.
 pub const REQUIRED_SPEEDUP: f64 = 10.0;
 
-/// Extracts the one-line JSON object following `"section":` in `doc`.
-fn section<'a>(doc: &'a str, name: &str) -> Result<&'a str, String> {
-    let key = format!("\"{name}\":");
-    let start = doc
-        .find(&key)
-        .ok_or_else(|| format!("serve: missing section \"{name}\""))?
-        + key.len();
-    let rest = &doc[start..];
-    let open = rest
-        .find('{')
-        .ok_or_else(|| format!("serve: section \"{name}\" is not an object"))?;
-    let close = rest[open..]
-        .find('}')
-        .ok_or_else(|| format!("serve: section \"{name}\" never closes"))?;
-    Ok(&rest[open..=open + close])
-}
-
-/// Reads numeric field `key` out of (a slice of) the document.
-fn num(text: &str, key: &str, ctx: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let start = text
-        .find(&pat)
-        .ok_or_else(|| format!("serve: {ctx} has no \"{key}\""))?
-        + pat.len();
-    let digits: String = text[start..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    digits
-        .parse()
-        .map_err(|_| format!("serve: {ctx}.{key} is not a number"))
+/// Every numeric field of the document keyed by `(section, name)`,
+/// read with the flat-JSON reader. Each line holds one top-level field
+/// — a scalar (section `document`) or a one-line flat object (section
+/// = the field's name).
+fn numbers(doc: &str) -> BTreeMap<(String, String), f64> {
+    let mut out = BTreeMap::new();
+    for line in doc.lines().map(|l| l.trim().trim_end_matches(',')) {
+        let Some((name, value)) = line.split_once(": ") else {
+            continue;
+        };
+        let (section, object) = match value.starts_with('{') {
+            true => (name.trim_matches('"'), value.to_string()),
+            false => ("document", format!("{{{line}}}")),
+        };
+        for (key, value) in parse_flat_object(&object).unwrap_or_default() {
+            if let JsonValue::Num(n) = value {
+                out.insert((section.to_string(), key), n);
+            }
+        }
+    }
+    out
 }
 
 /// Checks every deterministic invariant of a `BENCH_serve.json`
@@ -64,75 +57,46 @@ pub fn check(doc: &str) -> Vec<String> {
 }
 
 fn run_checks(doc: &str) -> Result<Vec<String>, String> {
-    let mut drift = Vec::new();
-    let mut expect = |label: &str, got: f64, want: f64| {
-        if got != want {
-            drift.push(format!("serve: {label}: committed {got}, expected {want}"));
-        }
+    let numbers = numbers(doc);
+    let field = |sec: &str, key: &str| {
+        let n = numbers.get(&(sec.to_string(), key.to_string()));
+        n.copied().ok_or(format!("{sec} has no numeric \"{key}\""))
     };
+    let unique = field("document", "unique_jobs")?;
+    let sweep = unique * field("document", "clients")? * field("document", "rounds")?;
 
-    let unique = num(doc, "unique_jobs", "document")?;
-    let clients = num(doc, "clients", "document")?;
-    let rounds = num(doc, "rounds", "document")?;
-    let sweep = unique * clients * rounds;
-
-    // Every phase sweeps the identical request total; batch carries
-    // the same jobs as whole-sweep payloads.
-    let cold = section(doc, "cold")?;
-    let keepalive = section(doc, "keepalive")?;
-    let pipeline = section(doc, "pipeline")?;
-    let batch = section(doc, "batch")?;
-    expect("cold.requests", num(cold, "requests", "cold")?, sweep);
-    expect(
-        "keepalive.requests",
-        num(keepalive, "requests", "keepalive")?,
-        sweep,
-    );
-    expect(
-        "pipeline.requests",
-        num(pipeline, "requests", "pipeline")?,
-        sweep,
-    );
-    expect("batch.requests", num(batch, "requests", "batch")?, sweep);
-
-    // Exactly-once compute: each unique job misses once; every other
-    // request of the four phases is a memory-tier hit.
-    let cache = section(doc, "cache")?;
-    expect("cache.misses", num(cache, "misses", "cache")?, unique);
-    expect(
-        "cache.hits",
-        num(cache, "hits", "cache")?,
-        4.0 * sweep - unique,
-    );
-
-    // Disk restart: the first run persists every job, the restarted
-    // daemon replays all of them from disk and recomputes none.
-    let disk = section(doc, "disk")?;
-    expect(
-        "disk.first_run_writes",
-        num(disk, "first_run_writes", "disk")?,
-        unique,
-    );
-    expect(
-        "disk.restart_hits",
-        num(disk, "restart_hits", "disk")?,
-        unique,
-    );
-    expect(
-        "disk.restart_misses",
-        num(disk, "restart_misses", "disk")?,
-        0.0,
-    );
+    let mut drift = Vec::new();
+    for (sec, key, want) in [
+        // Every phase sweeps the identical request total; batch
+        // carries the same jobs as whole-sweep payloads.
+        ("cold", "requests", sweep),
+        ("keepalive", "requests", sweep),
+        ("pipeline", "requests", sweep),
+        ("batch", "requests", sweep),
+        // Exactly-once compute: each unique job misses once; every
+        // other request of the four phases is a memory-tier hit.
+        ("cache", "misses", unique),
+        ("cache", "hits", 4.0 * sweep - unique),
+        // Disk restart: the first run persists every job, the restarted
+        // daemon replays all of them from disk and recomputes none.
+        ("disk", "first_run_writes", unique),
+        ("disk", "restart_hits", unique),
+        ("disk", "restart_misses", 0.0),
+    ] {
+        let got = field(sec, key)?;
+        if got != want {
+            drift.push(format!("{sec}.{key}: committed {got}, expected {want}"));
+        }
+    }
 
     // Overload: admission answers every request — served or rejected,
     // nothing dropped.
-    let overload = section(doc, "overload")?;
-    let served = num(overload, "served_200", "overload")?;
-    let rejected = num(overload, "rejected_429", "overload")?;
-    let requests = num(overload, "requests", "overload")?;
+    let served = field("overload", "served_200")?;
+    let rejected = field("overload", "rejected_429")?;
+    let requests = field("overload", "requests")?;
     if served + rejected != requests {
         drift.push(format!(
-            "serve: overload accounting: {served} served + {rejected} rejected != {requests} requests"
+            "overload accounting: {served} served + {rejected} rejected != {requests} requests"
         ));
     }
 
@@ -140,16 +104,16 @@ fn run_checks(doc: &str) -> Result<Vec<String>, String> {
     // hold: at least one keep-alive phase at ≥10× the old daemon.
     if !doc.contains(&format!("\"baseline_cold_rps\": {BASELINE_COLD_RPS}")) {
         drift.push(format!(
-            "serve: baseline_cold_rps is not the committed pre-reactor figure {BASELINE_COLD_RPS}"
+            "baseline_cold_rps is not the committed pre-reactor figure {BASELINE_COLD_RPS}"
         ));
     }
-    let speedup = section(doc, "speedup_vs_baseline")?;
-    let best = num(speedup, "keepalive", "speedup_vs_baseline")?
-        .max(num(speedup, "pipeline", "speedup_vs_baseline")?)
-        .max(num(speedup, "batch", "speedup_vs_baseline")?);
+    let mut best = 0.0f64;
+    for phase in ["keepalive", "pipeline", "batch"] {
+        best = best.max(field("speedup_vs_baseline", phase)?);
+    }
     if best < REQUIRED_SPEEDUP {
         drift.push(format!(
-            "serve: best keep-alive speedup {best}x is below the claimed {REQUIRED_SPEEDUP}x"
+            "best keep-alive speedup {best}x is below the claimed {REQUIRED_SPEEDUP}x"
         ));
     }
 

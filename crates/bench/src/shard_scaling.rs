@@ -1,5 +1,5 @@
-//! The sharded-synthesis scaling sweep behind `BENCH_partition.json`,
-//! shared by the `shard_scaling` and `bench_diff` binaries.
+//! The sharded-synthesis scaling sweep behind `BENCH_partition.json`
+//! (the `partition` row of [`crate::snapshots`]).
 //!
 //! Extends the seeded workloads past the dense sweep's 100k-node
 //! ceiling: clustered graphs of 200k, 500k and 1M nodes run through
@@ -18,6 +18,7 @@ use hls_partition::{synth_sharded, ShardAlg, ShardedConfig};
 use hls_telemetry::{Instrument, Metrics, NullSink};
 
 use crate::scaling::fingerprint;
+use crate::snapshots::{Fresh, Sweep};
 
 /// Node-count targets of the full sweep — starts where the dense sweep
 /// (`BENCH_core.json`, ≤ 100k) stops.
@@ -144,6 +145,15 @@ pub fn bench_size(ops: usize, entries: &mut Vec<Entry>) {
     }
 }
 
+/// Regenerates `BENCH_partition.json` at the sweep's op counts.
+pub fn snapshot(sweep: &Sweep) -> Fresh {
+    let mut entries = Vec::new();
+    for &ops in sweep.sizes(&QUICK_SIZES, &FULL_SIZES) {
+        bench_size(ops, &mut entries);
+    }
+    Fresh::keyed(&entries, Entry::key, render(&entries))
+}
+
 /// Renders the full `BENCH_partition.json` document.
 pub fn render(entries: &[Entry]) -> String {
     let rows: Vec<String> = entries.iter().map(Entry::render).collect();
@@ -151,42 +161,6 @@ pub fn render(entries: &[Entry]) -> String {
         "{{\n  \"note\": \"sharded synthesis scaling sweep on clustered workloads; counters and fingerprints are deterministic for any thread count, wall_ms is machine-local and ignored by --check\",\n  \"entries\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     )
-}
-
-/// The exact comparison `bench_diff` applies: every deterministic field
-/// must match the committed snapshot bit-for-bit; only `wall_ms` is
-/// ignored. Returns one message per drifted field.
-pub fn diff_exact(entries: &[Entry], snapshot: &str) -> Vec<String> {
-    let mut drift = Vec::new();
-    for e in entries {
-        let line = match snapshot.lines().find(|l| l.contains(&e.key())) {
-            Some(line) => line,
-            None => {
-                drift.push(format!("snapshot has no entry for {}", e.key()));
-                continue;
-            }
-        };
-        let mut field =
-            |name: &str, fresh: u64, hex: bool| match crate::scaling::snapshot_field(line, name) {
-                Ok(base) if base == fresh => {}
-                Ok(base) => drift.push(if hex {
-                    format!("{}: {name} {base:016x} -> {fresh:016x}", e.key())
-                } else {
-                    format!("{}: {name} {base} -> {fresh}", e.key())
-                }),
-                Err(msg) => drift.push(format!("{}: {msg}", e.key())),
-            };
-        field("shards", e.shards as u64, false);
-        field("cut_edges", e.cut_edges as u64, false);
-        field("boundary_nodes", e.boundary_nodes as u64, false);
-        field("refine_moves", e.refine_moves, false);
-        field("stitch_moves", e.stitch_moves, false);
-        field("telescoped_saved", e.telescoped_saved, false);
-        field("cp", e.cp as u64, false);
-        field("csteps", e.csteps as u64, false);
-        field("fingerprint", e.fingerprint, true);
-    }
-    drift
 }
 
 #[cfg(test)]
@@ -208,6 +182,12 @@ mod tests {
             wall_ms: 1234.5,
             fingerprint: 0x1234,
         }
+    }
+
+    /// `committed` held against the document rendered from `fresh`, as
+    /// the `partition` snapshot row compares them.
+    fn diff_exact(fresh: &[Entry], committed: &str) -> Vec<String> {
+        Fresh::keyed(fresh, Entry::key, render(fresh)).diff(committed)
     }
 
     #[test]
@@ -232,7 +212,7 @@ mod tests {
         other.alg = "mfsa";
         let drift = diff_exact(&[other], &render(&[entry()]));
         assert_eq!(drift.len(), 1);
-        assert!(drift[0].contains("no entry"), "{drift:?}");
+        assert!(drift[0].contains("no committed entry"), "{drift:?}");
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl MfsOutcome {
     pub fn fu_counts(&self) -> BTreeMap<FuClass, u32> {
         self.schedule.fu_counts()
     }
-
-    /// The number of control steps actually used (last finish step).
-    pub fn steps_used(&self, dfg: &Dfg, spec: &TimingSpec) -> u32 {
-        self.schedule.steps_used(dfg, spec)
-    }
 }
 
 /// Peak per-class concurrency of an ASAP or ALAP schedule — the paper's
@@ -464,7 +459,7 @@ mod tests {
         let out = schedule(&g, &spec, &config).unwrap();
         assert_valid(&g, &spec, &out, VerifyOptions::default());
         assert_eq!(out.fu_counts()[&FuClass::Op(OpKind::Add)], 1);
-        assert_eq!(out.steps_used(&g, &spec), 4);
+        assert_eq!(out.schedule.steps_used(&g, &spec, None), 4);
     }
 
     #[test]

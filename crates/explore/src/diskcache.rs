@@ -30,8 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::engine::{BankPressure, MfsaDetail, PointMetrics};
 use crate::fingerprint::Fnv1a;
 
-/// On-disk entry format version; bumped on any encoding change.
-pub const DISK_FORMAT_VERSION: u32 = 1;
+/// On-disk entry format version; bumped on any encoding change and on
+/// any change to how a stored metric is computed (v2: chained `csteps`
+/// count clock-multicycled operations at their effective length).
+pub const DISK_FORMAT_VERSION: u32 = 2;
 
 /// Counters of the disk tier, for `/metrics` (`serve.cache.disk.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use hls_celllib::{Library, TimingSpec};
+use hls_celllib::{ClockPeriod, Library, TimingSpec};
 use hls_dfg::{Dfg, FuClass};
 use hls_schedule::{Schedule, ScheduleStats};
 use hls_telemetry::{escape_json, Instrument, Metrics, NullSink};
@@ -402,6 +402,7 @@ fn mix_area(counts: &BTreeMap<FuClass, u32>, library: &Library) -> u64 {
 fn fu_point_metrics(
     dfg: &Dfg,
     spec: &TimingSpec,
+    clock: Option<ClockPeriod>,
     schedule: &Schedule,
     library: &Library,
     reschedules: u32,
@@ -409,7 +410,7 @@ fn fu_point_metrics(
     let stats = ScheduleStats::compute(dfg, schedule, spec);
     let counts: BTreeMap<FuClass, u32> = schedule.fu_counts();
     PointMetrics {
-        csteps: schedule.steps_used(dfg, spec),
+        csteps: schedule.steps_used(dfg, spec, clock),
         mix: stats.mix.to_string(),
         fu_cost: mix_area(&counts, library),
         registers: stats.registers,
@@ -551,6 +552,7 @@ fn run_point(
         } => fu_point_metrics(
             dfg,
             spec,
+            point.clock_period(),
             &outcome.schedule,
             library,
             outcome.reschedule_count,
@@ -565,7 +567,9 @@ fn run_point(
             let folded = pipelined_fu_counts(&outcome);
             let mix: hls_dfg::OpMix = folded.iter().map(|(&c, &n)| (c, n as usize)).collect();
             PointMetrics {
-                csteps: outcome.schedule.steps_used(&expanded, spec),
+                csteps: outcome
+                    .schedule
+                    .steps_used(&expanded, spec, point.clock_period()),
                 mix: mix.to_string(),
                 fu_cost: mix_area(&folded, library),
                 registers: stats.registers,
@@ -575,7 +579,7 @@ fn run_point(
             }
         }
         MoveFrameRun::Mfsa(out) => PointMetrics {
-            csteps: out.schedule.steps_used(dfg, spec),
+            csteps: out.schedule.steps_used(dfg, spec, point.clock_period()),
             mix: out.datapath.alu_signature(),
             fu_cost: out.cost.alu_area.as_u64(),
             registers: out.cost.reg_count,
@@ -624,7 +628,7 @@ fn run_baseline(
             .map_err(|e| e.to_string())?
             .schedule;
     }
-    Ok(fu_point_metrics(dfg, spec, &schedule, library, 0))
+    Ok(fu_point_metrics(dfg, spec, None, &schedule, library, 0))
 }
 
 #[cfg(test)]
@@ -714,6 +718,30 @@ mod tests {
         );
         let expansion = report.metrics.histogram("phase.mfs.stage_expansion.ns");
         assert_eq!(expansion.map(|h| h.count()), Some(1));
+    }
+
+    #[test]
+    fn chained_csteps_count_clock_multicycled_ops() {
+        // The 163 ns multiply spans two 100 ns steps, so a chained
+        // add → mul ends in step 3, not 2.
+        let mut b = DfgBuilder::new("chain");
+        let (x, y, z) = (b.input("x"), b.input("y"), b.input("z"));
+        let s = b.op("s", OpKind::Add, &[x, y]).unwrap();
+        b.op("p", OpKind::Mul, &[s, z]).unwrap();
+        let dfg = b.finish().unwrap();
+        let points: Vec<DesignPoint> = [Algorithm::Mfs, Algorithm::Mfsa]
+            .into_iter()
+            .map(|alg| {
+                let mut point = DesignPoint::new(alg, 4);
+                point.clock = Some(100);
+                point
+            })
+            .collect();
+        let spec = points[0].timing_spec(false);
+        let report = explore(&dfg, &spec, &points, ExploreOptions { threads: 1 });
+        for r in &report.results {
+            assert_eq!(r.outcome.as_ref().unwrap().csteps, 3, "{}", r.label);
+        }
     }
 
     #[test]

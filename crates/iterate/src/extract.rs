@@ -64,25 +64,6 @@ pub(crate) fn spans(
     (start, finish, horizon)
 }
 
-/// Achieved horizon: the last occupied (finish) control step, counting
-/// clock-multicycled operations at their effective length.
-pub(crate) fn achieved_horizon(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    clock: Option<ClockPeriod>,
-    schedule: &Schedule,
-) -> u32 {
-    schedule
-        .iter()
-        .map(|(node, slot)| {
-            let kind = dfg.node(node).kind();
-            let cycles = effective_cycles(kind.cycles(spec), kind.delay(spec), clock);
-            slot.step.finish(cycles).get()
-        })
-        .max()
-        .unwrap_or(1)
-}
-
 /// Carves the bottleneck region of `schedule`. See the module docs.
 pub fn extract_region(
     dfg: &Dfg,

@@ -177,7 +177,7 @@ fn objective(
     clock: Option<ClockPeriod>,
     schedule: &Schedule,
 ) -> (u32, usize) {
-    let csteps = extract::achieved_horizon(dfg, spec, clock, schedule);
+    let csteps = schedule.steps_used(dfg, spec, clock);
     let registers = ScheduleStats::compute(dfg, schedule, spec).registers;
     (csteps, registers)
 }

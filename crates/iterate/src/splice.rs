@@ -27,7 +27,6 @@ use hls_dfg::{Dfg, FuClass, NodeId};
 use hls_schedule::{Grid, Schedule, Slot, UnitId};
 use moveframe::{Direction, Placement};
 
-use crate::extract::achieved_horizon;
 use crate::IterateError;
 
 /// Columns the re-frame probe exposes per class — compression needs *a*
@@ -47,7 +46,7 @@ pub(crate) fn splice(
     direction: Direction,
     max_sweeps: usize,
 ) -> Result<(Schedule, u64), IterateError> {
-    let horizon = achieved_horizon(dfg, spec, clock, schedule);
+    let horizon = schedule.steps_used(dfg, spec, clock);
     let mut placement = Placement::from_schedule(dfg, spec, clock, schedule.clone(), horizon)
         .map_err(|e| IterateError::Internal(format!("splice frames: {e}")))?;
     let moves = match placement.class_grids() {

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hls_celllib::TimingSpec;
+use hls_celllib::{effective_cycles, ClockPeriod, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
 
 /// A 1-based control step (`y` coordinate of the paper's placement
@@ -215,11 +215,16 @@ impl Schedule {
     }
 
     /// The number of control steps actually used: the last finish step
-    /// over every assigned operation (0 for an empty schedule).
-    pub fn steps_used(&self, dfg: &Dfg, spec: &TimingSpec) -> u32 {
-        dfg.node_ids()
-            .filter_map(|n| self.finish(n, dfg, spec))
-            .map(CStep::get)
+    /// over every assigned operation (0 for an empty schedule). Under a
+    /// chaining `clock` an operation whose delay exceeds the period
+    /// spans its [`effective_cycles`], as in the verifier.
+    pub fn steps_used(&self, dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>) -> u32 {
+        self.iter()
+            .map(|(node, slot)| {
+                let kind = dfg.node(node).kind();
+                let cycles = effective_cycles(kind.cycles(spec), kind.delay(spec), clock);
+                slot.step.finish(cycles).get()
+            })
             .max()
             .unwrap_or(0)
     }

@@ -310,3 +310,32 @@ fn each_front_end_keeps_its_own_knob_names() {
     req.body = body.replace("\"cs\":6", "\"cs\":true").into_bytes();
     assert!(matches!(serve::parse_job(&req), Err(e) if e.contains("`cs`")));
 }
+
+#[test]
+fn chained_csteps_agree_between_the_cli_and_the_daemon() {
+    // The 163 ns multiply spans two 100 ns steps, so a chained
+    // add → mul ends in step 3, not 2.
+    let text = "input a, b, c\nop s = add(a, b)\nop p = mul(s, c)\n";
+    let path = std::env::temp_dir().join(format!("knob-table-chain-{}.dfg", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let out = Process::new(env!("CARGO_BIN_EXE_mfhls"))
+        .arg("schedule")
+        .arg(&path)
+        .args(["--cs", "4", "--chain", "100", "--json"])
+        .output()
+        .expect("mfhls runs");
+    std::fs::remove_file(&path).unwrap();
+    let cli = String::from_utf8(out.stdout).unwrap();
+    assert!(cli.contains("\"csteps\":3"), "{cli}");
+
+    let state = AppState::new(16, None);
+    let req = Request {
+        method: "POST".into(),
+        path: "/schedule".into(),
+        query: vec![("cs".into(), "4".into()), ("chain".into(), "100".into())],
+        body: text.as_bytes().to_vec(),
+    };
+    let response = serve::handle(&state, &req, Instant::now());
+    assert_eq!(response.status, 200);
+    assert_eq!(String::from_utf8(response.body).unwrap(), cli);
+}
