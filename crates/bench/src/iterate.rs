@@ -278,7 +278,7 @@ pub fn snapshot(sweep: &Sweep) -> Fresh {
 pub fn render(entries: &[Entry]) -> String {
     let rows: Vec<String> = entries.iter().map(Entry::render).collect();
     format!(
-        "{{\n  \"note\": \"iterate-vs-one-shot sweep: one-shot at cs = cp + slack, then {ITERATIONS} feedback-guided refinement rounds; mfs rows pin the refiner's fixpoint, fds rows its lift; all fields except wall_ms are deterministic and pinned by --check\",\n  \"entries\": [\n{}\n  ]\n}}",
+        "{{\n  \"note\": \"iterate-vs-one-shot sweep: one-shot at cs = cp + slack, then {ITERATIONS} feedback-guided refinement rounds; mfs rows pin the refiner's fixpoint, fds rows its lift; all fields except wall_ms are deterministic and pinned by bench_diff\",\n  \"entries\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     )
 }

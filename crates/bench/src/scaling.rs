@@ -269,7 +269,7 @@ pub fn snapshot(sweep: &Sweep) -> Fresh {
 pub fn render(entries: &[Entry]) -> String {
     let rows: Vec<String> = entries.iter().map(Entry::render).collect();
     format!(
-        "{{\n  \"note\": \"dense scheduler core scaling sweep; counters and fingerprints are deterministic, wall_ms is machine-local and ignored by --check\",\n  \"seed\": {SEED},\n  \"slack\": {SLACK},\n  \"entries\": [\n{}\n  ]\n}}",
+        "{{\n  \"note\": \"dense scheduler core scaling sweep; counters and fingerprints are deterministic, wall_ms is machine-local and ignored by bench_diff\",\n  \"seed\": {SEED},\n  \"slack\": {SLACK},\n  \"entries\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     )
 }

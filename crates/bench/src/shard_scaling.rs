@@ -158,7 +158,7 @@ pub fn snapshot(sweep: &Sweep) -> Fresh {
 pub fn render(entries: &[Entry]) -> String {
     let rows: Vec<String> = entries.iter().map(Entry::render).collect();
     format!(
-        "{{\n  \"note\": \"sharded synthesis scaling sweep on clustered workloads; counters and fingerprints are deterministic for any thread count, wall_ms is machine-local and ignored by --check\",\n  \"entries\": [\n{}\n  ]\n}}",
+        "{{\n  \"note\": \"sharded synthesis scaling sweep on clustered workloads; counters and fingerprints are deterministic for any thread count, wall_ms is machine-local and ignored by bench_diff\",\n  \"entries\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     )
 }

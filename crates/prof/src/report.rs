@@ -48,8 +48,9 @@ pub struct ProfileReport {
     /// Instance candidates cut before the `f_MUX` recompute
     /// (`mfsa.prune.cut_instances`).
     pub cut_instances: u64,
-    /// Phase ledgers, sorted by total wall time descending (ties on
-    /// name), so the flame-chart order matches the table order.
+    /// Phase ledgers, sorted by energy evaluations descending (ties on
+    /// name): a key the run determines, so the order never depends on
+    /// wall time.
     pub phases: Vec<(String, PhaseLedger)>,
     /// The top-K node hotspots by energy evaluations.
     pub hotspots: Vec<Hotspot>,
@@ -76,7 +77,7 @@ impl ProfileReport {
             .iter()
             .map(|(k, &v)| (k.clone(), v))
             .collect();
-        phases.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(&b.0)));
+        phases.sort_by(|a, b| b.1.energy_evals.cmp(&a.1.energy_evals).then(a.0.cmp(&b.0)));
         let mut reschedules_by_kind: Vec<(String, u64)> = profiler
             .reschedules_by_kind()
             .iter()
@@ -153,7 +154,7 @@ impl ProfileReport {
         }
 
         if !self.phases.is_empty() {
-            out.push_str("\n== phases (by wall time) ==\n");
+            out.push_str("\n== phases (by energy evaluations) ==\n");
             out.push_str(
                 "phase                        calls   total_ms      evals      moves     frames\n",
             );
@@ -333,7 +334,16 @@ mod tests {
 
     #[test]
     fn report_combines_ledgers_and_counters() {
-        let (p, m) = sample_profiler();
+        let (mut p, m) = sample_profiler();
+        // Two slower phases that did no counted work: the order is by
+        // evals, then name, whatever the wall times.
+        for (phase, dur_ns) in [("mfs.priority", 5_000_000), ("mfs.frames", 9_000_000)] {
+            p.record(TraceEvent::PhaseSpan {
+                phase: phase.into(),
+                start_ns: 0,
+                dur_ns,
+            });
+        }
         let r = ProfileReport::build(&p, &m, 20);
         assert_eq!(r.counted_evals, 3);
         assert_eq!(r.attributed_evals, 3);
@@ -344,7 +354,8 @@ mod tests {
         assert_eq!(r.cut_instances, 9);
         assert_eq!(r.hotspots.len(), 1);
         assert_eq!(r.hotspots[0].op, 4);
-        assert_eq!(r.phases[0].0, "mfs.move_loop");
+        let order: Vec<&str> = r.phases.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(order, ["mfs.move_loop", "mfs.frames", "mfs.priority"]);
         assert_eq!(r.phases[0].1.energy_evals, 3);
     }
 

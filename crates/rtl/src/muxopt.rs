@@ -87,9 +87,8 @@ pub fn pack<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> MuxPacking<S> {
 /// commutative ops that carry it. This is the state the MFSA inner
 /// loop keeps alive between candidate evaluations: its
 /// [`cost`](Self::cost) is the before-term of every `f_MUX` delta,
-/// [`pack_with_seed`] restarts from it instead of replaying the three
-/// cold passes, [`PackSeed::price`] answers the cold pack of one more
-/// op from it, and [`PackSeed::insert`] extends it by that op.
+/// [`PackSeed::price`] answers the cold pack of one more op from it,
+/// and [`PackSeed::insert`] extends it by that op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackSeed<S> {
     /// Every source the packing carries on either port, sorted by
@@ -441,8 +440,7 @@ impl<S: Ord + Clone> PackSeed<S> {
 
 /// Packs `ops` and returns the committed refcount state instead of the
 /// sorted source lists: the handle an instance keeps for later
-/// [`pack_with_seed`] restarts and [`PackSeed::price`] /
-/// [`PackSeed::insert`] extensions.
+/// [`PackSeed::price`] / [`PackSeed::insert`] extensions.
 pub fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
     let interned = Interned::new(ops);
     let mut scratch = PackScratch::new(interned.keys.len());
@@ -464,42 +462,6 @@ pub fn pack_seed_ids(ops: &[MuxOp<u32>], scratch: &mut PackScratch) -> PackSeed<
     let seed = PackSeed::from_orientations(ops, &scratch.swapped, stable);
     debug_assert_eq!(seed.cost, cost);
     seed
-}
-
-/// Re-packs an instance starting from its committed refcount multiset:
-/// the seeded counts and orientations stand in for passes 1–2, and only
-/// the refinement pass runs (a no-op when the seed is already the
-/// pass-3 fixpoint [`pack`] commits, so the result is identical to the
-/// cold pack — the proptest below pins this). Restarting is what makes
-/// the state reusable across MFSA candidate evaluations; extending the
-/// op list under a seed is [`PackSeed::price`] plus
-/// [`PackSeed::insert`].
-///
-/// # Panics
-///
-/// Panics when the seed does not cover exactly `ops`.
-pub fn pack_with_seed<S: Ord + Hash + Clone>(
-    ops: &[MuxOp<S>],
-    seed: &PackSeed<S>,
-) -> MuxPacking<S> {
-    assert_eq!(
-        seed.len(),
-        ops.len(),
-        "pack_with_seed: seed covers {} op(s), instance has {}",
-        seed.len(),
-        ops.len()
-    );
-    let interned = Interned::new(ops);
-    let mut scratch = PackScratch::new(interned.keys.len());
-    for line in &seed.lines {
-        let id = interned.index[&line.source] as usize;
-        scratch.cnt1[id] = line.cnt1;
-        scratch.cnt2[id] = line.cnt2;
-    }
-    (scratch.l1, scratch.l2) = seed.cost;
-    scratch.swapped.clone_from(&seed.swapped);
-    refine(&interned.ops, None, &mut scratch);
-    interned.packing(scratch)
 }
 
 /// `(|L1|, |L2|)` of the packing [`pack`] would produce, without
@@ -649,10 +611,9 @@ fn construct(ops: &[MuxOp<u32>], extra: Option<MuxOp<u32>>, s: &mut PackScratch)
     !refine(ops, extra, s)
 }
 
-/// The refinement pass shared by the cold pack (pass 3) and
-/// [`pack_with_seed`]: re-examine orientations now that all sources are
-/// known — an early greedy choice may have inserted a source a later op
-/// made redundant. A flip is taken only when it strictly reduces the
+/// The refinement pass (pass 3 of the cold pack): re-examine
+/// orientations now that all sources are known — an early greedy
+/// choice may have inserted a source a later op made redundant. A flip is taken only when it strictly reduces the
 /// total, so the pass terminates from any valid refcount state. The
 /// flipped total is computed from the contribution counts: dropping
 /// this op's current sources frees a line only when it was the sole
@@ -701,7 +662,6 @@ fn refine(ops: &[MuxOp<u32>], extra: Option<MuxOp<u32>>, s: &mut PackScratch) ->
 /// equality.
 struct Interned<S> {
     keys: Vec<S>,
-    index: HashMap<S, u32>,
     ops: Vec<MuxOp<u32>>,
 }
 
@@ -723,7 +683,7 @@ impl<S: Ord + Hash + Clone> Interned<S> {
                 commutative: op.commutative,
             })
             .collect();
-        Interned { keys, index, ops }
+        Interned { keys, ops }
     }
 
     /// The sorted source lists of the packing left in `scratch`.
@@ -858,31 +818,6 @@ mod tests {
             prop_assert_eq!(fast, slow);
         }
 
-        /// Restarting from the committed refcount multiset must commit
-        /// the exact packing the cold three-pass construction commits —
-        /// lists and orientations — so an instance can keep its seed
-        /// alive across candidate evaluations without ever drifting
-        /// from the cold result.
-        #[test]
-        fn seeded_repack_matches_the_cold_pack(
-            ops in proptest::collection::vec(
-                (0u8..6, 0u8..6, 0u8..8),
-                0..12,
-            ),
-        ) {
-            let ops: Vec<MuxOp<u8>> = ops
-                .iter()
-                .map(|&(l, r, bits)| MuxOp {
-                    left: l,
-                    right: (bits != 0).then_some(r),
-                    commutative: bits & 2 != 0,
-                })
-                .collect();
-            let seed = pack_seed(&ops);
-            prop_assert_eq!(seed.len(), ops.len());
-            prop_assert_eq!(pack_with_seed(&ops, &seed), pack(&ops));
-        }
-
         /// The exact incremental pricing differential: whenever
         /// `price` answers, its `(|L1|, |L2|)` must equal the cold pack
         /// of `ops ++ [op]` (the set-based oracle's and `pack_cost`'s)
@@ -929,47 +864,6 @@ mod tests {
             }
         }
 
-        /// From an arbitrary (worst-orientation) refcount state the
-        /// shared refinement pass must still terminate on a packing
-        /// that covers every operation and is no worse than the state
-        /// it started from.
-        #[test]
-        fn seeded_repack_from_any_orientation_is_sound(
-            ops in proptest::collection::vec(
-                (0u8..6, 0u8..6, 0u8..8, 0u8..2),
-                0..12,
-            ),
-        ) {
-            let (ops, flips): (Vec<MuxOp<u8>>, Vec<bool>) = ops
-                .iter()
-                .map(|&(l, r, bits, flip)| {
-                    let flip = flip == 1;
-                    let op = MuxOp {
-                        left: l,
-                        right: (bits != 0).then_some(r),
-                        commutative: bits & 2 != 0,
-                    };
-                    let flippable = op.commutative && op.right.is_some();
-                    (op, flip && flippable)
-                })
-                .unzip();
-            let seed = seed_from_orientations(&ops, flips);
-            let start = seed.cost().0 + seed.cost().1;
-            let p = pack_with_seed(&ops, &seed);
-            prop_assert!(p.total_inputs() <= start);
-            for (i, o) in ops.iter().enumerate() {
-                let (x, y) = if p.swapped[i] {
-                    (o.right.expect("only binary ops flip"), o.left)
-                } else {
-                    (o.left, o.right.unwrap_or(o.left))
-                };
-                prop_assert!(p.l1.contains(&x), "op {} port-1 source missing", i);
-                if o.right.is_some() {
-                    prop_assert!(p.l2.contains(&y), "op {} port-2 source missing", i);
-                }
-            }
-        }
-
         /// The MFSA pricing path: the dense core's `(|L1|, |L2|)` for
         /// `ops ++ [c]`, packed in a reused scratch without copying
         /// `ops`, must equal the set-based oracle's and the generic
@@ -1003,16 +897,7 @@ mod tests {
             let before = pack_reference(&ops);
             let seed = pack_seed_ids(&ops, &mut scratch);
             prop_assert_eq!(seed.cost(), (before.l1.len(), before.l2.len()));
-            prop_assert_eq!(pack_with_seed(&ops, &seed), before);
         }
-    }
-
-    /// Builds the refcount state a given orientation vector induces:
-    /// the test-side stand-in for a seed produced by incremental edits
-    /// rather than a cold pack. An arbitrary orientation vector is not
-    /// a known refinement fixpoint, so the seed is unstable.
-    fn seed_from_orientations(ops: &[MuxOp<u8>], swapped: Vec<bool>) -> PackSeed<u8> {
-        PackSeed::from_orientations(ops, &swapped, false)
     }
 
     #[test]
@@ -1148,7 +1033,7 @@ mod tests {
             right: Some(2),
             commutative: true,
         }];
-        let seed = seed_from_orientations(&ops, vec![false]);
+        let seed = PackSeed::from_orientations(&ops, &[false], false);
         assert_eq!(seed.price(&ops, &ops[0]), None);
     }
 

@@ -116,7 +116,7 @@ impl AppState {
     }
 
     /// Adds `by` to counter `name` in the shared registry.
-    pub fn inc(&self, name: String, by: u64) {
+    pub fn inc(&self, name: impl Into<Cow<'static, str>>, by: u64) {
         self.locked_metrics().inc(name, by);
     }
 
@@ -427,7 +427,7 @@ fn deadline_token(deadline: Option<Instant>) -> CancelToken {
 
 fn error_response(state: &AppState, message: &str) -> Response {
     if message.starts_with("cancelled") {
-        state.inc("serve.jobs.deadline".into(), 1);
+        state.inc("serve.jobs.deadline", 1);
         Response::error(504, "deadline exceeded")
     } else {
         Response::error(422, message)
@@ -436,7 +436,7 @@ fn error_response(state: &AppState, message: &str) -> Response {
 
 /// Runs a parsed job and renders the response.
 pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
-    state.inc("serve.jobs".into(), 1);
+    state.inc("serve.jobs", 1);
     let deadline = deadline_instant(state, job, enqueued);
     let cancel = deadline_token(deadline);
     let response = match job.emit {
@@ -453,9 +453,9 @@ pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
             state.locked_metrics().merge(&metrics);
             state.inc(
                 if warm {
-                    "serve.jobs.warm".into()
+                    "serve.jobs.warm"
                 } else {
-                    "serve.jobs.cold".into()
+                    "serve.jobs.cold"
                 },
                 1,
             );
@@ -528,10 +528,10 @@ pub fn try_warm(state: &AppState, req: &Request, enqueued: Instant) -> Option<Re
         return None;
     }
     let outcome = state.engine.peek_point(job.dfg_fp, &job.point)?;
-    state.inc("serve.jobs".into(), 1);
-    state.inc("serve.jobs.warm".into(), 1);
-    state.inc("serve.fastpath.hits".into(), 1);
-    state.inc("explore.cache.hit".into(), 1);
+    state.inc("serve.jobs", 1);
+    state.inc("serve.jobs.warm", 1);
+    state.inc("serve.fastpath.hits", 1);
+    state.inc("explore.cache.hit", 1);
     let deadline = deadline_instant(state, &job, enqueued);
     let response = match outcome {
         Ok(m) => Response::json(200, point_json(&job.point, &m)),
@@ -569,8 +569,8 @@ pub fn run_batch(state: &AppState, req: &Request, enqueued: Instant) -> Response
             &format!("batch of {} exceeds the {MAX_BATCH}-job cap", items.len()),
         );
     }
-    state.inc("serve.batch.requests".into(), 1);
-    state.inc("serve.batch.jobs".into(), items.len() as u64);
+    state.inc("serve.batch.requests", 1);
+    state.inc("serve.batch.jobs", items.len() as u64);
     // Query-string knobs are batch-wide defaults; job keys override.
     let defaults = query_knobs(req);
     let jobs: Vec<Result<Job, String>> = items

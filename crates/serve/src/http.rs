@@ -9,10 +9,9 @@
 //! either consumes one complete request or asks for more bytes, which
 //! is exactly the shape the reactor's per-connection state machine
 //! needs (and what makes the parser fuzzable without sockets).
-//! [`read_request`] wraps it for blocking streams (tests, simple
-//! clients).
+//! [`Response::render_into`] is the one serialiser: the reactor
+//! appends each response to its connection's output buffer.
 
-use std::io::{self, Read, Write};
 use std::time::Instant;
 
 /// Upper bound on the request line + headers, independent of the body
@@ -44,15 +43,13 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed request line, headers, or unsupported framing → 400.
     BadRequest(String),
     /// Body larger than the configured cap → 413.
     TooLarge,
-    /// The peer vanished or timed out mid-request; nothing to answer.
-    Io(io::Error),
 }
 
 /// The outcome of one [`parse_request`] attempt over a buffer.
@@ -180,22 +177,6 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Parsed, HttpError> {
     })
 }
 
-/// Reads and parses one request from a blocking `stream`.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Parsed::Complete { request, .. } = parse_request(&buf, max_body)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
-            return Err(HttpError::Io(io::ErrorKind::UnexpectedEof.into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -304,15 +285,6 @@ impl Response {
         );
         out.extend_from_slice(&self.body);
     }
-
-    /// Serialises the response (status line, headers, body) onto `w`,
-    /// closing form (`Connection: close`).
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut out = Vec::with_capacity(self.body.len() + 128);
-        self.render_into(&mut out, true);
-        w.write_all(&out)?;
-        w.flush()
-    }
 }
 
 /// The standard reason phrase of the status codes this server emits.
@@ -336,9 +308,12 @@ pub fn reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
+    /// The one complete request at the front of `raw`.
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        let mut cursor = std::io::Cursor::new(raw.to_vec());
-        read_request(&mut cursor, 1024)
+        match parse_request(raw, 1024)? {
+            Parsed::Complete { request, .. } => Ok(request),
+            Parsed::Partial => panic!("incomplete request: {raw:?}"),
+        }
     }
 
     #[test]
@@ -395,15 +370,6 @@ mod tests {
     fn oversized_bodies_are_413() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2048\r\n\r\n";
         assert!(matches!(parse(raw), Err(HttpError::TooLarge)));
-    }
-
-    #[test]
-    fn truncated_requests_are_io_errors() {
-        assert!(matches!(
-            parse(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(HttpError::Io(_))
-        ));
-        assert!(matches!(parse(b"GET /x HT"), Err(HttpError::Io(_))));
     }
 
     #[test]
@@ -481,7 +447,7 @@ mod tests {
     #[test]
     fn responses_serialise_with_length_and_close() {
         let mut out = Vec::new();
-        Response::text(200, "ok\n").write_to(&mut out).unwrap();
+        Response::text(200, "ok\n").render_into(&mut out, true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 3\r\n"));

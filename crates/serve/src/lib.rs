@@ -10,9 +10,9 @@
 //! * a hand-rolled HTTP/1.1 subset ([`http`]) with an incremental
 //!   parser — the container is offline, so no tokio/hyper;
 //! * a single-threaded readiness reactor (epoll on Linux, `poll(2)`
-//!   elsewhere) owning every connection: keep-alive, bounded
-//!   pipelining with in-order responses, slow-loris and idle
-//!   timeouts;
+//!   on other Unix systems, chosen at compile time) owning every
+//!   connection: always keep-alive, bounded pipelining with in-order
+//!   responses, slow-loris and idle timeouts;
 //! * a bounded admission queue ([`queue`]) between the reactor and
 //!   the compute workers — overload answers **429** on the live
 //!   connection instead of queueing unboundedly;
@@ -50,9 +50,7 @@ mod server;
 pub mod signal;
 
 pub use api::{benchmark, handle, parse_job, point_json, run_batch, try_warm, AppState, Emit, Job};
-pub use http::{
-    parse_request, percent_decode, read_request, reason, HttpError, Parsed, Request, Response,
-};
+pub use http::{parse_request, percent_decode, reason, HttpError, Parsed, Request, Response};
 pub use json::{escape_into, parse_flat_array, parse_flat_object, JsonValue};
 pub use queue::Bounded;
 pub use server::{ServeConfig, Server, WorkerHold};

@@ -1,53 +1,63 @@
-//! Readiness polling for the reactor: `epoll(7)` on Linux with a
-//! portable `poll(2)` fallback, behind one token-based interface.
+//! Readiness polling for the reactor: one level-triggered backend per
+//! platform behind one token-based interface. [`Poller`] is `epoll(7)`
+//! on Linux, `poll(2)` on other Unix systems, and a sleep-tick stub off
+//! Unix; the choice is made at compile time. Every backend has the same
+//! methods:
+//!
+//! * `new()` creates the poller;
+//! * `backend()` names it, for logs and telemetry;
+//! * `add(token, source, interest)` starts watching `source` under
+//!   `token`, and `modify` changes the interest set of a watched one;
+//! * `remove(token, source)` stops watching it — always explicitly, as
+//!   `poll(2)` tracks interest in user space;
+//! * `wait(out, timeout)` clears `out`, then appends readiness events,
+//!   waiting up to `timeout` (`None` blocks indefinitely).
 //!
 //! This module and [`crate::signal`] are the only `unsafe` in the
 //! workspace: both call libc entry points already linked through std
-//! (the offline container has no mio/polling crate). The surface is
-//! deliberately tiny — create, register/modify/deregister, wait —
-//! and level-triggered on both backends, so the reactor's state
-//! machine never depends on edge semantics. On Linux the fallback is
-//! still compiled and selectable ([`Poller::new`] with `force_poll`,
-//! or when `epoll_create1` fails), which is what lets the test suite
-//! exercise both code paths on one platform.
+//! (the offline container has no mio/polling crate). Every backend is
+//! level-triggered, so the reactor's state machine never depends on
+//! edge semantics. Linux test builds also compile the
+//! `poll(2)` backend, so its unit tests run beside epoll's.
 //!
-//! Off Unix there are no raw fds to poll; a sleep-tick emulation
-//! reports every registered token as ready each tick. That is
-//! *spuriously* ready — correct for this reactor, whose handlers use
-//! non-blocking sockets and treat `WouldBlock` as "not actually
-//! ready" — and keeps the crate building everywhere.
+//! Off Unix there are no raw fds to poll; the stub reports every
+//! registered token as ready each tick. That is *spuriously* ready —
+//! correct for this reactor, whose handlers use non-blocking sockets
+//! and treat `WouldBlock` as "not actually ready" — and keeps the
+//! crate building everywhere.
 
 use std::io;
 use std::time::Duration;
+
+#[cfg(target_os = "linux")]
+pub use epoll::Epoll as Poller;
+#[cfg(all(unix, not(target_os = "linux")))]
+pub use pollfds::Poll as Poller;
+#[cfg(not(unix))]
+pub use spin::Spin as Poller;
 
 /// Readable interest / readiness bit.
 pub const READ: u8 = 1;
 /// Writable interest / readiness bit.
 pub const WRITE: u8 = 2;
 
-#[cfg(unix)]
-pub use std::os::unix::io::RawFd as Raw;
-#[cfg(not(unix))]
-/// Placeholder fd type off Unix (tokens carry the identity instead).
-pub type Raw = i32;
-
 /// Anything the poller can watch. Blanket-implemented over
 /// `AsRawFd` on Unix; a no-op elsewhere.
 pub trait Source {
     /// The raw handle to register.
-    fn raw(&self) -> Raw;
+    fn raw(&self) -> i32;
 }
 
 #[cfg(unix)]
 impl<T: std::os::unix::io::AsRawFd> Source for T {
-    fn raw(&self) -> Raw {
+    fn raw(&self) -> i32 {
         self.as_raw_fd()
     }
 }
 
 #[cfg(not(unix))]
 impl<T> Source for T {
-    fn raw(&self) -> Raw {
+    fn raw(&self) -> i32 {
         0
     }
 }
@@ -56,144 +66,52 @@ impl<T> Source for T {
 /// which of [`READ`]/[`WRITE`] fired.
 pub type Event = (u64, u8);
 
-/// A level-triggered readiness poller.
-#[derive(Debug)]
-pub struct Poller {
-    imp: Imp,
+/// A wait timeout in whole milliseconds, `-1` for none. Rounds up so a
+/// 0.5 ms timeout still sleeps instead of spinning.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(t) => t
+            .as_millis()
+            .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
+            .min(i32::MAX as u128) as i32,
+    }
 }
 
-#[derive(Debug)]
-enum Imp {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    #[cfg(unix)]
-    Poll(pollfds::Poll),
-    #[cfg(not(unix))]
-    Spin(spin::Spin),
-}
-
-impl Poller {
-    /// Creates a poller: epoll where available (unless `force_poll`),
-    /// otherwise the `poll(2)` fallback (the sleep-tick emulation off
-    /// Unix, where `force_poll` is ignored).
-    pub fn new(force_poll: bool) -> Poller {
-        #[cfg(target_os = "linux")]
-        {
-            if !force_poll {
-                if let Some(ep) = epoll::Epoll::new() {
-                    return Poller {
-                        imp: Imp::Epoll(ep),
-                    };
-                }
-            }
-        }
-        #[cfg(unix)]
-        {
-            let _ = force_poll;
-            Poller {
-                imp: Imp::Poll(pollfds::Poll::default()),
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = force_poll;
-            Poller {
-                imp: Imp::Spin(spin::Spin::default()),
-            }
-        }
+/// The ready count a wait call returned, or its error. A signal landing
+/// on the reactor thread is not an error: it counts as nothing ready,
+/// and the loop re-checks its flags and re-waits.
+#[cfg(unix)]
+fn ready_count(rc: i32) -> io::Result<usize> {
+    if rc >= 0 {
+        return Ok(rc as usize);
     }
-
-    /// The backend in use, for logs and telemetry.
-    pub fn backend(&self) -> &'static str {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(_) => "epoll",
-            #[cfg(unix)]
-            Imp::Poll(_) => "poll",
-            #[cfg(not(unix))]
-            Imp::Spin(_) => "spin",
-        }
-    }
-
-    /// Starts watching `source` under `token` for `interest`.
-    pub fn add(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.add(token, source.raw(), interest),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.add(token, source.raw(), interest),
-            #[cfg(not(unix))]
-            Imp::Spin(s) => s.add(token, interest),
-        }
-    }
-
-    /// Changes the interest set of an already-registered source.
-    pub fn modify(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.modify(token, source.raw(), interest),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.modify(token, source.raw(), interest),
-            #[cfg(not(unix))]
-            Imp::Spin(s) => s.add(token, interest),
-        }
-    }
-
-    /// Stops watching a source. (Dropping the socket would also do on
-    /// epoll, but the fallback tracks interest in user space — always
-    /// deregister explicitly.)
-    pub fn remove(&mut self, token: u64, source: &impl Source) {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.remove(source.raw()),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.remove(token),
-            #[cfg(not(unix))]
-            Imp::Spin(s) => s.remove(token),
-        }
-    }
-
-    /// Waits up to `timeout` for readiness; appends events to `out`
-    /// (cleared first). A `None` timeout blocks indefinitely.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        out.clear();
-        let ms: i32 = match timeout {
-            None => -1,
-            // Round up so a 0.5ms timeout still sleeps instead of
-            // spinning.
-            Some(t) => t
-                .as_millis()
-                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
-                .min(i32::MAX as u128) as i32,
-        };
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.wait(out, ms),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.wait(out, ms),
-            #[cfg(not(unix))]
-            Imp::Spin(s) => s.wait(out, ms),
-        }
+    let e = io::Error::last_os_error();
+    if e.kind() == io::ErrorKind::Interrupted {
+        Ok(0)
+    } else {
+        Err(e)
     }
 }
 
 #[cfg(target_os = "linux")]
 mod epoll {
-    use super::{Event, READ, WRITE};
+    use super::{ready_count, timeout_ms, Event, Source, READ, WRITE};
     use std::io;
+    use std::time::Duration;
 
     // x86_64 is the one ABI where the kernel's struct is packed.
     #[cfg(target_arch = "x86_64")]
     #[repr(C, packed)]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    struct EpollEvent {
         events: u32,
         data: u64,
     }
     #[cfg(not(target_arch = "x86_64"))]
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    struct EpollEvent {
         events: u32,
         data: u64,
     }
@@ -215,33 +133,39 @@ mod epoll {
         fn close(fd: i32) -> i32;
     }
 
+    /// The Linux backend: interest lives in the kernel's epoll set.
     #[derive(Debug)]
     pub struct Epoll {
         epfd: i32,
     }
 
     impl Epoll {
-        pub fn new() -> Option<Epoll> {
+        pub fn new() -> io::Result<Epoll> {
+            // SAFETY: a flags-only syscall; no memory crosses it.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            (epfd >= 0).then_some(Epoll { epfd })
+            if epfd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Epoll { epfd })
         }
 
-        fn mask(interest: u8) -> u32 {
-            let mut m = EPOLLRDHUP;
-            if interest & READ != 0 {
-                m |= EPOLLIN;
-            }
-            if interest & WRITE != 0 {
-                m |= EPOLLOUT;
-            }
-            m
+        pub fn backend(&self) -> &'static str {
+            "epoll"
         }
 
         fn ctl(&self, op: i32, fd: i32, token: u64, interest: u8) -> io::Result<()> {
+            let mut events = EPOLLRDHUP;
+            if interest & READ != 0 {
+                events |= EPOLLIN;
+            }
+            if interest & WRITE != 0 {
+                events |= EPOLLOUT;
+            }
             let mut ev = EpollEvent {
-                events: Self::mask(interest),
+                events,
                 data: token,
             };
+            // SAFETY: `ev` is a live `epoll_event` of the kernel's layout.
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc == 0 {
                 Ok(())
@@ -250,38 +174,31 @@ mod epoll {
             }
         }
 
-        pub fn add(&mut self, token: u64, fd: i32, interest: u8) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+        pub fn add(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, source.raw(), token, interest)
         }
 
-        pub fn modify(&mut self, token: u64, fd: i32, interest: u8) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        pub fn modify(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, source.raw(), token, interest)
         }
 
-        pub fn remove(&mut self, fd: i32) {
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
+        pub fn remove(&mut self, _token: u64, source: &impl Source) {
+            let _ = self.ctl(EPOLL_CTL_DEL, source.raw(), 0, 0);
         }
 
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+            out.clear();
             let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-            let n = unsafe {
+            // SAFETY: the kernel writes at most `events.len()` entries.
+            let n = ready_count(unsafe {
                 epoll_wait(
                     self.epfd,
                     events.as_mut_ptr(),
                     events.len() as i32,
-                    timeout_ms,
+                    timeout_ms(timeout),
                 )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                // A signal landing on the reactor thread is not an
-                // error; the loop re-checks its flags and re-waits.
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in &events[..n as usize] {
+            })?;
+            for ev in &events[..n] {
                 // Copy out of the (possibly packed) struct first.
                 let (bits, token) = (ev.events, ev.data);
                 let mut ready = 0u8;
@@ -299,6 +216,7 @@ mod epoll {
 
     impl Drop for Epoll {
         fn drop(&mut self) {
+            // SAFETY: `epfd` is owned by this value and closed once, here.
             unsafe {
                 close(self.epfd);
             }
@@ -306,14 +224,15 @@ mod epoll {
     }
 }
 
-#[cfg(unix)]
+#[cfg(all(unix, any(test, not(target_os = "linux"))))]
 mod pollfds {
-    use super::{Event, READ, WRITE};
+    use super::{ready_count, timeout_ms, Event, Source, READ, WRITE};
     use std::io;
+    use std::time::Duration;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
+    struct PollFd {
         fd: i32,
         events: i16,
         revents: i16,
@@ -329,29 +248,38 @@ mod pollfds {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
 
-    /// Interest tracked in user space; the pollfd array is rebuilt per
-    /// wait. O(n) per call, which is fine for a fallback backend.
+    /// The portable Unix backend: interest tracked in user space, the
+    /// pollfd array rebuilt per wait (O(n) per call).
     #[derive(Debug, Default)]
     pub struct Poll {
         entries: Vec<(u64, i32, u8)>, // (token, fd, interest)
     }
 
     impl Poll {
-        pub fn add(&mut self, token: u64, fd: i32, interest: u8) -> io::Result<()> {
-            self.remove(token);
-            self.entries.push((token, fd, interest));
+        pub fn new() -> io::Result<Poll> {
+            Ok(Poll::default())
+        }
+
+        pub fn backend(&self) -> &'static str {
+            "poll"
+        }
+
+        pub fn add(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
+            self.remove(token, source);
+            self.entries.push((token, source.raw(), interest));
             Ok(())
         }
 
-        pub fn modify(&mut self, token: u64, fd: i32, interest: u8) -> io::Result<()> {
-            self.add(token, fd, interest)
+        pub fn modify(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
+            self.add(token, source, interest)
         }
 
-        pub fn remove(&mut self, token: u64) {
+        pub fn remove(&mut self, token: u64, _source: &impl Source) {
             self.entries.retain(|&(t, _, _)| t != token);
         }
 
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+            out.clear();
             let mut fds: Vec<PollFd> = self
                 .entries
                 .iter()
@@ -362,13 +290,10 @@ mod pollfds {
                     revents: 0,
                 })
                 .collect();
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
+            // SAFETY: `fds` holds `fds.len()` initialised `pollfd`s.
+            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms(timeout)) };
+            if ready_count(n)? == 0 {
+                return Ok(());
             }
             for (pfd, &(token, _, _)) in fds.iter().zip(self.entries.iter()) {
                 let mut ready = 0u8;
@@ -389,30 +314,46 @@ mod pollfds {
 
 #[cfg(not(unix))]
 mod spin {
-    use super::{Event, READ, WRITE};
+    use super::{timeout_ms, Event, Source, READ, WRITE};
     use std::io;
+    use std::time::Duration;
 
-    /// Sleep-tick emulation: every registered token reports as fully
-    /// ready each tick; non-blocking handlers sort out the truth.
+    /// Sleep-tick stub: every registered token reports as fully ready
+    /// each tick; non-blocking handlers sort out the truth.
     #[derive(Debug, Default)]
     pub struct Spin {
         tokens: Vec<(u64, u8)>,
     }
 
     impl Spin {
-        pub fn add(&mut self, token: u64, interest: u8) -> io::Result<()> {
-            self.remove(token);
+        pub fn new() -> io::Result<Spin> {
+            Ok(Spin::default())
+        }
+
+        pub fn backend(&self) -> &'static str {
+            "spin"
+        }
+
+        pub fn add(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
+            self.remove(token, source);
             self.tokens.push((token, interest));
             Ok(())
         }
 
-        pub fn remove(&mut self, token: u64) {
+        pub fn modify(&mut self, token: u64, source: &impl Source, interest: u8) -> io::Result<()> {
+            self.add(token, source, interest)
+        }
+
+        pub fn remove(&mut self, token: u64, _source: &impl Source) {
             self.tokens.retain(|&(t, _)| t != token);
         }
 
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let ms = if timeout_ms < 0 { 1 } else { timeout_ms.min(1) };
-            std::thread::sleep(std::time::Duration::from_millis(ms as u64));
+        /// Sleeps one tick (at most 1 ms), then reports every token.
+        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+            out.clear();
+            let ms = timeout_ms(timeout);
+            let ms = if ms < 0 { 1 } else { ms.min(1) };
+            std::thread::sleep(Duration::from_millis(ms as u64));
             for &(token, interest) in &self.tokens {
                 let ready = interest & (READ | WRITE);
                 if ready != 0 {
@@ -481,18 +422,48 @@ mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
 
-    fn backends() -> Vec<Poller> {
-        let mut v = vec![Poller::new(false)];
-        if v[0].backend() == "epoll" {
-            v.push(Poller::new(true));
+    /// Runs `$body` once per backend compiled into this test build —
+    /// the platform's [`Poller`], plus `poll(2)` on Linux — with `$p`
+    /// bound to a fresh poller of that backend.
+    macro_rules! on_every_backend {
+        (|$p:ident| $body:block) => {{
+            {
+                let mut $p = Poller::new().unwrap();
+                $body
+            }
+            #[cfg(target_os = "linux")]
+            {
+                let mut $p = pollfds::Poll::new().unwrap();
+                $body
+            }
+        }};
+    }
+
+    /// The readiness of one `wait`, folded per token and sorted, taken
+    /// again until it equals `want` or two seconds pass. The backends
+    /// are level-triggered, so a wrong state persists to the caller's
+    /// assertion.
+    fn settle(mut wait: impl FnMut(&mut Vec<Event>), want: &[Event]) -> Vec<Event> {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut events = Vec::new();
+        loop {
+            wait(&mut events);
+            let mut seen = std::collections::BTreeMap::<u64, u8>::new();
+            for &(token, ready) in &events {
+                *seen.entry(token).or_default() |= ready;
+            }
+            let seen: Vec<Event> = seen.into_iter().collect();
+            if seen == want || Instant::now() >= deadline {
+                return seen;
+            }
         }
-        v
     }
 
     #[test]
     fn reports_readability_on_both_backends() {
-        for mut poller in backends() {
+        on_every_backend!(|poller| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (mut rx, _) = listener.accept().unwrap();
@@ -511,7 +482,7 @@ mod tests {
 
             tx.write_all(b"x").unwrap();
             tx.flush().unwrap();
-            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            let deadline = Instant::now() + Duration::from_secs(2);
             loop {
                 poller
                     .wait(&mut events, Some(Duration::from_millis(50)))
@@ -520,7 +491,7 @@ mod tests {
                     break;
                 }
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "{}: write never became readable",
                     poller.backend()
                 );
@@ -528,12 +499,12 @@ mod tests {
             let mut byte = [0u8; 8];
             assert_eq!(rx.read(&mut byte).unwrap(), 1);
             poller.remove(7, &rx);
-        }
+        });
     }
 
     #[test]
     fn write_interest_fires_and_modify_silences_it() {
-        for mut poller in backends() {
+        on_every_backend!(|poller| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let _tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (rx, _) = listener.accept().unwrap();
@@ -558,12 +529,48 @@ mod tests {
                 poller.backend()
             );
             poller.remove(3, &rx);
-        }
+        });
+    }
+
+    #[test]
+    fn modify_and_remove_touch_only_their_own_token() {
+        on_every_backend!(|poller| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            // Three connections, each with one unread byte waiting, so
+            // every receiving end is readable until the test ends.
+            let pairs: Vec<(TcpStream, TcpStream)> = (0..3)
+                .map(|_| {
+                    let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                    let (rx, _) = listener.accept().unwrap();
+                    tx.write_all(b"x").unwrap();
+                    (tx, rx)
+                })
+                .collect();
+            for (token, (_, rx)) in (10u64..).zip(&pairs) {
+                poller.add(token, rx, READ).unwrap();
+            }
+            let backend = poller.backend();
+            let tick = Some(Duration::from_millis(50));
+
+            let want = [(10, READ), (11, READ), (12, READ)];
+            let got = settle(|events| poller.wait(events, tick).unwrap(), &want);
+            assert_eq!(got, want, "{backend}: after add");
+
+            poller.modify(11, &pairs[1].1, WRITE).unwrap();
+            let want = [(10, READ), (11, WRITE), (12, READ)];
+            let got = settle(|events| poller.wait(events, tick).unwrap(), &want);
+            assert_eq!(got, want, "{backend}: after modify");
+
+            poller.remove(10, &pairs[0].1);
+            let want = [(11, WRITE), (12, READ)];
+            let got = settle(|events| poller.wait(events, tick).unwrap(), &want);
+            assert_eq!(got, want, "{backend}: after remove");
+        });
     }
 
     #[test]
     fn waker_wakes_through_the_poller() {
-        for mut poller in backends() {
+        on_every_backend!(|poller| {
             let (waker, mut rx) = Waker::pair().unwrap();
             poller.add(1, &rx, READ).unwrap();
             let handle = std::thread::spawn(move || {
@@ -572,7 +579,7 @@ mod tests {
                 waker
             });
             let mut events = Vec::new();
-            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            let deadline = Instant::now() + Duration::from_secs(2);
             loop {
                 poller
                     .wait(&mut events, Some(Duration::from_millis(100)))
@@ -581,7 +588,7 @@ mod tests {
                     break;
                 }
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "{}: wake never arrived",
                     poller.backend()
                 );
@@ -589,6 +596,6 @@ mod tests {
             drain_waker(&mut rx);
             let _ = handle.join().unwrap();
             poller.remove(1, &rx);
-        }
+        });
     }
 }

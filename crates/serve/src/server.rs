@@ -3,7 +3,7 @@
 //!
 //! One reactor thread owns the listener and every connection through a
 //! level-triggered [`crate::poller::Poller`] (epoll on Linux, `poll(2)`
-//! elsewhere). It accepts, reads, parses — the incremental
+//! on other Unix systems). It accepts, reads, parses — the incremental
 //! [`parse_request`] turns each connection into a keep-alive HTTP/1.1
 //! state machine with bounded pipelining — and hands every complete
 //! request to the bounded [`crate::queue::Bounded`] admission queue. A
@@ -76,9 +76,6 @@ pub struct ServeConfig {
     /// How long a connection may sit on a partial request or an
     /// unread response before it is dropped (slow-loris bound).
     pub read_timeout_ms: u64,
-    /// Whether to honour HTTP keep-alive. Off, every response closes
-    /// its connection (the pre-reactor behaviour).
-    pub keep_alive: bool,
     /// How long a fully idle keep-alive connection is kept before
     /// eviction.
     pub idle_timeout_ms: u64,
@@ -91,8 +88,6 @@ pub struct ServeConfig {
     /// On-disk result cache directory (`None` = memory-only). Survives
     /// restarts; shared by every worker.
     pub cache_dir: Option<PathBuf>,
-    /// Forces the portable `poll(2)` backend even where epoll exists.
-    pub force_poll: bool,
 }
 
 impl Default for ServeConfig {
@@ -105,12 +100,10 @@ impl Default for ServeConfig {
             default_deadline_ms: None,
             max_body_bytes: 1024 * 1024,
             read_timeout_ms: 5000,
-            keep_alive: true,
             idle_timeout_ms: 5000,
             pipeline_depth: 8,
             max_conns: 1024,
             cache_dir: None,
-            force_poll: false,
         }
     }
 }
@@ -226,6 +219,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (waker, waker_rx) = Waker::pair()?;
+        let poller = Poller::new()?;
         let worker_count = if config.workers == 0 {
             default_threads()
         } else {
@@ -249,7 +243,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             let config = config.clone();
             std::thread::spawn(move || {
-                Reactor::new(shared, config, listener, waker_rx).run();
+                Reactor::new(shared, config, poller, listener, waker_rx).run();
             })
         };
         let workers = (0..worker_count)
@@ -321,7 +315,7 @@ impl Server {
 /// The answer to a request whose handling panicked, counted in
 /// `serve.panics`.
 fn panic_response(app: &AppState) -> Response {
-    app.inc("serve.panics".into(), 1);
+    app.inc("serve.panics", 1);
     Response::error(500, "internal error")
 }
 
@@ -428,10 +422,10 @@ impl Reactor {
     fn new(
         shared: Arc<Shared>,
         cfg: ServeConfig,
+        mut poller: Poller,
         listener: TcpListener,
         waker_rx: TcpStream,
     ) -> Reactor {
-        let mut poller = Poller::new(cfg.force_poll);
         shared
             .app
             .inc(format!("serve.poller.{}", poller.backend()), 1);
@@ -525,7 +519,7 @@ impl Reactor {
                     }
                     conn.interest = READ;
                     self.conns.insert(token, conn);
-                    self.shared.app.inc("serve.conns.accepted".into(), 1);
+                    self.shared.app.inc("serve.conns.accepted", 1);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -541,7 +535,7 @@ impl Reactor {
         response.render_into(&mut out, true);
         let _ = stream.set_nonblocking(true);
         let _ = stream.write(&out);
-        self.shared.app.inc("serve.conns.rejected".into(), 1);
+        self.shared.app.inc("serve.conns.rejected", 1);
         record(&self.shared, "?", "?", &response, Instant::now(), 0, 0);
     }
 
@@ -581,7 +575,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.shared.app.inc("serve.io_errors".into(), 1);
+                    self.shared.app.inc("serve.io_errors", 1);
                     return conn.in_flight == 0; // answers pending: let them flush
                 }
             }
@@ -594,7 +588,6 @@ impl Reactor {
     fn service(&mut self, token: u64) {
         let shared = Arc::clone(&self.shared);
         let depth = self.cfg.pipeline_depth.max(1);
-        let keep_alive_cfg = self.cfg.keep_alive;
         let max_body = self.cfg.max_body_bytes;
         let read_cap = max_body + READ_SLACK;
         let mut dead = false;
@@ -615,15 +608,15 @@ impl Reactor {
                         conn.next_seq += 1;
                         conn.in_flight += 1;
                         if seq > 0 {
-                            shared.app.inc("serve.keepalive.reused".into(), 1);
+                            shared.app.inc("serve.keepalive.reused", 1);
                         }
                         if conn.in_flight > 1 {
-                            shared.app.inc("serve.pipeline.pipelined".into(), 1);
+                            shared.app.inc("serve.pipeline.pipelined", 1);
                         }
                         shared
                             .app
                             .observe("serve.pipeline.depth", conn.in_flight as u64);
-                        if !keep_alive || !keep_alive_cfg {
+                        if !keep_alive {
                             conn.closing = true;
                         }
                         let work = Work {
@@ -658,7 +651,7 @@ impl Reactor {
                             // Backpressure answers in-line and in
                             // order; the connection stays usable.
                             let response = Response::error(429, "job queue is full, retry later");
-                            shared.app.inc("serve.queue.rejected".into(), 1);
+                            shared.app.inc("serve.queue.rejected", 1);
                             record(
                                 &shared,
                                 &work.request.method,
@@ -678,9 +671,6 @@ impl Reactor {
                         let response = match e {
                             HttpError::TooLarge => Response::error(413, "request body too large"),
                             HttpError::BadRequest(m) => Response::error(400, &m),
-                            HttpError::Io(e) => {
-                                Response::error(400, &format!("unreadable request: {e}"))
-                            }
                         };
                         record(&shared, "?", "?", &response, Instant::now(), 0, 0);
                         let seq = conn.next_seq;
@@ -701,7 +691,7 @@ impl Reactor {
             while let Some(response) = conn.ready.remove(&conn.next_write) {
                 conn.in_flight -= 1;
                 let last = conn.next_write + 1 == conn.next_seq;
-                response.render_into(&mut conn.out, !keep_alive_cfg || (conn.closing && last));
+                response.render_into(&mut conn.out, conn.closing && last);
                 conn.next_write += 1;
             }
             // 3. Write as much as the socket takes.
@@ -718,7 +708,7 @@ impl Reactor {
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        shared.app.inc("serve.io_errors".into(), 1);
+                        shared.app.inc("serve.io_errors", 1);
                         dead = true;
                         break;
                     }
@@ -804,7 +794,7 @@ impl Reactor {
             }
         }
         for (token, counter) in evict {
-            self.shared.app.inc(counter.into(), 1);
+            self.shared.app.inc(counter, 1);
             self.close_conn(token);
         }
     }
@@ -842,7 +832,7 @@ fn record(
     compute_ns: u64,
 ) {
     let dur_ns = started.elapsed().as_nanos() as u64;
-    shared.app.inc("serve.requests".into(), 1);
+    shared.app.inc("serve.requests", 1);
     shared.app.inc(format!("serve.http.{}", response.status), 1);
     shared.app.observe("serve.request.wall_ns", dur_ns);
     let ep = endpoint_class(path);

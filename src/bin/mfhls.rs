@@ -1386,15 +1386,12 @@ mod tests {
             "/tmp/mfhls-cache",
             "--deadline-ms",
             "250",
-            "--keep-alive",
-            "off",
             "--idle-timeout-ms",
             "900",
             "--read-timeout-ms",
             "700",
             "--pipeline-depth",
             "4",
-            "--force-poll",
             "--access-log",
             "access.jsonl",
             "-q",
@@ -1410,11 +1407,9 @@ mod tests {
                     cache_cap: 100,
                     cache_dir: Some("/tmp/mfhls-cache".into()),
                     default_deadline_ms: Some(250),
-                    keep_alive: false,
                     idle_timeout_ms: 900,
                     read_timeout_ms: 700,
                     pipeline_depth: 4,
-                    force_poll: true,
                     ..ServeConfig::default()
                 },
                 access_log: Some("access.jsonl".into()),
@@ -1438,9 +1433,11 @@ mod tests {
         assert!(parse(&["serve", "--workers", "many"])
             .unwrap_err()
             .contains("invalid --workers"));
-        assert!(parse(&["serve", "--keep-alive", "sometimes"])
-            .unwrap_err()
-            .contains("on|off"));
+        for gone in ["--keep-alive", "--force-poll"] {
+            assert!(parse(&["serve", gone, "off"])
+                .unwrap_err()
+                .contains("unknown serve flag"));
+        }
         assert!(parse(&["serve", "--pipeline-depth", "0"])
             .unwrap_err()
             .contains("at least 1"));

@@ -276,9 +276,11 @@ fn help(sub: &str) -> Option<Help> {
              benchmark (including the memory kernels array_fir/matvec) or\n\
              carry an inline .dfg; answers are the same JSON the --json CLI\n\
              modes print. `POST /batch` takes a JSON array of jobs and\n\
-             answers one ordered array. Connections are keep-alive with\n\
-             bounded pipelining; `--cache-dir` adds an on-disk result tier\n\
-             that survives restarts.",
+             answers one ordered array. Connections are always keep-alive\n\
+             (until the client sends `Connection: close`) with bounded\n\
+             pipelining, multiplexed by epoll on Linux and poll(2) on other\n\
+             Unix systems; `--cache-dir` adds an on-disk result tier that\n\
+             survives restarts.",
             &[
                 "--addr HOST:PORT\tlisten address",
                 "--workers N\tscheduler worker threads",
@@ -286,11 +288,9 @@ fn help(sub: &str) -> Option<Help> {
                 "--cache-cap N\twarm schedule-cache capacity",
                 "--cache-dir DIR\ton-disk result cache (restart-warm)",
                 "--deadline-ms N\tdefault per-job deadline",
-                "--keep-alive on|off\tHTTP keep-alive (default on)",
                 "--idle-timeout-ms N\tevict idle keep-alive conns (5000)",
                 "--read-timeout-ms N\tslow-loris partial-request bound (5000)",
                 "--pipeline-depth N\tmax in-flight requests per conn (8)",
-                "--force-poll\tuse poll(2) even where epoll exists",
                 "--access-log FILE\tappend JSONL access records to FILE",
                 "-q|--quiet\tsilence startup/shutdown chatter",
             ],
@@ -417,13 +417,6 @@ fn parse_serve<'a, I: Iterator<Item = &'a String>>(mut it: I) -> Result<Command,
                 config.cache_dir = Some(next(it, "--cache-dir needs a directory path")?.into())
             }
             "--deadline-ms" => config.default_deadline_ms = Some(parsed(it, flag)?),
-            "--keep-alive" => {
-                config.keep_alive = match next(it, "--keep-alive needs on|off")?.as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => return Err("invalid --keep-alive value (want on|off)".into()),
-                };
-            }
             "--idle-timeout-ms" => config.idle_timeout_ms = parsed(it, flag)?,
             "--read-timeout-ms" => config.read_timeout_ms = parsed(it, flag)?,
             "--pipeline-depth" => {
@@ -431,7 +424,6 @@ fn parse_serve<'a, I: Iterator<Item = &'a String>>(mut it: I) -> Result<Command,
                     .filter(|&depth| depth > 0)
                     .ok_or("--pipeline-depth must be at least 1")?;
             }
-            "--force-poll" => config.force_poll = true,
             "--access-log" => {
                 access_log = Some(next(it, "--access-log needs a file path")?.clone())
             }
