@@ -65,7 +65,7 @@ fn bench_compute_move_frame(c: &mut Criterion) {
                     unit: UnitId::Fu { class, index: fu },
                 },
             );
-            grid.occupy(n, step, fu, 1);
+            grid.occupy(&dfg, n, step, fu, 1);
         }
     }
 
@@ -108,10 +108,10 @@ fn bench_is_free_for(c: &mut Criterion) {
     let cs = 8;
     let mut grid = Grid::new(FuClass::Op(OpKind::Add), cs, 4);
     // Column 1, step 1: a single top-level occupant.
-    grid.occupy(plain, CStep::new(1), FuIndex::new(1), 1);
+    grid.occupy(&dfg, plain, CStep::new(1), FuIndex::new(1), 1);
     // Column 2, step 1: a mutex-shared cell (both arms of the branch).
-    grid.occupy(t, CStep::new(1), FuIndex::new(2), 1);
-    grid.occupy(e, CStep::new(1), FuIndex::new(2), 1);
+    grid.occupy(&dfg, t, CStep::new(1), FuIndex::new(2), 1);
+    grid.occupy(&dfg, e, CStep::new(1), FuIndex::new(2), 1);
 
     let mut group = c.benchmark_group("grid-is-free-for");
     group.bench_function("empty-cell", |b| {
@@ -184,7 +184,7 @@ fn bench_mem_af_scan(c: &mut Criterion) {
                 },
             },
         );
-        grid.occupy(ld, step, FuIndex::new(1), 1);
+        grid.occupy(&dfg, ld, step, FuIndex::new(1), 1);
     }
 
     let mut group = c.benchmark_group("mem-af-scan");

@@ -24,10 +24,6 @@ use crate::snapshots::{Fresh, Sweep};
 pub const FULL_SIZES: [usize; 5] = [1_000, 5_000, 20_000, 50_000, 100_000];
 /// The smallest size only — the CI smoke subset.
 pub const QUICK_SIZES: [usize; 1] = [1_000];
-/// Largest size at which the resource-constrained MFS run (and its
-/// budget-discovery ladder) is still tractable; above this the sweep
-/// records only the three unconstrained kernels.
-pub const MFS_RESOURCE_CAP: usize = 20_000;
 /// The sweep's workload seed (the canonical scaling seed).
 pub const SEED: u64 = SCALING_SEED;
 /// Control-step slack above the critical path (wide move frames).
@@ -194,42 +190,38 @@ pub fn bench_size(ops: usize, entries: &mut Vec<Entry>) {
     let first = entries.len();
     let time_cfg = MfsConfig::time_constrained(cs);
     entries.push(run_mfs(&dfg, &spec, &time_cfg, "time"));
-    if ops <= MFS_RESOURCE_CAP {
-        // Resource-constrained MFS starts from the unit budgets the time
-        // run discovered; the greedy pass is not complete, so widen the
-        // budgets by a (deterministic) margin until a feasible layout is
-        // found.
-        let budgets = {
-            let out = mfs::schedule(&dfg, &spec, &time_cfg).expect("time run succeeded above");
-            out.fu_counts()
-        };
-        // The margin ladder is proportional so it scales with graph
-        // width: +p% of each class budget (at least +p units at p ≥ 1).
-        // Feasibility is monotone in the margin — more units never turn
-        // a feasible budget infeasible — so bisect for the first
-        // feasible rung: ⌈log₂ 8⌉ = 3 probe schedules instead of up to
-        // 8, landing on exactly the rung a linear scan would pick.
-        let ladder = [0u32, 5, 10, 20, 40, 80, 160, 320];
-        let cfg_at = |pct: u32| {
-            let mut cfg = MfsConfig::resource_constrained(cs);
-            for (&class, &limit) in &budgets {
-                let margin = (limit * pct).div_ceil(100).max(pct.min(1));
-                cfg = cfg.with_fu_limit(class, limit + margin);
-            }
-            cfg
-        };
-        let rung = first_feasible(ladder.len(), |i| {
-            mfs::schedule(&dfg, &spec, &cfg_at(ladder[i])).is_ok()
-        });
-        assert!(
-            rung < ladder.len(),
-            "a feasible budget margin within the +320% ladder"
-        );
-        let res_cfg = cfg_at(ladder[rung]);
-        entries.push(run_mfs(&dfg, &spec, &res_cfg, "resource"));
-    } else {
-        eprintln!("#   mfs/resource skipped above {MFS_RESOURCE_CAP} nodes");
-    }
+    // Resource-constrained MFS starts from the unit budgets the time
+    // run discovered; the greedy pass is not complete, so widen the
+    // budgets by a (deterministic) margin until a feasible layout is
+    // found.
+    let budgets = {
+        let out = mfs::schedule(&dfg, &spec, &time_cfg).expect("time run succeeded above");
+        out.fu_counts()
+    };
+    // The margin ladder is proportional so it scales with graph
+    // width: +p% of each class budget (at least +p units at p ≥ 1).
+    // Feasibility is monotone in the margin — more units never turn
+    // a feasible budget infeasible — so bisect for the first
+    // feasible rung: ⌈log₂ 8⌉ = 3 probe schedules instead of up to
+    // 8, landing on exactly the rung a linear scan would pick.
+    let ladder = [0u32, 5, 10, 20, 40, 80, 160, 320];
+    let cfg_at = |pct: u32| {
+        let mut cfg = MfsConfig::resource_constrained(cs);
+        for (&class, &limit) in &budgets {
+            let margin = (limit * pct).div_ceil(100).max(pct.min(1));
+            cfg = cfg.with_fu_limit(class, limit + margin);
+        }
+        cfg
+    };
+    let rung = first_feasible(ladder.len(), |i| {
+        mfs::schedule(&dfg, &spec, &cfg_at(ladder[i])).is_ok()
+    });
+    assert!(
+        rung < ladder.len(),
+        "a feasible budget margin within the +320% ladder"
+    );
+    let res_cfg = cfg_at(ladder[rung]);
+    entries.push(run_mfs(&dfg, &spec, &res_cfg, "resource"));
 
     entries.push(run_mfsa(
         &dfg,

@@ -249,6 +249,11 @@ impl<'a> Placement<'a> {
         self.offsets.fill(Delay::ZERO);
     }
 
+    /// The graph being placed.
+    pub fn dfg(&self) -> &'a Dfg {
+        self.dfg
+    }
+
     /// The time frames placements are framed against.
     pub fn frames(&self) -> &TimeFrames {
         &self.frames
@@ -577,6 +582,35 @@ impl<'a> Placement<'a> {
         (snap, starts)
     }
 
+    /// The size and the earliest cell of `node`'s move frame on `grid`
+    /// with `current_fu` visible columns — the [`FreeStarts::count`] and
+    /// [`FreeStarts::earliest`] of [`Placement::frame`] — counted off
+    /// the grid's per-row occupancy ([`Grid::free_cells`]) in
+    /// `O(range)` instead of built as masks.
+    ///
+    /// `None` when counting does not size the frame: a multi-cycle node
+    /// (its span covers several rows), a node with exclusions (it may
+    /// share occupied cells), a memory access (its access-conflict
+    /// steps come off the masks), or occupancy past the visible columns
+    /// (a capped width). The caller then builds the frame.
+    pub fn frame_size(
+        &self,
+        node: NodeId,
+        grid: &Grid,
+        current_fu: u32,
+    ) -> Option<(usize, Option<Position>)> {
+        let kind = self.dfg.node(node).kind();
+        if self.cycles(node) != 1
+            || self.dfg.has_exclusions(node)
+            || matches!(kind.fu_class(), FuClass::Mem(_))
+        {
+            return None;
+        }
+        let (earliest, latest) = self.feasible_range(node);
+        let (size, first) = grid.free_cells(earliest, latest, current_fu)?;
+        Some((size, first.map(|(step, fu)| Position { step, fu })))
+    }
+
     /// One occupancy grid per class of a class-grid schedule, spanning
     /// the frames' horizon and as wide as the class's highest column, or
     /// `None` when some operation is bound to an ALU instance.
@@ -595,7 +629,7 @@ impl<'a> Placement<'a> {
             grids
                 .get_mut(&class)
                 .expect("fu_counts covers every bound class")
-                .occupy(node, slot.step, index, self.cycles(node));
+                .occupy(self.dfg, node, slot.step, index, self.cycles(node));
         }
         Some(grids)
     }
@@ -749,14 +783,14 @@ mod tests {
         let frames = TimeFrames::compute(&g, &spec, 2).unwrap();
         let placement = Placement::new(&g, &spec, None, frames);
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 2, 1);
-        grid.occupy(p, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, p, CStep::new(1), FuIndex::new(1), 1);
         // q (ASAP 2, ALAP 2) still fits at step 2.
         let snap = placement.frame(q, &grid, 1, true).0;
         assert_eq!(snap.movable.len(), 1);
         assert_eq!(snap.movable[0].step, CStep::new(2));
         // Another op occupying step 2 empties the frame.
         grid.vacate(p);
-        grid.occupy(p, CStep::new(2), FuIndex::new(1), 1);
+        grid.occupy(&g, p, CStep::new(2), FuIndex::new(1), 1);
         let snap = placement.frame(q, &grid, 1, true).0;
         assert!(snap.is_empty());
     }

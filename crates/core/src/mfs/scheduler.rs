@@ -6,11 +6,11 @@ use hls_celllib::TimingSpec;
 use hls_dfg::{Dfg, FuClass, NodeId};
 use hls_schedule::{priority_order_with, CStep, Grid, Schedule, Slot, TimeFrames, UnitId};
 
-use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
+use hls_telemetry::{Histogram, Instrument, Metrics, NullSink, TraceEvent};
 
 use crate::frame::{FrameSnapshot, Placement};
 use crate::mfs::MfsConfig;
-use crate::{MoveFrameError, StaticLiapunov};
+use crate::{MfsObjective, MoveFrameError, StaticLiapunov};
 
 /// The result of an MFS run.
 #[derive(Debug, Clone)]
@@ -208,15 +208,25 @@ pub fn schedule_traced(
     });
 
     // Step 4: the move loop. When an operation's move frame is empty,
-    // `current_j` grows and the pass restarts — the paper's local
-    // rescheduling "by going back to step 3" (the tables are rebuilt
-    // with the wider visible column range).
+    // `current_j` grows — the paper's local rescheduling "by going back
+    // to step 3" (the tables are rebuilt with the wider visible column
+    // range). In time mode the pass restarts, since a new column is free
+    // at every step and may pull an earlier operation to an earlier
+    // step. In resource mode the failing operation is re-framed and the
+    // pass resumes: `V = cs·x + y` puts the new columns above every
+    // placed operation's argmin, so a replay would place the prefix
+    // identically (DESIGN §13).
     let mut reschedule_count = 0u32;
     // A derived max_j may grow at most to the operation count; a user
     // limit never grows.
     let growth_bound = dfg.node_count() as u32 + 1;
+    let time_mode = config.objective() == MfsObjective::TimeConstrained;
+    // Cell lists feed trace events and frame recording; without them a
+    // time-mode frame is counted rather than built where it can be.
+    let list_cells = instr.enabled() || config.records_frames();
+    let mut tally = Tally::default();
 
-    instr.span("mfs.move_loop", |instr| {
+    let outcome = instr.span("mfs.move_loop", |instr| {
         'restart: loop {
             config.cancel().checkpoint()?;
             placement.clear();
@@ -227,49 +237,68 @@ pub fn schedule_traced(
             // committed V, unplaced ones their grid's worst cell. Every
             // commit replaces a worst-cell term with a no-larger chosen-cell
             // term, so the trace is non-increasing by construction.
-            let mut system_v = if instr.enabled() {
+            let system_energy = |placement: &Placement<'_>, max_fu: &BTreeMap<FuClass, u32>| {
                 dfg.node_ids()
-                    .map(|n| {
-                        let class = dfg.node(n).kind().fu_class();
-                        liapunov.value(max_fu[&class], cs)
+                    .map(|n| match placement.schedule().slot(n) {
+                        Some(Slot {
+                            step,
+                            unit: UnitId::Fu { index, .. },
+                        }) => liapunov.value(index.get(), step.get()),
+                        _ => liapunov.value(max_fu[&dfg.node(n).kind().fu_class()], cs),
                     })
                     .sum::<u64>()
+            };
+            let mut system_v = if instr.enabled() {
+                system_energy(&placement, &max_fu)
             } else {
                 0
             };
 
-            for &node in &order {
+            let mut next = 0;
+            while let Some(&node) = order.get(next) {
                 config.cancel().checkpoint()?;
                 let class = dfg.node(node).kind().fu_class();
                 let cycles = placement.cycles(node);
-                let (snap, starts) = placement.frame(
-                    node,
-                    &pass_grids[&class],
-                    current[&class],
-                    instr.enabled() || config.records_frames(),
-                );
-                instr.inc("mfs.frames_computed", 1);
+                let grid = &pass_grids[&class];
+                let counted = if time_mode && !list_cells {
+                    placement.frame_size(node, grid, current[&class])
+                } else {
+                    None
+                };
+                let (mf_size, best, snap) = match counted {
+                    Some((size, first)) => (size, first, None),
+                    None => {
+                        let (snap, starts) =
+                            placement.frame(node, grid, current[&class], list_cells);
+                        debug_assert!(
+                            liapunov.is_lexicographic(&starts),
+                            "n_bound covers every column and the window lies within cs"
+                        );
+                        (starts.count(), liapunov.min_position(&starts), Some(snap))
+                    }
+                };
+                tally.frames += 1;
                 {
                     // Which bound derivation ran: the O(1) cached formula,
                     // or the chaining boundary walk (a scheduled
                     // predecessor finishes inside the primary frame)?
                     let m = placement.bounds().pred_finish(node);
-                    let (asap_b, alap_b) = snap.primary;
-                    if m != 0 && m >= asap_b.get() && m <= alap_b.get() {
-                        instr.inc("mfs.bounds.boundary_walks", 1);
+                    let frames = placement.frames();
+                    if m != 0 && m >= frames.asap(node).get() && m <= frames.alap(node).get() {
+                        tally.boundary_walks += 1;
                     } else {
-                        instr.inc("mfs.bounds.fast_path", 1);
+                        tally.fast_path += 1;
                     }
                 }
-                let mf_size = starts.count();
-                instr.inc("mfs.energy_evaluations", mf_size as u64);
-                instr.observe("mfs.mf_size", mf_size as u64);
-                if !snap.af_steps.is_empty() {
+                tally.energy_evals += mf_size as u64;
+                tally.mf_size.observe(mf_size as u64);
+                if let Some(snap) = snap.as_ref().filter(|s| !s.af_steps.is_empty()) {
                     // Bank-port saturation carved steps out of this frame.
-                    instr.inc("mem.port_conflicts", 1);
-                    instr.inc("mem.af_steps_excluded", snap.af_steps.len() as u64);
+                    tally.port_conflicts += 1;
+                    tally.af_steps_excluded += snap.af_steps.len() as u64;
                 }
                 if instr.enabled() {
+                    let snap = snap.as_ref().expect("traced frames are listed");
                     let (asap, alap) = snap.primary;
                     // Forbidden steps: [ASAP, earliest) and (latest, ALAP].
                     let ff = snap.earliest_feasible.get().saturating_sub(asap.get())
@@ -289,16 +318,12 @@ pub fn schedule_traced(
                         });
                     }
                 }
-                debug_assert!(
-                    liapunov.is_lexicographic(&starts),
-                    "n_bound covers every column and the window lies within cs"
-                );
-                match liapunov.min_position(&starts) {
+                match best {
                     Some(pos) => {
                         pass_grids
                             .get_mut(&class)
                             .expect("grid exists for every class")
-                            .occupy(node, pos.step, pos.fu, cycles);
+                            .occupy(dfg, node, pos.step, pos.fu, cycles);
                         placement.assign(
                             node,
                             Slot {
@@ -309,8 +334,9 @@ pub fn schedule_traced(
                                 },
                             },
                         );
-                        instr.inc("mfs.moves_committed", 1);
+                        tally.moves += 1;
                         if instr.enabled() {
+                            let snap = snap.as_ref().expect("traced frames are listed");
                             let v = liapunov.value(pos.fu.get(), pos.step.get());
                             system_v -= liapunov.value(max_fu[&class], cs) - v;
                             instr.emit(TraceEvent::MoveCommitted {
@@ -323,17 +349,17 @@ pub fn schedule_traced(
                                 system_v: Some(system_v),
                             });
                         }
-                        if config.records_frames() {
+                        if let Some(snap) = snap.filter(|_| config.records_frames()) {
                             snapshots.push(snap);
                         }
+                        next += 1;
                     }
                     None => {
-                        // Local rescheduling: widen the visible columns and
-                        // go back to step 3.
+                        // Local rescheduling: widen the visible columns.
                         reschedule_count += 1;
-                        instr.inc("mfs.local_reschedules", 1);
+                        tally.reschedules += 1;
                         if matches!(class, FuClass::Mem(_)) {
-                            instr.inc("mem.port_reschedules", 1);
+                            tally.port_reschedules += 1;
                         }
                         let cur = current.get_mut(&class).expect("class present");
                         let max = max_fu.get_mut(&class).expect("class present");
@@ -342,10 +368,12 @@ pub fn schedule_traced(
                         } else if hard_limit(class).is_none() && *max < growth_bound {
                             *max += 1;
                             *cur = *max;
-                            grids
-                                .get_mut(&class)
-                                .expect("grid exists")
-                                .grow_max_fu(*max);
+                            for grids in [&mut grids, &mut pass_grids] {
+                                grids
+                                    .get_mut(&class)
+                                    .expect("grid exists")
+                                    .grow_max_fu(*max);
+                            }
                         } else {
                             return Err(MoveFrameError::NoPosition {
                                 node,
@@ -359,7 +387,15 @@ pub fn schedule_traced(
                                 current_j: *current.get(&class).expect("class present"),
                             });
                         }
-                        continue 'restart;
+                        if time_mode {
+                            continue 'restart;
+                        }
+                        // Resource mode re-frames the same node. A grown
+                        // max_j raises the unplaced nodes' worst cell, so
+                        // the energy trajectory restarts from the new sum.
+                        if instr.enabled() {
+                            system_v = system_energy(&placement, &max_fu);
+                        }
                     }
                 }
             }
@@ -373,7 +409,58 @@ pub fn schedule_traced(
                 snapshots,
             });
         }
-    })
+    });
+    tally.flush(instr);
+    outcome
+}
+
+/// The move loop's counters, tallied locally and flushed into the
+/// instrument once per run (on the error paths too), so an operation
+/// costs no string-keyed registry lookup. Each flushed counter exists
+/// exactly when the per-operation recording of the same values would
+/// have created it.
+#[derive(Default)]
+struct Tally {
+    /// Frames computed, one per placement attempt.
+    frames: u64,
+    /// Bound derivations that walked the chaining boundary, and those
+    /// that read the cached formula.
+    boundary_walks: u64,
+    fast_path: u64,
+    /// Free cells over all frames, and their per-frame histogram.
+    energy_evals: u64,
+    mf_size: Histogram,
+    /// Committed moves.
+    moves: u64,
+    /// Frames with access-conflict steps, and those steps.
+    port_conflicts: u64,
+    af_steps_excluded: u64,
+    /// Local reschedulings: all, and those of bank ports.
+    reschedules: u64,
+    port_reschedules: u64,
+}
+
+impl Tally {
+    fn flush(&self, instr: &mut Instrument<'_>) {
+        if self.frames > 0 {
+            instr.inc("mfs.frames_computed", self.frames);
+            instr.inc("mfs.energy_evaluations", self.energy_evals);
+            instr.merge_histogram("mfs.mf_size", &self.mf_size);
+        }
+        for (name, n) in [
+            ("mfs.bounds.boundary_walks", self.boundary_walks),
+            ("mfs.bounds.fast_path", self.fast_path),
+            ("mem.port_conflicts", self.port_conflicts),
+            ("mem.af_steps_excluded", self.af_steps_excluded),
+            ("mfs.moves_committed", self.moves),
+            ("mfs.local_reschedules", self.reschedules),
+            ("mem.port_reschedules", self.port_reschedules),
+        ] {
+            if n > 0 {
+                instr.inc(name, n);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

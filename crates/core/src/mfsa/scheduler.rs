@@ -291,10 +291,14 @@ fn set_bit(words: &mut Vec<u64>, i: usize) {
 }
 
 /// The committed ALU instances with a step-major index over them: per
-/// wrapped step, a word row of the instances busy at that step, and per
-/// ALU kind, a word set of the instances of that kind. The index turns
-/// the walk over every instance at every expanded step into a walk
-/// over the set bits of (usable kinds) ∧ ¬(busy rows).
+/// wrapped step, a word row of the instances busy at that step and one
+/// of the instances with a *plain* occupant there (one that excludes
+/// nothing, so the instance cannot be shared at that step), and per ALU
+/// kind, a word set of the instances of that kind. The index turns the
+/// walk over every instance at every expanded step into a walk over the
+/// set bits of (usable kinds) ∧ ¬(busy rows), or (usable kinds) ∧
+/// ¬(plain rows) for a node with exclusions, which walks occupants only
+/// on the busy bits left.
 #[derive(Default)]
 struct InstancePool {
     instances: Vec<Instance<u32>>,
@@ -302,6 +306,9 @@ struct InstancePool {
     /// bit `i` of row `s` is set while instance `i` has an occupant at
     /// `s`.
     busy_rows: Vec<u64>,
+    /// The plain rows, laid out like `busy_rows`: bit `i` of row `s` is
+    /// set while some occupant of instance `i` at `s` excludes nothing.
+    plain_rows: Vec<u64>,
     words: usize,
     /// Kind index → instances of that kind.
     kind_sets: Vec<Vec<u64>>,
@@ -325,15 +332,17 @@ impl InstancePool {
         let words = self.instances.len().div_ceil(64);
         if words > self.words {
             // Widen every row by one word.
-            let rows = self.busy_rows.len() / self.words.max(1);
-            let mut wide = vec![0; rows * words];
-            for (new, old) in wide
-                .chunks_mut(words)
-                .zip(self.busy_rows.chunks(self.words.max(1)))
-            {
-                new[..old.len()].copy_from_slice(old);
-            }
-            (self.busy_rows, self.words) = (wide, words);
+            let widen = |narrow: &[u64]| {
+                let rows = narrow.len() / self.words.max(1);
+                let mut wide = vec![0; rows * words];
+                for (new, old) in wide.chunks_mut(words).zip(narrow.chunks(self.words.max(1))) {
+                    new[..old.len()].copy_from_slice(old);
+                }
+                wide
+            };
+            self.busy_rows = widen(&self.busy_rows);
+            self.plain_rows = widen(&self.plain_rows);
+            self.words = words;
         }
         i
     }
@@ -349,21 +358,34 @@ impl InstancePool {
     }
 
     /// Records `node` on instance `i` at wrapped step `s`.
-    fn occupy(&mut self, i: usize, node: NodeId, s: u32) {
+    fn occupy(&mut self, dfg: &Dfg, i: usize, node: NodeId, s: u32) {
         let inst = &mut self.instances[i];
         inst.busy.entry(s).or_default().push(node);
         set_bit(&mut inst.busy_bits, s as usize);
         let row = s as usize * self.words;
         if self.busy_rows.len() <= row {
             self.busy_rows.resize(row + self.words, 0);
+            self.plain_rows.resize(row + self.words, 0);
         }
         self.busy_rows[row + i / 64] |= 1 << (i % 64);
+        if !dfg.has_exclusions(node) {
+            self.plain_rows[row + i / 64] |= 1 << (i % 64);
+        }
     }
 
     /// Word `w` of the busy row of wrapped step `s` (0 past the last
     /// row).
     fn busy(&self, s: u32, w: usize) -> u64 {
         self.busy_rows
+            .get(s as usize * self.words + w)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Word `w` of the plain row of wrapped step `s` (0 past the last
+    /// row).
+    fn plain(&self, s: u32, w: usize) -> u64 {
+        self.plain_rows
             .get(s as usize * self.words + w)
             .copied()
             .unwrap_or(0)
@@ -386,9 +408,10 @@ impl InstancePool {
     /// Fills `out`, ascending, with the instances in `mask` that can
     /// host `node` from `step` for `cycles` steps: the mask bits clear
     /// in every busy row the op would cover. A node with mutual
-    /// exclusions may also share a busy instance with ops it excludes,
-    /// so it walks every mask bit through [`instance_free`]'s occupant
-    /// check instead.
+    /// exclusions may also share a busy instance with ops it excludes:
+    /// it drops the bits of every plain row the op would cover, and
+    /// walks only the bits still busy through [`instance_free`]'s
+    /// occupant check.
     #[allow(clippy::too_many_arguments)]
     fn hosts(
         &self,
@@ -404,15 +427,24 @@ impl InstancePool {
         let exclusions = dfg.has_exclusions(node);
         for (w, &m) in mask.iter().enumerate() {
             let mut bits = m;
-            if !exclusions {
-                for k in 0..cycles as u32 {
-                    bits &= !self.busy(wrap(step.get() + k), w);
+            // Busy bits that may still be shared, so need the walk.
+            let mut shared = 0;
+            for k in 0..cycles as u32 {
+                let s = wrap(step.get() + k);
+                if exclusions {
+                    bits &= !self.plain(s, w);
+                    shared |= self.busy(s, w);
+                } else {
+                    bits &= !self.busy(s, w);
                 }
             }
             while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
+                let bit = bits.trailing_zeros();
+                let i = w * 64 + bit as usize;
                 bits &= bits - 1;
-                if !exclusions || instance_free(&self.instances[i], dfg, node, step, cycles, wrap) {
+                if shared >> bit & 1 == 0
+                    || instance_free(&self.instances[i], dfg, node, step, cycles, wrap)
+                {
                     out.push(i);
                 }
             }
@@ -949,7 +981,7 @@ pub fn schedule_traced(
             inst.ops.push(node);
             inst.mux_ops.push(mux_op);
             for k in 0..cycles as u32 {
-                pool.occupy(instance_idx, node, wrap(chosen.step.get() + k));
+                pool.occupy(dfg, instance_idx, node, wrap(chosen.step.get() + k));
             }
             placement.assign(
                 node,
@@ -1355,7 +1387,7 @@ mod tests {
                         let i = rand(pool.instances.len());
                         let (node, step) = (nodes[rand(nodes.len())], 1 + rand(cs as usize));
                         for k in 0..1 + rand(2) as u32 {
-                            pool.occupy(i, node, wrap(step as u32 + k));
+                            pool.occupy(&g, i, node, wrap(step as u32 + k));
                         }
                     }
                     _ => {}

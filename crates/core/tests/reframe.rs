@@ -36,8 +36,9 @@ impl<'a> Fixture<'a> {
         let class = self.grid.class();
         let unit = UnitId::Fu { class, index: fu };
         self.placement.assign(node, Slot { step, unit });
+        let cycles = self.placement.cycles(node);
         self.grid
-            .occupy(node, step, fu, self.placement.cycles(node));
+            .occupy(self.placement.dfg(), node, step, fu, cycles);
     }
 
     fn vacate(&mut self, node: NodeId) {

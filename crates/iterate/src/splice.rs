@@ -116,7 +116,7 @@ fn sweep_fu(
             };
             let unit = UnitId::Fu { class, index: fu };
             placement.assign(node, Slot { step, unit });
-            grid.occupy(node, step, fu, cycles);
+            grid.occupy(placement.dfg(), node, step, fu, cycles);
             if (step, unit) != (prev.step, prev.unit) {
                 moves += 1;
                 moved = true;

@@ -303,7 +303,7 @@ fn stitch_reframe(
                 .unwrap_or(old);
             let unit = UnitId::Fu { class, index: fu };
             placement.assign(node, Slot { step, unit });
-            grid.occupy(node, step, fu, placement.cycles(node));
+            grid.occupy(placement.dfg(), node, step, fu, placement.cycles(node));
             if (step, fu) != old {
                 moves += 1;
                 moved = true;

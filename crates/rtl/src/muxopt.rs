@@ -293,6 +293,23 @@ impl<S: Ord + Clone> PackSeed<S> {
         prefers_swap(&op.left, r, on1, on2)
     }
 
+    /// Whether `op` is a *stranger* to the seed: the committed packing
+    /// carries neither of its sources, on either port.
+    fn is_stranger(&self, op: &MuxOp<S>) -> bool {
+        self.line(&op.left).is_none() && op.right.as_ref().is_none_or(|r| self.line(r).is_none())
+    }
+
+    /// `(|L1|, |L2|)` of the cold pack of `ops ++ [op]` for a stranger
+    /// `op` ([`Self::is_stranger`]): the seed's cost plus one line per
+    /// port `op` uses, on any seed, stable or not. The cold pack keeps
+    /// every orientation of `ops` and leaves `op` unswapped, because
+    /// each pass decides an op from the counts of that op's own sources
+    /// only (DESIGN §14, "Pricing from the committed packing").
+    fn stranger_cost(&self, op: &MuxOp<S>) -> (usize, usize) {
+        let (l1, l2) = self.cost;
+        (l1 + 1, l2 + usize::from(op.right.is_some()))
+    }
+
     /// The exact incremental pricing rule: `(|L1|, |L2|)` of the cold
     /// three-pass pack of `ops ++ [op]` and the orientation it gives
     /// `op`, read off the seed of `ops` in time proportional to the
@@ -302,7 +319,10 @@ impl<S: Ord + Clone> PackSeed<S> {
     /// The proof obligations (DESIGN §14, "Pricing from the committed
     /// packing"):
     ///
-    /// * the seed must be refinement-**stable** (pass 3 changed
+    /// * a **stranger** `op` (the seed carries neither of its sources)
+    ///   is answered at the seed's cost plus one line per port it uses,
+    ///   unswapped, on any seed;
+    /// * otherwise the seed must be refinement-**stable** (pass 3 changed
     ///   nothing), so the committed state is the greedy pass-2 state
     ///   the cold replay below reasons about;
     /// * a **commutative** `op` comes last in pass 2, so passes 1–2
@@ -328,12 +348,15 @@ impl<S: Ord + Clone> PackSeed<S> {
     /// Panics when the seed does not cover exactly `ops`.
     pub fn price(&self, ops: &[MuxOp<S>], op: &MuxOp<S>) -> Option<((usize, usize), bool)> {
         assert_eq!(self.len(), ops.len(), "price: the seed must cover `ops`");
-        if !self.stable {
-            return None;
-        }
         // Each source's line, looked up once.
         let left = (&op.left, self.line(&op.left));
         let right = op.right.as_ref().map(|r| (r, self.line(r)));
+        if left.1.is_none() && right.is_none_or(|(_, l)| l.is_none()) {
+            return Some((self.stranger_cost(op), false));
+        }
+        if !self.stable {
+            return None;
+        }
         let on1 = |(_, l): (&S, Option<&SeedLine<S>>)| l.is_some_and(|l| l.cnt1 > 0);
         let on2 = |(_, l): (&S, Option<&SeedLine<S>>)| l.is_some_and(|l| l.cnt2 > 0);
         let swap = match right {
@@ -367,16 +390,20 @@ impl<S: Ord + Clone> PackSeed<S> {
     }
 
     /// Extends the seed by `op` at the `(cost, swap)` [`Self::price`]
-    /// answered for it. The seed then covers `ops ++ [op]`, stays
-    /// stable, and equals [`pack_seed`] of the extended list (the
-    /// proptests below pin this).
+    /// answered for it. The seed then covers `ops ++ [op]`, keeps its
+    /// stability flag (a stranger changes no flip decision), and equals
+    /// [`pack_seed`] of the extended list (the proptests below pin
+    /// this).
     ///
     /// # Panics
     ///
     /// Panics when `cost` is not what the extended counts imply, i.e.
     /// when the answer did not come from `price` on this seed.
     pub fn insert(&mut self, op: &MuxOp<S>, cost: (usize, usize), swap: bool) {
-        debug_assert!(self.stable, "insert: only stable seeds are priced");
+        debug_assert!(
+            self.stable || self.is_stranger(op),
+            "insert: unstable seeds price strangers only"
+        );
         self.push(op, swap);
         assert_eq!(self.cost, cost, "insert: the cost must come from `price`");
     }
@@ -850,16 +877,70 @@ mod tests {
                 let cold = pack_reference(&extended);
                 match seed.price(&ops, &c) {
                     Some((cost, swap)) => {
-                        prop_assert!(seed.stable, "an unstable seed answered");
+                        prop_assert!(
+                            seed.stable || seed.is_stranger(&c),
+                            "an unstable seed answered a non-stranger"
+                        );
                         prop_assert_eq!(cost, (cold.l1.len(), cold.l2.len()));
                         prop_assert_eq!(cost, pack_cost(&extended));
                         prop_assert_eq!(Some(&swap), cold.swapped.last());
                         seed.insert(&c, cost, swap);
                         prop_assert_eq!(&seed, &pack_seed_ids(&extended, &mut scratch));
-                        prop_assert!(seed.stable);
                     }
                     None => seed = pack_seed_ids(&extended, &mut scratch),
                 }
+                ops = extended;
+            }
+        }
+
+        /// The stranger lemma: a candidate sharing no source with the
+        /// committed list — binary, unary, a self-pair, commutative or
+        /// fixed — is priced at the seed's cost plus one line per port
+        /// it uses, unswapped, on stable and unstable seeds alike, and
+        /// that is the cold pack of `ops ++ [op]`. After `insert` the
+        /// seed equals the cold seed of the extended list, stability
+        /// flag included. A run of fresh strangers is inserted one
+        /// after another into lists of up to 40 ops over a small
+        /// alphabet, which makes unstable seeds common.
+        #[test]
+        fn strangers_are_priced_from_the_seed_cost(
+            alphabet in proptest::collection::vec(0u32..2048, 6..7),
+            ops in proptest::collection::vec((0usize..6, 0usize..6, 0u8..8), 0..40),
+            strangers in proptest::collection::vec((0u32..3, 0u32..3, 0u8..8), 1..6),
+        ) {
+            let mut ops: Vec<MuxOp<u32>> = ops
+                .iter()
+                .map(|&(l, r, bits)| MuxOp {
+                    left: alphabet[l],
+                    right: (bits != 0).then_some(alphabet[r]),
+                    commutative: bits & 2 != 0,
+                })
+                .collect();
+            let mut scratch = PackScratch::new(4096);
+            let mut seed = pack_seed_ids(&ops, &mut scratch);
+            for (k, &(l, r, bits)) in strangers.iter().enumerate() {
+                // Ids past the alphabet, fresh for every stranger; l == r
+                // makes a self-pair.
+                let fresh = |x: u32| 2048 + 3 * k as u32 + x;
+                let c = MuxOp {
+                    left: fresh(l),
+                    right: (bits != 0).then_some(fresh(r)),
+                    commutative: bits & 2 != 0,
+                };
+                prop_assert!(seed.is_stranger(&c));
+                let mut extended = ops.clone();
+                extended.push(c);
+                let cold = pack_reference(&extended);
+                let cost = seed.stranger_cost(&c);
+                prop_assert_eq!(seed.price(&ops, &c), Some((cost, false)));
+                prop_assert_eq!(cost, (cold.l1.len(), cold.l2.len()));
+                prop_assert_eq!(cost, pack_cost(&extended));
+                prop_assert_eq!(cold.swapped.last(), Some(&false));
+                let stable = seed.stable;
+                seed.insert(&c, cost, false);
+                let rebuilt = pack_seed_ids(&extended, &mut scratch);
+                prop_assert_eq!(rebuilt.stable, stable);
+                prop_assert_eq!(&seed, &rebuilt);
                 ops = extended;
             }
         }
@@ -1035,6 +1116,32 @@ mod tests {
         }];
         let seed = PackSeed::from_orientations(&ops, &[false], false);
         assert_eq!(seed.price(&ops, &ops[0]), None);
+    }
+
+    #[test]
+    fn unstable_seeds_price_strangers() {
+        // Greedy keeps add(a,b) as written, but once add(b,c) puts b on
+        // L1 and sub(d,c) holds c on L2, refinement flips it to (2, 2):
+        // the seed is not a fixpoint. Covered candidates decline,
+        // strangers are priced at the cost plus their lines and
+        // inserted.
+        let ops = vec![op("a", "b", true), op("b", "c", true), op("d", "c", false)];
+        let mut seed = pack_seed(&ops);
+        assert!(!seed.stable);
+        assert_eq!(seed.cost(), (2, 2));
+        assert_eq!(seed.price(&ops, &op("a", "b", true)), None);
+        let stranger = op("x", "y", false);
+        assert!(seed.is_stranger(&stranger));
+        assert_eq!(seed.price(&ops, &stranger), Some(((3, 3), false)));
+        let mut extended = ops.clone();
+        extended.push(stranger.clone());
+        assert_eq!(pack_cost(&extended), (3, 3));
+        seed.insert(&stranger, (3, 3), false);
+        assert_eq!(seed, pack_seed(&extended));
+        assert!(!seed.stable);
+        // A line of the seed on either port makes the op no stranger.
+        assert!(!seed.is_stranger(&op("e", "a", true)));
+        assert!(!seed.is_stranger(&op("b", "e", true)));
     }
 
     #[test]

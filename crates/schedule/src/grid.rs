@@ -36,7 +36,12 @@ enum CellOcc {
 /// Occupancy is step-major: one row of words per wrapped step, one bit
 /// per materialised column, so [`Grid::free_starts`] answers a whole
 /// step of columns with a few word operations and [`Grid::is_free_for`]
-/// is a mask test per spanned step. Occupant identity lives in a dense
+/// is a mask test per spanned step. Beside each row the grid keeps its
+/// number of occupied columns, so [`Grid::free_cells`] sizes a
+/// single-cycle move frame in one read per step, and a *plain* row of
+/// the cells that some occupant excluding nothing holds: such a cell
+/// can never be shared, so only the other occupied cells are walked for
+/// mutual exclusion. Occupant identity lives in a dense
 /// one-word-per-cell side table, with a `BTreeMap` only for the rare
 /// mutually-exclusive shared cells. Columns are materialised on first
 /// touch, so a grid whose `max_fu` budget later grows (local
@@ -57,13 +62,20 @@ pub struct Grid {
     /// `rows × stride` occupancy words; bit `col` of row `r` set means
     /// "cell `(r, col)` has ≥ 1 occupant".
     occ: Vec<u64>,
+    /// Set bits of each occupancy row (occupied columns per row).
+    row_counts: Vec<u32>,
+    /// `rows × stride` words laid out like `occ`: bit `col` of row `r`
+    /// set means "some occupant of `(r, col)` excludes nothing", so
+    /// the cell can never be shared.
+    plain: Vec<u64>,
     /// `cols × rows` occupant records.
     cell: Vec<CellOcc>,
     /// Occupant lists of mutually-exclusive shared cells, keyed by
     /// `(wrapped row, fu)` in occupancy order.
     shared: BTreeMap<(u32, u32), Vec<NodeId>>,
-    /// `NodeId`-indexed placements (grown on demand).
-    placements: Vec<Option<(CStep, FuIndex, u8)>>,
+    /// `NodeId`-indexed placements (grown on demand): start, column,
+    /// cycles, and whether the node excludes nothing.
+    placements: Vec<Option<(CStep, FuIndex, u8, bool)>>,
     placed: usize,
     /// Placements per materialised column, for the high-water mark.
     col_counts: Vec<u32>,
@@ -89,6 +101,8 @@ impl Grid {
             cols: 0,
             stride: 0,
             occ: Vec::new(),
+            row_counts: vec![0; cs as usize],
+            plain: Vec::new(),
             cell: Vec::new(),
             shared: BTreeMap::new(),
             placements: Vec::new(),
@@ -108,6 +122,7 @@ impl Grid {
         debug_assert!(self.placed == 0, "latency is fixed before placement");
         self.latency = Some(latency);
         self.rows = latency;
+        self.row_counts = vec![0; latency as usize];
         self
     }
 
@@ -147,15 +162,38 @@ impl Grid {
         &self.occ[base..base + self.stride]
     }
 
-    /// Sets or clears the occupancy bit of `(row, col)`.
+    /// Sets or clears the occupancy bit of `(row, col)`, counting the
+    /// row's occupied columns on a change of the bit only (a shared
+    /// cell is one occupied column).
     fn mark(&mut self, row: u32, col: u32, occupied: bool) {
         let word = &mut self.occ[row as usize * self.stride + col as usize / 64];
         let bit = 1u64 << (col % 64);
-        if occupied {
+        if (*word & bit != 0) != occupied {
+            *word ^= bit;
+            let count = &mut self.row_counts[row as usize];
+            if occupied {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
+    }
+
+    /// Sets or clears the plain bit of `(row, col)`.
+    fn mark_plain(&mut self, row: u32, col: u32, plain: bool) {
+        let word = &mut self.plain[row as usize * self.stride + col as usize / 64];
+        let bit = 1u64 << (col % 64);
+        if plain {
             *word |= bit;
         } else {
             *word &= !bit;
         }
+    }
+
+    /// The plain words of the wrapped row holding `step`.
+    fn plain_row(&self, step: u32) -> &[u64] {
+        let base = self.row(step) as usize * self.stride;
+        &self.plain[base..base + self.stride]
     }
 
     /// Materialises storage up to column `col` (0-based), re-laying the
@@ -167,16 +205,20 @@ impl Grid {
         let cols = col + 1;
         let stride = (cols as usize).div_ceil(64);
         if stride != self.stride {
-            let mut occ = vec![0u64; self.rows as usize * stride];
-            if self.stride > 0 {
-                for (new, old) in occ
-                    .chunks_exact_mut(stride)
-                    .zip(self.occ.chunks_exact(self.stride))
-                {
-                    new[..old.len()].copy_from_slice(old);
+            let relaid = |rows: &[u64]| {
+                let mut wide = vec![0u64; self.rows as usize * stride];
+                if self.stride > 0 {
+                    for (new, old) in wide
+                        .chunks_exact_mut(stride)
+                        .zip(rows.chunks_exact(self.stride))
+                    {
+                        new[..old.len()].copy_from_slice(old);
+                    }
                 }
-            }
-            self.occ = occ;
+                wide
+            };
+            self.occ = relaid(&self.occ);
+            self.plain = relaid(&self.plain);
             self.stride = stride;
         }
         self.cell
@@ -273,13 +315,15 @@ impl Grid {
         let live = self.stride.min(words);
         // A node that excludes nothing can never share a cell, so only
         // branched nodes get their own copy of the blocking rows, with
-        // the cells they may share cleared.
+        // the cells they may share cleared. A plain cell blocks them
+        // too, so only the other occupied cells walk their occupants.
         let shares = len > 0 && dfg.has_exclusions(node);
         let mut shared_rows = Vec::new();
         if shares {
             for step in lo..last + cycles as u32 {
+                let plain = self.plain_row(step);
                 for (w, &word) in self.occ_row(step)[..live].iter().enumerate() {
-                    let shareable = ones(word)
+                    let shareable = ones(word & !plain[w])
                         .filter(|&bit| {
                             let fu = FuIndex::new(64 * w as u32 + bit + 1);
                             self.shares_with_all(dfg, node, CStep::new(step), fu)
@@ -319,14 +363,61 @@ impl Grid {
         }
     }
 
-    /// Places `node` at `(step, fu)` for `cycles` steps.
+    /// The size and the earliest cell of the move frame of a
+    /// single-cycle node that excludes nothing, over the start steps
+    /// `[earliest, latest]` and the first `columns` columns: the number
+    /// of free `(step, column)` cells and the free cell with the
+    /// smallest `(step, fu)` — what [`Grid::free_starts`] would give by
+    /// [`FreeStarts::count`] and [`FreeStarts::earliest`].
+    ///
+    /// Every occupied column must be visible for the counts to size the
+    /// frame, so the answer is `None` when some occupant lies past the
+    /// visible columns. Otherwise each step costs one read of its row's
+    /// occupied-column count, and the earliest cell one scan of the
+    /// first row that is not full: `O(range + columns / 64)`.
+    pub fn free_cells(
+        &self,
+        earliest: CStep,
+        latest: CStep,
+        columns: u32,
+    ) -> Option<(usize, Option<(CStep, FuIndex)>)> {
+        let columns = columns.min(self.max_fu);
+        if self.hwm > columns {
+            return None;
+        }
+        let mut size = 0;
+        let mut first = None;
+        for step in earliest.get()..=latest.get().min(self.cs) {
+            let free = columns - self.row_counts[self.row(step) as usize];
+            size += free as usize;
+            if free > 0 && first.is_none() {
+                first = Some(step);
+            }
+        }
+        let first = first.map(|step| {
+            // Every occupied column is visible, so the lowest clear bit
+            // of a row that is not full is a visible column.
+            let row = self.occ_row(step);
+            let col = row
+                .iter()
+                .position(|&w| w != !0)
+                .map_or(64 * row.len() as u32, |w| {
+                    64 * w as u32 + row[w].trailing_ones()
+                });
+            (CStep::new(step), FuIndex::new(col + 1))
+        });
+        Some((size, first))
+    }
+
+    /// Places `node` at `(step, fu)` for `cycles` steps. The node's
+    /// exclusions decide whether its cells become plain (unshareable).
     ///
     /// # Panics
     ///
     /// Panics if the node is already placed or the cells are outside the
     /// grid — schedulers check [`Grid::is_free_for`] first, so either is
     /// a scheduler bug.
-    pub fn occupy(&mut self, node: NodeId, step: CStep, fu: FuIndex, cycles: u8) {
+    pub fn occupy(&mut self, dfg: &Dfg, node: NodeId, step: CStep, fu: FuIndex, cycles: u8) {
         if node.index() >= self.placements.len() {
             self.placements.resize(node.index() + 1, None);
         }
@@ -340,10 +431,14 @@ impl Grid {
             "placement overruns the time constraint"
         );
         let col = fu.get() - 1;
+        let plain = !dfg.has_exclusions(node);
         self.ensure_col(col);
         for c in 0..cycles as u32 {
             let row = self.row(step.get() + c);
             self.mark(row, col, true);
+            if plain {
+                self.mark_plain(row, col, true);
+            }
             let cell = &mut self.cell[(col * self.rows + row) as usize];
             match *cell {
                 CellOcc::Empty => *cell = CellOcc::One(node),
@@ -359,7 +454,7 @@ impl Grid {
                 }
             }
         }
-        self.placements[node.index()] = Some((step, fu, cycles));
+        self.placements[node.index()] = Some((step, fu, cycles, plain));
         self.placed += 1;
         self.col_counts[col as usize] += 1;
         self.hwm = self.hwm.max(fu.get());
@@ -369,9 +464,11 @@ impl Grid {
     /// `(step, fu)` if it was placed.
     ///
     /// Cell and column state is fully reclaimed: no empty occupant lists
-    /// linger and the high-water mark drops with the vacated column.
+    /// linger, the high-water mark drops with the vacated column, and a
+    /// shared cell's plain bit is recomputed from its remaining
+    /// occupants.
     pub fn vacate(&mut self, node: NodeId) -> Option<(CStep, FuIndex)> {
-        let (step, fu, cycles) = self.placements.get_mut(node.index())?.take()?;
+        let (step, fu, cycles, _) = self.placements.get_mut(node.index())?.take()?;
         let col = fu.get() - 1;
         for c in 0..cycles as u32 {
             let row = self.row(step.get() + c);
@@ -380,6 +477,7 @@ impl Grid {
                 CellOcc::One(n) if n == node => {
                     *cell = CellOcc::Empty;
                     self.mark(row, col, false);
+                    self.mark_plain(row, col, false);
                 }
                 // Already cleared: a multi-cycle op whose span wraps
                 // around a short latency touches the same row twice, and
@@ -389,6 +487,10 @@ impl Grid {
                     let key = (row + 1, fu.get());
                     let list = self.shared.get_mut(&key).expect("shared cell has a list");
                     list.retain(|&n| n != node);
+                    let placements = &self.placements;
+                    let plain = list
+                        .iter()
+                        .any(|o| placements[o.index()].is_some_and(|p| p.3));
                     match list.len() {
                         0 => {
                             self.shared.remove(&key);
@@ -401,6 +503,7 @@ impl Grid {
                         }
                         _ => {}
                     }
+                    self.mark_plain(row, col, plain);
                 }
             }
         }
@@ -416,7 +519,7 @@ impl Grid {
     pub fn placement(&self, node: NodeId) -> Option<(CStep, FuIndex)> {
         self.placements
             .get(node.index())
-            .and_then(|p| p.map(|(s, f, _)| (s, f)))
+            .and_then(|p| p.map(|(s, f, ..)| (s, f)))
     }
 
     /// Number of placed nodes.
@@ -435,7 +538,7 @@ impl Grid {
         self.placements
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| p.map(|(s, f, _)| (NodeId::from_index(i), s, f)))
+            .filter_map(|(i, p)| p.map(|(s, f, ..)| (NodeId::from_index(i), s, f)))
     }
 }
 
@@ -690,12 +793,12 @@ mod tests {
     fn occupied_cell_blocks_non_exclusive_ops() {
         let (g, t, e, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         // Mutually exclusive `e` can share the cell; unrelated `u` cannot.
         assert!(grid.is_free_for(&g, e, CStep::new(1), FuIndex::new(1), 1));
         assert!(!grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(1), 1));
         assert!(grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(2), 1));
-        grid.occupy(e, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, e, CStep::new(1), FuIndex::new(1), 1);
         assert_eq!(grid.occupants(CStep::new(1), FuIndex::new(1)).len(), 2);
     }
 
@@ -712,7 +815,7 @@ mod tests {
     fn multicycle_occupies_consecutive_cells() {
         let (g, t, _, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
-        grid.occupy(t, CStep::new(2), FuIndex::new(1), 2);
+        grid.occupy(&g, t, CStep::new(2), FuIndex::new(1), 2);
         assert!(!grid.is_free_for(&g, u, CStep::new(2), FuIndex::new(1), 1));
         assert!(!grid.is_free_for(&g, u, CStep::new(3), FuIndex::new(1), 1));
         assert!(grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(1), 1));
@@ -723,7 +826,7 @@ mod tests {
     fn vacate_restores_the_cell() {
         let (g, t, _, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         assert_eq!(grid.vacate(t), Some((CStep::new(1), FuIndex::new(1))));
         assert!(grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(1), 1));
         assert_eq!(grid.vacate(t), None);
@@ -734,8 +837,8 @@ mod tests {
     fn vacate_reclaims_shared_cells() {
         let (g, t, e, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
-        grid.occupy(e, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, e, CStep::new(1), FuIndex::new(1), 1);
         assert!(
             grid.shared.len() == 1,
             "two occupants spill to the side map"
@@ -758,7 +861,7 @@ mod tests {
     fn latency_wrap_detects_modulo_conflicts() {
         let (g, t, _, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 6, 1).with_latency(2);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         // Steps 3 and 5 collide with step 1 modulo L=2.
         assert!(!grid.is_free_for(&g, u, CStep::new(3), FuIndex::new(1), 1));
         assert!(!grid.is_free_for(&g, u, CStep::new(5), FuIndex::new(1), 1));
@@ -767,23 +870,23 @@ mod tests {
 
     #[test]
     fn columns_used_tracks_peak() {
-        let (_, t, e, u) = exclusive_pair();
+        let (g, t, e, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 3);
         assert_eq!(grid.columns_used(), 0);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
-        grid.occupy(u, CStep::new(1), FuIndex::new(3), 1);
-        grid.occupy(e, CStep::new(2), FuIndex::new(2), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, u, CStep::new(1), FuIndex::new(3), 1);
+        grid.occupy(&g, e, CStep::new(2), FuIndex::new(2), 1);
         assert_eq!(grid.columns_used(), 3);
         assert_eq!(grid.placed_count(), 3);
     }
 
     #[test]
     fn columns_used_drops_after_vacating_the_peak() {
-        let (_, t, e, u) = exclusive_pair();
+        let (g, t, e, u) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 3);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
-        grid.occupy(u, CStep::new(1), FuIndex::new(3), 1);
-        grid.occupy(e, CStep::new(2), FuIndex::new(2), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, u, CStep::new(1), FuIndex::new(3), 1);
+        grid.occupy(&g, e, CStep::new(2), FuIndex::new(2), 1);
         grid.vacate(u);
         assert_eq!(grid.columns_used(), 2);
         grid.vacate(e);
@@ -795,10 +898,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "already placed")]
     fn double_placement_panics() {
-        let (_, t, _, _) = exclusive_pair();
+        let (g, t, _, _) = exclusive_pair();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
-        grid.occupy(t, CStep::new(1), FuIndex::new(1), 1);
-        grid.occupy(t, CStep::new(2), FuIndex::new(1), 1);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
+        grid.occupy(&g, t, CStep::new(2), FuIndex::new(1), 1);
     }
 
     #[test]
@@ -877,7 +980,7 @@ mod tests {
                         if dense.placement(node).is_none()
                             && reference.is_free_for(&g, node, step, fu, cycles)
                         {
-                            dense.occupy(node, step, fu, cycles);
+                            dense.occupy(&g, node, step, fu, cycles);
                             reference.occupy(node, step, fu, cycles);
                         }
                     }
@@ -938,7 +1041,7 @@ mod tests {
                         if dense.placement(node).is_none()
                             && reference.is_free_for(&g, node, step, fu, cycles)
                         {
-                            dense.occupy(node, step, fu, cycles);
+                            dense.occupy(&g, node, step, fu, cycles);
                             reference.occupy(node, step, fu, cycles);
                         }
                     }
@@ -975,5 +1078,143 @@ mod tests {
                 }
             }
         }
+
+        /// The count query against the masks it replaces: on grids
+        /// driven through occupy (shared cells of mutually exclusive
+        /// ops, multi-cycle spans, a latency wrap), vacate (of shared
+        /// and wrapped multi-cycle spans) and growth past 64 columns,
+        /// `free_cells` of a single-cycle node that excludes nothing
+        /// equals `free_starts(..).count()` and `.earliest()` over random
+        /// windows and widths, and is `None` exactly when some occupant
+        /// lies past the visible columns.
+        #[test]
+        fn free_cells_match_free_starts(
+            ops in proptest::collection::vec((0usize..12, 1u32..9, 0u32..1000, 1u8..3, 0u8..5), 1..60),
+            probes in proptest::collection::vec((1u32..10, 0u32..10, 0u32..200), 1..5),
+            start_fu in 1u32..70,
+            latency in 0u32..4,
+        ) {
+            let (g, nodes) = branchy_graph(12);
+            let plain: Vec<NodeId> = nodes.iter().copied().filter(|&n| !g.has_exclusions(n)).collect();
+            let cs = 8;
+            let mut max_fu = start_fu;
+            let mut grid = Grid::new(FuClass::Op(OpKind::Add), cs, max_fu);
+            if latency > 0 {
+                grid = grid.with_latency(latency);
+            }
+            for (k, &(ni, step, f, cycles, action)) in ops.iter().enumerate() {
+                let node = nodes[ni];
+                let fu = FuIndex::new(max_fu - f % max_fu.min(8));
+                let step = CStep::new(step);
+                match action {
+                    0..=2 => {
+                        if grid.placement(node).is_none() && grid.is_free_for(&g, node, step, fu, cycles) {
+                            grid.occupy(&g, node, step, fu, cycles);
+                        }
+                    }
+                    3 => {
+                        grid.vacate(node);
+                    }
+                    _ => {
+                        max_fu += 1 + f % 70;
+                        grid.grow_max_fu(max_fu);
+                    }
+                }
+                let (lo, span, width) = probes[k % probes.len()];
+                let (earliest, latest) = (CStep::new(lo), CStep::new(lo + span));
+                // Widths around the occupied columns, past them and past
+                // the budget.
+                let columns = match width % 4 {
+                    0 => grid.columns_used().max(1),
+                    1 => grid.columns_used().saturating_sub(1 + width % 3).max(1),
+                    2 => max_fu,
+                    _ => width.max(1),
+                };
+                let probe = plain[k % plain.len()];
+                let counted = grid.free_cells(earliest, latest, columns);
+                if grid.columns_used() > columns.min(max_fu) {
+                    prop_assert_eq!(counted, None);
+                } else {
+                    let starts = grid.free_starts(&g, probe, earliest, latest, 1, columns);
+                    prop_assert_eq!(counted, Some((starts.count(), starts.earliest())));
+                }
+            }
+        }
+
+        /// Nodes with exclusions read plain cells off the plain mask and
+        /// walk only the other occupied cells: their `free_starts` must
+        /// equal a per-cell `is_free_for` scan, on grids that mix plain
+        /// and exclusive occupants, share cells, wrap, grow past 64
+        /// columns, and vacate shared and multi-cycle spans (which
+        /// recomputes the plain bits).
+        #[test]
+        fn plain_mask_free_starts_match_the_cell_scan(
+            ops in proptest::collection::vec((0usize..12, 1u32..9, 0u32..1000, 1u8..3, 0u8..5), 1..60),
+            start_fu in 1u32..70,
+            latency in 0u32..4,
+        ) {
+            let (g, nodes) = branchy_graph(12);
+            let branched: Vec<NodeId> = nodes.iter().copied().filter(|&n| g.has_exclusions(n)).collect();
+            let cs = 8;
+            let mut max_fu = start_fu;
+            let mut grid = Grid::new(FuClass::Op(OpKind::Add), cs, max_fu);
+            if latency > 0 {
+                grid = grid.with_latency(latency);
+            }
+            for (k, &(ni, step, f, cycles, action)) in ops.iter().enumerate() {
+                let node = nodes[ni];
+                let fu = FuIndex::new(max_fu - f % max_fu.min(8));
+                let step = CStep::new(step);
+                match action {
+                    0..=2 => {
+                        if grid.placement(node).is_none() && grid.is_free_for(&g, node, step, fu, cycles) {
+                            grid.occupy(&g, node, step, fu, cycles);
+                        }
+                    }
+                    3 => {
+                        grid.vacate(node);
+                    }
+                    _ => {
+                        max_fu += 1 + f % 70;
+                        grid.grow_max_fu(max_fu);
+                    }
+                }
+                let probe = branched[k % branched.len()];
+                let columns = max_fu + 2;
+                let starts = grid.free_starts(&g, probe, CStep::FIRST, CStep::new(cs), cycles, columns);
+                let cells: Vec<(CStep, FuIndex)> = (1..=cs)
+                    .flat_map(|s| (1..=columns).map(move |f| (CStep::new(s), FuIndex::new(f))))
+                    .filter(|&(s, f)| grid.is_free_for(&g, probe, s, f, cycles))
+                    .collect();
+                prop_assert_eq!(starts.positions().collect::<Vec<_>>(), cells);
+            }
+        }
+    }
+
+    #[test]
+    fn vacate_recomputes_the_plain_bit_of_a_shared_cell() {
+        // A plain node whose two-cycle span wraps onto one row of a
+        // latency-1 grid shares the cell with itself; an exclusive pair
+        // shares a cell without a plain occupant.
+        let (g, t, e, u) = exclusive_pair();
+        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2).with_latency(1);
+        grid.occupy(&g, u, CStep::new(1), FuIndex::new(1), 2);
+        assert_eq!(grid.plain_row(1), &[1]);
+        grid.occupy(&g, t, CStep::new(1), FuIndex::new(2), 1);
+        grid.occupy(&g, e, CStep::new(1), FuIndex::new(2), 1);
+        assert_eq!(grid.plain_row(1), &[1], "exclusive occupants are not plain");
+        assert_eq!(
+            grid.free_cells(CStep::new(1), CStep::new(4), 2),
+            Some((0, None))
+        );
+        grid.vacate(u);
+        assert_eq!(grid.plain_row(1), &[0]);
+        grid.vacate(t);
+        assert_eq!(grid.occupants(CStep::new(1), FuIndex::new(2)), &[e]);
+        assert_eq!(
+            grid.free_cells(CStep::new(1), CStep::new(4), 2),
+            Some((4, Some((CStep::new(1), FuIndex::new(1)))))
+        );
+        assert_eq!(grid.free_cells(CStep::new(1), CStep::new(4), 1), None);
     }
 }

@@ -109,7 +109,7 @@ mod tests {
         let g = b.finish().unwrap();
         let a = g.node_by_name("alpha").unwrap();
         let mut grid = Grid::new(FuClass::Op(OpKind::Add), 2, 2);
-        grid.occupy(a, CStep::new(2), FuIndex::new(1), 1);
+        grid.occupy(&g, a, CStep::new(2), FuIndex::new(1), 1);
         let text = render_grid(&grid, &g);
         assert!(text.contains("alpha"));
         assert!(text.contains("t2"));

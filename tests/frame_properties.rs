@@ -392,7 +392,7 @@ proptest! {
                 0 => {
                     let (s, fu) = (CStep::new(step), FuIndex::new(f.min(max_fu)));
                     if grid.placement(node).is_none() && grid.is_free_for(&dfg, node, s, fu, cycles) {
-                        grid.occupy(node, s, fu, cycles);
+                        grid.occupy(&dfg, node, s, fu, cycles);
                     }
                 }
                 1 => {
@@ -462,7 +462,7 @@ fn replay_matches_enumeration(
             other => panic!("MFS binds FUs, got {other:?}"),
         };
         prop_assert_eq!(best, Some((slot.step, fu)), "node {:?}", snap.node);
-        grid.occupy(snap.node, slot.step, fu, cycles);
+        grid.occupy(dfg, snap.node, slot.step, fu, cycles);
     }
     Ok(())
 }
@@ -524,4 +524,230 @@ proptest! {
             .expect("a feasible time constraint within cp + 64");
         replay_matches_enumeration(&dfg, &spec, &config)?;
     }
+}
+
+/// Resource-constrained MFS as it ran before the resume: on an empty
+/// move frame, widen `current_j`, or grow a derived `max_j` (a class
+/// with no user limit and no bank ports, up to the operation count),
+/// and restart the pass from the first operation on fresh grids.
+/// Returns the schedule, the number of local reschedulings and how many
+/// of them grew a `max_j`, or `None` when some frame stays empty at the
+/// full budget.
+fn restarting_resource_mfs(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    config: &MfsConfig,
+) -> Option<(Schedule, u32, u32)> {
+    use moveframe_hls::moveframe::Placement;
+    use moveframe_hls::schedule::{priority_order_with, Slot, UnitId};
+    use std::collections::BTreeMap;
+
+    let cs = config.control_steps();
+    let frames = TimeFrames::for_clock(dfg, spec, config.clock(), cs).ok()?;
+    let order = priority_order_with(dfg, spec, &frames, config.priority_rule());
+    let counts = dfg.class_counts();
+    let hard_limit = |class: FuClass| {
+        let user = config.fu_limit(class);
+        match class {
+            FuClass::Mem(bank) => {
+                Some(user.map_or(dfg.bank_ports(bank), |u| u.min(dfg.bank_ports(bank))))
+            }
+            _ => user,
+        }
+    };
+    // A derived max_j is the peak per-class concurrency of the ASAP and
+    // the ALAP schedule, with the effective cycles of the placement.
+    let cycles = Placement::new(dfg, spec, config.clock(), frames.clone());
+    let mut peaks: BTreeMap<(FuClass, u32, bool), u32> = BTreeMap::new();
+    for node in dfg.node_ids() {
+        let class = dfg.node(node).kind().fu_class();
+        for (alap, start) in [(false, frames.asap(node)), (true, frames.alap(node))] {
+            for k in 0..cycles.cycles(node) as u32 {
+                *peaks
+                    .entry((class, (start.get() + k).min(cs), alap))
+                    .or_insert(0) += 1;
+            }
+        }
+    }
+    let mut max_fu: BTreeMap<FuClass, u32> = counts
+        .keys()
+        .map(|&class| {
+            let derived = peaks
+                .iter()
+                .filter(|((c, _, _), _)| *c == class)
+                .map(|(_, &n)| n)
+                .max()
+                .unwrap_or(1)
+                .max(1);
+            (class, hard_limit(class).unwrap_or(derived))
+        })
+        .collect();
+    let n_bound = max_fu
+        .values()
+        .copied()
+        .max()
+        .unwrap_or(1)
+        .max(dfg.node_count() as u32)
+        + 1;
+    let liapunov = StaticLiapunov::new(config.objective(), n_bound, cs);
+    let mut current: BTreeMap<FuClass, u32> = counts
+        .iter()
+        .map(|(&class, &n)| {
+            let start = if config.lazy_columns() {
+                1
+            } else {
+                (n as u32).div_ceil(cs)
+            };
+            (class, start.clamp(1, max_fu[&class]))
+        })
+        .collect();
+    let growth_bound = dfg.node_count() as u32 + 1;
+    let (mut reschedules, mut grown) = (0, 0);
+    'restart: loop {
+        let mut placement = Placement::new(dfg, spec, config.clock(), frames.clone());
+        let mut grids: BTreeMap<FuClass, Grid> = max_fu
+            .iter()
+            .map(|(&class, &max)| {
+                let grid = Grid::new(class, cs, max);
+                match config.latency() {
+                    Some(l) => (class, grid.with_latency(l)),
+                    None => (class, grid),
+                }
+            })
+            .collect();
+        for &node in &order {
+            let class = dfg.node(node).kind().fu_class();
+            let (_, starts) = placement.frame(node, &grids[&class], current[&class], false);
+            match liapunov.min_position(&starts) {
+                Some(pos) => {
+                    let cycles = placement.cycles(node);
+                    grids
+                        .get_mut(&class)
+                        .unwrap()
+                        .occupy(dfg, node, pos.step, pos.fu, cycles);
+                    let unit = UnitId::Fu {
+                        class,
+                        index: pos.fu,
+                    };
+                    placement.assign(
+                        node,
+                        Slot {
+                            step: pos.step,
+                            unit,
+                        },
+                    );
+                }
+                None => {
+                    reschedules += 1;
+                    let cur = current.get_mut(&class).unwrap();
+                    let max = max_fu.get_mut(&class).unwrap();
+                    if *cur < *max {
+                        *cur += 1;
+                    } else if hard_limit(class).is_none() && *max < growth_bound {
+                        *max += 1;
+                        *cur = *max;
+                        grown += 1;
+                    } else {
+                        return None;
+                    }
+                    continue 'restart;
+                }
+            }
+        }
+        return Some((placement.into_parts().0, reschedules, grown));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Resource mode resumes at the failing operation instead of
+    /// replaying the pass (DESIGN §13): under hard FU budgets, bank
+    /// ports and classes with no limit (whose derived `max_j` grows),
+    /// with two-cycle multiplies, a latency wrap and lazy columns
+    /// (every class starts from one column), the resumed run places
+    /// every operation where the restarting oracle does, after as many
+    /// local reschedulings, and fails exactly when it fails.
+    #[test]
+    fn resource_mode_resume_matches_the_restarting_oracle(
+        config in config_strategy(),
+        memory_graph in 0u8..3,
+        taps in 2usize..6,
+        ports in 1u32..4,
+        limits in proptest::collection::vec((0u32..12).prop_map(|x| x.saturating_sub(5)), 8..9),
+        slack in 0u32..6,
+        latency in 0u32..6,
+        lazy in 0u8..2,
+    ) {
+        let (dfg, spec) = if memory_graph == 0 {
+            (memory::array_fir(taps, ports), TimingSpec::uniform_single_cycle())
+        } else {
+            (
+                generate(&GeneratorConfig { branch_pct: 30, ..config.clone() }),
+                TimingSpec::two_cycle_multiply(),
+            )
+        };
+        let cp = CriticalPath::compute(&dfg, &spec).steps() as u32;
+        let mut mfs_config = MfsConfig::resource_constrained(cp + slack);
+        for (i, &class) in dfg.class_counts().keys().enumerate() {
+            // A zero (half the draws) leaves the class unlimited.
+            let limit = limits[i % limits.len()];
+            if limit > 0 && !matches!(class, FuClass::Mem(_)) {
+                mfs_config = mfs_config.with_fu_limit(class, limit);
+            }
+        }
+        if lazy == 1 {
+            // Every class starts from one visible column.
+            mfs_config = mfs_config.with_lazy_columns();
+        }
+        if latency > 0 {
+            // A latency of 5/6 down to 1/6 of the step budget wraps the
+            // grids; the tighter wraps outgrow a derived max_j.
+            mfs_config = mfs_config.with_latency(((cp + slack) * (6 - latency) / 6).max(1));
+        }
+        let resumed = mfs::schedule(&dfg, &spec, &mfs_config);
+        let oracle = restarting_resource_mfs(&dfg, &spec, &mfs_config);
+        match (resumed, oracle) {
+            (Ok(out), Some((schedule, reschedules, _))) => {
+                prop_assert_eq!(&out.schedule, &schedule);
+                prop_assert_eq!(out.reschedule_count, reschedules);
+            }
+            (Err(_), None) => {}
+            (resumed, oracle) => prop_assert!(
+                false,
+                "resumed {:?} vs oracle {:?}",
+                resumed.map(|o| o.reschedule_count),
+                oracle.map(|(_, r, _)| r)
+            ),
+        }
+    }
+}
+
+/// The growth branch of the resume, pinned: with no limit on any class
+/// and the grids wrapped at a third of the step budget, some passes
+/// outgrow their derived `max_j`, and the resumed run still matches the
+/// restarting oracle, which rebuilds its grids at the grown width.
+#[test]
+fn resource_mode_resume_matches_the_oracle_when_a_derived_max_grows() {
+    let mut grown = 0;
+    for seed in 1..=12 {
+        let dfg = generate(&GeneratorConfig {
+            seed,
+            layers: 4,
+            width: 5,
+            inputs: 3,
+            branch_pct: 30,
+            ..GeneratorConfig::default()
+        });
+        let spec = TimingSpec::two_cycle_multiply();
+        let cs = CriticalPath::compute(&dfg, &spec).steps() as u32 + 2;
+        let config = MfsConfig::resource_constrained(cs).with_latency((cs / 3).max(1));
+        let out = mfs::schedule(&dfg, &spec, &config).expect("unlimited classes always fit");
+        let (schedule, reschedules, grew) =
+            restarting_resource_mfs(&dfg, &spec, &config).expect("unlimited classes always fit");
+        assert_eq!(out.schedule, schedule, "seed {seed}");
+        assert_eq!(out.reschedule_count, reschedules, "seed {seed}");
+        grown += grew;
+    }
+    assert!(grown > 0, "no derived max_j grew");
 }

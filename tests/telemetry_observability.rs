@@ -59,40 +59,113 @@ fn mfs_committed_energy_is_monotone_non_increasing() {
 /// Instrumentation is observation only: a run through a [`NullSink`]
 /// (and through a recording [`MemorySink`]) is bit-identical to the
 /// plain `mfs::schedule` entry point.
+///
+/// The two sinks also take different frame paths: a recording run lists
+/// every free cell off the masks, while an untraced time-mode run
+/// counts most frames off the grid's per-row occupancy. The recording
+/// run is the oracle: every counter and every non-timing histogram
+/// must be identical, and `mfs.energy_evaluations` must equal the
+/// recorded `EnergyEvaluated` events. Besides diffeq, generated branchy
+/// graphs (shared cells, two-cycle multiplies) run with and without a
+/// latency wrap, in both objectives.
 #[test]
 fn mfs_instrumented_run_matches_uninstrumented() {
-    let dfg = classic::diffeq();
-    let spec = TimingSpec::uniform_single_cycle();
-    for cs in [4, 6, 8] {
-        let config = MfsConfig::time_constrained(cs);
-        let plain = mfs::schedule(&dfg, &spec, &config).expect("plain run");
+    use moveframe_hls::benchmarks::generate::{generate, GeneratorConfig};
+
+    let diffeq = classic::diffeq();
+    let single = TimingSpec::uniform_single_cycle();
+    let mut cases: Vec<(Dfg, TimingSpec, MfsConfig)> = [4, 6, 8]
+        .into_iter()
+        .map(|cs| {
+            (
+                diffeq.clone(),
+                single.clone(),
+                MfsConfig::time_constrained(cs),
+            )
+        })
+        .collect();
+    for seed in 1..=6u64 {
+        let dfg = generate(&GeneratorConfig {
+            seed,
+            layers: 4 + seed as usize % 3,
+            width: 3 + seed as usize,
+            branch_pct: 40,
+            ..GeneratorConfig::default()
+        });
+        let spec = TimingSpec::two_cycle_multiply();
+        let cp = CriticalPath::compute(&dfg, &spec).steps() as u32;
+        let cs = cp + seed as u32 % 3;
+        cases.push((dfg.clone(), spec.clone(), MfsConfig::time_constrained(cs)));
+        cases.push((
+            dfg.clone(),
+            spec.clone(),
+            MfsConfig::time_constrained(cs).with_latency(cp),
+        ));
+        cases.push((dfg, spec, MfsConfig::resource_constrained(cs + 4)));
+    }
+
+    for (dfg, spec, config) in &cases {
+        let label = format!(
+            "{} cs={} {:?}",
+            dfg.name(),
+            config.control_steps(),
+            config.objective()
+        );
+        let plain = mfs::schedule(dfg, spec, config).expect("plain run");
 
         let mut null = NullSink;
-        let mut metrics = Metrics::new();
+        let mut counted = Metrics::new();
         let nulled = mfs::schedule_traced(
-            &dfg,
-            &spec,
-            &config,
-            &mut Instrument::new(&mut null, &mut metrics),
+            dfg,
+            spec,
+            config,
+            &mut Instrument::new(&mut null, &mut counted),
         )
         .expect("NullSink run");
 
         let mut mem = MemorySink::new();
-        let mut metrics = Metrics::new();
+        let mut listed = Metrics::new();
         let recorded = mfs::schedule_traced(
-            &dfg,
-            &spec,
-            &config,
-            &mut Instrument::new(&mut mem, &mut metrics),
+            dfg,
+            spec,
+            config,
+            &mut Instrument::new(&mut mem, &mut listed),
         )
         .expect("MemorySink run");
 
         for traced in [&nulled, &recorded] {
-            assert_eq!(traced.schedule, plain.schedule, "cs={cs}");
-            assert_eq!(traced.grids, plain.grids, "cs={cs}");
-            assert_eq!(traced.reschedule_count, plain.reschedule_count, "cs={cs}");
+            assert_eq!(traced.schedule, plain.schedule, "{label}");
+            assert_eq!(traced.grids, plain.grids, "{label}");
+            assert_eq!(traced.reschedule_count, plain.reschedule_count, "{label}");
         }
         assert!(!mem.events().is_empty());
+
+        let counters = |m: &Metrics| {
+            m.counters()
+                .map(|(name, n)| (name.to_string(), n))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counters(&counted), counters(&listed), "{label}");
+        // Phase histograms hold wall times: only their counts compare.
+        let histograms = |m: &Metrics| {
+            m.histograms()
+                .map(|(name, h)| match name.starts_with("phase.") {
+                    true => (name.to_string(), h.count(), None),
+                    false => (name.to_string(), h.count(), Some(h.clone())),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(histograms(&counted), histograms(&listed), "{label}");
+        let evaluated = mem
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::EnergyEvaluated { .. }))
+            .count() as u64;
+        assert_eq!(
+            listed.counter("mfs.energy_evaluations"),
+            evaluated,
+            "{label}"
+        );
     }
 }
 
