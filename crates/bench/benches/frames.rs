@@ -52,7 +52,7 @@ fn bench_compute_move_frame(c: &mut Criterion) {
     // probes: their frames see real predecessor bounds and a half-full
     // grid.
     let mut placement = Placement::new(&dfg, &spec, None, frames);
-    let mut grid = Grid::new(class, cs, WIDTH as u32);
+    let mut grid = Grid::new(cs, WIDTH as u32);
     for l in 0..LAYERS / 2 {
         for w in 0..WIDTH {
             let n = node(&dfg, l, w);
@@ -106,7 +106,7 @@ fn bench_is_free_for(c: &mut Criterion) {
     let (plain, probe_plain, t, u, e) = (by(plain), by(probe_plain), by(t), by(u), by(e));
 
     let cs = 8;
-    let mut grid = Grid::new(FuClass::Op(OpKind::Add), cs, 4);
+    let mut grid = Grid::new(cs, 4);
     // Column 1, step 1: a single top-level occupant.
     grid.occupy(&dfg, plain, CStep::new(1), FuIndex::new(1), 1);
     // Column 2, step 1: a mutex-shared cell (both arms of the branch).
@@ -169,7 +169,7 @@ fn bench_mem_af_scan(c: &mut Criterion) {
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
     let mut placement = Placement::new(&dfg, &spec, None, frames);
     let class = dfg.node(loads[0]).kind().fu_class();
-    let mut grid = Grid::new(class, cs, 1);
+    let mut grid = Grid::new(cs, 1);
     // Saturate the single port for steps 1–4; the probe's frame must
     // carve those steps into `af_steps`.
     for (k, &ld) in loads.iter().take(4).enumerate() {

@@ -28,11 +28,11 @@ pub fn figure1() -> String {
         out,
         "one 2-D table per FU type; `name/name` = mutually exclusive sharing\n"
     );
-    for grid in outcome.grids.values() {
+    for (&class, grid) in &outcome.grids {
         if grid.placed_count() == 0 {
             continue;
         }
-        out.push_str(&render_grid(grid, &dfg));
+        out.push_str(&render_grid(class, grid, &dfg));
         out.push('\n');
     }
     // Narrate the move of the last-placed multiply, mirroring the

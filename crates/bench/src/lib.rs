@@ -13,10 +13,6 @@
 //!   table with an operation's present/next position;
 //! * `cargo run -p hls-bench --bin figure2` — the PF/RF/FF/MF frames of
 //!   an operation at its scheduling moment;
-//! * `cargo run --release -p hls-bench --bin explore_speedup` — the
-//!   full paper grid through the `hls-explore` engine at 1/2/4/8
-//!   worker threads plus a warm-cache pass, emitting
-//!   `BENCH_explore.json`;
 //! * `cargo run --release -p hls-bench --bin bench_diff` — the one
 //!   front end to the committed `BENCH_core.json` /
 //!   `BENCH_partition.json` / `BENCH_iterate.json` / `BENCH_mem.json` /

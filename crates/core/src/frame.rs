@@ -620,7 +620,7 @@ impl<'a> Placement<'a> {
             .schedule
             .fu_counts()
             .into_iter()
-            .map(|(class, max_fu)| (class, Grid::new(class, horizon, max_fu.max(1))))
+            .map(|(class, max_fu)| (class, Grid::new(horizon, max_fu.max(1))))
             .collect();
         for (node, slot) in self.schedule.iter() {
             let UnitId::Fu { class, index } = slot.unit else {
@@ -754,7 +754,7 @@ mod tests {
         let mut placement = Placement::new(&g, &spec, None, frames);
         // Schedule p late (step 2): q's frame must start at 3.
         placement.assign(p, add_slot(2));
-        let grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
+        let grid = Grid::new(4, 2);
         let snap = placement.frame(q, &grid, 2, true).0;
         assert_eq!(snap.earliest_feasible, CStep::new(3));
         assert!(snap.movable.iter().all(|pos| pos.step >= CStep::new(3)));
@@ -769,7 +769,7 @@ mod tests {
         let frames = TimeFrames::compute(&g, &spec, 4).unwrap();
         let mut placement = Placement::new(&g, &spec, None, frames);
         placement.assign(q, add_slot(3));
-        let grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
+        let grid = Grid::new(4, 2);
         let snap = placement.frame(p, &grid, 2, true).0;
         assert_eq!(snap.latest_feasible, CStep::new(2));
         assert!(snap.movable.iter().all(|pos| pos.step <= CStep::new(2)));
@@ -782,7 +782,7 @@ mod tests {
         let q = g.node_by_name("q").unwrap();
         let frames = TimeFrames::compute(&g, &spec, 2).unwrap();
         let placement = Placement::new(&g, &spec, None, frames);
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 2, 1);
+        let mut grid = Grid::new(2, 1);
         grid.occupy(&g, p, CStep::new(1), FuIndex::new(1), 1);
         // q (ASAP 2, ALAP 2) still fits at step 2.
         let snap = placement.frame(q, &grid, 1, true).0;
@@ -806,7 +806,7 @@ mod tests {
         let mut placement = Placement::new(&g, &spec, Some(clock), frames.clone());
         placement.assign(p, add_slot(1));
         assert_eq!(placement.offset(p), Delay::new(48));
-        let grid = Grid::new(FuClass::Op(OpKind::Add), 2, 2);
+        let grid = Grid::new(2, 2);
         let snap = placement.frame(q, &grid, 2, true).0;
         // q may share step 1 (48 + 48 ≤ 100).
         assert_eq!(snap.earliest_feasible, CStep::new(1));

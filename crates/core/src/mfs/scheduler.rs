@@ -180,7 +180,7 @@ pub fn schedule_traced(
     let mut grids: BTreeMap<FuClass, Grid> = max_fu
         .iter()
         .map(|(&class, &m)| {
-            let grid = Grid::new(class, cs, m);
+            let grid = Grid::new(cs, m);
             let grid = match config.latency() {
                 Some(l) => grid.with_latency(l),
                 None => grid,

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use hls_celllib::TimingSpec;
-use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
+use hls_dfg::{Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
 use hls_rtl::muxopt::MuxOp;
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{priority_order, CStep, FuIndex, Slot, TimeFrames, UnitId};
@@ -23,7 +23,7 @@ use hls_telemetry::{Instrument, TraceEvent};
 use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
 use crate::mfsa::scheduler::{
-    base_op, instance_free, reg_extensions, Candidate, Instance, IterationTrace, MfsaOutcome,
+    base_op, reg_extensions, Candidate, Instance, IterationTrace, MfsaOutcome,
 };
 use crate::mfsa::{DesignStyle, MfsaConfig};
 use crate::MoveFrameError;
@@ -32,6 +32,42 @@ use crate::MoveFrameError;
 /// `(kind after the move, f_ALU, f_MUX, flavour)`, or `None` when the
 /// instance can never host the op — the pre-split combined memo.
 type InstCost = Option<(usize, u64, u64, u8)>;
+
+/// Wrapped step → occupants of one ALU instance or bank port: the
+/// oracle's own occupancy record, apart from the grids of the pruned
+/// loop, so the differential checks one against the other.
+pub(crate) type Occupants = BTreeMap<u32, Vec<NodeId>>;
+
+/// Whether the unit whose occupants are `busy` can host `node` from
+/// `step` for `cycles` steps: every wrapped step it covers is empty or
+/// holds only ops `node` is mutually exclusive with.
+pub(crate) fn unit_free(
+    busy: &Occupants,
+    dfg: &Dfg,
+    node: NodeId,
+    step: CStep,
+    cycles: u8,
+    wrap: &impl Fn(u32) -> u32,
+) -> bool {
+    (0..cycles as u32).all(|k| {
+        busy.get(&wrap(step.get() + k))
+            .is_none_or(|occ| occ.iter().all(|&o| dfg.mutually_exclusive(node, o)))
+    })
+}
+
+/// Records `node` on the unit whose occupants are `busy`, from `step`
+/// for `cycles` steps.
+pub(crate) fn occupy(
+    busy: &mut Occupants,
+    node: NodeId,
+    step: CStep,
+    cycles: u8,
+    wrap: &impl Fn(u32) -> u32,
+) {
+    for k in 0..cycles as u32 {
+        busy.entry(wrap(step.get() + k)).or_default().push(node);
+    }
+}
 
 /// The exhaustive (unpruned) MFSA search — the oracle the pruned loop
 /// must match move for move.
@@ -88,7 +124,14 @@ impl ExhaustiveMfsa {
 
         let mut placement = Placement::new(dfg, spec, config.clock(), frames);
         let mut instances: Vec<Instance<EstSource>> = Vec::new();
-        let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
+        // Per instance, and per bank and port.
+        let mut busy: Vec<Occupants> = Vec::new();
+        let mut mem_busy: Vec<Vec<Occupants>> = dfg
+            .memory()
+            .banks()
+            .iter()
+            .map(|b| vec![Occupants::new(); b.ports() as usize])
+            .collect();
         let mut reg_est = RegEstimate::new();
         let mut trace = Vec::new();
 
@@ -116,14 +159,8 @@ impl ExhaustiveMfsa {
                                 .saturating_sub(reg_est.count()),
                         );
                         for port in 1..=ports {
-                            let free = (0..cycles as u32).all(|k| {
-                                mem_busy
-                                    .get(&(bank, port, wrap(step.get() + k)))
-                                    .is_none_or(|occ| {
-                                        occ.iter().all(|&o| dfg.mutually_exclusive(node, o))
-                                    })
-                            });
-                            if !free {
+                            let port_busy = &mem_busy[bank.index()][port as usize - 1];
+                            if !unit_free(port_busy, dfg, node, step, cycles, &wrap) {
                                 continue;
                             }
                             n_candidates += 1;
@@ -156,12 +193,8 @@ impl ExhaustiveMfsa {
                             max_fu: ports,
                         });
                     };
-                    for k in 0..cycles as u32 {
-                        mem_busy
-                            .entry((bank, port, wrap(step.get() + k)))
-                            .or_default()
-                            .push(node);
-                    }
+                    let port_busy = &mut mem_busy[bank.index()][port as usize - 1];
+                    occupy(port_busy, node, step, cycles, &wrap);
                     placement.assign(
                         node,
                         Slot {
@@ -297,7 +330,7 @@ impl ExhaustiveMfsa {
                         );
 
                         for (i, inst) in instances.iter().enumerate() {
-                            if !instance_free(inst, dfg, node, step, cycles, &wrap) {
+                            if !unit_free(&busy[i], dfg, node, step, cycles, &wrap) {
                                 continue;
                             }
                             let cost = inst_costs[i].get_or_insert_with(|| {
@@ -392,24 +425,15 @@ impl ExhaustiveMfsa {
                             kind_index: chosen.kind_index,
                             ops: Vec::new(),
                             mux_ops: Vec::new(),
-                            busy: BTreeMap::new(),
-                            busy_bits: Vec::new(),
                         });
+                        busy.push(Occupants::new());
                         instances.len() - 1
                     }
                 };
                 let inst = &mut instances[instance_idx];
                 inst.ops.push(node);
                 inst.mux_ops.push(mux_op);
-                for k in 0..cycles as u32 {
-                    let s = wrap(chosen.step.get() + k);
-                    inst.busy.entry(s).or_default().push(node);
-                    let word = s as usize / 64;
-                    if inst.busy_bits.len() <= word {
-                        inst.busy_bits.resize(word + 1, 0);
-                    }
-                    inst.busy_bits[word] |= 1 << (s % 64);
-                }
+                occupy(&mut busy[instance_idx], node, chosen.step, cycles, &wrap);
                 placement.assign(
                     node,
                     Slot {

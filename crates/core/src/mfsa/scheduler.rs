@@ -13,13 +13,11 @@
 //! survives as [`super::ExhaustiveMfsa`] and differentials this loop in
 //! `tests/mfsa_prune_differential.rs`.
 
-use std::collections::BTreeMap;
-
 use hls_celllib::{Library, OpKind, TimingSpec};
-use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
+use hls_dfg::{Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
 use hls_rtl::muxopt::{pack_cost_ids, pack_seed_ids, MuxOp, PackScratch, PackSeed};
 use hls_rtl::{AluAllocation, CostReport, Datapath};
-use hls_schedule::{priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId};
+use hls_schedule::{priority_order, CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
 
 use hls_telemetry::{Histogram, Instrument, Metrics, NullSink, TraceEvent};
 
@@ -77,17 +75,13 @@ pub struct MfsaOutcome {
 
 /// Internal state of one allocated ALU instance, with its committed
 /// operand lines as `M` (dense line ids in the pruned loop,
-/// [`EstSource`](crate::mfsa::cost::EstSource)s in the oracle).
+/// [`EstSource`](crate::mfsa::cost::EstSource)s in the oracle). Where it
+/// is busy is recorded apart: in the pruned loop as a column of the
+/// run's instance [`Grid`].
 pub(crate) struct Instance<M> {
     pub(crate) kind_index: usize,
     pub(crate) ops: Vec<NodeId>,
     pub(crate) mux_ops: Vec<MuxOp<M>>,
-    /// Wrapped step → occupants.
-    pub(crate) busy: BTreeMap<u32, Vec<NodeId>>,
-    /// One bit per wrapped step with any occupant — the fast reject for
-    /// [`instance_free`]; the map above is only walked when a bit is set
-    /// *and* the probing node has mutual exclusions to check.
-    pub(crate) busy_bits: Vec<u64>,
 }
 
 /// One scored candidate position.
@@ -290,26 +284,13 @@ fn set_bit(words: &mut Vec<u64>, i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
 
-/// The committed ALU instances with a step-major index over them: per
-/// wrapped step, a word row of the instances busy at that step and one
-/// of the instances with a *plain* occupant there (one that excludes
-/// nothing, so the instance cannot be shared at that step), and per ALU
-/// kind, a word set of the instances of that kind. The index turns the
-/// walk over every instance at every expanded step into a walk over the
-/// set bits of (usable kinds) ∧ ¬(busy rows), or (usable kinds) ∧
-/// ¬(plain rows) for a node with exclusions, which walks occupants only
-/// on the busy bits left.
+/// The committed ALU instances and, per ALU kind, a word set of the
+/// instances of that kind, so the instances an op may reuse or upgrade
+/// are a few word ORs. Where each instance is busy lives in the run's
+/// instance grid, whose column `i + 1` is instance `i`.
 #[derive(Default)]
 struct InstancePool {
     instances: Vec<Instance<u32>>,
-    /// The busy rows, `words` words per wrapped step (row 0 unused):
-    /// bit `i` of row `s` is set while instance `i` has an occupant at
-    /// `s`.
-    busy_rows: Vec<u64>,
-    /// The plain rows, laid out like `busy_rows`: bit `i` of row `s` is
-    /// set while some occupant of instance `i` at `s` excludes nothing.
-    plain_rows: Vec<u64>,
-    words: usize,
     /// Kind index → instances of that kind.
     kind_sets: Vec<Vec<u64>>,
 }
@@ -322,28 +303,11 @@ impl InstancePool {
             kind_index,
             ops: Vec::new(),
             mux_ops: Vec::new(),
-            busy: BTreeMap::new(),
-            busy_bits: Vec::new(),
         });
         if self.kind_sets.len() <= kind_index {
             self.kind_sets.resize(kind_index + 1, Vec::new());
         }
         set_bit(&mut self.kind_sets[kind_index], i);
-        let words = self.instances.len().div_ceil(64);
-        if words > self.words {
-            // Widen every row by one word.
-            let widen = |narrow: &[u64]| {
-                let rows = narrow.len() / self.words.max(1);
-                let mut wide = vec![0; rows * words];
-                for (new, old) in wide.chunks_mut(words).zip(narrow.chunks(self.words.max(1))) {
-                    new[..old.len()].copy_from_slice(old);
-                }
-                wide
-            };
-            self.busy_rows = widen(&self.busy_rows);
-            self.plain_rows = widen(&self.plain_rows);
-            self.words = words;
-        }
         i
     }
 
@@ -355,40 +319,6 @@ impl InstancePool {
             self.kind_sets.resize(kind_index + 1, Vec::new());
         }
         set_bit(&mut self.kind_sets[kind_index], i);
-    }
-
-    /// Records `node` on instance `i` at wrapped step `s`.
-    fn occupy(&mut self, dfg: &Dfg, i: usize, node: NodeId, s: u32) {
-        let inst = &mut self.instances[i];
-        inst.busy.entry(s).or_default().push(node);
-        set_bit(&mut inst.busy_bits, s as usize);
-        let row = s as usize * self.words;
-        if self.busy_rows.len() <= row {
-            self.busy_rows.resize(row + self.words, 0);
-            self.plain_rows.resize(row + self.words, 0);
-        }
-        self.busy_rows[row + i / 64] |= 1 << (i % 64);
-        if !dfg.has_exclusions(node) {
-            self.plain_rows[row + i / 64] |= 1 << (i % 64);
-        }
-    }
-
-    /// Word `w` of the busy row of wrapped step `s` (0 past the last
-    /// row).
-    fn busy(&self, s: u32, w: usize) -> u64 {
-        self.busy_rows
-            .get(s as usize * self.words + w)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Word `w` of the plain row of wrapped step `s` (0 past the last
-    /// row).
-    fn plain(&self, s: u32, w: usize) -> u64 {
-        self.plain_rows
-            .get(s as usize * self.words + w)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// The instances whose kind satisfies `usable`, as a word set in
@@ -404,52 +334,21 @@ impl InstancePool {
             }
         }
     }
+}
 
-    /// Fills `out`, ascending, with the instances in `mask` that can
-    /// host `node` from `step` for `cycles` steps: the mask bits clear
-    /// in every busy row the op would cover. A node with mutual
-    /// exclusions may also share a busy instance with ops it excludes:
-    /// it drops the bits of every plain row the op would cover, and
-    /// walks only the bits still busy through [`instance_free`]'s
-    /// occupant check.
-    #[allow(clippy::too_many_arguments)]
-    fn hosts(
-        &self,
-        dfg: &Dfg,
-        node: NodeId,
-        mask: &[u64],
-        step: CStep,
-        cycles: u8,
-        wrap: &impl Fn(u32) -> u32,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        let exclusions = dfg.has_exclusions(node);
-        for (w, &m) in mask.iter().enumerate() {
-            let mut bits = m;
-            // Busy bits that may still be shared, so need the walk.
-            let mut shared = 0;
-            for k in 0..cycles as u32 {
-                let s = wrap(step.get() + k);
-                if exclusions {
-                    bits &= !self.plain(s, w);
-                    shared |= self.busy(s, w);
-                } else {
-                    bits &= !self.busy(s, w);
-                }
-            }
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                let i = w * 64 + bit as usize;
+/// The set bits of a word set, lowest first: the instances or ports a
+/// column mask holds, as 0-based indices.
+fn members(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if shared >> bit & 1 == 0
-                    || instance_free(&self.instances[i], dfg, node, step, cycles, wrap)
-                {
-                    out.push(i);
-                }
-            }
-        }
-    }
+                64 * w + bit
+            })
+        })
+    })
 }
 
 /// The per-(op, instance) memo of one op's frame scan: the ALU-level
@@ -571,11 +470,6 @@ pub fn schedule_traced(
     let order = instr.span("mfsa.priority", |_| priority_order(dfg, spec, &frames));
     let model = CostModel::new(library, config.weights());
 
-    let wrap = |step: u32| match config.latency() {
-        Some(l) => (step - 1) % l + 1,
-        None => step,
-    };
-
     let mut placement = Placement::new(dfg, spec, config.clock(), frames);
     let mut pool = InstancePool::default();
     let mut trace = Vec::new();
@@ -604,10 +498,29 @@ pub fn schedule_traced(
         let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
         let mut memo: Vec<InstanceMemo> = Vec::new();
         let mut kind_mask: Vec<u64> = Vec::new();
-        let mut hosts: Vec<usize> = Vec::new();
-        // Bank-port occupancy: (bank, 1-based port, wrapped step) →
-        // nodes.
-        let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
+        // The columns one grid query leaves free at one step.
+        let mut free: Vec<u64> = Vec::new();
+        // Occupancy on the run's latency wrap: one grid whose columns
+        // are the ALU instances (at most one per op), and one per bank
+        // whose columns are its ports.
+        let grid = |columns: u32| {
+            let grid = Grid::new(cs, columns.max(1));
+            match config.latency() {
+                Some(l) => grid.with_latency(l),
+                None => grid,
+            }
+        };
+        let alu_ops = dfg
+            .node_ids()
+            .filter(|&n| !dfg.node(n).kind().is_mem_access())
+            .count();
+        let mut alus = grid(alu_ops as u32);
+        let mut port_grids: Vec<Grid> = dfg
+            .memory()
+            .banks()
+            .iter()
+            .map(|b| grid(b.ports()))
+            .collect();
         let mut reg_est = RegEstimate::new();
 
         for node in order {
@@ -624,6 +537,7 @@ pub fn schedule_traced(
                     unreachable!("mem accesses have a Mem class");
                 };
                 let ports = dfg.bank_ports(bank);
+                let port_grid = &mut port_grids[bank.index()];
                 // (total, step, port, f_time, f_reg), min by (total,
                 // step, port).
                 let mut best: Option<(u64, CStep, u32, u64, u64)> = None;
@@ -665,17 +579,10 @@ pub fn schedule_traced(
                         }
                     }
                     tally.expanded_steps += 1;
-                    for port in 1..=ports {
-                        let free = (0..cycles as u32).all(|k| {
-                            mem_busy
-                                .get(&(bank, port, wrap(step.get() + k)))
-                                .is_none_or(|occ| {
-                                    occ.iter().all(|&o| dfg.mutually_exclusive(node, o))
-                                })
-                        });
-                        if !free {
-                            continue;
-                        }
+                    free.clear();
+                    free.resize((ports as usize).div_ceil(64), !0);
+                    port_grid.retain_free(dfg, node, step, cycles, &mut free);
+                    for port in members(&free).map(|p| p as u32 + 1) {
                         n_candidates += 1;
                         let total = f_time + f_reg;
                         if instr.enabled() {
@@ -704,12 +611,7 @@ pub fn schedule_traced(
                         max_fu: ports,
                     });
                 };
-                for k in 0..cycles as u32 {
-                    mem_busy
-                        .entry((bank, port, wrap(step.get() + k)))
-                        .or_default()
-                        .push(node);
-                }
+                port_grid.occupy(dfg, node, step, FuIndex::new(port), cycles);
                 placement.assign(
                     node,
                     Slot {
@@ -832,8 +734,9 @@ pub fn schedule_traced(
 
                     // Existing instances that can host the op here:
                     // reuse or upgrade, in ascending instance order.
-                    pool.hosts(dfg, node, &kind_mask, step, cycles, &wrap, &mut hosts);
-                    for &i in &hosts {
+                    free.clone_from(&kind_mask);
+                    alus.retain_free(dfg, node, step, cycles, &mut free);
+                    for i in members(&free) {
                         let inst = &pool.instances[i];
                         let m = &mut memo[i];
                         if m.stamp != stamp {
@@ -980,9 +883,13 @@ pub fn schedule_traced(
             let inst = &mut pool.instances[instance_idx];
             inst.ops.push(node);
             inst.mux_ops.push(mux_op);
-            for k in 0..cycles as u32 {
-                pool.occupy(dfg, instance_idx, node, wrap(chosen.step.get() + k));
-            }
+            alus.occupy(
+                dfg,
+                node,
+                chosen.step,
+                FuIndex::new(instance_idx as u32 + 1),
+                cycles,
+            );
             placement.assign(
                 node,
                 Slot {
@@ -1060,38 +967,6 @@ pub(crate) fn base_op(dfg: &Dfg, node: NodeId) -> hls_celllib::OpKind {
     }
 }
 
-/// Whether `inst` can host `node` starting at `step` for `cycles` steps.
-pub(crate) fn instance_free<M>(
-    inst: &Instance<M>,
-    dfg: &Dfg,
-    node: NodeId,
-    step: CStep,
-    cycles: u8,
-    wrap: &impl Fn(u32) -> u32,
-) -> bool {
-    let occupied = (0..cycles as u32).any(|k| {
-        let s = wrap(step.get() + k);
-        inst.busy_bits
-            .get(s as usize / 64)
-            .is_some_and(|w| w >> (s % 64) & 1 == 1)
-    });
-    if !occupied {
-        return true;
-    }
-    // Occupied steps are only survivable through mutual exclusion.
-    if !dfg.has_exclusions(node) {
-        return false;
-    }
-    for k in 0..cycles as u32 {
-        if let Some(occ) = inst.busy.get(&wrap(step.get() + k)) {
-            if occ.iter().any(|&o| !dfg.mutually_exclusive(node, o)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// The register-span extensions placing `node` at `step` would cause
 /// (inputs only, per §4.1).
 pub(crate) fn reg_extensions(
@@ -1121,6 +996,7 @@ pub(crate) fn reg_extensions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mfsa::exhaustive::{occupy, unit_free, Occupants};
     use crate::mfsa::Weights;
     use hls_celllib::{Library, OpKind};
     use hls_dfg::DfgBuilder;
@@ -1328,93 +1204,188 @@ mod tests {
         assert_eq!(out.allocation.len(), 1);
     }
 
-    /// The step-major walk must visit exactly the instances the
-    /// per-instance probe accepts (usable kind, then `instance_free`),
-    /// in the same ascending order, so every tie-break and counter of
-    /// the move loop is unchanged. The pool is driven through random
-    /// creations, upgrades and multi-cycle occupations of a branchy
-    /// graph (whose arms exclude each other), with and without a
-    /// latency that wraps steps, across more than 64 instances.
-    #[test]
-    fn bitset_walk_matches_the_instance_probe() {
+    /// A graph scripted by `(action, kind)` pairs: adds, subtracts,
+    /// multiplies and loads from the two-port bank `m`, some inside the
+    /// arms of branches nested up to three deep, whose ops exclude the
+    /// other arm's.
+    fn scripted_graph(script: &[(u8, u8)]) -> Dfg {
         let mut b = DfgBuilder::new("g");
         let x = b.input("x");
-        b.op("a", OpKind::Add, &[x, x]).unwrap();
-        b.op("m", OpKind::Mul, &[x, x]).unwrap();
-        let branch = b.begin_branch();
-        for arm in 0..2 {
-            b.enter_arm(branch, arm);
-            b.op(&format!("t{arm}"), OpKind::Add, &[x, x]).unwrap();
-            b.op(&format!("u{arm}"), OpKind::Mul, &[x, x]).unwrap();
+        let y = b.input("y");
+        let bank = b.declare_bank("m", 2);
+        let array = b.declare_array("a", 8, bank);
+        // Open branches with the arm each is in.
+        let mut open = Vec::new();
+        for (i, &(action, kind)) in script.iter().enumerate() {
+            match action % 5 {
+                0 if open.len() < 3 => {
+                    let branch = b.begin_branch();
+                    b.enter_arm(branch, 0);
+                    open.push((branch, 0));
+                }
+                1 => {
+                    if let Some((branch, arm)) = open.last_mut().filter(|(_, arm)| *arm == 0) {
+                        b.exit_arm();
+                        *arm = 1;
+                        b.enter_arm(*branch, 1);
+                    }
+                }
+                2 => {
+                    if open.pop().is_some() {
+                        b.exit_arm();
+                    }
+                }
+                _ => {
+                    let name = format!("n{i}");
+                    match kind % 4 {
+                        3 => b.load(&name, array, x).unwrap(),
+                        k => {
+                            let op = [OpKind::Add, OpKind::Sub, OpKind::Mul][k as usize];
+                            b.op(&name, op, &[x, y]).unwrap()
+                        }
+                    };
+                }
+            }
+        }
+        for _ in open {
             b.exit_arm();
         }
-        let g = b.finish().unwrap();
-        let nodes: Vec<NodeId> = g.node_ids().collect();
-        assert!(nodes.iter().any(|&n| g.has_exclusions(n)));
-        let lib = Library::ncr_like();
-        let model = CostModel::new(&lib, Weights::default());
-        let kind_sets: Vec<Vec<usize>> = [OpKind::Add, OpKind::Sub, OpKind::Mul]
-            .into_iter()
-            .map(|op| {
-                let mut terms = OpKindTerms::new(&lib, &model, op);
-                (0..lib.alus().len())
-                    .filter(|&k| terms.upgrade(&lib, &model, k).is_some())
-                    .collect()
-            })
-            .chain([(0..lib.alus().len()).collect()])
-            .collect();
-        let cs = 6u32;
-        let mut state = 0x9e37_79b9_u64;
-        let mut rand = |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
-        for latency in [None, Some(3u32)] {
+        b.op("last", OpKind::Add, &[x, y]).unwrap();
+        b.finish().unwrap()
+    }
+
+    proptest::proptest! {
+        /// The hosts the move loop walks at a step — the op's usable
+        /// kinds narrowed by one query of the instance grid — must be
+        /// exactly the instances the oracle's per-instance probe
+        /// accepts, in the same ascending order, so every tie-break and
+        /// counter of the loop is the exhaustive search's. Likewise a
+        /// bank's free ports against a per-port probe. The pool and
+        /// grids are driven through random instance creations, kind
+        /// changes and occupations of 1–3 cycles (shared cells of ops
+        /// in opposite arms included) past 64 instances, with and
+        /// without a latency that wraps the steps.
+        #[test]
+        fn grid_hosts_match_the_unit_probe(
+            script in proptest::collection::vec((0u8..=255, 0u8..=255), 1..30),
+            actions in proptest::collection::vec(
+                (0u8..8, 0usize..1 << 16, 0u32..6, 1u8..=3), 30..90),
+            first in 65usize..100,
+            latency in 0u32..3,
+        ) {
+            let g = scripted_graph(&script);
+            let cs = 6u32;
+            let latency = [None, Some(2), Some(3)][latency as usize];
             let wrap = |step: u32| latency.map_or(step, |l| (step - 1) % l + 1);
+            let grid = |columns| match latency {
+                Some(l) => Grid::new(cs, columns).with_latency(l),
+                None => Grid::new(cs, columns),
+            };
+            let (alu_nodes, loads): (Vec<NodeId>, Vec<NodeId>) =
+                g.node_ids().partition(|&n| !g.node(n).kind().is_mem_access());
+            let lib = Library::ncr_like();
+            let kinds = lib.alus().len();
+            let model = CostModel::new(&lib, Weights::default());
+            // The usable kinds of each op kind, and of every kind.
+            let usable: Vec<Vec<usize>> = [OpKind::Add, OpKind::Sub, OpKind::Mul]
+                .into_iter()
+                .map(|op| {
+                    let mut terms = OpKindTerms::new(&lib, &model, op);
+                    (0..kinds).filter(|&k| terms.upgrade(&lib, &model, k).is_some()).collect()
+                })
+                .chain([(0..kinds).collect()])
+                .collect();
+
             let mut pool = InstancePool::default();
-            let (mut mask, mut walked) = (Vec::new(), Vec::new());
-            for _ in 0..160 {
-                match rand(4) {
-                    0 | 1 => {
-                        pool.push(rand(lib.alus().len()));
+            let mut alus = grid(256);
+            let mut ports = grid(2);
+            let (mut busy, mut port_busy): (Vec<Occupants>, Vec<Occupants>) =
+                (Vec::new(), vec![Occupants::new(); 2]);
+            for i in 0..first {
+                pool.push(i % kinds);
+                busy.push(Occupants::new());
+            }
+            let (mut mask, mut free) = (Vec::new(), Vec::new());
+            let last = actions.len() - 1;
+            for (n, &(action, pick, step, cycles)) in actions.iter().enumerate() {
+                let step = CStep::new(1 + step);
+                let fits = step.finish(cycles).get() <= cs;
+                match action {
+                    0 => {
+                        pool.push(pick % kinds);
+                        busy.push(Occupants::new());
                     }
-                    2 if !pool.instances.is_empty() => {
-                        pool.set_kind(rand(pool.instances.len()), rand(lib.alus().len()));
+                    1 => pool.set_kind(pick % pool.instances.len(), (pick >> 8) % kinds),
+                    2 if fits && !loads.is_empty() => {
+                        let node = loads[pick % loads.len()];
+                        if ports.placement(node).is_none() {
+                            let port = (pick >> 8) % 2;
+                            ports.occupy(&g, node, step, FuIndex::new(port as u32 + 1), cycles);
+                            occupy(&mut port_busy[port], node, step, cycles, &wrap);
+                        }
                     }
-                    _ if !pool.instances.is_empty() => {
-                        let i = rand(pool.instances.len());
-                        let (node, step) = (nodes[rand(nodes.len())], 1 + rand(cs as usize));
-                        for k in 0..1 + rand(2) as u32 {
-                            pool.occupy(&g, i, node, wrap(step as u32 + k));
+                    _ if fits => {
+                        let node = alu_nodes[pick % alu_nodes.len()];
+                        let i = (pick >> 6) % pool.instances.len();
+                        if alus.placement(node).is_none() {
+                            alus.occupy(&g, node, step, FuIndex::new(i as u32 + 1), cycles);
+                            occupy(&mut busy[i], node, step, cycles, &wrap);
                         }
                     }
                     _ => {}
                 }
-                for kinds in &kind_sets {
+                // One op per action for one kind set, every op for every
+                // set at the end.
+                let (sets, ops, mem) = if n == last {
+                    (&usable[..], &alu_nodes[..], &loads[..])
+                } else {
+                    let one = |nodes: &[NodeId]| {
+                        let i = (pick >> 3) % nodes.len().max(1);
+                        i..(i + 1).min(nodes.len())
+                    };
+                    let set = pick % usable.len();
+                    (&usable[set..=set], &alu_nodes[one(&alu_nodes)], &loads[one(&loads)])
+                };
+                for kinds in sets {
                     pool.kind_mask(|k| kinds.contains(&k), &mut mask);
-                    for &node in &nodes {
+                    for &node in ops {
                         for step in (1..=cs).map(CStep::new) {
-                            for cycles in 1..=2 {
-                                pool.hosts(&g, node, &mask, step, cycles, &wrap, &mut walked);
-                                let probe: Vec<usize> = pool
-                                    .instances
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, inst)| {
-                                        kinds.contains(&inst.kind_index)
-                                            && instance_free(inst, &g, node, step, cycles, &wrap)
+                            for cycles in (1..=3).filter(|&c| step.finish(c).get() <= cs) {
+                                free.clone_from(&mask);
+                                alus.retain_free(&g, node, step, cycles, &mut free);
+                                let probe: Vec<usize> = (0..pool.instances.len())
+                                    .filter(|&i| {
+                                        kinds.contains(&pool.instances[i].kind_index)
+                                            && unit_free(&busy[i], &g, node, step, cycles, &wrap)
                                     })
-                                    .map(|(i, _)| i)
                                     .collect();
-                                assert_eq!(walked, probe, "{node:?} at {step:?} for {cycles}");
+                                proptest::prop_assert_eq!(
+                                    members(&free).collect::<Vec<_>>(),
+                                    probe,
+                                    "{:?} at {:?} for {}",
+                                    node,
+                                    step,
+                                    cycles
+                                );
                             }
                         }
                     }
                 }
+                for &node in mem {
+                    for step in (1..=cs).map(CStep::new) {
+                        for cycles in (1..=3).filter(|&c| step.finish(c).get() <= cs) {
+                            free.clear();
+                            free.push(!0);
+                            ports.retain_free(&g, node, step, cycles, &mut free);
+                            let probe: Vec<usize> = (0..2)
+                                .filter(|&p| unit_free(&port_busy[p], &g, node, step, cycles, &wrap))
+                                .collect();
+                            proptest::prop_assert_eq!(members(&free).collect::<Vec<_>>(), probe);
+                        }
+                    }
+                }
             }
-            assert!(pool.instances.len() > 64, "the walk spans several words");
+            proptest::prop_assert!(pool.instances.len() > 64, "the hosts span several words");
         }
     }
 

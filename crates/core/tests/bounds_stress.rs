@@ -175,7 +175,7 @@ fn stress(dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>, seed: u64, c
             // Frame the dependency-feasible range and pick a random step
             // inside it — the placements a real scheduler would make.
             let class = dfg.node(id).kind().fu_class();
-            let probe_grid = Grid::new(class, cs, 1);
+            let probe_grid = Grid::new(cs, 1);
             let snap = placement.frame(id, &probe_grid, 1, true).0;
             if snap.earliest_feasible > snap.latest_feasible {
                 continue;

@@ -7,7 +7,7 @@
 //! of rebuilding.
 
 use hls_celllib::{ClockPeriod, Delay, OpKind, TimingSpec};
-use hls_dfg::{Dfg, DfgBuilder, FuClass, NodeId, SignalSource};
+use hls_dfg::{Dfg, DfgBuilder, NodeId, SignalSource};
 use hls_schedule::{CStep, FuIndex, Grid, Slot, TimeFrames, UnitId};
 use moveframe::{FrameSnapshot, Placement};
 
@@ -33,7 +33,7 @@ impl<'a> Fixture<'a> {
 
     fn place(&mut self, node: NodeId, step: u32, fu: u32) {
         let (step, fu) = (CStep::new(step), FuIndex::new(fu));
-        let class = self.grid.class();
+        let class = self.placement.dfg().node(node).kind().fu_class();
         let unit = UnitId::Fu { class, index: fu };
         self.placement.assign(node, Slot { step, unit });
         let cycles = self.placement.cycles(node);
@@ -76,8 +76,7 @@ fn reframe_after_vacate_matches_cold_recompute_with_chaining() {
     let clock = Some(ClockPeriod::new(100));
     let cs = 3;
     let frames = TimeFrames::for_clock(&dfg, &spec, clock, cs).unwrap();
-    let class = FuClass::Op(OpKind::Add);
-    let fresh = || Fixture::new(&dfg, &spec, clock, &frames, Grid::new(class, cs, 2));
+    let fresh = || Fixture::new(&dfg, &spec, clock, &frames, Grid::new(cs, 2));
 
     // Warm state: place a and c, snapshot d's frame.
     let mut warm = fresh();
@@ -132,8 +131,7 @@ fn vacated_chain_source_does_not_leave_a_stale_feasible_range() {
     let clock = Some(ClockPeriod::new(100));
     let cs = 3;
     let frames = TimeFrames::for_clock(&dfg, &spec, clock, cs).unwrap();
-    let class = FuClass::Op(OpKind::Add);
-    let fresh = || Fixture::new(&dfg, &spec, clock, &frames, Grid::new(class, cs, 2));
+    let fresh = || Fixture::new(&dfg, &spec, clock, &frames, Grid::new(cs, 2));
 
     let mut st = fresh();
     st.place(a, 2, 1);
@@ -178,8 +176,7 @@ fn reframe_after_vacate_matches_cold_recompute_with_af_steps() {
     let spec = TimingSpec::uniform_single_cycle();
     let cs = 4;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
-    let class = dfg.node(l0).kind().fu_class();
-    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(class, cs, 1));
+    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(cs, 1));
 
     let mut warm = fresh();
     warm.place(l0, 1, 1);
@@ -233,8 +230,7 @@ fn region_vacate_and_replace_matches_cold_recompute_under_banks() {
     let spec = TimingSpec::uniform_single_cycle();
     let cs = 5;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
-    let class = dfg.node(l0).kind().fu_class();
-    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(class, cs, 1));
+    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(cs, 1));
 
     // l3 stays unscheduled and is the probe target throughout.
     let mut warm = fresh();
@@ -298,8 +294,7 @@ fn store_hazard_tokens_survive_region_reframe() {
     let spec = TimingSpec::uniform_single_cycle();
     let cs = 5;
     let frames = TimeFrames::compute(&dfg, &spec, cs).unwrap();
-    let class = dfg.node(l0).kind().fu_class();
-    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(class, cs, 1));
+    let fresh = || Fixture::new(&dfg, &spec, None, &frames, Grid::new(cs, 1));
 
     let mut warm = fresh();
     warm.place(l0, 1, 1);

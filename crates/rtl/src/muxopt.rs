@@ -392,8 +392,8 @@ impl<S: Ord + Clone> PackSeed<S> {
     /// Extends the seed by `op` at the `(cost, swap)` [`Self::price`]
     /// answered for it. The seed then covers `ops ++ [op]`, keeps its
     /// stability flag (a stranger changes no flip decision), and equals
-    /// [`pack_seed`] of the extended list (the proptests below pin
-    /// this).
+    /// the seed packed cold from the extended list (the proptests below
+    /// pin this).
     ///
     /// # Panics
     ///
@@ -465,19 +465,11 @@ impl<S: Ord + Clone> PackSeed<S> {
     }
 }
 
-/// Packs `ops` and returns the committed refcount state instead of the
-/// sorted source lists: the handle an instance keeps for later
-/// [`PackSeed::price`] / [`PackSeed::insert`] extensions.
-pub fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
-    let interned = Interned::new(ops);
-    let mut scratch = PackScratch::new(interned.keys.len());
-    let stable = construct(&interned.ops, None, &mut scratch);
-    PackSeed::from_orientations(ops, &scratch.swapped, stable)
-}
-
-/// [`pack_seed`] over dense source ids, packing in the caller's
-/// scratch: the form the MFSA loop rebuilds an instance's seed in
-/// after a commit [`PackSeed::price`] could not answer.
+/// Packs `ops` over dense source ids in the caller's scratch and
+/// returns the committed refcount state instead of the sorted source
+/// lists: the handle an MFSA instance keeps for later
+/// [`PackSeed::price`] / [`PackSeed::insert`] extensions, rebuilt after
+/// a commit [`PackSeed::price`] could not answer.
 ///
 /// # Panics
 ///
@@ -735,6 +727,15 @@ impl<S: Ord + Hash + Clone> Interned<S> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`pack_seed_ids`] over any source type: the seed of `ops`,
+    /// interned into ids in order of first appearance.
+    fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
+        let interned = Interned::new(ops);
+        let mut scratch = PackScratch::new(interned.keys.len());
+        let stable = construct(&interned.ops, None, &mut scratch);
+        PackSeed::from_orientations(ops, &scratch.swapped, stable)
+    }
 
     fn op(l: &str, r: &str, c: bool) -> MuxOp<String> {
         MuxOp {

@@ -1,9 +1,11 @@
-//! The paper's 2-D placement table (control steps × FU index), one per
-//! functional-unit class.
+//! The paper's 2-D placement table (control steps × unit index): one
+//! per functional-unit class in MFS, and in MFSA one whose columns are
+//! the ALU instances and one per memory bank whose columns are its
+//! ports.
 
 use std::collections::BTreeMap;
 
-use hls_dfg::{Dfg, FuClass, NodeId};
+use hls_dfg::{Dfg, NodeId};
 
 use crate::{CStep, FuIndex};
 
@@ -20,8 +22,11 @@ enum CellOcc {
     Shared,
 }
 
-/// Occupancy table for one FU class: the "grid table" of Figure 1, where
-/// an operation occupies `(FU index, control step)` cells.
+/// Occupancy table of one set of units: the "grid table" of Figure 1,
+/// where an operation occupies `(unit index, control step)` cells. The
+/// units are the columns of one FU class (MFS), the ALU instances of an
+/// MFSA run, or the ports of one memory bank; the grid itself does not
+/// know which.
 ///
 /// The grid optionally wraps control steps modulo a functional-pipelining
 /// latency `L`: "for a given latency L, the operations scheduled into
@@ -34,9 +39,10 @@ enum CellOcc {
 /// # Representation
 ///
 /// Occupancy is step-major: one row of words per wrapped step, one bit
-/// per materialised column, so [`Grid::free_starts`] answers a whole
-/// step of columns with a few word operations and [`Grid::is_free_for`]
-/// is a mask test per spanned step. Beside each row the grid keeps its
+/// per materialised column, so [`Grid::retain_free`] answers a whole
+/// step of a caller's columns with a few word operations, and
+/// [`Grid::free_starts`] (a window of steps) and [`Grid::is_free_for`]
+/// (one column) ask the same rule. Beside each row the grid keeps its
 /// number of occupied columns, so [`Grid::free_cells`] sizes a
 /// single-cycle move frame in one read per step, and a *plain* row of
 /// the cells that some occupant excluding nothing holds: such a cell
@@ -49,7 +55,6 @@ enum CellOcc {
 /// out whenever the materialised columns cross a 64-column boundary.
 #[derive(Debug, Clone)]
 pub struct Grid {
-    class: FuClass,
     cs: u32,
     max_fu: u32,
     latency: Option<u32>,
@@ -84,16 +89,14 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// An empty grid for `class` with `cs` steps and at most `max_fu`
-    /// unit columns.
+    /// An empty grid with `cs` steps and at most `max_fu` unit columns.
     ///
     /// # Panics
     ///
     /// Panics if `cs` or `max_fu` is zero.
-    pub fn new(class: FuClass, cs: u32, max_fu: u32) -> Self {
+    pub fn new(cs: u32, max_fu: u32) -> Self {
         assert!(cs >= 1 && max_fu >= 1, "grid dimensions are 1-based");
         Grid {
-            class,
             cs,
             max_fu,
             latency: None,
@@ -124,11 +127,6 @@ impl Grid {
         self.rows = latency;
         self.row_counts = vec![0; latency as usize];
         self
-    }
-
-    /// The FU class this grid belongs to.
-    pub fn class(&self) -> FuClass {
-        self.class
     }
 
     /// Number of control steps.
@@ -191,6 +189,7 @@ impl Grid {
     }
 
     /// The plain words of the wrapped row holding `step`.
+    #[cfg(test)]
     fn plain_row(&self, step: u32) -> &[u64] {
         let base = self.row(step) as usize * self.stride;
         &self.plain[base..base + self.stride]
@@ -251,7 +250,8 @@ impl Grid {
 
     /// Whether `node` (occupying `cycles` steps from `step` on column
     /// `fu`) can be placed: all its cells are inside the grid and every
-    /// current occupant is mutually exclusive with it.
+    /// current occupant is mutually exclusive with it — the one-column
+    /// case of [`Grid::retain_free`].
     pub fn is_free_for(
         &self,
         dfg: &Dfg,
@@ -260,31 +260,93 @@ impl Grid {
         fu: FuIndex,
         cycles: u8,
     ) -> bool {
-        if fu.get() > self.max_fu {
-            return false;
-        }
-        if step.finish(cycles).get() > self.cs {
+        if fu.get() > self.max_fu || step.finish(cycles).get() > self.cs {
             return false;
         }
         let col = fu.get() - 1;
-        if col >= self.cols {
-            return true;
+        let mut word = [1u64 << (col % 64)];
+        self.retain_unoccupied(dfg, node, step, cycles, col as usize / 64, &mut word);
+        word[0] != 0
+    }
+
+    /// Narrows the column set `columns` — bit `b` of word `w` stands for
+    /// column `64·w + b + 1` — to the columns on which `node` fits from
+    /// `step` for `cycles` steps: [`Grid::is_free_for`] for a whole set
+    /// of columns, written in place, so a caller that asks at every step
+    /// allocates nothing.
+    ///
+    /// Columns past `max_fu` are cleared, and every column when the span
+    /// would overrun the time constraint; columns never touched are
+    /// free. An occupied cell blocks the span over it unless `node` is
+    /// mutually exclusive with every occupant, and only the caller's
+    /// columns are ever walked for that.
+    pub fn retain_free(
+        &self,
+        dfg: &Dfg,
+        node: NodeId,
+        step: CStep,
+        cycles: u8,
+        columns: &mut [u64],
+    ) {
+        if step.finish(cycles).get() > self.cs {
+            columns.fill(0);
+            return;
         }
-        let (word, bit) = (col as usize / 64, col % 64);
-        let occupied = |c: u32| self.occ_row(step.get() + c)[word] >> bit & 1 == 1;
-        if !(0..cycles as u32).any(occupied) {
-            return true;
+        let budget = self.max_fu as usize;
+        for (w, word) in columns.iter_mut().enumerate().skip(budget / 64) {
+            *word &= if w == budget / 64 {
+                (1u64 << (budget % 64)) - 1
+            } else {
+                0
+            };
         }
-        // Something is there. A node that excludes nothing can never
-        // share a cell, so only branched nodes walk the occupant lists.
-        dfg.has_exclusions(node)
-            && (0..cycles as u32).all(|c| self.shares_with_all(dfg, node, step.offset(c), fu))
+        self.retain_unoccupied(dfg, node, step, cycles, 0, columns);
+    }
+
+    /// The free-cell rule behind every query of the grid: clears from
+    /// `columns`, the words of a column set from word `first` on, each
+    /// column with a cell among the `cycles` steps from `step` that
+    /// `node` cannot share.
+    ///
+    /// A node that excludes nothing can never share a cell, so it drops
+    /// every occupied column. A node with exclusions drops the plain
+    /// cells (some occupant excludes nothing) and walks the occupants
+    /// only of the other occupied cells it still holds.
+    fn retain_unoccupied(
+        &self,
+        dfg: &Dfg,
+        node: NodeId,
+        step: CStep,
+        cycles: u8,
+        first: usize,
+        columns: &mut [u64],
+    ) {
+        let live = self.stride.saturating_sub(first).min(columns.len());
+        let shares = dfg.has_exclusions(node);
+        for c in 0..cycles as u32 {
+            let s = step.offset(c);
+            let base = self.row(s.get()) as usize * self.stride + first;
+            for (w, free) in columns[..live].iter_mut().enumerate() {
+                let occ = self.occ[base + w];
+                if !shares {
+                    *free &= !occ;
+                    continue;
+                }
+                *free &= !(occ & self.plain[base + w]);
+                for bit in ones(*free & occ) {
+                    let fu = FuIndex::new(64 * (first + w) as u32 + bit + 1);
+                    if !self.shares_with_all(dfg, node, s, fu) {
+                        *free &= !(1 << bit);
+                    }
+                }
+            }
+        }
     }
 
     /// The start steps in `[earliest, latest]` at which `node`
     /// (occupying `cycles` steps) is free on each of the first
-    /// `columns` columns — [`Grid::is_free_for`] for the whole window at
-    /// once, a row of 64 columns at a time.
+    /// `columns` columns — [`Grid::retain_free`] at each start of the
+    /// window, a row of 64 columns at a time.
     ///
     /// Columns past `max_fu` are left out, columns never touched are
     /// entirely free, and starts whose span would overrun the time
@@ -292,9 +354,9 @@ impl Grid {
     /// spans over it unless `node` is mutually exclusive with every
     /// occupant.
     ///
-    /// Each start's row is the visible columns minus the OR of the
-    /// `cycles` occupancy rows its span covers: `O(range × cycles ×
-    /// columns / 64)` word operations.
+    /// Each start's row is the visible columns minus the `cycles`
+    /// occupancy rows its span covers: `O(range × cycles × columns /
+    /// 64)` word operations.
     pub fn free_starts(
         &self,
         dfg: &Dfg,
@@ -311,36 +373,6 @@ impl Grid {
             .min((self.cs + 1).saturating_sub(cycles as u32));
         let len = if last >= lo { last - lo + 1 } else { 0 };
         let words = (columns as usize).div_ceil(64);
-        // Occupancy words that can hold a visible column.
-        let live = self.stride.min(words);
-        // A node that excludes nothing can never share a cell, so only
-        // branched nodes get their own copy of the blocking rows, with
-        // the cells they may share cleared. A plain cell blocks them
-        // too, so only the other occupied cells walk their occupants.
-        let shares = len > 0 && dfg.has_exclusions(node);
-        let mut shared_rows = Vec::new();
-        if shares {
-            for step in lo..last + cycles as u32 {
-                let plain = self.plain_row(step);
-                for (w, &word) in self.occ_row(step)[..live].iter().enumerate() {
-                    let shareable = ones(word & !plain[w])
-                        .filter(|&bit| {
-                            let fu = FuIndex::new(64 * w as u32 + bit + 1);
-                            self.shares_with_all(dfg, node, CStep::new(step), fu)
-                        })
-                        .fold(0u64, |m, bit| m | 1 << bit);
-                    shared_rows.push(word & !shareable);
-                }
-            }
-        }
-        let blocking = |step: u32| -> &[u64] {
-            if shares {
-                let at = (step - lo) as usize * live;
-                &shared_rows[at..at + live]
-            } else {
-                &self.occ_row(step)[..live]
-            }
-        };
         let tail = match columns % 64 {
             0 => !0u64,
             r => (1u64 << r) - 1,
@@ -348,11 +380,7 @@ impl Grid {
         let mut bits = vec![!0u64; len as usize * words];
         for (start, row) in (lo..).zip(bits.chunks_exact_mut(words.max(1))) {
             row[words - 1] = tail;
-            for c in 0..cycles as u32 {
-                for (free, &taken) in row.iter_mut().zip(blocking(start + c)) {
-                    *free &= !taken;
-                }
-            }
+            self.retain_unoccupied(dfg, node, CStep::new(start), cycles, 0, row);
         }
         FreeStarts {
             lo,
@@ -655,8 +683,7 @@ fn ones(mut word: u64) -> impl Iterator<Item = u32> {
 /// not the lazily-materialised storage.
 impl PartialEq for Grid {
     fn eq(&self, other: &Self) -> bool {
-        self.class == other.class
-            && self.cs == other.cs
+        self.cs == other.cs
             && self.max_fu == other.max_fu
             && self.latency == other.latency
             && self.placed == other.placed
@@ -792,7 +819,7 @@ mod tests {
     #[test]
     fn occupied_cell_blocks_non_exclusive_ops() {
         let (g, t, e, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
+        let mut grid = Grid::new(4, 2);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         // Mutually exclusive `e` can share the cell; unrelated `u` cannot.
         assert!(grid.is_free_for(&g, e, CStep::new(1), FuIndex::new(1), 1));
@@ -805,7 +832,7 @@ mod tests {
     #[test]
     fn bounds_are_enforced() {
         let (g, t, _, _) = exclusive_pair();
-        let grid = Grid::new(FuClass::Op(OpKind::Add), 3, 2);
+        let grid = Grid::new(3, 2);
         assert!(!grid.is_free_for(&g, t, CStep::new(1), FuIndex::new(3), 1));
         assert!(!grid.is_free_for(&g, t, CStep::new(3), FuIndex::new(1), 2));
         assert!(grid.is_free_for(&g, t, CStep::new(3), FuIndex::new(1), 1));
@@ -814,7 +841,7 @@ mod tests {
     #[test]
     fn multicycle_occupies_consecutive_cells() {
         let (g, t, _, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
+        let mut grid = Grid::new(4, 1);
         grid.occupy(&g, t, CStep::new(2), FuIndex::new(1), 2);
         assert!(!grid.is_free_for(&g, u, CStep::new(2), FuIndex::new(1), 1));
         assert!(!grid.is_free_for(&g, u, CStep::new(3), FuIndex::new(1), 1));
@@ -825,7 +852,7 @@ mod tests {
     #[test]
     fn vacate_restores_the_cell() {
         let (g, t, _, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
+        let mut grid = Grid::new(4, 1);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         assert_eq!(grid.vacate(t), Some((CStep::new(1), FuIndex::new(1))));
         assert!(grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(1), 1));
@@ -836,7 +863,7 @@ mod tests {
     #[test]
     fn vacate_reclaims_shared_cells() {
         let (g, t, e, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
+        let mut grid = Grid::new(4, 1);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         grid.occupy(&g, e, CStep::new(1), FuIndex::new(1), 1);
         assert!(
@@ -860,7 +887,7 @@ mod tests {
     #[test]
     fn latency_wrap_detects_modulo_conflicts() {
         let (g, t, _, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 6, 1).with_latency(2);
+        let mut grid = Grid::new(6, 1).with_latency(2);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         // Steps 3 and 5 collide with step 1 modulo L=2.
         assert!(!grid.is_free_for(&g, u, CStep::new(3), FuIndex::new(1), 1));
@@ -871,7 +898,7 @@ mod tests {
     #[test]
     fn columns_used_tracks_peak() {
         let (g, t, e, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 3);
+        let mut grid = Grid::new(4, 3);
         assert_eq!(grid.columns_used(), 0);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         grid.occupy(&g, u, CStep::new(1), FuIndex::new(3), 1);
@@ -883,7 +910,7 @@ mod tests {
     #[test]
     fn columns_used_drops_after_vacating_the_peak() {
         let (g, t, e, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 3);
+        let mut grid = Grid::new(4, 3);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         grid.occupy(&g, u, CStep::new(1), FuIndex::new(3), 1);
         grid.occupy(&g, e, CStep::new(2), FuIndex::new(2), 1);
@@ -899,14 +926,14 @@ mod tests {
     #[should_panic(expected = "already placed")]
     fn double_placement_panics() {
         let (g, t, _, _) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 1);
+        let mut grid = Grid::new(4, 1);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         grid.occupy(&g, t, CStep::new(2), FuIndex::new(1), 1);
     }
 
     #[test]
     fn grow_max_fu_never_shrinks() {
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2);
+        let mut grid = Grid::new(4, 2);
         grid.grow_max_fu(5);
         assert_eq!(grid.max_fu(), 5);
         grid.grow_max_fu(3);
@@ -957,12 +984,12 @@ mod tests {
             let max_fu = 4;
             let (mut dense, mut reference) = if latency > 0 {
                 (
-                    Grid::new(FuClass::Op(OpKind::Add), cs, max_fu).with_latency(latency),
+                    Grid::new(cs, max_fu).with_latency(latency),
                     ReferenceGrid::new(cs, max_fu).with_latency(latency),
                 )
             } else {
                 (
-                    Grid::new(FuClass::Op(OpKind::Add), cs, max_fu),
+                    Grid::new(cs, max_fu),
                     ReferenceGrid::new(cs, max_fu),
                 )
             };
@@ -1020,7 +1047,7 @@ mod tests {
             let cs = 8;
             let mut max_fu = start_fu;
             let (mut dense, mut reference) = (
-                Grid::new(FuClass::Op(OpKind::Add), cs, max_fu),
+                Grid::new(cs, max_fu),
                 ReferenceGrid::new(cs, max_fu),
             );
             if latency > 0 {
@@ -1067,6 +1094,20 @@ mod tests {
                 for &(s, f) in &cells {
                     prop_assert!(dense.is_free_for(&g, node, s, f, cycles));
                 }
+                // A caller's sparse column set, past the budget and the
+                // horizon too, narrowed in place.
+                let pattern = 0x9249_2492_4924_9249u64.rotate_left(f % 64);
+                let mask = vec![pattern; (columns as usize).div_ceil(64)];
+                for s in (1..=cs + 1).map(CStep::new) {
+                    let mut free = mask.clone();
+                    dense.retain_free(&g, node, s, cycles, &mut free);
+                    for col in 0..64 * mask.len() as u32 {
+                        let fu = FuIndex::new(col + 1);
+                        let want = pattern >> (col % 64) & 1 == 1
+                            && reference.is_free_for(&g, node, s, fu, cycles);
+                        prop_assert_eq!(free[col as usize / 64] >> (col % 64) & 1 == 1, want);
+                    }
+                }
             }
             for s in 1..=cs {
                 for f in 1..=max_fu {
@@ -1098,7 +1139,7 @@ mod tests {
             let plain: Vec<NodeId> = nodes.iter().copied().filter(|&n| !g.has_exclusions(n)).collect();
             let cs = 8;
             let mut max_fu = start_fu;
-            let mut grid = Grid::new(FuClass::Op(OpKind::Add), cs, max_fu);
+            let mut grid = Grid::new(cs, max_fu);
             if latency > 0 {
                 grid = grid.with_latency(latency);
             }
@@ -1157,7 +1198,7 @@ mod tests {
             let branched: Vec<NodeId> = nodes.iter().copied().filter(|&n| g.has_exclusions(n)).collect();
             let cs = 8;
             let mut max_fu = start_fu;
-            let mut grid = Grid::new(FuClass::Op(OpKind::Add), cs, max_fu);
+            let mut grid = Grid::new(cs, max_fu);
             if latency > 0 {
                 grid = grid.with_latency(latency);
             }
@@ -1197,7 +1238,7 @@ mod tests {
         // latency-1 grid shares the cell with itself; an exclusive pair
         // shares a cell without a plain occupant.
         let (g, t, e, u) = exclusive_pair();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 4, 2).with_latency(1);
+        let mut grid = Grid::new(4, 2).with_latency(1);
         grid.occupy(&g, u, CStep::new(1), FuIndex::new(1), 2);
         assert_eq!(grid.plain_row(1), &[1]);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(2), 1);

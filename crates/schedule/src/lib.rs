@@ -4,9 +4,10 @@
 //! share:
 //!
 //! * the 2-D/3-D *placement table* of the paper ([`Grid`]) — control
-//!   steps × functional-unit index, one table per [`hls_dfg::FuClass`],
-//!   with mutual-exclusion-aware occupancy and optional modulo-latency
-//!   wrap-around for functional pipelining;
+//!   steps × unit index, one table per [`hls_dfg::FuClass`] in MFS and,
+//!   in MFSA, one over the ALU instances and one per memory bank's
+//!   ports, with mutual-exclusion-aware occupancy and optional
+//!   modulo-latency wrap-around for functional pipelining;
 //! * the [`Schedule`] produced by every algorithm (start step plus bound
 //!   unit per operation);
 //! * ASAP/ALAP schedules, time frames and mobility

@@ -5,14 +5,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use hls_celllib::TimingSpec;
-use hls_dfg::Dfg;
+use hls_dfg::{Dfg, FuClass};
 
 use crate::{CStep, FuIndex, Grid, Schedule, UnitId};
 
-/// Renders one class grid as an ASCII table: rows are control steps,
-/// columns are FU indices; cells show the occupying operation names
-/// (several when mutually exclusive operations share).
-pub fn render_grid(grid: &Grid, dfg: &Dfg) -> String {
+/// Renders the grid of FU class `class` as an ASCII table: rows are
+/// control steps, columns are FU indices; cells show the occupying
+/// operation names (several when mutually exclusive operations share).
+pub fn render_grid(class: FuClass, grid: &Grid, dfg: &Dfg) -> String {
     let mut cell_text: BTreeMap<(u32, u32), String> = BTreeMap::new();
     for step in 1..=grid.control_steps() {
         for fu in 1..=grid.max_fu() {
@@ -30,7 +30,7 @@ pub fn render_grid(grid: &Grid, dfg: &Dfg) -> String {
         .unwrap_or(1)
         .max(3);
     let mut out = String::new();
-    let _ = writeln!(out, "class {}  (steps x units)", grid.class());
+    let _ = writeln!(out, "class {}  (steps x units)", class);
     let _ = write!(out, "      ");
     for fu in 1..=grid.max_fu() {
         let _ = write!(out, " {:^width$}", format!("u{fu}"));
@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::Slot;
     use hls_celllib::OpKind;
-    use hls_dfg::{DfgBuilder, FuClass};
+    use hls_dfg::DfgBuilder;
 
     #[test]
     fn grid_rendering_shows_occupants() {
@@ -108,9 +108,9 @@ mod tests {
         b.op("alpha", OpKind::Add, &[x, x]).unwrap();
         let g = b.finish().unwrap();
         let a = g.node_by_name("alpha").unwrap();
-        let mut grid = Grid::new(FuClass::Op(OpKind::Add), 2, 2);
+        let mut grid = Grid::new(2, 2);
         grid.occupy(&g, a, CStep::new(2), FuIndex::new(1), 1);
-        let text = render_grid(&grid, &g);
+        let text = render_grid(FuClass::Op(OpKind::Add), &grid, &g);
         assert!(text.contains("alpha"));
         assert!(text.contains("t2"));
         assert!(text.contains("u1"));

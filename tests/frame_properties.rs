@@ -380,7 +380,7 @@ proptest! {
         });
         let (cs, latency) = [(8, None), (40, Some(3)), (130, None), (200, None), (150, Some(70)), (12, Some(2))][shape];
         let max_fu = 5;
-        let grid = Grid::new(FuClass::Op(OpKind::Add), cs, max_fu);
+        let grid = Grid::new(cs, max_fu);
         let mut grid = match latency {
             Some(l) => grid.with_latency(l),
             None => grid,
@@ -431,7 +431,7 @@ fn replay_matches_enumeration(
     let mut grids: std::collections::BTreeMap<FuClass, Grid> = Default::default();
     for snap in &outcome.snapshots {
         let grid = grids.entry(snap.class).or_insert_with(|| {
-            let grid = Grid::new(snap.class, cs, snap.max_fu);
+            let grid = Grid::new(cs, snap.max_fu);
             match config.latency() {
                 Some(l) => grid.with_latency(l),
                 None => grid,
@@ -608,7 +608,7 @@ fn restarting_resource_mfs(
         let mut grids: BTreeMap<FuClass, Grid> = max_fu
             .iter()
             .map(|(&class, &max)| {
-                let grid = Grid::new(class, cs, max);
+                let grid = Grid::new(cs, max);
                 match config.latency() {
                     Some(l) => (class, grid.with_latency(l)),
                     None => (class, grid),

@@ -1,12 +1,36 @@
-//! Seeded byte mutations of valid inputs for the text and wire parsers
-//! that have no `.dfg` corpus of their own: grid files, cell-library
-//! text, flat JSON job bodies and HTTP requests. Whatever the bytes,
-//! each parser must return a value or its typed error — never panic.
+//! Seeded byte mutations of valid inputs for every text and wire
+//! parser: `.dfg` graphs, grid files, cell-library text, flat JSON job
+//! bodies and HTTP requests. Whatever the bytes, each parser must
+//! return a value or its typed error — never panic.
 
 use moveframe_hls::celllib::{parse_library, Library};
+use moveframe_hls::dfg::parse_dfg;
 use moveframe_hls::explore::parse_grid;
 use moveframe_hls::serve::{parse_flat_array, parse_flat_object, parse_request};
 use proptest::prelude::*;
+
+/// A `.dfg` with every statement of the grammar: inputs and constants,
+/// a bank, arrays (one declaring its bank inline), loads and stores by
+/// signal and literal index, and ops in nested branch arms. The text
+/// format has no loops; those exist only in built graphs.
+const DFG: &str = "# every statement kind
+dfg mutated
+input a, b, i
+const three = 3
+bank ram(ports=2)
+array x[8] @ ram
+array c[4] @ rom(ports=1)
+store x[i] = a
+store s0 = c[3], b
+load v = x[i]
+load w = c[0]
+op p = mul(v, three)
+op q = add(a, b) @branch(0.0)
+op r = sub(a, w) @branch(0.1)
+op t = * (q, b) @branch(0.0/1.0)
+op u = lt(p, three) @branch(0.0/1.1)
+op y = add(p, v)
+";
 
 /// The grid-file example from the `gridfile` module docs.
 const GRID: &str = r#"# comments and blank lines are ignored
@@ -75,6 +99,9 @@ fn mutate_text(seed: &str, edits: &[(usize, u8, u8)]) -> String {
 
 #[test]
 fn the_seeds_parse() {
+    let dfg = parse_dfg(DFG).unwrap();
+    let text = dfg.to_text().unwrap();
+    assert_eq!(parse_dfg(&text).unwrap().to_text().unwrap(), text);
     assert_eq!(parse_grid(GRID).unwrap().len(), 1);
     let text = Library::ncr_like().to_text();
     assert_eq!(parse_library(&text).unwrap().to_text(), text);
@@ -92,6 +119,17 @@ fn the_seeds_parse() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+    /// A graph that parses round-trips through `to_text` byte-stably
+    /// from the second trip on.
+    #[test]
+    fn dfg_text_parses_or_fails_typed(e in edits()) {
+        if let Ok(dfg) = parse_dfg(&mutate_text(DFG, &e)) {
+            let text = dfg.to_text().expect("a parsed graph has no loops");
+            let again = parse_dfg(&text).expect("emitted text parses");
+            prop_assert_eq!(again.to_text(), Some(text));
+        }
+    }
 
     #[test]
     fn grid_files_parse_or_fail_typed(e in edits()) {
