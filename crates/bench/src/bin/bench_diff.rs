@@ -15,10 +15,9 @@
 //!
 //! Snapshot names: `core`, `partition`, `iterate` (each regenerated
 //! entry line must match its committed line in every field except
-//! `wall_ms`), `mem`, `telemetry` (byte-exact text) and `serve`
-//! (validated in place, never regenerated). `--sizes` applies to
-//! `core` and `partition`; `--file` and `--print` take exactly one
-//! `--only` name.
+//! `wall_ms`), `mem` and `telemetry` (byte-exact text). `--sizes`
+//! applies to `core` and `partition`; `--file` and `--print` take
+//! exactly one `--only` name.
 //!
 //! Exit status: 0 when every selected snapshot matches, 1 on any
 //! drift, 2 on a usage error or an unreadable file.
@@ -27,7 +26,7 @@ use hls_bench::snapshots::{Snapshot, Sweep, SNAPSHOTS};
 
 const USAGE: &str =
     "usage: bench_diff [--only NAME,...] [--quick | --sizes LIST] [--file PATH] [--print]
-  names: core, partition, iterate, mem, telemetry, serve
+  names: core, partition, iterate, mem, telemetry
   --sizes takes comma-separated op counts (core and partition only)
   --file and --print take exactly one --only name";
 
@@ -82,12 +81,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if (file.is_some() || print) && only.len() != 1 {
         return Err("--file and --print take exactly one --only name".into());
     }
-    if print && only[0].regen.is_none() {
-        return Err(format!(
-            "{} is checked in place, not regenerated",
-            only[0].name
-        ));
-    }
     Ok(Options {
         only,
         sweep,
@@ -103,10 +96,7 @@ fn main() {
         std::process::exit(2);
     });
     if opts.print {
-        let regen = opts.only[0]
-            .regen
-            .expect("--print admits regenerated rows only");
-        print!("{}", regen(&opts.sweep).doc);
+        print!("{}", (opts.only[0].regen)(&opts.sweep).doc);
         return;
     }
     let mut drift = Vec::new();
@@ -184,7 +174,6 @@ mod tests {
             ),
             ("--sizes 1000", "does not apply to iterate"),
             ("--only core --quick --sizes 1000", "exclude each other"),
-            ("--only serve --print", "not regenerated"),
             ("--check", "unknown flag `--check`"),
         ] {
             match parse_line(line) {

@@ -16,7 +16,7 @@
 //! * `cargo run --release -p hls-bench --bin bench_diff` — the one
 //!   front end to the committed `BENCH_core.json` /
 //!   `BENCH_partition.json` / `BENCH_iterate.json` / `BENCH_mem.json` /
-//!   `BENCH_telemetry.json` / `BENCH_serve.json` snapshots (the table
+//!   `BENCH_telemetry.json` snapshots (the table
 //!   in [`snapshots`]): regenerates each selected one and exits 1 on
 //!   drift; `--print` writes the fresh document for re-baselining.
 //!
@@ -31,7 +31,6 @@ mod figures;
 pub mod iterate;
 mod runner;
 pub mod scaling;
-pub mod serve_check;
 pub mod shard_scaling;
 pub mod snapshots;
 mod tables;

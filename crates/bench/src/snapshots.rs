@@ -12,10 +12,6 @@
 //! * **byte-exact text** (mem, telemetry) — the documents hold no
 //!   timing fields, so the fresh bytes must equal the committed ones
 //!   ([`diff_text`]).
-//!
-//! `BENCH_serve.json` is not regenerated (throughput is machine-local);
-//! its row only validates the committed document's deterministic
-//! structure ([`crate::serve_check`]).
 
 use std::collections::BTreeMap;
 
@@ -27,7 +23,7 @@ use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsConfig};
 use moveframe::mfsa::{self, MfsaConfig};
 
-use crate::{iterate, run_example_mfs, run_example_mfsa, scaling, serve_check, shard_scaling};
+use crate::{iterate, run_example_mfs, run_example_mfsa, scaling, shard_scaling};
 
 /// Which part of a sweep to regenerate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,56 +85,48 @@ pub struct Snapshot {
     pub file: &'static str,
     /// Whether `--sizes` selects this sweep's op counts.
     pub sized: bool,
-    /// Regenerates the document; `None` when it is only checked in
-    /// place.
-    pub regen: Option<fn(&Sweep) -> Fresh>,
+    /// Regenerates the document.
+    pub regen: fn(&Sweep) -> Fresh,
     /// A check of the committed document on its own.
     pub gate: Option<fn(&str) -> Vec<String>>,
 }
 
 /// Every committed snapshot, in the order `bench_diff` checks them.
-pub const SNAPSHOTS: [Snapshot; 6] = [
+pub const SNAPSHOTS: [Snapshot; 5] = [
     Snapshot {
         name: "core",
         file: "BENCH_core.json",
         sized: true,
-        regen: Some(scaling::snapshot),
+        regen: scaling::snapshot,
         gate: None,
     },
     Snapshot {
         name: "partition",
         file: "BENCH_partition.json",
         sized: true,
-        regen: Some(shard_scaling::snapshot),
+        regen: shard_scaling::snapshot,
         gate: None,
     },
     Snapshot {
         name: "iterate",
         file: "BENCH_iterate.json",
         sized: false,
-        regen: Some(iterate::snapshot),
+        regen: iterate::snapshot,
         gate: Some(iterate::require_improvements),
     },
     Snapshot {
         name: "mem",
         file: "BENCH_mem.json",
         sized: false,
-        regen: Some(mem_snapshot),
+        regen: mem_snapshot,
         gate: None,
     },
     Snapshot {
         name: "telemetry",
         file: "BENCH_telemetry.json",
         sized: false,
-        regen: Some(telemetry_snapshot),
+        regen: telemetry_snapshot,
         gate: None,
-    },
-    Snapshot {
-        name: "serve",
-        file: "BENCH_serve.json",
-        sized: false,
-        regen: None,
-        gate: Some(serve_check::check),
     },
 ];
 
@@ -147,9 +135,7 @@ impl Snapshot {
     /// against it and against the row's gate. Returns one message per
     /// drift, each prefixed with the row name.
     pub fn check(&self, sweep: &Sweep, committed: &str) -> Vec<String> {
-        let mut drift = self
-            .regen
-            .map_or_else(Vec::new, |regen| regen(sweep).diff(committed));
+        let mut drift = (self.regen)(sweep).diff(committed);
         if let Some(gate) = self.gate {
             drift.extend(gate(committed));
         }

@@ -171,16 +171,6 @@ impl Library {
         self.mux.max_marginal() * 2
     }
 
-    /// The Liapunov `f_TIME` constant: any `C` strictly greater than
-    /// `f_ALU^max + f_MUX^max + f_REG^max` guarantees that an earlier
-    /// control step always wins when one is available (paper §4.1).
-    pub fn time_constant(&self) -> u64 {
-        self.max_alu_area().as_u64()
-            + self.max_mux_term().as_u64()
-            + self.max_reg_term().as_u64()
-            + 1
-    }
-
     /// Restricts the library to the ALU kinds accepted by `keep`,
     /// mirroring the paper's "cell library (which may be restricted to
     /// some specific types)".
@@ -362,18 +352,6 @@ mod tests {
         let parts = lib.fu_area(OpKind::Add).unwrap() + lib.fu_area(OpKind::Sub).unwrap();
         assert!(addsub.area() < parts);
         assert!(addsub.area() > lib.fu_area(OpKind::Add).unwrap());
-    }
-
-    #[test]
-    fn time_constant_dominates_cost_terms() {
-        let lib = Library::ncr_like();
-        let c = lib.time_constant();
-        assert!(c > lib.max_alu_area().as_u64());
-        assert!(
-            c > lib.max_alu_area().as_u64()
-                + lib.max_mux_term().as_u64()
-                + lib.max_reg_term().as_u64()
-        );
     }
 
     #[test]

@@ -221,11 +221,6 @@ impl TimingSpec {
     pub fn delay(&self, kind: OpKind) -> Delay {
         self.timing(kind).delay
     }
-
-    /// The largest cycle count over all kinds in the spec (≥ 1).
-    pub fn max_cycles(&self) -> u8 {
-        self.overrides.values().map(|t| t.cycles).max().unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +241,6 @@ mod tests {
         let spec = TimingSpec::two_cycle_multiply();
         assert_eq!(spec.cycles(OpKind::Mul), 2);
         assert_eq!(spec.cycles(OpKind::Add), 1);
-        assert_eq!(spec.max_cycles(), 2);
     }
 
     #[test]

@@ -98,16 +98,6 @@ pub struct ControlWord {
     pub writes: Vec<RegWrite>,
 }
 
-impl ControlWord {
-    /// Whether nothing happens in this step (a pure wait state).
-    pub fn is_idle(&self) -> bool {
-        self.activities.is_empty()
-            && self.busy.is_empty()
-            && self.mem.is_empty()
-            && self.writes.is_empty()
-    }
-}
-
 /// Renders one word as a microcode line (used by
 /// [`crate::Controller::render`]).
 pub(crate) fn render_word(step: CStep, word: &ControlWord) -> String {
@@ -154,7 +144,6 @@ mod tests {
     #[test]
     fn idle_word() {
         let w = ControlWord::default();
-        assert!(w.is_idle());
         assert!(render_word(CStep::new(3), &w).contains("nop"));
     }
 }

@@ -7,9 +7,9 @@
 //! `tests/mfsa_prune_differential.rs`: byte-identical schedules,
 //! allocations and traces, with the pruned loop's evaluation count
 //! bounded by this one's. It is compiled unconditionally (rather than
-//! under `#[cfg(test)]`) so integration tests of downstream crates and
-//! the `core_scaling --exhaustive` measurement runs can reach it, but
-//! it is `#[doc(hidden)]` and not part of the supported API.
+//! under `#[cfg(test)]`) so integration tests of downstream crates can
+//! reach it, but it is `#[doc(hidden)]` and not part of the supported
+//! API.
 
 use std::collections::BTreeMap;
 

@@ -5,8 +5,9 @@
 //! which is ascending order of their `f_TIME` lower bound; an incumbent
 //! best candidate then cuts (a) every remaining step at once (the bound
 //! is monotone in the step), (b) a step after its exact register term
-//! is known, and (c) individual instances after their exact ALU term is
-//! known but *before* the mux term is priced. Every cut compares the
+//! is known, and (c) individual hosts — ALU instances or bank ports —
+//! after their exact ALU term is known but *before* the mux term is
+//! priced. Every cut compares the
 //! candidate's best-case tie-break tuple against the incumbent's full
 //! tuple, so only candidates that provably lose are skipped — the
 //! committed schedule is bit-identical to the unpruned search, which
@@ -14,7 +15,7 @@
 //! `tests/mfsa_prune_differential.rs`.
 
 use hls_celllib::{Library, OpKind, TimingSpec};
-use hls_dfg::{Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
+use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
 use hls_rtl::muxopt::{pack_cost_ids, pack_seed_ids, MuxOp, PackScratch, PackSeed};
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{priority_order, CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
@@ -34,7 +35,8 @@ pub struct IterationTrace {
     pub node: NodeId,
     /// The chosen control step.
     pub step: CStep,
-    /// The chosen ALU instance.
+    /// The chosen ALU instance, 0-based; for a memory access, the
+    /// chosen port of its bank, 1-based.
     pub instance: u32,
     /// Whether the instance was created (or upgraded) for this op.
     pub new_instance: bool,
@@ -362,6 +364,20 @@ struct InstanceMemo {
     mux: Option<u64>,
 }
 
+/// The hosts of one op's frame scan, each a column of a placement
+/// grid: the ports of a memory access's bank, whose candidates cost only
+/// time and registers, or the ALU instances, priced with the op's mux
+/// line and kind terms and joined by fresh instances.
+enum Hosts<'a> {
+    Ports(BankId),
+    Alus {
+        mux_op: MuxOp<u32>,
+        terms: &'a mut OpKindTerms,
+        /// f_MUX of the op on a fresh instance.
+        fresh_mux: u64,
+    },
+}
+
 /// Runs Move Frame Scheduling-Allocation on `dfg` under `spec` and
 /// `config`.
 ///
@@ -406,8 +422,8 @@ pub fn schedule(
 /// Event conventions (see `hls-telemetry`):
 ///
 /// * `EnergyEvaluated` — one per *fully scored* candidate, `pos =
-///   (instance, step)` 1-based (a new instance gets the next free
-///   number) and `v` the dynamic `f_TIME + f_ALU + f_MUX + f_REG`.
+///   (instance or port, step)` 1-based (a new instance gets the next
+///   free number) and `v` the dynamic `f_TIME + f_ALU + f_MUX + f_REG`.
 ///   Candidates cut by the branch-and-bound emit no event — the cut
 ///   proves they lose, so the committed moves (and every `v` actually
 ///   emitted) are identical to the exhaustive search's;
@@ -497,7 +513,9 @@ pub fn schedule_traced(
         // next pricing rebuilds it from the committed ops.
         let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
         let mut memo: Vec<InstanceMemo> = Vec::new();
-        let mut kind_mask: Vec<u64> = Vec::new();
+        // The columns an op's hosts may take, before any step narrows
+        // them.
+        let mut host_mask: Vec<u64> = Vec::new();
         // The columns one grid query leaves free at one step.
         let mut free: Vec<u64> = Vec::new();
         // Occupancy on the run's latency wrap: one grid whose columns
@@ -526,392 +544,312 @@ pub fn schedule_traced(
         for node in order {
             config.cancel().checkpoint()?;
 
-            // Memory accesses: the candidate positions are (step, bank
-            // port) pairs. Ports are free hardware once the bank exists,
-            // so only the time and register terms of the Liapunov
-            // function apply; the declared port count is a hard limit,
-            // which makes every committed schedule port-safe by
-            // construction.
-            if dfg.node(node).kind().is_mem_access() {
-                let FuClass::Mem(bank) = dfg.node(node).kind().fu_class() else {
-                    unreachable!("mem accesses have a Mem class");
-                };
-                let ports = dfg.bank_ports(bank);
-                let port_grid = &mut port_grids[bank.index()];
-                // (total, step, port, f_time, f_reg), min by (total,
-                // step, port).
-                let mut best: Option<(u64, CStep, u32, u64, u64)> = None;
-                let mut n_candidates = 0u64;
-                let cycles = placement.cycles(node);
-                let sched = placement.schedule();
-                // Feasible steps in ascending order, which is the order
-                // of their f_TIME lower bound (non-decreasing in the
-                // step; ties towards earlier steps).
-                let mut steps = placement.feasible_steps(node);
-                while let Some(step) = steps.next() {
-                    tally.feasible_steps += 1;
-                    let f_time = model.lower_bound(step.get(), 0);
-                    // Wholesale cut: every remaining step's best
-                    // case — port 0 is below any real port — is no
-                    // better than this one's.
-                    if let Some((bt, bs, bp, ..)) = best {
-                        if (f_time, step, 0u32) >= (bt, bs, bp) {
-                            let left = steps.count() as u64;
-                            tally.feasible_steps += left;
-                            tally.cut_steps += 1 + left;
-                            break;
-                        }
-                    }
-                    let extensions = reg_extensions(dfg, sched, spec, node, step);
-                    let f_reg = model.f_reg(
-                        reg_est
-                            .count_with(&extensions)
-                            .saturating_sub(reg_est.count()),
-                    );
-                    // Step-level cut with the exact register term:
-                    // a port candidate's energy is exactly
-                    // f_TIME + f_REG, so this cut only skips
-                    // candidates that would lose the tie-break.
-                    if let Some((bt, bs, bp, ..)) = best {
-                        if (f_time + f_reg, step, 0u32) >= (bt, bs, bp) {
-                            tally.cut_steps += 1;
-                            continue;
-                        }
-                    }
-                    tally.expanded_steps += 1;
-                    free.clear();
-                    free.resize((ports as usize).div_ceil(64), !0);
-                    port_grid.retain_free(dfg, node, step, cycles, &mut free);
-                    for port in members(&free).map(|p| p as u32 + 1) {
-                        n_candidates += 1;
-                        let total = f_time + f_reg;
-                        if instr.enabled() {
-                            instr.emit(TraceEvent::EnergyEvaluated {
-                                op: node.index() as u32,
-                                pos: (port, step.get()),
-                                v: total,
-                            });
-                        }
-                        let better = match best {
-                            None => true,
-                            Some((bt, bs, bp, ..)) => (total, step, port) < (bt, bs, bp),
-                        };
-                        if better {
-                            best = Some((total, step, port, f_time, f_reg));
-                        }
-                    }
-                }
-                tally.bound_evals += n_candidates;
-                tally.energy_evals += n_candidates;
-                tally.candidates.observe(n_candidates);
-                let Some((total, step, port, f_time, f_reg)) = best else {
-                    return Err(MoveFrameError::NoPosition {
-                        node,
-                        class: FuClass::Mem(bank),
-                        max_fu: ports,
-                    });
-                };
-                port_grid.occupy(dfg, node, step, FuIndex::new(port), cycles);
-                placement.assign(
-                    node,
-                    Slot {
-                        step,
-                        unit: UnitId::Fu {
-                            class: FuClass::Mem(bank),
-                            index: FuIndex::new(port),
-                        },
-                    },
-                );
-                let extensions = reg_extensions(dfg, placement.schedule(), spec, node, step);
-                reg_est.commit(&extensions);
-                tally.moves += 1;
-                tally.mem_moves += 1;
-                if instr.enabled() {
-                    instr.emit(TraceEvent::MoveCommitted {
-                        op: node.index() as u32,
-                        from: None,
-                        to: (port, step.get()),
-                        v: total,
-                        system_v: None,
-                    });
-                }
-                if config.records_trace() {
-                    trace.push(IterationTrace {
-                        node,
-                        step,
-                        instance: port,
-                        new_instance: false,
-                        f_time,
-                        f_alu: 0,
-                        f_mux: 0,
-                        f_reg,
-                    });
-                }
-                continue;
-            }
-
-            let op = base_op(dfg, node);
-            let commutative = match dfg.node(node).kind() {
-                NodeKind::Op(k) => k.is_commutative(),
-                NodeKind::Stage { base, index, .. } => index == 0 && base.is_commutative(),
-                _ => unreachable!("loops rejected above, mem accesses handled above"),
-            };
-
+            let kind = dfg.node(node).kind();
             let mut best: Option<Candidate> = None;
             let mut n_candidates = 0u64;
-            tally.alu_searched = true;
             let next_instance = pool.instances.len() as u32 + 1;
             let stamp = node.index() as u32 + 1;
             memo.resize(pool.instances.len(), InstanceMemo::default());
 
             let cycles = placement.cycles(node);
-            let mux_op = {
-                let sched = placement.schedule();
-                // Operand lines for the f_MUX estimate (independent of the
-                // candidate position in this model).
-                let line = |sig: SignalId| -> u32 {
-                    let id = match dfg.signal(sig).source() {
-                        SignalSource::Node(p) if config.shares_interconnect() => {
-                            match sched.slot(p).map(|s| s.unit) {
-                                Some(UnitId::Alu { instance }) => signals + instance as usize,
-                                _ => sig.index(),
-                            }
-                        }
-                        _ => sig.index(),
+            let sched = placement.schedule();
+            // What the op can run on, and their columns in `host_mask`:
+            // every port of a memory access's bank, or the instances of
+            // a kind that can host an ALU op by reuse or upgrade (the
+            // instance state is frozen while this node scans its frame).
+            let mut hosts = match kind.fu_class() {
+                FuClass::Mem(bank) => {
+                    host_mask.clear();
+                    host_mask.resize((dfg.bank_ports(bank) as usize).div_ceil(64), !0);
+                    Hosts::Ports(bank)
+                }
+                _ => {
+                    tally.alu_searched = true;
+                    let op = base_op(dfg, node);
+                    let commutative = match kind {
+                        NodeKind::Op(k) => k.is_commutative(),
+                        NodeKind::Stage { base, index, .. } => index == 0 && base.is_commutative(),
+                        _ => unreachable!("loops rejected above, mem accesses have a Mem class"),
                     };
-                    id as u32
-                };
-                let inputs = dfg.node(node).inputs();
-                let mux_op = MuxOp {
-                    left: line(inputs[0]),
-                    right: inputs.get(1).map(|&s| line(s)),
-                    commutative,
-                };
-                let terms = kind_terms[op as usize]
-                    .get_or_insert_with(|| OpKindTerms::new(library, &model, op));
-                // The instances of a kind that can host the op by reuse
-                // or upgrade; the instance state is frozen while this
-                // node scans its frame.
-                pool.kind_mask(
-                    |k| terms.upgrade(library, &model, k).is_some(),
-                    &mut kind_mask,
-                );
-                let fresh_mux =
-                    model.f_mux_delta((0, 0), pack_cost_ids(&[], mux_op, &mut mux_scratch));
-
-                // Feasible steps in ascending order, which is the order
-                // of their f_TIME lower bound (non-decreasing in the
-                // step), so candidates are examined in exactly the
-                // exhaustive loop's order — equal-key ties resolve
-                // identically under the strict-`<` tie-break.
-                let mut steps = placement.feasible_steps(node);
-                while let Some(step) = steps.next() {
-                    tally.feasible_steps += 1;
-                    let f_time = model.lower_bound(step.get(), 0);
-                    // (a) Wholesale cut: every remaining step bounds ≥
-                    // this one's, so once the best case at the cheapest
-                    // remaining step cannot beat the incumbent, nothing
-                    // left can.
-                    if cut(&best, (f_time, step, 0, 0, 0)) {
-                        let left = steps.count() as u64;
-                        tally.feasible_steps += left;
-                        tally.cut_steps += 1 + left;
-                        break;
-                    }
-                    let extensions = reg_extensions(dfg, sched, spec, node, step);
-                    let f_reg = model.f_reg(
-                        reg_est
-                            .count_with(&extensions)
-                            .saturating_sub(reg_est.count()),
+                    // Operand lines for the f_MUX estimate (independent
+                    // of the candidate position in this model).
+                    let line = |sig: SignalId| -> u32 {
+                        let id = match dfg.signal(sig).source() {
+                            SignalSource::Node(p) if config.shares_interconnect() => {
+                                match sched.slot(p).map(|s| s.unit) {
+                                    Some(UnitId::Alu { instance }) => signals + instance as usize,
+                                    _ => sig.index(),
+                                }
+                            }
+                            _ => sig.index(),
+                        };
+                        id as u32
+                    };
+                    let inputs = dfg.node(node).inputs();
+                    let mux_op = MuxOp {
+                        left: line(inputs[0]),
+                        right: inputs.get(1).map(|&s| line(s)),
+                        commutative,
+                    };
+                    let terms = kind_terms[op as usize]
+                        .get_or_insert_with(|| OpKindTerms::new(library, &model, op));
+                    pool.kind_mask(
+                        |k| terms.upgrade(library, &model, k).is_some(),
+                        &mut host_mask,
                     );
-                    // (b) Step-level cut with the exact register term
-                    // folded into the bound.
-                    if cut(&best, (model.lower_bound(step.get(), f_reg), step, 0, 0, 0)) {
-                        tally.cut_steps += 1;
-                        continue;
-                    }
-                    tally.expanded_steps += 1;
-
-                    // Existing instances that can host the op here:
-                    // reuse or upgrade, in ascending instance order.
-                    free.clone_from(&kind_mask);
-                    alus.retain_free(dfg, node, step, cycles, &mut free);
-                    for i in members(&free) {
-                        let inst = &pool.instances[i];
-                        let m = &mut memo[i];
-                        if m.stamp != stamp {
-                            // ALU-level terms (style check + the kind
-                            // table), filled on the first step where the
-                            // instance hosts the op. `None` = it never
-                            // can.
-                            let related = config.style() == DesignStyle::NoSelfLoop
-                                && inst.ops.iter().any(|&o| {
-                                    dfg.preds(node).contains(&o) || dfg.succs(node).contains(&o)
-                                });
-                            *m = InstanceMemo {
-                                stamp,
-                                alu: if related {
-                                    None
-                                } else {
-                                    terms.upgrade(library, &model, inst.kind_index)
-                                },
-                                mux: None,
-                            };
-                        }
-                        let Some((kind_index, f_alu, flavour)) = m.alu else {
-                            continue;
-                        };
-                        tally.bound_evals += 1;
-                        // (c) Instance-level cut: everything but the
-                        // mux term is exact here, so the bound is the
-                        // candidate's own key minus f_MUX ≥ 0.
-                        if cut(
-                            &best,
-                            (f_time + f_reg + f_alu, step, flavour, i, kind_index),
-                        ) {
-                            tally.cut_instances += 1;
-                            continue;
-                        }
-                        if m.mux.is_some() {
-                            tally.memo_hits += 1;
-                        } else {
-                            tally.memo_fills += 1;
-                        }
-                        // The mux delta, step-invariant but the dearest
-                        // term: computed only for candidates whose
-                        // ALU-level bound survives the cut, priced off
-                        // the committed seed when it can answer.
-                        let f_mux = *m.mux.get_or_insert_with(|| {
-                            let seed = mux_seed[i].get_or_insert_with(|| {
-                                pack_seed_ids(&inst.mux_ops, &mut mux_scratch)
-                            });
-                            let after = match seed.price(&inst.mux_ops, &mux_op) {
-                                Some((after, _)) => {
-                                    tally.insert_hits += 1;
-                                    after
-                                }
-                                None => {
-                                    tally.insert_fallbacks += 1;
-                                    pack_cost_ids(&inst.mux_ops, mux_op, &mut mux_scratch)
-                                }
-                            };
-                            model.f_mux_delta(seed.cost(), after)
-                        });
-                        let c = Candidate {
-                            step,
-                            instance: Some(i),
-                            kind_index,
-                            f_time,
-                            f_alu,
-                            f_mux,
-                            f_reg,
-                            flavour,
-                        };
-                        n_candidates += 1;
-                        if instr.enabled() {
-                            instr.emit(TraceEvent::EnergyEvaluated {
-                                op: node.index() as u32,
-                                pos: (i as u32 + 1, c.step.get()),
-                                v: c.total(),
-                            });
-                        }
-                        consider(&mut best, c);
-                    }
-
-                    // New instances of every capable kind. The fresh
-                    // mux cost is precomputed, so the bound is the
-                    // exact key — the cut skips only sure losers.
-                    for &(kind_index, f_alu) in &terms.fresh {
-                        tally.bound_evals += 1;
-                        let total = f_time + f_reg + f_alu + fresh_mux;
-                        if cut(&best, (total, step, 2, usize::MAX, kind_index)) {
-                            tally.cut_instances += 1;
-                            continue;
-                        }
-                        let c = Candidate {
-                            step,
-                            instance: None,
-                            kind_index,
-                            f_time,
-                            f_alu,
-                            f_mux: fresh_mux,
-                            f_reg,
-                            flavour: 2,
-                        };
-                        n_candidates += 1;
-                        if instr.enabled() {
-                            instr.emit(TraceEvent::EnergyEvaluated {
-                                op: node.index() as u32,
-                                pos: (next_instance, c.step.get()),
-                                v: c.total(),
-                            });
-                        }
-                        consider(&mut best, c);
+                    let fresh_mux =
+                        model.f_mux_delta((0, 0), pack_cost_ids(&[], mux_op, &mut mux_scratch));
+                    Hosts::Alus {
+                        mux_op,
+                        terms,
+                        fresh_mux,
                     }
                 }
-                mux_op
             };
+            let grid = match hosts {
+                Hosts::Ports(bank) => &port_grids[bank.index()],
+                Hosts::Alus { .. } => &alus,
+            };
+
+            // Feasible steps in ascending order, which is the order of
+            // their f_TIME lower bound (non-decreasing in the step), so
+            // candidates are examined in exactly the exhaustive loop's
+            // order — equal-key ties resolve identically under the
+            // strict-`<` tie-break.
+            let mut steps = placement.feasible_steps(node);
+            while let Some(step) = steps.next() {
+                tally.feasible_steps += 1;
+                let f_time = model.lower_bound(step.get(), 0);
+                // (a) Wholesale cut: every remaining step bounds ≥ this
+                // one's, so once the best case at the cheapest remaining
+                // step cannot beat the incumbent, nothing left can.
+                if cut(&best, (f_time, step, 0, 0, 0)) {
+                    let left = steps.count() as u64;
+                    tally.feasible_steps += left;
+                    tally.cut_steps += 1 + left;
+                    break;
+                }
+                let extensions = reg_extensions(dfg, sched, spec, node, step);
+                let f_reg = model.f_reg(
+                    reg_est
+                        .count_with(&extensions)
+                        .saturating_sub(reg_est.count()),
+                );
+                // (b) Step-level cut with the exact register term folded
+                // into the bound.
+                if cut(&best, (model.lower_bound(step.get(), f_reg), step, 0, 0, 0)) {
+                    tally.cut_steps += 1;
+                    continue;
+                }
+                tally.expanded_steps += 1;
+
+                // The hosts free here, in ascending order: ports, or
+                // existing instances by reuse or upgrade.
+                free.clone_from(&host_mask);
+                grid.retain_free(dfg, node, step, cycles, &mut free);
+                for i in members(&free) {
+                    // A port is free hardware once the bank exists.
+                    let (kind_index, f_alu, flavour) = match &mut hosts {
+                        Hosts::Ports(_) => (0, 0, 0),
+                        Hosts::Alus { terms, .. } => {
+                            let m = &mut memo[i];
+                            if m.stamp != stamp {
+                                // ALU-level terms (style check + the kind
+                                // table), filled on the first step where
+                                // the instance hosts the op. `None` = it
+                                // never can.
+                                let inst = &pool.instances[i];
+                                let related = config.style() == DesignStyle::NoSelfLoop
+                                    && inst.ops.iter().any(|&o| {
+                                        dfg.preds(node).contains(&o) || dfg.succs(node).contains(&o)
+                                    });
+                                *m = InstanceMemo {
+                                    stamp,
+                                    alu: if related {
+                                        None
+                                    } else {
+                                        terms.upgrade(library, &model, inst.kind_index)
+                                    },
+                                    mux: None,
+                                };
+                            }
+                            let Some(alu) = m.alu else {
+                                continue;
+                            };
+                            alu
+                        }
+                    };
+                    tally.bound_evals += 1;
+                    // (c) Instance-level cut: everything but the mux
+                    // term is exact here, so the bound is the
+                    // candidate's own key minus f_MUX ≥ 0 (the exact key
+                    // of a port).
+                    if cut(
+                        &best,
+                        (f_time + f_reg + f_alu, step, flavour, i, kind_index),
+                    ) {
+                        tally.cut_instances += 1;
+                        continue;
+                    }
+                    // The mux delta, step-invariant but the dearest
+                    // term: computed only for candidates whose ALU-level
+                    // bound survives the cut, priced off the committed
+                    // seed when it can answer.
+                    let f_mux = match &hosts {
+                        Hosts::Ports(_) => 0,
+                        Hosts::Alus { mux_op, .. } => {
+                            let inst = &pool.instances[i];
+                            let m = &mut memo[i];
+                            if m.mux.is_some() {
+                                tally.memo_hits += 1;
+                            } else {
+                                tally.memo_fills += 1;
+                            }
+                            *m.mux.get_or_insert_with(|| {
+                                let seed = mux_seed[i].get_or_insert_with(|| {
+                                    pack_seed_ids(&inst.mux_ops, &mut mux_scratch)
+                                });
+                                let after = match seed.price(&inst.mux_ops, mux_op) {
+                                    Some((after, _)) => {
+                                        tally.insert_hits += 1;
+                                        after
+                                    }
+                                    None => {
+                                        tally.insert_fallbacks += 1;
+                                        pack_cost_ids(&inst.mux_ops, *mux_op, &mut mux_scratch)
+                                    }
+                                };
+                                model.f_mux_delta(seed.cost(), after)
+                            })
+                        }
+                    };
+                    let c = Candidate {
+                        step,
+                        instance: Some(i),
+                        kind_index,
+                        f_time,
+                        f_alu,
+                        f_mux,
+                        f_reg,
+                        flavour,
+                    };
+                    n_candidates += 1;
+                    if instr.enabled() {
+                        instr.emit(TraceEvent::EnergyEvaluated {
+                            op: node.index() as u32,
+                            pos: (i as u32 + 1, c.step.get()),
+                            v: c.total(),
+                        });
+                    }
+                    consider(&mut best, c);
+                }
+
+                // New instances of every capable kind. The fresh mux
+                // cost is precomputed, so the bound is the exact key —
+                // the cut skips only sure losers.
+                let Hosts::Alus {
+                    terms, fresh_mux, ..
+                } = &hosts
+                else {
+                    continue;
+                };
+                for &(kind_index, f_alu) in &terms.fresh {
+                    tally.bound_evals += 1;
+                    let total = f_time + f_reg + f_alu + fresh_mux;
+                    if cut(&best, (total, step, 2, usize::MAX, kind_index)) {
+                        tally.cut_instances += 1;
+                        continue;
+                    }
+                    let c = Candidate {
+                        step,
+                        instance: None,
+                        kind_index,
+                        f_time,
+                        f_alu,
+                        f_mux: *fresh_mux,
+                        f_reg,
+                        flavour: 2,
+                    };
+                    n_candidates += 1;
+                    if instr.enabled() {
+                        instr.emit(TraceEvent::EnergyEvaluated {
+                            op: node.index() as u32,
+                            pos: (next_instance, c.step.get()),
+                            v: c.total(),
+                        });
+                    }
+                    consider(&mut best, c);
+                }
+            }
 
             tally.energy_evals += n_candidates;
             tally.candidates.observe(n_candidates);
             let Some(chosen) = best else {
                 return Err(MoveFrameError::NoPosition {
                     node,
-                    class: dfg.node(node).kind().fu_class(),
-                    max_fu: pool.instances.len() as u32,
+                    class: kind.fu_class(),
+                    max_fu: match hosts {
+                        Hosts::Ports(bank) => dfg.bank_ports(bank),
+                        Hosts::Alus { .. } => pool.instances.len() as u32,
+                    },
                 });
             };
 
-            // Commit the move.
-            let instance_idx = match chosen.instance {
-                Some(i) => {
-                    pool.set_kind(i, chosen.kind_index);
-                    i
+            // Commit the move onto its host's grid column.
+            let (unit, column) = match hosts {
+                Hosts::Ports(bank) => {
+                    let index = FuIndex::new(chosen.instance.expect("a port exists") as u32 + 1);
+                    port_grids[bank.index()].occupy(dfg, node, chosen.step, index, cycles);
+                    tally.mem_moves += 1;
+                    let class = FuClass::Mem(bank);
+                    (UnitId::Fu { class, index }, index.get())
                 }
-                None => {
-                    mux_seed.push(Some(pack_seed_ids(&[], &mut mux_scratch)));
-                    pool.push(chosen.kind_index)
+                Hosts::Alus { mux_op, .. } => {
+                    let i = match chosen.instance {
+                        Some(i) => {
+                            pool.set_kind(i, chosen.kind_index);
+                            i
+                        }
+                        None => {
+                            mux_seed.push(Some(pack_seed_ids(&[], &mut mux_scratch)));
+                            pool.push(chosen.kind_index)
+                        }
+                    };
+                    // A commit the seed can price extends it in place.
+                    let ops = &pool.instances[i].mux_ops;
+                    mux_seed[i] = mux_seed[i].take().and_then(|mut seed| {
+                        let (cost, swap) = seed.price(ops, &mux_op)?;
+                        seed.insert(&mux_op, cost, swap);
+                        Some(seed)
+                    });
+                    let inst = &mut pool.instances[i];
+                    inst.ops.push(node);
+                    inst.mux_ops.push(mux_op);
+                    let column = i as u32 + 1;
+                    alus.occupy(dfg, node, chosen.step, FuIndex::new(column), cycles);
+                    match chosen.flavour {
+                        0 => tally.reuse_moves += 1,
+                        1 => tally.upgrade_moves += 1,
+                        _ => tally.new_instances += 1,
+                    }
+                    (UnitId::Alu { instance: i as u32 }, column)
                 }
             };
-            // A commit the seed can price extends it in place.
-            let ops = &pool.instances[instance_idx].mux_ops;
-            mux_seed[instance_idx] = mux_seed[instance_idx].take().and_then(|mut seed| {
-                let (cost, swap) = seed.price(ops, &mux_op)?;
-                seed.insert(&mux_op, cost, swap);
-                Some(seed)
-            });
-            let inst = &mut pool.instances[instance_idx];
-            inst.ops.push(node);
-            inst.mux_ops.push(mux_op);
-            alus.occupy(
-                dfg,
-                node,
-                chosen.step,
-                FuIndex::new(instance_idx as u32 + 1),
-                cycles,
-            );
             placement.assign(
                 node,
                 Slot {
                     step: chosen.step,
-                    unit: UnitId::Alu {
-                        instance: instance_idx as u32,
-                    },
+                    unit,
                 },
             );
             let extensions = reg_extensions(dfg, placement.schedule(), spec, node, chosen.step);
             reg_est.commit(&extensions);
             tally.moves += 1;
-            match chosen.flavour {
-                0 => tally.reuse_moves += 1,
-                1 => tally.upgrade_moves += 1,
-                _ => tally.new_instances += 1,
-            }
             if instr.enabled() {
                 instr.emit(TraceEvent::MoveCommitted {
                     op: node.index() as u32,
                     from: None,
-                    to: (instance_idx as u32 + 1, chosen.step.get()),
+                    to: (column, chosen.step.get()),
                     v: chosen.total(),
                     system_v: None,
                 });
@@ -920,7 +858,12 @@ pub fn schedule_traced(
                 trace.push(IterationTrace {
                     node,
                     step: chosen.step,
-                    instance: instance_idx as u32,
+                    // A port keeps its 1-based number, an instance its
+                    // 0-based index.
+                    instance: match unit {
+                        UnitId::Alu { instance } => instance,
+                        UnitId::Fu { .. } => column,
+                    },
                     new_instance: chosen.flavour != 0,
                     f_time: chosen.f_time,
                     f_alu: chosen.f_alu,

@@ -447,7 +447,7 @@ pub enum MoveFrameRun {
     /// scheduled when operators are structurally pipelined.
     Mfs {
         /// The stage-expanded graph, for structurally pipelined points.
-        expanded: Option<Dfg>,
+        expanded: Option<Box<Dfg>>,
         /// The scheduler's outcome.
         outcome: MfsOutcome,
     },
@@ -502,7 +502,7 @@ pub fn run_move_frame(
             )
             .map_err(|e| e.to_string())?;
             Ok(MoveFrameRun::Mfs {
-                expanded: Some(expanded),
+                expanded: Some(Box::new(expanded)),
                 outcome,
             })
         }

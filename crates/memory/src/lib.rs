@@ -434,36 +434,6 @@ pub fn bank_usage(dfg: &Dfg, schedule: &Schedule) -> Result<Vec<BankUsage>, MemE
     Ok(out)
 }
 
-/// Renders a small fixed-width port-pressure report, one row per bank:
-///
-/// ```text
-/// bank    ports  peak  loads  stores  profile
-/// bank0       2     2      4       1  1 2 2 1 0 0
-/// ```
-pub fn render_port_report(dfg: &Dfg, schedule: &Schedule) -> Result<String, MemError> {
-    let usage = bank_usage(dfg, schedule)?;
-    let pressure = port_pressure(dfg, schedule)?;
-    let mut out = String::new();
-    out.push_str("bank        ports  peak  loads  stores  profile\n");
-    for u in &usage {
-        let profile: Vec<String> = pressure
-            .profile(u.bank)
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
-        out.push_str(&format!(
-            "{:<12}{:>5}{:>6}{:>7}{:>8}  {}\n",
-            u.name,
-            u.ports,
-            u.peak_pressure,
-            u.loads,
-            u.stores,
-            profile.join(" ")
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,10 +493,6 @@ mod tests {
         assert_eq!(usage[0].accesses(), 3);
         assert_eq!(usage[0].peak_pressure, 2);
         assert_eq!(usage[0].busy_steps, 2);
-
-        let report = render_port_report(&g, &s).unwrap();
-        assert!(report.contains("bank0"));
-        assert!(report.contains("2 1 0"));
     }
 
     #[test]

@@ -120,8 +120,6 @@ pub struct Datapath {
     muxes: Vec<MuxInfo>,
     /// Memory bank ports with their address/data interconnect.
     mem_ports: Vec<MemPort>,
-    /// Per-op operand orientation chosen by the mux packer.
-    swapped: BTreeMap<NodeId, bool>,
     /// Per-op operand sources `(port1, port2)` after orientation. For a
     /// load this is `(address, None)`; for a store `(address, data)`.
     op_sources: BTreeMap<NodeId, (NetSource, Option<NetSource>)>,
@@ -223,7 +221,6 @@ impl Datapath {
         // Mux packing per instance.
         let mut alus = Vec::new();
         let mut muxes = Vec::new();
-        let mut swapped = BTreeMap::new();
         let mut op_sources = BTreeMap::new();
         for (alu, ops) in &ops_of {
             let kind = allocation.kind(*alu).expect("validated").clone();
@@ -249,7 +246,6 @@ impl Datapath {
             }
             let packing = pack(&mux_ops);
             for (i, &op) in ops.iter().enumerate() {
-                swapped.insert(op, packing.swapped[i]);
                 let (a, b) = if packing.swapped[i] {
                     (
                         mux_ops[i].right.expect("swapped implies binary"),
@@ -312,7 +308,6 @@ impl Datapath {
             regalloc,
             muxes,
             mem_ports,
-            swapped,
             op_sources,
         })
     }
@@ -353,11 +348,6 @@ impl Datapath {
     /// The oriented operand sources `(port 1, port 2)` of an operation.
     pub fn operand_sources(&self, node: NodeId) -> Option<(NetSource, Option<NetSource>)> {
         self.op_sources.get(&node).copied()
-    }
-
-    /// Whether the mux packer swapped `node`'s operands.
-    pub fn operands_swapped(&self, node: NodeId) -> bool {
-        self.swapped.get(&node).copied().unwrap_or(false)
     }
 
     /// Number of registers.

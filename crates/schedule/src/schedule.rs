@@ -247,14 +247,6 @@ impl Schedule {
             .filter_map(|(i, s)| s.map(|s| (NodeId::from_index(i), s)))
     }
 
-    /// Operations starting in `step`.
-    pub fn starting_in(&self, step: CStep) -> Vec<NodeId> {
-        self.iter()
-            .filter(|(_, s)| s.step == step)
-            .map(|(n, _)| n)
-            .collect()
-    }
-
     /// The number of distinct ALU instances bound (MFSA schedules).
     pub fn alu_instance_count(&self) -> usize {
         let mut set = std::collections::BTreeSet::new();
@@ -316,7 +308,6 @@ mod tests {
         assert_eq!(s.start(t), Some(CStep::new(1)));
         assert_eq!(s.assigned_count(), 1);
         assert!(!s.is_complete());
-        assert_eq!(s.starting_in(CStep::new(1)), vec![t]);
     }
 
     #[test]

@@ -500,7 +500,7 @@ pub fn run_job(state: &AppState, job: &Job, enqueued: Instant) -> Response {
 fn render_run(dfg: &Dfg, spec: &TimingSpec, run: &MoveFrameRun) -> String {
     match run {
         MoveFrameRun::Mfs { expanded, outcome } => {
-            render_schedule(expanded.as_ref().unwrap_or(dfg), &outcome.schedule, spec)
+            render_schedule(expanded.as_deref().unwrap_or(dfg), &outcome.schedule, spec)
         }
         MoveFrameRun::Mfsa(out) => format!(
             "{}{}{}\n",

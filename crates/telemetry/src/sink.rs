@@ -60,18 +60,6 @@ impl MemorySink {
         self.events
     }
 
-    /// The committed-move energies, in emission order (the `v` of every
-    /// [`TraceEvent::MoveCommitted`]).
-    pub fn committed_energies(&self) -> Vec<u64> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::MoveCommitted { v, .. } => Some(*v),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The system-energy trajectory: the `system_v` of every committed
     /// move that carries one, in emission order.
     pub fn system_energies(&self) -> Vec<u64> {
@@ -176,7 +164,6 @@ mod tests {
         }
         assert!(sink.enabled());
         assert_eq!(sink.events().len(), 3);
-        assert_eq!(sink.committed_energies(), vec![7, 5]);
         assert_eq!(sink.system_energies(), vec![70, 65]);
     }
 

@@ -234,6 +234,28 @@ fn every_table2_config_matches_exhaustive() {
     }
 }
 
+/// Asserts that the pruned loop scores at most one port of a memory
+/// access per step: a second free port at the same step has the first's
+/// exact key but a higher port number, so it is a sure loser.
+fn assert_one_port_per_step(dfg: &hls_dfg::Dfg, spec: &TimingSpec, config: &MfsaConfig) {
+    let accesses: HashSet<u32> = dfg
+        .nodes()
+        .filter(|(_, node)| node.kind().is_mem_access())
+        .map(|(id, _)| id.index() as u32)
+        .collect();
+    let mut scored = HashSet::new();
+    for event in run(dfg, spec, config, true).events {
+        if let TraceEvent::EnergyEvaluated { op, pos, .. } = event {
+            assert!(
+                !accesses.contains(&op) || scored.insert((op, pos.1)),
+                "{}: op {op} scored a second port at step {}",
+                dfg.name(),
+                pos.1
+            );
+        }
+    }
+}
+
 #[test]
 fn memory_benchmarks_match_exhaustive_across_ports() {
     let spec = TimingSpec::uniform_single_cycle();
@@ -244,6 +266,16 @@ fn memory_benchmarks_match_exhaustive_across_ports() {
             &MfsaConfig::new(28, Library::ncr_like()),
         );
         assert_equivalent(
+            &memory::matvec(3, ports),
+            &spec,
+            &MfsaConfig::new(24, Library::ncr_like()),
+        );
+        assert_one_port_per_step(
+            &memory::array_fir(8, ports),
+            &spec,
+            &MfsaConfig::new(28, Library::ncr_like()),
+        );
+        assert_one_port_per_step(
             &memory::matvec(3, ports),
             &spec,
             &MfsaConfig::new(24, Library::ncr_like()),
