@@ -7,10 +7,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hls_baselines::{anneal_schedule, force_directed_schedule, list_schedule, AnnealParams};
+use hls_bench::mfsa_point;
 use hls_benchmarks::examples::{self, Feature};
 use hls_celllib::Library;
 use moveframe::mfs::{self, MfsConfig};
-use moveframe::mfsa::{self, MfsaConfig};
+use moveframe::mfsa;
+use moveframe::CancelToken;
 
 fn plain_examples() -> Vec<hls_benchmarks::examples::Example> {
     // Chaining and pipelining features are MFS-specific; the baseline
@@ -77,15 +79,8 @@ fn bench_mfsa(c: &mut Criterion) {
     for e in examples::all() {
         group.bench_with_input(BenchmarkId::new("style1", e.name), &e, |b, e| {
             b.iter(|| {
-                let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like());
-                let config = match e.clock() {
-                    Some(clock) => config.with_chaining(clock),
-                    None => config,
-                };
-                let config = match e.latency_for(e.mfsa_cs) {
-                    Some(l) => config.with_latency(l),
-                    None => config,
-                };
+                let config = mfsa_point(e, e.mfsa_cs, 1)
+                    .mfsa_config(Library::ncr_like(), &CancelToken::never());
                 mfsa::schedule(&e.dfg, &e.spec, &config).unwrap()
             })
         });

@@ -3,15 +3,13 @@
 //! cost/REG/MUXin) trade-off curve — the data behind the paper's
 //! "hardware cost-speed tradeoffs" framing (§1).
 
+use hls_bench::{mfs_point, mfsa_point};
 use hls_benchmarks::examples;
-use hls_celllib::Library;
-use hls_telemetry::{Instrument, Metrics, NullSink};
-use moveframe::mfsa::MfsaConfig;
+use hls_explore::{default_threads, DesignPoint, Engine, ExploreOptions};
 
 fn main() {
-    let mut sink = NullSink;
-    let mut metrics = Metrics::new();
-    let mut instr = Instrument::new(&mut sink, &mut metrics);
+    let engine = Engine::new();
+    let threads = default_threads();
     for e in examples::all() {
         println!("=== example {}: {} ===", e.id, e.name);
         println!(
@@ -20,18 +18,24 @@ fn main() {
         );
         let lo = *e.time_constraints.first().expect("sweeps are non-empty");
         let hi = *e.time_constraints.last().expect("sweeps are non-empty") + 2;
-        for t in lo..=hi {
-            let mfs_cell = match hls_bench::run_example_mfs(&e, t, &mut instr) {
-                Ok(run) => format!("{{{}}}", run.mix),
+        let points: Vec<DesignPoint> = (lo..=hi)
+            .flat_map(|t| [mfs_point(&e, t), mfsa_point(&e, t, 1)])
+            .collect();
+        let report = engine.explore(&e.dfg, &e.spec, &points, ExploreOptions { threads });
+        for (t, pair) in (lo..=hi).zip(report.results.chunks(2)) {
+            let mfs_cell = match &pair[0].outcome {
+                Ok(m) => format!("{{{}}}", m.mix),
                 Err(_) => "-".into(),
             };
-            let config = MfsaConfig::new(t, Library::ncr_like());
-            let (cost, reg, muxin) = match hls_bench::run_example_mfsa(&e, config, &mut instr) {
-                Ok((out, _)) => (
-                    out.cost.total().as_u64().to_string(),
-                    out.cost.reg_count.to_string(),
-                    out.cost.mux_inputs.to_string(),
-                ),
+            let (cost, reg, muxin) = match &pair[1].outcome {
+                Ok(m) => {
+                    let d = m.mfsa.as_ref().expect("MFSA points carry MFSA detail");
+                    (
+                        d.total_cost.to_string(),
+                        m.registers.to_string(),
+                        d.muxin.to_string(),
+                    )
+                }
                 Err(_) => ("-".into(), "-".into(), "-".into()),
             };
             println!(

@@ -3,97 +3,74 @@
 //! `--ablate` appends the design-choice ablations DESIGN.md calls out:
 //! Liapunov-weight sweeps and interconnect-sharing on/off.
 
-use moveframe::mfsa::Weights;
+use hls_bench::{mfsa_point, render_table2, table2_engine};
+use hls_benchmarks::examples;
+use hls_celllib::Library;
+use hls_explore::{default_threads, Engine, ExploreOptions};
+use moveframe::{mfsa, CancelToken};
 
 fn main() {
-    let rows = hls_bench::table2();
-    print!("{}", hls_bench::render_table2(&rows));
+    let engine = Engine::new();
+    let threads = default_threads();
+    let rows = table2_engine(&engine, threads);
+    print!("{}", render_table2(&rows));
+    if !std::env::args().any(|a| a == "--ablate") {
+        return;
+    }
+    let examples = examples::all();
 
-    if std::env::args().any(|a| a == "--ablate") {
-        println!("\n=== Ablation: Liapunov weights (style 1, cost in um^2) ===");
-        let presets: &[(&str, Weights)] = &[
-            (
-                "balanced (paper default)",
-                Weights {
-                    time: 1,
-                    alu: 1,
-                    mux: 1,
-                    reg: 1,
-                },
-            ),
-            (
-                "area-only (w_TIME = 0)",
-                Weights {
-                    time: 0,
-                    alu: 1,
-                    mux: 1,
-                    reg: 1,
-                },
-            ),
-            (
-                "alu-focused (w_ALU = 4)",
-                Weights {
-                    time: 1,
-                    alu: 4,
-                    mux: 1,
-                    reg: 1,
-                },
-            ),
-            (
-                "mux-focused (w_MUX = 4)",
-                Weights {
-                    time: 1,
-                    alu: 1,
-                    mux: 4,
-                    reg: 1,
-                },
-            ),
-            (
-                "reg-focused (w_REG = 4)",
-                Weights {
-                    time: 1,
-                    alu: 1,
-                    mux: 1,
-                    reg: 4,
-                },
-            ),
-        ];
+    println!("\n=== Ablation: Liapunov weights (style 1, cost in um^2) ===");
+    println!(
+        "{:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "weights", "ex1", "ex2", "ex3", "ex4", "ex5", "ex6"
+    );
+    // Liapunov weight presets as `(time, alu, mux, reg)`.
+    let presets = [
+        ("balanced (paper default)", (1, 1, 1, 1)),
+        ("area-only (w_TIME = 0)", (0, 1, 1, 1)),
+        ("alu-focused (w_ALU = 4)", (1, 4, 1, 1)),
+        ("mux-focused (w_MUX = 4)", (1, 1, 4, 1)),
+        ("reg-focused (w_REG = 4)", (1, 1, 1, 4)),
+    ];
+    for (label, weights) in presets {
+        let cells: Vec<u64> = examples
+            .iter()
+            .map(|e| {
+                let mut point = mfsa_point(e, e.mfsa_cs, 1);
+                point.weights = Some(weights);
+                let report = engine.explore(&e.dfg, &e.spec, &[point], ExploreOptions { threads });
+                report.results[0]
+                    .outcome
+                    .as_ref()
+                    .ok()
+                    .and_then(|m| m.mfsa.as_ref())
+                    .map_or(0, |d| d.total_cost)
+            })
+            .collect();
         println!(
             "{:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "weights", "ex1", "ex2", "ex3", "ex4", "ex5", "ex6"
+            label, cells[0], cells[1], cells[2], cells[3], cells[4], cells[5]
         );
-        for (label, weights) in presets {
-            let rows = hls_bench::tables_with_weights(*weights);
-            let mut cells = vec![String::new(); 6];
-            for r in rows.iter().filter(|r| r.style == 1) {
-                cells[r.example as usize - 1] = r.cost.to_string();
-            }
-            println!(
-                "{:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                label, cells[0], cells[1], cells[2], cells[3], cells[4], cells[5]
-            );
-        }
+    }
 
-        println!("\n=== Ablation: interconnect sharing in f_MUX (style 1) ===");
-        let with = hls_bench::table2();
-        let without = hls_bench::tables_without_interconnect();
+    println!("\n=== Ablation: interconnect sharing in f_MUX (style 1) ===");
+    println!(
+        "{:<6} {:>12} {:>12} {:>7} {:>7}",
+        "Ex", "shared", "unshared", "MUXin", "MUXin'"
+    );
+    for (e, shared) in examples.iter().zip(rows.iter().filter(|r| r.style == 1)) {
+        let config = mfsa_point(e, e.mfsa_cs, 1)
+            .mfsa_config(Library::ncr_like(), &CancelToken::never())
+            .without_interconnect_sharing();
+        let unshared = mfsa::schedule(&e.dfg, &e.spec, &config)
+            .unwrap_or_else(|err| panic!("ex{} without interconnect sharing: {err}", e.id));
         println!(
-            "{:<6} {:>12} {:>12} {:>7} {:>7}",
-            "Ex", "shared", "unshared", "MUXin", "MUXin'"
+            "#{:<5} {:>12} {:>12} {:>7} {:>7}",
+            e.id,
+            shared.cost,
+            unshared.cost.total().as_u64(),
+            shared.muxin,
+            unshared.cost.mux_inputs
         );
-        for ex in 1..=6u8 {
-            let a = with
-                .iter()
-                .find(|r| r.example == ex && r.style == 1)
-                .unwrap();
-            let b = without
-                .iter()
-                .find(|r| r.example == ex && r.style == 1)
-                .unwrap();
-            println!(
-                "#{:<5} {:>12} {:>12} {:>7} {:>7}",
-                ex, a.cost, b.cost, a.muxin, b.muxin
-            );
-        }
     }
 }

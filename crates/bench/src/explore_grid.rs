@@ -1,17 +1,11 @@
-//! The paper's experiment grid, expressed as `hls-explore` design
-//! points, and engine-driven regeneration of Tables 1 and 2.
-//!
-//! The serial runner in [`crate::runner`] stays as the reference
-//! implementation; this module routes the same sweeps through the
-//! exploration engine so they share its cache and worker pool. The
-//! regression tests assert that both paths produce identical rows.
-
-use std::time::Duration;
+//! The paper's experiment grid as `hls-explore` design points: the one
+//! place an example's chaining clock, functional-pipelining latency and
+//! structurally pipelined operators become scheduler knobs. Every
+//! harness runs these points through the exploration engine or
+//! [`hls_explore::run_move_frame`].
 
 use hls_benchmarks::examples::{self, Example};
 use hls_explore::{Algorithm, DesignPoint, Engine, ExploreOptions, ExploreReport};
-
-use crate::tables::{feature_flag, Table1Row, Table2Row};
 
 /// The MFS design point for `example` at time constraint `t`, with the
 /// example's chaining clock, pipelining latency and stage expansion
@@ -26,13 +20,15 @@ pub fn mfs_point(example: &Example, t: u32) -> DesignPoint {
     p
 }
 
-/// The MFSA design point for `example` in the given design style (1 or
-/// 2) at its Table-2 time constraint.
-pub fn mfsa_point(example: &Example, style: u8) -> DesignPoint {
-    let mut p = DesignPoint::new(Algorithm::Mfsa, example.mfsa_cs);
+/// The MFSA design point for `example` at time constraint `t` (Table 2
+/// uses `example.mfsa_cs`) in the given design style (1 or 2).
+/// Structurally pipelined operators stay whole 2-cycle ALUs: Table 2
+/// reports whole ALUs, and the cell library has no per-stage cells.
+pub fn mfsa_point(example: &Example, t: u32, style: u8) -> DesignPoint {
+    let mut p = DesignPoint::new(Algorithm::Mfsa, t);
     p.style = style;
     p.clock = example.clock().map(|c| c.as_u32());
-    p.latency = example.latency_for(example.mfsa_cs);
+    p.latency = example.latency_for(t);
     p
 }
 
@@ -44,8 +40,8 @@ pub fn paper_points(example: &Example) -> Vec<DesignPoint> {
         .iter()
         .map(|&t| mfs_point(example, t))
         .collect();
-    points.push(mfsa_point(example, 1));
-    points.push(mfsa_point(example, 2));
+    points.push(mfsa_point(example, example.mfsa_cs, 1));
+    points.push(mfsa_point(example, example.mfsa_cs, 2));
     points
 }
 
@@ -62,119 +58,9 @@ pub fn explore_paper_grid(engine: &Engine, threads: usize) -> Vec<(Example, Expl
         .collect()
 }
 
-/// Table 1 regenerated through the exploration engine. Row order and
-/// contents match [`crate::tables::table1`]; only the wall times differ.
-pub fn table1_engine(engine: &Engine, threads: usize) -> Vec<Table1Row> {
-    let mut rows = Vec::new();
-    for e in examples::all() {
-        let points: Vec<DesignPoint> = e
-            .time_constraints
-            .iter()
-            .map(|&t| mfs_point(&e, t))
-            .collect();
-        let report = engine.explore(&e.dfg, &e.spec, &points, ExploreOptions { threads });
-        for (r, &t) in report.results.iter().zip(&e.time_constraints) {
-            let (mix, reschedules, wall) = match &r.outcome {
-                Ok(m) => (
-                    m.mix.clone(),
-                    m.reschedules,
-                    Duration::from_nanos(r.wall_ns),
-                ),
-                Err(err) => (format!("<{err}>"), 0, Duration::ZERO),
-            };
-            rows.push(Table1Row {
-                example: e.id,
-                name: e.name.to_string(),
-                feature: feature_flag(&e),
-                t,
-                mix,
-                reschedules,
-                wall,
-            });
-        }
-    }
-    rows
-}
-
-/// Table 2 regenerated through the exploration engine. Row order and
-/// contents match [`crate::tables::table2`]; only the wall times differ.
-pub fn table2_engine(engine: &Engine, threads: usize) -> Vec<Table2Row> {
-    let mut rows = Vec::new();
-    for e in examples::all() {
-        let points = vec![mfsa_point(&e, 1), mfsa_point(&e, 2)];
-        let report = engine.explore(&e.dfg, &e.spec, &points, ExploreOptions { threads });
-        for (r, style) in report.results.iter().zip([1u8, 2]) {
-            let row = match &r.outcome {
-                Ok(m) => {
-                    let d = m
-                        .mfsa
-                        .as_ref()
-                        .expect("MFSA points always carry MFSA detail");
-                    Table2Row {
-                        example: e.id,
-                        name: e.name.to_string(),
-                        t: e.mfsa_cs,
-                        style,
-                        alus: d.alus.clone(),
-                        cost: d.total_cost,
-                        reg: m.registers,
-                        mux: d.mux,
-                        muxin: d.muxin,
-                        wall: Duration::from_nanos(r.wall_ns),
-                    }
-                }
-                Err(err) => Table2Row {
-                    example: e.id,
-                    name: e.name.to_string(),
-                    t: e.mfsa_cs,
-                    style,
-                    alus: format!("<{err}>"),
-                    cost: 0,
-                    reg: 0,
-                    mux: 0,
-                    muxin: 0,
-                    wall: Duration::ZERO,
-                },
-            };
-            rows.push(row);
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::{table1, table2};
-
-    #[test]
-    fn engine_table1_matches_the_serial_runner() {
-        let engine = Engine::new();
-        let via_engine = table1_engine(&engine, 4);
-        let serial = table1();
-        assert_eq!(via_engine.len(), serial.len());
-        for (a, b) in via_engine.iter().zip(&serial) {
-            assert_eq!(a.example, b.example);
-            assert_eq!(a.t, b.t);
-            assert_eq!(a.mix, b.mix, "ex{} T={}", a.example, a.t);
-            assert_eq!(a.reschedules, b.reschedules, "ex{} T={}", a.example, a.t);
-            assert_eq!(a.feature, b.feature);
-        }
-    }
-
-    #[test]
-    fn engine_table2_matches_the_serial_runner() {
-        let engine = Engine::new();
-        let via_engine = table2_engine(&engine, 4);
-        let serial = table2();
-        assert_eq!(via_engine.len(), serial.len());
-        for (a, b) in via_engine.iter().zip(&serial) {
-            assert_eq!((a.example, a.t, a.style), (b.example, b.t, b.style));
-            assert_eq!(a.alus, b.alus, "ex{} style {}", a.example, a.style);
-            assert_eq!(a.cost, b.cost, "ex{} style {}", a.example, a.style);
-            assert_eq!((a.reg, a.mux, a.muxin), (b.reg, b.mux, b.muxin));
-        }
-    }
 
     #[test]
     fn paper_grid_explores_every_example() {

@@ -17,13 +17,15 @@ use std::collections::BTreeMap;
 
 use hls_celllib::{Library, TimingSpec};
 use hls_dfg::{CriticalPath, Dfg};
+use hls_explore::run_move_frame;
 use hls_mem::port_pressure;
 use hls_serve::{parse_flat_object, JsonValue};
 use hls_telemetry::{Instrument, Metrics, NullSink};
 use moveframe::mfs::{self, MfsConfig};
 use moveframe::mfsa::{self, MfsaConfig};
+use moveframe::CancelToken;
 
-use crate::{iterate, run_example_mfs, run_example_mfsa, scaling, shard_scaling};
+use crate::{iterate, mfs_point, mfsa_point, scaling, shard_scaling};
 
 /// Which part of a sweep to regenerate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,25 +307,29 @@ pub fn mem_snapshot(_: &Sweep) -> Fresh {
 /// Regenerates the `BENCH_telemetry.json` document: every paper example
 /// run through instrumented MFS (at each Table-1 time constraint) and
 /// MFSA (at its Table-2 constraint), with all counters and histograms
-/// merged into one registry. Timing histograms (`phase.*.ns`,
-/// `bench.*.wall_ns`) vary run to run, so they are dropped — everything
-/// left is deterministic and compared byte for byte.
+/// merged into one registry and `bench.mfs.runs` / `bench.mfsa.runs`
+/// counting the runs. Timing histograms (`phase.*.ns`) vary run to run,
+/// so they are dropped — everything left is deterministic and compared
+/// byte for byte.
 pub fn telemetry_snapshot(_: &Sweep) -> Fresh {
     let mut sink = NullSink;
     let mut metrics = Metrics::new();
     let mut instr = Instrument::new(&mut sink, &mut metrics);
+    let never = CancelToken::never();
 
     for e in hls_benchmarks::examples::all() {
         for &t in &e.time_constraints {
-            run_example_mfs(&e, t, &mut instr)
+            run_move_frame(&e.dfg, &e.spec, &mfs_point(&e, t), &never, &mut instr)
                 .unwrap_or_else(|err| panic!("ex{} at T={t}: {err}", e.id));
+            instr.inc("bench.mfs.runs", 1);
         }
-        let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like());
-        run_example_mfsa(&e, config, &mut instr)
+        let point = mfsa_point(&e, e.mfsa_cs, 1);
+        run_move_frame(&e.dfg, &e.spec, &point, &never, &mut instr)
             .unwrap_or_else(|err| panic!("ex{} MFSA: {err}", e.id));
+        instr.inc("bench.mfsa.runs", 1);
     }
 
-    metrics.retain(|name| !name.ends_with(".ns") && !name.ends_with("_ns"));
+    metrics.retain(|name| !name.ends_with(".ns"));
     let doc = metrics.to_json() + "\n";
     Fresh { doc, keys: None }
 }

@@ -1,14 +1,13 @@
-//! Table 1 and Table 2 regeneration.
+//! Table 1 and Table 2 regenerated through the exploration engine, so
+//! the sweeps share its cache and worker pool.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use hls_benchmarks::examples::{self, Example, Feature};
-use hls_celllib::Library;
-use hls_telemetry::{Instrument, Metrics, NullSink};
-use moveframe::mfsa::{DesignStyle, MfsaConfig};
+use hls_explore::{DesignPoint, Engine, ExploreOptions};
 
-use crate::runner::{run_example_mfs, run_example_mfsa};
+use crate::{mfs_point, mfsa_point};
 
 /// One row of the regenerated Table 1 (MFS results).
 #[derive(Debug, Clone)]
@@ -29,7 +28,7 @@ pub struct Table1Row {
     pub wall: Duration,
 }
 
-pub(crate) fn feature_flag(e: &Example) -> String {
+fn feature_flag(e: &Example) -> String {
     match &e.feature {
         Feature::SingleCycle => "1".into(),
         Feature::TwoCycleMultiply => "2".into(),
@@ -40,34 +39,35 @@ pub(crate) fn feature_flag(e: &Example) -> String {
 }
 
 /// Runs MFS on all six examples over their sweeps — the data behind the
-/// paper's Table 1.
-pub fn table1() -> Vec<Table1Row> {
+/// paper's Table 1 — on `threads` engine workers. The rows come in
+/// example and sweep order; only the wall times vary run to run.
+pub fn table1_engine(engine: &Engine, threads: usize) -> Vec<Table1Row> {
     let mut rows = Vec::new();
-    let mut sink = NullSink;
-    let mut metrics = Metrics::new();
-    let mut instr = Instrument::new(&mut sink, &mut metrics);
     for e in examples::all() {
-        for &t in &e.time_constraints {
-            match run_example_mfs(&e, t, &mut instr) {
-                Ok(run) => rows.push(Table1Row {
-                    example: e.id,
-                    name: e.name.to_string(),
-                    feature: feature_flag(&e),
-                    t,
-                    mix: run.mix.to_string(),
-                    reschedules: run.reschedules,
-                    wall: run.wall,
-                }),
-                Err(err) => rows.push(Table1Row {
-                    example: e.id,
-                    name: e.name.to_string(),
-                    feature: feature_flag(&e),
-                    t,
-                    mix: format!("<{err}>"),
-                    reschedules: 0,
-                    wall: Duration::ZERO,
-                }),
-            }
+        let points: Vec<DesignPoint> = e
+            .time_constraints
+            .iter()
+            .map(|&t| mfs_point(&e, t))
+            .collect();
+        let report = engine.explore(&e.dfg, &e.spec, &points, ExploreOptions { threads });
+        for (r, &t) in report.results.iter().zip(&e.time_constraints) {
+            let (mix, reschedules, wall) = match &r.outcome {
+                Ok(m) => (
+                    m.mix.clone(),
+                    m.reschedules,
+                    Duration::from_nanos(r.wall_ns),
+                ),
+                Err(err) => (format!("<{err}>"), 0, Duration::ZERO),
+            };
+            rows.push(Table1Row {
+                example: e.id,
+                name: e.name.to_string(),
+                feature: feature_flag(&e),
+                t,
+                mix,
+                reschedules,
+                wall,
+            });
         }
     }
     rows
@@ -128,66 +128,51 @@ pub struct Table2Row {
     pub wall: Duration,
 }
 
-/// Runs MFSA (styles 1 and 2) on all six examples at their Table-2 time
-/// constraints.
-pub fn table2() -> Vec<Table2Row> {
-    table2_with(|cs| MfsaConfig::new(cs, Library::ncr_like()))
-}
-
-/// Like [`table2`] but with a caller-supplied configuration factory
-/// (used by the ablation harness to change weights or disable
-/// interconnect sharing).
-pub fn table2_with(make: impl Fn(u32) -> MfsaConfig) -> Vec<Table2Row> {
+/// Runs MFSA (styles 1 and 2) on all six examples at their Table-2
+/// time constraints on `threads` engine workers. The rows come in
+/// example and style order; only the wall times vary run to run.
+pub fn table2_engine(engine: &Engine, threads: usize) -> Vec<Table2Row> {
     let mut rows = Vec::new();
-    let mut sink = NullSink;
-    let mut metrics = Metrics::new();
-    let mut instr = Instrument::new(&mut sink, &mut metrics);
     for e in examples::all() {
-        for (style_no, style) in [
-            (1u8, DesignStyle::Unrestricted),
-            (2, DesignStyle::NoSelfLoop),
-        ] {
-            let config = make(e.mfsa_cs).with_style(style);
-            match run_example_mfsa(&e, config, &mut instr) {
-                Ok((outcome, wall)) => rows.push(Table2Row {
+        let points = [1, 2].map(|style| mfsa_point(&e, e.mfsa_cs, style));
+        let report = engine.explore(&e.dfg, &e.spec, &points, ExploreOptions { threads });
+        for (r, style) in report.results.iter().zip([1u8, 2]) {
+            let row = match &r.outcome {
+                Ok(m) => {
+                    let d = m
+                        .mfsa
+                        .as_ref()
+                        .expect("MFSA points always carry MFSA detail");
+                    Table2Row {
+                        example: e.id,
+                        name: e.name.to_string(),
+                        t: e.mfsa_cs,
+                        style,
+                        alus: d.alus.clone(),
+                        cost: d.total_cost,
+                        reg: m.registers,
+                        mux: d.mux,
+                        muxin: d.muxin,
+                        wall: Duration::from_nanos(r.wall_ns),
+                    }
+                }
+                Err(err) => Table2Row {
                     example: e.id,
                     name: e.name.to_string(),
                     t: e.mfsa_cs,
-                    style: style_no,
-                    alus: outcome.datapath.alu_signature(),
-                    cost: outcome.cost.total().as_u64(),
-                    reg: outcome.cost.reg_count,
-                    mux: outcome.cost.mux_count,
-                    muxin: outcome.cost.mux_inputs,
-                    wall,
-                }),
-                Err(err) => rows.push(Table2Row {
-                    example: e.id,
-                    name: e.name.to_string(),
-                    t: e.mfsa_cs,
-                    style: style_no,
+                    style,
                     alus: format!("<{err}>"),
                     cost: 0,
                     reg: 0,
                     mux: 0,
                     muxin: 0,
                     wall: Duration::ZERO,
-                }),
-            }
+                },
+            };
+            rows.push(row);
         }
     }
     rows
-}
-
-/// Table 2 with non-default Liapunov weights (ablation harness).
-pub fn tables_with_weights(weights: moveframe::mfsa::Weights) -> Vec<Table2Row> {
-    table2_with(|cs| MfsaConfig::new(cs, Library::ncr_like()).with_weights(weights))
-}
-
-/// Table 2 with interconnect sharing disabled in `f_MUX` (ablation
-/// harness, paper §5.7).
-pub fn tables_without_interconnect() -> Vec<Table2Row> {
-    table2_with(|cs| MfsaConfig::new(cs, Library::ncr_like()).without_interconnect_sharing())
 }
 
 /// Renders Table 2 in the paper's layout, with the style-2 overhead
@@ -244,7 +229,7 @@ mod tests {
 
     #[test]
     fn table1_covers_all_sweep_points() {
-        let rows = table1();
+        let rows = table1_engine(&Engine::new(), 2);
         // 2 + 1 + 3 + 3 + 3 + 3 sweep points.
         assert_eq!(rows.len(), 15);
         assert!(rows.iter().all(|r| !r.mix.starts_with('<')), "{rows:#?}");
@@ -255,7 +240,7 @@ mod tests {
 
     #[test]
     fn table2_has_two_styles_per_example() {
-        let rows = table2();
+        let rows = table2_engine(&Engine::new(), 2);
         assert_eq!(rows.len(), 12);
         assert!(rows.iter().all(|r| r.cost > 0), "{rows:#?}");
         for ex in 1..=6u8 {

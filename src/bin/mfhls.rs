@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use moveframe_hls::control::{emit_testbench, emit_verilog};
-use moveframe_hls::explore::{dfg_fingerprint, timing_spec};
+use moveframe_hls::explore::{dfg_fingerprint, run_move_frame, timing_spec};
 use moveframe_hls::prelude::*;
 
 #[path = "mfhls/args.rs"]
@@ -474,27 +474,18 @@ fn run(command: Command) -> Result<(), String> {
                     alg.name()
                 );
             }
+            if !matches!(alg, Algorithm::Mfs | Algorithm::Mfsa) {
+                return Err(format!("profile does not support --alg {}", alg.name()));
+            }
             let mut profiler = Profiler::new();
             let mut metrics = Metrics::new();
-            {
-                let mut instr = Instrument::new(&mut profiler, &mut metrics);
-                let point = DesignPoint::new(alg, cs);
-                let never = CancelToken::never();
-                match alg {
-                    Algorithm::Mfs => {
-                        mfs::schedule_traced(&dfg, &spec, &point.mfs_config(&never), &mut instr)
-                            .map_err(|e| e.to_string())?;
-                    }
-                    Algorithm::Mfsa => {
-                        let config = point.mfsa_config(Library::ncr_like(), &never);
-                        mfsa::schedule_traced(&dfg, &spec, &config, &mut instr)
-                            .map_err(|e| e.to_string())?;
-                    }
-                    other => {
-                        return Err(format!("profile does not support --alg {}", other.name()))
-                    }
-                }
-            }
+            run_move_frame(
+                &dfg,
+                &spec,
+                &DesignPoint::new(alg, cs),
+                &CancelToken::never(),
+                &mut Instrument::new(&mut profiler, &mut metrics),
+            )?;
             let report = ProfileReport::build(&profiler, &metrics, top);
             if json {
                 println!("{}", report.to_json());
@@ -1368,6 +1359,21 @@ mod tests {
         .unwrap();
         assert!(load_design("gen:zero").unwrap_err().contains("positive"));
         assert!(load_design("gen:0").unwrap_err().contains("positive"));
+    }
+
+    #[test]
+    fn profile_rejects_a_baseline_algorithm() {
+        let err = run(Command::Profile {
+            file: "gen:16".into(),
+            cs: None,
+            alg: Algorithm::List,
+            top: 3,
+            json: false,
+            two_cycle_mul: false,
+            quiet: true,
+        })
+        .unwrap_err();
+        assert_eq!(err, "profile does not support --alg list");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use std::collections::BTreeMap;
 
+use hls_bench::mfsa_point;
 use moveframe_hls::benchmarks::examples;
 use moveframe_hls::benchmarks::generate::{generate, scaling_workload, GeneratorConfig};
 use moveframe_hls::benchmarks::memory;
-use moveframe_hls::celllib::ClockPeriod;
 use moveframe_hls::dfg::SignalId;
 use moveframe_hls::moveframe::mfsa::MfsaOutcome;
 use moveframe_hls::prelude::*;
@@ -26,31 +26,23 @@ struct Design {
     name: String,
     dfg: Dfg,
     spec: TimingSpec,
-    clock: Option<ClockPeriod>,
-    cs: u32,
-    latency: Option<u32>,
+    point: DesignPoint,
 }
 
 impl Design {
-    fn new(name: &str, dfg: &Dfg, spec: TimingSpec, clock: Option<ClockPeriod>, cs: u32) -> Self {
+    fn new(name: &str, dfg: &Dfg, spec: TimingSpec, point: DesignPoint) -> Self {
         Design {
             name: name.to_string(),
             dfg: parse_dfg(&dfg.to_text().unwrap()).unwrap(),
             spec,
-            clock,
-            cs,
-            latency: None,
+            point,
         }
     }
 
     fn synth(&self) -> MfsaOutcome {
-        let mut config = MfsaConfig::new(self.cs, Library::ncr_like());
-        if let Some(clock) = self.clock {
-            config = config.with_chaining(clock);
-        }
-        if let Some(l) = self.latency {
-            config = config.with_latency(l);
-        }
+        let config = self
+            .point
+            .mfsa_config(Library::ncr_like(), &CancelToken::never());
         mfsa::schedule(&self.dfg, &self.spec, &config).unwrap()
     }
 }
@@ -58,20 +50,19 @@ impl Design {
 fn paper_designs() -> Vec<Design> {
     let mut out = Vec::new();
     for e in examples::all() {
-        let mut d = Design::new(e.name, &e.dfg, e.spec.clone(), e.clock(), e.mfsa_cs);
-        d.latency = e.latency_for(e.mfsa_cs);
-        out.push(d);
+        let point = mfsa_point(&e, e.mfsa_cs, 1);
+        out.push(Design::new(e.name, &e.dfg, e.spec.clone(), point));
     }
     for (name, dfg, cs) in [
         ("array_fir", memory::array_fir(8, 2), 20),
         ("matvec", memory::matvec(4, 2), 16),
     ] {
+        let point = DesignPoint::new(Algorithm::Mfsa, cs);
         out.push(Design::new(
             name,
             &dfg,
             TimingSpec::uniform_single_cycle(),
-            None,
-            cs,
+            point,
         ));
     }
     out
@@ -84,7 +75,8 @@ fn scaling_design(ops: usize, seed: u64) -> Design {
     });
     let spec = TimingSpec::uniform_single_cycle();
     let cs = CriticalPath::compute(&dfg, &spec).steps() as u32 + 8;
-    Design::new(&format!("scaling-{ops}-{seed}"), &dfg, spec, None, cs)
+    let point = DesignPoint::new(Algorithm::Mfsa, cs);
+    Design::new(&format!("scaling-{ops}-{seed}"), &dfg, spec, point)
 }
 
 fn check(

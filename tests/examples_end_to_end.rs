@@ -3,43 +3,60 @@
 //! accepts, including the chaining / functional / structural pipelining
 //! features.
 
+use hls_bench::mfs_point;
 use moveframe_hls::benchmarks::examples::{self, Feature};
+use moveframe_hls::explore::{run_move_frame, MoveFrameRun};
 use moveframe_hls::prelude::*;
 
-/// Dispatches one (example, T) run exactly as the Table-1 harness does,
-/// but keeps the graph/schedule pair so it can be verified.
+/// Runs one (example, T) Table-1 point as the Table-1 harness does.
+fn run_mfs(e: &examples::Example, t: u32) -> MoveFrameRun {
+    run_move_frame(
+        &e.dfg,
+        &e.spec,
+        &mfs_point(e, t),
+        &CancelToken::never(),
+        &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
+    )
+    .unwrap_or_else(|err| panic!("ex{} T={t}: {err}", e.id))
+}
+
+/// Total functional units of an MFS run, with structurally pipelined
+/// stages folded back to whole pipelined units.
+fn total_units(run: &MoveFrameRun) -> u32 {
+    match run {
+        MoveFrameRun::Mfs {
+            expanded: Some(_),
+            outcome,
+        } => pipelined_fu_counts(outcome).values().sum(),
+        MoveFrameRun::Mfs { outcome, .. } => outcome.fu_counts().values().sum(),
+        MoveFrameRun::Mfsa(_) => unreachable!("Table-1 points run MFS"),
+    }
+}
+
+/// Runs one (example, T) point and verifies its schedule: against the
+/// stage-expanded graph when operators are structurally pipelined.
 fn run_and_verify(e: &examples::Example, t: u32) {
-    let mut config = MfsConfig::time_constrained(t);
-    let mut opts = VerifyOptions::default();
-    if let Some(clock) = e.clock() {
-        config = config.with_chaining(clock);
-        opts.clock = Some(clock);
-    }
-    if let Some(latency) = e.latency_for(t) {
-        config = config.with_latency(latency);
-        opts.latency = Some(latency);
-    }
-    match &e.feature {
-        Feature::StructuralPipelining(ops) => {
-            let (expanded, report, outcome) = schedule_structural(
-                &e.dfg,
-                &e.spec,
-                &config,
-                ops,
-                &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
-            )
-            .unwrap_or_else(|err| panic!("ex{} T={t}: {err}", e.id));
-            assert!(report.count() > 0, "ex{}: nothing was pipelined", e.id);
-            let v = verify(&expanded, &outcome.schedule, &e.spec, opts);
-            assert!(v.is_empty(), "ex{} T={t}: {v:?}", e.id);
+    let point = mfs_point(e, t);
+    let opts = VerifyOptions {
+        clock: point.clock_period(),
+        latency: point.latency,
+    };
+    let MoveFrameRun::Mfs { expanded, outcome } = run_mfs(e, t) else {
+        unreachable!("Table-1 points run MFS")
+    };
+    let dfg = match &expanded {
+        Some(expanded) => {
+            assert!(
+                expanded.node_count() > e.dfg.node_count(),
+                "ex{}: nothing was pipelined",
+                e.id
+            );
+            expanded
         }
-        _ => {
-            let outcome = mfs::schedule(&e.dfg, &e.spec, &config)
-                .unwrap_or_else(|err| panic!("ex{} T={t}: {err}", e.id));
-            let v = verify(&e.dfg, &outcome.schedule, &e.spec, opts);
-            assert!(v.is_empty(), "ex{} T={t}: {v:?}", e.id);
-        }
-    }
+        None => &e.dfg,
+    };
+    let v = verify(dfg, &outcome.schedule, &e.spec, opts);
+    assert!(v.is_empty(), "ex{} T={t}: {v:?}", e.id);
 }
 
 #[test]
@@ -73,28 +90,7 @@ fn unit_counts_decrease_along_each_sweep() {
         }
         let mut last_total = u32::MAX;
         for &t in &e.time_constraints {
-            let mut config = MfsConfig::time_constrained(t);
-            if let Some(clock) = e.clock() {
-                config = config.with_chaining(clock);
-            }
-            let total: u32 = match &e.feature {
-                Feature::StructuralPipelining(ops) => {
-                    let (_, _, out) = schedule_structural(
-                        &e.dfg,
-                        &e.spec,
-                        &config,
-                        ops,
-                        &mut Instrument::new(&mut NullSink, &mut Metrics::new()),
-                    )
-                    .unwrap();
-                    pipelined_fu_counts(&out).values().sum()
-                }
-                _ => mfs::schedule(&e.dfg, &e.spec, &config)
-                    .unwrap()
-                    .fu_counts()
-                    .values()
-                    .sum(),
-            };
+            let total = total_units(&run_mfs(&e, t));
             assert!(
                 total <= last_total,
                 "ex{}: units grew from {last_total} to {total} at T={t}",
@@ -102,6 +98,22 @@ fn unit_counts_decrease_along_each_sweep() {
             );
             last_total = total;
         }
+    }
+}
+
+#[test]
+fn loosest_constraint_never_needs_more_units_than_the_tightest() {
+    // The end points of every sweep, the functional-pipelining example
+    // included: its latency changes with T, but the loosest point still
+    // needs no more units than the tightest.
+    for e in examples::all() {
+        let tight = total_units(&run_mfs(&e, e.time_constraints[0]));
+        let loose = total_units(&run_mfs(&e, *e.time_constraints.last().unwrap()));
+        assert!(
+            loose <= tight,
+            "ex{}: {loose} units at loose T vs {tight} at tight T",
+            e.id
+        );
     }
 }
 

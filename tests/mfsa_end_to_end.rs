@@ -2,40 +2,40 @@
 //! schedule AND a structurally verified data path whose reported cost is
 //! reproducible from the netlist.
 
+use hls_bench::mfsa_point;
 use moveframe_hls::benchmarks::examples;
 use moveframe_hls::prelude::*;
 
-fn configs(e: &examples::Example, style: DesignStyle) -> MfsaConfig {
-    let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like()).with_style(style);
-    let config = match e.clock() {
-        Some(clock) => config.with_chaining(clock),
-        None => config,
-    };
-    match e.latency_for(e.mfsa_cs) {
-        Some(l) => config.with_latency(l),
-        None => config,
-    }
+/// The Table-2 MFSA config of `e` in design style 1 or 2.
+fn configs(e: &examples::Example, style: u8) -> MfsaConfig {
+    mfsa_point(e, e.mfsa_cs, style).mfsa_config(Library::ncr_like(), &CancelToken::never())
 }
 
 #[test]
 fn every_table2_cell_verifies() {
     for e in examples::all() {
-        for style in [DesignStyle::Unrestricted, DesignStyle::NoSelfLoop] {
-            let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, style))
-                .unwrap_or_else(|err| panic!("ex{} {style}: {err}", e.id));
+        for style in [1, 2] {
+            let point = mfsa_point(&e, e.mfsa_cs, style);
+            let config = point.mfsa_config(Library::ncr_like(), &CancelToken::never());
+            let out = mfsa::schedule(&e.dfg, &e.spec, &config)
+                .unwrap_or_else(|err| panic!("ex{} style {style}: {err}", e.id));
             // Schedule-level constraints.
             let opts = VerifyOptions {
-                clock: e.clock(),
-                latency: e.latency_for(e.mfsa_cs),
+                clock: point.clock_period(),
+                latency: point.latency,
             };
             let v = verify(&e.dfg, &out.schedule, &e.spec, opts);
-            assert!(v.is_empty(), "ex{} {style}: {v:?}", e.id);
+            assert!(v.is_empty(), "ex{} style {style}: {v:?}", e.id);
             // Netlist-level constraints.
             let rv = verify_datapath(&e.dfg, &out.schedule, &out.datapath, &e.spec);
-            assert!(rv.is_empty(), "ex{} {style}: {rv:?}", e.id);
+            assert!(rv.is_empty(), "ex{} style {style}: {rv:?}", e.id);
             // The reported cost is reproducible from the netlist.
             let recomputed = CostReport::compute(&out.datapath, &Library::ncr_like());
-            assert_eq!(recomputed, out.cost, "ex{} {style}: cost drifted", e.id);
+            assert_eq!(
+                recomputed, out.cost,
+                "ex{} style {style}: cost drifted",
+                e.id
+            );
         }
     }
 }
@@ -43,7 +43,7 @@ fn every_table2_cell_verifies() {
 #[test]
 fn style2_never_coallocates_dependent_ops() {
     for e in examples::all() {
-        let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, DesignStyle::NoSelfLoop))
+        let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, 2))
             .unwrap_or_else(|err| panic!("ex{}: {err}", e.id));
         for alu in out.datapath.alus() {
             for (i, &a) in alu.ops.iter().enumerate() {
@@ -66,7 +66,7 @@ fn style2_never_coallocates_dependent_ops() {
 #[test]
 fn every_alu_supports_all_its_ops() {
     for e in examples::all() {
-        let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, DesignStyle::Unrestricted))
+        let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, 1))
             .unwrap_or_else(|err| panic!("ex{}: {err}", e.id));
         for alu in out.datapath.alus() {
             for &op in &alu.ops {
@@ -82,9 +82,8 @@ fn weighted_liapunov_trades_time_for_area() {
     // With the time term muted, the area of every example is at most
     // the balanced run's area (usually strictly smaller).
     for e in examples::all() {
-        let balanced =
-            mfsa::schedule(&e.dfg, &e.spec, &configs(&e, DesignStyle::Unrestricted)).unwrap();
-        let config = configs(&e, DesignStyle::Unrestricted).with_weights(Weights {
+        let balanced = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, 1)).unwrap();
+        let config = configs(&e, 1).with_weights(Weights {
             time: 0,
             alu: 1,
             mux: 1,
@@ -105,7 +104,7 @@ fn weighted_liapunov_trades_time_for_area() {
 fn register_counts_match_left_edge_lower_bound() {
     use moveframe_hls::rtl::regalloc::{left_edge, peak_live, signal_lifetimes};
     for e in examples::all() {
-        let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, DesignStyle::Unrestricted)).unwrap();
+        let out = mfsa::schedule(&e.dfg, &e.spec, &configs(&e, 1)).unwrap();
         let lifetimes = signal_lifetimes(&e.dfg, &out.schedule, &e.spec);
         let alloc = left_edge(&lifetimes);
         assert_eq!(

@@ -13,6 +13,7 @@
 
 use std::collections::HashSet;
 
+use hls_bench::mfsa_point;
 use hls_benchmarks::generate::{generate, scaling_workload, GeneratorConfig};
 use moveframe::mfsa::ExhaustiveMfsa;
 use moveframe_hls::benchmarks::{examples, memory};
@@ -210,24 +211,13 @@ fn every_table2_config_matches_exhaustive() {
     // pipelining (latency) and multicycle operators; the §5.7 ablation
     // (interconnect sharing off) prices per-signal mux lines.
     for e in examples::all() {
-        for (style, sharing) in [
-            (DesignStyle::Unrestricted, true),
-            (DesignStyle::NoSelfLoop, true),
-            (DesignStyle::Unrestricted, false),
-        ] {
-            let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like()).with_style(style);
+        for (style, sharing) in [(1, true), (2, true), (1, false)] {
+            let config = mfsa_point(&e, e.mfsa_cs, style)
+                .mfsa_config(Library::ncr_like(), &CancelToken::never());
             let config = if sharing {
                 config
             } else {
                 config.without_interconnect_sharing()
-            };
-            let config = match e.clock() {
-                Some(clock) => config.with_chaining(clock),
-                None => config,
-            };
-            let config = match e.latency_for(e.mfsa_cs) {
-                Some(l) => config.with_latency(l),
-                None => config,
             };
             assert_equivalent(&e.dfg, &e.spec, &config);
         }

@@ -3,19 +3,12 @@
 //! `ScheduleStats::registers` always equals the data path's
 //! `CostReport::reg_count` for the same schedule.
 
+use hls_bench::mfsa_point;
 use moveframe_hls::benchmarks::examples;
 use moveframe_hls::prelude::*;
 
 fn mfsa_config(e: &examples::Example) -> MfsaConfig {
-    let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like());
-    let config = match e.clock() {
-        Some(clock) => config.with_chaining(clock),
-        None => config,
-    };
-    match e.latency_for(e.mfsa_cs) {
-        Some(l) => config.with_latency(l),
-        None => config,
-    }
+    mfsa_point(e, e.mfsa_cs, 1).mfsa_config(Library::ncr_like(), &CancelToken::never())
 }
 
 /// `ScheduleStats` (the MFS reporting path) and `CostReport` (the MFSA

@@ -5,35 +5,31 @@
 
 use proptest::prelude::*;
 
+use hls_bench::mfsa_point;
 use moveframe_hls::benchmarks::examples;
 use moveframe_hls::benchmarks::generate::{generate, GeneratorConfig};
 use moveframe_hls::prelude::*;
 
-fn mfsa_config(e: &examples::Example, style: DesignStyle) -> MfsaConfig {
-    let config = MfsaConfig::new(e.mfsa_cs, Library::ncr_like()).with_style(style);
-    let config = match e.clock() {
-        Some(clock) => config.with_chaining(clock),
-        None => config,
-    };
-    match e.latency_for(e.mfsa_cs) {
-        Some(l) => config.with_latency(l),
-        None => config,
-    }
+/// The Table-2 MFSA config of `e` in design style 1 or 2.
+fn mfsa_config(e: &examples::Example, style: u8) -> MfsaConfig {
+    mfsa_point(e, e.mfsa_cs, style).mfsa_config(Library::ncr_like(), &CancelToken::never())
 }
 
 #[test]
 fn every_example_synthesis_is_semantics_preserving() {
     for e in examples::all() {
-        for style in [DesignStyle::Unrestricted, DesignStyle::NoSelfLoop] {
+        for style in [1, 2] {
             let out = mfsa::schedule(&e.dfg, &e.spec, &mfsa_config(&e, style)).unwrap();
             for seed in [1u64, 2, 3] {
                 let inputs = random_inputs(&e.dfg, seed);
                 let mismatches =
                     check_equivalence(&e.dfg, &out.schedule, &out.datapath, &e.spec, &inputs)
-                        .unwrap_or_else(|err| panic!("ex{} {style} seed {seed}: {err}", e.id));
+                        .unwrap_or_else(|err| {
+                            panic!("ex{} style {style} seed {seed}: {err}", e.id)
+                        });
                 assert!(
                     mismatches.is_empty(),
-                    "ex{} {style} seed {seed}: {mismatches:?}",
+                    "ex{} style {style} seed {seed}: {mismatches:?}",
                     e.id
                 );
             }
@@ -44,8 +40,7 @@ fn every_example_synthesis_is_semantics_preserving() {
 #[test]
 fn controllers_of_all_examples_verify() {
     for e in examples::all() {
-        let out =
-            mfsa::schedule(&e.dfg, &e.spec, &mfsa_config(&e, DesignStyle::Unrestricted)).unwrap();
+        let out = mfsa::schedule(&e.dfg, &e.spec, &mfsa_config(&e, 1)).unwrap();
         let controller =
             Controller::generate(&e.dfg, &out.schedule, &out.datapath, &e.spec).unwrap();
         let v = verify_controller(&e.dfg, &out.schedule, &out.datapath, &controller, &e.spec);

@@ -11,40 +11,43 @@
 //! pairwise conflict scan; the cell-bucketed verifier must reproduce
 //! every violation, in the same order.
 
+use hls_bench::mfsa_point;
 use moveframe_hls::benchmarks::examples;
 use moveframe_hls::benchmarks::generate::{generate, GeneratorConfig};
 use moveframe_hls::benchmarks::memory;
-use moveframe_hls::celllib::ClockPeriod;
 use moveframe_hls::prelude::*;
 use moveframe_hls::schedule::{CStep, Schedule, Slot, Violation};
 
-/// One design: a graph, its timing, an optional clock and the time
-/// constraint both schedulers run at.
+/// One design: a graph, its timing and the point both schedulers run
+/// at (its time constraint and optional chaining clock).
 struct Design {
     name: String,
     dfg: Dfg,
     spec: TimingSpec,
-    clock: Option<ClockPeriod>,
-    cs: u32,
+    point: DesignPoint,
 }
 
 fn designs() -> Vec<Design> {
     let mut out: Vec<Design> = examples::all()
         .into_iter()
-        .map(|e| Design {
-            name: e.name.to_string(),
-            clock: e.clock(),
-            cs: e.mfsa_cs,
-            spec: e.spec,
-            dfg: e.dfg,
+        .map(|e| {
+            // The schedules ignore the pipelining latency; `render`
+            // verifies each one under a sweep of latencies instead.
+            let mut point = mfsa_point(&e, e.mfsa_cs, 1);
+            point.latency = None;
+            Design {
+                name: e.name.to_string(),
+                point,
+                spec: e.spec,
+                dfg: e.dfg,
+            }
         })
         .collect();
     out.push(Design {
         name: "array_fir".into(),
         dfg: memory::array_fir(8, 2),
         spec: TimingSpec::uniform_single_cycle(),
-        clock: None,
-        cs: 20,
+        point: DesignPoint::new(Algorithm::Mfsa, 20),
     });
     let dfg = generate(&GeneratorConfig {
         seed: 9,
@@ -59,8 +62,7 @@ fn designs() -> Vec<Design> {
         name: "branchy".into(),
         dfg,
         spec,
-        clock: None,
-        cs,
+        point: DesignPoint::new(Algorithm::Mfsa, cs),
     });
     out
 }
@@ -68,12 +70,9 @@ fn designs() -> Vec<Design> {
 /// The MFS and MFSA schedules of `d` (a scheduler that finds no
 /// schedule contributes none).
 fn schedules(d: &Design) -> Vec<(&'static str, Schedule)> {
-    let mut mfs_config = MfsConfig::time_constrained(d.cs);
-    let mut mfsa_config = MfsaConfig::new(d.cs, Library::ncr_like());
-    if let Some(clock) = d.clock {
-        mfs_config = mfs_config.with_chaining(clock);
-        mfsa_config = mfsa_config.with_chaining(clock);
-    }
+    let never = CancelToken::never();
+    let mfs_config = d.point.mfs_config(&never);
+    let mfsa_config = d.point.mfsa_config(Library::ncr_like(), &never);
     let mut out = Vec::new();
     if let Ok(o) = mfs::schedule(&d.dfg, &d.spec, &mfs_config) {
         out.push(("mfs", o.schedule));
@@ -137,12 +136,13 @@ fn short(v: &Violation) -> String {
 fn render() -> String {
     let mut lines = Vec::new();
     for d in designs() {
+        let (clock, cs) = (d.point.clock_period(), d.point.cs);
         let options = [
             ("plain", VerifyOptions::default()),
             (
                 "clock",
                 VerifyOptions {
-                    clock: d.clock,
+                    clock,
                     ..VerifyOptions::default()
                 },
             ),
@@ -150,26 +150,26 @@ fn render() -> String {
                 "L1",
                 VerifyOptions {
                     latency: Some(1),
-                    clock: d.clock,
+                    clock,
                 },
             ),
             (
                 "L2",
                 VerifyOptions {
                     latency: Some(2),
-                    clock: d.clock,
+                    clock,
                 },
             ),
             (
                 "Lhalf",
                 VerifyOptions {
-                    latency: Some(d.cs.div_ceil(2)),
-                    clock: d.clock,
+                    latency: Some(cs.div_ceil(2)),
+                    clock,
                 },
             ),
         ];
         for (alg, schedule) in schedules(&d) {
-            let mut rng = Mix(d.cs as u64 * 31 + alg.len() as u64);
+            let mut rng = Mix(cs as u64 * 31 + alg.len() as u64);
             for (k, moves) in [0usize, 1, 3, 8].into_iter().enumerate() {
                 let s = perturbed(&schedule, moves, &mut rng);
                 for (opt, o) in options {
