@@ -9,14 +9,13 @@
 //! bench_diff --quick                          # every snapshot, smoke sweeps
 //! bench_diff                                  # full sweeps (slow)
 //! bench_diff --only core --sizes 1000,5000    # core at explicit op counts
-//! bench_diff --only iterate --quick --file F  # check F, not BENCH_iterate.json
+//! bench_diff --only core --quick --file F     # check F, not BENCH_core.json
 //! bench_diff --only mem --print > BENCH_mem.json   # re-baseline
 //! ```
 //!
-//! Snapshot names: `core`, `partition`, `iterate` (each regenerated
-//! entry line must match its committed line in every field except
-//! `wall_ms`), `mem` and `telemetry` (byte-exact text). `--sizes`
-//! applies to `core` and `partition`; `--file` and `--print` take
+//! The snapshot names are the rows of `SNAPSHOTS`, which the usage
+//! text lists; each row says how its file is compared. `--sizes`
+//! applies to the rows marked `sized`; `--file` and `--print` take
 //! exactly one `--only` name.
 //!
 //! Exit status: 0 when every selected snapshot matches, 1 on any
@@ -24,11 +23,26 @@
 
 use hls_bench::snapshots::{Snapshot, Sweep, SNAPSHOTS};
 
-const USAGE: &str =
-    "usage: bench_diff [--only NAME,...] [--quick | --sizes LIST] [--file PATH] [--print]
-  names: core, partition, iterate, mem, telemetry
-  --sizes takes comma-separated op counts (core and partition only)
-  --file and --print take exactly one --only name";
+/// The [`SNAPSHOTS`] names, or only those `--sizes` applies to.
+fn names(sized_only: bool) -> Vec<&'static str> {
+    SNAPSHOTS
+        .iter()
+        .filter(|s| s.sized || !sized_only)
+        .map(|s| s.name)
+        .collect()
+}
+
+/// The usage text, listing the [`SNAPSHOTS`] names.
+fn usage() -> String {
+    format!(
+        "usage: bench_diff [--only NAME,...] [--quick | --sizes LIST] [--file PATH] [--print]
+  names: {}
+  --sizes takes comma-separated op counts ({} only)
+  --file and --print take exactly one --only name",
+        names(false).join(", "),
+        names(true).join(", ")
+    )
+}
 
 struct Options {
     only: Vec<&'static Snapshot>,
@@ -92,7 +106,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {e}\n{USAGE}");
+        eprintln!("bench_diff: {e}\n{}", usage());
         std::process::exit(2);
     });
     if opts.print {
@@ -166,13 +180,12 @@ mod tests {
             ("--only core,mem --file x", "exactly one --only name"),
             ("--file x", "exactly one --only name"),
             ("--print", "exactly one --only name"),
-            ("--only iterate --sizes 1000", "does not apply to iterate"),
             ("--only mem --sizes 1000", "does not apply to mem"),
             (
                 "--only telemetry --sizes 1000",
                 "does not apply to telemetry",
             ),
-            ("--sizes 1000", "does not apply to iterate"),
+            ("--sizes 1000", "does not apply to mem"),
             ("--only core --quick --sizes 1000", "exclude each other"),
             ("--check", "unknown flag `--check`"),
         ] {
@@ -181,5 +194,26 @@ mod tests {
                 Err(e) => assert!(e.contains(message), "`{line}`: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_snapshot_names() {
+        let text = usage();
+        let listed = |prefix: &str, suffix: &str| -> Vec<&str> {
+            let line = text
+                .lines()
+                .find_map(|l| l.trim().strip_prefix(prefix))
+                .unwrap_or_else(|| panic!("no `{prefix}` line in {text}"));
+            line.strip_suffix(suffix)
+                .unwrap_or(line)
+                .split(", ")
+                .collect()
+        };
+        let all: Vec<&str> = SNAPSHOTS.iter().map(|s| s.name).collect();
+        assert_eq!(listed("names: ", ""), all);
+        assert_eq!(
+            listed("--sizes takes comma-separated op counts (", " only)"),
+            names(true)
+        );
     }
 }

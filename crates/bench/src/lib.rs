@@ -20,10 +20,10 @@
 //!   an operation at its scheduling moment;
 //! * `cargo run --release -p hls-bench --bin bench_diff` — the one
 //!   front end to the committed `BENCH_core.json` /
-//!   `BENCH_partition.json` / `BENCH_iterate.json` / `BENCH_mem.json` /
-//!   `BENCH_telemetry.json` snapshots (the table
-//!   in [`snapshots`]): regenerates each selected one and exits 1 on
-//!   drift; `--print` writes the fresh document for re-baselining.
+//!   `BENCH_partition.json` / `BENCH_mem.json` / `BENCH_telemetry.json`
+//!   snapshots (the table in [`snapshots`]): regenerates each selected
+//!   one and exits 1 on drift; `--print` writes the fresh document for
+//!   re-baselining.
 //!
 //! Benches: `runtime` (MFS/MFSA vs list/FDS/annealing), `scaling`
 //! (O(l³) growth on generated graphs), `ablation`.
@@ -33,7 +33,6 @@
 
 mod explore_grid;
 mod figures;
-pub mod iterate;
 pub mod scaling;
 pub mod shard_scaling;
 pub mod snapshots;

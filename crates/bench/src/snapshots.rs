@@ -5,7 +5,7 @@
 //! [`Sweep`], and says how the fresh document is held against the
 //! committed one:
 //!
-//! * **keyed lines** (core, partition, iterate) — each fresh entry line
+//! * **keyed lines** (core, partition) — each fresh entry line
 //!   is paired with the committed line carrying its key, and every
 //!   `"field":value` pair of either line must match except the
 //!   machine-local `wall_ms` ([`diff_keyed`]);
@@ -25,7 +25,7 @@ use moveframe::mfs::{self, MfsConfig};
 use moveframe::mfsa::{self, MfsaConfig};
 use moveframe::CancelToken;
 
-use crate::{iterate, mfs_point, mfsa_point, scaling, shard_scaling};
+use crate::{mfs_point, mfsa_point, scaling, shard_scaling};
 
 /// Which part of a sweep to regenerate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,59 +89,43 @@ pub struct Snapshot {
     pub sized: bool,
     /// Regenerates the document.
     pub regen: fn(&Sweep) -> Fresh,
-    /// A check of the committed document on its own.
-    pub gate: Option<fn(&str) -> Vec<String>>,
 }
 
 /// Every committed snapshot, in the order `bench_diff` checks them.
-pub const SNAPSHOTS: [Snapshot; 5] = [
+pub const SNAPSHOTS: [Snapshot; 4] = [
     Snapshot {
         name: "core",
         file: "BENCH_core.json",
         sized: true,
         regen: scaling::snapshot,
-        gate: None,
     },
     Snapshot {
         name: "partition",
         file: "BENCH_partition.json",
         sized: true,
         regen: shard_scaling::snapshot,
-        gate: None,
-    },
-    Snapshot {
-        name: "iterate",
-        file: "BENCH_iterate.json",
-        sized: false,
-        regen: iterate::snapshot,
-        gate: Some(iterate::require_improvements),
     },
     Snapshot {
         name: "mem",
         file: "BENCH_mem.json",
         sized: false,
         regen: mem_snapshot,
-        gate: None,
     },
     Snapshot {
         name: "telemetry",
         file: "BENCH_telemetry.json",
         sized: false,
         regen: telemetry_snapshot,
-        gate: None,
     },
 ];
 
 impl Snapshot {
     /// Regenerates this snapshot for `sweep` and checks `committed`
-    /// against it and against the row's gate. Returns one message per
-    /// drift, each prefixed with the row name.
+    /// against it. Returns one message per drift, each prefixed with
+    /// the row name.
     pub fn check(&self, sweep: &Sweep, committed: &str) -> Vec<String> {
-        let mut drift = (self.regen)(sweep).diff(committed);
-        if let Some(gate) = self.gate {
-            drift.extend(gate(committed));
-        }
-        drift
+        (self.regen)(sweep)
+            .diff(committed)
             .into_iter()
             .map(|d| format!("{}: {d}", self.name))
             .collect()
@@ -338,13 +322,12 @@ pub fn telemetry_snapshot(_: &Sweep) -> Fresh {
 mod tests {
     use super::*;
 
-    /// The committed core, partition and iterate documents with the
+    /// The committed core and partition documents with the
     /// key of their first entry line (its first `n` fields).
     fn documents() -> Vec<(String, &'static str)> {
         [
             (include_str!("../../../BENCH_core.json"), 3),
             (include_str!("../../../BENCH_partition.json"), 2),
-            (include_str!("../../../BENCH_iterate.json"), 1),
         ]
         .into_iter()
         .map(|(doc, n)| {

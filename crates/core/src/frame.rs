@@ -146,26 +146,14 @@ impl BoundsCache {
     }
 }
 
-/// Which way a splice or stitch moves already-placed operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Compression: the earliest improving position — shortens the
-    /// critical cone and frees access-conflict steps.
-    Earlier,
-    /// Register re-timing: the latest feasible step within the horizon —
-    /// producers drift toward their consumers, shrinking value
-    /// lifetimes without touching the schedule length.
-    Later,
-}
-
 /// The dense state of one move-frame placement: the [`Schedule`], its
 /// [`BoundsCache`] and the chaining finish offsets, plus the
 /// [`TimeFrames`] they are framed against.
 ///
-/// MFS, MFSA, the exhaustive MFSA oracle, the iterate splices and the
-/// partition stitcher all place and vacate operations through
-/// [`Placement::assign`] and [`Placement::unassign`], which keep the
-/// three structures in lock-step — the bounds merge or repair, and the
+/// MFS, MFSA, the exhaustive MFSA oracle and the partition stitcher
+/// all place and vacate operations through [`Placement::assign`] and
+/// [`Placement::unassign`], which keep the three structures in
+/// lock-step — the bounds merge or repair, and the
 /// offset table follows the `offset_after` rule on assign and the
 /// transitive repair on vacate. Frame queries
 /// ([`Placement::frame`], [`Placement::feasible_range`]) therefore
@@ -205,8 +193,8 @@ impl<'a> Placement<'a> {
     }
 
     /// The dense state of a finished `schedule`, framed within
-    /// `horizon` steps (the splice and stitch starting point). The
-    /// schedule keeps its own time constraint.
+    /// `horizon` steps (the stitch starting point). The schedule keeps
+    /// its own time constraint.
     ///
     /// # Errors
     ///
@@ -636,21 +624,13 @@ impl<'a> Placement<'a> {
 
     /// Slides each `region` node along its *own* unit — the allocation
     /// and (for memory accesses) the port binding stay as they are — to
-    /// the earliest ([`Direction::Earlier`]) or latest
-    /// ([`Direction::Later`], within the frames' horizon) free step,
-    /// sweeping `region` in order until nothing moves or `max_sweeps`
-    /// sweeps ran. Returns `(moves, sweeps)`.
+    /// the earliest free step, sweeping `region` in order until nothing
+    /// moves or `max_sweeps` sweeps ran. Returns `(moves, sweeps)`.
     ///
     /// A node only lands strictly between its scheduled neighbours'
     /// steps, so the slide can neither reorder dependencies nor create
     /// a new combinational chain, and the clock budget cannot overflow.
-    pub fn slide(
-        &mut self,
-        region: &[NodeId],
-        direction: Direction,
-        max_sweeps: usize,
-    ) -> (u64, u64) {
-        let horizon = self.frames.control_steps();
+    pub fn slide(&mut self, region: &[NodeId], max_sweeps: usize) -> (u64, u64) {
         // Per-unit per-step occupant counts (counts, not flags: mutually
         // exclusive operations legitimately share a cell).
         let mut busy: BTreeMap<UnitId, Vec<u16>> = BTreeMap::new();
@@ -678,21 +658,12 @@ impl<'a> Placement<'a> {
                     cells[(cur.step.get() + k) as usize] -= 1;
                 }
                 let lower = self.bounds.pred_finish(node) + 1;
-                let upper_start = self
-                    .bounds
-                    .succ_start(node)
-                    .saturating_sub(cycles)
-                    .min(horizon.saturating_sub(cycles.saturating_sub(1)));
                 let free = |s: u32| {
                     (0..cycles).all(|k| cells.get((s + k) as usize).copied().unwrap_or(0) == 0)
                 };
-                let target = match direction {
-                    Direction::Earlier => (lower..cur.step.get()).find(|&s| free(s)),
-                    Direction::Later => (cur.step.get() + 1..=upper_start.max(cur.step.get()))
-                        .rev()
-                        .find(|&s| free(s)),
-                }
-                .map_or(cur.step, CStep::new);
+                let target = (lower..cur.step.get())
+                    .find(|&s| free(s))
+                    .map_or(cur.step, CStep::new);
                 for k in 0..cycles {
                     let s = (target.get() + k) as usize;
                     if cells.len() <= s {
@@ -853,10 +824,9 @@ mod tests {
         sched.assign(p, add_slot(1));
         sched.assign(q, add_slot(4));
         let mut placement = Placement::from_schedule(&g, &spec, None, sched, 4).unwrap();
-        assert_eq!(placement.slide(&[q], Direction::Earlier, 4), (1, 2));
+        assert_eq!(placement.slide(&[q], 4), (1, 2));
         assert_eq!(placement.schedule().slot(q), Some(add_slot(2)));
-        assert_eq!(placement.slide(&[p], Direction::Earlier, 4), (0, 1));
-        assert_eq!(placement.slide(&[q], Direction::Later, 4), (1, 2));
-        assert_eq!(placement.schedule().slot(q), Some(add_slot(4)));
+        assert_eq!(placement.slide(&[p], 4), (0, 1));
+        assert_eq!(placement.slide(&[q], 4), (0, 1));
     }
 }

@@ -59,5 +59,5 @@ pub mod pipeline;
 
 pub use cancel::CancelToken;
 pub use error::MoveFrameError;
-pub use frame::{BoundsCache, Direction, FrameSnapshot, Placement, Position};
+pub use frame::{BoundsCache, FrameSnapshot, Placement, Position};
 pub use liapunov::{MfsObjective, StaticLiapunov};

@@ -116,8 +116,8 @@ fn random_dag(seed: u64, layers: usize, width: usize) -> Dfg {
 
 /// A banked-memory DAG: a burst of loads feeds an arithmetic layer
 /// whose results are stored back, with the builder's hazard tokens
-/// serialising the accesses — the shape the iterate splice path
-/// re-frames under the access-conflict frame.
+/// serialising the accesses — a shape whose accesses re-frame under
+/// the access-conflict frame.
 fn random_banked_dag(seed: u64, ports: u32) -> Dfg {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let mut next = move |m: usize| -> usize {

@@ -207,10 +207,10 @@ fn reframe_after_vacate_matches_cold_recompute_with_af_steps() {
 
 #[test]
 fn region_vacate_and_replace_matches_cold_recompute_under_banks() {
-    // The iterate splice shape: vacate a whole region of bank accesses
-    // at once, then re-place it in topo order at *different* (earlier)
-    // slots. The incrementally-maintained state after the re-place must
-    // be bit-identical to a cold rebuild of the new placement — af_steps
+    // Vacate a whole region of bank accesses at once, then re-place
+    // it in topo order at *different* (earlier) slots. The
+    // incrementally-maintained state after the re-place must be
+    // bit-identical to a cold rebuild of the new placement — af_steps
     // included — independently of hls-partition's stitcher.
     let mut b = DfgBuilder::new("mem");
     let i = b.input("i");

@@ -31,9 +31,11 @@ use crate::engine::{BankPressure, MfsaDetail, PointMetrics};
 use crate::fingerprint::Fnv1a;
 
 /// On-disk entry format version; bumped on any encoding change and on
-/// any change to how a stored metric is computed (v2: chained `csteps`
-/// count clock-multicycled operations at their effective length).
-pub const DISK_FORMAT_VERSION: u32 = 2;
+/// any change to how a stored metric is computed or keyed (v2: chained
+/// `csteps` count clock-multicycled operations at their effective
+/// length; v3: the point fingerprint no longer hashes a refinement
+/// round count).
+pub const DISK_FORMAT_VERSION: u32 = 3;
 
 /// Counters of the disk tier, for `/metrics` (`serve.cache.disk.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -442,28 +442,26 @@ fn is_cancelled(outcome: &Result<PointMetrics, String>) -> bool {
 /// it to [`PointMetrics`] or a front end renders it.
 #[derive(Debug)]
 pub enum MoveFrameRun {
-    /// MFS. `outcome.schedule` is the refined schedule when the point
-    /// iterates. `expanded` is the stage-expanded graph that was
-    /// scheduled when operators are structurally pipelined.
+    /// MFS. `expanded` is the stage-expanded graph that was scheduled
+    /// when operators are structurally pipelined.
     Mfs {
         /// The stage-expanded graph, for structurally pipelined points.
         expanded: Option<Box<Dfg>>,
         /// The scheduler's outcome.
         outcome: MfsOutcome,
     },
-    /// MFSA, refined when the point iterates.
+    /// MFSA.
     Mfsa(MfsaOutcome),
 }
 
-/// Runs an MFS or MFSA design point: the knob checks, the lowered
-/// config, the structural-pipelining branch and the refinement rounds.
-/// The engine and served `emit=text` both schedule through here, so they
-/// agree on every knob.
+/// Runs an MFS or MFSA design point: the lowered config and the
+/// structural-pipelining branch. The engine and served `emit=text` both
+/// schedule through here, so they agree on every knob.
 ///
 /// # Errors
 ///
-/// The knob-combination or scheduling error as a string; a baseline
-/// algorithm is an error too.
+/// The scheduling error as a string; a baseline algorithm is an error
+/// too.
 pub fn run_move_frame(
     dfg: &Dfg,
     spec: &TimingSpec,
@@ -471,22 +469,10 @@ pub fn run_move_frame(
     cancel: &CancelToken,
     instr: &mut Instrument<'_>,
 ) -> Result<MoveFrameRun, String> {
-    point.check().map_err(|e| e.to_string())?;
     match point.algorithm {
         Algorithm::Mfs if point.pipeline_ops.is_empty() => {
-            let mut outcome = mfs::schedule_traced(dfg, spec, &point.mfs_config(cancel), instr)
+            let outcome = mfs::schedule_traced(dfg, spec, &point.mfs_config(cancel), instr)
                 .map_err(|e| e.to_string())?;
-            if point.iterate > 0 {
-                outcome.schedule = hls_iterate::refine(
-                    dfg,
-                    spec,
-                    &outcome.schedule,
-                    &point.iterate_config(),
-                    instr,
-                )
-                .map_err(|e| e.to_string())?
-                .schedule;
-            }
             Ok(MoveFrameRun::Mfs {
                 expanded: None,
                 outcome,
@@ -506,28 +492,14 @@ pub fn run_move_frame(
                 outcome,
             })
         }
-        Algorithm::Mfsa => {
-            let library = shared_library();
-            let mut out = mfsa::schedule_traced(
-                dfg,
-                spec,
-                &point.mfsa_config(library.clone(), cancel),
-                instr,
-            )
-            .map_err(|e| e.to_string())?;
-            if point.iterate > 0 {
-                hls_iterate::refine_mfsa(
-                    dfg,
-                    spec,
-                    library,
-                    &mut out,
-                    &point.iterate_config(),
-                    instr,
-                )
-                .map_err(|e| e.to_string())?;
-            }
-            Ok(MoveFrameRun::Mfsa(out))
-        }
+        Algorithm::Mfsa => mfsa::schedule_traced(
+            dfg,
+            spec,
+            &point.mfsa_config(shared_library().clone(), cancel),
+            instr,
+        )
+        .map(MoveFrameRun::Mfsa)
+        .map_err(|e| e.to_string()),
         other => Err(format!("{other} is not a move-frame algorithm")),
     }
 }
@@ -542,7 +514,7 @@ fn run_point(
     instr: &mut Instrument<'_>,
 ) -> Result<PointMetrics, String> {
     if !matches!(point.algorithm, Algorithm::Mfs | Algorithm::Mfsa) {
-        return run_baseline(dfg, spec, point, cancel, instr);
+        return run_baseline(dfg, spec, point, cancel);
     }
     let library = shared_library();
     Ok(match run_move_frame(dfg, spec, point, cancel, instr)? {
@@ -595,20 +567,18 @@ fn run_point(
     })
 }
 
-/// Runs a baseline-scheduler point, then its refinement rounds. The
-/// baselines schedule without chaining awareness, so the refiner runs
-/// with the unchained timing model regardless of `point.clock`.
+/// Runs a baseline-scheduler point. The baselines schedule without
+/// chaining awareness, so the metrics use the unchained timing model
+/// regardless of `point.clock`.
 fn run_baseline(
     dfg: &Dfg,
     spec: &TimingSpec,
     point: &DesignPoint,
     cancel: &CancelToken,
-    instr: &mut Instrument<'_>,
 ) -> Result<PointMetrics, String> {
-    point.check().map_err(|e| e.to_string())?;
     cancel.checkpoint().map_err(|e| e.to_string())?;
     let library = shared_library();
-    let mut schedule = match point.algorithm {
+    let schedule = match point.algorithm {
         Algorithm::List => hls_baselines::list_schedule(dfg, spec, &point.fu_limits, point.cs),
         Algorithm::Fds => hls_baselines::force_directed_schedule(dfg, spec, point.cs),
         _ => hls_baselines::anneal_schedule(
@@ -621,13 +591,6 @@ fn run_baseline(
         .map(|(schedule, _)| schedule),
     }
     .map_err(|e| e.to_string())?;
-    if point.iterate > 0 {
-        let mut config = point.iterate_config();
-        config.clock = None;
-        schedule = hls_iterate::refine(dfg, spec, &schedule, &config, instr)
-            .map_err(|e| e.to_string())?
-            .schedule;
-    }
     Ok(fu_point_metrics(dfg, spec, None, &schedule, library, 0))
 }
 
@@ -656,12 +619,6 @@ mod tests {
             }
         }
         points.push(DesignPoint::new(Algorithm::Mfsa, 4));
-        let mut refined = DesignPoint::new(Algorithm::Mfs, 5);
-        refined.iterate = 2;
-        points.push(refined);
-        let mut refined = DesignPoint::new(Algorithm::Mfsa, 4);
-        refined.iterate = 2;
-        points.push(refined);
         points
     }
 
@@ -754,77 +711,6 @@ mod tests {
         assert!(report.front.is_empty());
         assert_eq!(report.metrics.counter("explore.errors"), 1);
         assert!(report.front_json().contains("\"errors\":1"));
-    }
-
-    #[test]
-    fn iterate_points_never_regress_the_one_shot_objective() {
-        let dfg = diamond();
-        let spec = TimingSpec::uniform_single_cycle();
-        let mut one_shot = DesignPoint::new(Algorithm::Mfs, 5);
-        let mut refined = one_shot.clone();
-        refined.iterate = 3;
-        one_shot.label = "one-shot".into();
-        refined.label = "refined".into();
-        let report = explore(
-            &dfg,
-            &spec,
-            &[one_shot, refined],
-            ExploreOptions { threads: 1 },
-        );
-        let base = report.results[0].outcome.as_ref().unwrap();
-        let iter = report.results[1].outcome.as_ref().unwrap();
-        assert!(
-            (iter.csteps, iter.registers) <= (base.csteps, base.registers),
-            "refined {iter:?} vs one-shot {base:?}"
-        );
-        assert_eq!(iter.reschedules, base.reschedules);
-    }
-
-    #[test]
-    fn iterate_rejects_unsupported_point_shapes() {
-        let dfg = diamond();
-        let spec = TimingSpec::uniform_single_cycle();
-        let mut pipelined = DesignPoint::new(Algorithm::Mfs, 5);
-        pipelined.iterate = 1;
-        pipelined.latency = Some(2);
-        let mut structural = DesignPoint::new(Algorithm::Mfs, 5);
-        structural.iterate = 1;
-        structural.pipeline_ops.insert(OpKind::Mul);
-        let report = explore(
-            &dfg,
-            &spec,
-            &[pipelined, structural],
-            ExploreOptions { threads: 1 },
-        );
-        let err0 = report.results[0].outcome.as_ref().unwrap_err();
-        assert!(err0.contains("pipelining"), "{err0}");
-        let err1 = report.results[1].outcome.as_ref().unwrap_err();
-        assert!(err1.contains("pipelined"), "{err1}");
-    }
-
-    #[test]
-    fn iterate_lifts_baseline_schedules() {
-        // Force-directed scheduling spreads the padded diffeq budget;
-        // the refiner compresses it back to the critical path.
-        let dfg = hls_benchmarks::classic::diffeq();
-        let spec = TimingSpec::uniform_single_cycle();
-        let mut one_shot = DesignPoint::new(Algorithm::Fds, 8);
-        let mut refined = one_shot.clone();
-        refined.iterate = 3;
-        one_shot.label = "one-shot".into();
-        refined.label = "refined".into();
-        let report = explore(
-            &dfg,
-            &spec,
-            &[one_shot, refined],
-            ExploreOptions { threads: 1 },
-        );
-        let base = report.results[0].outcome.as_ref().unwrap();
-        let iter = report.results[1].outcome.as_ref().unwrap();
-        assert!(
-            iter.csteps < base.csteps,
-            "refined {iter:?} vs one-shot {base:?}"
-        );
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! pipeline = ["*"]              # structurally pipelined ops (MFS)
 //! style = 2                     # MFSA design style (1 or 2)
 //! weights = [1, 1, 1, 1]        # MFSA Liapunov weights (t, a, m, r)
-//! iterate = 3                   # feedback-guided refinement rounds
 //!
 //! [[point]]             # one explicit point (inherits the defaults)
 //! label = "tight"
@@ -114,7 +113,7 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, GridError> {
 }
 
 /// The design-point knobs a grid file may set, by their grid names.
-const GRID_KEYS: [&str; 10] = [
+const GRID_KEYS: [&str; 9] = [
     "label",
     "algorithm",
     "cs",
@@ -124,7 +123,6 @@ const GRID_KEYS: [&str; 10] = [
     "pipeline",
     "style",
     "weights",
-    "iterate",
 ];
 
 /// The accumulated settings of one section (defaults or a point).
@@ -356,32 +354,6 @@ mod tests {
         assert_eq!(p.fu_limits[&FuClass::Op(OpKind::Add)], 1);
         assert!(p.pipeline_ops.contains(&OpKind::Mul));
         assert_eq!(p.weights, Some((1, 2, 3, 4)));
-        assert_eq!(p.iterate, 0, "iterate defaults to one-shot");
-    }
-
-    #[test]
-    fn iterate_parses_and_inherits() {
-        let points = parse_grid(
-            r#"
-            [defaults]
-            algorithm = "mfs"
-            cs = 8
-            iterate = 3
-
-            [[point]]
-            cs = 9
-            iterate = 0
-
-            [[point]]
-            cs = 6
-            "#,
-        )
-        .unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].iterate, 0, "explicit override wins");
-        assert_eq!(points[1].iterate, 3, "points inherit the default");
-        let e = parse_grid("[defaults]\nalgorithm = \"mfs\"\ncs = 4\niterate = \"x\"").unwrap_err();
-        assert!(e.to_string().contains("integer"));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hls_celllib::{ClockPeriod, Library, OpKind, TimingSpec};
 use hls_dfg::FuClass;
-use hls_iterate::IterateConfig;
 use moveframe::mfs::MfsConfig;
 use moveframe::mfsa::{DesignStyle, MfsaConfig, Weights};
 use moveframe::CancelToken;
@@ -93,9 +92,6 @@ pub struct DesignPoint {
     pub style: u8,
     /// MFSA Liapunov weights `(time, alu, mux, reg)`; `None` = balanced.
     pub weights: Option<(u32, u32, u32, u32)>,
-    /// Feedback-guided refinement iterations run after the one-shot
-    /// schedule (`0` = plain one-shot; incompatible with pipelining).
-    pub iterate: u32,
 }
 
 impl DesignPoint {
@@ -113,7 +109,6 @@ impl DesignPoint {
             pipeline_ops: BTreeSet::new(),
             style: 1,
             weights: None,
-            iterate: 0,
         }
     }
 
@@ -138,9 +133,6 @@ impl DesignPoint {
         }
         if self.algorithm == Algorithm::Mfsa && self.style != 1 {
             s.push_str(&format!(" style{}", self.style));
-        }
-        if self.iterate > 0 {
-            s.push_str(&format!(" iter={}", self.iterate));
         }
         s
     }
@@ -167,13 +159,11 @@ impl DesignPoint {
         h.write_u32(wa);
         h.write_u32(wm);
         h.write_u32(wr);
-        h.write_u32(self.iterate);
         h.finish()
     }
 }
 
-/// A knob value [`DesignPoint::set`] rejects, or a knob combination
-/// [`DesignPoint::check`] rejects.
+/// A knob name or value [`DesignPoint::set`] rejects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KnobError {
     /// No knob has this name.
@@ -187,8 +177,6 @@ pub enum KnobError {
         /// Why it is rejected.
         reason: &'static str,
     },
-    /// A combination of valid knobs the schedulers do not support.
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for KnobError {
@@ -202,7 +190,6 @@ impl std::fmt::Display for KnobError {
             } => {
                 write!(f, "invalid `{knob}` value `{value}`: {reason}")
             }
-            KnobError::Unsupported(what) => f.write_str(what),
         }
     }
 }
@@ -268,7 +255,7 @@ fn entries(value: &str) -> impl Iterator<Item = &str> {
 /// validated. `mfhls` flags, grid-file keys and served job keys each
 /// accept a subset of these names; all of them go through
 /// [`DesignPoint::set`].
-pub static KNOBS: [Knob; 10] = [
+pub static KNOBS: [Knob; 9] = [
     Knob {
         names: &["alg", "algorithm"],
         kind: KnobKind::Text,
@@ -374,16 +361,6 @@ pub static KNOBS: [Knob; 10] = [
         },
     },
     Knob {
-        names: &["iterate"],
-        kind: KnobKind::Int,
-        syntax: "N",
-        help: "feedback-guided refinement rounds (0 = one-shot)",
-        parse: |p, v| {
-            p.iterate = v.parse().map_err(|_| "must be a non-negative integer")?;
-            Ok(())
-        },
-    },
-    Knob {
         names: &["label"],
         kind: KnobKind::Text,
         syntax: "TEXT",
@@ -430,29 +407,6 @@ impl DesignPoint {
             value: value.to_string(),
             reason,
         })
-    }
-
-    /// Rejects the knob combinations the schedulers do not support:
-    /// refinement (`iterate > 0`) with functional or structural
-    /// pipelining.
-    ///
-    /// # Errors
-    ///
-    /// [`KnobError::Unsupported`] naming the combination.
-    pub fn check(&self) -> Result<(), KnobError> {
-        if self.iterate > 0 {
-            if self.latency.is_some() {
-                return Err(KnobError::Unsupported(
-                    "iterate does not support functional pipelining (latency)",
-                ));
-            }
-            if !self.pipeline_ops.is_empty() {
-                return Err(KnobError::Unsupported(
-                    "iterate does not support structurally pipelined operators",
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// The chaining clock period, when chaining is on.
@@ -516,16 +470,6 @@ impl DesignPoint {
         }
         config
     }
-
-    /// The refinement config: `iterate` rounds under the point's
-    /// chaining clock and latency (the refiner rejects a latency, which
-    /// [`DesignPoint::check`] reports first).
-    pub fn iterate_config(&self) -> IterateConfig {
-        let mut config = IterateConfig::new(self.iterate);
-        config.clock = self.clock_period();
-        config.latency = self.latency;
-        config
-    }
 }
 
 #[cfg(test)]
@@ -566,9 +510,7 @@ mod tests {
         style.style = 2;
         let mut w = base.clone();
         w.weights = Some((0, 1, 1, 1));
-        let mut it = base.clone();
-        it.iterate = 3;
-        for other in [&cs, &alg, &lim, &clk, &lat, &pipe, &style, &w, &it] {
+        for other in [&cs, &alg, &lim, &clk, &lat, &pipe, &style, &w] {
             assert_ne!(fp, other.fingerprint(), "{other:?}");
         }
     }
@@ -586,7 +528,6 @@ mod tests {
             ("pipeline", "*,add"),
             ("style", "2"),
             ("weights", "1, 2,3,4"),
-            ("iterate", "0"),
             ("label", "x"),
         ] {
             p.set(key, value)
@@ -624,7 +565,6 @@ mod tests {
             ("style", "3"),
             ("weights", "1,2"),
             ("weights", "1,2,3,4,5"),
-            ("iterate", "-1"),
             ("alg", "nope"),
         ] {
             let e = p.set(key, value).unwrap_err();
@@ -640,18 +580,6 @@ mod tests {
             "rejected values leave no trace"
         );
         assert_eq!(p.set("wat", "1"), Err(KnobError::Unknown("wat".into())));
-    }
-
-    #[test]
-    fn check_rejects_refinement_with_pipelining() {
-        let mut p = DesignPoint::new(Algorithm::Mfs, 4);
-        p.iterate = 1;
-        assert!(p.check().is_ok());
-        p.latency = Some(2);
-        assert!(matches!(p.check(), Err(KnobError::Unsupported(m)) if m.contains("latency")));
-        p.latency = None;
-        p.pipeline_ops.insert(OpKind::Mul);
-        assert!(matches!(p.check(), Err(KnobError::Unsupported(m)) if m.contains("pipelined")));
     }
 
     #[test]

@@ -24,15 +24,14 @@
 //! MFSA-merged schedules (ALU-bound units, outside the class-grid world
 //! of the move frame) the stitcher instead runs [`Placement::slide`],
 //! which moves boundary nodes to the earliest free step on their own
-//! unit — the kernel hls-iterate's MFSA splice shares. Sweeps repeat
-//! until a fixpoint or the sweep cap.
+//! unit. Sweeps repeat until a fixpoint or the sweep cap.
 
 use std::collections::BTreeMap;
 
 use hls_celllib::TimingSpec;
 use hls_dfg::{Dfg, FuClass, NodeId};
 use hls_schedule::{CStep, FuIndex, Grid, Schedule, Slot, UnitId};
-use moveframe::{Direction, Placement};
+use moveframe::Placement;
 
 use crate::cut::Partition;
 use crate::extract::ShardGraph;
@@ -228,7 +227,7 @@ pub fn merge_and_stitch(
     let order = boundary_in_topo_order(dfg, partition);
     let (stitch_moves, stitch_sweeps) = match placement.class_grids() {
         Some(mut grids) => stitch_reframe(&mut placement, &mut grids, &order, max_stitch_sweeps),
-        None => placement.slide(&order, Direction::Earlier, max_stitch_sweeps),
+        None => placement.slide(&order, max_stitch_sweeps),
     };
     let schedule = placement.into_parts().0;
 

@@ -153,14 +153,11 @@ const INDEX: &str = "mfhls serve — synthesis as a service\n\
 \n\
 POST a raw .dfg text body with knobs in the query string\n\
 (?alg=mfs&cs=4&limit=mul:2&chain=100&latency=2&style=2&\n\
- weights=1,1,1,1&two_cycle_mul=1&iterate=N&emit=json|text|dot&\n\
- deadline_ms=N),\n\
+ weights=1,1,1,1&two_cycle_mul=1&emit=json|text|dot&deadline_ms=N),\n\
 or a flat JSON job: {\"benchmark\":\"diffeq\",\"alg\":\"mfs\",\"cs\":4}\n\
-(benchmarks: diffeq fir ar ewf facet dct8 bandpass, iterate-tuned\n\
- variants diffeq_iter fir_iter ewf_iter, and memory kernels\n\
- array_fir matvec with _p1/_p4 port variants; or \"dfg\":\"...\").\n\
-iterate=N refines the one-shot mfs/mfsa schedule with N rounds of\n\
-feedback-guided re-scheduling; iterate=0 is the one-shot answer.\n\
+(benchmarks: diffeq fir ar ewf facet dct8 bandpass, and memory\n\
+ kernels array_fir matvec with _p1/_p4 port variants; or\n\
+ \"dfg\":\"...\"). Any other key is a 400.\n\
 /batch takes a JSON array of job objects; query-string knobs are\n\
 per-batch defaults, each job's keys override them. The answer is one\n\
 JSON array, in request order, of the same bodies /schedule would\n\
@@ -220,14 +217,6 @@ fn build_benchmark(name: &str) -> Option<Dfg> {
         "facet" => Some(classic::facet_style()),
         "dct8" => Some(classic::dct8()),
         "bandpass" => Some(classic::bandpass()),
-        // Iterate-tuned variants: graphs with enough slack structure
-        // for `iterate=N` to show measurable refinement. `fir_iter`
-        // widens the tap count; the others pin the classic graphs
-        // under their iterate-bench names so BENCH_iterate rows can
-        // be reproduced against the daemon verbatim.
-        "diffeq_iter" => Some(classic::diffeq()),
-        "fir_iter" => Some(classic::fir(24)),
-        "ewf_iter" => Some(classic::ewf()),
         // Memory kernels, with 1/2/4-port bank variants.
         "array_fir" => Some(hls_benchmarks::memory::array_fir(8, 2)),
         "array_fir_p1" => Some(hls_benchmarks::memory::array_fir(8, 1)),
@@ -287,9 +276,12 @@ pub fn parse_job(req: &Request) -> Result<Job, String> {
 
 /// The design-point knobs a job may set, by the names serve accepts;
 /// [`DesignPoint::set`] parses and validates each one.
-const POINT_KNOBS: [&str; 10] = [
-    "alg", "cs", "limit", "pipeline", "chain", "latency", "iterate", "style", "weights", "label",
+const POINT_KNOBS: [&str; 9] = [
+    "alg", "cs", "limit", "pipeline", "chain", "latency", "style", "weights", "label",
 ];
+
+/// The job keys that are not design-point knobs.
+const JOB_KEYS: [&str; 5] = ["emit", "two_cycle_mul", "deadline_ms", "dfg", "benchmark"];
 
 /// Hands one job value to the knob table. Numbers and strings are both
 /// text to the table; `null`, and a non-string value for a text knob,
@@ -320,7 +312,17 @@ fn set_knob(point: &mut DesignPoint, name: &str, value: &JsonValue) -> Result<()
 
 /// Builds a [`Job`] from a resolved graph plus its knob set — the
 /// shared back half of [`parse_job`] and the `/batch` item parser.
+///
+/// A key outside [`POINT_KNOBS`] and [`JOB_KEYS`] is an error: a
+/// silently dropped knob would answer a different query than the one
+/// asked.
 fn job_from_knobs(dfg: Arc<Dfg>, knobs: &BTreeMap<String, JsonValue>) -> Result<Job, String> {
+    if let Some(key) = knobs
+        .keys()
+        .find(|k| !POINT_KNOBS.contains(&k.as_str()) && !JOB_KEYS.contains(&k.as_str()))
+    {
+        return Err(format!("unknown job key `{key}`"));
+    }
     let emit = match knobs.get("emit").and_then(JsonValue::as_str) {
         None | Some("json") => Emit::Json,
         Some("text") => Emit::Text,
@@ -708,7 +710,7 @@ mod tests {
             ("/schedule?cs=2&limit=mul:0", TOY),         // zero unit budget
             ("/schedule?cs=2&pipeline=bogus", TOY),      // unknown pipelined op
             ("/schedule?cs=2&style=7", TOY),             // unknown style
-            ("/schedule?cs=2&iterate=soon", TOY),        // bad iterate count
+            ("/schedule?cs=2&csx=4", TOY),               // unknown key
             ("/schedule?cs=2&deadline_ms=soon", TOY),    // bad deadline
         ] {
             let r = handle(&s, &request("POST", target, body), now);
@@ -865,102 +867,67 @@ mod tests {
         }
     }
 
-    /// Pulls an integer field out of the one-line JSON stats body.
-    fn stat(body: &str, key: &str) -> u32 {
-        let tail = body
-            .split(&format!("\"{key}\":"))
-            .nth(1)
-            .unwrap_or_else(|| panic!("{body} has no {key}"));
-        tail.chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .expect(key)
-    }
-
     #[test]
-    fn iterate_jobs_refine_and_round_trip() {
+    fn unknown_job_keys_are_400_naming_the_key() {
         let s = state();
         let now = Instant::now();
-        // The iterate-tuned registry variants resolve and round-trip
-        // the iterate knob through the JSON label.
-        for name in ["diffeq_iter", "fir_iter", "ewf_iter"] {
-            assert!(benchmark(name).is_some(), "{name} missing from registry");
-        }
-        let oneshot = handle(
-            &s,
-            &request(
-                "POST",
-                "/schedule",
-                r#"{"benchmark":"diffeq_iter","alg":"mfs","cs":8}"#,
-            ),
-            now,
-        );
-        assert_eq!(oneshot.status, 200);
-        let refined = handle(
-            &s,
-            &request(
-                "POST",
-                "/schedule",
-                r#"{"benchmark":"diffeq_iter","alg":"mfs","cs":8,"iterate":3}"#,
-            ),
-            now,
-        );
-        assert_eq!(refined.status, 200);
-        let one = String::from_utf8(oneshot.body).unwrap();
-        let re = String::from_utf8(refined.body).unwrap();
-        assert!(re.contains("iter=3"), "{re}");
-        // Refinement never worsens the (csteps, registers) objective.
-        let before = (stat(&one, "csteps"), stat(&one, "registers"));
-        let after = (stat(&re, "csteps"), stat(&re, "registers"));
-        assert!(after <= before, "{after:?} vs {before:?}");
-        // The uncached text path refines too, for both algorithms.
-        let text = handle(
-            &s,
-            &request("POST", "/schedule?cs=8&iterate=2&emit=text", TOY),
-            now,
-        );
-        assert_eq!(
-            text.status,
-            200,
-            "{:?}",
-            String::from_utf8_lossy(&text.body)
-        );
-        let synth = handle(
-            &s,
-            &request("POST", "/schedule?cs=8&alg=mfsa&iterate=2&emit=text", TOY),
-            now,
-        );
-        assert_eq!(
-            synth.status,
-            200,
-            "{:?}",
-            String::from_utf8_lossy(&synth.body)
-        );
-        // The refiner composes with the baseline algorithms too.
-        let lifted = handle(
-            &s,
-            &request("POST", "/schedule?cs=8&alg=fds&iterate=3", TOY),
-            now,
-        );
-        assert_eq!(lifted.status, 200);
-        // Knob combinations the refiner rejects are 422, on both the
-        // engine path and the uncached text path, with the same body.
-        for (json, text) in [
-            (
-                "/schedule?cs=8&iterate=2&latency=2",
-                "/schedule?cs=8&iterate=2&latency=2&emit=text",
-            ),
-            (
-                "/schedule?cs=8&iterate=2&pipeline=mul",
-                "/schedule?cs=8&iterate=2&pipeline=mul&emit=text",
-            ),
+        let error = |r: Response| {
+            assert_eq!(r.status, 400);
+            String::from_utf8(r.body).unwrap()
+        };
+        // The query string, on both the engine and the text path.
+        for (target, key) in [
+            ("/schedule?cs=4&iterate=2", "iterate"),
+            ("/schedule?cs=4&csx=4", "csx"),
+            ("/schedule?cs=4&iterate=2&emit=text", "iterate"),
         ] {
-            let json_r = handle(&s, &request("POST", json, TOY), now);
-            let text_r = handle(&s, &request("POST", text, TOY), now);
-            assert_eq!((json_r.status, text_r.status), (422, 422), "{json}");
-            assert_eq!(json_r.body, text_r.body, "{text}");
+            let body = error(handle(&s, &request("POST", target, TOY), now));
+            assert!(body.contains(&format!("unknown job key `{key}`")), "{body}");
         }
+        // A JSON job, whether its graph is named or inline.
+        for job in [
+            r#"{"benchmark":"diffeq","cs":8,"iterate":3}"#,
+            r#"{"dfg":"input a\nop p = add(a, a)","cs":2,"algorithm":"mfs"}"#,
+        ] {
+            let body = error(handle(&s, &request("POST", "/schedule", job), now));
+            assert!(body.contains("unknown job key"), "{job}: {body}");
+        }
+        // /batch reports it inline and still answers the other items.
+        let batch = handle(
+            &s,
+            &request(
+                "POST",
+                "/batch?benchmark=diffeq",
+                r#"[{"cs":4},{"cs":4,"iterate":1}]"#,
+            ),
+            now,
+        );
+        assert_eq!(batch.status, 200);
+        let body = String::from_utf8(batch.body).unwrap();
+        assert!(
+            body.contains(r#"{"error":"unknown job key `iterate`","status":400}"#),
+            "{body}"
+        );
+        assert_eq!(body.matches("\"csteps\"").count(), 1, "{body}");
+        // A batch-wide default is checked for every item.
+        let batch = handle(
+            &s,
+            &request("POST", "/batch?benchmark=diffeq&iterate=1", r#"[{"cs":4}]"#),
+            now,
+        );
+        let body = String::from_utf8(batch.body).unwrap();
+        assert!(body.contains("unknown job key `iterate`"), "{body}");
+        // Every accepted key still parses.
+        let ok = handle(
+            &s,
+            &request(
+                "POST",
+                "/schedule?limit=mul:2&chain=100&style=1&weights=1,1,1,1&label=x&two_cycle_mul=false&deadline_ms=60000",
+                r#"{"benchmark":"diffeq","alg":"mfs","cs":8,"emit":"json"}"#,
+            ),
+            now,
+        );
+        assert_eq!(ok.status, 200, "{:?}", String::from_utf8_lossy(&ok.body));
     }
 
     #[test]

@@ -27,37 +27,6 @@ use args::{parse_args, usage, usage_for, Command, Telemetry, SUBCOMMANDS};
 /// uses, so a default profile observes the benchmark's frame widths.
 const PROFILE_SLACK: u32 = 8;
 
-/// How many of the hottest nodes `--iterate-profile` turns into
-/// extraction hints. Hotspots are totally ordered (energy evaluations
-/// descending, node index ascending), so a fixed cutoff is
-/// deterministic.
-const ITERATE_PROFILE_TOP: usize = 8;
-
-/// Forwards the trace stream to the telemetry sink the user asked for
-/// while the attribution profiler taps it for `--iterate-profile`.
-struct TeeSink<'a> {
-    main: &'a mut dyn TraceSink,
-    tap: &'a mut Profiler,
-}
-
-impl TraceSink for TeeSink<'_> {
-    fn record(&mut self, event: TraceEvent) {
-        if self.main.enabled() {
-            self.main.record(event.clone());
-        }
-        self.tap.record(event);
-    }
-}
-
-/// The hottest profiled nodes as extraction hints, hottest first.
-fn hotspot_hints(profiler: &Profiler, top: usize) -> Vec<NodeId> {
-    profiler
-        .hotspots(top)
-        .iter()
-        .map(|h| NodeId::from_index(h.op as usize))
-        .collect()
-}
-
 fn load(file: &str) -> Result<Dfg, String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     parse_dfg(&text).map_err(|e| format!("{file}: {e}"))
@@ -233,7 +202,6 @@ fn run(command: Command) -> Result<(), String> {
             check,
             svg,
             vcd,
-            iterate_profile,
             tel,
         } => {
             let dfg = load_design(&file)?;
@@ -254,61 +222,15 @@ fn run(command: Command) -> Result<(), String> {
                 }
                 return run_point_json(&dfg, &spec, &point, &tel);
             }
-            let library = load_library(lib)?;
-            let config = point.mfsa_config(library.clone(), &CancelToken::never());
+            let config = point.mfsa_config(load_library(lib)?, &CancelToken::never());
             let mut mem = MemorySink::new();
             let mut null = NullSink;
             let mut metrics = Metrics::new();
-            let mut profiler = Profiler::new();
             let out = {
-                // The one-shot pass: with --iterate-profile the
-                // attribution profiler taps the event stream alongside
-                // whatever sink the telemetry flags chose.
-                let mut out = {
-                    let sink = tel.sink(&mut mem, &mut null);
-                    if iterate_profile {
-                        let mut tee = TeeSink {
-                            main: sink,
-                            tap: &mut profiler,
-                        };
-                        let mut instr = Instrument::new(&mut tee, &mut metrics);
-                        mfsa::schedule_traced(&dfg, &spec, &config, &mut instr)
-                            .map_err(|e| e.to_string())?
-                    } else {
-                        let mut instr = Instrument::new(sink, &mut metrics);
-                        mfsa::schedule_traced(&dfg, &spec, &config, &mut instr)
-                            .map_err(|e| e.to_string())?
-                    }
-                };
                 let sink = tel.sink(&mut mem, &mut null);
                 let mut instr = Instrument::new(sink, &mut metrics);
-                if point.iterate > 0 {
-                    let mut iterate_config = point.iterate_config();
-                    if iterate_profile {
-                        let hints = hotspot_hints(&profiler, ITERATE_PROFILE_TOP);
-                        if !tel.quiet {
-                            println!(
-                                "iterate-profile: {} extraction hint(s) from the hottest nodes",
-                                hints.len()
-                            );
-                        }
-                        iterate_config = iterate_config.with_hints(hints);
-                    }
-                    let refined =
-                        refine_mfsa(&dfg, &spec, &library, &mut out, &iterate_config, &mut instr)
-                            .map_err(|e| e.to_string())?;
-                    if !tel.quiet {
-                        println!(
-                            "iterate: {} round(s), {} splice(s) accepted, control steps {} -> {}, registers {} -> {}",
-                            refined.iterations_run,
-                            refined.splices_accepted,
-                            refined.csteps_before,
-                            refined.csteps_after,
-                            refined.registers_before,
-                            refined.registers_after,
-                        );
-                    }
-                }
+                let out = mfsa::schedule_traced(&dfg, &spec, &config, &mut instr)
+                    .map_err(|e| e.to_string())?;
                 if tel.verbose {
                     let stats =
                         ScheduleStats::compute_traced(&dfg, &out.schedule, &spec, &mut instr);
@@ -401,14 +323,11 @@ fn run(command: Command) -> Result<(), String> {
             threads,
             lib,
             two_cycle_mul,
-            iterate,
             tel,
         } => {
             let dfg = load_design(&file)?;
             let spec = timing_spec(false, two_cycle_mul);
-            run_synth_sharded(
-                &dfg, &spec, shards, alg, threads, ceiling, lib, iterate, &tel,
-            )
+            run_synth_sharded(&dfg, &spec, shards, alg, threads, ceiling, lib, &tel)
         }
         Command::Explore {
             file,
@@ -473,9 +392,6 @@ fn run(command: Command) -> Result<(), String> {
                     dfg.node_count(),
                     alg.name()
                 );
-            }
-            if !matches!(alg, Algorithm::Mfs | Algorithm::Mfsa) {
-                return Err(format!("profile does not support --alg {}", alg.name()));
             }
             let mut profiler = Profiler::new();
             let mut metrics = Metrics::new();
@@ -542,8 +458,7 @@ fn load_library(lib: Option<String>) -> Result<Library, String> {
 
 /// Runs sharded synthesis (`synth --shard`): partition → parallel
 /// per-shard scheduling → merge & stitch → verify. `ceiling` is the
-/// optional `--cs` value, enforced against the achieved horizon —
-/// after the optional `--iterate` refinement, which can only lower it.
+/// optional `--cs` value, enforced against the achieved horizon.
 #[allow(clippy::too_many_arguments)]
 fn run_synth_sharded(
     dfg: &Dfg,
@@ -553,7 +468,6 @@ fn run_synth_sharded(
     threads: usize,
     ceiling: Option<u32>,
     lib: Option<String>,
-    iterate: u32,
     tel: &Telemetry,
 ) -> Result<(), String> {
     let shard_alg = match alg {
@@ -570,26 +484,10 @@ fn run_synth_sharded(
     let mut mem = MemorySink::new();
     let mut null = NullSink;
     let mut metrics = Metrics::new();
-    let (out, refined) = {
+    let out = {
         let sink = tel.sink(&mut mem, &mut null);
         let mut instr = Instrument::new(sink, &mut metrics);
-        let mut out = synth_sharded(dfg, spec, &config, &mut instr).map_err(|e| e.to_string())?;
-        let refined = if iterate > 0 {
-            let refined = refine(
-                dfg,
-                spec,
-                &out.schedule,
-                &IterateConfig::new(iterate),
-                &mut instr,
-            )
-            .map_err(|e| e.to_string())?;
-            out.schedule = refined.schedule.clone();
-            out.csteps = refined.csteps_after;
-            Some(refined)
-        } else {
-            None
-        };
-        (out, refined)
+        synth_sharded(dfg, spec, &config, &mut instr).map_err(|e| e.to_string())?
     };
     metrics.merge(&out.shard_metrics);
     if let Some(ceiling) = ceiling {
@@ -620,12 +518,6 @@ fn run_synth_sharded(
             "  stitch moves {}, telescoped steps saved {}",
             out.stitch_moves, out.telescoped_saved
         );
-        if let Some(r) = &refined {
-            println!(
-                "  iterate: {} round(s), {} splice(s) accepted, control steps {} -> {}",
-                r.iterations_run, r.splices_accepted, r.csteps_before, r.csteps_after
-            );
-        }
         let ceiling_note = ceiling
             .map(|c| format!(" (ceiling {c})"))
             .unwrap_or_default();
@@ -889,156 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_synth_iterate() {
-        let c = parse(&["synth", "x.dfg", "--cs", "12", "--iterate", "3"]).unwrap();
-        match c {
-            Command::Synth { point, .. } => {
-                assert_eq!(point.cs, 12);
-                assert_eq!(point.iterate, 3);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // Composes with --shard; bad counts are pointed errors.
-        let c = parse(&["synth", "gen:5000", "--shard", "2", "--iterate", "1"]).unwrap();
-        match c {
-            Command::SynthSharded {
-                iterate, shards, ..
-            } => {
-                assert_eq!(iterate, 1);
-                assert_eq!(shards, 2);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        assert!(parse(&["synth", "x.dfg", "--cs", "4", "--iterate", "x"])
-            .unwrap_err()
-            .contains("--iterate"));
-        // In explore, --iterate applies to --alg/--cs points only; grid
-        // files carry their own per-point key.
-        assert!(
-            parse(&["explore", "x.dfg", "--grid", "g.toml", "--iterate", "2"])
-                .unwrap_err()
-                .contains("grid file")
-        );
-        // --iterate belongs to synth and explore, not schedule.
-        assert!(parse(&["schedule", "x.dfg", "--cs", "4", "--iterate", "2"])
-            .unwrap_err()
-            .contains("unknown schedule flag"));
-    }
-
-    #[test]
-    fn parses_synth_iterate_profile() {
-        let c = parse(&[
-            "synth",
-            "x.dfg",
-            "--cs",
-            "12",
-            "--iterate",
-            "2",
-            "--iterate-profile",
-        ])
-        .unwrap();
-        match c {
-            Command::Synth {
-                point,
-                iterate_profile,
-                ..
-            } => {
-                assert_eq!(point.iterate, 2);
-                assert!(iterate_profile);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // Hints only steer the refinement loop, so the flag is
-        // meaningless without --iterate.
-        assert!(
-            parse(&["synth", "x.dfg", "--cs", "12", "--iterate-profile"])
-                .unwrap_err()
-                .contains("requires --iterate")
-        );
-        // Sharded synthesis profiles per shard; not wired up.
-        assert!(parse(&[
-            "synth",
-            "gen:5000",
-            "--shard",
-            "2",
-            "--iterate",
-            "1",
-            "--iterate-profile"
-        ])
-        .unwrap_err()
-        .contains("--shard"));
-        // The JSON point report has no hint field yet.
-        assert!(parse(&[
-            "synth",
-            "x.dfg",
-            "--cs",
-            "12",
-            "--iterate",
-            "1",
-            "--iterate-profile",
-            "--json"
-        ])
-        .unwrap_err()
-        .contains("--json"));
-        // And it stays a synth-only flag.
-        assert!(
-            parse(&["schedule", "x.dfg", "--cs", "4", "--iterate-profile"])
-                .unwrap_err()
-                .contains("unknown schedule flag")
-        );
-    }
-
-    #[test]
-    fn synth_iterate_end_to_end() {
-        let dir = std::env::temp_dir().join("mfhls-iterate-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.dfg");
-        std::fs::write(
-            &path,
-            "input a, b\nop p = mul(a, b)\nop q = add(p, b)\nop r = add(a, b)\n",
-        )
-        .unwrap();
-        // Monolithic MFSA with refinement at a padded budget.
-        let mut point = DesignPoint::new(Algorithm::Mfsa, 6);
-        point.iterate = 3;
-        run(Command::Synth {
-            file: path.to_string_lossy().to_string(),
-            point,
-            lib: None,
-            two_cycle_mul: false,
-            json: false,
-            microcode: false,
-            verilog: false,
-            testbench: false,
-            check: true,
-            svg: None,
-            vcd: None,
-            iterate_profile: true,
-            tel: Telemetry {
-                quiet: true,
-                ..Telemetry::default()
-            },
-        })
-        .unwrap();
-        // Sharded synthesis with post-stitch refinement.
-        run(Command::SynthSharded {
-            file: "gen:800".to_string(),
-            ceiling: None,
-            shards: 3,
-            alg: Algorithm::Mfs,
-            threads: 2,
-            lib: None,
-            two_cycle_mul: false,
-            iterate: 2,
-            tel: Telemetry {
-                quiet: true,
-                ..Telemetry::default()
-            },
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn synth_shard_end_to_end() {
         let sharded = |ceiling| Command::SynthSharded {
             file: "gen:800".to_string(),
@@ -1048,7 +790,6 @@ mod tests {
             threads: 2,
             lib: None,
             two_cycle_mul: false,
-            iterate: 0,
             tel: Telemetry {
                 quiet: true,
                 ..Telemetry::default()
@@ -1169,7 +910,6 @@ mod tests {
             check: true,
             svg: None,
             vcd: Some(dir.join("toy.vcd").to_string_lossy().to_string()),
-            iterate_profile: false,
             tel: Telemetry::default(),
         })
         .unwrap();
@@ -1189,7 +929,6 @@ mod tests {
             check: true,
             svg: None,
             vcd: None,
-            iterate_profile: false,
             tel: Telemetry::default(),
         })
         .unwrap();
@@ -1373,7 +1112,7 @@ mod tests {
             quiet: true,
         })
         .unwrap_err();
-        assert_eq!(err, "profile does not support --alg list");
+        assert_eq!(err, "list is not a move-frame algorithm");
     }
 
     #[test]
@@ -1494,7 +1233,6 @@ mod tests {
             check: false,
             svg: None,
             vcd: None,
-            iterate_profile: false,
             tel: Telemetry::default(),
         })
         .unwrap_err();
@@ -1522,7 +1260,6 @@ mod tests {
             check: false,
             svg: None,
             vcd: None,
-            iterate_profile: false,
             tel: Telemetry::default(),
         })
         .unwrap();

@@ -1,8 +1,8 @@
 //! `mfhls` argument parsing: the subcommands, their flags and help.
 //!
 //! Design-point flags (`--cs`, `--alg`, `--limit`, `--chain`,
-//! `--latency`, `--style2`, `--weights`, `--iterate`) are parsed by the
-//! knob table of `hls-explore` ([`DesignPoint::set`]), which also
+//! `--latency`, `--style2`, `--weights`) are parsed by the knob table
+//! of `hls-explore` ([`DesignPoint::set`]), which also
 //! supplies their help lines; this module only decides which
 //! subcommand takes which of them.
 
@@ -66,7 +66,7 @@ pub enum Command {
     },
     Synth {
         file: String,
-        /// The MFSA point: `cs`, style, weights and refinement rounds.
+        /// The MFSA point: `cs`, style and weights.
         point: DesignPoint,
         lib: Option<String>,
         two_cycle_mul: bool,
@@ -77,10 +77,6 @@ pub enum Command {
         check: bool,
         svg: Option<String>,
         vcd: Option<String>,
-        /// Tap the one-shot pass with the attribution profiler and
-        /// seed the refinement's extraction hints from its top node
-        /// hotspots.
-        iterate_profile: bool,
         tel: Telemetry,
     },
     /// `synth --shard`: partitioned synthesis of one large design.
@@ -97,8 +93,6 @@ pub enum Command {
         threads: usize,
         lib: Option<String>,
         two_cycle_mul: bool,
-        /// Refinement rounds after stitching (0 = none).
-        iterate: u32,
         tel: Telemetry,
     },
     Explore {
@@ -186,18 +180,15 @@ fn help(sub: &str) -> Option<Help> {
              `gen:OPS` synthesises the canonical scaling workload of roughly\n\
              OPS operations.\n\
              \n\
-             With --iterate N the one-shot result is refined by up to N\n\
-             extract/re-schedule rounds (bottleneck subgraph extraction +\n\
-             constrained re-scheduling splices); every accepted splice is\n\
-             re-verified and the (csteps, registers) objective only ever\n\
-             improves. N = 0 is byte-identical to the one-shot schedule.\n\
-             \n\
              With --shard the design is cut into weakly-coupled shards,\n\
              scheduled in parallel and stitched back into one verified\n\
-             schedule — the path for 100k–1M-node graphs a monolithic run\n\
-             cannot finish. Output is bit-identical for any --threads value;\n\
-             --cs becomes an optional global control-step ceiling and the\n\
-             data-path flags (--microcode/--verilog/...) do not apply.",
+             schedule. Shards share no hardware, so the stitched design needs\n\
+             more units. On a 200k-op clustered graph (2 cores) sharding beat\n\
+             a whole-graph MFSA run (6.1 s vs 50.6 s) but not a whole-graph\n\
+             MFS run (6.8 s vs 1.15 s). Output is bit-identical for any\n\
+             --threads value; --cs becomes an optional global control-step\n\
+             ceiling and the data-path flags (--microcode/--verilog/...) do\n\
+             not apply.",
             &[
                 "--cs\t (required; with --shard: optional ceiling)",
                 "--shard N|auto\tsharded synthesis with N shards (auto = ~16k nodes each)",
@@ -207,8 +198,6 @@ fn help(sub: &str) -> Option<Help> {
                 "--weights",
                 "--lib FILE.lib\tuse a custom cell library",
                 "--two-cycle-mul\tuse the 2-cycle-multiply timing profile",
-                "--iterate",
-                "--iterate-profile\tseed the refinement's hints from profiler hotspots",
                 "--json\tprint the canonical stats JSON line instead of text",
                 "--microcode\tprint the control-word listing",
                 "--verilog\temit synthesisable Verilog",
@@ -237,7 +226,6 @@ fn help(sub: &str) -> Option<Help> {
                 "--style2\tno-self-loop design style for mfsa points",
                 "--weights\t for mfsa points",
                 "--two-cycle-mul\tuse the 2-cycle-multiply timing profile",
-                "--iterate\t for the --alg/--cs points",
                 "--threads N\tworker threads (0 = all cores)",
                 "--emit FILE\twrite the Pareto front as JSON",
                 "--metrics\tprint the engine's metrics report",
@@ -494,7 +482,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut shard_alg: Option<Algorithm> = None;
     let mut emit = None;
     let mut top = 20usize;
-    let mut iterate_profile = false;
     let mut tel = Telemetry::default();
     while let Some(flag) = it.next() {
         if !allowed_flags(sub).contains(&flag.as_str()) {
@@ -566,7 +553,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--emit" => emit = Some(next(&mut it, "--emit needs a file path")?.clone()),
             "--top" => top = parsed(&mut it, flag)?,
-            "--iterate-profile" => iterate_profile = true,
             "--trace" => tel.trace = Some(next(&mut it, "--trace needs a file path")?.clone()),
             "--chrome-trace" => {
                 tel.chrome = Some(next(&mut it, "--chrome-trace needs a file path")?.clone())
@@ -635,17 +621,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     return Err("--shard does not support --style2/--weights".into());
                 }
             }
-            if iterate_profile {
-                if knobs.iterate == 0 {
-                    return Err("--iterate-profile requires --iterate N (with N ≥ 1)".into());
-                }
-                if shard.is_some() {
-                    return Err("--iterate-profile is not supported with --shard".into());
-                }
-                if json {
-                    return Err("--iterate-profile is not supported with --json".into());
-                }
-            }
             Ok(match shard {
                 Some(shards) => Command::SynthSharded {
                     file,
@@ -655,7 +630,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     threads: threads.unwrap_or(0),
                     lib,
                     two_cycle_mul,
-                    iterate: knobs.iterate,
                     tel,
                 },
                 None => Command::Synth {
@@ -670,7 +644,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     check,
                     svg,
                     vcd,
-                    iterate_profile,
                     tel,
                 },
             })
@@ -684,9 +657,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             if tel.wants_events() {
                 return Err("explore does not support --trace/--chrome-trace".into());
-            }
-            if grid.is_some() && knobs.iterate > 0 {
-                return Err("set iterate per point in the grid file, not via --iterate".into());
             }
             if algs.is_empty() {
                 algs.push(Algorithm::Mfs);

@@ -37,7 +37,6 @@ pub use hls_celllib as celllib;
 pub use hls_control as control;
 pub use hls_dfg as dfg;
 pub use hls_explore as explore;
-pub use hls_iterate as iterate;
 pub use hls_mem as mem;
 pub use hls_partition as partition;
 pub use hls_prof as prof;
@@ -59,7 +58,6 @@ pub mod prelude {
     pub use hls_explore::{
         parse_grid, Algorithm, DesignPoint, Engine, ExploreOptions, ExploreReport,
     };
-    pub use hls_iterate::{extract_region, refine, refine_mfsa, IterateConfig, IterateOutcome};
     pub use hls_mem::{
         access_bindings, bank_usage, check_port_safety, port_pressure, AccessBinding, BankUsage,
         MemError, PortPressure, PortViolation,

@@ -7,7 +7,8 @@
 //! every front end that accepts the knob. A zero or out-of-range value
 //! must be the knob table's typed error on every front end: `error: …`
 //! and exit code 1 from the CLI, a `GridError` at the knob's line, and
-//! a 400 from the daemon — never a panic or a 500.
+//! a 400 from the daemon — never a panic or a 500. So must a knob name
+//! no front end knows, such as the retired `iterate`.
 
 #[allow(dead_code)]
 #[path = "../src/bin/mfhls/args.rs"]
@@ -45,8 +46,6 @@ const VALID: &[(&str, &str)] = &[
     ("style", "1"),
     ("style", "2"),
     ("weights", "1,2,1,1"),
-    ("iterate", "0"),
-    ("iterate", "3"),
     ("label", "tight"),
 ];
 
@@ -68,14 +67,12 @@ const INVALID: &[(&str, &str)] = &[
     ("weights", "1,2"),
     ("weights", "1,2,3,4,5"),
     ("weights", "a,b,c,d"),
-    ("iterate", "-1"),
-    ("iterate", "x"),
 ];
 
 /// The algorithm a row runs: MFSA for its own knobs, MFS else.
 fn home(knob: &str) -> &'static str {
     match knob {
-        "style" | "weights" | "iterate" => "mfsa",
+        "style" | "weights" => "mfsa",
         _ => "mfs",
     }
 }
@@ -96,7 +93,7 @@ fn cli_args(knob: &str, value: &str) -> Option<Vec<String>> {
         ("limit" | "chain" | "latency", _) => ("schedule", vec!["--cs", "6", &flag, value]),
         ("alg", _) => ("explore", vec!["--cs", "6", "--alg", value]),
         ("style", "2") => ("synth", vec!["--cs", "6", "--style2"]),
-        ("weights" | "iterate", _) => ("synth", vec!["--cs", "6", &flag, value]),
+        ("weights", _) => ("synth", vec!["--cs", "6", &flag, value]),
         _ => return None,
     };
     Some(
@@ -291,14 +288,16 @@ fn each_front_end_keeps_its_own_knob_names() {
         let e = moveframe_hls::explore::parse_grid(&text).unwrap_err();
         assert!(e.message.contains("unknown key"), "{key}: {e}");
     }
-    // Served jobs ignore keys they never read, as before.
-    let mut req = query_request("cs", "6");
-    req.query.push(("clock".into(), "0".into()));
-    req.query.push(("algorithm".into(), "nope".into()));
-    let job = serve::parse_job(&req).unwrap();
-    assert_eq!(job.point.clock, None);
-    // A JSON value of the wrong type for a text knob is ignored too,
-    // as it always was; for a numeric knob it is a 400.
+    // Served jobs spell them `alg` and `chain`; the grid spellings are
+    // unknown keys there.
+    for key in ["clock", "algorithm"] {
+        let mut req = query_request("cs", "6");
+        req.query.push((key.into(), "100".into()));
+        let e = serve::parse_job(&req).unwrap_err();
+        assert!(e.contains(&format!("unknown job key `{key}`")), "{e}");
+    }
+    // A JSON value of the wrong type for a text knob is ignored, as it
+    // always was; for a numeric knob it is a 400.
     let mut req = json_request("cs", "6");
     let body = String::from_utf8(req.body).unwrap();
     req.body = body.replace('}', ",\"alg\":5,\"label\":null}").into_bytes();
@@ -309,6 +308,65 @@ fn each_front_end_keeps_its_own_knob_names() {
     );
     req.body = body.replace("\"cs\":6", "\"cs\":true").into_bytes();
     assert!(matches!(serve::parse_job(&req), Err(e) if e.contains("`cs`")));
+}
+
+#[test]
+fn the_retired_iterate_knob_is_a_typed_error_on_every_front_end() {
+    // The CLI: each subcommand that took `--iterate`, and the binary
+    // exits 1 with an error line rather than panicking.
+    for sub in ["synth", "explore", "schedule"] {
+        let args: Vec<String> = [sub, "x.dfg", "--cs", "6", "--iterate", "3"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = parse_args(&args).unwrap_err();
+        assert!(
+            err.contains(&format!("unknown {sub} flag `--iterate`")),
+            "{err}"
+        );
+        let out = Process::new(env!("CARGO_BIN_EXE_mfhls"))
+            .args(&args)
+            .output()
+            .expect("mfhls runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sub}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{sub}: {stderr}");
+        assert!(stderr.contains("`--iterate`"), "{sub}: {stderr}");
+    }
+    let err = parse_args(&["synth".into(), "x.dfg".into(), "--iterate-profile".into()]);
+    assert!(err.unwrap_err().contains("`--iterate-profile`"));
+
+    // The grid file: an unknown key at its line.
+    let e =
+        moveframe_hls::explore::parse_grid("[[point]]\nalgorithm = \"mfs\"\ncs = 6\niterate = 3\n")
+            .unwrap_err();
+    assert_eq!(e.line, 4, "{e}");
+    assert!(e.message.contains("unknown key iterate"), "{e}");
+
+    // The knob table itself.
+    let mut point = DesignPoint::new(moveframe_hls::explore::Algorithm::Mfs, 6);
+    assert_eq!(
+        point.set("iterate", "3"),
+        Err(KnobError::Unknown("iterate".into()))
+    );
+
+    // Served jobs: the query string and a JSON body are both a 400
+    // naming the key.
+    let state = AppState::new(16, None);
+    let mut query = query_request("cs", "6");
+    query.query.push(("iterate".into(), "3".into()));
+    let mut json = json_request("cs", "6");
+    let body = String::from_utf8(json.body).unwrap();
+    json.body = body.replace('}', ",\"iterate\":3}").into_bytes();
+    for req in [query, json] {
+        let err = serve::parse_job(&req).unwrap_err();
+        assert!(err.contains("unknown job key `iterate`"), "{err}");
+        let response = serve::handle(&state, &req, Instant::now());
+        assert_eq!(response.status, 400);
+        assert!(String::from_utf8(response.body)
+            .unwrap()
+            .contains("iterate"));
+    }
 }
 
 #[test]

@@ -43,7 +43,6 @@ limits = ["*=2", "+=1"]       # per-op FU bounds (op = count)
 pipeline = ["*"]              # structurally pipelined ops (MFS)
 style = 2                     # MFSA design style (1 or 2)
 weights = [1, 1, 1, 1]        # MFSA Liapunov weights (t, a, m, r)
-iterate = 3                   # feedback-guided refinement rounds
 
 [[point]]             # one explicit point (inherits the defaults)
 label = "tight"
@@ -52,7 +51,7 @@ cs = 4
 "#;
 
 /// A `/batch` body: three flat jobs, one with an escaped `.dfg` text.
-const BATCH: &str = r#"[{"benchmark":"diffeq","cs":4},{"alg":"mfsa","cs":6,"style":2,"weights":"1,2,1,1","iterate":true},{"dfg":"input a, b\nop p = mul(a, b)\t# \"x\"\n","cs":-1.5e2,"label":null}]"#;
+const BATCH: &str = r#"[{"benchmark":"diffeq","cs":4},{"alg":"mfsa","cs":6,"style":2,"weights":"1,2,1,1","two_cycle_mul":true},{"dfg":"input a, b\nop p = mul(a, b)\t# \"x\"\n","cs":-1.5e2,"label":null}]"#;
 
 /// A keep-alive POST with its body.
 const POST: &[u8] = b"POST /schedule?cs=4&alg=mfsa HTTP/1.1\r\nHost: 127.0.0.1:7433\r\nConnection: keep-alive\r\nContent-Type: application/json\r\nContent-Length: 29\r\n\r\n{\"benchmark\":\"diffeq\",\"cs\":4}";

@@ -169,50 +169,6 @@ fn generated_names_skip_later_op_names_over_a_socket() {
     server.join();
 }
 
-/// Pulls an integer field out of the one-line JSON stats body.
-fn stat(body: &str, key: &str) -> u32 {
-    body.split(&format!("\"{key}\":"))
-        .nth(1)
-        .unwrap_or_else(|| panic!("{body} has no {key}"))
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect(key)
-}
-
-/// The iterate-tuned registry variants answer over a real socket and
-/// `iterate=N` round-trips: the label carries the knob and the refined
-/// objective is never worse than the one-shot answer.
-#[test]
-fn iterate_variants_round_trip_over_a_socket() {
-    let server = common::start(common::ephemeral_config());
-    let addr = server.local_addr();
-
-    for (name, cs) in [("diffeq_iter", 6), ("fir_iter", 8), ("ewf_iter", 19)] {
-        let oneshot = format!(r#"{{"benchmark":"{name}","alg":"mfs","cs":{cs}}}"#);
-        let refined = format!(r#"{{"benchmark":"{name}","alg":"mfs","cs":{cs},"iterate":4}}"#);
-        let (status, one) = common::post(addr, "/schedule", oneshot.as_bytes());
-        assert_eq!(status, 200, "{name}: {one}");
-        let (status, re) = common::post(addr, "/schedule", refined.as_bytes());
-        assert_eq!(status, 200, "{name}: {re}");
-        assert!(re.contains("iter=4"), "{name}: {re}");
-        let before = (stat(&one, "csteps"), stat(&one, "registers"));
-        let after = (stat(&re, "csteps"), stat(&re, "registers"));
-        assert!(after <= before, "{name}: {after:?} vs {before:?}");
-    }
-
-    // The refined answer is deterministic: a repeat request is
-    // byte-identical (warm cache or not).
-    let job: &[u8] = br#"{"benchmark":"fir_iter","alg":"mfs","cs":8,"iterate":4}"#;
-    let (_, first) = common::post(addr, "/schedule", job);
-    let (_, second) = common::post(addr, "/schedule", job);
-    assert_eq!(first, second);
-
-    server.shutdown();
-    server.join();
-}
-
 #[test]
 fn shutdown_drains_admitted_requests() {
     let server = common::start(ServeConfig {
