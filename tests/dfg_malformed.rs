@@ -385,18 +385,120 @@ fn render_corpus() -> String {
     lines.join("\n") + "\n"
 }
 
-#[test]
-fn parse_results_match_the_recorded_golden() {
-    let got = render_corpus();
-    let path = format!(
-        "{}/tests/golden/parse_errors.txt",
-        env!("CARGO_MANIFEST_DIR")
-    );
+/// Texts whose whitespace, comments and token spellings a byte-level
+/// scanner could read differently from `str::trim` and friends: line
+/// endings, ASCII control spaces, Unicode spaces (which `trim` strips
+/// and a name may contain), a byte-order mark, non-ASCII names,
+/// comments holding delimiters, spaced-out annotations and every
+/// operator spelling.
+fn whitespace_cases() -> Vec<(&'static str, String)> {
+    let mut cases: Vec<(&'static str, String)> = vec![
+        ("crlf", "dfg w\r\ninput a, b\r\nop p = mul(a, b)\r\nop q = add(p, a)\r\n".into()),
+        ("crlf no final newline", "input a\r\nop p = inc(a)\r".into()),
+        ("lone cr mid-line", "input a\rop p = inc(a)\nop q = inc(a)\n".into()),
+        ("crlf blank lines", "\r\n\r\ninput a\r\n \r\n\top p = inc(a)\r\n\r\n".into()),
+        ("tabs", "dfg\tw\ninput\ta,\tb\nop\tp\t=\tmul(\ta\t,\tb\t)\n".into()),
+        ("vertical tab and form feed", "input\x0ba,\x0cb\nop\x0cp\x0b=\x0badd(a,\x0bb)\x0c\n".into()),
+        ("nbsp after keyword", "input\u{a0}a\nop\u{a0}p = inc(a)\n".into()),
+        ("nbsp around tokens", "input \u{a0}a\u{a0}, b\nop p\u{a0}=\u{a0}add(\u{a0}a\u{a0},b)\u{a0}\n".into()),
+        ("em space inside a name", "input a\u{2003}b\nop p = inc(a\u{2003}b)\n".into()),
+        ("em space inside a name, trimmed reference", "input a\u{2003}b\nop p = inc(a b)\n".into()),
+        ("ideographic space around tokens", "input\u{3000}a\u{3000}\nop p = inc(\u{3000}a\u{3000})\u{3000}\n".into()),
+        ("ideographic space inside a kind", "input a, b\nop p = mu\u{3000}l(a, b)\n".into()),
+        ("ideographic space before the paren", "input a, b\nop p = mul\u{3000}(a, b)\n".into()),
+        ("next line and line separator", "input\u{85}a\nop\u{2028}p = inc(a)\u{2029}\n".into()),
+        ("zero-width space is no space", "input\u{200b}a\nop p = inc(a)\n".into()),
+        ("zero-width space inside a name", "input a\u{200b}\nop p = inc(a\u{200b})\n".into()),
+        ("leading bom", "\u{feff}dfg w\ninput a\nop p = inc(a)\n".into()),
+        ("bom on a later line", "input a\n\u{feff}op p = inc(a)\n".into()),
+        ("non-ascii names", "dfg 图\ninput α, β\nconst κ = 3\nop γ = add(α, β)\nop δ = mul(γ, κ)\n".into()),
+        ("non-ascii graph name with spaces", "dfg\u{3000} mein Graph \u{a0}\ninput a\nop p = inc(a)\n".into()),
+        ("comments with delimiters", "input a, b # = ( @ [ ] , .\nconst k = 2 # k = (3)\nop p = add(a, b) # @branch(0.1)\nop q = mul(p, k)#=(@\n# op r = add(a, b)\n".into()),
+        ("comment right after a keyword", "input# a\ninput a\nop p = inc(a)\n".into()),
+        ("comment inside a call", "input a, b\nop p = add(a, # b)\n".into()),
+        ("spaced branch annotation", "input a, b\nop p = add(a, b) @branch( 0.1 / 1.0 )\nop q = sub(a, b) @branch( 0.1 / 1.1 )\n".into()),
+        ("space after the at sign", "input a, b\nop p = add(a, b) @ branch(0.0)\nop q = sub(a, b) @\tbranch(0.1)\t\n".into()),
+        ("space before the branch paren", "input a, b\nop p = add(a, b) @branch (0.0)\n".into()),
+        ("unicode space in a branch arm", "input a, b\nop p = add(a, b) @branch(0\u{a0}.\u{3000}1)\n".into()),
+        ("annotation glued to the call", "input a, b\nop p = add(a, b)@branch(0.0)\n".into()),
+        ("every op symbol", "input a, b\nop o1 = +(a, b)\nop o2 = -(a, b)\nop o3 = *(a, b)\nop o4 = /(a, b)\nop o5 = &(a, b)\nop o6 = |(a, b)\nop o7 = ^(a, b)\nop o8 = ~(a)\nop o9 = =(a, b)\nop o10 = !(a, b)\nop o11 = <(a, b)\nop o12 = >(a, b)\nop o13 = <<(a, b)\nop o14 = >>(a, b)\nop o15 = ++(a)\nop o16 = --(a)\nop o17 = neg(a)\n".into()),
+        ("every op name in upper case", "input a, b\nop o1 = ADD(a, b)\nop o2 = SUB(a, b)\nop o3 = MUL(a, b)\nop o4 = DIV(a, b)\nop o5 = AND(a, b)\nop o6 = OR(a, b)\nop o7 = XOR(a, b)\nop o8 = NOT(a)\nop o9 = EQ(a, b)\nop o10 = NE(a, b)\nop o11 = LT(a, b)\nop o12 = GT(a, b)\nop o13 = SHL(a, b)\nop o14 = SHR(a, b)\nop o15 = INC(a)\nop o16 = DEC(a)\nop o17 = NEG(a)\n".into()),
+        ("mixed-case and spaced kinds", "input a, b\nop p = Mul (a, b)\nop q = nEg\t(p)\nop r = << ( p , q )\n".into()),
+        ("symbols are case-exact", "input a\nop p = NEG(a)\nop q = Neg(p)\n".into()),
+        ("unknown upper-case symbol", "input a, b\nop p = MUL2(a, b)\n".into()),
+        ("non-ascii kind", "input a, b\nop p = mül(a, b)\n".into()),
+        ("upper-case keyword", "INPUT a\nop p = inc(a)\n".into()),
+        ("no spaces at all", "input a,b\nop p=add(a,b)\nop q=inc(p)@branch(1.2)\n".into()),
+        ("empty operands", "input a,, b,\nop p = add(a,, b)\nop q = inc(p,)\n".into()),
+        ("spaced memory statements", "input i , v\nbank  ram ( ports = 2 )\narray\ta [ 8 ]\t@\tram\nload x = a [ i ]\nstore a[\ti\t] = v\nstore s0 = a[ 3 ] ,\u{3000}x\nload y = a[\u{a0}2\u{a0}]\n".into()),
+        ("implicit bank with unicode spaces", "input i\narray c[4]\u{a0}@\u{3000}rom(\u{a0}ports\u{a0}=\u{a0}1\u{a0})\nload v = c[i]\n".into()),
+        ("signed literals", "input a\nconst k = +3\nconst m = -4\narray x[4] @ r(ports=+1)\nload v = x[+2]\nop p = add(k, m)\nop q = add(p, v)\n".into()),
+        ("constant with unicode space", "input a\nconst k = \u{a0}7\u{3000}\nop p = add(a, k)\n".into()),
+        ("fullwidth digit", "input a\nconst k = ３\nop p = add(a, k)\n".into()),
+        ("names with dots and at signs", "input a.b\nop p.q = inc(a.b)\nop r = add(p.q, a.b) @branch(0.1)\n".into()),
+        ("store named with unicode", "input i, v\narray x[4] @ r(ports=1)\nstore σ = x[i], v\nstore x[1] = σ\n".into()),
+        ("header only spaces", "dfg \t\u{a0}\ninput a\nop p = inc(a)\n".into()),
+    ];
+    // Seeded insertions of whitespace-like and delimiter characters into
+    // a text that uses every statement form.
+    let base = "dfg ws  # header\r\n\
+                input i, j, v\r\n\
+                const k = 2\n\
+                bank ram(ports=2)\n\
+                array a[8] @ ram\n\
+                array c[4] @ rom(ports=1)\n\
+                load x = a[i]\n\
+                store a[3] = x\n\
+                store s = c[k], v\n\
+                load y = c[1]\n\
+                op t = add(x, y) @branch(0.0)\n\
+                op e = -(x, j) @branch(0.1/1.0)\n\
+                op f = MUL(e, k) @branch(0.1/1.1)\n\
+                op m = or(t, f)\n";
+    const INSERTS: [&str; 24] = [
+        " ", "\t", "\r", "\r\n", "\x0b", "\x0c", "\u{85}", "\u{a0}", "\u{2003}", "\u{3000}",
+        "\u{feff}", "\u{200b}", "é", "#", "=", "(", ")", ",", "@", "[", "]", ".", "/", "+",
+    ];
+    let mut rng = Mix(0x0077_6873);
+    for _ in 0..200 {
+        let mut text = base.to_string();
+        for _ in 0..1 + rng.below(3) {
+            let mut at = rng.below(text.len() + 1);
+            while !text.is_char_boundary(at) {
+                at += 1;
+            }
+            text.insert_str(at, INSERTS[rng.below(INSERTS.len())]);
+        }
+        cases.push(("inserted", text));
+    }
+    cases
+}
+
+fn render_whitespace() -> String {
+    let mut lines = Vec::new();
+    for (k, (name, text)) in whitespace_cases().into_iter().enumerate() {
+        lines.push(format!("{k} {name}: {}", render(&parse_dfg(&text))));
+    }
+    lines.join("\n") + "\n"
+}
+
+fn assert_matches_golden(got: &str, file: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "line {}", i + 1);
+        assert_eq!(g, w, "{file} line {}", i + 1);
     }
     assert_eq!(got.lines().count(), want.lines().count());
+}
+
+#[test]
+fn parse_results_match_the_recorded_golden() {
+    assert_matches_golden(&render_corpus(), "parse_errors.txt");
+}
+
+#[test]
+fn whitespace_results_match_the_recorded_golden() {
+    assert_matches_golden(&render_whitespace(), "parse_whitespace.txt");
 }
 
 #[test]
