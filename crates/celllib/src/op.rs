@@ -187,13 +187,59 @@ impl FromStr for OpKind {
     /// Parses either the canonical symbol (`"*"`) or the short name
     /// (`"mul"`), case-insensitively for names.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        OpKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.symbol() == s || k.name().eq_ignore_ascii_case(s))
-            .ok_or_else(|| ParseOpKindError {
-                token: s.to_string(),
-            })
+        // Every symbol and name has at most three bytes: match the
+        // symbols exactly and the names folded to lower case.
+        let lower = u8::to_ascii_lowercase;
+        let kind = match *s.as_bytes() {
+            [c] => match c {
+                b'+' => Some(OpKind::Add),
+                b'-' => Some(OpKind::Sub),
+                b'*' => Some(OpKind::Mul),
+                b'/' => Some(OpKind::Div),
+                b'&' => Some(OpKind::And),
+                b'|' => Some(OpKind::Or),
+                b'^' => Some(OpKind::Xor),
+                b'~' => Some(OpKind::Not),
+                b'=' => Some(OpKind::Eq),
+                b'!' => Some(OpKind::Ne),
+                b'<' => Some(OpKind::Lt),
+                b'>' => Some(OpKind::Gt),
+                _ => None,
+            },
+            [a, b] => match [a, b] {
+                [b'<', b'<'] => Some(OpKind::Shl),
+                [b'>', b'>'] => Some(OpKind::Shr),
+                [b'+', b'+'] => Some(OpKind::Inc),
+                [b'-', b'-'] => Some(OpKind::Dec),
+                _ => match [lower(&a), lower(&b)] {
+                    [b'o', b'r'] => Some(OpKind::Or),
+                    [b'e', b'q'] => Some(OpKind::Eq),
+                    [b'n', b'e'] => Some(OpKind::Ne),
+                    [b'l', b't'] => Some(OpKind::Lt),
+                    [b'g', b't'] => Some(OpKind::Gt),
+                    _ => None,
+                },
+            },
+            [a, b, c] => match [lower(&a), lower(&b), lower(&c)] {
+                [b'a', b'd', b'd'] => Some(OpKind::Add),
+                [b's', b'u', b'b'] => Some(OpKind::Sub),
+                [b'm', b'u', b'l'] => Some(OpKind::Mul),
+                [b'd', b'i', b'v'] => Some(OpKind::Div),
+                [b'a', b'n', b'd'] => Some(OpKind::And),
+                [b'x', b'o', b'r'] => Some(OpKind::Xor),
+                [b'n', b'o', b't'] => Some(OpKind::Not),
+                [b's', b'h', b'l'] => Some(OpKind::Shl),
+                [b's', b'h', b'r'] => Some(OpKind::Shr),
+                [b'i', b'n', b'c'] => Some(OpKind::Inc),
+                [b'd', b'e', b'c'] => Some(OpKind::Dec),
+                [b'n', b'e', b'g'] => Some(OpKind::Neg),
+                _ => None,
+            },
+            _ => None,
+        };
+        kind.ok_or_else(|| ParseOpKindError {
+            token: s.to_string(),
+        })
     }
 }
 
@@ -213,6 +259,39 @@ mod tests {
     fn names_round_trip_case_insensitively() {
         assert_eq!("MUL".parse::<OpKind>(), Ok(OpKind::Mul));
         assert_eq!("Add".parse::<OpKind>(), Ok(OpKind::Add));
+    }
+
+    #[test]
+    fn parsing_matches_a_scan_over_every_spelling() {
+        // The reference: the first kind whose symbol matches exactly or
+        // whose name matches up to ASCII case.
+        let scan = |s: &str| {
+            OpKind::ALL
+                .into_iter()
+                .find(|k| k.symbol() == s || k.name().eq_ignore_ascii_case(s))
+        };
+        let mut tokens: Vec<String> = OpKind::ALL
+            .iter()
+            .flat_map(|k| [k.symbol().to_string(), k.name().to_uppercase()])
+            .collect();
+        tokens.extend(
+            [
+                "", "a", "Ad", "ADD ", " add", "adds", "NeG", "<<<", "+-", "ǅ", "é", "ad\u{0}",
+            ]
+            .map(String::from),
+        );
+        for a in [b'+', b'-', b'<', b'>', b'n', b'E', b'g', b'q', 0xc3] {
+            for b in [b'+', b'-', b'<', b'>', b'e', b'G', b'q', 0xa9] {
+                tokens.extend(String::from_utf8(vec![a, b]).ok());
+            }
+        }
+        for t in &tokens {
+            let got = t.parse::<OpKind>();
+            assert_eq!(got.as_ref().ok().copied(), scan(t), "{t:?}");
+            if let Err(e) = got {
+                assert_eq!(e.token(), t);
+            }
+        }
     }
 
     #[test]

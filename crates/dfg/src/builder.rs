@@ -1,13 +1,12 @@
 //! Fluent construction of data-flow graphs.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use hls_celllib::OpKind;
 
 use crate::graph::LoopRegion;
 use crate::memory::{ArrayDecl, ArrayId, BankDecl, BankId, MemoryDecls};
+use crate::name::{Binding, Name, NameTable, Span};
 use crate::node::{LoopId, Node, NodeId, NodeKind, Operands};
 use crate::signal::{BranchArm, BranchId, BranchPath, Signal, SignalId, SignalSource};
 use crate::{Dfg, DfgError};
@@ -67,9 +66,9 @@ pub struct DfgBuilder {
     loops: Vec<LoopRegion>,
     memory: MemoryDecls,
     mem_order: BTreeMap<ArrayId, MemOrder>,
-    /// Every declared name, keyed by the same shared allocation the
-    /// signal, node, bank or array holds — one owned copy per name.
-    names: HashMap<Arc<str>, Declared>,
+    /// Every name, stored once: the graph's future name arena and the
+    /// one keyed index every lookup by name goes through.
+    names: NameTable,
     next_branch: u32,
     branch_stack: Vec<BranchArm>,
     loop_stack: Vec<LoopId>,
@@ -78,47 +77,69 @@ pub struct DfgBuilder {
 impl DfgBuilder {
     /// Starts an empty graph named `name`.
     pub fn new(name: impl Into<String>) -> Self {
+        DfgBuilder::with_names(name.into(), NameTable::default())
+    }
+
+    /// Starts an empty graph whose names begin with the ones a parser
+    /// has already claimed.
+    pub(crate) fn with_names(name: String, names: NameTable) -> Self {
         DfgBuilder {
-            name: name.into(),
+            name,
             nodes: Vec::new(),
             signals: Vec::new(),
             loops: Vec::new(),
             memory: MemoryDecls::default(),
             mem_order: BTreeMap::new(),
-            names: HashMap::new(),
+            names,
             next_branch: 0,
             branch_stack: Vec::new(),
             loop_stack: Vec::new(),
         }
     }
 
-    /// Claims `name` for `what`; returns the shared copy to store.
-    fn intern_name(&mut self, name: &str, what: Declared) -> Result<Arc<str>, DfgError> {
-        let name: Arc<str> = Arc::from(name);
-        match self.names.entry(Arc::clone(&name)) {
-            Entry::Occupied(_) => Err(DfgError::DuplicateName(name.to_string())),
-            Entry::Vacant(slot) => {
-                slot.insert(what);
-                Ok(name)
-            }
+    /// Reserves room for `nodes` more nodes and `signals` more signals
+    /// (whose names a parser has already entered).
+    pub(crate) fn reserve(&mut self, nodes: usize, signals: usize) {
+        self.nodes.reserve(nodes);
+        self.signals.reserve(signals);
+    }
+
+    /// Whether `name` is already taken (signal, bank or array).
+    pub fn has_name(&self, name: &str) -> bool {
+        self.names.get(name).is_some()
+    }
+
+    /// What `name` is built as, if anything visible.
+    pub(crate) fn lookup(&self, name: &str) -> Option<Declared> {
+        self.lookup_at(self.names.get(name)?)
+    }
+
+    /// What name-table entry `entry` is built as, if anything visible.
+    fn lookup_at(&self, entry: u32) -> Option<Declared> {
+        match self.names.binding(entry) {
+            Binding::Built(what) => Some(what),
+            _ => None,
         }
     }
 
-    /// Reserves room for `nodes` more nodes and `names` more names.
-    pub(crate) fn reserve(&mut self, nodes: usize, names: usize) {
-        self.nodes.reserve(nodes);
-        self.signals.reserve(names);
-        self.names.reserve(names);
+    /// The name of name-table entry `entry`.
+    pub(crate) fn name_at(&self, entry: u32) -> &str {
+        self.names.name(entry)
     }
 
-    /// Whether `name` is already declared (signal, bank or array).
-    pub fn has_name(&self, name: &str) -> bool {
-        self.names.contains_key(name)
+    /// The signal name-table entry `entry` stands for, if it is built
+    /// and visible.
+    pub(crate) fn signal_at(&self, entry: u32) -> Option<SignalId> {
+        match self.lookup_at(entry)? {
+            Declared::Signal(id) => Some(id),
+            _ => None,
+        }
     }
 
-    /// What `name` is declared as, if anything.
-    pub(crate) fn lookup(&self, name: &str) -> Option<Declared> {
-        self.names.get(name).copied()
+    /// Claims a declaration of the text being parsed (see
+    /// [`NameTable::declare`]).
+    pub(crate) fn declare(&mut self, name: &str) -> Result<(), DfgError> {
+        self.names.declare(name).map(drop)
     }
 
     /// The port count of a declared bank.
@@ -135,10 +156,30 @@ impl DfgBuilder {
         SignalId(self.signals.len() as u32)
     }
 
-    fn push_signal(&mut self, name: Arc<str>, source: SignalSource) -> SignalId {
+    /// Adds an input or constant signal under its claimed name.
+    fn external(&mut self, span: Span, source: SignalSource) -> SignalId {
         let id = self.next_signal();
-        self.signals.push(Signal { name, source });
+        self.signals.push(Signal {
+            name: Name::unbound(span),
+            source,
+        });
         id
+    }
+
+    /// Adds the input or constant a parser entered in the name table as
+    /// `entry`.
+    ///
+    /// # Errors
+    ///
+    /// [`DfgError::DuplicateName`] if something is built under its name.
+    pub(crate) fn external_at(
+        &mut self,
+        entry: u32,
+        source: SignalSource,
+    ) -> Result<SignalId, DfgError> {
+        let what = Binding::Built(Declared::Signal(self.next_signal()));
+        let span = self.names.claim_at(entry, what)?;
+        Ok(self.external(span, source))
     }
 
     /// Declares a primary input.
@@ -148,10 +189,12 @@ impl DfgBuilder {
     /// Panics if the name is already taken; inputs are declared first and
     /// a clash is a programming error in the caller's benchmark code.
     pub fn input(&mut self, name: &str) -> SignalId {
-        let name = self
-            .intern_name(name, Declared::Signal(self.next_signal()))
+        let what = Binding::Built(Declared::Signal(self.next_signal()));
+        let span = self
+            .names
+            .claim(name, what)
             .unwrap_or_else(|e| panic!("input: {e}"));
-        self.push_signal(name, SignalSource::PrimaryInput)
+        self.external(span, SignalSource::PrimaryInput)
     }
 
     /// Declares a named constant.
@@ -160,10 +203,19 @@ impl DfgBuilder {
     ///
     /// Panics if the name is already taken (see [`DfgBuilder::input`]).
     pub fn constant(&mut self, name: &str, value: i64) -> SignalId {
-        let name = self
-            .intern_name(name, Declared::Signal(self.next_signal()))
+        let what = Binding::Built(Declared::Signal(self.next_signal()));
+        let span = self
+            .names
+            .claim(name, what)
             .unwrap_or_else(|e| panic!("constant: {e}"));
-        self.push_signal(name, SignalSource::Constant(value))
+        self.external(span, SignalSource::Constant(value))
+    }
+
+    /// Adds a constant that [`DfgBuilder::lookup`] does not see: the
+    /// parser's constant for a literal array index.
+    pub(crate) fn hidden_constant(&mut self, name: &str, value: i64) -> Result<SignalId, DfgError> {
+        let span = self.names.claim(name, Binding::Hidden)?;
+        Ok(self.external(span, SignalSource::Constant(value)))
     }
 
     /// Adds an operation node named `name` computing `kind` over
@@ -204,14 +256,48 @@ impl DfgBuilder {
         kind: NodeKind,
         inputs: &[SignalId],
     ) -> Result<SignalId, DfgError> {
-        let name = self.intern_name(name, Declared::Signal(self.next_signal()))?;
+        let what = Binding::Built(Declared::Signal(self.next_signal()));
+        let span = self.names.claim(name, what)?;
+        self.push_node(span, kind, inputs)
+    }
+
+    /// Adds the op node a parser entered in the name table as `entry`,
+    /// with inputs of the op's arity.
+    ///
+    /// # Errors
+    ///
+    /// As for [`DfgBuilder::raw_node`].
+    pub(crate) fn op_at(
+        &mut self,
+        entry: u32,
+        kind: OpKind,
+        inputs: &[SignalId],
+    ) -> Result<SignalId, DfgError> {
+        debug_assert_eq!(inputs.len(), kind.arity());
+        let what = Binding::Built(Declared::Signal(self.next_signal()));
+        let span = self.names.claim_at(entry, what)?;
+        self.push_node(span, NodeKind::Op(kind), inputs)
+    }
+
+    /// Adds a node under its claimed name.
+    fn push_node(
+        &mut self,
+        span: Span,
+        kind: NodeKind,
+        inputs: &[SignalId],
+    ) -> Result<SignalId, DfgError> {
+        let output = self.next_signal();
+        let name = Name::unbound(span);
         for &input in inputs {
             if input.index() >= self.signals.len() {
                 return Err(DfgError::ForeignSignal(input));
             }
         }
         let node_id = NodeId(self.nodes.len() as u32);
-        let output = self.push_signal(Arc::clone(&name), SignalSource::Node(node_id));
+        self.signals.push(Signal {
+            name: name.clone(),
+            source: SignalSource::Node(node_id),
+        });
         self.nodes.push(Node {
             name,
             kind,
@@ -234,9 +320,14 @@ impl DfgBuilder {
         assert!(ports >= 1, "bank `{name}` must have at least one port");
         let id = BankId(self.memory.banks.len() as u32);
         let name = self
-            .intern_name(name, Declared::Bank(id))
+            .names
+            .claim(name, Binding::Built(Declared::Bank(id)))
             .unwrap_or_else(|e| panic!("declare_bank: {e}"));
-        self.memory.banks.push(BankDecl { id, name, ports });
+        self.memory.banks.push(BankDecl {
+            id,
+            name: Name::unbound(name),
+            ports,
+        });
         id
     }
 
@@ -254,11 +345,12 @@ impl DfgBuilder {
         );
         let id = ArrayId(self.memory.arrays.len() as u32);
         let name = self
-            .intern_name(name, Declared::Array(id))
+            .names
+            .claim(name, Binding::Built(Declared::Array(id)))
             .unwrap_or_else(|e| panic!("declare_array: {e}"));
         self.memory.arrays.push(ArrayDecl {
             id,
-            name,
+            name: Name::unbound(name),
             size,
             bank,
         });
@@ -392,7 +484,14 @@ impl DfgBuilder {
     /// [`DfgError::Cycle`] if the dependencies are cyclic (unreachable
     /// through this builder's safe methods, but checked uniformly).
     pub fn finish(self) -> Result<Dfg, DfgError> {
-        Dfg::from_parts(self.name, self.nodes, self.signals, self.loops, self.memory)
+        Dfg::from_parts(
+            self.name,
+            self.names.into_text(),
+            self.nodes,
+            self.signals,
+            self.loops,
+            self.memory,
+        )
     }
 }
 

@@ -1,6 +1,7 @@
 //! The data-flow graph itself.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::memory::{ArrayDecl, ArrayId, BankDecl, BankId, MemoryDecls};
 use crate::node::{FuClass, LoopId, Node, NodeId, NodeKind};
@@ -53,15 +54,10 @@ pub struct Dfg {
     pub(crate) signals: Vec<Signal>,
     pub(crate) loops: Vec<LoopRegion>,
     pub(crate) memory: MemoryDecls,
-    /// Node → predecessor and node → successor indices in CSR form
-    /// (see [`Csr`]): a node's predecessors in first-operand order, its
-    /// successors in node order, each listed once.
-    preds: Csr,
-    succs: Csr,
+    /// Node → predecessor, node → successor and signal → consumer
+    /// indexes (see [`Adjacency`]).
+    adjacency: Adjacency,
     topo: Vec<NodeId>,
-    /// Signal → consumer index in CSR form: the consumers of a signal
-    /// in node order, each listed once however often it reads it.
-    consumers: Csr,
     /// Per-node branch-path class (paper §5.1 exclusion depends on the
     /// path alone), numbered in first-appearance order, or `u32::MAX`
     /// for unconditional nodes (which exclude nothing). Branch-free
@@ -77,220 +73,195 @@ pub struct Dfg {
     excluders: Vec<u64>,
 }
 
-/// A compressed sparse-row index: row `r` is
-/// `ids[start[r]..start[r + 1]]`.
+/// The graph's three adjacency indexes in compressed sparse-row form,
+/// sharing two buffers: row `r` of the index whose rows begin at `base`
+/// is `ids[start[base + r]..start[base + r + 1]]`. A node's
+/// predecessors are its distinct producers in first-operand order; its
+/// successors, and a signal's consumers, are listed once each in node
+/// order.
 #[derive(Debug, Clone, PartialEq)]
-struct Csr {
+struct Adjacency {
     start: Vec<u32>,
     ids: Vec<NodeId>,
+    /// Where the successor and the consumer rows begin in `start`; the
+    /// predecessor rows begin at 0.
+    succ_base: usize,
+    consumer_base: usize,
 }
 
-impl Csr {
-    /// Groups `edges` — `(row, id)` pairs, with the ids of each row
-    /// arriving in the order the row lists them — into `rows` rows.
-    fn from_edges(rows: usize, edges: impl Iterator<Item = (usize, NodeId)> + Clone) -> Csr {
-        let mut start = vec![0u32; rows + 1];
-        for (row, _) in edges.clone() {
-            start[row + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut fill = start.clone();
-        let mut ids = vec![NodeId(0); start[rows] as usize];
-        for (row, id) in edges {
-            ids[fill[row] as usize] = id;
-            fill[row] += 1;
-        }
-        Csr { start, ids }
-    }
-
-    fn row(&self, r: usize) -> &[NodeId] {
-        &self.ids[self.start[r] as usize..self.start[r + 1] as usize]
-    }
-}
-
-impl Dfg {
-    /// Validates the parts and assembles the graph. Used by the builder,
-    /// the parser and the transformations.
-    pub(crate) fn from_parts(
-        name: String,
-        nodes: Vec<Node>,
-        signals: Vec<Signal>,
-        loops: Vec<LoopRegion>,
-        memory: MemoryDecls,
-    ) -> Result<Self, DfgError> {
-        if nodes.is_empty() {
-            return Err(DfgError::Empty);
-        }
-        // Memory declarations must be internally sound before any node
-        // can reference them.
-        for bank in &memory.banks {
-            if bank.ports == 0 {
-                return Err(DfgError::BadPortCount(bank.name.to_string()));
-            }
-        }
-        for array in &memory.arrays {
-            if memory.bank(array.bank).is_none() {
-                return Err(DfgError::UnknownBank(array.bank.to_string()));
-            }
-        }
-        // Arity and signal-range checks.
-        for node in &nodes {
-            for &sig in node.inputs.iter().chain(std::iter::once(&node.output)) {
-                if sig.index() >= signals.len() {
-                    return Err(DfgError::ForeignSignal(sig));
-                }
-            }
-            match node.kind {
-                NodeKind::Op(kind) => {
-                    if node.inputs.len() != kind.arity() {
-                        return Err(DfgError::ArityMismatch {
-                            node: node.name.to_string(),
-                            expected: kind.arity(),
-                            got: node.inputs.len(),
-                        });
-                    }
-                }
-                NodeKind::Stage { .. } => {
-                    if node.inputs.is_empty() || node.inputs.len() > 2 {
-                        return Err(DfgError::ArityMismatch {
-                            node: node.name.to_string(),
-                            expected: 2,
-                            got: node.inputs.len(),
-                        });
-                    }
-                }
-                // A folded loop may consume any number of external
-                // signals (including none, when the body only reads
-                // loop-carried or constant values).
-                NodeKind::LoopBody { .. } => {}
-                // A load reads [index, ordering tokens…]; a store reads
-                // [index, value, ordering tokens…]. Both must reference
-                // a declared array whose bank matches the node kind.
-                NodeKind::Load { array, bank } | NodeKind::Store { array, bank } => {
-                    let min = if matches!(node.kind, NodeKind::Load { .. }) {
-                        1
-                    } else {
-                        2
-                    };
-                    if node.inputs.len() < min {
-                        return Err(DfgError::ArityMismatch {
-                            node: node.name.to_string(),
-                            expected: min,
-                            got: node.inputs.len(),
-                        });
-                    }
-                    let Some(decl) = memory.array(array) else {
-                        return Err(DfgError::UnknownArray(array.to_string()));
-                    };
-                    if decl.bank != bank {
-                        return Err(DfgError::UnknownBank(bank.to_string()));
-                    }
-                }
-            }
-        }
-        // Output back-pointers.
+impl Adjacency {
+    /// Builds the indexes of `nodes` over `signals`: the predecessor
+    /// rows in one pass that also counts the other rows, then those
+    /// rows filled back to front.
+    fn new(nodes: &[Node], signals: &[Signal]) -> Adjacency {
+        let (n, s) = (nodes.len(), signals.len());
+        let (succ_base, consumer_base) = (n + 1, 2 * n + 2);
+        // While counting, a row's count sits at its own place.
+        let mut start = vec![0u32; consumer_base + s + 1];
+        // Each operand adds at most one predecessor (and so one
+        // successor) and one consumer.
+        let operands: usize = nodes.iter().map(|node| node.inputs.len()).sum();
+        let mut ids = Vec::with_capacity(3 * operands);
         for (i, node) in nodes.iter().enumerate() {
-            let out = &signals[node.output.index()];
-            if out.source != SignalSource::Node(NodeId(i as u32)) {
-                return Err(DfgError::ForeignSignal(node.output));
-            }
-        }
-        // Dependency adjacency: each node's distinct producers in
-        // first-operand order, and the transposed edges grouped per
-        // producer in node order.
-        let mut preds = Csr {
-            start: Vec::with_capacity(nodes.len() + 1),
-            ids: Vec::new(),
-        };
-        preds.start.push(0);
-        for node in &nodes {
-            let row = preds.ids.len();
-            for &input in node.inputs.iter() {
-                if let SignalSource::Node(p) = signals[input.index()].source {
-                    if !preds.ids[row..].contains(&p) {
-                        preds.ids.push(p);
+            let row = ids.len();
+            for sig in distinct(&node.inputs) {
+                start[consumer_base + sig.index()] += 1;
+                if let SignalSource::Node(p) = signals[sig.index()].source {
+                    if !ids[row..].contains(&p) {
+                        ids.push(p);
+                        start[succ_base + p.index()] += 1;
                     }
                 }
             }
-            preds.start.push(preds.ids.len() as u32);
+            start[i + 1] = ids.len() as u32;
         }
-        let succs = Csr::from_edges(
-            nodes.len(),
-            (0..nodes.len()).flat_map(|i| {
-                let id = NodeId(i as u32);
-                preds.row(i).iter().map(move |p| (p.index(), id))
-            }),
-        );
-        // Consumer index: every distinct signal a node reads, in node
-        // order.
-        fn reads(node: &Node) -> impl Iterator<Item = usize> + Clone + '_ {
-            let inputs = &node.inputs;
-            (0..inputs.len())
-                .filter(move |&j| !inputs[..j].contains(&inputs[j]))
-                .map(move |j| inputs[j].index())
+        // Running totals turn each count into its row's end; filling a
+        // row back to front then leaves its start.
+        let mut total = ids.len() as u32;
+        for (base, rows) in [(succ_base, n), (consumer_base, s)] {
+            for at in &mut start[base..base + rows] {
+                total += *at;
+                *at = total;
+            }
+            start[base + rows] = total;
         }
-        let consumers = Csr::from_edges(
-            signals.len(),
-            nodes
-                .iter()
-                .enumerate()
-                .flat_map(|(i, node)| reads(node).map(move |sig| (sig, NodeId(i as u32)))),
-        );
-        // Kahn topological sort; detects cycles.
-        let mut indeg: Vec<usize> = (0..nodes.len()).map(|i| preds.row(i).len()).collect();
-        let mut queue: Vec<NodeId> = indeg
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        let mut topo = Vec::with_capacity(nodes.len());
-        let mut head = 0;
-        while head < queue.len() {
-            let n = queue[head];
-            head += 1;
-            topo.push(n);
-            for &s in succs.row(n.index()) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
-                }
+        ids.resize(total as usize, NodeId(0));
+        for (i, node) in nodes.iter().enumerate().rev() {
+            let id = NodeId(i as u32);
+            let preds = start[i] as usize..start[i + 1] as usize;
+            for p in preds {
+                let at = &mut start[succ_base + ids[p].index()];
+                *at -= 1;
+                ids[*at as usize] = id;
+            }
+            for sig in distinct(&node.inputs) {
+                let at = &mut start[consumer_base + sig.index()];
+                *at -= 1;
+                ids[*at as usize] = id;
             }
         }
-        if topo.len() != nodes.len() {
-            let cyclic: Vec<NodeId> = indeg
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| d > 0)
-                .map(|(i, _)| NodeId(i as u32))
-                .collect();
-            return Err(DfgError::Cycle(cyclic));
+        Adjacency {
+            start,
+            ids,
+            succ_base,
+            consumer_base,
         }
-        // Mutual-exclusion cache (paper §5.1). Exclusion depends only on
-        // the two branch paths, so intern each distinct path once and
-        // compare the p distinct paths pairwise instead of the k
-        // branched nodes: the schedulers' hot probes stay O(1) bit
-        // tests, and building the table costs O(n + p²).
+    }
+
+    fn row(&self, base: usize, r: usize) -> &[NodeId] {
+        &self.ids[self.start[base + r] as usize..self.start[base + r + 1] as usize]
+    }
+
+    fn preds(&self, node: usize) -> &[NodeId] {
+        self.row(0, node)
+    }
+
+    fn succs(&self, node: usize) -> &[NodeId] {
+        self.row(self.succ_base, node)
+    }
+
+    fn consumers(&self, signal: usize) -> &[NodeId] {
+        self.row(self.consumer_base, signal)
+    }
+}
+
+/// The distinct entries of `ids`, in first-occurrence order.
+fn distinct(ids: &[SignalId]) -> impl Iterator<Item = SignalId> + '_ {
+    (0..ids.len())
+        .filter(move |&j| !ids[..j].contains(&ids[j]))
+        .map(move |j| ids[j])
+}
+
+/// Checks a node's operand count and memory references against its
+/// kind.
+fn check_kind(node: &Node, memory: &MemoryDecls) -> Result<(), DfgError> {
+    let arity = |expected: usize| DfgError::ArityMismatch {
+        node: node.name().to_string(),
+        expected,
+        got: node.inputs.len(),
+    };
+    match node.kind {
+        NodeKind::Op(kind) => {
+            if node.inputs.len() != kind.arity() {
+                return Err(arity(kind.arity()));
+            }
+        }
+        NodeKind::Stage { .. } => {
+            if node.inputs.is_empty() || node.inputs.len() > 2 {
+                return Err(arity(2));
+            }
+        }
+        // A folded loop may consume any number of external signals
+        // (including none, when the body only reads loop-carried or
+        // constant values).
+        NodeKind::LoopBody { .. } => {}
+        // A load reads [index, ordering tokens…]; a store reads [index,
+        // value, ordering tokens…]. Both must reference a declared array
+        // whose bank matches the node kind.
+        NodeKind::Load { array, bank } | NodeKind::Store { array, bank } => {
+            let min = if matches!(node.kind, NodeKind::Load { .. }) {
+                1
+            } else {
+                2
+            };
+            if node.inputs.len() < min {
+                return Err(arity(min));
+            }
+            let Some(decl) = memory.array(array) else {
+                return Err(DfgError::UnknownArray(array.to_string()));
+            };
+            if decl.bank != bank {
+                return Err(DfgError::UnknownBank(bank.to_string()));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The mutual-exclusion cache of [`Dfg`] (paper §5.1). Exclusion
+/// depends only on the two branch paths, so each distinct path is
+/// interned once and the p distinct paths are compared pairwise instead
+/// of the k branched nodes: the schedulers' hot probes stay O(1) bit
+/// tests, and building the table costs O(n + p²). A branch-free graph
+/// pays for two vectors and no path table.
+struct Exclusion {
+    path_class: Vec<u32>,
+    class_bits: Vec<u64>,
+    class_words: usize,
+    excluders: Vec<u64>,
+}
+
+impl Exclusion {
+    /// The cache for `nodes`, its per-node classes written over
+    /// `scratch`, a spent per-node buffer.
+    fn new(nodes: &[Node], mut scratch: Vec<u32>) -> Exclusion {
+        let mut excluders = vec![0u64; nodes.len().div_ceil(64)];
+        scratch.clear();
+        if nodes.iter().all(|n| n.branch.is_top_level()) {
+            scratch.resize(nodes.len(), u32::MAX);
+            return Exclusion {
+                path_class: scratch,
+                class_bits: Vec::new(),
+                class_words: 0,
+                excluders,
+            };
+        }
         let mut classes: Vec<&BranchPath> = Vec::new();
         let mut class_members: Vec<u32> = Vec::new();
         let mut class_of: HashMap<&BranchPath, u32> = HashMap::new();
-        let path_class: Vec<u32> = nodes
-            .iter()
-            .map(|n| {
-                if n.branch.is_top_level() {
-                    return u32::MAX;
-                }
-                let c = *class_of.entry(&n.branch).or_insert_with(|| {
-                    classes.push(&n.branch);
-                    class_members.push(0);
-                    classes.len() as u32 - 1
-                });
-                class_members[c as usize] += 1;
-                c
-            })
-            .collect();
+        scratch.extend(nodes.iter().map(|n| {
+            if n.branch.is_top_level() {
+                return u32::MAX;
+            }
+            let c = *class_of.entry(&n.branch).or_insert_with(|| {
+                classes.push(&n.branch);
+                class_members.push(0);
+                classes.len() as u32 - 1
+            });
+            class_members[c as usize] += 1;
+            c
+        }));
+        let path_class = scratch;
         let class_words = classes.len().div_ceil(64);
         let mut class_bits = vec![0u64; classes.len() * class_words];
         for (c, path) in classes.iter().enumerate() {
@@ -312,26 +283,116 @@ impl Dfg {
                 })
             })
             .collect();
-        let mut excluders = vec![0u64; nodes.len().div_ceil(64)];
         for (i, &c) in path_class.iter().enumerate() {
             if c != u32::MAX && class_excludes[c as usize] {
                 excluders[i / 64] |= 1 << (i % 64);
             }
         }
+        Exclusion {
+            path_class,
+            class_bits,
+            class_words,
+            excluders,
+        }
+    }
+}
+
+impl Dfg {
+    /// Validates the parts and assembles the graph, binding every name
+    /// to one arena made of `arena`, the text their spans point into.
+    /// Used by the builder, the parser and the transformations.
+    pub(crate) fn from_parts(
+        name: String,
+        arena: String,
+        mut nodes: Vec<Node>,
+        mut signals: Vec<Signal>,
+        loops: Vec<LoopRegion>,
+        mut memory: MemoryDecls,
+    ) -> Result<Self, DfgError> {
+        if nodes.is_empty() {
+            return Err(DfgError::Empty);
+        }
+        let arena: Arc<str> = Arc::from(arena);
+        for sig in &mut signals {
+            sig.name.bind(&arena);
+        }
+        for bank in &mut memory.banks {
+            bank.name.bind(&arena);
+        }
+        for array in &mut memory.arrays {
+            array.name.bind(&arena);
+        }
+        // Memory declarations must be internally sound before any node
+        // can reference them.
+        for bank in &memory.banks {
+            if bank.ports == 0 {
+                return Err(DfgError::BadPortCount(bank.name().to_string()));
+            }
+        }
+        for array in &memory.arrays {
+            if memory.bank(array.bank).is_none() {
+                return Err(DfgError::UnknownBank(array.bank.to_string()));
+            }
+        }
+        // Each node's operands and output exist, its operands suit its
+        // kind, and its output points back at it.
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.name.bind(&arena);
+            for &sig in node.inputs.iter().chain(std::iter::once(&node.output)) {
+                if sig.index() >= signals.len() {
+                    return Err(DfgError::ForeignSignal(sig));
+                }
+            }
+            check_kind(node, &memory)?;
+            if signals[node.output.index()].source != SignalSource::Node(NodeId(i as u32)) {
+                return Err(DfgError::ForeignSignal(node.output));
+            }
+        }
+        let adjacency = Adjacency::new(&nodes, &signals);
+        // Kahn topological sort, the order doubling as the queue;
+        // detects cycles.
+        let mut indeg: Vec<u32> = (0..nodes.len())
+            .map(|i| adjacency.preds(i).len() as u32)
+            .collect();
+        let mut topo: Vec<NodeId> = Vec::with_capacity(nodes.len());
+        topo.extend(
+            (0..nodes.len())
+                .filter(|&i| indeg[i] == 0)
+                .map(|i| NodeId(i as u32)),
+        );
+        let mut head = 0;
+        while head < topo.len() {
+            let n = topo[head];
+            head += 1;
+            for &s in adjacency.succs(n.index()) {
+                indeg[s.index()] -= 1;
+                if indeg[s.index()] == 0 {
+                    topo.push(s);
+                }
+            }
+        }
+        if topo.len() != nodes.len() {
+            let cyclic: Vec<NodeId> = indeg
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| d > 0)
+                .map(|(i, _)| NodeId(i as u32))
+                .collect();
+            return Err(DfgError::Cycle(cyclic));
+        }
+        let exclusion = Exclusion::new(&nodes, indeg);
         Ok(Dfg {
             name,
             nodes,
             signals,
             loops,
             memory,
-            preds,
-            succs,
+            adjacency,
             topo,
-            consumers,
-            path_class,
-            class_bits,
-            class_words,
-            excluders,
+            path_class: exclusion.path_class,
+            class_bits: exclusion.class_bits,
+            class_words: exclusion.class_words,
+            excluders: exclusion.excluders,
         })
     }
 
@@ -391,18 +452,18 @@ impl Dfg {
 
     /// Data-dependency predecessors of `id` (producers of its inputs).
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
-        self.preds.row(id.index())
+        self.adjacency.preds(id.index())
     }
 
     /// Data-dependency successors of `id` (consumers of its output).
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        self.succs.row(id.index())
+        self.adjacency.succs(id.index())
     }
 
     /// Nodes consuming the given signal, in id order — an O(1) lookup
     /// into an index built with the graph.
     pub fn consumers(&self, sig: SignalId) -> &[NodeId] {
-        self.consumers.row(sig.index())
+        self.adjacency.consumers(sig.index())
     }
 
     /// A precomputed topological order of the nodes.
@@ -413,14 +474,14 @@ impl Dfg {
     /// Looks up a node by behavioural name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes()
-            .find(|(_, n)| &*n.name == name)
+            .find(|(_, n)| n.name() == name)
             .map(|(id, _)| id)
     }
 
     /// Looks up a signal by name.
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
         self.signals()
-            .find(|(_, s)| &*s.name == name)
+            .find(|(_, s)| s.name() == name)
             .map(|(id, _)| id)
     }
 

@@ -42,6 +42,7 @@ mod dot;
 mod error;
 mod graph;
 mod memory;
+mod name;
 mod node;
 mod parse;
 mod signal;

@@ -8,7 +8,8 @@
 //! limit, exactly like a user resource constraint on an operator class.
 
 use std::fmt;
-use std::sync::Arc;
+
+use crate::name::Name;
 
 /// Identifier of an array declared in one [`crate::Dfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,7 +61,7 @@ impl fmt::Display for BankId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankDecl {
     pub(crate) id: BankId,
-    pub(crate) name: Arc<str>,
+    pub(crate) name: Name,
     pub(crate) ports: u32,
 }
 
@@ -72,7 +73,7 @@ impl BankDecl {
 
     /// The bank's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Number of concurrent access ports (≥ 1).
@@ -85,7 +86,7 @@ impl BankDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayDecl {
     pub(crate) id: ArrayId,
-    pub(crate) name: Arc<str>,
+    pub(crate) name: Name,
     pub(crate) size: u32,
     pub(crate) bank: BankId,
 }
@@ -98,7 +99,7 @@ impl ArrayDecl {
 
     /// The array's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Number of elements (≥ 1).
@@ -148,12 +149,12 @@ impl MemoryDecls {
 
     /// Looks up a bank by name.
     pub fn bank_by_name(&self, name: &str) -> Option<&BankDecl> {
-        self.banks.iter().find(|b| &*b.name == name)
+        self.banks.iter().find(|b| b.name() == name)
     }
 
     /// Looks up an array by name.
     pub fn array_by_name(&self, name: &str) -> Option<&ArrayDecl> {
-        self.arrays.iter().find(|a| &*a.name == name)
+        self.arrays.iter().find(|a| a.name() == name)
     }
 
     /// Arrays bound to `bank`, in id order.

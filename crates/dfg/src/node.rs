@@ -1,11 +1,11 @@
 //! Operation nodes and functional-unit classes.
 
 use std::fmt;
-use std::sync::Arc;
 
 use hls_celllib::{Delay, OpKind, TimingSpec};
 
 use crate::memory::{ArrayId, BankId};
+use crate::name::Name;
 use crate::signal::{BranchPath, SignalId};
 
 /// Identifier of a [`Node`] within one [`crate::Dfg`].
@@ -227,7 +227,7 @@ impl fmt::Display for FuClass {
 #[derive(Clone)]
 pub(crate) enum Operands {
     Inline(u8, [SignalId; 2]),
-    Heap(Vec<SignalId>),
+    Heap(Box<[SignalId]>),
 }
 
 impl Operands {
@@ -236,7 +236,7 @@ impl Operands {
             [] => Operands::Inline(0, [SignalId(0); 2]),
             [a] => Operands::Inline(1, [a, SignalId(0)]),
             [a, b] => Operands::Inline(2, [a, b]),
-            _ => Operands::Heap(ids.to_vec()),
+            _ => Operands::Heap(ids.into()),
         }
     }
 }
@@ -246,7 +246,7 @@ impl From<Vec<SignalId>> for Operands {
         if ids.len() <= 2 {
             Operands::new(&ids)
         } else {
-            Operands::Heap(ids)
+            Operands::Heap(ids.into_boxed_slice())
         }
     }
 }
@@ -277,7 +277,7 @@ impl fmt::Debug for Operands {
 /// One operation node of the DFG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    pub(crate) name: Arc<str>,
+    pub(crate) name: Name,
     pub(crate) kind: NodeKind,
     pub(crate) inputs: Operands,
     pub(crate) output: SignalId,
@@ -288,7 +288,7 @@ pub struct Node {
 impl Node {
     /// The node's behavioural name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// What the node computes.

@@ -27,13 +27,13 @@
 //! hazards become data dependencies, while independent accesses stay
 //! free to share a multi-port bank's control step.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 use hls_celllib::OpKind;
 
 use crate::builder::Declared;
-use crate::signal::{BranchArm, BranchId};
+use crate::name::{Binding, NameTable};
+use crate::signal::{BranchArm, BranchId, SignalSource};
 use crate::{Dfg, DfgBuilder, DfgError, SignalId};
 
 fn err(line: usize, message: impl Into<String>) -> DfgError {
@@ -62,6 +62,123 @@ fn split_byte(s: &str, b: u8) -> Option<(&str, &str)> {
     find_byte(s, b).map(|i| (&s[..i], &s[i + 1..]))
 }
 
+/// A byte range of the text, as an op statement holds it.
+#[derive(Clone, Copy)]
+struct Tok {
+    start: u32,
+    end: u32,
+}
+
+impl Tok {
+    /// `text[start..end]` with surrounding whitespace trimmed, as
+    /// `str::trim` trims it.
+    fn trimmed(text: &str, mut start: usize, mut end: usize) -> Tok {
+        let bytes = text.as_bytes();
+        while start < end && ascii_space(bytes[start]) {
+            start += 1;
+        }
+        while end > start && ascii_space(bytes[end - 1]) {
+            end -= 1;
+        }
+        if start < end && !(bytes[start].is_ascii() && bytes[end - 1].is_ascii()) {
+            // A non-ASCII character at either end may be whitespace.
+            let s = &text[start..end];
+            start += s.len() - s.trim_start().len();
+            end = start + s.trim().len();
+        }
+        Tok {
+            start: start as u32,
+            end: end as u32,
+        }
+    }
+
+    fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    fn of(self, text: &str) -> &str {
+        &text[self.start as usize..self.end as usize]
+    }
+}
+
+/// Whether `c` is one of the ASCII whitespace bytes `char::is_whitespace`
+/// accepts.
+fn ascii_space(c: u8) -> bool {
+    matches!(c, b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b' ')
+}
+
+/// The length of the whitespace character at `text[i..]`, or 0 when
+/// the character there is not whitespace.
+fn space_at(text: &str, i: usize) -> usize {
+    let c = text.as_bytes()[i];
+    if c.is_ascii() {
+        return usize::from(ascii_space(c));
+    }
+    match text[i..].chars().next() {
+        Some(ch) if ch.is_whitespace() => ch.len_utf8(),
+        _ => 0,
+    }
+}
+
+/// The offset past the whitespace at `i`, stopping at a line break.
+fn skip_space(text: &str, mut i: usize) -> usize {
+    while i < text.len() && text.as_bytes()[i] != b'\n' {
+        match space_at(text, i) {
+            0 => break,
+            n => i += n,
+        }
+    }
+    i
+}
+
+/// The offset of the end of the word at `i`: the next whitespace, `#`
+/// or end of text.
+fn word_end(text: &str, mut i: usize) -> usize {
+    let bytes = text.as_bytes();
+    while let Some(&c) = bytes.get(i) {
+        if c.is_ascii() {
+            if c == b'#' || ascii_space(c) {
+                break;
+            }
+            i += 1;
+        } else {
+            match text[i..].chars().next() {
+                Some(ch) if !ch.is_whitespace() => i += ch.len_utf8(),
+                _ => break,
+            }
+        }
+    }
+    i
+}
+
+/// A byte class for [`scan`]: the bytes in `stops`.
+const fn stops(stops: &[u8]) -> [bool; 256] {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < stops.len() {
+        table[stops[i] as usize] = true;
+        i += 1;
+    }
+    table
+}
+
+/// The bytes that end an op's name; that matter in its call before
+/// and after the first `(`; and that end a line. Every class holds a
+/// comment's `#` and the line break.
+static NAME_END: [bool; 256] = stops(b"#\n=");
+static CALL_END: [bool; 256] = stops(b"#\n@()");
+static ARGS_END: [bool; 256] = stops(b"#\n@)");
+static LINE_END: [bool; 256] = stops(b"#\n");
+
+/// The offset of the first byte at or after `i` in class `stop`, or
+/// the end of the text.
+fn scan(bytes: &[u8], mut i: usize, stop: &[bool; 256]) -> usize {
+    while i < bytes.len() && !stop[bytes[i] as usize] {
+        i += 1;
+    }
+    i
+}
+
 /// An array index: a literal (range-checked against the declaration)
 /// or a signal reference.
 enum Index<'a> {
@@ -69,18 +186,28 @@ enum Index<'a> {
     Signal(&'a str),
 }
 
-/// One executable statement, borrowed from the text and kept in textual
-/// order so memory-access ordering tokens thread correctly.
-enum Stmt<'a> {
-    Op {
-        line: usize,
-        name: &'a str,
-        kind: OpKind,
-        /// Operand names, a range of the shared argument buffer.
-        args: Range<usize>,
-        /// The absolute branch path, a range of the shared arm buffer.
-        arms: Range<usize>,
-    },
+/// An operand of an op: its name-table entry, when the name was in the
+/// table as the op was read, or else its name in the text.
+#[derive(Clone, Copy)]
+enum Arg {
+    Entry(u32),
+    Text(Tok),
+}
+
+/// One `op NAME = KIND(ARGS)` statement, in offsets of the text.
+struct OpStmt {
+    line: u32,
+    /// The op's entry in the name table.
+    name: u32,
+    kind: OpKind,
+    /// Operands, a range of the shared argument buffer.
+    args: Range<u32>,
+    /// The absolute branch path, a range of the shared arm buffer.
+    arms: Range<u32>,
+}
+
+/// One memory access.
+enum Access<'a> {
     Load {
         name: &'a str,
         array: &'a str,
@@ -95,6 +222,14 @@ enum Stmt<'a> {
     },
 }
 
+/// One executable statement, in textual order so memory-access ordering
+/// tokens thread correctly. Ops, nearly every statement of a large
+/// text, are kept compact; the rarer accesses live in a side buffer.
+enum Stmt {
+    Op(OpStmt),
+    Access(u32),
+}
+
 /// An `array NAME[SIZE] @ BANK[(ports=N)]` declaration.
 struct ArrayStmt<'a> {
     line: usize,
@@ -102,6 +237,25 @@ struct ArrayStmt<'a> {
     size: u32,
     bank: &'a str,
     ports: Option<u32>,
+}
+
+/// An input (no value) or a constant, by its name-table entry.
+struct External {
+    entry: u32,
+    value: Option<i64>,
+}
+
+/// Everything the first pass reads from the text.
+#[derive(Default)]
+struct Lexed<'a> {
+    name: Option<&'a str>,
+    externals: Vec<External>,
+    banks: Vec<(&'a str, u32)>,
+    arrays: Vec<ArrayStmt<'a>>,
+    stmts: Vec<Stmt>,
+    accesses: Vec<Access<'a>>,
+    args: Vec<Arg>,
+    arms: Vec<BranchArm>,
 }
 
 /// Parses `ARRAY[IDX]`.
@@ -180,149 +334,100 @@ fn parse_branch(lineno: usize, ann: &str, arms: &mut Vec<BranchArm>) -> Result<(
     Ok(())
 }
 
-/// The text's names as the build pass sees them.
-struct Names<'a> {
-    /// Every name a declaration statement claims (inputs, constants,
-    /// banks, arrays, loads, named stores), checked for duplicates as
-    /// the text is read.
-    declared: HashSet<&'a str>,
-    /// Every op name, collected only when the text generates names:
-    /// ops claim their names only when built, but a generated name must
-    /// not take one that a later op will claim.
-    ops: HashSet<&'a str>,
-    /// The constants generated for literal indices: built, but not
-    /// visible to the text.
-    index_consts: HashSet<SignalId>,
-}
-
-impl<'a> Names<'a> {
-    /// Claims a declared name.
-    fn declare(&mut self, name: &'a str) -> Result<(), DfgError> {
-        if !self.declared.insert(name) {
-            return Err(DfgError::DuplicateName(name.to_string()));
-        }
-        Ok(())
-    }
-
-    /// A generated name (`NODE.idxK`, `ARRAY.storeN`): the first
-    /// candidate from `from` on that no name in the text and nothing
-    /// built so far uses.
-    fn fresh(&self, b: &DfgBuilder, candidate: impl Fn(u32) -> String, from: u32) -> (String, u32) {
-        (from..)
-            .map(|k| (candidate(k), k))
-            .find(|(name, _)| {
-                !self.declared.contains(name.as_str())
-                    && !self.ops.contains(name.as_str())
-                    && !b.has_name(name)
-            })
-            .expect("some suffix is free")
-    }
-
-    /// The signal a text reference names, if it has been built.
-    fn signal(&self, b: &DfgBuilder, name: &str) -> Result<SignalId, DfgError> {
-        match b.lookup(name) {
-            Some(Declared::Signal(id)) if !self.index_consts.contains(&id) => Ok(id),
-            _ => Err(DfgError::UnknownSignal(name.to_string())),
-        }
-    }
-
-    /// An array index: a named signal, or a literal turned into a fresh
-    /// range-checked constant next to the access.
-    fn index(
+impl<'a> Lexed<'a> {
+    /// Reads the `op` statement whose text starts at `from`, in one scan
+    /// of its bytes, and hashes its names: the op's own, entered in
+    /// `names`, and each operand's, resolved to an entry if it is there
+    /// already. Returns where the statement ends.
+    fn op(
         &mut self,
-        b: &mut DfgBuilder,
-        node: &str,
-        array: &str,
-        size: u32,
-        index: &Index<'_>,
-    ) -> Result<SignalId, DfgError> {
-        match *index {
-            Index::Signal(s) => self.signal(b, s),
-            Index::Literal(v) => {
-                if v < 0 || v >= size as i64 {
-                    return Err(DfgError::IndexOutOfRange {
-                        array: array.to_string(),
-                        index: v,
-                        size,
-                    });
-                }
-                let candidate = |k: u32| match k {
-                    0 => format!("{node}.idx"),
-                    k => format!("{node}.idx{k}"),
-                };
-                let (name, _) = self.fresh(b, candidate, 0);
-                let id = b.constant(&name, v);
-                self.index_consts.insert(id);
-                Ok(id)
+        names: &mut NameTable,
+        text: &'a str,
+        lineno: usize,
+        from: usize,
+    ) -> Result<usize, DfgError> {
+        let bytes = text.as_bytes();
+        // The first `=` ends the name. In the call after it, the first
+        // `@` starts the annotation, and before that the first `(` and
+        // the last `)` enclose the arguments.
+        let eq = scan(bytes, from, &NAME_END);
+        if bytes.get(eq) != Some(&b'=') {
+            return Err(err(lineno, "expected `op NAME = KIND(ARGS)`"));
+        }
+        let (mut open, mut close) = (None, None);
+        let mut end = scan(bytes, eq + 1, &CALL_END);
+        loop {
+            match bytes.get(end) {
+                Some(b'(') => open = Some(end),
+                Some(b')') => close = Some(end),
+                _ => break,
             }
+            let call = if open.is_some() { &ARGS_END } else { &CALL_END };
+            end = scan(bytes, end + 1, call);
         }
+        let arm_start = self.arms.len();
+        if bytes.get(end) == Some(&b'@') {
+            let at = end;
+            end = scan(bytes, at, &LINE_END);
+            parse_branch(lineno, &text[at + 1..end], &mut self.arms)?;
+        }
+        let open = open.ok_or_else(|| err(lineno, "expected `KIND(ARGS)`"))?;
+        let close = close.ok_or_else(|| err(lineno, "missing `)`"))?;
+        if close < open {
+            return Err(err(lineno, "mismatched parentheses"));
+        }
+        let kind: OpKind = Tok::trimmed(text, eq + 1, open)
+            .of(text)
+            .parse()
+            .map_err(|e| err(lineno, format!("{e}")))?;
+        let arg_start = self.args.len();
+        let mut start = open + 1;
+        while start <= close {
+            let comma = start
+                + bytes[start..close]
+                    .iter()
+                    .position(|&c| c == b',')
+                    .unwrap_or(close - start);
+            let name = Tok::trimmed(text, start, comma);
+            if !name.is_empty() {
+                self.args.push(match names.get(name.of(text)) {
+                    Some(entry) => Arg::Entry(entry),
+                    None => Arg::Text(name),
+                });
+            }
+            start = comma + 1;
+        }
+        let (name, _) = names.intern(Tok::trimmed(text, from, eq).of(text), Binding::TextOp);
+        self.stmts.push(Stmt::Op(OpStmt {
+            line: lineno as u32,
+            name,
+            kind,
+            args: arg_start as u32..self.args.len() as u32,
+            arms: arm_start as u32..self.arms.len() as u32,
+        }));
+        Ok(end)
     }
-}
 
-/// Parses the textual DFG format described in the module docs.
-///
-/// ```
-/// let text = "
-///     dfg demo
-///     input x, dx
-///     const three = 3
-///     op t1 = mul(x, dx)
-///     op t2 = add(t1, three)
-/// ";
-/// let dfg = hls_dfg::parse_dfg(text)?;
-/// assert_eq!(dfg.name(), "demo");
-/// assert_eq!(dfg.node_count(), 2);
-/// # Ok::<(), hls_dfg::DfgError>(())
-/// ```
-///
-/// Two passes over borrowed tokens: the first reads every line,
-/// reporting syntax errors and duplicate declarations; the second
-/// builds the graph — inputs, constants, banks and arrays first, then
-/// the statements in textual order — and reports the semantic errors.
-///
-/// # Errors
-///
-/// Returns [`DfgError::Parse`] with the offending 1-based line for any
-/// syntax problem, and the usual structural errors ([`DfgError::UnknownSignal`],
-/// [`DfgError::DuplicateName`], …) for semantic ones.
-pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
-    let mut name = "dfg";
-    let mut names = Names {
-        declared: HashSet::new(),
-        ops: HashSet::new(),
-        index_consts: HashSet::new(),
-    };
-    let mut inputs: Vec<&str> = Vec::new();
-    let mut constants: Vec<(&str, i64)> = Vec::new();
-    let mut banks: Vec<(&str, u32)> = Vec::new();
-    let mut arrays: Vec<ArrayStmt<'_>> = Vec::new();
-    let mut stmts: Vec<Stmt<'_>> = Vec::new();
-    let mut args: Vec<&str> = Vec::new();
-    let mut arms: Vec<BranchArm> = Vec::new();
-
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = match find_byte(raw_line, b'#') {
-            Some(hash) => &raw_line[..hash],
-            None => raw_line,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (head, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-        let rest = rest.trim();
+    /// Reads a statement other than `op` from its keyword `head` and the
+    /// trimmed `rest` of its line, claiming declared names in `names`.
+    fn statement(
+        &mut self,
+        names: &mut NameTable,
+        lineno: usize,
+        head: &str,
+        rest: &'a str,
+    ) -> Result<(), DfgError> {
         match head {
             "dfg" => {
                 if rest.is_empty() {
                     return Err(err(lineno, "expected a name after `dfg`"));
                 }
-                name = rest;
+                self.name = Some(rest);
             }
             "input" => {
                 for n in rest.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    names.declare(n)?;
-                    inputs.push(n);
+                    let entry = names.declare(n)?;
+                    self.externals.push(External { entry, value: None });
                 }
             }
             "const" => {
@@ -332,8 +437,11 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                     .trim()
                     .parse()
                     .map_err(|_| err(lineno, format!("invalid constant value `{}`", v.trim())))?;
-                names.declare(n.trim())?;
-                constants.push((n.trim(), value));
+                let entry = names.declare(n.trim())?;
+                self.externals.push(External {
+                    entry,
+                    value: Some(value),
+                });
             }
             "bank" => {
                 let (bank, ports) = parse_bank_ref(lineno, rest)?;
@@ -342,7 +450,7 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                     return Err(DfgError::BadPortCount(bank.to_string()));
                 }
                 names.declare(bank)?;
-                banks.push((bank, ports));
+                self.banks.push((bank, ports));
             }
             "array" => {
                 let (decl, bank_ref) = split_byte(rest, b'@')
@@ -365,7 +473,7 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                     return Err(DfgError::BadPortCount(bank.to_string()));
                 }
                 names.declare(array)?;
-                arrays.push(ArrayStmt {
+                self.arrays.push(ArrayStmt {
                     line: lineno,
                     name: array,
                     size,
@@ -382,7 +490,7 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 }
                 let (array, index) = parse_access(lineno, access.trim())?;
                 names.declare(load_name)?;
-                stmts.push(Stmt::Load {
+                self.access(Access::Load {
                     name: load_name,
                     array,
                     index,
@@ -416,49 +524,11 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                     names.declare(lhs)?;
                     (Some(lhs), array, index, value)
                 };
-                stmts.push(Stmt::Store {
+                self.access(Access::Store {
                     name: store_name,
                     array,
                     index,
                     value,
-                });
-            }
-            "op" => {
-                let (op_name, call) = split_byte(rest, b'=')
-                    .ok_or_else(|| err(lineno, "expected `op NAME = KIND(ARGS)`"))?;
-                let call = call.trim();
-                let arm_start = arms.len();
-                let call_part = match split_byte(call, b'@') {
-                    None => call,
-                    Some((c, ann)) => {
-                        parse_branch(lineno, ann, &mut arms)?;
-                        c.trim()
-                    }
-                };
-                let open = find_byte(call_part, b'(')
-                    .ok_or_else(|| err(lineno, "expected `KIND(ARGS)`"))?;
-                let close =
-                    rfind_byte(call_part, b')').ok_or_else(|| err(lineno, "missing `)`"))?;
-                if close < open {
-                    return Err(err(lineno, "mismatched parentheses"));
-                }
-                let kind: OpKind = call_part[..open]
-                    .trim()
-                    .parse()
-                    .map_err(|e| err(lineno, format!("{e}")))?;
-                let arg_start = args.len();
-                args.extend(
-                    call_part[open + 1..close]
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty()),
-                );
-                stmts.push(Stmt::Op {
-                    line: lineno,
-                    name: op_name.trim(),
-                    kind,
-                    args: arg_start..args.len(),
-                    arms: arm_start..arms.len(),
                 });
             }
             other => {
@@ -471,49 +541,152 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 ));
             }
         }
+        Ok(())
     }
 
-    // Literal indices and auto-named stores generate names, which must
-    // skip every op name in the text, built yet or not.
-    let generates_names = stmts.iter().any(|s| {
-        matches!(
-            s,
-            Stmt::Load {
-                index: Index::Literal(_),
-                ..
-            } | Stmt::Store { name: None, .. }
-                | Stmt::Store {
-                    index: Index::Literal(_),
-                    ..
-                }
-        )
-    });
-    if generates_names {
-        names.ops = stmts
-            .iter()
-            .filter_map(|s| match s {
-                Stmt::Op { name, .. } => Some(*name),
-                _ => None,
-            })
-            .collect();
+    fn access(&mut self, access: Access<'a>) {
+        self.stmts.push(Stmt::Access(self.accesses.len() as u32));
+        self.accesses.push(access);
     }
-    let mut b = DfgBuilder::new(name);
+}
+
+/// The signal a text reference names, if it has been built.
+fn signal(b: &DfgBuilder, name: &str) -> Result<SignalId, DfgError> {
+    match b.lookup(name) {
+        Some(Declared::Signal(id)) => Ok(id),
+        _ => Err(DfgError::UnknownSignal(name.to_string())),
+    }
+}
+
+/// A generated name (`NODE.idxK`, `ARRAY.storeN`): the first candidate
+/// from `from` on that is not taken — by anything built so far, nor by
+/// any name the text declares or gives an op, which the first pass
+/// entered in the table.
+fn fresh(b: &DfgBuilder, candidate: impl Fn(u32) -> String, from: u32) -> (String, u32) {
+    (from..)
+        .map(|k| (candidate(k), k))
+        .find(|(name, _)| !b.has_name(name))
+        .expect("some suffix is free")
+}
+
+/// An array index: a named signal, or a literal turned into a fresh
+/// range-checked constant next to the access, hidden from the text.
+fn index(
+    b: &mut DfgBuilder,
+    node: &str,
+    array: &str,
+    size: u32,
+    index: &Index<'_>,
+) -> Result<SignalId, DfgError> {
+    match *index {
+        Index::Signal(s) => signal(b, s),
+        Index::Literal(v) => {
+            if v < 0 || v >= size as i64 {
+                return Err(DfgError::IndexOutOfRange {
+                    array: array.to_string(),
+                    index: v,
+                    size,
+                });
+            }
+            let candidate = |k: u32| match k {
+                0 => format!("{node}.idx"),
+                k => format!("{node}.idx{k}"),
+            };
+            let (name, _) = fresh(b, candidate, 0);
+            b.hidden_constant(&name, v)
+        }
+    }
+}
+
+/// Parses the textual DFG format described in the module docs.
+///
+/// ```
+/// let text = "
+///     dfg demo
+///     input x, dx
+///     const three = 3
+///     op t1 = mul(x, dx)
+///     op t2 = add(t1, three)
+/// ";
+/// let dfg = hls_dfg::parse_dfg(text)?;
+/// assert_eq!(dfg.name(), "demo");
+/// assert_eq!(dfg.node_count(), 2);
+/// # Ok::<(), hls_dfg::DfgError>(())
+/// ```
+///
+/// Two passes. The first scans each line once into compact statement
+/// records, reporting syntax errors and duplicate declarations in line
+/// order, and enters every declared and op name in the graph's one
+/// keyed name table — the future name arena — resolving each operand
+/// already there. The second builds the graph — inputs, constants,
+/// banks and arrays first, then the statements in textual order — and
+/// reports the semantic errors. An op's name and operands are hashed
+/// once each.
+///
+/// # Errors
+///
+/// Returns [`DfgError::Parse`] with the offending 1-based line for any
+/// syntax problem, and the usual structural errors ([`DfgError::UnknownSignal`],
+/// [`DfgError::DuplicateName`], …) for semantic ones. A text of 4 GiB
+/// or more is a parse error at line 1.
+pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
+    if u32::try_from(text.len()).is_err() {
+        return Err(err(1, "the text exceeds 4 GiB"));
+    }
+    let bytes = text.as_bytes();
+    // Room for what a text of this length typically holds — a statement
+    // line runs to a few dozen bytes, a name to a few — so that reading
+    // it seldom regrows a buffer.
+    let statements = text.len() / 24 + 1;
+    let mut lx = Lexed {
+        externals: Vec::with_capacity(16),
+        stmts: Vec::with_capacity(statements),
+        args: Vec::with_capacity(2 * statements),
+        ..Lexed::default()
+    };
+    let mut names = NameTable::with_capacity(text.len() / 32 + 1, text.len() / 4);
+    let mut lineno = 0;
+    let mut pos = 0;
+    while pos < bytes.len() {
+        lineno += 1;
+        let start = skip_space(text, pos);
+        let head_end = word_end(text, start);
+        let end = match &text[start..head_end] {
+            "" => start,
+            "op" => lx.op(&mut names, text, lineno, head_end)?,
+            head => {
+                let end = scan(bytes, head_end, &LINE_END);
+                lx.statement(&mut names, lineno, head, text[head_end..end].trim())?;
+                end
+            }
+        };
+        pos = match text[end..].find('\n') {
+            Some(n) => end + n + 1,
+            None => bytes.len(),
+        };
+    }
+
+    let name = lx.name.unwrap_or("dfg").to_string();
+    let mut b = DfgBuilder::with_names(name, names);
     b.reserve(
-        stmts.len(),
-        inputs.len() + constants.len() + banks.len() + 2 * arrays.len() + stmts.len(),
+        lx.stmts.len(),
+        lx.externals.len() + lx.stmts.len() + lx.accesses.len(),
     );
-    for n in &inputs {
-        b.input(n);
+    // Inputs, then constants.
+    for e in lx.externals.iter().filter(|e| e.value.is_none()) {
+        b.external_at(e.entry, SignalSource::PrimaryInput)?;
     }
-    for &(n, v) in &constants {
-        b.constant(n, v);
+    for e in &lx.externals {
+        if let Some(v) = e.value {
+            b.external_at(e.entry, SignalSource::Constant(v))?;
+        }
     }
     // Banks: explicit declarations first, then implicit ones from array
     // statements carrying a port count, in textual order.
-    for &(bank, ports) in &banks {
+    for &(bank, ports) in &lx.banks {
         b.declare_bank(bank, ports);
     }
-    for a in &arrays {
+    for a in &lx.arrays {
         let Some(ports) = a.ports else {
             continue;
         };
@@ -528,13 +701,13 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
                 }
             }
             _ => {
-                names.declare(a.bank)?;
+                b.declare(a.bank)?;
                 b.declare_bank(a.bank, ports);
             }
         }
     }
     // Arrays, in textual order.
-    for a in &arrays {
+    for a in &lx.arrays {
         let Some(Declared::Bank(bank)) = b.lookup(a.bank) else {
             return Err(DfgError::UnknownBank(a.bank.to_string()));
         };
@@ -544,74 +717,85 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, DfgError> {
         Some(Declared::Array(id)) => Ok((id, b.array_size(id))),
         _ => Err(DfgError::UnknownArray(name.to_string())),
     };
-    let mut store_counter: HashMap<&str, u32> = HashMap::new();
-    let mut arg_ids: Vec<SignalId> = Vec::new();
-    for stmt in &stmts {
+    // The next auto-named store's number, per array.
+    let mut next_store = vec![0u32; lx.arrays.len()];
+    for stmt in &lx.stmts {
         match stmt {
-            Stmt::Op {
-                line,
-                name,
-                kind,
-                args: op_args,
-                arms: op_arms,
-            } => {
-                arg_ids.clear();
-                for a in &args[op_args.clone()] {
-                    arg_ids.push(names.signal(&b, a)?);
+            Stmt::Op(op) => {
+                // Every operand must resolve before the count is checked;
+                // a valid op has at most two.
+                let args = &lx.args[op.args.start as usize..op.args.end as usize];
+                let mut ids = [SignalId(0); 2];
+                for (i, a) in args.iter().enumerate() {
+                    let id = match *a {
+                        Arg::Entry(entry) => b
+                            .signal_at(entry)
+                            .ok_or_else(|| DfgError::UnknownSignal(b.name_at(entry).into())),
+                        Arg::Text(name) => signal(&b, name.of(text)),
+                    }?;
+                    if let Some(slot) = ids.get_mut(i) {
+                        *slot = id;
+                    }
                 }
-                if arg_ids.len() != kind.arity() {
+                if args.len() != op.kind.arity() {
                     return Err(err(
-                        *line,
+                        op.line as usize,
                         format!(
-                            "`{kind}` expects {} argument(s), got {}",
-                            kind.arity(),
-                            arg_ids.len()
+                            "`{}` expects {} argument(s), got {}",
+                            op.kind,
+                            op.kind.arity(),
+                            args.len()
                         ),
                     ));
                 }
                 // Reproduce the builder's branch bookkeeping with an
                 // absolute path: temporarily push the arms around the op.
-                for arm in &arms[op_arms.clone()] {
+                let arms = &lx.arms[op.arms.start as usize..op.arms.end as usize];
+                for arm in arms {
                     b.enter_arm(arm.branch, arm.arm);
                 }
-                b.op(name, *kind, &arg_ids)?;
-                for _ in op_arms.clone() {
+                b.op_at(op.name, op.kind, &ids[..args.len()])?;
+                for _ in arms {
                     b.exit_arm();
                 }
             }
-            Stmt::Load {
-                name,
-                array: aname,
-                index,
-            } => {
-                let (aid, size) = array(&b, aname)?;
-                let idx = names.index(&mut b, name, aname, size, index)?;
-                b.load(name, aid, idx)?;
-            }
-            Stmt::Store {
-                name,
-                array: aname,
-                index,
-                value,
-            } => {
-                let (aid, size) = array(&b, aname)?;
-                let generated;
-                let name = match name {
-                    Some(name) => name,
-                    None => {
-                        let next = store_counter.entry(aname).or_insert(0);
-                        let (name, n) = names.fresh(&b, |n| format!("{aname}.store{n}"), *next);
-                        *next = n + 1;
-                        generated = name;
-                        generated.as_str()
-                    }
-                };
-                let idx = names.index(&mut b, name, aname, size, index)?;
-                let val = names.signal(&b, value)?;
-                b.store(name, aid, idx, val)?;
-            }
+            &Stmt::Access(i) => match &lx.accesses[i as usize] {
+                Access::Load {
+                    name,
+                    array: aname,
+                    index: idx,
+                } => {
+                    let (aid, size) = array(&b, aname)?;
+                    let idx = index(&mut b, name, aname, size, idx)?;
+                    b.load(name, aid, idx)?;
+                }
+                Access::Store {
+                    name,
+                    array: aname,
+                    index: idx,
+                    value,
+                } => {
+                    let (aid, size) = array(&b, aname)?;
+                    let generated;
+                    let name = match name {
+                        Some(name) => name,
+                        None => {
+                            let next = &mut next_store[aid.index()];
+                            let (name, n) = fresh(&b, |n| format!("{aname}.store{n}"), *next);
+                            *next = n + 1;
+                            generated = name;
+                            generated.as_str()
+                        }
+                    };
+                    let idx = index(&mut b, name, aname, size, idx)?;
+                    let val = signal(&b, value)?;
+                    b.store(name, aid, idx, val)?;
+                }
+            },
         }
     }
+    // The statements' memory is free for the graph's indexes.
+    drop(lx);
     b.finish()
 }
 

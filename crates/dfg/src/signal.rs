@@ -1,8 +1,9 @@
 //! Signals (values) and branch paths.
 
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
 
+use crate::name::Name;
 use crate::NodeId;
 
 /// Identifier of a [`Signal`] within one [`crate::Dfg`].
@@ -51,14 +52,14 @@ impl SignalSource {
 /// therefore first-class here rather than anonymous edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signal {
-    pub(crate) name: Arc<str>,
+    pub(crate) name: Name,
     pub(crate) source: SignalSource,
 }
 
 impl Signal {
     /// The signal's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Where the value comes from.
@@ -117,9 +118,31 @@ impl fmt::Display for BranchArm {
 /// assert!(!then_arm.excludes(&then_arm));
 /// assert!(!then_arm.excludes(&BranchPath::top_level()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Paths of up to two arms, the depth nearly every graph stays within,
+/// are held inline; deeper ones on the heap. Either way a path reads,
+/// compares, hashes and prints like its arm list.
+#[derive(Clone, Default)]
 pub struct BranchPath {
-    arms: Vec<BranchArm>,
+    arms: Arms,
+}
+
+#[derive(Clone)]
+enum Arms {
+    Inline(u8, [BranchArm; 2]),
+    Heap(Box<[BranchArm]>),
+}
+
+/// Filler for the unused inline places.
+const NO_ARM: BranchArm = BranchArm {
+    branch: BranchId(0),
+    arm: 0,
+};
+
+impl Default for Arms {
+    fn default() -> Self {
+        Arms::Inline(0, [NO_ARM; 2])
+    }
 }
 
 impl BranchId {
@@ -146,46 +169,82 @@ impl BranchPath {
     where
         I: IntoIterator<Item = BranchArm>,
     {
+        let mut arms = arms.into_iter();
+        let mut inline = [NO_ARM; 2];
+        let mut n = 0;
+        while let Some(arm) = arms.next() {
+            if n == inline.len() {
+                let heap = inline.into_iter().chain([arm]).chain(arms).collect();
+                return BranchPath {
+                    arms: Arms::Heap(heap),
+                };
+            }
+            inline[n] = arm;
+            n += 1;
+        }
         BranchPath {
-            arms: arms.into_iter().collect(),
+            arms: Arms::Inline(n as u8, inline),
         }
     }
 
     /// The enclosing arms, outermost first.
     pub fn arms(&self) -> &[BranchArm] {
-        &self.arms
+        match &self.arms {
+            Arms::Inline(n, arms) => &arms[..*n as usize],
+            Arms::Heap(arms) => arms,
+        }
     }
 
     /// Whether the node is unconditional.
     pub fn is_top_level(&self) -> bool {
-        self.arms.is_empty()
+        self.arms().is_empty()
     }
 
     /// Returns a child path extended by one more arm.
     pub fn child(&self, arm: BranchArm) -> BranchPath {
-        let mut arms = self.arms.clone();
-        arms.push(arm);
-        BranchPath { arms }
+        BranchPath::from_arms(self.arms().iter().copied().chain([arm]))
     }
 
     /// Whether two paths are mutually exclusive: they take *different*
     /// arms of *some common* branch.
     pub fn excludes(&self, other: &BranchPath) -> bool {
-        self.arms.iter().any(|a| {
+        self.arms().iter().any(|a| {
             other
-                .arms
+                .arms()
                 .iter()
                 .any(|b| a.branch == b.branch && a.arm != b.arm)
         })
     }
 }
 
+impl PartialEq for BranchPath {
+    fn eq(&self, other: &BranchPath) -> bool {
+        self.arms() == other.arms()
+    }
+}
+
+impl Eq for BranchPath {}
+
+impl Hash for BranchPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.arms().hash(state);
+    }
+}
+
+impl fmt::Debug for BranchPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BranchPath")
+            .field("arms", &self.arms())
+            .finish()
+    }
+}
+
 impl fmt::Display for BranchPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.arms.is_empty() {
+        if self.is_top_level() {
             return f.write_str("top");
         }
-        for (i, arm) in self.arms.iter().enumerate() {
+        for (i, arm) in self.arms().iter().enumerate() {
             if i > 0 {
                 f.write_str("/")?;
             }
@@ -255,6 +314,33 @@ mod tests {
         let a = BranchPath::top_level().child(arm(3, 1));
         assert_eq!(a.arms(), &[arm(3, 1)]);
         assert_eq!(a.to_string(), "b3.1");
+    }
+
+    #[test]
+    fn paths_of_any_depth_read_hash_and_print_like_their_arms() {
+        use std::collections::hash_map::DefaultHasher;
+        /// The derived shape the inline storage must keep printing as.
+        #[derive(Debug, Hash)]
+        struct BranchPath {
+            arms: Vec<BranchArm>,
+        }
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        for depth in 0..5 {
+            let arms: Vec<BranchArm> = (0..depth).map(|i| arm(i, i % 2)).collect();
+            let path = super::BranchPath::from_arms(arms.iter().copied());
+            let derived = BranchPath { arms: arms.clone() };
+            assert_eq!(path.arms(), arms.as_slice());
+            assert_eq!(format!("{path:?}"), format!("{derived:?}"));
+            assert_eq!(format!("{path:#?}"), format!("{derived:#?}"));
+            assert_eq!(hash(&|s| path.hash(s)), hash(&|s| derived.hash(s)));
+            let child = path.child(arm(9, 1));
+            assert_eq!(child.arms().len(), depth as usize + 1);
+            assert_eq!(&child.arms()[..depth as usize], arms.as_slice());
+        }
     }
 
     #[test]

@@ -147,13 +147,7 @@ pub fn prune_shared_branch_ops(dfg: &Dfg) -> Result<(Dfg, BranchPruneReport), Df
             .get(&id)
             .cloned()
             .unwrap_or_else(|| node.branch().clone());
-        let (_, out) = rb.add_node(
-            std::sync::Arc::clone(&node.name),
-            node.kind(),
-            inputs,
-            branch,
-            node.loop_id(),
-        );
+        let (_, out) = rb.add_node(node.name(), node.kind(), inputs, branch, node.loop_id());
         rb.redirect(node.output(), out);
     }
     // Redirect removed nodes' outputs to their representatives' new outputs.

@@ -77,8 +77,10 @@ pub fn duplicate_instances(dfg: &Dfg, copies: u32) -> Result<(Dfg, Vec<InstanceC
         for (sid, sig) in dfg.signals() {
             match sig.source() {
                 SignalSource::PrimaryInput => {
-                    let new = rb
-                        .add_external(format!("{}@{inst}", sig.name()), SignalSource::PrimaryInput);
+                    let new = rb.add_external(
+                        &format!("{}@{inst}", sig.name()),
+                        SignalSource::PrimaryInput,
+                    );
                     local.insert(sid, new);
                 }
                 SignalSource::Constant(_) => {
@@ -103,7 +105,7 @@ pub fn duplicate_instances(dfg: &Dfg, copies: u32) -> Result<(Dfg, Vec<InstanceC
                 })
                 .collect();
             let (new_id, out) = rb.add_node(
-                format!("{}@{inst}", node.name()),
+                &format!("{}@{inst}", node.name()),
                 node.kind(),
                 inputs,
                 node.branch().clone(),

@@ -92,7 +92,7 @@ pub fn fold_loop(dfg: &Dfg, id: LoopId) -> Result<(Dfg, LoopFoldReport), DfgErro
                 emitted = true;
                 let inputs: Vec<_> = external_inputs.iter().map(|&s| rb.map(s)).collect();
                 let (_, out) = rb.add_node(
-                    region.name().to_string(),
+                    region.name(),
                     NodeKind::LoopBody {
                         loop_id: id,
                         cycles: region.time_constraint(),

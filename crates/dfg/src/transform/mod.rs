@@ -16,10 +16,10 @@ pub use loops::{fold_all_loops, fold_loop, LoopFoldReport};
 pub use stages::{expand_structural_stages, StageExpansion};
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::graph::LoopRegion;
-use crate::memory::MemoryDecls;
+use crate::memory::{ArrayDecl, BankDecl, MemoryDecls};
+use crate::name::{push_name, Name};
 use crate::node::LoopId;
 use crate::node::{Node, NodeId, NodeKind};
 use crate::signal::{BranchPath, Signal, SignalId, SignalSource};
@@ -27,6 +27,8 @@ use crate::{Dfg, DfgError};
 
 /// Shared machinery for rebuilding a graph with remapped ids.
 pub(crate) struct Rebuilder {
+    /// The new graph's name arena.
+    arena: String,
     nodes: Vec<Node>,
     signals: Vec<Signal>,
     /// old signal id -> new signal id
@@ -41,19 +43,32 @@ impl Rebuilder {
     /// so their ids can be remapped uniformly.
     pub(crate) fn new(dfg: &Dfg) -> Self {
         let mut rb = Rebuilder {
+            arena: String::new(),
             nodes: Vec::new(),
             signals: Vec::new(),
             sig_map: BTreeMap::new(),
-            memory: dfg.memory().clone(),
+            memory: MemoryDecls::default(),
         };
+        for bank in dfg.memory().banks() {
+            let name = rb.name(bank.name());
+            rb.memory.banks.push(BankDecl { name, ..*bank });
+        }
+        for array in dfg.memory().arrays() {
+            let name = rb.name(array.name());
+            rb.memory.arrays.push(ArrayDecl { name, ..*array });
+        }
         for (sid, sig) in dfg.signals() {
             if sig.is_external() {
-                let new_id = SignalId(rb.signals.len() as u32);
-                rb.signals.push(sig.clone());
+                let new_id = rb.add_external(sig.name(), sig.source());
                 rb.sig_map.insert(sid, new_id);
             }
         }
         rb
+    }
+
+    /// `name`, copied into the new graph's arena.
+    fn name(&mut self, name: &str) -> Name {
+        Name::unbound(push_name(&mut self.arena, name))
     }
 
     /// New-space id for an old signal.
@@ -77,13 +92,11 @@ impl Rebuilder {
     }
 
     /// Adds a fresh external signal (used by instance duplication).
-    pub(crate) fn add_external(&mut self, name: String, source: SignalSource) -> SignalId {
+    pub(crate) fn add_external(&mut self, name: &str, source: SignalSource) -> SignalId {
         debug_assert!(!matches!(source, SignalSource::Node(_)));
         let id = SignalId(self.signals.len() as u32);
-        self.signals.push(Signal {
-            name: name.into(),
-            source,
-        });
+        let name = self.name(name);
+        self.signals.push(Signal { name, source });
         id
     }
 
@@ -91,17 +104,17 @@ impl Rebuilder {
     /// the new node id and its output signal.
     pub(crate) fn add_node(
         &mut self,
-        name: impl Into<Arc<str>>,
+        name: &str,
         kind: NodeKind,
         inputs: Vec<SignalId>,
         branch: BranchPath,
         loop_id: Option<LoopId>,
     ) -> (NodeId, SignalId) {
-        let name = name.into();
+        let name = self.name(name);
         let node_id = NodeId(self.nodes.len() as u32);
         let output = SignalId(self.signals.len() as u32);
         self.signals.push(Signal {
-            name: Arc::clone(&name),
+            name: name.clone(),
             source: SignalSource::Node(node_id),
         });
         self.nodes.push(Node {
@@ -121,7 +134,7 @@ impl Rebuilder {
         let node = dfg.node(id);
         let inputs = node.inputs().iter().map(|&s| self.map(s)).collect();
         let (new_id, out) = self.add_node(
-            Arc::clone(&node.name),
+            node.name(),
             node.kind(),
             inputs,
             node.branch().clone(),
@@ -133,6 +146,13 @@ impl Rebuilder {
 
     /// Validates and assembles the rebuilt graph.
     pub(crate) fn finish(self, name: String, loops: Vec<LoopRegion>) -> Result<Dfg, DfgError> {
-        Dfg::from_parts(name, self.nodes, self.signals, loops, self.memory)
+        Dfg::from_parts(
+            name,
+            self.arena,
+            self.nodes,
+            self.signals,
+            loops,
+            self.memory,
+        )
     }
 }

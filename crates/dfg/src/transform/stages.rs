@@ -92,7 +92,7 @@ pub fn expand_structural_stages(
                         Some(sig) => vec![sig],
                     };
                     let (_, out) = rb.add_node(
-                        format!("{}.s{}", node.name(), stage + 1),
+                        &format!("{}.s{}", node.name(), stage + 1),
                         NodeKind::Stage {
                             base: kind,
                             index: stage,

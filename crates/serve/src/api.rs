@@ -283,15 +283,17 @@ const POINT_KNOBS: [&str; 9] = [
 /// The job keys that are not design-point knobs.
 const JOB_KEYS: [&str; 5] = ["emit", "two_cycle_mul", "deadline_ms", "dfg", "benchmark"];
 
-/// Hands one job value to the knob table. Numbers and strings are both
-/// text to the table; `null`, and a non-string value for a text knob,
-/// leave the knob unset.
+/// Hands one job value to the knob table. Strings are text to the
+/// table, and so are numbers and booleans for an integer knob; for any
+/// other knob they are an error naming it. `null` leaves the knob unset.
 fn set_knob(point: &mut DesignPoint, name: &str, value: &JsonValue) -> Result<(), String> {
     let mut digits = [0u8; 20];
     let text: Cow<'_, str> = match value {
         JsonValue::Str(s) => Cow::Borrowed(s),
         JsonValue::Null => return Ok(()),
-        _ if !matches!(Knob::lookup(name), Some(k) if k.kind == KnobKind::Int) => return Ok(()),
+        _ if !matches!(Knob::lookup(name), Some(k) if k.kind == KnobKind::Int) => {
+            return Err(format!("`{name}` must be a string"))
+        }
         JsonValue::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
         JsonValue::Num(n) => match value.as_u64() {
             // Integral numbers are spelled on the stack: the warm path

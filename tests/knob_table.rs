@@ -296,16 +296,29 @@ fn each_front_end_keeps_its_own_knob_names() {
         let e = serve::parse_job(&req).unwrap_err();
         assert!(e.contains(&format!("unknown job key `{key}`")), "{e}");
     }
-    // A JSON value of the wrong type for a text knob is ignored, as it
-    // always was; for a numeric knob it is a 400.
+    // A JSON value of the wrong type is a 400 naming the knob, for text
+    // and list knobs as for numeric ones; `null` means "not given".
     let mut req = json_request("cs", "6");
     let body = String::from_utf8(req.body).unwrap();
-    req.body = body.replace('}', ",\"alg\":5,\"label\":null}").into_bytes();
+    req.body = body.replace('}', ",\"label\":null}").into_bytes();
     let job = serve::parse_job(&req).unwrap();
     assert_eq!(
         (job.point.algorithm.name(), job.point.label.as_str()),
         ("mfs", "")
     );
+    for (key, value) in [
+        ("alg", "5"),
+        ("label", "true"),
+        ("limit", "2"),
+        ("pipeline", "3"),
+        ("weights", "1"),
+    ] {
+        req.body = body
+            .replace('}', &format!(",\"{key}\":{value}}}"))
+            .into_bytes();
+        let e = serve::parse_job(&req).unwrap_err();
+        assert!(e.contains(&format!("`{key}`")), "{key}: {e}");
+    }
     req.body = body.replace("\"cs\":6", "\"cs\":true").into_bytes();
     assert!(matches!(serve::parse_job(&req), Err(e) if e.contains("`cs`")));
 }

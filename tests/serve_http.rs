@@ -129,6 +129,39 @@ fn chain_zero_is_400_and_never_kills_a_worker() {
     server.join();
 }
 
+/// A JSON value of the wrong type for a text or list knob, such as a
+/// number for `alg`, was once dropped silently and the job answered as
+/// if the knob were absent. It is a 400 that names the knob; `null`
+/// still means "not given".
+#[test]
+fn wrongly_typed_knob_is_400_naming_it() {
+    let server = common::start(common::ephemeral_config());
+    let addr = server.local_addr();
+    for (job, knob) in [
+        (&br#"{"benchmark":"diffeq","alg":5,"cs":4}"#[..], "alg"),
+        (
+            &br#"{"benchmark":"diffeq","cs":4,"weights":1}"#[..],
+            "weights",
+        ),
+        (
+            &br#"{"benchmark":"diffeq","cs":4,"label":false}"#[..],
+            "label",
+        ),
+    ] {
+        let (status, body) = common::post(addr, "/schedule", job);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(&format!("`{knob}`")), "{body}");
+    }
+    let (status, body) = common::post(
+        addr,
+        "/schedule",
+        br#"{"benchmark":"diffeq","alg":null,"cs":4}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+    server.join();
+}
+
 /// Regression: the literal-index constant of `load v = a[3]` is named
 /// `v.idx`, and an op already held that name. The parser panicked, on the
 /// reactor thread (the warm-cache probe parses the job), so the request
