@@ -21,7 +21,7 @@ use crate::snapshots::{Fresh, Sweep};
 
 /// Requested op counts of the full sweep; the generator rounds up to
 /// full layers.
-pub const FULL_SIZES: [usize; 5] = [1_000, 5_000, 20_000, 50_000, 100_000];
+pub const FULL_SIZES: [usize; 6] = [1_000, 5_000, 20_000, 50_000, 100_000, 200_000];
 /// The smallest size only — the CI smoke subset.
 pub const QUICK_SIZES: [usize; 1] = [1_000];
 /// The sweep's workload seed (the canonical scaling seed).
@@ -56,6 +56,11 @@ pub struct Entry {
     pub cut_steps: u64,
     /// Instance candidates cut before their full `f_MUX` recompute.
     pub cut_instances: u64,
+    /// Free hosts never bounded because a lower-numbered host of their
+    /// stranger bucket (or bank) has the same key:
+    /// `bound_evals == energy_evaluations + cut_instances + dominated`
+    /// on MFSA rows.
+    pub dominated: u64,
     /// FNV-1a fingerprint of the `(node, step, unit)` triples.
     pub fingerprint: u64,
 }
@@ -73,7 +78,7 @@ impl Entry {
     /// One snapshot line.
     pub fn render(&self) -> String {
         format!(
-            "    {{{},\"cs\":{},\"wall_ms\":{:.1},\"frames_computed\":{},\"energy_evaluations\":{},\"reschedules\":{},\"bound_evals\":{},\"cut_steps\":{},\"cut_instances\":{},\"fingerprint\":\"{:016x}\"}}",
+            "    {{{},\"cs\":{},\"wall_ms\":{:.1},\"frames_computed\":{},\"energy_evaluations\":{},\"reschedules\":{},\"bound_evals\":{},\"cut_steps\":{},\"cut_instances\":{},\"dominated\":{},\"fingerprint\":\"{:016x}\"}}",
             self.key(),
             self.cs,
             self.wall_ms,
@@ -83,6 +88,7 @@ impl Entry {
             self.bound_evals,
             self.cut_steps,
             self.cut_instances,
+            self.dominated,
             self.fingerprint
         )
     }
@@ -146,6 +152,7 @@ fn run_mfs(dfg: &Dfg, spec: &TimingSpec, config: &MfsConfig, mode: &'static str)
         bound_evals: 0,
         cut_steps: 0,
         cut_instances: 0,
+        dominated: 0,
         fingerprint: fingerprint(&out.schedule),
     }
 }
@@ -172,6 +179,7 @@ fn run_mfsa(dfg: &Dfg, spec: &TimingSpec, config: &MfsaConfig, mode: &'static st
         bound_evals: metrics.counter("mfsa.bound.evals"),
         cut_steps: metrics.counter("mfsa.prune.cut_steps"),
         cut_instances: metrics.counter("mfsa.prune.cut_instances"),
+        dominated: metrics.counter("mfsa.prune.dominated"),
         fingerprint: fingerprint(&out.schedule),
     }
 }
@@ -282,7 +290,8 @@ mod tests {
             reschedules: 2,
             bound_evals: 400,
             cut_steps: 7,
-            cut_instances: 300,
+            cut_instances: 250,
+            dominated: 50,
             fingerprint: 0xabcd,
         }
     }
@@ -329,9 +338,11 @@ mod tests {
         let snapshot = render(&[entry()]);
         let mut drifted = entry();
         drifted.cut_instances -= 1;
+        drifted.dominated += 1;
         let drift = diff_exact(&[drifted], &snapshot);
-        assert_eq!(drift.len(), 1, "{drift:?}");
-        assert!(drift[0].contains("cut_instances 300 -> 299"), "{drift:?}");
+        assert_eq!(drift.len(), 2, "{drift:?}");
+        assert!(drift[0].contains("cut_instances 250 -> 249"), "{drift:?}");
+        assert!(drift[1].contains("dominated 50 -> 51"), "{drift:?}");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The dynamic Liapunov function's cost terms (paper §4.1).
 
-use std::collections::BTreeMap;
-
 use hls_celllib::{Area, Library};
 use hls_dfg::SignalId;
 use hls_rtl::muxopt::{pack_cost, MuxOp};
@@ -76,6 +74,24 @@ impl CostModel {
         self.weights.mux as u64 * pair(after).saturating_sub(pair(before))
     }
 
+    /// The width `T` from which the mux curve's marginal cost
+    /// `Cost(l + 1) − Cost(l)` is the same for every `l ≥ T`. A
+    /// stranger's f_MUX is `w_MUX · (marginal(|L1|) + marginal(|L2|))`
+    /// (the second only for a binary op), so it depends on each port
+    /// width only through `min(width, T)`.
+    pub(crate) fn flat_mux_width(&self) -> usize {
+        let marginal = |l: usize| self.mux_cost(l + 1).wrapping_sub(self.mux_cost(l));
+        // Past the table the curve is extended at its last step, so the
+        // marginal is constant from the table's last index on.
+        let last = self.mux_table.len() - 1;
+        let flat = marginal(last);
+        (0..last)
+            .rev()
+            .take_while(|&l| marginal(l) == flat)
+            .last()
+            .unwrap_or(last)
+    }
+
     fn mux_cost(&self, inputs: usize) -> u64 {
         match self.mux_table.get(inputs) {
             Some(&c) => c,
@@ -114,8 +130,9 @@ impl CostModel {
 /// left-edge pass meets exactly.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RegEstimate {
-    /// signal → (birth, death), both inclusive.
-    spans: BTreeMap<SignalId, (u32, u32)>,
+    /// Signal index → `(birth, death)`, both inclusive; `(0, 0)` while
+    /// the signal has no span (steps start at 1).
+    spans: Vec<(u32, u32)>,
     /// Spans covering each step (index = step, entry 0 unused).
     live: Vec<u32>,
     /// Cached `max(live)` — exact because spans only widen, so per-step
@@ -133,51 +150,52 @@ impl RegEstimate {
         self.peak
     }
 
+    fn span(&self, sig: SignalId) -> Option<(u32, u32)> {
+        self.spans.get(sig.index()).copied().filter(|&(b, _)| b > 0)
+    }
+
+    /// The steps newly covered by the signal of `extensions[j]`: its
+    /// span widened by every extension naming it, minus its committed
+    /// span, as two inclusive ranges (either may be empty). `None` when
+    /// an earlier extension names the same signal (an op can consume
+    /// one signal twice), so each signal is counted once.
+    fn newly(&self, extensions: &[(SignalId, u32, u32)], j: usize) -> Option<[(u32, u32); 2]> {
+        let sig = extensions[j].0;
+        if extensions[..j].iter().any(|e| e.0 == sig) {
+            return None;
+        }
+        let (nb, nd) = extensions[j..]
+            .iter()
+            .filter(|e| e.0 == sig)
+            .fold((u32::MAX, 0), |(b, d), e| (b.min(e.1), d.max(e.2)));
+        Some(match self.span(sig) {
+            Some((ob, od)) => [(nb.min(ob), ob - 1), (od + 1, nd.max(od))],
+            None => [(nb, nd), (1, 0)],
+        })
+    }
+
     /// The count if `extensions` were applied: each `(signal, birth,
     /// death)` inserts or extends a span. Evaluated against the cached
     /// per-step coverage — only the *newly covered* steps can raise the
-    /// peak, so no span map is cloned and no full rescan runs.
+    /// peak, so no span is copied, nothing is allocated and no full
+    /// rescan runs.
     pub(crate) fn count_with(&self, extensions: &[(SignalId, u32, u32)]) -> usize {
-        let mut newly: Vec<u32> = Vec::new();
-        // Spans already widened by earlier extensions in this same call
-        // (an op can consume one signal twice); tiny, so linear search.
-        let mut overlay: Vec<(SignalId, (u32, u32))> = Vec::new();
-        for &(sig, birth, death) in extensions {
-            match overlay.iter_mut().find(|(s, _)| *s == sig) {
-                Some((_, span)) => {
-                    let (ob, od) = *span;
-                    let (nb, nd) = (ob.min(birth), od.max(death));
-                    newly.extend(nb..ob);
-                    newly.extend(od + 1..=nd);
-                    *span = (nb, nd);
-                }
-                None => match self.spans.get(&sig).copied() {
-                    Some((ob, od)) => {
-                        let (nb, nd) = (ob.min(birth), od.max(death));
-                        newly.extend(nb..ob);
-                        newly.extend(od + 1..=nd);
-                        overlay.push((sig, (nb, nd)));
-                    }
-                    None => {
-                        newly.extend(birth..=death);
-                        overlay.push((sig, (birth, death)));
-                    }
-                },
-            }
-        }
-        // Steps without new coverage keep their old count ≤ peak.
-        newly.sort_unstable();
+        let covers =
+            |r: &[(u32, u32); 2], step: u32| r.iter().any(|&(lo, hi)| lo <= step && step <= hi);
         let mut peak = self.peak;
-        let mut i = 0;
-        while i < newly.len() {
-            let step = newly[i];
-            let mut j = i;
-            while j < newly.len() && newly[j] == step {
-                j += 1;
+        for j in 0..extensions.len() {
+            let Some(ranges) = self.newly(extensions, j) else {
+                continue;
+            };
+            for step in ranges.into_iter().flat_map(|(lo, hi)| lo..=hi) {
+                // Steps without new coverage keep their old count ≤ peak.
+                let added = (0..extensions.len())
+                    .filter_map(|k| self.newly(extensions, k))
+                    .filter(|r| covers(r, step))
+                    .count();
+                let base = self.live.get(step as usize).copied().unwrap_or(0) as usize;
+                peak = peak.max(base + added);
             }
-            let base = self.live.get(step as usize).copied().unwrap_or(0);
-            peak = peak.max((base + (j - i) as u32) as usize);
-            i = j;
         }
         peak
     }
@@ -185,16 +203,19 @@ impl RegEstimate {
     /// Applies `extensions` permanently.
     pub(crate) fn commit(&mut self, extensions: &[(SignalId, u32, u32)]) {
         for &(sig, birth, death) in extensions {
-            let (cover_a, cover_b) = match self.spans.get_mut(&sig) {
-                Some(span) => {
-                    let (ob, od) = *span;
+            if self.spans.len() <= sig.index() {
+                self.spans.resize(sig.index() + 1, (0, 0));
+            }
+            let span = &mut self.spans[sig.index()];
+            let (cover_a, cover_b) = match *span {
+                (0, _) => {
+                    *span = (birth, death);
+                    (1..1, birth..=death)
+                }
+                (ob, od) => {
                     let (nb, nd) = (ob.min(birth), od.max(death));
                     *span = (nb, nd);
                     (nb..ob, od + 1..=nd)
-                }
-                None => {
-                    self.spans.insert(sig, (birth, death));
-                    (1..1, birth..=death)
                 }
             };
             for step in cover_a.chain(cover_b) {
@@ -324,6 +345,57 @@ mod tests {
         assert_eq!(model.f_reg(1), 5 * lib.register_area().as_u64());
     }
 
+    /// The register estimate against a from-scratch recount: spans kept
+    /// per signal in a map, the peak taken over every step. `count_with`
+    /// must predict the count `commit` then reaches, for extension lists
+    /// that name a signal twice, widen spans on both sides, or open new
+    /// ones.
+    mod register_estimate {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        fn recount(spans: &BTreeMap<usize, (u32, u32)>) -> usize {
+            (1..=64u32)
+                .map(|step| {
+                    spans
+                        .values()
+                        .filter(|&&(b, d)| b <= step && step <= d)
+                        .count()
+                })
+                .max()
+                .unwrap_or(0)
+        }
+
+        proptest! {
+            #[test]
+            fn count_with_predicts_commit_and_matches_a_recount(
+                rounds in proptest::collection::vec(
+                    proptest::collection::vec((0usize..6, 1u32..30, 0u32..12), 0..4),
+                    1..40,
+                ),
+            ) {
+                let sigs: Vec<SignalId> = (0..6).map(sig).collect();
+                let mut est = RegEstimate::new();
+                let mut spans: BTreeMap<usize, (u32, u32)> = BTreeMap::new();
+                for round in &rounds {
+                    let ext: Vec<(SignalId, u32, u32)> = round
+                        .iter()
+                        .map(|&(s, birth, len)| (sigs[s], birth, birth + len))
+                        .collect();
+                    let predicted = est.count_with(&ext);
+                    est.commit(&ext);
+                    for &(s, birth, len) in round {
+                        let span = spans.entry(s).or_insert((birth, birth + len));
+                        *span = (span.0.min(birth), span.1.max(birth + len));
+                    }
+                    prop_assert_eq!(predicted, est.count());
+                    prop_assert_eq!(est.count(), recount(&spans));
+                }
+            }
+        }
+    }
+
     mod bound_soundness {
         use super::*;
         use proptest::prelude::*;
@@ -379,6 +451,64 @@ mod tests {
                 ][weight_idx];
                 let model = CostModel::new(&lib, weights);
                 prop_assert!(model.lower_bound(step, known) <= model.lower_bound(step + 1, known));
+            }
+        }
+    }
+
+    /// A stranger's f_MUX — one more line on port 1, and on port 2 for
+    /// a binary op — is the same at any widths as at their classes
+    /// `min(width, T)`, for curves whose marginal flattens early, late,
+    /// or only past the model's cached table; and `T` is the least such
+    /// width.
+    #[test]
+    fn the_flat_mux_width_classes_stranger_prices_exactly() {
+        use hls_celllib::{LibraryBuilder, MuxCost};
+        let table = |costs: &[u64]| costs.iter().map(|&c| Area::new(c)).collect::<Vec<_>>();
+        let mut late: Vec<u64> = (0..80).map(|r| 10 * r * r).collect();
+        late[1] = 0;
+        let curves = [
+            (MuxCost::ncr_like(), Some(6)),
+            (
+                MuxCost::from_table(
+                    table(&[0, 0, 300, 450, 580, 700, 790, 870, 950, 1000]),
+                    Area::new(40),
+                ),
+                Some(9),
+            ),
+            (
+                MuxCost::from_table(table(&[0, 0, 100]), Area::new(100)),
+                Some(1),
+            ),
+            (MuxCost::from_table(table(&late), Area::new(7)), None),
+        ];
+        for (curve, expected) in curves {
+            let lib = LibraryBuilder::new("curve")
+                .fu(OpKind::Add, Area::new(2330))
+                .single_alu(OpKind::Add)
+                .mux(curve)
+                .build()
+                .unwrap();
+            let model = CostModel::new(&lib, Weights::default());
+            let t = model.flat_mux_width();
+            if let Some(expected) = expected {
+                assert_eq!(t, expected);
+            }
+            let marginal = |l: usize| model.mux_cost(l + 1) as i64 - model.mux_cost(l) as i64;
+            assert!(
+                t == 0 || marginal(t - 1) != marginal(t),
+                "T is the least flat width"
+            );
+            for l1 in 0..100 {
+                for l2 in 0..100 {
+                    for binary in [0, 1] {
+                        let (c1, c2) = (l1.min(t), l2.min(t));
+                        assert_eq!(
+                            model.f_mux_delta((l1, l2), (l1 + 1, l2 + binary)),
+                            model.f_mux_delta((c1, c2), (c1 + 1, c2 + binary)),
+                            "widths ({l1}, {l2}), binary {binary}, T {t}"
+                        );
+                    }
+                }
             }
         }
     }

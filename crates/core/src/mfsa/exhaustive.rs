@@ -22,11 +22,17 @@ use hls_telemetry::{Instrument, TraceEvent};
 
 use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
-use crate::mfsa::scheduler::{
-    base_op, reg_extensions, Candidate, Instance, IterationTrace, MfsaOutcome,
-};
+use crate::mfsa::scheduler::{base_op, reg_extensions, Candidate, IterationTrace, MfsaOutcome};
 use crate::mfsa::{DesignStyle, MfsaConfig};
 use crate::MoveFrameError;
+
+/// One allocated ALU instance: its kind, its ops and their operand
+/// lines.
+struct Instance {
+    kind_index: usize,
+    ops: Vec<NodeId>,
+    mux_ops: Vec<MuxOp<EstSource>>,
+}
 
 /// Step-invariant part of a reuse/upgrade candidate for one instance:
 /// `(kind after the move, f_ALU, f_MUX, flavour)`, or `None` when the
@@ -123,7 +129,7 @@ impl ExhaustiveMfsa {
         };
 
         let mut placement = Placement::new(dfg, spec, config.clock(), frames);
-        let mut instances: Vec<Instance<EstSource>> = Vec::new();
+        let mut instances: Vec<Instance> = Vec::new();
         // Per instance, and per bank and port.
         let mut busy: Vec<Occupants> = Vec::new();
         let mut mem_busy: Vec<Vec<Occupants>> = dfg
@@ -133,6 +139,7 @@ impl ExhaustiveMfsa {
             .map(|b| vec![Occupants::new(); b.ports() as usize])
             .collect();
         let mut reg_est = RegEstimate::new();
+        let mut extensions = Vec::new();
         let mut trace = Vec::new();
 
         instr.span("mfsa.move_loop", |instr| {
@@ -151,8 +158,14 @@ impl ExhaustiveMfsa {
                     for step in placement.feasible_steps(node) {
                         feasible_steps += 1;
                         let f_time = model.f_time(step.get());
-                        let extensions =
-                            reg_extensions(dfg, placement.schedule(), spec, node, step);
+                        reg_extensions(
+                            dfg,
+                            placement.schedule(),
+                            spec,
+                            node,
+                            step,
+                            &mut extensions,
+                        );
                         let f_reg = model.f_reg(
                             reg_est
                                 .count_with(&extensions)
@@ -205,7 +218,7 @@ impl ExhaustiveMfsa {
                             },
                         },
                     );
-                    let extensions = reg_extensions(dfg, placement.schedule(), spec, node, step);
+                    reg_extensions(dfg, placement.schedule(), spec, node, step, &mut extensions);
                     reg_est.commit(&extensions);
                     instr.inc("mfsa.moves_committed", 1);
                     instr.inc("mfsa.mem_moves", 1);
@@ -322,7 +335,7 @@ impl ExhaustiveMfsa {
                     for step in placement.feasible_steps(node) {
                         feasible_steps += 1;
                         let f_time = model.f_time(step.get());
-                        let extensions = reg_extensions(dfg, sched, spec, node, step);
+                        reg_extensions(dfg, sched, spec, node, step, &mut extensions);
                         let f_reg = model.f_reg(
                             reg_est
                                 .count_with(&extensions)
@@ -443,7 +456,14 @@ impl ExhaustiveMfsa {
                         },
                     },
                 );
-                let extensions = reg_extensions(dfg, placement.schedule(), spec, node, chosen.step);
+                reg_extensions(
+                    dfg,
+                    placement.schedule(),
+                    spec,
+                    node,
+                    chosen.step,
+                    &mut extensions,
+                );
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc(

@@ -7,6 +7,7 @@ mod config;
 mod cost;
 #[doc(hidden)]
 pub mod exhaustive;
+mod pool;
 mod scheduler;
 
 pub use config::{DesignStyle, MfsaConfig, Weights};

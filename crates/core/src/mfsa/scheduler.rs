@@ -13,10 +13,18 @@
 //! committed schedule is bit-identical to the unpruned search, which
 //! survives as [`super::ExhaustiveMfsa`] and differentials this loop in
 //! `tests/mfsa_prune_differential.rs`.
+//!
+//! Within a step, only the hosts that can win are visited: a bank's
+//! lowest free port; among the ALU instances, each *acquaintance* (an
+//! instance carrying one of the op's mux lines, priced off its
+//! committed packing) and, per stranger bucket of the
+//! [`InstancePool`], its lowest free member — every other stranger in
+//! the bucket has the same key but a higher instance number, so it is
+//! *dominated* and never bounded one at a time.
 
 use hls_celllib::{Library, OpKind, TimingSpec};
 use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
-use hls_rtl::muxopt::{pack_cost_ids, pack_seed_ids, MuxOp, PackScratch, PackSeed};
+use hls_rtl::muxopt::{pack_cost_ids, MuxOp, PackScratch};
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{priority_order, CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
 
@@ -24,6 +32,7 @@ use hls_telemetry::{Histogram, Instrument, Metrics, NullSink, TraceEvent};
 
 use crate::frame::Placement;
 use crate::mfsa::cost::{CostModel, RegEstimate};
+use crate::mfsa::pool::{clear_bit, has_bit, members, popcount, set_bit, InstancePool};
 use crate::mfsa::{DesignStyle, MfsaConfig};
 use crate::MoveFrameError;
 
@@ -75,18 +84,8 @@ pub struct MfsaOutcome {
     pub trace: Vec<IterationTrace>,
 }
 
-/// Internal state of one allocated ALU instance, with its committed
-/// operand lines as `M` (dense line ids in the pruned loop,
-/// [`EstSource`](crate::mfsa::cost::EstSource)s in the oracle). Where it
-/// is busy is recorded apart: in the pruned loop as a column of the
-/// run's instance [`Grid`].
-pub(crate) struct Instance<M> {
-    pub(crate) kind_index: usize,
-    pub(crate) ops: Vec<NodeId>,
-    pub(crate) mux_ops: Vec<MuxOp<M>>,
-}
-
 /// One scored candidate position.
+#[derive(Clone, Copy)]
 pub(crate) struct Candidate {
     pub(crate) step: CStep,
     /// Existing instance index, or `None` for a new instance.
@@ -144,10 +143,9 @@ fn consider(best: &mut Option<Candidate>, c: Candidate) {
 
 /// Step-invariant ALU-level terms of a reuse/upgrade candidate for one
 /// instance: `(kind after the move, f_ALU, flavour)`, or `None` when
-/// the instance can never host the op (style conflict, or no superset
-/// kind exists). This is the cheap half of the old combined memo — the
-/// mux-repacking delta is memoized separately and computed only for
-/// candidates whose ALU-level bound survives the incumbent cut.
+/// no superset kind exists. This is the cheap half of a candidate — the
+/// mux-repacking delta is priced only for acquaintances whose
+/// ALU-level bound survives the incumbent cut.
 type AluCost = Option<(usize, u64, u8)>;
 
 /// The ALU-level candidate terms of one op kind, which depend only on
@@ -221,18 +219,25 @@ struct Tally {
     /// plus per-step register-bound cuts. `expanded + cut == feasible`,
     /// always.
     cut_steps: u64,
-    /// Candidates whose cheap bound was computed at an expanded step.
-    /// `bound_evals == cut_instances + energy_evals`, always.
+    /// The candidate universe of the expanded steps: every free host
+    /// the op may take (unrelated ALU instances of a usable kind, or
+    /// bank ports) plus every fresh kind. `bound_evals == energy_evals
+    /// + cut_instances + dominated`, always.
     bound_evals: u64,
-    /// Bound-evaluated candidates cut before full scoring.
+    /// Bounded candidates cut before full scoring.
     cut_instances: u64,
+    /// Free hosts never bounded because a lower-numbered host of the
+    /// same stranger bucket (or bank) has the same key but wins the
+    /// instance tie-break.
+    dominated: u64,
     /// Fully scored candidates.
     energy_evals: u64,
     /// Fully scored candidates per op.
     candidates: Histogram,
     /// Whether an ALU op was searched (the mux memo counters exist).
     alu_searched: bool,
-    /// Mux-delta memo reads and fills (one fill per (op, instance)).
+    /// Mux-delta memo reads and fills (one fill per (op,
+    /// acquaintance)).
     memo_hits: u64,
     memo_fills: u64,
     /// Fills priced from the instance's seed without a repack, and
@@ -255,6 +260,7 @@ impl Tally {
             instr.inc("mfsa.prune.cut_steps", self.cut_steps);
             instr.inc("mfsa.bound.evals", self.bound_evals);
             instr.inc("mfsa.prune.cut_instances", self.cut_instances);
+            instr.inc("mfsa.prune.dominated", self.dominated);
             instr.inc("mfsa.energy_evaluations", self.energy_evals);
             instr.merge_histogram("mfsa.candidates", &self.candidates);
         }
@@ -278,90 +284,267 @@ impl Tally {
     }
 }
 
-/// Sets bit `i` of a word set, growing it as needed.
-fn set_bit(words: &mut Vec<u64>, i: usize) {
-    if words.len() <= i / 64 {
-        words.resize(i / 64 + 1, 0);
-    }
-    words[i / 64] |= 1 << (i % 64);
+/// One op's incumbent search: the best candidate so far, and the
+/// candidates fully scored, each reported as an `EnergyEvaluated`
+/// event.
+struct Search<'s, 'i> {
+    best: Option<Candidate>,
+    scored: u64,
+    instr: &'s mut Instrument<'i>,
+    op: u32,
+    /// The 1-based number a new instance would get.
+    next_instance: u32,
 }
 
-/// The committed ALU instances and, per ALU kind, a word set of the
-/// instances of that kind, so the instances an op may reuse or upgrade
-/// are a few word ORs. Where each instance is busy lives in the run's
-/// instance grid, whose column `i + 1` is instance `i`.
-#[derive(Default)]
-struct InstancePool {
-    instances: Vec<Instance<u32>>,
-    /// Kind index → instances of that kind.
-    kind_sets: Vec<Vec<u64>>,
+impl Search<'_, '_> {
+    /// Whether every candidate whose best-case key is `bound` loses.
+    fn cut(&self, bound: CandidateKey) -> bool {
+        cut(&self.best, bound)
+    }
+
+    /// Bounds a candidate whose key is exact: cut when it cannot win,
+    /// else scored.
+    fn offer(&mut self, c: Candidate, tally: &mut Tally) {
+        if self.cut(candidate_key(&c)) {
+            tally.cut_instances += 1;
+        } else {
+            self.score(c);
+        }
+    }
+
+    /// Scores a candidate that survived its bound.
+    fn score(&mut self, c: Candidate) {
+        self.scored += 1;
+        if self.instr.enabled() {
+            let host = c.instance.map_or(self.next_instance, |i| i as u32 + 1);
+            self.instr.emit(TraceEvent::EnergyEvaluated {
+                op: self.op,
+                pos: (host, c.step.get()),
+                v: c.total(),
+            });
+        }
+        consider(&mut self.best, c);
+    }
 }
 
-impl InstancePool {
-    /// Allocates an empty instance of `kind_index`; returns its index.
-    fn push(&mut self, kind_index: usize) -> usize {
-        let i = self.instances.len();
-        self.instances.push(Instance {
-            kind_index,
-            ops: Vec::new(),
-            mux_ops: Vec::new(),
-        });
-        if self.kind_sets.len() <= kind_index {
-            self.kind_sets.resize(kind_index + 1, Vec::new());
+/// An acquaintance of the scanning op: an unrelated instance that
+/// carries one of the op's mux lines.
+struct Acquaintance {
+    instance: usize,
+    /// Priced on the first step its bound survives: the seed's answer
+    /// for the op ([`PackSeed::price`](hls_rtl::muxopt::PackSeed::price),
+    /// `None` when it declined) and the f_MUX delta.
+    priced: Option<(PriceAnswer, u64)>,
+}
+
+/// What [`PackSeed::price`](hls_rtl::muxopt::PackSeed::price) answers:
+/// the widths after the op and its orientation, or `None`.
+type PriceAnswer = Option<((usize, usize), bool)>;
+
+/// An ALU op's view of the existing instances while it scans its frame
+/// (the pool is frozen until it commits). The buffers are reused from
+/// op to op; filling them costs O(acquaintances + the op's degree).
+struct AluScan<'m> {
+    model: &'m CostModel,
+    mux_op: MuxOp<u32>,
+    /// The op kind's reuse/upgrade terms, by instance kind (`None` for
+    /// a kind no instance has).
+    upgrade: Vec<AluCost>,
+    acquaintances: Vec<Acquaintance>,
+    acquainted: Vec<u64>,
+    /// Instances hosting a predecessor or successor of the op, which
+    /// style 2 ([`DesignStyle::NoSelfLoop`]) bars.
+    related: Vec<usize>,
+    related_set: Vec<u64>,
+}
+
+impl<'m> AluScan<'m> {
+    fn new(model: &'m CostModel) -> AluScan<'m> {
+        AluScan {
+            model,
+            mux_op: MuxOp {
+                left: 0,
+                right: None,
+                commutative: false,
+            },
+            upgrade: Vec::new(),
+            acquaintances: Vec::new(),
+            acquainted: Vec::new(),
+            related: Vec::new(),
+            related_set: Vec::new(),
         }
-        set_bit(&mut self.kind_sets[kind_index], i);
-        i
     }
 
-    /// Changes instance `i`'s kind (an upgrade, or a no-op on reuse).
-    fn set_kind(&mut self, i: usize, kind_index: usize) {
-        let old = std::mem::replace(&mut self.instances[i].kind_index, kind_index);
-        self.kind_sets[old][i / 64] &= !(1 << (i % 64));
-        if self.kind_sets.len() <= kind_index {
-            self.kind_sets.resize(kind_index + 1, Vec::new());
+    /// Sets the scan up for `mux_op` of an op with kind terms `terms`
+    /// on `pool`; `related` names the barred instances. `terms` must
+    /// hold the terms of every kind some instance has, as
+    /// [`InstancePool::kind_mask`] leaves them.
+    fn prepare(
+        &mut self,
+        pool: &InstancePool<'_>,
+        mux_op: MuxOp<u32>,
+        terms: &OpKindTerms,
+        related: impl IntoIterator<Item = usize>,
+    ) {
+        for a in self.acquaintances.drain(..) {
+            clear_bit(&mut self.acquainted, a.instance);
         }
-        set_bit(&mut self.kind_sets[kind_index], i);
-    }
+        for i in self.related.drain(..) {
+            clear_bit(&mut self.related_set, i);
+        }
+        self.acquainted.resize(pool.words(), 0);
+        self.related_set.resize(pool.words(), 0);
+        self.mux_op = mux_op;
+        self.upgrade.clear();
+        self.upgrade
+            .extend(terms.upgrade.iter().map(|u| u.flatten()));
 
-    /// The instances whose kind satisfies `usable`, as a word set in
-    /// `mask`. Only kinds some instance has had are asked.
-    fn kind_mask(&self, mut usable: impl FnMut(usize) -> bool, mask: &mut Vec<u64>) {
-        mask.clear();
-        mask.resize(self.instances.len().div_ceil(64), 0);
-        for (k, set) in self.kind_sets.iter().enumerate() {
-            if !set.is_empty() && usable(k) {
-                for (m, w) in mask.iter_mut().zip(set) {
-                    *m |= w;
+        for i in related {
+            if !has_bit(&self.related_set, i) {
+                set_bit(&mut self.related_set, i);
+                self.related.push(i);
+            }
+        }
+        let right = mux_op.right.filter(|&r| r != mux_op.left);
+        for line in [Some(mux_op.left), right].into_iter().flatten() {
+            for i in pool.carriers(line) {
+                if !has_bit(&self.acquainted, i) && !has_bit(&self.related_set, i) {
+                    set_bit(&mut self.acquainted, i);
+                    self.acquaintances.push(Acquaintance {
+                        instance: i,
+                        priced: None,
+                    });
                 }
             }
         }
     }
-}
 
-/// The set bits of a word set, lowest first: the instances or ports a
-/// column mask holds, as 0-based indices.
-fn members(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                64 * w + bit
-            })
-        })
-    })
-}
+    /// The seed's answer for the op on instance `i`, when the scan
+    /// priced it.
+    fn answer(&self, i: usize) -> Option<PriceAnswer> {
+        let a = self.acquaintances.iter().find(|a| a.instance == i)?;
+        a.priced.map(|(answer, _)| answer)
+    }
 
-/// The per-(op, instance) memo of one op's frame scan: the ALU-level
-/// terms and the mux delta are step-invariant while the op scans its
-/// frame. An entry is valid only while its stamp is the scanning op's,
-/// so nothing is cleared between ops.
-#[derive(Clone, Default)]
-struct InstanceMemo {
-    stamp: u32,
-    alu: AluCost,
-    mux: Option<u64>,
+    /// Bounds, cuts and scores the instance candidates among `free` at
+    /// the step of `at` (a candidate carrying the step's `f_TIME` and
+    /// `f_REG`): every free acquaintance, then the strangers bucket by
+    /// bucket. A bucket's members share every key component but the
+    /// instance, so a bucket whose best case is cut is cut whole, and
+    /// otherwise only its lowest free member is offered: the others are
+    /// dominated. Acquaintances come first because the cheapest host is
+    /// usually one that already carries the op's lines, and its key
+    /// then cuts most buckets without a scan.
+    fn step(
+        &mut self,
+        pool: &InstancePool<'_>,
+        free: &[u64],
+        at: Candidate,
+        scratch: &mut PackScratch,
+        search: &mut Search<'_, '_>,
+        tally: &mut Tally,
+    ) {
+        let related = self.related.iter().filter(|&&i| has_bit(free, i)).count();
+        let universe = popcount(free) - related;
+        tally.bound_evals += universe as u64;
+        let mut strangers = universe;
+
+        for a in &mut self.acquaintances {
+            let i = a.instance;
+            if !has_bit(free, i) {
+                continue;
+            }
+            // Free hosts are of a usable kind.
+            strangers -= 1;
+            let host = &pool.instances[i];
+            let (kind_index, f_alu, flavour) =
+                self.upgrade[host.kind_index].expect("free hosts are usable");
+            // (c) Instance-level cut: everything but the mux term is
+            // exact here, so the bound is the candidate's own key
+            // minus f_MUX ≥ 0.
+            if search.cut((at.total() + f_alu, at.step, flavour, i, kind_index)) {
+                tally.cut_instances += 1;
+                continue;
+            }
+            // The mux delta, step-invariant but the dearest term:
+            // priced off the committed seed when it can answer.
+            let f_mux = match a.priced {
+                Some((_, f_mux)) => {
+                    tally.memo_hits += 1;
+                    f_mux
+                }
+                None => {
+                    tally.memo_fills += 1;
+                    let answer = host.seed.price(&host.mux_ops, &self.mux_op);
+                    let after = match answer {
+                        Some((after, _)) => {
+                            tally.insert_hits += 1;
+                            after
+                        }
+                        None => {
+                            tally.insert_fallbacks += 1;
+                            pack_cost_ids(&host.mux_ops, self.mux_op, scratch)
+                        }
+                    };
+                    let f_mux = self.model.f_mux_delta(host.seed.cost(), after);
+                    a.priced = Some((answer, f_mux));
+                    f_mux
+                }
+            };
+            search.score(Candidate {
+                instance: Some(i),
+                kind_index,
+                f_alu,
+                f_mux,
+                flavour,
+                ..at
+            });
+        }
+
+        let binary = usize::from(self.mux_op.right.is_some());
+        for (bucket, set) in pool.buckets() {
+            let Some((kind_index, f_alu, flavour)) = self.upgrade[bucket.kind] else {
+                continue;
+            };
+            let f_mux = bucket.f_mux[binary];
+            if search.cut((at.total() + f_alu + f_mux, at.step, flavour, 0, 0)) {
+                continue;
+            }
+            // The bucket's free strangers: its lowest one and how many.
+            let (mut first, mut members) = (None, 0);
+            for (w, (((&b, &f), &a), &r)) in set
+                .iter()
+                .zip(free)
+                .zip(&self.acquainted)
+                .zip(&self.related_set)
+                .enumerate()
+            {
+                let word = b & f & !a & !r;
+                if word != 0 {
+                    first = first.or(Some(64 * w + word.trailing_zeros() as usize));
+                    members += word.count_ones() as usize;
+                }
+            }
+            let Some(i) = first else {
+                continue;
+            };
+            strangers -= members;
+            tally.dominated += members as u64 - 1;
+            search.offer(
+                Candidate {
+                    instance: Some(i),
+                    kind_index,
+                    f_alu,
+                    f_mux,
+                    flavour,
+                    ..at
+                },
+                tally,
+            );
+        }
+        // The members of the buckets cut whole.
+        tally.cut_instances += strangers as u64;
+    }
 }
 
 /// The hosts of one op's frame scan, each a column of a placement
@@ -372,7 +555,7 @@ enum Hosts<'a> {
     Ports(BankId),
     Alus {
         mux_op: MuxOp<u32>,
-        terms: &'a mut OpKindTerms,
+        terms: &'a OpKindTerms,
         /// f_MUX of the op on a fresh instance.
         fresh_mux: u64,
     },
@@ -424,9 +607,10 @@ pub fn schedule(
 /// * `EnergyEvaluated` — one per *fully scored* candidate, `pos =
 ///   (instance or port, step)` 1-based (a new instance gets the next
 ///   free number) and `v` the dynamic `f_TIME + f_ALU + f_MUX + f_REG`.
-///   Candidates cut by the branch-and-bound emit no event — the cut
-///   proves they lose, so the committed moves (and every `v` actually
-///   emitted) are identical to the exhaustive search's;
+///   Candidates cut by the branch-and-bound, and hosts dominated
+///   within their stranger bucket, emit no event — each provably
+///   loses, so the committed moves (and every `v` actually emitted)
+///   are identical to the exhaustive search's;
 /// * `MoveCommitted` — the winning candidate; `from`/`system_v` are
 ///   `None` (MFSA moves operations out of a conceptual unplaced pool, so
 ///   there is no prior grid cell and the dynamic terms are incremental).
@@ -436,13 +620,14 @@ pub fn schedule(
 /// signal), and the `mfsa.candidates` histogram records how many
 /// positions each operation was actually scored at.
 ///
-/// The branch-and-bound search is accounted exactly by five counters:
+/// The branch-and-bound search is accounted exactly by six counters:
 /// `mfsa.steps.feasible == mfsa.steps.expanded + mfsa.prune.cut_steps`
 /// (every dependency-feasible step is either expanded or cut) and
 /// `mfsa.bound.evals == mfsa.energy_evaluations +
-/// mfsa.prune.cut_instances` (every candidate whose bound was computed
-/// at an expanded step is either fully scored or cut). Both invariants
-/// are enforced per run by `tests/mfsa_prune_differential.rs`.
+/// mfsa.prune.cut_instances + mfsa.prune.dominated` (every candidate of
+/// an expanded step is fully scored, cut by its bound, or dominated by
+/// its bucket's representative). Both invariants are enforced per run
+/// by `tests/mfsa_prune_differential.rs`.
 ///
 /// Instrumentation is write-only: the returned outcome is bit-identical
 /// to [`schedule`]'s for any sink.
@@ -487,13 +672,13 @@ pub fn schedule_traced(
     let model = CostModel::new(library, config.weights());
 
     let mut placement = Placement::new(dfg, spec, config.clock(), frames);
-    let mut pool = InstancePool::default();
     let mut trace = Vec::new();
     let mut tally = Tally::default();
 
-    // The move loop's working state is declared inside the span, so it
-    // is freed before the data path is built.
-    let placed = instr.span("mfsa.move_loop", |instr| {
+    // The move loop's working state — the instance pool with its
+    // buckets and carrier lists included — is declared inside the
+    // span, so it is freed before the data path is built.
+    let kinds = instr.span("mfsa.move_loop", |instr| {
         let mut kind_terms: Vec<Option<OpKindTerms>> = OpKind::ALL.iter().map(|_| None).collect();
         // Mux lines are dense ids: a stored or external signal is its
         // signal index, and the shared result path of ALU instance `n`
@@ -505,14 +690,8 @@ pub fn schedule_traced(
         let line_ids = signals + dfg.node_count();
         assert!(u32::try_from(line_ids).is_ok(), "mux line ids fit in u32");
         let mut mux_scratch = PackScratch::new(line_ids);
-        // The committed packing's refcount seed per instance: its cost
-        // is the `before` term of every f_MUX delta, and
-        // `PackSeed::price` answers most candidates' `after` term from
-        // it without a repack. A commit it prices extends the seed in
-        // place; one it cannot leaves the seed stale (`None`) until the
-        // next pricing rebuilds it from the committed ops.
-        let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
-        let mut memo: Vec<InstanceMemo> = Vec::new();
+        let mut pool = InstancePool::new(library.alus().len(), line_ids, &model);
+        let mut scan = AluScan::new(&model);
         // The columns an op's hosts may take, before any step narrows
         // them.
         let mut host_mask: Vec<u64> = Vec::new();
@@ -540,16 +719,19 @@ pub fn schedule_traced(
             .map(|b| grid(b.ports()))
             .collect();
         let mut reg_est = RegEstimate::new();
+        let mut extensions = Vec::new();
 
         for node in order {
             config.cancel().checkpoint()?;
 
             let kind = dfg.node(node).kind();
-            let mut best: Option<Candidate> = None;
-            let mut n_candidates = 0u64;
-            let next_instance = pool.instances.len() as u32 + 1;
-            let stamp = node.index() as u32 + 1;
-            memo.resize(pool.instances.len(), InstanceMemo::default());
+            let mut search = Search {
+                best: None,
+                scored: 0,
+                instr: &mut *instr,
+                op: node.index() as u32,
+                next_instance: pool.instances.len() as u32 + 1,
+            };
 
             let cycles = placement.cycles(node);
             let sched = placement.schedule();
@@ -557,7 +739,7 @@ pub fn schedule_traced(
             // every port of a memory access's bank, or the instances of
             // a kind that can host an ALU op by reuse or upgrade (the
             // instance state is frozen while this node scans its frame).
-            let mut hosts = match kind.fu_class() {
+            let hosts = match kind.fu_class() {
                 FuClass::Mem(bank) => {
                     host_mask.clear();
                     host_mask.resize((dfg.bank_ports(bank) as usize).div_ceil(64), !0);
@@ -597,6 +779,17 @@ pub fn schedule_traced(
                         |k| terms.upgrade(library, &model, k).is_some(),
                         &mut host_mask,
                     );
+                    // Style 2 bars the instances of the op's
+                    // predecessors and successors.
+                    let related = (config.style() == DesignStyle::NoSelfLoop)
+                        .then(|| dfg.preds(node).iter().chain(dfg.succs(node)))
+                        .into_iter()
+                        .flatten()
+                        .filter_map(|&p| match sched.slot(p)?.unit {
+                            UnitId::Alu { instance } => Some(instance as usize),
+                            UnitId::Fu { .. } => None,
+                        });
+                    scan.prepare(&pool, mux_op, terms, related);
                     let fresh_mux =
                         model.f_mux_delta((0, 0), pack_cost_ids(&[], mux_op, &mut mux_scratch));
                     Hosts::Alus {
@@ -612,10 +805,11 @@ pub fn schedule_traced(
             };
 
             // Feasible steps in ascending order, which is the order of
-            // their f_TIME lower bound (non-decreasing in the step), so
-            // candidates are examined in exactly the exhaustive loop's
-            // order — equal-key ties resolve identically under the
-            // strict-`<` tie-break.
+            // their f_TIME lower bound (non-decreasing in the step).
+            // The winner is the least key of all candidates, whatever
+            // order they are visited in: keys are a total order, and a
+            // cut skips only candidates whose key is above the
+            // incumbent's.
             let mut steps = placement.feasible_steps(node);
             while let Some(step) = steps.next() {
                 tally.feasible_steps += 1;
@@ -623,13 +817,13 @@ pub fn schedule_traced(
                 // (a) Wholesale cut: every remaining step bounds ≥ this
                 // one's, so once the best case at the cheapest remaining
                 // step cannot beat the incumbent, nothing left can.
-                if cut(&best, (f_time, step, 0, 0, 0)) {
+                if search.cut((f_time, step, 0, 0, 0)) {
                     let left = steps.count() as u64;
                     tally.feasible_steps += left;
                     tally.cut_steps += 1 + left;
                     break;
                 }
-                let extensions = reg_extensions(dfg, sched, spec, node, step);
+                reg_extensions(dfg, sched, spec, node, step, &mut extensions);
                 let f_reg = model.f_reg(
                     reg_est
                         .count_with(&extensions)
@@ -637,153 +831,68 @@ pub fn schedule_traced(
                 );
                 // (b) Step-level cut with the exact register term folded
                 // into the bound.
-                if cut(&best, (model.lower_bound(step.get(), f_reg), step, 0, 0, 0)) {
+                if search.cut((model.lower_bound(step.get(), f_reg), step, 0, 0, 0)) {
                     tally.cut_steps += 1;
                     continue;
                 }
                 tally.expanded_steps += 1;
-
-                // The hosts free here, in ascending order: ports, or
-                // existing instances by reuse or upgrade.
                 free.clone_from(&host_mask);
                 grid.retain_free(dfg, node, step, cycles, &mut free);
-                for i in members(&free) {
-                    // A port is free hardware once the bank exists.
-                    let (kind_index, f_alu, flavour) = match &mut hosts {
-                        Hosts::Ports(_) => (0, 0, 0),
-                        Hosts::Alus { terms, .. } => {
-                            let m = &mut memo[i];
-                            if m.stamp != stamp {
-                                // ALU-level terms (style check + the kind
-                                // table), filled on the first step where
-                                // the instance hosts the op. `None` = it
-                                // never can.
-                                let inst = &pool.instances[i];
-                                let related = config.style() == DesignStyle::NoSelfLoop
-                                    && inst.ops.iter().any(|&o| {
-                                        dfg.preds(node).contains(&o) || dfg.succs(node).contains(&o)
-                                    });
-                                *m = InstanceMemo {
-                                    stamp,
-                                    alu: if related {
-                                        None
-                                    } else {
-                                        terms.upgrade(library, &model, inst.kind_index)
-                                    },
-                                    mux: None,
-                                };
-                            }
-                            let Some(alu) = m.alu else {
-                                continue;
-                            };
-                            alu
-                        }
-                    };
-                    tally.bound_evals += 1;
-                    // (c) Instance-level cut: everything but the mux
-                    // term is exact here, so the bound is the
-                    // candidate's own key minus f_MUX ≥ 0 (the exact key
-                    // of a port).
-                    if cut(
-                        &best,
-                        (f_time + f_reg + f_alu, step, flavour, i, kind_index),
-                    ) {
-                        tally.cut_instances += 1;
-                        continue;
-                    }
-                    // The mux delta, step-invariant but the dearest
-                    // term: computed only for candidates whose ALU-level
-                    // bound survives the cut, priced off the committed
-                    // seed when it can answer.
-                    let f_mux = match &hosts {
-                        Hosts::Ports(_) => 0,
-                        Hosts::Alus { mux_op, .. } => {
-                            let inst = &pool.instances[i];
-                            let m = &mut memo[i];
-                            if m.mux.is_some() {
-                                tally.memo_hits += 1;
-                            } else {
-                                tally.memo_fills += 1;
-                            }
-                            *m.mux.get_or_insert_with(|| {
-                                let seed = mux_seed[i].get_or_insert_with(|| {
-                                    pack_seed_ids(&inst.mux_ops, &mut mux_scratch)
-                                });
-                                let after = match seed.price(&inst.mux_ops, mux_op) {
-                                    Some((after, _)) => {
-                                        tally.insert_hits += 1;
-                                        after
-                                    }
-                                    None => {
-                                        tally.insert_fallbacks += 1;
-                                        pack_cost_ids(&inst.mux_ops, *mux_op, &mut mux_scratch)
-                                    }
-                                };
-                                model.f_mux_delta(seed.cost(), after)
-                            })
-                        }
-                    };
-                    let c = Candidate {
-                        step,
-                        instance: Some(i),
-                        kind_index,
-                        f_time,
-                        f_alu,
-                        f_mux,
-                        f_reg,
-                        flavour,
-                    };
-                    n_candidates += 1;
-                    if instr.enabled() {
-                        instr.emit(TraceEvent::EnergyEvaluated {
-                            op: node.index() as u32,
-                            pos: (i as u32 + 1, c.step.get()),
-                            v: c.total(),
-                        });
-                    }
-                    consider(&mut best, c);
-                }
-
-                // New instances of every capable kind. The fresh mux
-                // cost is precomputed, so the bound is the exact key —
-                // the cut skips only sure losers.
-                let Hosts::Alus {
-                    terms, fresh_mux, ..
-                } = &hosts
-                else {
-                    continue;
+                let at = Candidate {
+                    step,
+                    instance: None,
+                    kind_index: 0,
+                    f_time,
+                    f_alu: 0,
+                    f_mux: 0,
+                    f_reg,
+                    flavour: 0,
                 };
-                for &(kind_index, f_alu) in &terms.fresh {
-                    tally.bound_evals += 1;
-                    let total = f_time + f_reg + f_alu + fresh_mux;
-                    if cut(&best, (total, step, 2, usize::MAX, kind_index)) {
-                        tally.cut_instances += 1;
-                        continue;
+                match &hosts {
+                    // The free ports form one bucket: a port is free
+                    // hardware once the bank exists, so they differ
+                    // only in their number and the lowest wins.
+                    Hosts::Ports(_) => {
+                        let ports = popcount(&free);
+                        tally.bound_evals += ports as u64;
+                        if let Some(port) = members(&free).next() {
+                            tally.dominated += ports as u64 - 1;
+                            search.offer(
+                                Candidate {
+                                    instance: Some(port),
+                                    ..at
+                                },
+                                &mut tally,
+                            );
+                        }
                     }
-                    let c = Candidate {
-                        step,
-                        instance: None,
-                        kind_index,
-                        f_time,
-                        f_alu,
-                        f_mux: *fresh_mux,
-                        f_reg,
-                        flavour: 2,
-                    };
-                    n_candidates += 1;
-                    if instr.enabled() {
-                        instr.emit(TraceEvent::EnergyEvaluated {
-                            op: node.index() as u32,
-                            pos: (next_instance, c.step.get()),
-                            v: c.total(),
-                        });
+                    Hosts::Alus {
+                        terms, fresh_mux, ..
+                    } => {
+                        scan.step(&pool, &free, at, &mut mux_scratch, &mut search, &mut tally);
+                        // New instances of every capable kind. The
+                        // fresh mux cost is precomputed, so the bound is
+                        // the exact key.
+                        for &(kind_index, f_alu) in &terms.fresh {
+                            tally.bound_evals += 1;
+                            search.offer(
+                                Candidate {
+                                    kind_index,
+                                    f_alu,
+                                    f_mux: *fresh_mux,
+                                    flavour: 2,
+                                    ..at
+                                },
+                                &mut tally,
+                            );
+                        }
                     }
-                    consider(&mut best, c);
                 }
             }
 
-            tally.energy_evals += n_candidates;
-            tally.candidates.observe(n_candidates);
+            let Search { best, scored, .. } = search;
+            tally.energy_evals += scored;
+            tally.candidates.observe(scored);
             let Some(chosen) = best else {
                 return Err(MoveFrameError::NoPosition {
                     node,
@@ -805,26 +914,14 @@ pub fn schedule_traced(
                     (UnitId::Fu { class, index }, index.get())
                 }
                 Hosts::Alus { mux_op, .. } => {
-                    let i = match chosen.instance {
-                        Some(i) => {
-                            pool.set_kind(i, chosen.kind_index);
-                            i
-                        }
-                        None => {
-                            mux_seed.push(Some(pack_seed_ids(&[], &mut mux_scratch)));
-                            pool.push(chosen.kind_index)
-                        }
-                    };
-                    // A commit the seed can price extends it in place.
-                    let ops = &pool.instances[i].mux_ops;
-                    mux_seed[i] = mux_seed[i].take().and_then(|mut seed| {
-                        let (cost, swap) = seed.price(ops, &mux_op)?;
-                        seed.insert(&mux_op, cost, swap);
-                        Some(seed)
-                    });
-                    let inst = &mut pool.instances[i];
-                    inst.ops.push(node);
-                    inst.mux_ops.push(mux_op);
+                    let answer = chosen.instance.and_then(|i| scan.answer(i));
+                    let i = pool.commit(
+                        chosen.instance,
+                        chosen.kind_index,
+                        mux_op,
+                        answer,
+                        &mut mux_scratch,
+                    );
                     let column = i as u32 + 1;
                     alus.occupy(dfg, node, chosen.step, FuIndex::new(column), cycles);
                     match chosen.flavour {
@@ -842,7 +939,14 @@ pub fn schedule_traced(
                     unit,
                 },
             );
-            let extensions = reg_extensions(dfg, placement.schedule(), spec, node, chosen.step);
+            reg_extensions(
+                dfg,
+                placement.schedule(),
+                spec,
+                node,
+                chosen.step,
+                &mut extensions,
+            );
             reg_est.commit(&extensions);
             tally.moves += 1;
             if instr.enabled() {
@@ -872,17 +976,17 @@ pub fn schedule_traced(
                 });
             }
         }
-        Ok(())
+        Ok(pool.into_kinds())
     });
     tally.flush(instr);
-    placed?;
+    let kinds = kinds?;
 
     // Assemble the data path.
     config.cancel().checkpoint()?;
     let (sched, frames) = placement.into_parts();
     let mut allocation = AluAllocation::new();
-    for inst in pool.instances {
-        allocation.push(library.alus()[inst.kind_index].clone());
+    for kind_index in kinds {
+        allocation.push(library.alus()[kind_index].clone());
     }
     let (datapath, cost) = instr.span("mfsa.datapath", |_| {
         let datapath = Datapath::build(dfg, &sched, &allocation, spec)
@@ -911,15 +1015,16 @@ pub(crate) fn base_op(dfg: &Dfg, node: NodeId) -> hls_celllib::OpKind {
 }
 
 /// The register-span extensions placing `node` at `step` would cause
-/// (inputs only, per §4.1).
+/// (inputs only, per §4.1), written into `out`.
 pub(crate) fn reg_extensions(
     dfg: &Dfg,
     sched: &Schedule,
     spec: &TimingSpec,
     node: NodeId,
     step: CStep,
-) -> Vec<(SignalId, u32, u32)> {
-    let mut out = Vec::new();
+    out: &mut Vec<(SignalId, u32, u32)>,
+) {
+    out.clear();
     for &sig in dfg.node(node).inputs() {
         match dfg.signal(sig).source() {
             SignalSource::Constant(_) => {}
@@ -933,7 +1038,6 @@ pub(crate) fn reg_extensions(
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1239,13 +1343,17 @@ mod tests {
                 .chain([(0..kinds).collect()])
                 .collect();
 
-            let mut pool = InstancePool::default();
+            let mut pool = InstancePool::new(kinds, 1, &model);
+            // The pool commits a one-line op to add or retag an
+            // instance; only kinds matter here.
+            let mut scratch = PackScratch::new(1);
+            let unary = MuxOp { left: 0, right: None, commutative: false };
             let mut alus = grid(256);
             let mut ports = grid(2);
             let (mut busy, mut port_busy): (Vec<Occupants>, Vec<Occupants>) =
                 (Vec::new(), vec![Occupants::new(); 2]);
             for i in 0..first {
-                pool.push(i % kinds);
+                pool.commit(None, i % kinds, unary, None, &mut scratch);
                 busy.push(Occupants::new());
             }
             let (mut mask, mut free) = (Vec::new(), Vec::new());
@@ -1255,10 +1363,13 @@ mod tests {
                 let fits = step.finish(cycles).get() <= cs;
                 match action {
                     0 => {
-                        pool.push(pick % kinds);
+                        pool.commit(None, pick % kinds, unary, None, &mut scratch);
                         busy.push(Occupants::new());
                     }
-                    1 => pool.set_kind(pick % pool.instances.len(), (pick >> 8) % kinds),
+                    1 => {
+                        let i = pick % pool.instances.len();
+                        pool.commit(Some(i), (pick >> 8) % kinds, unary, None, &mut scratch);
+                    }
                     2 if fits && !loads.is_empty() => {
                         let node = loads[pick % loads.len()];
                         if ports.placement(node).is_none() {
@@ -1329,6 +1440,148 @@ mod tests {
                 }
             }
             proptest::prop_assert!(pool.instances.len() > 64, "the hosts span several words");
+        }
+
+        /// The host the move loop picks at a step — each free
+        /// acquaintance priced, one representative per stranger bucket —
+        /// is the argmin of the per-instance walk that prices every free,
+        /// unrelated instance off its seed (or a cold repack when the
+        /// seed declines), against any incumbent. The pool mixes kinds,
+        /// grows some instances past the class cap, and spans more than
+        /// 64 instances; ops are unary or binary, commutative or fixed;
+        /// style 2 bars a random related set; and the grid may wrap at
+        /// a latency. Every free host is scored, cut or dominated.
+        #[test]
+        fn bucket_pick_matches_the_instance_walk(
+            script in proptest::collection::vec((0u8..=255, 0u8..=255), 1..20),
+            commits in proptest::collection::vec((0usize..1 << 16, 0u32..24, 0u32..24, 0u8..4), 150..400),
+            busy in proptest::collection::vec((0usize..1 << 16, 0u32..6, 1u8..=3), 0..40),
+            queries in proptest::collection::vec(
+                (0usize..1 << 16, 0u32..24, 0u32..24, 0u8..4, 0u32..6, 0u64..4), 1..24),
+            first in 65usize..160,
+            latency in 0u32..3,
+            style in 0u8..2,
+        ) {
+            let g = scripted_graph(&script);
+            let cs = 6u32;
+            let grid = |columns| match [None, Some(2), Some(3)][latency as usize] {
+                Some(l) => Grid::new(cs, columns).with_latency(l),
+                None => Grid::new(cs, columns),
+            };
+            let alu_nodes: Vec<NodeId> =
+                g.node_ids().filter(|&n| !g.node(n).kind().is_mem_access()).collect();
+            let lib = Library::ncr_like();
+            // A few kinds, so buckets hold many instances each.
+            let some_kinds: Vec<usize> = ["add", "sub", "add_sub", "mul", "add_sub_mul"]
+                .iter()
+                .map(|name| lib.alus().iter().position(|k| k.name() == *name).unwrap())
+                .collect();
+            let model = CostModel::new(&lib, Weights::default());
+            let cap = model.flat_mux_width();
+            // Queries also read lines 24.. that no instance carries.
+            let lines = 48;
+            let op = |left: u32, right: u32, shape: u8| MuxOp {
+                left,
+                right: (shape & 1 == 1).then_some(right),
+                commutative: shape & 2 == 2,
+            };
+            let mut scratch = PackScratch::new(lines);
+            let mut pool = InstancePool::new(lib.alus().len(), lines, &model);
+            for i in 0..first {
+                let kind = some_kinds[i % some_kinds.len()];
+                pool.commit(None, kind, op(i as u32 % 24, 0, 0), None, &mut scratch);
+            }
+            for &(pick, left, right, shape) in &commits {
+                // Half the commits go to eight instances, which grow
+                // past the class cap.
+                let i = if pick & 1 == 0 { (pick >> 1) % 8 } else { (pick >> 1) % first };
+                let kind = some_kinds[(pick >> 8) % some_kinds.len()];
+                pool.commit(Some(i), kind, op(left, right, shape), None, &mut scratch);
+            }
+            let mut alus = grid(first as u32);
+            for &(pick, step, cycles) in &busy {
+                let node = alu_nodes[pick % alu_nodes.len()];
+                let step = CStep::new(1 + step);
+                if step.finish(cycles).get() <= cs && alus.placement(node).is_none() {
+                    let column = FuIndex::new(((pick >> 6) % first) as u32 + 1);
+                    alus.occupy(&g, node, step, column, cycles);
+                }
+            }
+
+            let (mut sink, mut metrics) = (NullSink, Metrics::new());
+            let mut instr = Instrument::new(&mut sink, &mut metrics);
+            let mut scan = AluScan::new(&model);
+            let (mut mask, mut free) = (Vec::new(), Vec::new());
+            for &(pick, left, right, shape, step, incumbent) in &queries {
+                let node = alu_nodes[pick % alu_nodes.len()];
+                let step = CStep::new(1 + step);
+                let mut terms = OpKindTerms::new(&lib, &model, [OpKind::Add, OpKind::Sub, OpKind::Mul][pick % 3]);
+                let strange = 24 * u32::from(pick & 8 == 8);
+                let mux_op = op(left + strange, right + strange, shape);
+                let related: Vec<usize> = if style == 1 {
+                    (0..first).filter(|i| (i * 7 + pick) % 5 == 0).collect()
+                } else {
+                    Vec::new()
+                };
+                pool.kind_mask(|k| terms.upgrade(&lib, &model, k).is_some(), &mut mask);
+                free.clone_from(&mask);
+                alus.retain_free(&g, node, step, 1, &mut free);
+
+                // The walk: every free, unrelated instance, priced alone.
+                let at = Candidate {
+                    step,
+                    instance: None,
+                    kind_index: 0,
+                    f_time: model.f_time(step.get()),
+                    f_alu: 0,
+                    f_mux: 0,
+                    f_reg: (pick as u64 >> 4) % 3 * 1230,
+                    flavour: 0,
+                };
+                let mut walked = Vec::new();
+                for i in members(&free).filter(|i| !related.contains(i)) {
+                    let host = &pool.instances[i];
+                    let (kind_index, f_alu, flavour) =
+                        terms.upgrade(&lib, &model, host.kind_index).unwrap();
+                    let after = host.seed.price(&host.mux_ops, &mux_op).map_or_else(
+                        || pack_cost_ids(&host.mux_ops, mux_op, &mut scratch),
+                        |(after, _)| after,
+                    );
+                    let f_mux = model.f_mux_delta(host.seed.cost(), after);
+                    walked.push(Candidate { instance: Some(i), kind_index, f_alu, f_mux, flavour, ..at });
+                }
+                // An incumbent that beats some, all or none of them.
+                let seeded = walked.get(incumbent as usize).map(|c| Candidate {
+                    instance: None,
+                    f_mux: c.f_mux.saturating_sub(incumbent),
+                    ..*c
+                });
+                let expected = walked
+                    .iter()
+                    .chain(&seeded)
+                    .map(candidate_key)
+                    .min();
+
+                let mut search = Search {
+                    best: seeded,
+                    scored: 0,
+                    instr: &mut instr,
+                    op: 0,
+                    next_instance: 0,
+                };
+                let mut tally = Tally::default();
+                scan.prepare(&pool, mux_op, &terms, related.iter().copied());
+                scan.step(&pool, &free, at, &mut scratch, &mut search, &mut tally);
+                proptest::prop_assert_eq!(search.best.as_ref().map(candidate_key), expected);
+                proptest::prop_assert_eq!(tally.bound_evals, walked.len() as u64);
+                proptest::prop_assert_eq!(
+                    tally.bound_evals,
+                    search.scored + tally.cut_instances + tally.dominated
+                );
+            }
+            proptest::prop_assert!(pool.instances.len() > 64, "the hosts span several words");
+            let widest = pool.instances.iter().map(|h| h.seed.cost().0).max();
+            proptest::prop_assert!(widest > Some(cap), "some instance is past the class cap");
         }
     }
 

@@ -48,6 +48,11 @@ pub struct ProfileReport {
     /// Instance candidates cut before the `f_MUX` recompute
     /// (`mfsa.prune.cut_instances`).
     pub cut_instances: u64,
+    /// Free hosts never bounded because a lower-numbered host of the
+    /// same stranger bucket or bank has the same key
+    /// (`mfsa.prune.dominated`): `bound_evals` is the counted energy
+    /// evaluations plus the instance cuts plus these.
+    pub dominated: u64,
     /// Phase ledgers, sorted by energy evaluations descending (ties on
     /// name): a key the run determines, so the order never depends on
     /// wall time.
@@ -98,6 +103,7 @@ impl ProfileReport {
             bound_evals: metrics.counter("mfsa.bound.evals"),
             cut_steps: metrics.counter("mfsa.prune.cut_steps"),
             cut_instances: metrics.counter("mfsa.prune.cut_instances"),
+            dominated: metrics.counter("mfsa.prune.dominated"),
             phases,
             hotspots: profiler.hotspots(top),
             step_hotspots: profiler.step_hotspots(top),
@@ -140,8 +146,8 @@ impl ProfileReport {
         if self.bound_evals > 0 {
             let _ = writeln!(
                 out,
-                "pruning              {} bound evals, {} step cuts, {} instance cuts",
-                self.bound_evals, self.cut_steps, self.cut_instances
+                "pruning              {} bound evals, {} step cuts, {} instance cuts, {} dominated",
+                self.bound_evals, self.cut_steps, self.cut_instances, self.dominated
             );
         }
         if !self.reschedules_by_kind.is_empty() {
@@ -222,7 +228,7 @@ impl ProfileReport {
              \"bounds_fast_path\":{},\"bounds_boundary_walks\":{},\
              \"memo_hits\":{},\"memo_fills\":{},\
              \"memo_insert_hits\":{},\"memo_insert_fallbacks\":{},\
-             \"bound_evals\":{},\"cut_steps\":{},\"cut_instances\":{}}}",
+             \"bound_evals\":{},\"cut_steps\":{},\"cut_instances\":{},\"dominated\":{}}}",
             self.counted_evals,
             self.attributed_evals,
             self.coverage_pct,
@@ -237,7 +243,8 @@ impl ProfileReport {
             self.memo_insert_fallbacks,
             self.bound_evals,
             self.cut_steps,
-            self.cut_instances
+            self.cut_instances,
+            self.dominated
         );
         s.push_str(",\"phases\":[");
         for (i, (name, p)) in self.phases.iter().enumerate() {
@@ -326,9 +333,10 @@ mod tests {
         });
         m.inc("mfs.bounds.fast_path", 2);
         m.inc("mfs.bounds.boundary_walks", 1);
-        m.inc("mfsa.bound.evals", 12);
+        m.inc("mfsa.bound.evals", 16);
         m.inc("mfsa.prune.cut_steps", 2);
         m.inc("mfsa.prune.cut_instances", 9);
+        m.inc("mfsa.prune.dominated", 4);
         (p, m)
     }
 
@@ -349,9 +357,10 @@ mod tests {
         assert_eq!(r.attributed_evals, 3);
         assert!((r.coverage_pct - 100.0).abs() < 1e-9);
         assert_eq!(r.bounds_fast_path, 2);
-        assert_eq!(r.bound_evals, 12);
+        assert_eq!(r.bound_evals, 16);
         assert_eq!(r.cut_steps, 2);
         assert_eq!(r.cut_instances, 9);
+        assert_eq!(r.dominated, 4);
         assert_eq!(r.hotspots.len(), 1);
         assert_eq!(r.hotspots[0].op, 4);
         let order: Vec<&str> = r.phases.iter().map(|(name, _)| name.as_str()).collect();
@@ -367,9 +376,13 @@ mod tests {
         assert!(text.contains("== profile summary =="));
         assert!(text.contains("100.0% coverage"));
         assert!(text.contains("mfs.move_loop"));
-        assert!(text.contains("pruning              12 bound evals, 2 step cuts, 9 instance cuts"));
+        assert!(text.contains(
+            "pruning              16 bound evals, 2 step cuts, 9 instance cuts, 4 dominated"
+        ));
         let json = r.to_json();
-        assert!(json.contains("\"bound_evals\":12,\"cut_steps\":2,\"cut_instances\":9"));
+        assert!(
+            json.contains("\"bound_evals\":16,\"cut_steps\":2,\"cut_instances\":9,\"dominated\":4")
+        );
         assert!(json.starts_with("{\"summary\":{\"counted_evals\":3"));
         assert!(json.contains("\"hotspots\":[{\"op\":4,\"evals\":3"));
         assert!(json.contains("\"committed\":[1,1]"));

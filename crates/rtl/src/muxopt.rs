@@ -178,6 +178,20 @@ fn users(head: u32, next: &[u32]) -> impl Iterator<Item = usize> + '_ {
     .map(|j| j as usize)
 }
 
+/// The seed of an empty op list: no lines, and trivially stable.
+impl<S> Default for PackSeed<S> {
+    fn default() -> PackSeed<S> {
+        PackSeed {
+            lines: Vec::new(),
+            cost: (0, 0),
+            swapped: Vec::new(),
+            next1: Vec::new(),
+            next2: Vec::new(),
+            stable: true,
+        }
+    }
+}
+
 impl<S> PackSeed<S> {
     /// Number of operations the seed covers.
     pub fn len(&self) -> usize {
@@ -293,10 +307,16 @@ impl<S: Ord + Clone> PackSeed<S> {
         prefers_swap(&op.left, r, on1, on2)
     }
 
+    /// Whether the committed packing carries `source`, on either port.
+    /// Once carried, a source stays carried as ops are added.
+    pub fn carries(&self, source: &S) -> bool {
+        self.line(source).is_some()
+    }
+
     /// Whether `op` is a *stranger* to the seed: the committed packing
     /// carries neither of its sources, on either port.
     fn is_stranger(&self, op: &MuxOp<S>) -> bool {
-        self.line(&op.left).is_none() && op.right.as_ref().is_none_or(|r| self.line(r).is_none())
+        !self.carries(&op.left) && op.right.as_ref().is_none_or(|r| !self.carries(r))
     }
 
     /// `(|L1|, |L2|)` of the cold pack of `ops ++ [op]` for a stranger
@@ -1143,6 +1163,18 @@ mod tests {
         // A line of the seed on either port makes the op no stranger.
         assert!(!seed.is_stranger(&op("e", "a", true)));
         assert!(!seed.is_stranger(&op("b", "e", true)));
+    }
+
+    #[test]
+    fn the_default_seed_is_the_empty_pack_and_carries_what_it_packs() {
+        let empty: PackSeed<u32> = PackSeed::default();
+        assert_eq!(empty, pack_seed_ids(&[], &mut PackScratch::new(4)));
+        assert!(empty.stable);
+        let seed = pack_seed(&[op("a", "b", true), op("c", "a", false)]);
+        for source in ["a", "b", "c"] {
+            assert!(seed.carries(&source.to_string()), "{source}");
+        }
+        assert!(!seed.carries(&"d".to_string()));
     }
 
     #[test]

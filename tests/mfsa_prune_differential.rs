@@ -130,13 +130,14 @@ fn assert_equivalent(dfg: &hls_dfg::Dfg, spec: &TimingSpec, config: &MfsaConfig)
     );
     assert_eq!(
         c(&pruned, "mfsa.bound.evals"),
-        p_evals + c(&pruned, "mfsa.prune.cut_instances"),
-        "{name}: bound evals != full evals + instance cuts"
+        p_evals + c(&pruned, "mfsa.prune.cut_instances") + c(&pruned, "mfsa.prune.dominated"),
+        "{name}: bound evals != full evals + instance cuts + dominated hosts"
     );
     // The oracle never prunes: its bound evals are its full evals.
     assert_eq!(c(&oracle, "mfsa.bound.evals"), o_evals);
     assert_eq!(c(&oracle, "mfsa.prune.cut_steps"), 0);
     assert_eq!(c(&oracle, "mfsa.prune.cut_instances"), 0);
+    assert_eq!(c(&oracle, "mfsa.prune.dominated"), 0);
     assert_eq!(
         c(&pruned, "mfsa.moves_committed"),
         c(&oracle, "mfsa.moves_committed"),
