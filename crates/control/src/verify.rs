@@ -1,7 +1,5 @@
 //! Independent controller verification.
 
-use std::collections::BTreeMap;
-
 use hls_celllib::TimingSpec;
 use hls_dfg::{Dfg, NodeId, SignalId, SignalSource};
 use hls_rtl::Datapath;
@@ -53,6 +51,15 @@ pub enum ControlViolation {
     },
 }
 
+/// Sorts `keys` and yields, in ascending order, each key occurring more
+/// than once.
+fn repeated<T: Ord + Copy>(keys: &mut [T]) -> impl Iterator<Item = T> + '_ {
+    keys.sort_unstable();
+    keys.chunk_by(|a, b| a == b)
+        .filter(|run| run.len() > 1)
+        .map(|run| run[0])
+}
+
 /// Re-checks a controller against the design it was generated for:
 /// every operation issues exactly once in its scheduled step, all mux
 /// selects are in range, every stored signal is written exactly once,
@@ -67,55 +74,47 @@ pub fn verify_controller(
     let _ = spec;
     let mut violations = Vec::new();
 
-    // Issue counts and steps (ALU activities and memory accesses alike).
-    let mut issues: BTreeMap<NodeId, Vec<u32>> = BTreeMap::new();
-    for (i, word) in controller.words().iter().enumerate() {
-        for a in &word.activities {
-            issues.entry(a.node).or_default().push(i as u32 + 1);
-        }
-        for m in &word.mem {
-            issues.entry(m.node).or_default().push(i as u32 + 1);
+    // Issue counts and steps (ALU activities and memory accesses
+    // alike), per node: how often it issues and its first issue step.
+    let mut issues: Vec<(usize, u32)> = vec![(0, 0); dfg.node_count()];
+    for (step, word) in (1u32..).zip(controller.words()) {
+        let nodes = word.activities.iter().map(|a| a.node);
+        for node in nodes.chain(word.mem.iter().map(|m| m.node)) {
+            if let Some((n, first)) = issues.get_mut(node.index()) {
+                if *n == 0 {
+                    *first = step;
+                }
+                *n += 1;
+            }
         }
     }
     for id in dfg.node_ids() {
-        let steps = issues.get(&id).cloned().unwrap_or_default();
+        let (n, first) = issues[id.index()];
         let expected = schedule.start(id).map(|s| s.get());
-        if steps.len() != 1 || Some(steps[0]) != expected {
+        if n != 1 || Some(first) != expected {
             violations.push(ControlViolation::WrongIssue {
                 node: id,
-                issues: steps.len(),
+                issues: n,
             });
         }
     }
 
     // Bank-port occupancy: one access per port per step.
-    for (i, word) in controller.words().iter().enumerate() {
-        let mut per_port: BTreeMap<(hls_dfg::BankId, u32), usize> = BTreeMap::new();
-        for m in &word.mem {
-            *per_port.entry((m.bank, m.port)).or_insert(0) += 1;
-        }
-        for ((bank, port), n) in per_port {
-            if n > 1 {
-                violations.push(ControlViolation::MemPortConflict {
-                    bank,
-                    port,
-                    step: i as u32 + 1,
-                });
-            }
+    let mut ports: Vec<(hls_dfg::BankId, u32)> = Vec::new();
+    for (step, word) in (1u32..).zip(controller.words()) {
+        ports.clear();
+        ports.extend(word.mem.iter().map(|m| (m.bank, m.port)));
+        for (bank, port) in repeated(&mut ports) {
+            violations.push(ControlViolation::MemPortConflict { bank, port, step });
         }
     }
 
     // Select ranges.
-    let mux_sizes: BTreeMap<(hls_rtl::AluId, u8), usize> = datapath
-        .muxes()
-        .iter()
-        .map(|m| ((m.alu, m.port), m.sources.len()))
-        .collect();
     for word in controller.words() {
         for a in &word.activities {
             for (port, sel) in [(1u8, a.mux1), (2, a.mux2)] {
                 if let Some(sel) = sel {
-                    let size = mux_sizes.get(&(a.alu, port)).copied().unwrap_or(0);
+                    let size = datapath.mux(a.alu, port).map_or(0, |m| m.sources.len());
                     if sel >= size {
                         violations.push(ControlViolation::SelectOutOfRange { node: a.node, port });
                     }
@@ -124,24 +123,25 @@ pub fn verify_controller(
         }
     }
 
-    // Write discipline.
-    let mut write_counts: BTreeMap<SignalId, usize> = BTreeMap::new();
-    for load in controller.input_loads() {
-        *write_counts.entry(load.signal).or_insert(0) += 1;
-    }
-    for (i, word) in controller.words().iter().enumerate() {
-        let mut per_reg: BTreeMap<hls_rtl::RegId, usize> = BTreeMap::new();
-        for w in &word.writes {
-            *write_counts.entry(w.signal).or_insert(0) += 1;
-            *per_reg.entry(w.register).or_insert(0) += 1;
+    // Write discipline: writes per signal, and per register and step.
+    let mut write_counts = vec![0usize; dfg.signal_count()];
+    let mut count = |signal: SignalId| {
+        if let Some(n) = write_counts.get_mut(signal.index()) {
+            *n += 1;
         }
-        for (reg, n) in per_reg {
-            if n > 1 {
-                violations.push(ControlViolation::WritePortConflict {
-                    register: reg,
-                    step: i as u32 + 1,
-                });
-            }
+    };
+    for load in controller.input_loads() {
+        count(load.signal);
+    }
+    let mut registers: Vec<hls_rtl::RegId> = Vec::new();
+    for (step, word) in (1u32..).zip(controller.words()) {
+        registers.clear();
+        for w in &word.writes {
+            count(w.signal);
+            registers.push(w.register);
+        }
+        for register in repeated(&mut registers) {
+            violations.push(ControlViolation::WritePortConflict { register, step });
         }
     }
     for (_, spans) in datapath.register_allocation().iter() {
@@ -151,7 +151,7 @@ pub fn verify_controller(
             if matches!(dfg.signal(span.signal).source(), SignalSource::Constant(_)) {
                 continue;
             }
-            let writes = write_counts.get(&span.signal).copied().unwrap_or(0);
+            let writes = write_counts.get(span.signal.index()).copied().unwrap_or(0);
             if writes != 1 {
                 violations.push(ControlViolation::WrongWriteCount {
                     signal: span.signal,

@@ -12,56 +12,101 @@
 //! by `hls-sim`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use hls_celllib::{OpKind, TimingSpec};
 use hls_dfg::{Dfg, NodeKind, SignalSource};
-use hls_rtl::{AluId, Datapath, NetSource};
+use hls_rtl::{Datapath, NetSource};
 use hls_schedule::Schedule;
 
-use crate::word::WriteSource;
+use crate::word::{AluActivity, MemAccess, WriteSource};
 use crate::{ControlError, Controller};
 
-/// Sanitises a behavioural name into a Verilog identifier.
-fn ident(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_none_or(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
+/// A behavioural name sanitised into a Verilog identifier, written
+/// straight into the output: every character outside `[A-Za-z0-9_]`
+/// becomes `_`, and a leading digit (or an empty name) gets a `_`
+/// prefix.
+#[derive(Clone, Copy)]
+struct Ident<'a>(&'a str);
+
+impl fmt::Display for Ident<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.chars().next().is_none_or(|c| c.is_ascii_digit()) {
+            f.write_char('_')?;
+        }
+        let mut rest = self.0;
+        while let Some(i) = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+            f.write_str(&rest[..i])?;
+            f.write_char('_')?;
+            let c = rest[i..].chars().next().expect("found at i");
+            rest = &rest[i + c.len_utf8()..];
+        }
+        f.write_str(rest)
     }
-    out
 }
 
-fn op_expr(kind: OpKind, a: &str, b: &str) -> String {
-    // Semantics match the `hls-sim` reference at WIDTH = 64: two's
-    // complement wrap-around, signed comparison/division, arithmetic
-    // right shift, shift counts masked to 6 bits, division by zero = 0.
-    match kind {
-        OpKind::Add => format!("{a} + {b}"),
-        OpKind::Sub => format!("{a} - {b}"),
-        OpKind::Mul => format!("{a} * {b}"),
-        OpKind::Div => format!("({b} == 0) ? {{WIDTH{{1'b0}}}} : $signed({a}) / $signed({b})"),
-        OpKind::And => format!("{a} & {b}"),
-        OpKind::Or => format!("{a} | {b}"),
-        OpKind::Xor => format!("{a} ^ {b}"),
-        OpKind::Not => format!("~{a}"),
-        OpKind::Eq => format!("{{{{(WIDTH-1){{1'b0}}}}, {a} == {b}}}"),
-        OpKind::Ne => format!("{{{{(WIDTH-1){{1'b0}}}}, {a} != {b}}}"),
-        OpKind::Lt => format!("{{{{(WIDTH-1){{1'b0}}}}, $signed({a}) < $signed({b})}}"),
-        OpKind::Gt => format!("{{{{(WIDTH-1){{1'b0}}}}, $signed({a}) > $signed({b})}}"),
-        OpKind::Shl => format!("{a} << {b}[5:0]"),
-        OpKind::Shr => format!("$signed({a}) >>> {b}[5:0]"),
-        OpKind::Inc => format!("{a} + 1"),
-        OpKind::Dec => format!("{a} - 1"),
-        OpKind::Neg => format!("-{a}"),
+/// The Verilog expression of a net source.
+struct Net<'a>(&'a Dfg, NetSource);
+
+impl fmt::Display for Net<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            NetSource::External(sid) => {
+                let sig = self.0.signal(sid);
+                match sig.source() {
+                    SignalSource::Constant(_) => write!(f, "const_{}", Ident(sig.name())),
+                    _ => write!(f, "in_{}", Ident(sig.name())),
+                }
+            }
+            NetSource::Register(r) => write!(f, "{r}"),
+            NetSource::Alu(a) => write!(f, "alu{}_y", a.0),
+        }
+    }
+}
+
+/// Operand `port` (`a` or `b`) of ALU `alu`: `alu{alu}_{port}`.
+#[derive(Clone, Copy)]
+struct Operand(u32, char);
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "alu{}_{}", self.0, self.1)
+    }
+}
+
+/// ALU `alu`'s result expression for `kind` over its two operands.
+struct OpExpr(OpKind, u32);
+
+impl fmt::Display for OpExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Semantics match the `hls-sim` reference at WIDTH = 64: two's
+        // complement wrap-around, signed comparison/division, arithmetic
+        // right shift, shift counts masked to 6 bits, division by zero = 0.
+        let (a, b) = (Operand(self.1, 'a'), Operand(self.1, 'b'));
+        match self.0 {
+            OpKind::Add => write!(f, "{a} + {b}"),
+            OpKind::Sub => write!(f, "{a} - {b}"),
+            OpKind::Mul => write!(f, "{a} * {b}"),
+            OpKind::Div => {
+                write!(
+                    f,
+                    "({b} == 0) ? {{WIDTH{{1'b0}}}} : $signed({a}) / $signed({b})"
+                )
+            }
+            OpKind::And => write!(f, "{a} & {b}"),
+            OpKind::Or => write!(f, "{a} | {b}"),
+            OpKind::Xor => write!(f, "{a} ^ {b}"),
+            OpKind::Not => write!(f, "~{a}"),
+            OpKind::Eq => write!(f, "{{{{(WIDTH-1){{1'b0}}}}, {a} == {b}}}"),
+            OpKind::Ne => write!(f, "{{{{(WIDTH-1){{1'b0}}}}, {a} != {b}}}"),
+            OpKind::Lt => write!(f, "{{{{(WIDTH-1){{1'b0}}}}, $signed({a}) < $signed({b})}}"),
+            OpKind::Gt => write!(f, "{{{{(WIDTH-1){{1'b0}}}}, $signed({a}) > $signed({b})}}"),
+            OpKind::Shl => write!(f, "{a} << {b}[5:0]"),
+            OpKind::Shr => write!(f, "$signed({a}) >>> {b}[5:0]"),
+            OpKind::Inc => write!(f, "{a} + 1"),
+            OpKind::Dec => write!(f, "{a} - 1"),
+            OpKind::Neg => write!(f, "-{a}"),
+        }
     }
 }
 
@@ -71,6 +116,10 @@ fn op_expr(kind: OpKind, a: &str, b: &str) -> String {
 /// `WIDTH`-bit input port per primary input, one output port per design
 /// output (a signal without consumers) plus a `done` strobe after the
 /// last control step.
+///
+/// Linear in the design: the controller's activities are bucketed per
+/// ALU and its accesses per bank port once, and every identifier and
+/// expression is written straight into the output.
 ///
 /// # Errors
 ///
@@ -101,16 +150,16 @@ pub fn emit_verilog(
         .collect();
 
     let _ = writeln!(out, "// generated by moveframe-hls from `{}`", dfg.name());
-    let _ = writeln!(out, "module {} #(", ident(dfg.name()));
+    let _ = writeln!(out, "module {} #(", Ident(dfg.name()));
     let _ = writeln!(out, "  parameter WIDTH = 16");
     let _ = writeln!(out, ") (");
     let _ = writeln!(out, "  input wire clk,");
     let _ = writeln!(out, "  input wire rst,");
     for (_, sig) in &inputs {
-        let _ = writeln!(out, "  input wire [WIDTH-1:0] in_{},", ident(sig.name()));
+        let _ = writeln!(out, "  input wire [WIDTH-1:0] in_{},", Ident(sig.name()));
     }
     for (_, sig) in &outputs {
-        let _ = writeln!(out, "  output wire [WIDTH-1:0] out_{},", ident(sig.name()));
+        let _ = writeln!(out, "  output wire [WIDTH-1:0] out_{},", Ident(sig.name()));
     }
     let _ = writeln!(out, "  output wire done");
     let _ = writeln!(out, ");");
@@ -121,8 +170,8 @@ pub fn emit_verilog(
     let _ = writeln!(out, "  assign done = (state == {cs});");
 
     // Registers.
-    for reg in datapath.registers() {
-        let _ = writeln!(out, "  reg [WIDTH-1:0] {};", ident(&reg.id.to_string()));
+    for r in 0..datapath.register_count() {
+        let _ = writeln!(out, "  reg [WIDTH-1:0] R{r};");
     }
 
     // Memory banks: one word array per bank holding its arrays back to
@@ -131,27 +180,25 @@ pub fn emit_verilog(
     // `B .. B + |a|`; indices wrap modulo the array size (Euclidean, to
     // match the `hls-sim` reference on negative indices).
     let memory = dfg.memory();
-    let mut array_base: BTreeMap<hls_dfg::ArrayId, u32> = BTreeMap::new();
-    let mut bank_depth: BTreeMap<hls_dfg::BankId, u32> = BTreeMap::new();
+    let mut array_base = vec![0u32; memory.arrays().len()];
+    let mut bank_depth = Vec::with_capacity(memory.banks().len());
     for bank in memory.banks() {
         let mut base = 0u32;
-        let mut layout = Vec::new();
         for arr in memory.arrays_in_bank(bank.id()) {
-            array_base.insert(arr.id(), base);
-            layout.push(format!("{}[{}] @ {base}", arr.name(), arr.size()));
+            array_base[arr.id().index()] = base;
             base += arr.size();
         }
-        bank_depth.insert(bank.id(), base);
+        bank_depth.push((bank.id(), base));
         if base == 0 {
             continue;
         }
-        let _ = writeln!(
-            out,
-            "  // bank {} `{}`: {}",
-            bank.id(),
-            bank.name(),
-            layout.join(", ")
-        );
+        let _ = write!(out, "  // bank {} `{}`: ", bank.id(), bank.name());
+        for (i, arr) in memory.arrays_in_bank(bank.id()).enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let at = array_base[arr.id().index()];
+            let _ = write!(out, "{sep}{}[{}] @ {at}", arr.name(), arr.size());
+        }
+        let _ = writeln!(out);
         let _ = writeln!(out, "  reg [WIDTH-1:0] mem_{} [0:{}];", bank.id(), base - 1);
     }
     for p in datapath.mem_ports() {
@@ -162,7 +209,7 @@ pub fn emit_verilog(
         );
         let _ = writeln!(out, "  reg {}_p{}_we;", p.bank, p.port);
     }
-    if bank_depth.values().any(|&d| d > 0) {
+    if bank_depth.iter().any(|&(_, d)| d > 0) {
         let _ = writeln!(out, "  integer mi;");
         let _ = writeln!(out, "  initial begin");
         for (bank, depth) in &bank_depth {
@@ -180,32 +227,35 @@ pub fn emit_verilog(
     for (sid, sig) in dfg.signals() {
         if let SignalSource::Constant(v) = sig.source() {
             if !dfg.consumers(sid).is_empty() {
-                let _ = writeln!(out, "  wire [WIDTH-1:0] const_{} = {v};", ident(sig.name()));
+                let _ = writeln!(out, "  wire [WIDTH-1:0] const_{} = {v};", Ident(sig.name()));
             }
         }
     }
 
-    // Net source → Verilog expression.
-    let src_expr = |src: NetSource| -> String {
-        match src {
-            NetSource::External(sid) => {
-                let sig = dfg.signal(sid);
-                match sig.source() {
-                    SignalSource::Constant(_) => format!("const_{}", ident(sig.name())),
-                    _ => format!("in_{}", ident(sig.name())),
-                }
+    // The controller's activities per ALU (indexed by `AluId`) and
+    // accesses per bank port (by position in `mem_ports`), in step
+    // order; entries for units the data path lacks are dropped.
+    let alu_ids = datapath.alus().iter().map(|a| a.id.0 as usize + 1);
+    let mut activities: Vec<Vec<(usize, &AluActivity)>> =
+        vec![Vec::new(); alu_ids.max().unwrap_or(0)];
+    let mut accesses: Vec<Vec<(usize, &MemAccess)>> = vec![Vec::new(); datapath.mem_ports().len()];
+    for (step, word) in (1usize..).zip(controller.words()) {
+        for act in &word.activities {
+            if let Some(bucket) = activities.get_mut(act.alu.0 as usize) {
+                bucket.push((step, act));
             }
-            NetSource::Register(r) => ident(&r.to_string()),
-            NetSource::Alu(a) => format!("alu{}_y", a.0),
         }
-    };
+        for m in &word.mem {
+            let port = datapath
+                .mem_ports()
+                .binary_search_by_key(&(m.bank, m.port), |p| (p.bank, p.port));
+            if let Ok(port) = port {
+                accesses[port].push((step, m));
+            }
+        }
+    }
 
     // Per-ALU operand muxes + function, as state-indexed cases.
-    let mux_orders: BTreeMap<(AluId, u8), Vec<NetSource>> = datapath
-        .muxes()
-        .iter()
-        .map(|m| ((m.alu, m.port), m.sources.iter().copied().collect()))
-        .collect();
     for alu in datapath.alus() {
         let a = alu.id.0;
         let _ = writeln!(out, "\n  // {} {}", alu.id, alu.kind);
@@ -215,33 +265,30 @@ pub fn emit_verilog(
         let _ = writeln!(out, "    alu{a}_b = {{WIDTH{{1'b0}}}};");
         let _ = writeln!(out, "    alu{a}_y = {{WIDTH{{1'b0}}}};");
         let _ = writeln!(out, "    case (state)");
-        for (step_idx, word) in controller.words().iter().enumerate() {
-            for act in word.activities.iter().filter(|x| x.alu == alu.id) {
-                let (p1, p2) = datapath
-                    .operand_sources(act.node)
-                    .ok_or(ControlError::UnboundNode(act.node))?;
-                let _ = writeln!(out, "      {}: begin", step_idx + 1);
-                let _ = writeln!(out, "        alu{a}_a = {};", src_expr(p1));
-                if let Some(p2) = p2 {
-                    let _ = writeln!(out, "        alu{a}_b = {};", src_expr(p2));
-                }
-                let _ = writeln!(
-                    out,
-                    "        alu{a}_y = {}; // {}",
-                    op_expr(act.function, &format!("alu{a}_a"), &format!("alu{a}_b")),
-                    dfg.node(act.node).name()
-                );
-                let _ = writeln!(out, "      end");
+        for &(step, act) in &activities[a as usize] {
+            let (p1, p2) = datapath
+                .operand_sources(act.node)
+                .ok_or(ControlError::UnboundNode(act.node))?;
+            let _ = writeln!(out, "      {step}: begin");
+            let _ = writeln!(out, "        alu{a}_a = {};", Net(dfg, p1));
+            if let Some(p2) = p2 {
+                let _ = writeln!(out, "        alu{a}_b = {};", Net(dfg, p2));
             }
+            let _ = writeln!(
+                out,
+                "        alu{a}_y = {}; // {}",
+                OpExpr(act.function, a),
+                dfg.node(act.node).name()
+            );
+            let _ = writeln!(out, "      end");
         }
         let _ = writeln!(out, "      default: ;");
         let _ = writeln!(out, "    endcase");
         let _ = writeln!(out, "  end");
-        let _ = mux_orders.get(&(alu.id, 1));
     }
 
     // Bank-port address/data muxes, state-indexed like the ALU muxes.
-    for p in datapath.mem_ports() {
+    for (p, port_accesses) in datapath.mem_ports().iter().zip(&accesses) {
         let pn = format!("{}_p{}", p.bank, p.port);
         let _ = writeln!(out, "\n  // {} port {}", p.bank, p.port);
         let _ = writeln!(out, "  always @* begin");
@@ -249,32 +296,26 @@ pub fn emit_verilog(
         let _ = writeln!(out, "    {pn}_wdata = {{WIDTH{{1'b0}}}};");
         let _ = writeln!(out, "    {pn}_we = 1'b0;");
         let _ = writeln!(out, "    case (state)");
-        for (step_idx, word) in controller.words().iter().enumerate() {
-            for m in word
-                .mem
-                .iter()
-                .filter(|m| m.bank == p.bank && m.port == p.port)
-            {
-                let node = dfg.node(m.node);
-                let arr = node.kind().array().expect("mem access has an array");
-                let decl = memory.array(arr).ok_or(ControlError::UnboundNode(m.node))?;
-                let base = array_base.get(&arr).copied().unwrap_or(0);
-                let size = decl.size();
-                let (addr, data) = datapath
-                    .operand_sources(m.node)
-                    .ok_or(ControlError::UnboundNode(m.node))?;
-                let _ = writeln!(out, "      {}: begin // {}", step_idx + 1, node.name());
-                let _ = writeln!(
-                    out,
-                    "        {pn}_addr = {base} + ((($signed({}) % {size}) + {size}) % {size});",
-                    src_expr(addr)
-                );
-                if let Some(data) = data {
-                    let _ = writeln!(out, "        {pn}_wdata = {};", src_expr(data));
-                    let _ = writeln!(out, "        {pn}_we = 1'b1;");
-                }
-                let _ = writeln!(out, "      end");
+        for &(step, m) in port_accesses {
+            let node = dfg.node(m.node);
+            let arr = node.kind().array().expect("mem access has an array");
+            let decl = memory.array(arr).ok_or(ControlError::UnboundNode(m.node))?;
+            let base = array_base[arr.index()];
+            let size = decl.size();
+            let (addr, data) = datapath
+                .operand_sources(m.node)
+                .ok_or(ControlError::UnboundNode(m.node))?;
+            let _ = writeln!(out, "      {step}: begin // {}", node.name());
+            let _ = writeln!(
+                out,
+                "        {pn}_addr = {base} + ((($signed({}) % {size}) + {size}) % {size});",
+                Net(dfg, addr)
+            );
+            if let Some(data) = data {
+                let _ = writeln!(out, "        {pn}_wdata = {};", Net(dfg, data));
+                let _ = writeln!(out, "        {pn}_we = 1'b1;");
             }
+            let _ = writeln!(out, "      end");
         }
         let _ = writeln!(out, "      default: ;");
         let _ = writeln!(out, "    endcase");
@@ -289,24 +330,25 @@ pub fn emit_verilog(
         let _ = writeln!(
             out,
             "      {} <= in_{};",
-            ident(&load.register.to_string()),
-            ident(dfg.signal(load.signal).name())
+            load.register,
+            Ident(dfg.signal(load.signal).name())
         );
     }
     let _ = writeln!(out, "    end else if (state <= {cs}) begin");
     let _ = writeln!(out, "      state <= state + 1;");
     let _ = writeln!(out, "      case (state)");
-    for (step_idx, word) in controller.words().iter().enumerate() {
+    for (step, word) in (1usize..).zip(controller.words()) {
         if word.writes.is_empty() {
             continue;
         }
-        let _ = writeln!(out, "        {}: begin", step_idx + 1);
+        let _ = writeln!(out, "        {step}: begin");
         for w in &word.writes {
             // An ALU write latches the combinational result; a memory
             // write latches the port's read data (loads) or forwarded
             // write data (store outputs).
-            let rhs = match w.source {
-                WriteSource::Alu(a) => format!("alu{}_y", a.0),
+            let _ = write!(out, "          {} <= ", w.register);
+            let _ = match w.source {
+                WriteSource::Alu(a) => write!(out, "alu{}_y", a.0),
                 WriteSource::Mem { bank, port } => {
                     let is_load = match dfg.signal(w.signal).source() {
                         SignalSource::Node(producer) => {
@@ -315,18 +357,13 @@ pub fn emit_verilog(
                         _ => false,
                     };
                     if is_load {
-                        format!("mem_{bank}[{bank}_p{port}_addr]")
+                        write!(out, "mem_{bank}[{bank}_p{port}_addr]")
                     } else {
-                        format!("{bank}_p{port}_wdata")
+                        write!(out, "{bank}_p{port}_wdata")
                     }
                 }
             };
-            let _ = writeln!(
-                out,
-                "          {} <= {rhs}; // {}",
-                ident(&w.register.to_string()),
-                dfg.signal(w.signal).name()
-            );
+            let _ = writeln!(out, "; // {}", dfg.signal(w.signal).name());
         }
         let _ = writeln!(out, "        end");
     }
@@ -349,12 +386,7 @@ pub fn emit_verilog(
             .register_allocation()
             .register_of(*sid)
             .ok_or(ControlError::Unstored(*sid))?;
-        let _ = writeln!(
-            out,
-            "  assign out_{} = {};",
-            ident(sig.name()),
-            ident(&reg.to_string())
-        );
+        let _ = writeln!(out, "  assign out_{} = {reg};", Ident(sig.name()));
     }
     let _ = writeln!(out, "endmodule");
     let _ = spec;
@@ -441,9 +473,11 @@ mod tests {
 
     #[test]
     fn identifiers_are_sanitised() {
-        assert_eq!(ident("toy design"), "toy_design");
-        assert_eq!(ident("3bad"), "_3bad");
-        assert_eq!(ident("ok_name"), "ok_name");
+        assert_eq!(Ident("toy design").to_string(), "toy_design");
+        assert_eq!(Ident("3bad").to_string(), "_3bad");
+        assert_eq!(Ident("ok_name").to_string(), "ok_name");
+        assert_eq!(Ident("").to_string(), "_");
+        assert_eq!(Ident("a.b→c").to_string(), "a_b_c");
     }
 }
 
@@ -466,7 +500,7 @@ pub fn emit_testbench(
     inputs: &BTreeMap<hls_dfg::SignalId, i64>,
     expected: &BTreeMap<hls_dfg::SignalId, i64>,
 ) -> Result<String, ControlError> {
-    let module = ident(dfg.name());
+    let module = Ident(dfg.name());
     let mut out = String::new();
     let _ = writeln!(out, "// self-checking testbench for `{module}`");
     let _ = writeln!(out, "`timescale 1ns/1ns");
@@ -475,38 +509,38 @@ pub fn emit_testbench(
     let _ = writeln!(out, "  always #5 clk = ~clk;");
     for &sid in inputs.keys() {
         let sig = dfg.signal(sid);
-        let _ = writeln!(out, "  reg [63:0] in_{};", ident(sig.name()));
+        let _ = writeln!(out, "  reg [63:0] in_{};", Ident(sig.name()));
     }
     for &sid in expected.keys() {
         if !dfg.consumers(sid).is_empty() {
             return Err(ControlError::Unstored(sid));
         }
         let sig = dfg.signal(sid);
-        let _ = writeln!(out, "  wire [63:0] out_{};", ident(sig.name()));
+        let _ = writeln!(out, "  wire [63:0] out_{};", Ident(sig.name()));
     }
     let _ = writeln!(out, "  wire done;");
     let _ = writeln!(out, "  {module} #(.WIDTH(64)) dut (");
     let _ = writeln!(out, "    .clk(clk), .rst(rst), .done(done),");
     let mut ports = Vec::new();
     for &sid in inputs.keys() {
-        let n = ident(dfg.signal(sid).name());
+        let n = Ident(dfg.signal(sid).name());
         ports.push(format!("    .in_{n}(in_{n})"));
     }
     for &sid in expected.keys() {
-        let n = ident(dfg.signal(sid).name());
+        let n = Ident(dfg.signal(sid).name());
         ports.push(format!("    .out_{n}(out_{n})"));
     }
     let _ = writeln!(out, "{}", ports.join(",\n"));
     let _ = writeln!(out, "  );");
     let _ = writeln!(out, "  initial begin");
     for (&sid, &v) in inputs {
-        let n = ident(dfg.signal(sid).name());
+        let n = Ident(dfg.signal(sid).name());
         let _ = writeln!(out, "    in_{n} = 64'h{:016x};", v as u64);
     }
     let _ = writeln!(out, "    @(posedge clk); #1 rst = 0;");
     let _ = writeln!(out, "    wait (done); @(posedge clk); #1;");
     for (&sid, &v) in expected {
-        let n = ident(dfg.signal(sid).name());
+        let n = Ident(dfg.signal(sid).name());
         let _ = writeln!(
             out,
             "    if (out_{n} !== 64'h{:016x}) $display(\"FAIL {n}: got %h\", out_{n});",

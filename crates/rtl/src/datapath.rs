@@ -120,9 +120,13 @@ pub struct Datapath {
     muxes: Vec<MuxInfo>,
     /// Memory bank ports with their address/data interconnect.
     mem_ports: Vec<MemPort>,
-    /// Per-op operand sources `(port1, port2)` after orientation. For a
-    /// load this is `(address, None)`; for a store `(address, data)`.
-    op_sources: BTreeMap<NodeId, (NetSource, Option<NetSource>)>,
+    /// Per-op operand sources `(port1, port2)` after orientation,
+    /// indexed by [`NodeId::index`]. For a load this is `(address,
+    /// None)`; for a store `(address, data)`.
+    op_sources: Vec<Option<(NetSource, Option<NetSource>)>>,
+    /// Position in `alus` of each instance, indexed by [`AluId`]; its
+    /// port-`p` mux is `muxes[2 * position + p - 1]`.
+    alu_slot: Vec<Option<u32>>,
 }
 
 impl Datapath {
@@ -142,11 +146,11 @@ impl Datapath {
         allocation: &AluAllocation,
         spec: &TimingSpec,
     ) -> Result<Datapath, RtlError> {
-        // Validate bindings and group ops by instance. Memory accesses
-        // keep their FU binding (a bank port); everything else must be
-        // on an ALU.
-        let mut ops_of: BTreeMap<AluId, Vec<NodeId>> = BTreeMap::new();
-        let mut accesses_of: BTreeMap<(BankId, u32), Vec<NodeId>> = BTreeMap::new();
+        // Validate bindings and group ops by instance (index order is
+        // `AluId` order). Memory accesses keep their FU binding (a bank
+        // port); everything else must be on an ALU.
+        let mut ops_of: Vec<Vec<NodeId>> = vec![Vec::new(); allocation.len()];
+        let mut accesses: Vec<(BankId, u32, NodeId)> = Vec::new();
         for id in dfg.node_ids() {
             let slot = schedule.slot(id).ok_or(RtlError::UnboundNode(id))?;
             if dfg.node(id).kind().is_mem_access() {
@@ -154,9 +158,7 @@ impl Datapath {
                     UnitId::Fu {
                         class: FuClass::Mem(bank),
                         index,
-                    } => {
-                        accesses_of.entry((bank, index.get())).or_default().push(id);
-                    }
+                    } => accesses.push((bank, index.get(), id)),
                     _ => return Err(RtlError::NotPortBound(id)),
                 }
                 continue;
@@ -177,14 +179,12 @@ impl Datapath {
             if !kind.supports(op) {
                 return Err(RtlError::IncapableAlu { node: id, alu });
             }
-            ops_of.entry(alu).or_default().push(id);
+            ops_of[alu.0 as usize].push(id);
         }
-        for ops in ops_of.values_mut() {
+        for ops in &mut ops_of {
             ops.sort_by_key(|&n| (schedule.start(n), n));
         }
-        for ops in accesses_of.values_mut() {
-            ops.sort_by_key(|&n| (schedule.start(n), n));
-        }
+        accesses.sort_by_key(|&(bank, port, n)| (bank, port, schedule.start(n), n));
 
         // Registers from life spans.
         let lifetimes = signal_lifetimes(dfg, schedule, spec);
@@ -221,11 +221,15 @@ impl Datapath {
         // Mux packing per instance.
         let mut alus = Vec::new();
         let mut muxes = Vec::new();
-        let mut op_sources = BTreeMap::new();
-        for (alu, ops) in &ops_of {
-            let kind = allocation.kind(*alu).expect("validated").clone();
+        let mut op_sources = vec![None; dfg.node_count()];
+        let mut alu_slot = vec![None; allocation.len()];
+        for (alu, ops) in (0u32..).map(AluId).zip(ops_of) {
+            if ops.is_empty() {
+                continue;
+            }
+            let kind = allocation.kind(alu).expect("validated").clone();
             let mut mux_ops: Vec<MuxOp<NetSource>> = Vec::with_capacity(ops.len());
-            for &op in ops {
+            for &op in &ops {
                 let node = dfg.node(op);
                 let inputs = node.inputs();
                 let left = source_of(op, inputs[0])?;
@@ -254,33 +258,32 @@ impl Datapath {
                 } else {
                     (mux_ops[i].left, mux_ops[i].right)
                 };
-                op_sources.insert(op, (a, b));
+                op_sources[op.index()] = Some((a, b));
             }
             muxes.push(MuxInfo {
-                alu: *alu,
+                alu,
                 port: 1,
                 sources: packing.l1,
             });
             muxes.push(MuxInfo {
-                alu: *alu,
+                alu,
                 port: 2,
                 sources: packing.l2,
             });
-            alus.push(AluInstance {
-                id: *alu,
-                kind,
-                ops: ops.clone(),
-            });
+            alu_slot[alu.0 as usize] = Some(alus.len() as u32);
+            alus.push(AluInstance { id: alu, kind, ops });
         }
 
         // Bank ports: address (and, for stores, write-data) nets. The
         // trailing ordering-token inputs of a load/store are dependency
         // edges only — they never reach hardware.
         let mut mem_ports = Vec::new();
-        for ((bank, port), accesses) in &accesses_of {
+        for run in accesses.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (bank, port, _) = run[0];
+            let accesses: Vec<NodeId> = run.iter().map(|&(_, _, n)| n).collect();
             let mut addr_sources = BTreeSet::new();
             let mut data_sources = BTreeSet::new();
-            for &op in accesses {
+            for &op in &accesses {
                 let node = dfg.node(op);
                 let addr = source_of(op, node.inputs()[0])?;
                 addr_sources.insert(addr);
@@ -292,12 +295,12 @@ impl Datapath {
                     }
                     _ => None,
                 };
-                op_sources.insert(op, (addr, data));
+                op_sources[op.index()] = Some((addr, data));
             }
             mem_ports.push(MemPort {
-                bank: *bank,
-                port: *port,
-                accesses: accesses.clone(),
+                bank,
+                port,
+                accesses,
                 addr_sources,
                 data_sources,
             });
@@ -309,6 +312,7 @@ impl Datapath {
             muxes,
             mem_ports,
             op_sources,
+            alu_slot,
         })
     }
 
@@ -345,9 +349,19 @@ impl Datapath {
         &self.muxes
     }
 
+    /// The multiplexer feeding input `port` (1 or 2) of `alu`, if that
+    /// instance executes anything.
+    pub fn mux(&self, alu: AluId, port: u8) -> Option<&MuxInfo> {
+        let slot = (*self.alu_slot.get(alu.0 as usize)?)? as usize;
+        match port {
+            1 | 2 => self.muxes.get(2 * slot + port as usize - 1),
+            _ => None,
+        }
+    }
+
     /// The oriented operand sources `(port 1, port 2)` of an operation.
     pub fn operand_sources(&self, node: NodeId) -> Option<(NetSource, Option<NetSource>)> {
-        self.op_sources.get(&node).copied()
+        self.op_sources.get(node.index()).copied().flatten()
     }
 
     /// Number of registers.

@@ -1,7 +1,5 @@
 //! Independent structural verification of a data path.
 
-use std::collections::BTreeMap;
-
 use hls_celllib::TimingSpec;
 use hls_dfg::{Dfg, NodeId, NodeKind, SignalId, SignalSource};
 use hls_schedule::Schedule;
@@ -56,6 +54,29 @@ pub enum RtlViolation {
     },
 }
 
+/// Calls `hit(i, j)`, in `(i, j)` order, for every pair `i < j` whose
+/// closed intervals `spans[i]` and `spans[j]` overlap. When the interval
+/// starts ascend (as they do for a data path checked against the
+/// schedule it was built from), the scan for `i` stops at the first `j`
+/// starting after `spans[i]` ends: O(n + hits). Otherwise every pair is
+/// tested.
+fn overlapping_pairs(spans: &[(u32, u32)], mut hit: impl FnMut(usize, usize)) {
+    let ascending = spans.windows(2).all(|w| w[0].0 <= w[1].0);
+    for (i, &(lo, hi)) in spans.iter().enumerate() {
+        for (j, &(lo2, hi2)) in spans.iter().enumerate().skip(i + 1) {
+            if lo2 > hi {
+                if ascending {
+                    break;
+                }
+                continue;
+            }
+            if lo <= hi2 {
+                hit(i, j);
+            }
+        }
+    }
+}
+
 /// Re-derives every structural requirement of `datapath` from the graph
 /// and schedule, independently of how it was built.
 pub fn verify_datapath(
@@ -66,45 +87,45 @@ pub fn verify_datapath(
 ) -> Vec<RtlViolation> {
     let mut violations = Vec::new();
 
-    // ALU occupancy.
+    // ALU occupancy: operations overlapping on one instance, skipping
+    // unscheduled ones.
+    let mut placed: Vec<NodeId> = Vec::new();
+    let mut spans: Vec<(u32, u32)> = Vec::new();
     for alu in datapath.alus() {
-        for (i, &a) in alu.ops.iter().enumerate() {
-            for &b in &alu.ops[i + 1..] {
-                if dfg.mutually_exclusive(a, b) {
-                    continue;
-                }
-                let (Some(sa), Some(sb)) = (schedule.start(a), schedule.start(b)) else {
-                    continue;
-                };
+        placed.clear();
+        spans.clear();
+        for &a in &alu.ops {
+            if let Some(sa) = schedule.start(a) {
                 let fa = sa.finish(dfg.node(a).kind().cycles(spec));
-                let fb = sb.finish(dfg.node(b).kind().cycles(spec));
-                if sa <= fb && sb <= fa {
-                    violations.push(RtlViolation::AluConflict { a, b, alu: alu.id });
-                }
+                placed.push(a);
+                spans.push((sa.get(), fa.get()));
             }
         }
+        overlapping_pairs(&spans, |i, j| {
+            let (a, b) = (placed[i], placed[j]);
+            if !dfg.mutually_exclusive(a, b) {
+                violations.push(RtlViolation::AluConflict { a, b, alu: alu.id });
+            }
+        });
     }
 
     // Mux coverage: each op's oriented sources must be on its ALU ports.
-    let mut mux_of: BTreeMap<(AluId, u8), &crate::MuxInfo> = BTreeMap::new();
-    for m in datapath.muxes() {
-        mux_of.insert((m.alu, m.port), m);
-    }
     for alu in datapath.alus() {
+        let covers = |port: u8, src: NetSource| {
+            datapath
+                .mux(alu.id, port)
+                .is_some_and(|m| m.sources.contains(&src))
+        };
         for &op in &alu.ops {
             let Some((p1, p2)) = datapath.operand_sources(op) else {
                 violations.push(RtlViolation::MuxMissingSource { node: op, port: 1 });
                 continue;
             };
-            let m1 = mux_of.get(&(alu.id, 1));
-            if !m1.is_some_and(|m| m.sources.contains(&p1)) {
+            if !covers(1, p1) {
                 violations.push(RtlViolation::MuxMissingSource { node: op, port: 1 });
             }
-            if let Some(p2) = p2 {
-                let m2 = mux_of.get(&(alu.id, 2));
-                if !m2.is_some_and(|m| m.sources.contains(&p2)) {
-                    violations.push(RtlViolation::MuxMissingSource { node: op, port: 2 });
-                }
+            if p2.is_some_and(|p2| !covers(2, p2)) {
+                violations.push(RtlViolation::MuxMissingSource { node: op, port: 2 });
             }
         }
     }
@@ -112,34 +133,34 @@ pub fn verify_datapath(
     // Bank-port occupancy: single-cycle accesses, so a conflict is two
     // accesses sharing a step on one port.
     for p in datapath.mem_ports() {
-        for (i, &a) in p.accesses.iter().enumerate() {
-            for &b in &p.accesses[i + 1..] {
-                if dfg.mutually_exclusive(a, b) {
-                    continue;
-                }
-                if let (Some(sa), Some(sb)) = (schedule.start(a), schedule.start(b)) {
-                    if sa == sb {
-                        violations.push(RtlViolation::PortConflict {
-                            a,
-                            b,
-                            bank: p.bank,
-                            port: p.port,
-                        });
-                    }
-                }
+        placed.clear();
+        spans.clear();
+        for &a in &p.accesses {
+            if let Some(sa) = schedule.start(a) {
+                placed.push(a);
+                spans.push((sa.get(), sa.get()));
             }
         }
+        overlapping_pairs(&spans, |i, j| {
+            let (a, b) = (placed[i], placed[j]);
+            if !dfg.mutually_exclusive(a, b) {
+                violations.push(RtlViolation::PortConflict {
+                    a,
+                    b,
+                    bank: p.bank,
+                    port: p.port,
+                });
+            }
+        });
     }
 
     // Register life spans must not overlap within a register.
-    for (reg, spans) in datapath.register_allocation().iter() {
-        for (i, a) in spans.iter().enumerate() {
-            for b in &spans[i + 1..] {
-                if a.overlaps(b) {
-                    violations.push(RtlViolation::RegisterOverlap { register: reg });
-                }
-            }
-        }
+    for (reg, lifetimes) in datapath.register_allocation().iter() {
+        spans.clear();
+        spans.extend(lifetimes.iter().map(|l| (l.birth, l.death)));
+        overlapping_pairs(&spans, |_, _| {
+            violations.push(RtlViolation::RegisterOverlap { register: reg });
+        });
     }
 
     // Every non-chained consumption must come from a register (and the

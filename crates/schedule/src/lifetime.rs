@@ -111,17 +111,27 @@ pub fn signal_lifetimes(dfg: &Dfg, schedule: &Schedule, spec: &TimingSpec) -> Ve
 /// live values. Left-edge packing (in `hls-rtl`) always meets it
 /// exactly — the property tests assert this — so this *is* the register
 /// count of an optimally packed schedule.
+///
+/// A sweep over a difference array (one `+1` at each birth, one `-1`
+/// after each death): O(spans + steps). Spans born after they die are
+/// never live and count nowhere.
 pub fn peak_live(lifetimes: &[Lifetime]) -> usize {
-    let max_step = lifetimes.iter().map(|l| l.death).max().unwrap_or(0);
-    (1..=max_step)
-        .map(|step| {
-            lifetimes
-                .iter()
-                .filter(|l| l.birth <= step && step <= l.death)
-                .count()
-        })
-        .max()
-        .unwrap_or(0)
+    let max_step = lifetimes.iter().map(|l| l.death).max().unwrap_or(0) as usize;
+    let mut delta = vec![0i64; max_step + 2];
+    for l in lifetimes {
+        let birth = l.birth.max(1) as usize;
+        if birth <= l.death as usize {
+            delta[birth] += 1;
+            delta[l.death as usize + 1] -= 1;
+        }
+    }
+    let mut live = 0i64;
+    let mut peak = 0i64;
+    for d in &delta[1..=max_step] {
+        live += d;
+        peak = peak.max(live);
+    }
+    peak as usize
 }
 
 #[cfg(test)]
@@ -226,6 +236,35 @@ mod tests {
         let s1 = b.input("s1");
         assert!(life(s0, 1, 3).overlaps(&life(s1, 3, 5)));
         assert!(!life(s0, 1, 2).overlaps(&life(s1, 3, 5)));
+    }
+
+    /// The per-step count the sweep replaced, kept as the oracle.
+    fn peak_live_by_step(lifetimes: &[Lifetime]) -> usize {
+        let max_step = lifetimes.iter().map(|l| l.death).max().unwrap_or(0);
+        (1..=max_step)
+            .map(|step| {
+                lifetimes
+                    .iter()
+                    .filter(|l| l.birth <= step && step <= l.death)
+                    .count()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        /// The sweep agrees with counting every step, including spans
+        /// born at step 0 and spans born after they die.
+        #[test]
+        fn peak_live_sweep_matches_the_per_step_count(
+            spans in proptest::collection::vec((0u32..9, 0u32..9), 0..40),
+        ) {
+            let mut b = DfgBuilder::new("stub");
+            let s = b.input("s");
+            let lifetimes: Vec<Lifetime> =
+                spans.iter().map(|&(birth, death)| life(s, birth, death)).collect();
+            proptest::prop_assert_eq!(peak_live(&lifetimes), peak_live_by_step(&lifetimes));
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use hls_celllib::TimingSpec;
 use hls_control::Controller;
 use hls_dfg::{Dfg, NodeId, NodeKind, SignalId, SignalSource};
+use hls_rtl::regalloc::RegAllocation;
 use hls_rtl::{AluId, Datapath, RegId};
 use hls_schedule::{CStep, Schedule};
 
@@ -59,18 +60,16 @@ pub struct Mismatch {
 struct Engine<'a> {
     dfg: &'a Dfg,
     controller: &'a Controller,
+    /// The register holding each stored signal.
+    regalloc: &'a RegAllocation,
     cs: u32,
     /// Port value of every constant and consumed primary input.
     external: Vec<Option<i64>>,
-    /// Register holding each stored signal.
-    reg_of: Vec<Option<RegId>>,
     /// Finish step of each scheduled operation.
     finish: Vec<Option<u32>>,
     /// Topological rank of each operation, which orders same-step
     /// (chained) activities.
     rank: Vec<u32>,
-    /// Registers in the data path.
-    registers: usize,
 }
 
 /// The machine state a run ends in.
@@ -104,7 +103,7 @@ impl<'a> Engine<'a> {
     fn new(
         dfg: &'a Dfg,
         schedule: &Schedule,
-        datapath: &Datapath,
+        datapath: &'a Datapath,
         controller: &'a Controller,
         spec: &TimingSpec,
         inputs: &BTreeMap<SignalId, i64>,
@@ -119,16 +118,6 @@ impl<'a> Engine<'a> {
                 _ => None,
             };
         }
-        let mut reg_of = vec![None; dfg.signal_count()];
-        for (reg, spans) in datapath.register_allocation().iter() {
-            for span in spans {
-                debug_assert!(
-                    reg_of[span.signal.index()].is_none(),
-                    "one register per signal"
-                );
-                reg_of[span.signal.index()] = Some(reg);
-            }
-        }
         let finish = dfg
             .node_ids()
             .map(|n| schedule.finish(n, dfg, spec).map(|f| f.get()))
@@ -140,12 +129,11 @@ impl<'a> Engine<'a> {
         Ok(Engine {
             dfg,
             controller,
+            regalloc: datapath.register_allocation(),
             cs: schedule.control_steps(),
             external,
-            reg_of,
             finish,
             rank,
-            registers: datapath.register_allocation().register_count(),
         })
     }
 
@@ -162,7 +150,7 @@ impl<'a> Engine<'a> {
             node: consumer,
             signal: sig,
         };
-        let reg = self.reg_of[sig.index()];
+        let reg = self.regalloc.register_of(sig);
         let stored = || {
             reg.and_then(|r| state.registers.get(r.0 as usize).copied().flatten())
                 .ok_or_else(unavailable)
@@ -196,7 +184,7 @@ impl<'a> Engine<'a> {
     ) -> Result<State, SimError> {
         let dfg = self.dfg;
         let mut state = State {
-            registers: vec![None; self.registers],
+            registers: vec![None; self.regalloc.register_count()],
             values: vec![None; dfg.node_count()],
             memory: initial_memory(dfg),
         };
