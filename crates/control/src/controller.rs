@@ -185,14 +185,17 @@ impl Controller {
             }
         }
 
-        // Deterministic field order.
+        // Deterministic field order. Activities and accesses were pushed
+        // in node order, so ties on the unit break by node: the order a
+        // stable sort by unit gives, without its buffer. Equal write
+        // and load keys are equal entries.
         for w in &mut words {
-            w.activities.sort_by_key(|a| a.alu);
-            w.busy.sort();
-            w.mem.sort_by_key(|m| (m.bank, m.port));
-            w.writes.sort_by_key(|x| (x.register, x.signal));
+            w.activities.sort_unstable_by_key(|a| (a.alu, a.node));
+            w.busy.sort_unstable();
+            w.mem.sort_unstable_by_key(|m| (m.bank, m.port, m.node));
+            w.writes.sort_unstable_by_key(|x| (x.register, x.signal));
         }
-        input_loads.sort_by_key(|l| (l.register, l.signal));
+        input_loads.sort_unstable_by_key(|l| (l.register, l.signal));
 
         Ok(Controller { words, input_loads })
     }

@@ -203,7 +203,7 @@ impl<'a> Engine<'a> {
             let mut alu_values = BTreeMap::new();
             order.clear();
             order.extend(0..word.activities.len());
-            order.sort_by_key(|&i| self.rank[word.activities[i].node.index()]);
+            order.sort_unstable_by_key(|&i| (self.rank[word.activities[i].node.index()], i));
             for &i in &order {
                 let activity = &word.activities[i];
                 let node = dfg.node(activity.node);
@@ -236,7 +236,7 @@ impl<'a> Engine<'a> {
             // immaterial.
             order.clear();
             order.extend(0..word.mem.len());
-            order.sort_by_key(|&i| self.rank[word.mem[i].node.index()]);
+            order.sort_unstable_by_key(|&i| (self.rank[word.mem[i].node.index()], i));
             for &i in &order {
                 let access = &word.mem[i];
                 let node = dfg.node(access.node);
