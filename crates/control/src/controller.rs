@@ -200,6 +200,12 @@ impl Controller {
         Ok(Controller { words, input_loads })
     }
 
+    /// A controller from hand-made words, for verifier tests.
+    #[cfg(test)]
+    pub(crate) fn from_parts(words: Vec<ControlWord>, input_loads: Vec<InputLoad>) -> Controller {
+        Controller { words, input_loads }
+    }
+
     /// Number of FSM states (= control steps).
     pub fn state_count(&self) -> usize {
         self.words.len()

@@ -167,20 +167,22 @@ pub fn verify_controller(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::word::{MemAccess, RegWrite};
     use hls_celllib::{Library, OpKind, TimingSpec};
-    use hls_dfg::DfgBuilder;
-    use hls_rtl::AluAllocation;
+    use hls_dfg::{BankId, DfgBuilder};
+    use hls_rtl::{AluAllocation, RegId};
     use hls_schedule::{CStep, Slot, UnitId};
 
-    #[test]
-    fn generated_controllers_verify_clean() {
+    /// `p = x + x` at step 1 and `q = p - x` at step 2, both on one
+    /// adder-subtracter, in a horizon of `cs` steps.
+    fn design(cs: u32) -> (Dfg, Schedule, Datapath, Controller, TimingSpec) {
         let mut b = DfgBuilder::new("g");
         let x = b.input("x");
         let p = b.op("p", OpKind::Add, &[x, x]).unwrap();
         b.op("q", OpKind::Sub, &[p, x]).unwrap();
         let dfg = b.finish().unwrap();
         let spec = TimingSpec::uniform_single_cycle();
-        let mut s = Schedule::new(&dfg, 2);
+        let mut s = Schedule::new(&dfg, cs);
         for (i, name) in ["p", "q"].iter().enumerate() {
             s.assign(
                 dfg.node_by_name(name).unwrap(),
@@ -195,33 +197,19 @@ mod tests {
         alloc.push(lib.alu_by_name("add_sub").unwrap().clone());
         let dp = Datapath::build(&dfg, &s, &alloc, &spec).unwrap();
         let c = Controller::generate(&dfg, &s, &dp, &spec).unwrap();
+        (dfg, s, dp, c, spec)
+    }
+
+    #[test]
+    fn generated_controllers_verify_clean() {
+        let (dfg, s, dp, c, spec) = design(2);
         let v = verify_controller(&dfg, &s, &dp, &c, &spec);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn shifted_schedule_is_detected() {
-        let mut b = DfgBuilder::new("g");
-        let x = b.input("x");
-        let p = b.op("p", OpKind::Add, &[x, x]).unwrap();
-        b.op("q", OpKind::Sub, &[p, x]).unwrap();
-        let dfg = b.finish().unwrap();
-        let spec = TimingSpec::uniform_single_cycle();
-        let mut s = Schedule::new(&dfg, 3);
-        for (i, name) in ["p", "q"].iter().enumerate() {
-            s.assign(
-                dfg.node_by_name(name).unwrap(),
-                Slot {
-                    step: CStep::new(i as u32 + 1),
-                    unit: UnitId::Alu { instance: 0 },
-                },
-            );
-        }
-        let lib = Library::ncr_like();
-        let mut alloc = AluAllocation::new();
-        alloc.push(lib.alu_by_name("add_sub").unwrap().clone());
-        let dp = Datapath::build(&dfg, &s, &alloc, &spec).unwrap();
-        let c = Controller::generate(&dfg, &s, &dp, &spec).unwrap();
+        let (dfg, mut s, dp, c, spec) = design(3);
         // Move q afterwards: the controller no longer matches.
         s.assign(
             dfg.node_by_name("q").unwrap(),
@@ -234,5 +222,77 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| matches!(x, ControlViolation::WrongIssue { .. })));
+    }
+
+    /// A controller corrupted by hand reports every kind of violation,
+    /// in node, then step, then port or register, then span order.
+    #[test]
+    fn corrupted_controller_reports_in_order() {
+        let (dfg, s, dp, c, spec) = design(2);
+        let (p, q) = (
+            dfg.node_by_name("p").unwrap(),
+            dfg.node_by_name("q").unwrap(),
+        );
+        let p_sig = dfg.signal_by_name("p").unwrap();
+        // R0 holds x then q, R1 holds p (written at the end of step 1).
+        assert_eq!(dp.register_allocation().register_of(p_sig), Some(RegId(1)));
+        let mut words = c.words().to_vec();
+        words[0].activities[0].mux2 = Some(9);
+        let issued_p = words[0].activities[0].clone();
+        words[1].activities[0].mux1 = Some(7);
+        words[1].activities.push(issued_p);
+        let write = words[0].writes[0];
+        words[0].writes.push(write);
+        let access = |bank, port, node| MemAccess {
+            bank: BankId::new(bank),
+            port,
+            node,
+            write: false,
+        };
+        words[1].mem = vec![
+            access(1, 1, q),
+            access(0, 2, q),
+            access(1, 1, p),
+            access(0, 2, p),
+        ];
+        let stray = RegWrite {
+            register: RegId(5),
+            ..words[1].writes[0]
+        };
+        words[1].writes.push(stray);
+        let c = Controller::from_parts(words, c.input_loads().to_vec());
+        let q_sig = dfg.signal_by_name("q").unwrap();
+        assert_eq!(
+            verify_controller(&dfg, &s, &dp, &c, &spec),
+            vec![
+                ControlViolation::WrongIssue { node: p, issues: 4 },
+                ControlViolation::WrongIssue { node: q, issues: 3 },
+                ControlViolation::MemPortConflict {
+                    bank: BankId::new(0),
+                    port: 2,
+                    step: 2
+                },
+                ControlViolation::MemPortConflict {
+                    bank: BankId::new(1),
+                    port: 1,
+                    step: 2
+                },
+                ControlViolation::SelectOutOfRange { node: p, port: 2 },
+                ControlViolation::SelectOutOfRange { node: q, port: 1 },
+                ControlViolation::SelectOutOfRange { node: p, port: 2 },
+                ControlViolation::WritePortConflict {
+                    register: RegId(1),
+                    step: 1
+                },
+                ControlViolation::WrongWriteCount {
+                    signal: q_sig,
+                    writes: 2
+                },
+                ControlViolation::WrongWriteCount {
+                    signal: p_sig,
+                    writes: 2
+                },
+            ]
+        );
     }
 }

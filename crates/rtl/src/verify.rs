@@ -223,6 +223,34 @@ mod tests {
     use hls_celllib::{Library, OpKind};
     use hls_dfg::DfgBuilder;
     use hls_schedule::{CStep, Slot, UnitId};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The windowed scan reports exactly the overlapping pairs of the
+        /// all-pairs scan, in the same order, whether the starts ascend
+        /// (`sorted`) or not.
+        #[test]
+        fn overlapping_pairs_match_the_all_pairs_scan(
+            spans in proptest::collection::vec((0u32..8, 0u32..4), 0..24),
+            sorted in 0u8..2,
+        ) {
+            let mut spans: Vec<(u32, u32)> = spans.iter().map(|&(lo, len)| (lo, lo + len)).collect();
+            if sorted == 1 {
+                spans.sort_by_key(|s| s.0);
+            }
+            let mut got = Vec::new();
+            overlapping_pairs(&spans, |i, j| got.push((i, j)));
+            let mut want = Vec::new();
+            for (i, a) in spans.iter().enumerate() {
+                for (j, b) in spans.iter().enumerate().skip(i + 1) {
+                    if a.0 <= b.1 && b.0 <= a.1 {
+                        want.push((i, j));
+                    }
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn fixture() -> (Dfg, Schedule, AluAllocation, TimingSpec) {
         let mut b = DfgBuilder::new("g");
