@@ -235,9 +235,8 @@ pub fn emit_verilog(
     // The controller's activities per ALU (indexed by `AluId`) and
     // accesses per bank port (by position in `mem_ports`), in step
     // order; entries for units the data path lacks are dropped.
-    let alu_ids = datapath.alus().iter().map(|a| a.id.0 as usize + 1);
-    let mut activities: Vec<Vec<(usize, &AluActivity)>> =
-        vec![Vec::new(); alu_ids.max().unwrap_or(0)];
+    let alu_ids = datapath.alus().last().map_or(0, |a| a.id.0 as usize + 1);
+    let mut activities: Vec<Vec<(usize, &AluActivity)>> = vec![Vec::new(); alu_ids];
     let mut accesses: Vec<Vec<(usize, &MemAccess)>> = vec![Vec::new(); datapath.mem_ports().len()];
     for (step, word) in (1usize..).zip(controller.words()) {
         for act in &word.activities {
