@@ -576,26 +576,27 @@ impl<'a> Placement<'a> {
     /// the grid's per-row occupancy ([`Grid::free_cells`]) in
     /// `O(range)` instead of built as masks.
     ///
+    /// A node with exclusions counts too: the grid tallies the cells it
+    /// may share by their occupants' path classes.
+    ///
     /// `None` when counting does not size the frame: a multi-cycle node
-    /// (its span covers several rows), a node with exclusions (it may
-    /// share occupied cells), a memory access (its access-conflict
-    /// steps come off the masks), or occupancy past the visible columns
-    /// (a capped width). The caller then builds the frame.
+    /// (its span covers several rows), a memory access (its
+    /// access-conflict steps come off the masks), or occupancy past the
+    /// visible columns (a capped width). The caller then builds the
+    /// frame.
     pub fn frame_size(
         &self,
         node: NodeId,
         grid: &Grid,
         current_fu: u32,
     ) -> Option<(usize, Option<Position>)> {
-        let kind = self.dfg.node(node).kind();
         if self.cycles(node) != 1
-            || self.dfg.has_exclusions(node)
-            || matches!(kind.fu_class(), FuClass::Mem(_))
+            || matches!(self.dfg.node(node).kind().fu_class(), FuClass::Mem(_))
         {
             return None;
         }
         let (earliest, latest) = self.feasible_range(node);
-        let (size, first) = grid.free_cells(earliest, latest, current_fu)?;
+        let (size, first) = grid.free_cells(self.dfg, node, earliest, latest, current_fu)?;
         Some((size, first.map(|(step, fu)| Position { step, fu })))
     }
 
@@ -760,7 +761,7 @@ mod tests {
         assert_eq!(snap.movable.len(), 1);
         assert_eq!(snap.movable[0].step, CStep::new(2));
         // Another op occupying step 2 empties the frame.
-        grid.vacate(p);
+        grid.vacate(&g, p);
         grid.occupy(&g, p, CStep::new(2), FuIndex::new(1), 1);
         let snap = placement.frame(q, &grid, 1, true).0;
         assert!(snap.is_empty());

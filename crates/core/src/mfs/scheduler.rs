@@ -35,30 +35,31 @@ impl MfsOutcome {
     }
 }
 
-/// Peak per-class concurrency of an ASAP or ALAP schedule — the paper's
-/// default `max_j` "upper bound" when the user gives no resource
-/// constraint.
+/// Peak concurrency per class id of an ASAP or ALAP schedule — the
+/// paper's default `max_j` "upper bound" when the user gives no
+/// resource constraint. `class_of` is the node-indexed class id of
+/// [`Dfg::class_ids`], with `classes` ids in all.
 fn peak_concurrency(
-    dfg: &Dfg,
+    class_of: &[u32],
+    classes: usize,
     starts: impl Fn(NodeId) -> CStep,
     cycles_of: impl Fn(NodeId) -> u8,
     cs: u32,
-) -> BTreeMap<FuClass, u32> {
-    let mut per_step: BTreeMap<(FuClass, u32), u32> = BTreeMap::new();
-    for id in dfg.node_ids() {
-        let class = dfg.node(id).kind().fu_class();
+) -> Vec<u32> {
+    let steps = cs as usize;
+    let mut per_step = vec![0u32; classes * steps];
+    for (i, &class) in class_of.iter().enumerate() {
+        let id = NodeId::from_index(i);
         let start = starts(id).get();
         for k in 0..cycles_of(id) as u32 {
             let step = (start + k).min(cs);
-            *per_step.entry((class, step)).or_insert(0) += 1;
+            per_step[class as usize * steps + step as usize - 1] += 1;
         }
     }
-    let mut peaks = BTreeMap::new();
-    for ((class, _), count) in per_step {
-        let p = peaks.entry(class).or_insert(0);
-        *p = (*p).max(count);
-    }
-    peaks
+    per_step
+        .chunks_exact(steps)
+        .map(|row| row.iter().copied().max().unwrap_or(0))
+        .collect()
 }
 
 /// Runs Move Frame Scheduling on `dfg` under `spec` and `config`.
@@ -148,26 +149,27 @@ pub fn schedule_traced(
             _ => user,
         }
     };
-    let class_counts = dfg.class_counts();
-    let frames = placement.frames();
-    let asap_peak = peak_concurrency(dfg, |n| frames.asap(n), |n| placement.cycles(n), cs);
-    let alap_peak = peak_concurrency(dfg, |n| frames.alap(n), |n| placement.cycles(n), cs);
-    let mut max_fu: BTreeMap<FuClass, u32> = BTreeMap::new();
-    for &class in class_counts.keys() {
-        let derived = asap_peak
-            .get(&class)
-            .copied()
-            .unwrap_or(1)
-            .max(alap_peak.get(&class).copied().unwrap_or(1))
-            .max(1);
-        max_fu.insert(class, hard_limit(class).unwrap_or(derived));
+    // Every per-class table is a vector indexed by the class id.
+    let (classes, class_of) = dfg.class_ids();
+    let mut class_counts = vec![0u32; classes.len()];
+    for &c in &class_of {
+        class_counts[c as usize] += 1;
     }
+    let frames = placement.frames();
+    let cycles = |n| placement.cycles(n);
+    let asap_peak = peak_concurrency(&class_of, classes.len(), |n| frames.asap(n), cycles, cs);
+    let alap_peak = peak_concurrency(&class_of, classes.len(), |n| frames.alap(n), cycles, cs);
+    let mut max_fu: Vec<u32> = classes
+        .iter()
+        .enumerate()
+        .map(|(c, &class)| hard_limit(class).unwrap_or(asap_peak[c].max(alap_peak[c]).max(1)))
+        .collect();
 
     // The Liapunov weight n: the paper's "presummed big number" upper
     // bound on any max_j, so earlier steps always dominate even when a
     // derived max_j later grows.
     let n_bound = max_fu
-        .values()
+        .iter()
         .copied()
         .max()
         .unwrap_or(1)
@@ -177,28 +179,27 @@ pub fn schedule_traced(
 
     // Step 3: grids (the ASNAP/ALFAP tables reduce to per-class grids
     // bounded by [1, cs] × [1, max_j]).
-    let mut grids: BTreeMap<FuClass, Grid> = max_fu
+    let mut grids: Vec<Grid> = max_fu
         .iter()
-        .map(|(&class, &m)| {
+        .map(|&m| {
             let grid = Grid::new(cs, m);
-            let grid = match config.latency() {
+            match config.latency() {
                 Some(l) => grid.with_latency(l),
                 None => grid,
-            };
-            (class, grid)
+            }
         })
         .collect();
 
     // current_j = ⌈N_j / cs⌉ (clamped into [1, max_j]).
-    let mut current: BTreeMap<FuClass, u32> = class_counts
+    let mut current: Vec<u32> = class_counts
         .iter()
-        .map(|(&class, &n)| {
-            let c = if config.lazy_columns() {
+        .zip(&max_fu)
+        .map(|(&n, &max)| {
+            if config.lazy_columns() {
                 1
             } else {
-                ((n as u32).div_ceil(cs)).clamp(1, max_fu[&class])
-            };
-            (class, c)
+                n.div_ceil(cs).clamp(1, max)
+            }
         })
         .collect();
 
@@ -237,14 +238,14 @@ pub fn schedule_traced(
             // committed V, unplaced ones their grid's worst cell. Every
             // commit replaces a worst-cell term with a no-larger chosen-cell
             // term, so the trace is non-increasing by construction.
-            let system_energy = |placement: &Placement<'_>, max_fu: &BTreeMap<FuClass, u32>| {
+            let system_energy = |placement: &Placement<'_>, max_fu: &[u32]| {
                 dfg.node_ids()
                     .map(|n| match placement.schedule().slot(n) {
                         Some(Slot {
                             step,
                             unit: UnitId::Fu { index, .. },
                         }) => liapunov.value(index.get(), step.get()),
-                        _ => liapunov.value(max_fu[&dfg.node(n).kind().fu_class()], cs),
+                        _ => liapunov.value(max_fu[class_of[n.index()] as usize], cs),
                     })
                     .sum::<u64>()
             };
@@ -257,19 +258,18 @@ pub fn schedule_traced(
             let mut next = 0;
             while let Some(&node) = order.get(next) {
                 config.cancel().checkpoint()?;
-                let class = dfg.node(node).kind().fu_class();
+                let c = class_of[node.index()] as usize;
                 let cycles = placement.cycles(node);
-                let grid = &pass_grids[&class];
+                let grid = &pass_grids[c];
                 let counted = if time_mode && !list_cells {
-                    placement.frame_size(node, grid, current[&class])
+                    placement.frame_size(node, grid, current[c])
                 } else {
                     None
                 };
                 let (mf_size, best, snap) = match counted {
                     Some((size, first)) => (size, first, None),
                     None => {
-                        let (snap, starts) =
-                            placement.frame(node, grid, current[&class], list_cells);
+                        let (snap, starts) = placement.frame(node, grid, current[c], list_cells);
                         debug_assert!(
                             liapunov.is_lexicographic(&starts),
                             "n_bound covers every column and the window lies within cs"
@@ -320,16 +320,13 @@ pub fn schedule_traced(
                 }
                 match best {
                     Some(pos) => {
-                        pass_grids
-                            .get_mut(&class)
-                            .expect("grid exists for every class")
-                            .occupy(dfg, node, pos.step, pos.fu, cycles);
+                        pass_grids[c].occupy(dfg, node, pos.step, pos.fu, cycles);
                         placement.assign(
                             node,
                             Slot {
                                 step: pos.step,
                                 unit: UnitId::Fu {
-                                    class,
+                                    class: classes[c],
                                     index: pos.fu,
                                 },
                             },
@@ -338,7 +335,7 @@ pub fn schedule_traced(
                         if instr.enabled() {
                             let snap = snap.as_ref().expect("traced frames are listed");
                             let v = liapunov.value(pos.fu.get(), pos.step.get());
-                            system_v -= liapunov.value(max_fu[&class], cs) - v;
+                            system_v -= liapunov.value(max_fu[c], cs) - v;
                             instr.emit(TraceEvent::MoveCommitted {
                                 op: node.index() as u32,
                                 // O^p: the ALFAP corner of the frame at the
@@ -358,21 +355,18 @@ pub fn schedule_traced(
                         // Local rescheduling: widen the visible columns.
                         reschedule_count += 1;
                         tally.reschedules += 1;
+                        let class = classes[c];
                         if matches!(class, FuClass::Mem(_)) {
                             tally.port_reschedules += 1;
                         }
-                        let cur = current.get_mut(&class).expect("class present");
-                        let max = max_fu.get_mut(&class).expect("class present");
+                        let (cur, max) = (&mut current[c], &mut max_fu[c]);
                         if *cur < *max {
                             *cur += 1;
                         } else if hard_limit(class).is_none() && *max < growth_bound {
                             *max += 1;
                             *cur = *max;
                             for grids in [&mut grids, &mut pass_grids] {
-                                grids
-                                    .get_mut(&class)
-                                    .expect("grid exists")
-                                    .grow_max_fu(*max);
+                                grids[c].grow_max_fu(*max);
                             }
                         } else {
                             return Err(MoveFrameError::NoPosition {
@@ -384,7 +378,7 @@ pub fn schedule_traced(
                         if instr.enabled() {
                             instr.emit(TraceEvent::LocalReschedule {
                                 op_kind: class.to_string(),
-                                current_j: *current.get(&class).expect("class present"),
+                                current_j: current[c],
                             });
                         }
                         if time_mode {
@@ -403,7 +397,7 @@ pub fn schedule_traced(
             let (schedule, frames) = placement.into_parts();
             return Ok(MfsOutcome {
                 schedule,
-                grids: pass_grids,
+                grids: classes.iter().copied().zip(pass_grids).collect(),
                 frames,
                 reschedule_count,
                 snapshots,

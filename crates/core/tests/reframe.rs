@@ -43,7 +43,7 @@ impl<'a> Fixture<'a> {
 
     fn vacate(&mut self, node: NodeId) {
         self.placement.unassign(node);
-        self.grid.vacate(node);
+        self.grid.vacate(self.placement.dfg(), node);
     }
 
     fn probe(&self, node: NodeId, columns: u32) -> FrameSnapshot {

@@ -3,6 +3,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use hls_celllib::OpKind;
+
 use crate::memory::{ArrayDecl, ArrayId, BankDecl, BankId, MemoryDecls};
 use crate::node::{FuClass, LoopId, Node, NodeId, NodeKind};
 use crate::signal::{BranchPath, Signal, SignalId, SignalSource};
@@ -536,6 +538,60 @@ impl Dfg {
         self.excluders[id.index() / 64] >> (id.index() % 64) & 1 == 1
     }
 
+    /// The interned branch-path class of `id`: nodes on the same path
+    /// share one, and exclusion depends on the classes alone. `None`
+    /// for unconditional nodes.
+    pub fn path_class(&self, id: NodeId) -> Option<u32> {
+        Some(self.path_class[id.index()]).filter(|&c| c != u32::MAX)
+    }
+
+    /// Whether two distinct nodes on path classes `c` and `d` are
+    /// mutually exclusive — [`Dfg::mutually_exclusive`] read off the
+    /// classes.
+    pub fn paths_exclusive(&self, c: u32, d: u32) -> bool {
+        let (c, d) = (c as usize, d as usize);
+        self.class_bits[c * self.class_words + d / 64] >> (d % 64) & 1 == 1
+    }
+
+    /// Each node's functional-unit class as a dense id: the distinct
+    /// classes in ascending order, and per node the position of its
+    /// class in that list.
+    pub fn class_ids(&self) -> (Vec<FuClass>, Vec<u32>) {
+        // Classes are numbered in first-appearance order, then renumbered
+        // in class order. Operator classes, nearly every node's, are
+        // found by the operator's index, the rest in a map.
+        let mut classes: Vec<FuClass> = Vec::new();
+        let mut by_op = [u32::MAX; OpKind::ALL.len()];
+        let mut others: BTreeMap<FuClass, u32> = BTreeMap::new();
+        let mut ids: Vec<u32> = self
+            .nodes
+            .iter()
+            .map(|node| {
+                let class = node.kind.fu_class();
+                let id = match class {
+                    FuClass::Op(kind) => &mut by_op[kind as usize],
+                    _ => others.entry(class).or_insert(u32::MAX),
+                };
+                if *id == u32::MAX {
+                    *id = classes.len() as u32;
+                    classes.push(class);
+                }
+                *id
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..classes.len() as u32).collect();
+        order.sort_unstable_by_key(|&c| classes[c as usize]);
+        let mut rank = vec![0u32; classes.len()];
+        for (r, &c) in order.iter().enumerate() {
+            rank[c as usize] = r as u32;
+        }
+        for id in &mut ids {
+            *id = rank[*id as usize];
+        }
+        classes.sort_unstable();
+        (classes, ids)
+    }
+
     /// The memory declarations (banks and arrays; empty for pure
     /// operator graphs).
     pub fn memory(&self) -> &MemoryDecls {
@@ -580,7 +636,6 @@ impl Dfg {
 mod tests {
     use super::*;
     use crate::DfgBuilder;
-    use hls_celllib::OpKind;
 
     fn diamond() -> Dfg {
         let mut b = DfgBuilder::new("diamond");
@@ -624,6 +679,18 @@ mod tests {
         assert_eq!(counts[&FuClass::Op(OpKind::Mul)], 1);
         assert_eq!(counts[&FuClass::Op(OpKind::Add)], 1);
         assert_eq!(counts[&FuClass::Op(OpKind::Sub)], 1);
+    }
+
+    #[test]
+    fn class_ids_number_the_classes_in_order() {
+        let g = diamond();
+        let (classes, ids) = g.class_ids();
+        assert!(classes.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids.len(), g.node_count());
+        for (id, node) in g.nodes() {
+            assert_eq!(classes[ids[id.index()] as usize], node.kind().fu_class());
+        }
+        assert_eq!(classes.len(), g.class_counts().len());
     }
 
     #[test]
@@ -749,6 +816,16 @@ mod tests {
                         let want = a != c && path(a).excludes(path(c));
                         any |= want;
                         prop_assert_eq!(g.mutually_exclusive(a, c), want, "({}, {})", a, c);
+                        // Distinct nodes exclude each other exactly when
+                        // their classes do; same-path nodes share one.
+                        let classes = g.path_class(a).zip(g.path_class(c));
+                        prop_assert_eq!(
+                            a != c && classes.is_some_and(|(p, q)| g.paths_exclusive(p, q)),
+                            want
+                        );
+                        if path(a) == path(c) {
+                            prop_assert_eq!(g.path_class(a), g.path_class(c));
+                        }
                     }
                     prop_assert_eq!(g.has_exclusions(a), any, "{}", a);
                 }

@@ -285,7 +285,7 @@ fn stitch_reframe(
                 unreachable!("class grids bind every node to a column");
             };
             let grid = grids.get_mut(&class).expect("class grid exists");
-            grid.vacate(node);
+            grid.vacate(placement.dfg(), node);
             // …re-frame…
             let snapshot = placement
                 .frame(node, grid, grid.max_fu().min(STITCH_COLUMN_CAP), true)

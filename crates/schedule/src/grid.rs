@@ -22,6 +22,31 @@ enum CellOcc {
     Shared,
 }
 
+/// The path class an occupant that excludes nothing is tallied under.
+const PLAIN: u32 = u32::MAX;
+
+/// The path class `node` is tallied under: [`PLAIN`] when it excludes
+/// nothing (`plain`), else its branch-path class.
+fn tally_class(dfg: &Dfg, node: NodeId, plain: bool) -> u32 {
+    match plain {
+        true => PLAIN,
+        false => dfg
+            .path_class(node)
+            .expect("a node with exclusions is on a branch path"),
+    }
+}
+
+/// Tally key of an occupied cell none of whose occupants is plain: the
+/// distinct branch-path classes of its occupants. A new occupant may
+/// share the cell iff its class excludes each of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Signature {
+    /// Every occupant is on one path class.
+    Class(u32),
+    /// Two or more classes, interned in [`Grid::sets`].
+    Set(u32),
+}
+
 /// Occupancy table of one set of units: the "grid table" of Figure 1,
 /// where an operation occupies `(unit index, control step)` cells. The
 /// units are the columns of one FU class (MFS), the ALU instances of an
@@ -43,11 +68,13 @@ enum CellOcc {
 /// step of a caller's columns with a few word operations, and
 /// [`Grid::free_starts`] (a window of steps) and [`Grid::is_free_for`]
 /// (one column) ask the same rule. Beside each row the grid keeps its
-/// number of occupied columns, so [`Grid::free_cells`] sizes a
-/// single-cycle move frame in one read per step, and a *plain* row of
-/// the cells that some occupant excluding nothing holds: such a cell
-/// can never be shared, so only the other occupied cells are walked for
-/// mutual exclusion. Occupant identity lives in a dense
+/// number of occupied columns and a *plain* row of the cells that some
+/// occupant excluding nothing holds: such a cell can never be shared,
+/// so only the other occupied cells are walked for mutual exclusion.
+/// Those other cells are also tallied per row by their occupants'
+/// path classes ([`Signature`]), so [`Grid::free_cells`] sizes a
+/// single-cycle move frame in one read per step plus one exclusion
+/// test per signature in the row. Occupant identity lives in a dense
 /// one-word-per-cell side table, with a `BTreeMap` only for the rare
 /// mutually-exclusive shared cells. Columns are materialised on first
 /// touch, so a grid whose `max_fu` budget later grows (local
@@ -73,6 +100,13 @@ pub struct Grid {
     /// set means "some occupant of `(r, col)` excludes nothing", so
     /// the cell can never be shared.
     plain: Vec<u64>,
+    /// Per wrapped row, the occupied cells that are not plain, counted
+    /// by signature. Empty until the first occupant with exclusions, so
+    /// a branch-free graph allocates nothing.
+    tallies: Vec<Vec<(Signature, u32)>>,
+    /// The class sets of [`Signature::Set`], sorted, and their ids.
+    sets: Vec<Vec<u32>>,
+    set_ids: BTreeMap<Vec<u32>, u32>,
     /// `cols × rows` occupant records.
     cell: Vec<CellOcc>,
     /// Occupant lists of mutually-exclusive shared cells, keyed by
@@ -106,6 +140,9 @@ impl Grid {
             occ: Vec::new(),
             row_counts: vec![0; cs as usize],
             plain: Vec::new(),
+            tallies: Vec::new(),
+            sets: Vec::new(),
+            set_ids: BTreeMap::new(),
             cell: Vec::new(),
             shared: BTreeMap::new(),
             placements: Vec::new(),
@@ -154,12 +191,6 @@ impl Grid {
         }
     }
 
-    /// The occupancy words of the wrapped row holding `step`.
-    fn occ_row(&self, step: u32) -> &[u64] {
-        let base = self.row(step) as usize * self.stride;
-        &self.occ[base..base + self.stride]
-    }
-
     /// Sets or clears the occupancy bit of `(row, col)`, counting the
     /// row's occupied columns on a change of the bit only (a shared
     /// cell is one occupied column).
@@ -185,6 +216,71 @@ impl Grid {
             *word |= bit;
         } else {
             *word &= !bit;
+        }
+    }
+
+    /// The tally key of an occupied cell whose occupants have the path
+    /// classes `classes` (sorted and deduplicated in place): `None` when
+    /// one of them is plain, since such a cell is never shared.
+    fn signature(&mut self, classes: &mut Vec<u32>) -> Option<Signature> {
+        classes.sort_unstable();
+        classes.dedup();
+        match classes[..] {
+            [] => None,
+            [.., PLAIN] => None,
+            [c] => Some(Signature::Class(c)),
+            _ => {
+                let next = self.sets.len() as u32;
+                let id = *self.set_ids.entry(classes.clone()).or_insert(next);
+                if id == next {
+                    self.sets.push(classes.clone());
+                }
+                Some(Signature::Set(id))
+            }
+        }
+    }
+
+    /// Moves one cell of row `row` from tally key `old` to `new`.
+    fn retally(&mut self, row: u32, old: Option<Signature>, new: Option<Signature>) {
+        if old == new {
+            return;
+        }
+        if self.tallies.is_empty() {
+            self.tallies = vec![Vec::new(); self.rows as usize];
+        }
+        let tally = &mut self.tallies[row as usize];
+        if let Some(old) = old {
+            let i = tally
+                .iter()
+                .position(|&(sig, _)| sig == old)
+                .expect("a tallied cell has an entry");
+            tally[i].1 -= 1;
+            if tally[i].1 == 0 {
+                tally.swap_remove(i);
+            }
+        }
+        if let Some(new) = new {
+            match tally.iter_mut().find(|(sig, _)| *sig == new) {
+                Some((_, n)) => *n += 1,
+                None => tally.push((new, 1)),
+            }
+        }
+    }
+
+    /// The path class placed `node` is tallied under.
+    fn class_of(&self, dfg: &Dfg, node: NodeId) -> u32 {
+        let (.., plain) = self.placements[node.index()].expect("occupants are placed");
+        tally_class(dfg, node, plain)
+    }
+
+    /// Whether a node on path class `class` may share every cell tallied
+    /// under `sig`.
+    fn shares_signature(&self, dfg: &Dfg, class: u32, sig: Signature) -> bool {
+        match sig {
+            Signature::Class(c) => dfg.paths_exclusive(class, c),
+            Signature::Set(i) => self.sets[i as usize]
+                .iter()
+                .all(|&c| dfg.paths_exclusive(class, c)),
         }
     }
 
@@ -391,20 +487,25 @@ impl Grid {
         }
     }
 
-    /// The size and the earliest cell of the move frame of a
-    /// single-cycle node that excludes nothing, over the start steps
-    /// `[earliest, latest]` and the first `columns` columns: the number
-    /// of free `(step, column)` cells and the free cell with the
-    /// smallest `(step, fu)` — what [`Grid::free_starts`] would give by
+    /// The size and the earliest cell of the move frame of the
+    /// unplaced single-cycle `node`, over the start steps `[earliest,
+    /// latest]` and the first `columns` columns: the number of
+    /// `(step, column)` cells it fits in and the one with the smallest
+    /// `(step, fu)` — what [`Grid::free_starts`] would give by
     /// [`FreeStarts::count`] and [`FreeStarts::earliest`].
     ///
     /// Every occupied column must be visible for the counts to size the
     /// frame, so the answer is `None` when some occupant lies past the
-    /// visible columns. Otherwise each step costs one read of its row's
-    /// occupied-column count, and the earliest cell one scan of the
-    /// first row that is not full: `O(range + columns / 64)`.
+    /// visible columns, and also when `node` has exclusions and is
+    /// placed (it cannot share its own cells). Otherwise each step
+    /// costs one read of its row's occupied-column count — plus, for a
+    /// node with exclusions, one exclusion test per signature tallied
+    /// in the row — and the earliest cell one scan of the first row
+    /// with room: `O(range · signatures + columns / 64)`.
     pub fn free_cells(
         &self,
+        dfg: &Dfg,
+        node: NodeId,
         earliest: CStep,
         latest: CStep,
         columns: u32,
@@ -413,25 +514,57 @@ impl Grid {
         if self.hwm > columns {
             return None;
         }
+        // The class of a node that may share cells.
+        let class = if dfg.has_exclusions(node) {
+            if self.placement(node).is_some() {
+                return None;
+            }
+            dfg.path_class(node)
+        } else {
+            None
+        };
         let mut size = 0;
         let mut first = None;
         for step in earliest.get()..=latest.get().min(self.cs) {
-            let free = columns - self.row_counts[self.row(step) as usize];
+            let row = self.row(step) as usize;
+            let mut free = columns - self.row_counts[row];
+            if let (Some(class), Some(tally)) = (class, self.tallies.get(row)) {
+                for &(sig, n) in tally {
+                    if self.shares_signature(dfg, class, sig) {
+                        free += n;
+                    }
+                }
+            }
             size += free as usize;
             if free > 0 && first.is_none() {
                 first = Some(step);
             }
         }
         let first = first.map(|step| {
-            // Every occupied column is visible, so the lowest clear bit
-            // of a row that is not full is a visible column.
-            let row = self.occ_row(step);
-            let col = row
-                .iter()
-                .position(|&w| w != !0)
-                .map_or(64 * row.len() as u32, |w| {
-                    64 * w as u32 + row[w].trailing_ones()
-                });
+            // Every occupied column is visible, so the lowest cell of a
+            // row with room that `node` fits in is a visible column.
+            let base = self.row(step) as usize * self.stride;
+            let col = (0..self.stride)
+                .find_map(|w| {
+                    let (occ, plain) = (self.occ[base + w], self.plain[base + w]);
+                    let open = if class.is_some() {
+                        !(occ & plain)
+                    } else {
+                        !occ
+                    };
+                    ones(open).find_map(|bit| {
+                        let col = 64 * w as u32 + bit;
+                        (occ >> bit & 1 == 0
+                            || self.shares_with_all(
+                                dfg,
+                                node,
+                                CStep::new(step),
+                                FuIndex::new(col + 1),
+                            ))
+                        .then_some(col)
+                    })
+                })
+                .unwrap_or(64 * self.stride as u32);
             (CStep::new(step), FuIndex::new(col + 1))
         });
         Some((size, first))
@@ -460,29 +593,48 @@ impl Grid {
         );
         let col = fu.get() - 1;
         let plain = !dfg.has_exclusions(node);
+        let class = tally_class(dfg, node, plain);
         self.ensure_col(col);
+        self.placements[node.index()] = Some((step, fu, cycles, plain));
         for c in 0..cycles as u32 {
             let row = self.row(step.get() + c);
             self.mark(row, col, true);
             if plain {
                 self.mark_plain(row, col, true);
             }
-            let cell = &mut self.cell[(col * self.rows + row) as usize];
-            match *cell {
-                CellOcc::Empty => *cell = CellOcc::One(node),
+            let key = (row + 1, fu.get());
+            let at = (col * self.rows + row) as usize;
+            // The classes of the cell's earlier occupants, when it has any.
+            let mut classes = match self.cell[at] {
+                CellOcc::Empty => {
+                    self.cell[at] = CellOcc::One(node);
+                    if !plain {
+                        self.retally(row, None, Some(Signature::Class(class)));
+                    }
+                    continue;
+                }
                 CellOcc::One(first) => {
-                    *cell = CellOcc::Shared;
-                    self.shared.insert((row + 1, fu.get()), vec![first, node]);
+                    self.cell[at] = CellOcc::Shared;
+                    self.shared.insert(key, vec![first, node]);
+                    vec![self.class_of(dfg, first)]
                 }
                 CellOcc::Shared => {
+                    let classes = self.shared[&key]
+                        .iter()
+                        .map(|&o| self.class_of(dfg, o))
+                        .collect();
                     self.shared
-                        .get_mut(&(row + 1, fu.get()))
+                        .get_mut(&key)
                         .expect("shared cell has a list")
                         .push(node);
+                    classes
                 }
-            }
+            };
+            let old = self.signature(&mut classes);
+            classes.push(class);
+            let new = self.signature(&mut classes);
+            self.retally(row, old, new);
         }
-        self.placements[node.index()] = Some((step, fu, cycles, plain));
         self.placed += 1;
         self.col_counts[col as usize] += 1;
         self.hwm = self.hwm.max(fu.get());
@@ -493,19 +645,23 @@ impl Grid {
     ///
     /// Cell and column state is fully reclaimed: no empty occupant lists
     /// linger, the high-water mark drops with the vacated column, and a
-    /// shared cell's plain bit is recomputed from its remaining
-    /// occupants.
-    pub fn vacate(&mut self, node: NodeId) -> Option<(CStep, FuIndex)> {
-        let (step, fu, cycles, _) = self.placements.get_mut(node.index())?.take()?;
+    /// shared cell's plain bit and signature are recomputed from its
+    /// remaining occupants, whose path classes `dfg` gives.
+    pub fn vacate(&mut self, dfg: &Dfg, node: NodeId) -> Option<(CStep, FuIndex)> {
+        let (step, fu, cycles, plain) = self.placements.get_mut(node.index())?.take()?;
+        let class = tally_class(dfg, node, plain);
         let col = fu.get() - 1;
         for c in 0..cycles as u32 {
             let row = self.row(step.get() + c);
-            let cell = &mut self.cell[(col * self.rows + row) as usize];
-            match *cell {
+            let at = (col * self.rows + row) as usize;
+            match self.cell[at] {
                 CellOcc::One(n) if n == node => {
-                    *cell = CellOcc::Empty;
+                    self.cell[at] = CellOcc::Empty;
                     self.mark(row, col, false);
                     self.mark_plain(row, col, false);
+                    if class != PLAIN {
+                        self.retally(row, Some(Signature::Class(class)), None);
+                    }
                 }
                 // Already cleared: a multi-cycle op whose span wraps
                 // around a short latency touches the same row twice, and
@@ -513,23 +669,31 @@ impl Grid {
                 CellOcc::Empty | CellOcc::One(_) => {}
                 CellOcc::Shared => {
                     let key = (row + 1, fu.get());
-                    let list = self.shared.get_mut(&key).expect("shared cell has a list");
-                    list.retain(|&n| n != node);
-                    let placements = &self.placements;
-                    let plain = list
+                    let mut list = self.shared.remove(&key).expect("shared cell has a list");
+                    let mut old: Vec<u32> = list
                         .iter()
-                        .any(|o| placements[o.index()].is_some_and(|p| p.3));
-                    match list.len() {
-                        0 => {
-                            self.shared.remove(&key);
-                            *cell = CellOcc::Empty;
+                        .map(|&o| {
+                            if o == node {
+                                class
+                            } else {
+                                self.class_of(dfg, o)
+                            }
+                        })
+                        .collect();
+                    list.retain(|&n| n != node);
+                    let mut new: Vec<u32> = list.iter().map(|&o| self.class_of(dfg, o)).collect();
+                    let plain = new.contains(&PLAIN);
+                    let (old, new) = (self.signature(&mut old), self.signature(&mut new));
+                    self.retally(row, old, new);
+                    match list[..] {
+                        [] => {
+                            self.cell[at] = CellOcc::Empty;
                             self.mark(row, col, false);
                         }
-                        1 => {
-                            *cell = CellOcc::One(list[0]);
-                            self.shared.remove(&key);
+                        [one] => self.cell[at] = CellOcc::One(one),
+                        _ => {
+                            self.shared.insert(key, list);
                         }
-                        _ => {}
                     }
                     self.mark_plain(row, col, plain);
                 }
@@ -854,9 +1018,9 @@ mod tests {
         let (g, t, _, u) = exclusive_pair();
         let mut grid = Grid::new(4, 1);
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
-        assert_eq!(grid.vacate(t), Some((CStep::new(1), FuIndex::new(1))));
+        assert_eq!(grid.vacate(&g, t), Some((CStep::new(1), FuIndex::new(1))));
         assert!(grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(1), 1));
-        assert_eq!(grid.vacate(t), None);
+        assert_eq!(grid.vacate(&g, t), None);
         assert_eq!(grid.placed_count(), 0);
     }
 
@@ -870,13 +1034,13 @@ mod tests {
             grid.shared.len() == 1,
             "two occupants spill to the side map"
         );
-        grid.vacate(t);
+        grid.vacate(&g, t);
         assert!(
             grid.shared.is_empty(),
             "single occupant returns to dense storage"
         );
         assert_eq!(grid.occupants(CStep::new(1), FuIndex::new(1)), &[e]);
-        grid.vacate(e);
+        grid.vacate(&g, e);
         assert!(grid.is_free_for(&g, u, CStep::new(1), FuIndex::new(1), 1));
         assert!(
             grid.cell.iter().all(|c| *c == CellOcc::Empty),
@@ -914,11 +1078,11 @@ mod tests {
         grid.occupy(&g, t, CStep::new(1), FuIndex::new(1), 1);
         grid.occupy(&g, u, CStep::new(1), FuIndex::new(3), 1);
         grid.occupy(&g, e, CStep::new(2), FuIndex::new(2), 1);
-        grid.vacate(u);
+        grid.vacate(&g, u);
         assert_eq!(grid.columns_used(), 2);
-        grid.vacate(e);
+        grid.vacate(&g, e);
         assert_eq!(grid.columns_used(), 1);
-        grid.vacate(t);
+        grid.vacate(&g, t);
         assert_eq!(grid.columns_used(), 0);
     }
 
@@ -940,31 +1104,58 @@ mod tests {
         assert_eq!(grid.max_fu(), 5);
     }
 
-    /// A graph of `n` adds where nodes in the same arm-pair layer are
-    /// mutually exclusive — rich enough to exercise shared cells.
+    /// A graph of `n` adds in groups, in rotation: a two-arm branch, an
+    /// unconditional add, a three-arm branch, and a branch whose first
+    /// arm holds an add and a nested two-arm branch while its second arm
+    /// holds one add. Cells can then be shared by two arms and still by
+    /// a third, and a shared cell's occupants span several path classes
+    /// of which a newcomer may exclude some but not all.
     fn branchy_graph(n: usize) -> (Dfg, Vec<NodeId>) {
         let mut b = DfgBuilder::new("branchy");
         let x = b.input("x");
         let y = b.input("y");
         let mut names = Vec::new();
-        let mut i = 0;
-        while i < n {
-            if n - i >= 2 && i % 3 == 0 {
-                let branch = b.begin_branch();
-                b.enter_arm(branch, 0);
-                b.op(&format!("a{i}"), OpKind::Add, &[x, y]).unwrap();
-                b.exit_arm();
-                b.enter_arm(branch, 1);
-                b.op(&format!("b{i}"), OpKind::Add, &[x, y]).unwrap();
-                b.exit_arm();
-                names.push(format!("a{i}"));
-                names.push(format!("b{i}"));
-                i += 2;
-            } else {
-                b.op(&format!("u{i}"), OpKind::Add, &[x, y]).unwrap();
-                names.push(format!("u{i}"));
-                i += 1;
+        // One add named `name`, or with `arms > 0` a new branch with one
+        // add per arm.
+        let mut adds = |b: &mut DfgBuilder, name: String, arms: u32| {
+            let branch = b.begin_branch();
+            for arm in 0..arms.max(1) {
+                let name = if arms == 0 {
+                    name.clone()
+                } else {
+                    b.enter_arm(branch, arm);
+                    format!("{name}.{arm}")
+                };
+                b.op(&name, OpKind::Add, &[x, y]).unwrap();
+                names.push(name);
+                if arms > 0 {
+                    b.exit_arm();
+                }
             }
+        };
+        let sizes = [2, 1, 3, 4];
+        let (mut i, mut group) = (0, 0);
+        while i < n {
+            let size = sizes[group % sizes.len()];
+            group += 1;
+            if n - i < size {
+                continue;
+            }
+            match size {
+                1 => adds(&mut b, format!("u{i}"), 0),
+                2 | 3 => adds(&mut b, format!("b{i}"), size as u32),
+                _ => {
+                    let outer = b.begin_branch();
+                    b.enter_arm(outer, 0);
+                    adds(&mut b, format!("o{i}"), 0);
+                    adds(&mut b, format!("b{i}"), 2);
+                    b.exit_arm();
+                    b.enter_arm(outer, 1);
+                    adds(&mut b, format!("e{i}"), 0);
+                    b.exit_arm();
+                }
+            }
+            i += size;
         }
         let g = b.finish().unwrap();
         let ids = names.iter().map(|s| g.node_by_name(s).unwrap()).collect();
@@ -1013,7 +1204,7 @@ mod tests {
                     }
                     // Vacate.
                     _ => {
-                        let got = dense.vacate(node);
+                        let got = dense.vacate(&g, node);
                         prop_assert_eq!(got, reference.vacate(node));
                     }
                 }
@@ -1073,7 +1264,7 @@ mod tests {
                         }
                     }
                     3 => {
-                        prop_assert_eq!(dense.vacate(node), reference.vacate(node));
+                        prop_assert_eq!(dense.vacate(&g, node), reference.vacate(node));
                     }
                     _ => {
                         max_fu += 1 + f % 70;
@@ -1124,10 +1315,12 @@ mod tests {
         /// driven through occupy (shared cells of mutually exclusive
         /// ops, multi-cycle spans, a latency wrap), vacate (of shared
         /// and wrapped multi-cycle spans) and growth past 64 columns,
-        /// `free_cells` of a single-cycle node that excludes nothing
-        /// equals `free_starts(..).count()` and `.earliest()` over random
-        /// windows and widths, and is `None` exactly when some occupant
-        /// lies past the visible columns.
+        /// `free_cells` of a single-cycle node — one that excludes
+        /// nothing, or one with exclusions, read off the signature
+        /// tallies — equals `free_starts(..).count()` and `.earliest()`
+        /// over random windows and widths. It is `None` exactly when
+        /// some occupant lies past the visible columns or the node has
+        /// exclusions and is placed.
         #[test]
         fn free_cells_match_free_starts(
             ops in proptest::collection::vec((0usize..12, 1u32..9, 0u32..1000, 1u8..3, 0u8..5), 1..60),
@@ -1136,7 +1329,6 @@ mod tests {
             latency in 0u32..4,
         ) {
             let (g, nodes) = branchy_graph(12);
-            let plain: Vec<NodeId> = nodes.iter().copied().filter(|&n| !g.has_exclusions(n)).collect();
             let cs = 8;
             let mut max_fu = start_fu;
             let mut grid = Grid::new(cs, max_fu);
@@ -1154,7 +1346,7 @@ mod tests {
                         }
                     }
                     3 => {
-                        grid.vacate(node);
+                        grid.vacate(&g, node);
                     }
                     _ => {
                         max_fu += 1 + f % 70;
@@ -1171,9 +1363,13 @@ mod tests {
                     2 => max_fu,
                     _ => width.max(1),
                 };
-                let probe = plain[k % plain.len()];
-                let counted = grid.free_cells(earliest, latest, columns);
-                if grid.columns_used() > columns.min(max_fu) {
+                // Every node in turn, placed or not, shifted by the step so
+                // each node meets every script position.
+                let probe = nodes[(k + step.get() as usize) % nodes.len()];
+                let counted = grid.free_cells(&g, probe, earliest, latest, columns);
+                if grid.columns_used() > columns.min(max_fu)
+                    || g.has_exclusions(probe) && grid.placement(probe).is_some()
+                {
                     prop_assert_eq!(counted, None);
                 } else {
                     let starts = grid.free_starts(&g, probe, earliest, latest, 1, columns);
@@ -1213,7 +1409,7 @@ mod tests {
                         }
                     }
                     3 => {
-                        grid.vacate(node);
+                        grid.vacate(&g, node);
                     }
                     _ => {
                         max_fu += 1 + f % 70;
@@ -1245,17 +1441,58 @@ mod tests {
         grid.occupy(&g, e, CStep::new(1), FuIndex::new(2), 1);
         assert_eq!(grid.plain_row(1), &[1], "exclusive occupants are not plain");
         assert_eq!(
-            grid.free_cells(CStep::new(1), CStep::new(4), 2),
+            grid.free_cells(&g, u, CStep::new(1), CStep::new(4), 2),
             Some((0, None))
         );
-        grid.vacate(u);
+        grid.vacate(&g, u);
         assert_eq!(grid.plain_row(1), &[0]);
-        grid.vacate(t);
+        grid.vacate(&g, t);
         assert_eq!(grid.occupants(CStep::new(1), FuIndex::new(2)), &[e]);
         assert_eq!(
-            grid.free_cells(CStep::new(1), CStep::new(4), 2),
+            grid.free_cells(&g, u, CStep::new(1), CStep::new(4), 2),
             Some((4, Some((CStep::new(1), FuIndex::new(1)))))
         );
-        assert_eq!(grid.free_cells(CStep::new(1), CStep::new(4), 1), None);
+        assert_eq!(
+            grid.free_cells(&g, u, CStep::new(1), CStep::new(4), 1),
+            None
+        );
+    }
+
+    #[test]
+    fn signature_tallies_follow_shared_cells() {
+        let (g, _) = branchy_graph(10);
+        let n = |name: &str| g.node_by_name(name).unwrap();
+        let mut grid = Grid::new(2, 2);
+        // Each unplaced node's counted frame against its masks.
+        let frame = |grid: &Grid, node| {
+            let counted = grid.free_cells(&g, node, CStep::FIRST, CStep::new(2), 2);
+            let starts = grid.free_starts(&g, node, CStep::FIRST, CStep::new(2), 1, 2);
+            assert_eq!(counted, Some((starts.count(), starts.earliest())));
+            counted.unwrap()
+        };
+        let at = |step, fu| Some((CStep::new(step), FuIndex::new(fu)));
+        for (name, step) in [("b3.0", 1), ("b3.1", 1), ("o6", 2), ("e6", 2)] {
+            grid.occupy(&g, n(name), CStep::new(step), FuIndex::new(1), 1);
+        }
+        // Two arms of a three-arm branch share (1, 1), which the third
+        // arm may still join; the outer arms of the nested group share
+        // (2, 1), which the inner arms may not, as they do not exclude
+        // the outer first arm.
+        assert_eq!(frame(&grid, n("b3.2")), (3, at(1, 1)));
+        assert_eq!(frame(&grid, n("b6.0")), (2, at(1, 2)));
+        assert_eq!(frame(&grid, n("u2")), (2, at(1, 2)));
+        grid.vacate(&g, n("o6"));
+        assert_eq!(frame(&grid, n("b6.0")), (3, at(1, 2)));
+        grid.occupy(&g, n("b6.0"), CStep::new(2), FuIndex::new(1), 1);
+        assert_eq!(frame(&grid, n("b6.1")), (3, at(1, 2)));
+        assert_eq!(frame(&grid, n("o6")), (2, at(1, 2)));
+        for name in ["b3.0", "b3.1", "e6", "b6.0"] {
+            grid.vacate(&g, n(name));
+        }
+        assert!(grid.tallies.iter().all(Vec::is_empty), "{:?}", grid.tallies);
+        // Plain occupants tally nothing.
+        let mut plain = Grid::new(2, 2);
+        plain.occupy(&g, n("u2"), CStep::FIRST, FuIndex::new(1), 2);
+        assert!(plain.tallies.is_empty());
     }
 }

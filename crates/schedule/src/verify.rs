@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use hls_celllib::{effective_cycles, ClockPeriod, TimingSpec};
 use hls_dfg::{Dfg, NodeId, NodeKind};
 
-use crate::{CStep, Schedule, UnitId};
+use crate::{CStep, Schedule, Slot, UnitId};
 
 /// What to verify beyond the core constraints.
 #[derive(Debug, Clone, Copy, Default)]
@@ -240,14 +240,89 @@ fn wrap(latency: Option<u32>, s: u32) -> u32 {
     }
 }
 
-/// The scheduled nodes of each unit, units in order and each unit's
-/// nodes in id order.
-fn nodes_by_unit(schedule: &Schedule) -> BTreeMap<UnitId, Vec<NodeId>> {
-    let mut by_unit: BTreeMap<UnitId, Vec<NodeId>> = BTreeMap::new();
-    for (n, slot) in schedule.iter() {
-        by_unit.entry(slot.unit).or_default().push(n);
+/// The scheduled nodes of each unit, as the rows `nodes[start[u]..
+/// start[u + 1]]` of a compressed table: units in [`UnitId`] order, each
+/// unit's nodes in id order. A counting sort over a dense unit id — the
+/// class's rank and the unit index for a single-function unit, then
+/// the instance for an ALU. Should the ids be sparse (far more ids than
+/// scheduled nodes), they are ranked among the distinct ones first.
+fn nodes_by_unit(dfg: &Dfg, schedule: &Schedule) -> (Vec<u32>, Vec<NodeId>) {
+    // `unit` holds each node's class rank, then its unit id.
+    let (mut classes, mut unit) = dfg.class_ids();
+    let fu_class = |slot: Slot| match slot.unit {
+        UnitId::Fu { class, .. } => Some(class),
+        UnitId::Alu { .. } => None,
+    };
+    let foreign = |(n, slot): (NodeId, Slot)| {
+        fu_class(slot).is_some_and(|class| class != classes[unit[n.index()] as usize])
+    };
+    if schedule.iter().any(foreign) {
+        // A unit of another class than its node's re-ranks the classes.
+        classes.extend(schedule.iter().filter_map(|(_, slot)| fu_class(slot)));
+        classes.sort_unstable();
+        classes.dedup();
+        for (n, slot) in schedule.iter() {
+            if let Some(class) = fu_class(slot) {
+                unit[n.index()] = classes.binary_search(&class).expect("collected above") as u32;
+            }
+        }
     }
-    by_unit
+    // A slot's class rank (ALUs rank after every class) and its index
+    // within the class.
+    let alu = classes.len();
+    let key = |rank: u32, slot: Slot| match slot.unit {
+        UnitId::Fu { index, .. } => (rank as usize, u64::from(index.get() - 1)),
+        UnitId::Alu { instance } => (alu, u64::from(instance)),
+    };
+    let mut base = vec![0u64; alu + 2];
+    for (n, slot) in schedule.iter() {
+        let (rank, index) = key(unit[n.index()], slot);
+        base[rank + 1] = base[rank + 1].max(index + 1);
+    }
+    for r in 1..base.len() {
+        base[r] += base[r - 1];
+    }
+    let id = |rank: u32, slot: Slot| {
+        let (rank, index) = key(rank, slot);
+        base[rank] + index
+    };
+    let mut units = base[alu + 1];
+    if units <= 2 * dfg.node_count() as u64 + 64 {
+        for (n, slot) in schedule.iter() {
+            unit[n.index()] = id(unit[n.index()], slot) as u32;
+        }
+    } else {
+        let ids: Vec<u64> = schedule
+            .iter()
+            .map(|(n, slot)| id(unit[n.index()], slot))
+            .collect();
+        let mut distinct = ids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for ((n, _), i) in schedule.iter().zip(&ids) {
+            unit[n.index()] = distinct.binary_search(i).expect("an id of its own") as u32;
+        }
+        units = distinct.len() as u64;
+    }
+    // Counting sort: row starts from the counts, then each node placed
+    // at its row's cursor, which leaves every cursor at the next row's
+    // start.
+    let mut start = vec![0u32; units as usize + 1];
+    for (n, _) in schedule.iter() {
+        start[unit[n.index()] as usize + 1] += 1;
+    }
+    for u in 1..start.len() {
+        start[u] += start[u - 1];
+    }
+    let mut nodes = vec![NodeId::from_index(0); start[units as usize] as usize];
+    for (n, _) in schedule.iter() {
+        let at = &mut start[unit[n.index()] as usize];
+        nodes[*at as usize] = n;
+        *at += 1;
+    }
+    start.rotate_right(1);
+    start[0] = 0;
+    (start, nodes)
 }
 
 /// Resource conflicts: same unit, overlapping (wrapped) spans, not
@@ -266,7 +341,9 @@ fn resource_conflicts(
 ) {
     let mut cells: Vec<(u32, u32)> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for nodes in nodes_by_unit(schedule).values() {
+    let (start, by_unit) = nodes_by_unit(dfg, schedule);
+    for unit in start.windows(2) {
+        let nodes = &by_unit[unit[0] as usize..unit[1] as usize];
         cells.clear();
         for (i, &n) in nodes.iter().enumerate() {
             let start = schedule.slot(n).expect("in map").step.get();
@@ -295,8 +372,8 @@ fn resource_conflicts(
 }
 
 /// The pairwise scan [`resource_conflicts`] replaced, kept as the
-/// differential reference: every pair on a unit, with a step list per
-/// pair.
+/// differential reference: the nodes grouped per unit in a map, and
+/// every pair on a unit, with a step list per pair.
 #[cfg(test)]
 fn resource_conflicts_pairwise(
     dfg: &Dfg,
@@ -305,7 +382,11 @@ fn resource_conflicts_pairwise(
     latency: Option<u32>,
     violations: &mut Vec<Violation>,
 ) {
-    for nodes in nodes_by_unit(schedule).values() {
+    let mut by_unit: BTreeMap<UnitId, Vec<NodeId>> = BTreeMap::new();
+    for (n, slot) in schedule.iter() {
+        by_unit.entry(slot.unit).or_default().push(n);
+    }
+    for nodes in by_unit.values() {
         for (i, &a) in nodes.iter().enumerate() {
             for &b in &nodes[i + 1..] {
                 if dfg.mutually_exclusive(a, b) {
@@ -738,8 +819,17 @@ mod tests {
         /// random step and one of three units, and every 32nd node left
         /// unscheduled. Small unit pools and a short horizon make cells
         /// collide, and branchy graphs make some colliding nodes
-        /// mutually exclusive.
-        fn perturbed(dfg: &Dfg, spec: &TimingSpec, alu: bool, moves: u32, seed: u64) -> Schedule {
+        /// mutually exclusive. `odd` moves further nodes to unit
+        /// indices past 2²⁰ (sparse unit ids) and, for single-function
+        /// units, to a stage class no node has.
+        fn perturbed(
+            dfg: &Dfg,
+            spec: &TimingSpec,
+            alu: bool,
+            moves: u32,
+            odd: u32,
+            seed: u64,
+        ) -> Schedule {
             let cp = CriticalPath::compute(dfg, spec).steps() as u32;
             let mut s = Schedule::new(dfg, cp + 1);
             let asap = crate::asap(dfg, spec);
@@ -786,6 +876,27 @@ mod tests {
                 };
                 s.assign(id, Slot { step, unit });
             }
+            for _ in 0..odd {
+                let id = NodeId::from_index(rng.below(n) as usize);
+                let step = CStep::new(1 + rng.below(cp + 2));
+                let index = (1 << 20) + rng.below(2);
+                let unit = if alu {
+                    UnitId::Alu { instance: index }
+                } else {
+                    let class = match rng.below(2) {
+                        0 => dfg.node(id).kind().fu_class(),
+                        _ => FuClass::Stage {
+                            base: OpKind::Mul,
+                            index: 1,
+                        },
+                    };
+                    UnitId::Fu {
+                        class,
+                        index: FuIndex::new(index + rng.below(2)),
+                    }
+                };
+                s.assign(id, Slot { step, unit });
+            }
             s
         }
 
@@ -799,6 +910,7 @@ mod tests {
                 latency in 0u32..5,
                 alu in 0u8..2,
                 moves in 0u32..40,
+                odd in 0u32..4,
                 seed in 0u64..u64::MAX,
             ) {
                 let (gseed, layers, width, branch_pct) = shape;
@@ -814,12 +926,20 @@ mod tests {
                     1 => (TimingSpec::two_cycle_multiply(), None),
                     _ => (TimingSpec::with_delays(), Some(ClockPeriod::new(100))),
                 };
-                let s = perturbed(&dfg, &spec, alu == 1, moves, seed);
+                let s = perturbed(&dfg, &spec, alu == 1, moves, odd, seed);
                 // Latency 1 wraps every multi-cycle span onto itself.
                 let options = VerifyOptions {
                     latency: (latency > 0).then_some(latency),
                     clock,
                 };
+                let cycles: Vec<u8> = dfg
+                    .nodes()
+                    .map(|(_, n)| effective_cycles(n.kind().cycles(&spec), n.kind().delay(&spec), clock))
+                    .collect();
+                let (mut bucketed, mut pairwise) = (Vec::new(), Vec::new());
+                resource_conflicts(&dfg, &s, &cycles, options.latency, &mut bucketed);
+                resource_conflicts_pairwise(&dfg, &s, &cycles, options.latency, &mut pairwise);
+                prop_assert_eq!(bucketed, pairwise);
                 prop_assert_eq!(
                     verify_with(&dfg, &s, &spec, options, resource_conflicts),
                     verify_with(&dfg, &s, &spec, options, resource_conflicts_pairwise)
@@ -839,7 +959,7 @@ mod tests {
                 ..GeneratorConfig::default()
             });
             let spec = TimingSpec::two_cycle_multiply();
-            let s = perturbed(&dfg, &spec, false, 30, 7);
+            let s = perturbed(&dfg, &spec, false, 30, 0, 7);
             let cycles: Vec<u8> = dfg.nodes().map(|(_, n)| n.kind().cycles(&spec)).collect();
             let mut found = Vec::new();
             resource_conflicts(&dfg, &s, &cycles, Some(2), &mut found);

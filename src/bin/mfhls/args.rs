@@ -677,15 +677,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "profile" => {
+            // A baseline algorithm is rejected where it runs, by
+            // `run_move_frame`.
             let alg = match algs[..] {
                 [] => Algorithm::Mfs,
-                [one @ (Algorithm::Mfs | Algorithm::Mfsa)] => one,
-                [one] => {
-                    return Err(format!(
-                        "profile supports --alg mfs|mfsa, not `{}`",
-                        one.name()
-                    ))
-                }
+                [one] => one,
                 _ => return Err("profile takes a single --alg value".into()),
             };
             let cs = match cs_list[..] {

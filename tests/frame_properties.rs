@@ -396,7 +396,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    grid.vacate(node);
+                    grid.vacate(&dfg, node);
                 }
                 _ => {
                     // A window from `step`, possibly empty (from step

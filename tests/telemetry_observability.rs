@@ -67,10 +67,12 @@ fn mfs_committed_energy_is_monotone_non_increasing() {
 /// must be identical, and `mfs.energy_evaluations` must equal the
 /// recorded `EnergyEvaluated` events. Besides diffeq, generated branchy
 /// graphs (shared cells, two-cycle multiplies) run with and without a
-/// latency wrap, in both objectives.
+/// latency wrap, in both objectives, and a 2,000-op draw of the scaling
+/// family at `cp + 8` puts many ops with exclusions on grids wider than
+/// one 64-column word.
 #[test]
 fn mfs_instrumented_run_matches_uninstrumented() {
-    use moveframe_hls::benchmarks::generate::{generate, GeneratorConfig};
+    use moveframe_hls::benchmarks::generate::{generate, scaling_workload, GeneratorConfig};
 
     let diffeq = classic::diffeq();
     let single = TimingSpec::uniform_single_cycle();
@@ -103,6 +105,12 @@ fn mfs_instrumented_run_matches_uninstrumented() {
         ));
         cases.push((dfg, spec, MfsConfig::resource_constrained(cs + 4)));
     }
+    let wide = generate(&GeneratorConfig {
+        seed: 43,
+        ..scaling_workload(2_000)
+    });
+    let cp = CriticalPath::compute(&wide, &single).steps() as u32;
+    cases.push((wide, single.clone(), MfsConfig::time_constrained(cp + 8)));
 
     for (dfg, spec, config) in &cases {
         let label = format!(
