@@ -160,8 +160,10 @@ mod tests {
     fn flags_select_snapshots_and_a_sweep() {
         let (all, sweep, _, _) = parsed("--quick");
         assert_eq!((all.len(), sweep), (SNAPSHOTS.len(), Sweep::Quick));
-        let (two, sweep, _, _) = parsed("--only core,partition --sizes 1000,5000");
-        assert_eq!(two, ["core", "partition"]);
+        let (two, sweep, _, _) = parsed("--only core,mem --quick");
+        assert_eq!((two, sweep), (vec!["core", "mem"], Sweep::Quick));
+        let (core, sweep, _, _) = parsed("--only core --sizes 1000,5000");
+        assert_eq!(core, ["core"]);
         assert_eq!(sweep, Sweep::Sizes(vec![1000, 5000]));
         let one = parsed("--only mem --file m.json --print");
         assert_eq!(one, (vec!["mem"], Sweep::Full, Some("m.json".into()), true));

@@ -19,11 +19,10 @@
 //! * `cargo run -p hls-bench --bin figure2` — the PF/RF/FF/MF frames of
 //!   an operation at its scheduling moment;
 //! * `cargo run --release -p hls-bench --bin bench_diff` — the one
-//!   front end to the committed `BENCH_core.json` /
-//!   `BENCH_partition.json` / `BENCH_mem.json` / `BENCH_telemetry.json`
-//!   snapshots (the table in [`snapshots`]): regenerates each selected
-//!   one and exits 1 on drift; `--print` writes the fresh document for
-//!   re-baselining.
+//!   front end to the committed `BENCH_core.json` / `BENCH_mem.json` /
+//!   `BENCH_telemetry.json` snapshots (the table in [`snapshots`]):
+//!   regenerates each selected one and exits 1 on drift; `--print`
+//!   writes the fresh document for re-baselining.
 //!
 //! Benches: `runtime` (MFS/MFSA vs list/FDS/annealing), `scaling`
 //! (O(l³) growth on generated graphs), `ablation`.
@@ -34,7 +33,6 @@
 mod explore_grid;
 mod figures;
 pub mod scaling;
-pub mod shard_scaling;
 pub mod snapshots;
 mod tables;
 

@@ -5,10 +5,10 @@
 //! [`Sweep`], and says how the fresh document is held against the
 //! committed one:
 //!
-//! * **keyed lines** (core, partition) — each fresh entry line
-//!   is paired with the committed line carrying its key, and every
-//!   `"field":value` pair of either line must match except the
-//!   machine-local `wall_ms` ([`diff_keyed`]);
+//! * **keyed lines** (core) — each fresh entry line is paired with
+//!   the committed line carrying its key, and every `"field":value`
+//!   pair of either line must match except the machine-local `wall_ms`
+//!   ([`diff_keyed`]);
 //! * **byte-exact text** (mem, telemetry) — the documents hold no
 //!   timing fields, so the fresh bytes must equal the committed ones
 //!   ([`diff_text`]).
@@ -25,7 +25,7 @@ use moveframe::mfs::{self, MfsConfig};
 use moveframe::mfsa::{self, MfsaConfig};
 use moveframe::CancelToken;
 
-use crate::{mfs_point, mfsa_point, scaling, shard_scaling};
+use crate::{mfs_point, mfsa_point, scaling};
 
 /// Which part of a sweep to regenerate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub enum Sweep {
     Quick,
     /// Everything the committed document holds.
     Full,
-    /// Explicit op counts (core and partition only).
+    /// Explicit op counts (core only).
     Sizes(Vec<usize>),
 }
 
@@ -92,18 +92,12 @@ pub struct Snapshot {
 }
 
 /// Every committed snapshot, in the order `bench_diff` checks them.
-pub const SNAPSHOTS: [Snapshot; 4] = [
+pub const SNAPSHOTS: [Snapshot; 3] = [
     Snapshot {
         name: "core",
         file: "BENCH_core.json",
         sized: true,
         regen: scaling::snapshot,
-    },
-    Snapshot {
-        name: "partition",
-        file: "BENCH_partition.json",
-        sized: true,
-        regen: shard_scaling::snapshot,
     },
     Snapshot {
         name: "mem",
@@ -322,20 +316,13 @@ pub fn telemetry_snapshot(_: &Sweep) -> Fresh {
 mod tests {
     use super::*;
 
-    /// The committed core and partition documents with the
-    /// key of their first entry line (its first `n` fields).
-    fn documents() -> Vec<(String, &'static str)> {
-        [
-            (include_str!("../../../BENCH_core.json"), 3),
-            (include_str!("../../../BENCH_partition.json"), 2),
-        ]
-        .into_iter()
-        .map(|(doc, n)| {
-            let line = doc.lines().find(|l| l.contains("{\"")).unwrap();
-            let fields: Vec<&str> = line.trim_start()[1..].split(',').take(n).collect();
-            (fields.join(","), doc)
-        })
-        .collect()
+    /// The committed core document with the key of its first entry
+    /// line (its first three fields).
+    fn core_document() -> (String, &'static str) {
+        let doc = include_str!("../../../BENCH_core.json");
+        let line = doc.lines().find(|l| l.contains("{\"")).unwrap();
+        let fields: Vec<&str> = line.trim_start()[1..].split(',').take(3).collect();
+        (fields.join(","), doc)
     }
 
     /// `line` with field `name` set to the raw `value`, or dropped.
@@ -351,44 +338,43 @@ mod tests {
 
     #[test]
     fn keyed_diff_pins_every_field_but_wall_ms() {
-        for (key, doc) in documents() {
-            let keys = [key.clone()];
-            let line = doc.lines().find(|l| l.contains(&key)).unwrap();
-            let with = |l: String| doc.replace(line, &l);
+        let (key, doc) = core_document();
+        let keys = [key.clone()];
+        let line = doc.lines().find(|l| l.contains(&key)).unwrap();
+        let with = |l: String| doc.replace(line, &l);
 
-            let wall = with(splice(line, "wall_ms", Some("9999.9")));
-            assert_ne!(wall, doc);
-            assert!(diff_keyed(doc, &keys, &wall).is_empty(), "{key}");
+        let wall = with(splice(line, "wall_ms", Some("9999.9")));
+        assert_ne!(wall, doc);
+        assert!(diff_keyed(doc, &keys, &wall).is_empty(), "{key}");
 
-            let mut pinned = Vec::new();
-            for (name, value) in fields(line).unwrap() {
-                if key.contains(&format!("\"{name}\":")) {
-                    continue;
-                }
-                let other = match &value {
-                    JsonValue::Num(n) => (n + 1.0).to_string(),
-                    JsonValue::Str(s) => format!("\"{s}0\""),
-                    JsonValue::Bool(b) => (!b).to_string(),
-                    JsonValue::Null => unreachable!("no snapshot field is null"),
-                };
-                let drift = diff_keyed(doc, &keys, &with(splice(line, &name, Some(&other))));
-                assert_eq!(drift.len(), 1, "{key} {name}: {drift:?}");
-                assert!(drift[0].contains(&format!(": {name} ")), "{drift:?}");
-                pinned.push(name);
+        let mut pinned = Vec::new();
+        for (name, value) in fields(line).unwrap() {
+            if key.contains(&format!("\"{name}\":")) {
+                continue;
             }
-            assert!(pinned.len() >= 8, "{key}: only {pinned:?} compared");
-            assert!(pinned.contains(&"fingerprint".to_string()), "{key}");
-
-            let renamed = doc.replace(&key, "\"name\":\"gone\"");
-            let drift = diff_keyed(doc, &keys, &renamed);
-            assert_eq!(drift, [format!("no committed entry for {key}")]);
-
-            let short = with(splice(line, "fingerprint", None));
-            let drift = diff_keyed(&short, &keys, doc);
-            assert_eq!(drift, [format!("{key}: fresh entry lacks fingerprint")]);
-            let drift = diff_keyed(doc, &keys, &short);
-            assert_eq!(drift, [format!("{key}: committed entry lacks fingerprint")]);
+            let other = match &value {
+                JsonValue::Num(n) => (n + 1.0).to_string(),
+                JsonValue::Str(s) => format!("\"{s}0\""),
+                JsonValue::Bool(b) => (!b).to_string(),
+                JsonValue::Null => unreachable!("no snapshot field is null"),
+            };
+            let drift = diff_keyed(doc, &keys, &with(splice(line, &name, Some(&other))));
+            assert_eq!(drift.len(), 1, "{key} {name}: {drift:?}");
+            assert!(drift[0].contains(&format!(": {name} ")), "{drift:?}");
+            pinned.push(name);
         }
+        assert!(pinned.len() >= 8, "{key}: only {pinned:?} compared");
+        assert!(pinned.contains(&"fingerprint".to_string()), "{key}");
+
+        let renamed = doc.replace(&key, "\"name\":\"gone\"");
+        let drift = diff_keyed(doc, &keys, &renamed);
+        assert_eq!(drift, [format!("no committed entry for {key}")]);
+
+        let short = with(splice(line, "fingerprint", None));
+        let drift = diff_keyed(&short, &keys, doc);
+        assert_eq!(drift, [format!("{key}: fresh entry lacks fingerprint")]);
+        let drift = diff_keyed(doc, &keys, &short);
+        assert_eq!(drift, [format!("{key}: committed entry lacks fingerprint")]);
     }
 
     #[test]

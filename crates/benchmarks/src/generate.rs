@@ -91,8 +91,8 @@ pub fn scaling_workload(ops: usize) -> GeneratorConfig {
 
 /// Configuration of a clustered workload: `regions` weakly-coupled
 /// layered DAGs, where each operand crosses into an earlier region with
-/// probability `cut_pct` — the knob that sets how dense the cut between
-/// natural partitions is.
+/// probability `cut_pct` — the knob that sets how densely the regions
+/// depend on each other.
 #[derive(Debug, Clone)]
 pub struct ClusteredConfig {
     /// Shape of each region (seed, layers, width, mix, inputs, …).
@@ -104,9 +104,7 @@ pub struct ClusteredConfig {
     pub cut_pct: u32,
 }
 
-/// Region size target of the canonical clustered workload — matches
-/// the partitioner's automatic shard sizing, so `--shard auto` finds
-/// one natural region per shard.
+/// Region size target of the canonical clustered workload.
 pub const CLUSTER_REGION_OPS: usize = 16_000;
 
 /// Cross-region operand probability of the canonical clustered
@@ -116,9 +114,8 @@ pub const CLUSTER_CUT_PCT: u32 = 5;
 
 /// The canonical clustered scaling workload of roughly `ops`
 /// operations: `ops / 16k` regions (at least two) of fixed depth,
-/// 5% cross-region operands. This is the single definition shared by
-/// the `shard_scaling` benchmark (BENCH_partition.json) and
-/// `mfhls profile gen:clustered:OPS`.
+/// 5% cross-region operands: the graph every `mfhls` subcommand reads
+/// as `gen:clustered:OPS`.
 pub fn clustered_workload(ops: usize) -> ClusteredConfig {
     let regions = ops.div_ceil(CLUSTER_REGION_OPS).max(2);
     let per_region = ops.div_ceil(regions);
@@ -139,8 +136,7 @@ pub fn clustered_workload(ops: usize) -> ClusteredConfig {
 /// Generates a clustered DAG: `regions` copies of the layered random
 /// shape laid out back to back, with `cut_pct`% of the later regions'
 /// operands drawn from earlier regions. Regions are emitted in
-/// dependency order, so the graph stays acyclic and a levelized
-/// partitioner recovers the regions as its natural shards.
+/// dependency order, so the graph stays acyclic.
 ///
 /// ```
 /// use hls_benchmarks::generate::{generate_clustered, clustered_workload};

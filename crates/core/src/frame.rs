@@ -1,13 +1,9 @@
 //! Frame computation: `MF = PF − (RF ∪ FF)` (paper §3.2, step 4), and
 //! the dense [`Placement`] state every move-frame loop works on.
 
-use std::collections::BTreeMap;
-
 use hls_celllib::{effective_cycles, ClockPeriod, Delay, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
-use hls_schedule::{
-    CStep, FreeStarts, FuIndex, Grid, Schedule, ScheduleError, Slot, TimeFrames, UnitId,
-};
+use hls_schedule::{CStep, FreeStarts, FuIndex, Grid, Schedule, Slot, TimeFrames};
 
 /// One candidate cell of a placement grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,14 +146,14 @@ impl BoundsCache {
 /// [`BoundsCache`] and the chaining finish offsets, plus the
 /// [`TimeFrames`] they are framed against.
 ///
-/// MFS, MFSA, the exhaustive MFSA oracle and the partition stitcher
-/// all place and vacate operations through [`Placement::assign`] and
+/// MFS, MFSA and the exhaustive MFSA oracle all place and vacate
+/// operations through [`Placement::assign`] and
 /// [`Placement::unassign`], which keep the three structures in
-/// lock-step — the bounds merge or repair, and the
-/// offset table follows the `offset_after` rule on assign and the
-/// transitive repair on vacate. Frame queries
-/// ([`Placement::frame`], [`Placement::feasible_range`]) therefore
-/// always see a consistent state. Occupancy grids stay with the caller:
+/// lock-step — the bounds merge or repair, and the offset table
+/// follows the `offset_after` rule on assign and the transitive repair
+/// on vacate; a restarted MFS pass empties all three at once. Frame
+/// queries ([`Placement::frame`], [`Placement::feasible_range`])
+/// therefore always see a consistent state. Occupancy grids stay with the caller:
 /// MFS widens them per class, MFSA binds ALU instances instead.
 #[derive(Debug, Clone)]
 pub struct Placement<'a> {
@@ -190,41 +186,6 @@ impl<'a> Placement<'a> {
             offsets: vec![Delay::ZERO; dfg.node_count()],
             frames,
         }
-    }
-
-    /// The dense state of a finished `schedule`, framed within
-    /// `horizon` steps (the stitch starting point). The schedule keeps
-    /// its own time constraint.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError::InfeasibleTime`] when the (chained) critical
-    /// path does not fit in `horizon` steps.
-    pub fn from_schedule(
-        dfg: &'a Dfg,
-        spec: &'a TimingSpec,
-        clock: Option<ClockPeriod>,
-        schedule: Schedule,
-        horizon: u32,
-    ) -> Result<Self, ScheduleError> {
-        let mut placement = Placement {
-            dfg,
-            spec,
-            clock,
-            frames: TimeFrames::for_clock(dfg, spec, clock, horizon)?,
-            schedule,
-            bounds: BoundsCache::new(dfg, spec, clock),
-            offsets: vec![Delay::ZERO; dfg.node_count()],
-        };
-        // Index order is a topological order, so every predecessor's
-        // offset is final before a dependent reads it.
-        for node in dfg.node_ids() {
-            if let Some(step) = placement.schedule.start(node) {
-                placement.bounds.on_assign(dfg, node, step);
-                placement.offsets[node.index()] = placement.offset_after(node, step);
-            }
-        }
-        Ok(placement)
     }
 
     /// Vacates every operation (a restarted pass), keeping the frames.
@@ -599,97 +560,6 @@ impl<'a> Placement<'a> {
         let (size, first) = grid.free_cells(self.dfg, node, earliest, latest, current_fu)?;
         Some((size, first.map(|(step, fu)| Position { step, fu })))
     }
-
-    /// One occupancy grid per class of a class-grid schedule, spanning
-    /// the frames' horizon and as wide as the class's highest column, or
-    /// `None` when some operation is bound to an ALU instance.
-    pub fn class_grids(&self) -> Option<BTreeMap<FuClass, Grid>> {
-        let horizon = self.frames.control_steps();
-        let mut grids: BTreeMap<FuClass, Grid> = self
-            .schedule
-            .fu_counts()
-            .into_iter()
-            .map(|(class, max_fu)| (class, Grid::new(horizon, max_fu.max(1))))
-            .collect();
-        for (node, slot) in self.schedule.iter() {
-            let UnitId::Fu { class, index } = slot.unit else {
-                return None;
-            };
-            grids
-                .get_mut(&class)
-                .expect("fu_counts covers every bound class")
-                .occupy(self.dfg, node, slot.step, index, self.cycles(node));
-        }
-        Some(grids)
-    }
-
-    /// Slides each `region` node along its *own* unit — the allocation
-    /// and (for memory accesses) the port binding stay as they are — to
-    /// the earliest free step, sweeping `region` in order until nothing
-    /// moves or `max_sweeps` sweeps ran. Returns `(moves, sweeps)`.
-    ///
-    /// A node only lands strictly between its scheduled neighbours'
-    /// steps, so the slide can neither reorder dependencies nor create
-    /// a new combinational chain, and the clock budget cannot overflow.
-    pub fn slide(&mut self, region: &[NodeId], max_sweeps: usize) -> (u64, u64) {
-        // Per-unit per-step occupant counts (counts, not flags: mutually
-        // exclusive operations legitimately share a cell).
-        let mut busy: BTreeMap<UnitId, Vec<u16>> = BTreeMap::new();
-        for (node, slot) in self.schedule.iter() {
-            let cells = busy.entry(slot.unit).or_default();
-            for k in 0..self.cycles(node) as u32 {
-                let s = (slot.step.get() + k) as usize;
-                if cells.len() <= s {
-                    cells.resize(s + 1, 0);
-                }
-                cells[s] += 1;
-            }
-        }
-
-        let mut moves = 0u64;
-        let mut sweeps = 0u64;
-        for _ in 0..max_sweeps {
-            sweeps += 1;
-            let mut moved = false;
-            for &node in region {
-                let cycles = self.cycles(node) as u32;
-                let cur = self.unassign(node).expect("slide regions are placed");
-                let cells = busy.get_mut(&cur.unit).expect("unit has occupants");
-                for k in 0..cycles {
-                    cells[(cur.step.get() + k) as usize] -= 1;
-                }
-                let lower = self.bounds.pred_finish(node) + 1;
-                let free = |s: u32| {
-                    (0..cycles).all(|k| cells.get((s + k) as usize).copied().unwrap_or(0) == 0)
-                };
-                let target = (lower..cur.step.get())
-                    .find(|&s| free(s))
-                    .map_or(cur.step, CStep::new);
-                for k in 0..cycles {
-                    let s = (target.get() + k) as usize;
-                    if cells.len() <= s {
-                        cells.resize(s + 1, 0);
-                    }
-                    cells[s] += 1;
-                }
-                self.assign(
-                    node,
-                    Slot {
-                        step: target,
-                        unit: cur.unit,
-                    },
-                );
-                if target != cur.step {
-                    moves += 1;
-                    moved = true;
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-        (moves, sweeps)
-    }
 }
 
 #[cfg(test)]
@@ -697,6 +567,7 @@ mod tests {
     use super::*;
     use hls_celllib::OpKind;
     use hls_dfg::DfgBuilder;
+    use hls_schedule::UnitId;
 
     fn ctx_fixture() -> (Dfg, TimingSpec) {
         let mut b = DfgBuilder::new("g");
@@ -783,51 +654,22 @@ mod tests {
         // q may share step 1 (48 + 48 ≤ 100).
         assert_eq!(snap.earliest_feasible, CStep::new(1));
         assert_eq!(placement.offset_after(q, CStep::new(1)), Delay::new(96));
+        placement.assign(q, add_slot(1));
+        assert_eq!(placement.offset(q), Delay::new(96));
+        assert_ne!(placement.bounds().pred_finish(q), 0);
+        assert_ne!(placement.bounds().succ_start(p), u32::MAX);
+        // Clearing restores the empty state over the same frames.
+        placement.clear();
+        assert_eq!(placement.schedule().assigned_count(), 0);
+        assert_eq!(placement.offset(q), Delay::ZERO);
+        assert_eq!(placement.bounds().pred_finish(q), 0);
+        assert_eq!(placement.bounds().succ_start(p), u32::MAX);
+        assert_eq!(placement.frames(), &frames);
         // With a tighter clock the boundary step is rejected.
         let tight = ClockPeriod::new(90);
         let mut placement = Placement::new(&g, &spec, Some(tight), frames);
         placement.assign(p, add_slot(1));
         assert!(!placement.dep_feasible(q, CStep::new(1)));
         assert!(placement.dep_feasible(q, CStep::new(2)));
-    }
-
-    #[test]
-    fn from_schedule_matches_incremental_placement() {
-        let (g, _) = ctx_fixture();
-        let spec = TimingSpec::with_delays();
-        let p = g.node_by_name("p").unwrap();
-        let q = g.node_by_name("q").unwrap();
-        let clock = Some(ClockPeriod::new(100));
-        let frames = TimeFrames::for_clock(&g, &spec, clock, 2).unwrap();
-        let mut warm = Placement::new(&g, &spec, clock, frames);
-        warm.assign(p, add_slot(1));
-        warm.assign(q, add_slot(1));
-        let cold = Placement::from_schedule(&g, &spec, clock, warm.schedule().clone(), 2).unwrap();
-        for n in [p, q] {
-            assert_eq!(warm.offset(n), cold.offset(n));
-            assert_eq!(warm.bounds().pred_finish(n), cold.bounds().pred_finish(n));
-            assert_eq!(warm.bounds().succ_start(n), cold.bounds().succ_start(n));
-        }
-        assert_eq!(cold.offset(q), Delay::new(96));
-        // Clearing restores the empty state over the same frames.
-        warm.clear();
-        assert_eq!(warm.schedule().assigned_count(), 0);
-        assert_eq!(warm.offset(q), Delay::ZERO);
-        assert_eq!(warm.bounds().pred_finish(q), 0);
-    }
-
-    #[test]
-    fn slide_moves_along_the_own_unit_only() {
-        let (g, spec) = ctx_fixture();
-        let p = g.node_by_name("p").unwrap();
-        let q = g.node_by_name("q").unwrap();
-        let mut sched = Schedule::new(&g, 4);
-        sched.assign(p, add_slot(1));
-        sched.assign(q, add_slot(4));
-        let mut placement = Placement::from_schedule(&g, &spec, None, sched, 4).unwrap();
-        assert_eq!(placement.slide(&[q], 4), (1, 2));
-        assert_eq!(placement.schedule().slot(q), Some(add_slot(2)));
-        assert_eq!(placement.slide(&[p], 4), (0, 1));
-        assert_eq!(placement.slide(&[q], 4), (0, 1));
     }
 }

@@ -210,8 +210,8 @@ fn region_vacate_and_replace_matches_cold_recompute_under_banks() {
     // Vacate a whole region of bank accesses at once, then re-place
     // it in topo order at *different* (earlier) slots. The
     // incrementally-maintained state after the re-place must be
-    // bit-identical to a cold rebuild of the new placement — af_steps
-    // included — independently of hls-partition's stitcher.
+    // bit-identical to a cold rebuild of the new placement, af_steps
+    // included.
     let mut b = DfgBuilder::new("mem");
     let i = b.input("i");
     let bank = b.declare_bank("ram", 1);

@@ -7,7 +7,8 @@
 //! (`--cs`, `--limit`, `--chain`, …) take their syntax and help from
 //! the knob table of `hls-explore`.
 //!
-//! Reads the textual DFG format (see `hls-dfg`), schedules with MFS or
+//! Reads the textual DFG format (see `hls-dfg`) or generates a
+//! workload (`gen:OPS`, `gen:clustered:OPS`), schedules with MFS or
 //! synthesises with MFSA against the built-in NCR-like library, and
 //! prints schedules, data paths, cost reports, microcode or Verilog.
 
@@ -27,17 +28,11 @@ use args::{parse_args, usage, usage_for, Command, Telemetry, SUBCOMMANDS};
 /// uses, so a default profile observes the benchmark's frame widths.
 const PROFILE_SLACK: u32 = 8;
 
-fn load(file: &str) -> Result<Dfg, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    parse_dfg(&text).map_err(|e| format!("{file}: {e}"))
-}
-
-/// Loads a design for `profile` and `synth`: a `.dfg` file, `gen:OPS`
-/// for the canonical scaling workload of roughly OPS operations (the
-/// same graphs `BENCH_core.json` measures), or `gen:clustered:OPS` for
-/// the canonical clustered workload (the same graphs
-/// `BENCH_partition.json` measures — weakly-coupled regions sized to
-/// the partitioner's automatic sharding).
+/// Loads the INPUT of every subcommand but `serve`: a `.dfg` file,
+/// `gen:OPS` for the canonical scaling workload of roughly OPS
+/// operations (the same graphs `BENCH_core.json` measures), or
+/// `gen:clustered:OPS` for the canonical clustered workload of
+/// weakly-coupled regions.
 fn load_design(file: &str) -> Result<Dfg, String> {
     let parse_ops = |ops: &str| -> Result<usize, String> {
         ops.parse()
@@ -54,7 +49,11 @@ fn load_design(file: &str) -> Result<Dfg, String> {
                 &moveframe_hls::benchmarks::generate::scaling_workload(parse_ops(rest)?),
             )),
         },
-        None => load(file),
+        None => {
+            let text =
+                std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+            parse_dfg(&text).map_err(|e| format!("{file}: {e}"))
+        }
     }
 }
 
@@ -77,7 +76,7 @@ fn run(command: Command) -> Result<(), String> {
             },
         },
         Command::Info { file, dot } => {
-            let dfg = load(&file)?;
+            let dfg = load_design(&file)?;
             let spec = TimingSpec::uniform_single_cycle();
             let cp = CriticalPath::compute(&dfg, &spec);
             println!(
@@ -123,7 +122,7 @@ fn run(command: Command) -> Result<(), String> {
             svg,
             tel,
         } => {
-            let dfg = load(&file)?;
+            let dfg = load_design(&file)?;
             let spec = point.timing_spec(two_cycle_mul);
             if json {
                 if resource {
@@ -315,20 +314,6 @@ fn run(command: Command) -> Result<(), String> {
             finish_telemetry(&tel, mem.events(), &metrics)?;
             Ok(())
         }
-        Command::SynthSharded {
-            file,
-            ceiling,
-            shards,
-            alg,
-            threads,
-            lib,
-            two_cycle_mul,
-            tel,
-        } => {
-            let dfg = load_design(&file)?;
-            let spec = timing_spec(false, two_cycle_mul);
-            run_synth_sharded(&dfg, &spec, shards, alg, threads, ceiling, lib, &tel)
-        }
         Command::Explore {
             file,
             grid,
@@ -338,7 +323,7 @@ fn run(command: Command) -> Result<(), String> {
             emit,
             tel,
         } => {
-            let dfg = load(&file)?;
+            let dfg = load_design(&file)?;
             let points = match grid {
                 Some(path) => {
                     let text = std::fs::read_to_string(&path)
@@ -454,82 +439,6 @@ fn load_library(lib: Option<String>) -> Result<Library, String> {
             moveframe_hls::celllib::parse_library(&text).map_err(|e| format!("{path}: {e}"))
         }
     }
-}
-
-/// Runs sharded synthesis (`synth --shard`): partition → parallel
-/// per-shard scheduling → merge & stitch → verify. `ceiling` is the
-/// optional `--cs` value, enforced against the achieved horizon.
-#[allow(clippy::too_many_arguments)]
-fn run_synth_sharded(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    shards: usize,
-    alg: Algorithm,
-    threads: usize,
-    ceiling: Option<u32>,
-    lib: Option<String>,
-    tel: &Telemetry,
-) -> Result<(), String> {
-    let shard_alg = match alg {
-        Algorithm::Mfs => ShardAlg::Mfs,
-        Algorithm::Mfsa => ShardAlg::Mfsa(load_library(lib)?),
-        other => {
-            return Err(format!(
-                "--shard-alg supports mfs|mfsa, not `{}`",
-                other.name()
-            ))
-        }
-    };
-    let config = ShardedConfig::new(shards, shard_alg).with_threads(threads);
-    let mut mem = MemorySink::new();
-    let mut null = NullSink;
-    let mut metrics = Metrics::new();
-    let out = {
-        let sink = tel.sink(&mut mem, &mut null);
-        let mut instr = Instrument::new(sink, &mut metrics);
-        synth_sharded(dfg, spec, &config, &mut instr).map_err(|e| e.to_string())?
-    };
-    metrics.merge(&out.shard_metrics);
-    if let Some(ceiling) = ceiling {
-        if out.csteps > ceiling {
-            return Err(format!(
-                "sharded schedule needs {} control steps, above the --cs ceiling {ceiling}",
-                out.csteps
-            ));
-        }
-    }
-    if !tel.quiet {
-        let requested = if shards == 0 {
-            "auto".to_string()
-        } else {
-            shards.to_string()
-        };
-        println!(
-            "sharded synthesis ({}): {} nodes in {} shards (requested {requested})",
-            config.alg.name(),
-            dfg.node_count(),
-            out.shards,
-        );
-        println!(
-            "  cut edges {}, boundary nodes {}, refine moves {}",
-            out.cut_edges, out.boundary_nodes, out.refine_moves
-        );
-        println!(
-            "  stitch moves {}, telescoped steps saved {}",
-            out.stitch_moves, out.telescoped_saved
-        );
-        let ceiling_note = ceiling
-            .map(|c| format!(" (ceiling {c})"))
-            .unwrap_or_default();
-        println!(
-            "  control steps {}{ceiling_note}, schedule verified",
-            out.csteps
-        );
-    }
-    if tel.verbose {
-        eprintln!("shard budgets: {:?}", out.shard_csteps);
-    }
-    finish_telemetry(tel, mem.events(), &metrics)
 }
 
 /// Schedules one design point through the exploration engine (the same
@@ -711,94 +620,58 @@ mod tests {
     }
 
     #[test]
-    fn parses_synth_shard() {
-        // --shard N with an explicit algorithm and thread count; --cs
-        // becomes optional.
-        let c = parse(&[
-            "synth",
-            "gen:5000",
-            "--shard",
-            "4",
-            "--shard-alg",
-            "mfs",
-            "--threads",
-            "8",
-        ])
-        .unwrap();
-        match c {
-            Command::SynthSharded {
-                ceiling,
-                shards,
-                alg,
-                threads,
-                ..
-            } => {
-                assert_eq!(ceiling, None);
-                assert_eq!(shards, 4);
-                assert_eq!(alg, Algorithm::Mfs);
-                assert_eq!(threads, 8);
-            }
-            other => panic!("wrong parse: {other:?}"),
+    fn retired_shard_flags_are_unknown_synth_flags() {
+        for (flag, value) in [("--shard", "4"), ("--shard-alg", "mfs")] {
+            let err = parse(&["synth", "x.dfg", "--cs", "4", flag, value]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown synth flag `{flag}`; see `mfhls help synth`")
+            );
         }
-        // `auto` parses to 0; --cs is kept as the global ceiling.
-        let c = parse(&["synth", "x.dfg", "--shard", "auto", "--cs", "40"]).unwrap();
-        match c {
-            Command::SynthSharded {
-                ceiling,
-                shards,
-                alg,
-                ..
-            } => {
-                assert_eq!(ceiling, Some(40));
-                assert_eq!(shards, 0);
-                assert_eq!(alg, Algorithm::Mfsa);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // Bad values and misuses are rejected with pointed errors.
-        assert!(parse(&["synth", "x.dfg", "--shard", "0"])
-            .unwrap_err()
-            .contains("positive count or `auto`"));
-        assert!(
-            parse(&["synth", "x.dfg", "--cs", "4", "--shard-alg", "mfs"])
-                .unwrap_err()
-                .contains("requires --shard")
-        );
-        assert!(parse(&["synth", "x.dfg", "--cs", "4", "--threads", "2"])
-            .unwrap_err()
-            .contains("requires --shard"));
-        assert!(parse(&["synth", "x.dfg", "--shard", "2", "--verilog"])
-            .unwrap_err()
-            .contains("drop --json"));
-        assert!(parse(&["synth", "x.dfg", "--shard", "2", "--style2"])
-            .unwrap_err()
-            .contains("--style2"));
-        assert!(
-            parse(&["synth", "x.dfg", "--shard", "2", "--shard-alg", "list"])
-                .unwrap_err()
-                .contains("mfs|mfsa")
+        // `--threads` lives on in `explore`, and the error says so.
+        let err = parse(&["synth", "x.dfg", "--cs", "4", "--threads", "2"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown synth flag `--threads` (a `explore` flag); see `mfhls help synth`"
         );
     }
 
     #[test]
-    fn synth_shard_end_to_end() {
-        let sharded = |ceiling| Command::SynthSharded {
-            file: "gen:800".to_string(),
-            ceiling,
-            shards: 3,
-            alg: Algorithm::Mfs,
-            threads: 2,
-            lib: None,
-            two_cycle_mul: false,
-            tel: Telemetry {
-                quiet: true,
-                ..Telemetry::default()
-            },
+    fn every_input_subcommand_reads_a_generated_design() {
+        let quiet = Telemetry {
+            quiet: true,
+            ..Telemetry::default()
         };
-        run(sharded(None)).unwrap();
-        // An impossible ceiling is a pointed error, not a panic.
-        let err = run(sharded(Some(1))).unwrap_err();
-        assert!(err.contains("ceiling"), "{err}");
+        for file in ["gen:64", "gen:clustered:64"] {
+            let cs = CriticalPath::compute(&load_design(file).unwrap(), &timing_spec(false, false))
+                .steps() as u32
+                + 4;
+            run(Command::Info {
+                file: file.into(),
+                dot: false,
+            })
+            .unwrap();
+            run(Command::Schedule {
+                file: file.into(),
+                point: DesignPoint::new(Algorithm::Mfs, cs),
+                resource: false,
+                two_cycle_mul: false,
+                json: false,
+                svg: None,
+                tel: quiet.clone(),
+            })
+            .unwrap();
+            run(Command::Explore {
+                file: file.into(),
+                grid: None,
+                points: vec![DesignPoint::new(Algorithm::Mfs, cs)],
+                two_cycle_mul: false,
+                threads: 1,
+                emit: None,
+                tel: quiet.clone(),
+            })
+            .unwrap();
+        }
     }
 
     #[test]

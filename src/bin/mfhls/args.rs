@@ -79,22 +79,6 @@ pub enum Command {
         vcd: Option<String>,
         tel: Telemetry,
     },
-    /// `synth --shard`: partitioned synthesis of one large design.
-    SynthSharded {
-        file: String,
-        /// Optional global control-step ceiling (`--cs`).
-        ceiling: Option<u32>,
-        /// Shard count (`0` = auto from the node count).
-        shards: usize,
-        /// Per-shard scheduler.
-        alg: Algorithm,
-        /// Shard-pool worker threads (0 = all cores); output is
-        /// identical for every value.
-        threads: usize,
-        lib: Option<String>,
-        two_cycle_mul: bool,
-        tel: Telemetry,
-    },
     Explore {
         file: String,
         grid: Option<String>,
@@ -134,6 +118,12 @@ struct Help {
     telemetry: bool,
 }
 
+/// What every subcommand but `serve` reads.
+const INPUT: &str = "INPUT is a .dfg file, `gen:OPS` for the canonical scaling workload of\n\
+                     roughly OPS operations (the graphs BENCH_core.json measures) or\n\
+                     `gen:clustered:OPS` for the canonical clustered workload of\n\
+                     weakly-coupled regions.";
+
 /// The telemetry flags of `schedule` and `synth`.
 const TELEMETRY: &[&str] = &[
     "--trace FILE.jsonl\tscheduler trace events as JSON Lines",
@@ -146,7 +136,7 @@ const TELEMETRY: &[&str] = &[
 fn help(sub: &str) -> Option<Help> {
     let (about, flags, telemetry): (_, &'static [&str], _) = match sub {
         "info" => (
-            "usage: mfhls info <file.dfg> [--dot]\n\
+            "usage: mfhls info INPUT [--dot]\n\
              \n\
              Prints the graph's operator mix, node/signal counts, critical path\n\
              (single-cycle and 2-cycle-multiply timing) and, for memory-aware\n\
@@ -155,7 +145,7 @@ fn help(sub: &str) -> Option<Help> {
             false,
         ),
         "schedule" => (
-            "usage: mfhls schedule <file.dfg> --cs N [flags]\n\
+            "usage: mfhls schedule INPUT --cs N [flags]\n\
              \n\
              Move-frame scheduling (MFS). Accepts memory-aware .dfg files:\n\
              loads/stores are scheduled against their bank's port count.",
@@ -172,28 +162,13 @@ fn help(sub: &str) -> Option<Help> {
             true,
         ),
         "synth" => (
-            "usage: mfhls synth (<file.dfg> | gen:OPS) --cs N [flags]\n\
+            "usage: mfhls synth INPUT --cs N [flags]\n\
              \n\
              Mixed scheduling-allocation (MFSA): schedule, bind ALUs/registers/\n\
              muxes and report costs. Memory-aware designs get per-bank port\n\
-             binding, address/data muxing and Verilog memory instantiation.\n\
-             `gen:OPS` synthesises the canonical scaling workload of roughly\n\
-             OPS operations.\n\
-             \n\
-             With --shard the design is cut into weakly-coupled shards,\n\
-             scheduled in parallel and stitched back into one verified\n\
-             schedule. Shards share no hardware, so the stitched design needs\n\
-             more units. On a 200k-op clustered graph (2 cores) sharding beat\n\
-             a whole-graph MFSA run (6.1 s vs 50.6 s) but not a whole-graph\n\
-             MFS run (6.8 s vs 1.15 s). Output is bit-identical for any\n\
-             --threads value; --cs becomes an optional global control-step\n\
-             ceiling and the data-path flags (--microcode/--verilog/...) do\n\
-             not apply.",
+             binding, address/data muxing and Verilog memory instantiation.",
             &[
-                "--cs\t (required; with --shard: optional ceiling)",
-                "--shard N|auto\tsharded synthesis with N shards (auto = ~16k nodes each)",
-                "--shard-alg A\tper-shard scheduler: mfs|mfsa (default mfsa)",
-                "--threads N\tshard-pool worker threads (0 = all cores)",
+                "--cs\t (required)",
                 "--style2\tno-self-loop design style (paper style 2)",
                 "--weights",
                 "--lib FILE.lib\tuse a custom cell library",
@@ -209,7 +184,7 @@ fn help(sub: &str) -> Option<Help> {
             true,
         ),
         "explore" => (
-            "usage: mfhls explore <file.dfg> (--grid FILE | --cs N[,M...]) [flags]\n\
+            "usage: mfhls explore INPUT (--grid FILE | --cs N[,M...]) [flags]\n\
              \n\
              Schedules many design points in parallel and reports the Pareto\n\
              front. Memory-aware designs work with mfs, mfsa and list; the\n\
@@ -234,19 +209,14 @@ fn help(sub: &str) -> Option<Help> {
             false,
         ),
         "profile" => (
-            "usage: mfhls profile (<file.dfg> | gen:OPS) [flags]\n\
+            "usage: mfhls profile INPUT [flags]\n\
              \n\
              Runs one scheduling pass with the attribution profiler attached\n\
              and prints where the scheduler's work went: per-node and per-step\n\
              energy-evaluation hotspots, per-phase wall time, bounds fast-path\n\
              vs boundary-walk counts and reuse-memo hit rates. The report is\n\
              deterministic for a given design, and profiling never changes the\n\
-             schedule (the profiler is a write-only trace sink).\n\
-             \n\
-             `gen:OPS` profiles the canonical scaling workload of roughly OPS\n\
-             operations — the same graphs BENCH_core.json measures.\n\
-             `gen:clustered:OPS` profiles the canonical clustered workload —\n\
-             the same graphs BENCH_partition.json measures.",
+             schedule (the profiler is a write-only trace sink).",
             &[
                 "--cs\t (default: critical path + 8)",
                 "--alg\t; mfs or mfsa (default mfs)",
@@ -331,6 +301,10 @@ pub fn usage_for(sub: &str) -> Option<String> {
         sections.push(("telemetry", TELEMETRY));
     }
     let mut text = String::from(help.about);
+    if sub != "serve" {
+        text.push_str("\n\n");
+        text.push_str(INPUT);
+    }
     for (title, flags) in sections {
         let rows: Vec<(String, String)> = flags
             .iter()
@@ -477,9 +451,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut svg = None;
     let mut vcd = None;
     let mut grid = None;
-    let mut threads: Option<usize> = None;
-    let mut shard: Option<usize> = None;
-    let mut shard_alg: Option<Algorithm> = None;
+    let mut threads = 0usize;
     let mut emit = None;
     let mut top = 20usize;
     let mut tel = Telemetry::default();
@@ -528,29 +500,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--svg" => svg = Some(next(&mut it, "--svg needs a file path")?.clone()),
             "--vcd" => vcd = Some(next(&mut it, "--vcd needs a file path")?.clone()),
             "--grid" => grid = Some(next(&mut it, "--grid needs a file path")?.clone()),
-            "--threads" => threads = Some(parsed(&mut it, flag)?),
-            "--shard" => {
-                let v = next(&mut it, "--shard needs a count or `auto`")?;
-                shard = Some(if v == "auto" {
-                    0
-                } else {
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or("--shard needs a positive count or `auto`")?
-                });
-            }
-            "--shard-alg" => {
-                shard_alg = Some(
-                    match next(&mut it, "--shard-alg needs mfs or mfsa")?.as_str() {
-                        "mfs" => Algorithm::Mfs,
-                        "mfsa" => Algorithm::Mfsa,
-                        other => {
-                            return Err(format!("--shard-alg supports mfs|mfsa, not `{other}`"))
-                        }
-                    },
-                );
-            }
+            "--threads" => threads = parsed(&mut it, flag)?,
             "--emit" => emit = Some(next(&mut it, "--emit needs a file path")?.clone()),
             "--top" => top = parsed(&mut it, flag)?,
             "--trace" => tel.trace = Some(next(&mut it, "--trace needs a file path")?.clone()),
@@ -586,68 +536,20 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             svg,
             tel,
         }),
-        "synth" => {
-            let cs = if shard.is_some() {
-                // --cs becomes an optional global ceiling.
-                match cs_list[..] {
-                    [] => None,
-                    [one] => Some(one),
-                    _ => return Err("synth takes a single --cs value".into()),
-                }
-            } else {
-                if shard_alg.is_some() {
-                    return Err("--shard-alg requires --shard".into());
-                }
-                if threads.is_some() {
-                    return Err("synth --threads requires --shard".into());
-                }
-                Some(single_cs("synth")?)
-            };
-            if shard.is_some() {
-                if json
-                    || microcode
-                    || verilog
-                    || testbench
-                    || check
-                    || svg.is_some()
-                    || vcd.is_some()
-                {
-                    return Err(
-                        "--shard produces a verified schedule, not a data path; drop --json/--microcode/--verilog/--testbench/--check/--svg/--vcd"
-                            .into(),
-                    );
-                }
-                if knobs.style != 1 || knobs.weights.is_some() {
-                    return Err("--shard does not support --style2/--weights".into());
-                }
-            }
-            Ok(match shard {
-                Some(shards) => Command::SynthSharded {
-                    file,
-                    ceiling: cs,
-                    shards,
-                    alg: shard_alg.unwrap_or(Algorithm::Mfsa),
-                    threads: threads.unwrap_or(0),
-                    lib,
-                    two_cycle_mul,
-                    tel,
-                },
-                None => Command::Synth {
-                    file,
-                    point: point(Algorithm::Mfsa, cs.ok_or("synth requires --cs")?),
-                    lib,
-                    two_cycle_mul,
-                    json,
-                    microcode,
-                    verilog,
-                    testbench,
-                    check,
-                    svg,
-                    vcd,
-                    tel,
-                },
-            })
-        }
+        "synth" => Ok(Command::Synth {
+            file,
+            point: point(Algorithm::Mfsa, single_cs("synth")?),
+            lib,
+            two_cycle_mul,
+            json,
+            microcode,
+            verilog,
+            testbench,
+            check,
+            svg,
+            vcd,
+            tel,
+        }),
         "explore" => {
             if grid.is_some() && (!algs.is_empty() || !cs_list.is_empty()) {
                 return Err("use either --grid or --alg/--cs, not both".into());
@@ -671,7 +573,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 grid,
                 points,
                 two_cycle_mul,
-                threads: threads.unwrap_or(0),
+                threads,
                 emit,
                 tel,
             })

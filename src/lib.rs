@@ -38,7 +38,6 @@ pub use hls_control as control;
 pub use hls_dfg as dfg;
 pub use hls_explore as explore;
 pub use hls_mem as mem;
-pub use hls_partition as partition;
 pub use hls_prof as prof;
 pub use hls_rtl as rtl;
 pub use hls_schedule as schedule;
@@ -62,7 +61,6 @@ pub mod prelude {
         access_bindings, bank_usage, check_port_safety, port_pressure, AccessBinding, BankUsage,
         MemError, PortPressure, PortViolation,
     };
-    pub use hls_partition::{synth_sharded, ShardAlg, ShardedConfig, ShardedOutcome};
     pub use hls_prof::{ProfileReport, Profiler};
     pub use hls_rtl::{verify_datapath, AluAllocation, CostReport, Datapath};
     pub use hls_schedule::{
